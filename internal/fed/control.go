@@ -54,6 +54,9 @@ type workerState struct {
 	slots    int
 	lastSeen time.Time
 	leased   map[string]struct{}
+	// credit is how many more jobs the worker asked for than the queue
+	// held: its parked lease request. The next request replaces it.
+	credit int
 }
 
 // owner is the worker's lease-owner key in the runner. It includes the
@@ -62,8 +65,9 @@ type workerState struct {
 func (ws *workerState) owner() string { return fmt.Sprintf("%d:%s", ws.id, ws.name) }
 
 // Control is the federation's coordinator: it listens as rpc.ControlID,
-// admits workers, grants leases from the runner's queue, and requeues the
-// leases of workers that stop heartbeating.
+// admits workers, grants leases from the runner's queue — at once when a
+// request finds work, otherwise the moment work arrives for a parked
+// request — and requeues the leases of workers that stop heartbeating.
 type Control struct {
 	r         *runner.Runner
 	peer      *rpc.Peer
@@ -97,11 +101,13 @@ func NewControl(r *runner.Runner, cfg ControlConfig) (*Control, error) {
 		heartbeat: cfg.Heartbeat,
 		misses:    cfg.Misses,
 		workers:   make(map[comm.NodeID]*workerState),
-		// Worker IDs start at a clock-derived base so IDs from before a
+		// Worker IDs start at the clock in nanoseconds so IDs from before a
 		// control restart don't collide with freshly assigned ones (a
 		// surviving worker keeps heartbeating under its old ID and is
-		// re-admitted by it).
-		nextID: comm.NodeID(time.Now().Unix()%(1<<20))*1024 + 1,
+		// re-admitted by it), and neither do those of two controls started
+		// in the same second: an older control would have to admit a worker
+		// per nanosecond of its head start to reach a younger one's base.
+		nextID: comm.NodeID(time.Now().UnixNano()),
 		stop:   make(chan struct{}),
 	}
 	peer, err := rpc.Listen(rpc.ControlID, cfg.Addr, c)
@@ -109,8 +115,9 @@ func NewControl(r *runner.Runner, cfg ControlConfig) (*Control, error) {
 		return nil, fmt.Errorf("fed: control listen: %w", err)
 	}
 	c.peer = peer
-	c.wg.Add(1)
+	c.wg.Add(2)
 	go c.monitor()
+	go c.dispatch()
 	return c, nil
 }
 
@@ -145,6 +152,39 @@ func (c *Control) monitor() {
 				c.evict(ws, "missed heartbeats")
 			}
 		}
+	}
+}
+
+// dispatch spends parked credit each time the runner reports that a job
+// entered an empty queue.
+func (c *Control) dispatch() {
+	defer c.wg.Done()
+	for {
+		select {
+		case <-c.stop:
+			return
+		case <-c.r.Ready():
+			c.peer.Invoke(c.spendParked)
+		}
+	}
+}
+
+// spendParked offers the queue to every worker holding credit. It runs
+// under the peer's handler lock, like a delivered message, so it and
+// OnMessage can never lease against the same credit at once. The parked
+// workers are read under that lock too: a request that parks after the
+// runner's signal was raised has already seen the job.
+func (c *Control) spendParked() {
+	c.mu.Lock()
+	var parked []*workerState
+	for _, ws := range c.workers {
+		if ws.credit > 0 {
+			parked = append(parked, ws)
+		}
+	}
+	c.mu.Unlock()
+	for _, ws := range parked {
+		c.grant(ws, false)
 	}
 }
 
@@ -189,10 +229,23 @@ func (c *Control) OnMessage(_ comm.Env, msg comm.Message) {
 			c.evict(old, "replaced by new hello")
 			c.mu.Lock()
 		}
-		c.admit(msg.From, p.Name, p.Addr, p.Slots)
+		ws := c.admit(msg.From, p.Name, p.Addr, p.Slots)
+		// Hello is the worker's first lease request, for every slot, and
+		// the grant that answers it (empty or not) is its admission ack.
+		ws.credit = p.Slots
 		c.mu.Unlock()
+		c.grant(ws, true)
 	case rpc.LeaseRequestPayload:
-		c.grant(msg.From, p.Want)
+		c.mu.Lock()
+		ws := c.workers[msg.From]
+		if ws == nil {
+			c.mu.Unlock()
+			break // unknown sender: its next heartbeat re-admits it
+		}
+		ws.lastSeen = time.Now()
+		ws.credit = p.Want
+		c.mu.Unlock()
+		c.grant(ws, false)
 	case rpc.HeartbeatPayload:
 		c.mu.Lock()
 		ws := c.workers[msg.From]
@@ -224,21 +277,27 @@ func (c *Control) OnMessage(_ comm.Env, msg comm.Message) {
 	}
 }
 
-// grant leases up to want queued jobs to the worker and always answers,
-// even with an empty grant — the reply is the worker's signal to poll
-// again on its next heartbeat rather than waiting forever.
-func (c *Control) grant(from comm.NodeID, want int) {
+// grant spends the worker's credit on queued jobs, as many as both allow
+// and never more than the worker has slots free by the control's own table.
+// What the queue or the cap cannot supply stays parked as credit until
+// dispatch, a result that frees a slot, the worker's next request, or its
+// eviction. Nothing is sent for an empty grant unless ack is set. Callers
+// hold the peer's handler lock (OnMessage or Invoke), which is what makes
+// grants to one worker sequential.
+func (c *Control) grant(ws *workerState, ack bool) {
 	c.mu.Lock()
-	ws := c.workers[from]
-	if ws == nil {
+	if c.workers[ws.id] != ws {
 		c.mu.Unlock()
-		return // unknown sender: its next heartbeat will re-admit it
+		return // evicted or replaced since the caller looked it up
 	}
-	ws.lastSeen = time.Now()
+	want := min(ws.credit, ws.slots-len(ws.leased))
 	owner, name := ws.owner(), ws.name
 	c.mu.Unlock()
 
 	leases := c.r.Lease(owner, want)
+	if len(leases) == 0 && !ack {
+		return
+	}
 	gp := rpc.LeaseGrantPayload{Leases: make([]rpc.Lease, 0, len(leases))}
 	for _, l := range leases {
 		spec, err := json.Marshal(l.Job)
@@ -250,32 +309,37 @@ func (c *Control) grant(from comm.NodeID, want int) {
 		}
 		gp.Leases = append(gp.Leases, rpc.Lease{ID: l.Job.ID(), Seq: l.Seq, Spec: spec})
 	}
-	if err := c.send(from, gp); err != nil {
+	err := c.send(ws.id, gp)
+	c.mu.Lock()
+	current := c.workers[ws.id] == ws
+	if current && err != nil {
+		delete(c.workers, ws.id)
+	} else if current {
+		ws.credit -= len(gp.Leases)
+		for _, l := range gp.Leases {
+			ws.leased[l.ID] = struct{}{}
+		}
+		fm().leaseActive.With(name).Set(float64(len(ws.leased)))
+	}
+	c.mu.Unlock()
+	switch {
+	case !current:
+		// The monitor evicted the worker while the grant was in flight,
+		// before these leases existed: they go back like the rest.
+		c.r.Requeue(owner)
+	case err != nil:
 		// The worker vanished between asking and being answered: requeue
 		// everything it holds. If it is actually alive, its next heartbeat
 		// re-admits it and it will ask again.
-		c.mu.Lock()
-		delete(c.workers, from)
-		c.mu.Unlock()
 		c.evict(ws, "grant undeliverable")
-		return
-	}
-	if len(gp.Leases) > 0 {
-		c.mu.Lock()
-		if cur := c.workers[from]; cur == ws {
-			for _, l := range gp.Leases {
-				ws.leased[l.ID] = struct{}{}
-			}
-			fm().leaseActive.With(name).Set(float64(len(ws.leased)))
-		}
-		c.mu.Unlock()
+	default:
 		fm().leasesGranted.With(name).Add(float64(len(gp.Leases)))
 	}
 }
 
 // finish lands one worker-reported result in the runner; stale leases
 // (the worker was declared dead and the job requeued while the result was
-// in flight) are dropped and counted.
+// in flight) are dropped and counted. Called from OnMessage only.
 func (c *Control) finish(from comm.NodeID, p rpc.ResultPayload) {
 	rec := runner.Record{
 		Status:  runner.Status(p.Status),
@@ -286,14 +350,21 @@ func (c *Control) finish(from comm.NodeID, p rpc.ResultPayload) {
 	err := c.r.Complete(p.ID, p.Seq, rec)
 	c.mu.Lock()
 	ws := c.workers[from]
+	parked := false
 	if ws != nil {
 		ws.lastSeen = time.Now()
 		delete(ws.leased, p.ID)
 		fm().leaseActive.With(ws.name).Set(float64(len(ws.leased)))
+		parked = ws.credit > 0
 	}
 	c.mu.Unlock()
 	if err != nil {
 		fm().staleResults.Inc()
+	}
+	if parked {
+		// A request that overtook this result was capped by the slot the
+		// result frees, and the worker will not repeat it: spend it now.
+		c.grant(ws, false)
 	}
 }
 
@@ -305,7 +376,10 @@ func (c *Control) send(to comm.NodeID, payload any) error {
 // CancelJob cancels a job wherever it is: queued and locally running jobs
 // are handled entirely by the runner; leased jobs additionally get a
 // cancel message to the owning worker (best-effort — if the worker is
-// gone, the heartbeat monitor finalizes the cancel on requeue).
+// gone, the heartbeat monitor finalizes the cancel on requeue). A job
+// reads leased from the moment the runner leases it, before its grant has
+// been sent, and a worker drops a cancel for a job it does not hold: the
+// cancel is sent under the handler lock, behind any grant in progress.
 func (c *Control) CancelJob(id string) (runner.JobState, error) {
 	st, owner, err := c.r.Cancel(id)
 	if err != nil || owner == "" {
@@ -313,9 +387,11 @@ func (c *Control) CancelJob(id string) (runner.JobState, error) {
 	}
 	var wid int64
 	if _, serr := fmt.Sscanf(owner, "%d:", &wid); serr == nil {
-		if serr := c.send(comm.NodeID(wid), rpc.CancelPayload{ID: id}); serr != nil {
-			_ = serr // worker unreachable: eviction will finalize the cancel
-		}
+		c.peer.Invoke(func() {
+			if serr := c.send(comm.NodeID(wid), rpc.CancelPayload{ID: id}); serr != nil {
+				_ = serr // worker unreachable: eviction will finalize the cancel
+			}
+		})
 	}
 	return st, nil
 }
@@ -380,5 +456,12 @@ func (c *Control) Close() error {
 	c.mu.Unlock()
 	close(c.stop)
 	c.wg.Wait()
-	return c.peer.Close()
+	err := c.peer.Close()
+	// The peer is closed, so no handler is left to admit or evict: whoever
+	// is still registered leaves the process-wide gauge with the control.
+	c.mu.Lock()
+	fm().workers.Add(-float64(len(c.workers)))
+	clear(c.workers)
+	c.mu.Unlock()
+	return err
 }

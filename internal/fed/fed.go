@@ -7,10 +7,13 @@
 // The division of labor with internal/runner is strict: the runner owns
 // every scheduling decision (lease fencing, requeue, cancellation state),
 // this package only moves messages. Work distribution is pull-based — a
-// worker asks for leases on attach, on every heartbeat while it has free
-// slots, and after each completion; the control grants from the shared
-// queue and never pushes unrequested work. Liveness is heartbeat-based: a
-// worker that goes silent for Heartbeat×Misses has its leases requeued at
-// the head of the queue, and a late result from it is fenced off by the
-// lease sequence number.
+// worker says how many slots it has free on attach and after each
+// completion, and the control never leases it more than that. A request the
+// queue cannot satisfy stays parked on the control as the worker's credit
+// and is spent the moment the runner reports a job entering an empty queue,
+// so an idle fleet starts a job when it arrives. The heartbeat is liveness —
+// a worker silent for Heartbeat×Misses has its leases requeued at the head
+// of the queue, and a late result from it is fenced off by the lease
+// sequence number — and, because every beat is followed by the request
+// again, the one fallback for a credit the control has lost.
 package fed

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"aergia/internal/experiments"
 	"aergia/internal/obs"
 	"aergia/internal/runner"
 )
@@ -20,8 +19,14 @@ import (
 // fast heartbeat, plus an HTTP join endpoint, and tears it all down.
 func testControl(t *testing.T, store *runner.Store) (*runner.Runner, *Control, string) {
 	t.Helper()
+	return testControlEvery(t, store, 40*time.Millisecond)
+}
+
+// testControlEvery is testControl at a chosen heartbeat.
+func testControlEvery(t *testing.T, store *runner.Store, heartbeat time.Duration) (*runner.Runner, *Control, string) {
+	t.Helper()
 	r := runner.New(store, -1)
-	c, err := NewControl(r, ControlConfig{Heartbeat: 40 * time.Millisecond, Misses: 3})
+	c, err := NewControl(r, ControlConfig{Heartbeat: heartbeat, Misses: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +57,7 @@ func submitSeeds(t *testing.T, r *runner.Runner, n int) []runner.Job {
 	t.Helper()
 	var jobs []runner.Job
 	for seed := uint64(1); seed <= uint64(n); seed++ {
-		job, err := runner.NewJob("fig4", experiments.Options{Quick: true, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
+		job := seedJob(t, seed)
 		jobs = append(jobs, job)
 		if _, err := r.Submit(job); err != nil {
 			t.Fatal(err)

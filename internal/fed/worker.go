@@ -53,19 +53,24 @@ type Worker struct {
 
 	mu      sync.Mutex
 	active  map[string]*activeJob
-	pending bool // a lease request is in flight, don't stack another
+	asked   int // Want of the request the control is presumed to hold; 0 = none
 	stopped bool
 
-	stop     chan struct{}
-	lost     chan struct{}
-	loseOnce sync.Once
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	admitted  chan struct{} // closed by the first grant: the Hello ack
+	stop      chan struct{}
+	lost      chan struct{}
+	admitOnce sync.Once
+	loseOnce  sync.Once
+	stopOnce  sync.Once
+	wg        sync.WaitGroup
 }
 
 // Join bootstraps a worker: POST /workers/join for an identity, listen on
-// the rpc transport under it, attach with Hello, and start the heartbeat
-// loop. The first lease request goes out immediately.
+// the rpc transport under it, attach with Hello — which is also the first
+// lease request, for every slot — and start the heartbeat loop. It returns
+// once the control has answered the Hello, so the worker is registered (and
+// may already be executing); a control that stays silent for a heartbeat
+// interval is left to the heartbeats, which re-admit.
 func Join(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
@@ -105,6 +110,8 @@ func Join(cfg WorkerConfig) (*Worker, error) {
 		id:        comm.NodeID(jr.ID),
 		heartbeat: time.Duration(jr.HeartbeatMS) * time.Millisecond,
 		active:    make(map[string]*activeJob),
+		asked:     cfg.Slots,
+		admitted:  make(chan struct{}),
 		stop:      make(chan struct{}),
 		lost:      make(chan struct{}),
 	}
@@ -120,7 +127,10 @@ func Join(cfg WorkerConfig) (*Worker, error) {
 		}
 		return nil, fmt.Errorf("fed: hello: %w", err)
 	}
-	w.maybeRequestLeases()
+	select {
+	case <-w.admitted:
+	case <-time.After(w.heartbeat):
+	}
 	w.wg.Add(1)
 	go w.heartbeatLoop()
 	return w, nil
@@ -150,16 +160,18 @@ func (w *Worker) send(payload any) error {
 	return w.peer.Send(comm.Message{To: rpc.ControlID, Kind: comm.KindControl, Payload: payload})
 }
 
-// maybeRequestLeases asks the control for as many jobs as there are free
-// slots, at most one request in flight — the control always answers, even
-// with an empty grant, and the heartbeat loop clears the in-flight flag
-// each tick so a lost answer degrades to polling, never to starvation.
+// maybeRequestLeases tells the control how many slots are free, unless the
+// request it already holds says exactly that. The control answers only when
+// it has work: a request the queue cannot satisfy stays parked there and is
+// granted the moment a job arrives, and a newer request replaces it. A
+// grant, or the heartbeat loop each tick, forgets the outstanding request,
+// so one lost in transit or to an eviction costs at most one heartbeat.
 func (w *Worker) maybeRequestLeases() {
 	w.mu.Lock()
 	free := w.cfg.Slots - len(w.active)
-	ask := free > 0 && !w.pending && !w.stopped
+	ask := free > 0 && free != w.asked && !w.stopped
 	if ask {
-		w.pending = true
+		w.asked = free
 	}
 	w.mu.Unlock()
 	if !ask {
@@ -167,7 +179,7 @@ func (w *Worker) maybeRequestLeases() {
 	}
 	if err := w.send(rpc.LeaseRequestPayload{Want: free}); err != nil {
 		w.mu.Lock()
-		w.pending = false
+		w.asked = 0
 		w.mu.Unlock()
 	}
 }
@@ -181,28 +193,35 @@ func (w *Worker) heartbeatLoop() {
 		case <-w.stop:
 			return
 		case <-t.C:
-			w.mu.Lock()
-			ids := make([]string, 0, len(w.active))
-			for id := range w.active {
-				ids = append(ids, id)
-			}
-			w.pending = false // grants lost in transit: go back to polling
-			w.mu.Unlock()
-			if err := w.send(rpc.HeartbeatPayload{Active: ids, Name: w.cfg.Name,
-				Addr: w.peer.Addr(), Slots: w.cfg.Slots}); err != nil {
-				continue // control briefly unreachable: keep beaconing
-			}
-			w.maybeRequestLeases()
+			w.beat()
 		}
 	}
+}
+
+// beat is one heartbeat tick: the liveness beacon, then the lease request
+// again in case the control no longer holds it.
+func (w *Worker) beat() {
+	w.mu.Lock()
+	ids := make([]string, 0, len(w.active))
+	for id := range w.active {
+		ids = append(ids, id)
+	}
+	w.asked = 0 // the control may have lost the request: ask again
+	w.mu.Unlock()
+	if err := w.send(rpc.HeartbeatPayload{Active: ids, Name: w.cfg.Name,
+		Addr: w.peer.Addr(), Slots: w.cfg.Slots}); err != nil {
+		return // control briefly unreachable: keep beaconing
+	}
+	w.maybeRequestLeases()
 }
 
 // OnMessage handles control→worker traffic (grants, cancels, bye).
 func (w *Worker) OnMessage(_ comm.Env, msg comm.Message) {
 	switch p := msg.Payload.(type) {
 	case rpc.LeaseGrantPayload:
+		w.admitOnce.Do(func() { close(w.admitted) })
 		w.mu.Lock()
-		w.pending = false
+		w.asked = 0
 		if w.stopped {
 			w.mu.Unlock()
 			return // shutting down: leases expire back to the queue via Bye/timeout

@@ -25,17 +25,24 @@ const ControlID comm.NodeID = -100
 // HelloPayload attaches a worker to the control plane after the HTTP join
 // bootstrap assigned it a node ID: it announces the worker's own rpc
 // listen address (the control cannot send grants without it), its display
-// name, and its executor slot count.
+// name, and its executor slot count. It is also the worker's first lease
+// request, for Slots jobs, and the control answers it with a
+// LeaseGrantPayload that doubles as the admission ack.
 type HelloPayload struct {
 	Name  string
 	Addr  string
 	Slots int
 }
 
-// LeaseRequestPayload asks the control for up to Want more jobs. Workers
-// send it on attach, after each completed job, and on every heartbeat
-// while slots are free; an empty queue simply grants nothing, so the
-// request doubles as the poll.
+// LeaseRequestPayload tells the control the worker has Want slots free.
+// What the queue can supply is granted at once; the rest stays parked on
+// the control as the worker's credit and is granted the moment a job
+// arrives, with no further message from the worker. A request replaces the
+// one before it, never adds to it, and the control never lets a worker
+// hold more leases than its Slots whatever Want says. Workers send it after
+// each completed job and after every heartbeat while slots are free — the
+// latter only so that a credit lost with the control's worker table
+// (restart, eviction) costs one heartbeat and not forever.
 type LeaseRequestPayload struct {
 	Want int
 }
@@ -49,8 +56,10 @@ type Lease struct {
 	Spec []byte
 }
 
-// LeaseGrantPayload delivers zero or more leases in response to a
-// LeaseRequestPayload.
+// LeaseGrantPayload delivers one or more leases against the worker's
+// standing request, whenever the control has them. It is empty only as the
+// answer to a Hello that found the queue empty; an unanswered
+// LeaseRequestPayload means "parked", not "lost".
 type LeaseGrantPayload struct {
 	Leases []Lease
 }

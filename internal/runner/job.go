@@ -21,6 +21,11 @@ import (
 type Job struct {
 	Experiment string              `json:"experiment"`
 	Options    experiments.Options `json:"options"`
+	// id caches ID() for jobs built by NewJob, so a job is hashed once at
+	// admission rather than at every queue hop; the exported fields must
+	// not change afterwards. Unexported: it is never marshalled, and a job
+	// decoded from JSON recomputes it on demand.
+	id string
 }
 
 // NewJob validates the experiment ID and normalizes the options, so every
@@ -34,7 +39,9 @@ func NewJob(experiment string, opt experiments.Options) (Job, error) {
 	if err != nil {
 		return Job{}, err
 	}
-	return Job{Experiment: experiment, Options: norm}, nil
+	job := Job{Experiment: experiment, Options: norm}
+	job.id = job.ID()
+	return job, nil
 }
 
 // ID returns the job's deterministic identifier: the experiment name plus
@@ -44,6 +51,9 @@ func NewJob(experiment string, opt experiments.Options) (Job, error) {
 // hand-picked field list) keeps the key in lockstep with the Options
 // schema as it grows.
 func (j Job) ID() string {
+	if j.id != "" {
+		return j.id
+	}
 	opts, err := json.Marshal(j.Options)
 	if err != nil {
 		// Options is a struct of plain scalars; Marshal cannot fail.

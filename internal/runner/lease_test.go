@@ -261,6 +261,53 @@ func TestRunnerLeaseLifecycle(t *testing.T) {
 	r.Wait() // no leases outstanding: returns immediately
 }
 
+// TestRunnerReadySignalsEmptyToNonEmpty pins the wake-up the federation
+// control parks lease requests on: one coalesced signal when a job enters an
+// empty queue — by Submit or by Requeue — and none for a job that joins a
+// queue somebody is already draining.
+func TestRunnerReadySignalsEmptyToNonEmpty(t *testing.T) {
+	r := New(nil, -1)
+	defer r.Close()
+	signaled := func() bool {
+		select {
+		case <-r.Ready():
+			return true
+		default:
+			return false
+		}
+	}
+	if signaled() {
+		t.Fatal("signal before any job")
+	}
+	j1 := mustJob(t, "fig4", experiments.Options{Quick: true, Seed: 1})
+	j2 := mustJob(t, "fig4", experiments.Options{Quick: true, Seed: 2})
+	for _, job := range []Job{j1, j2} {
+		if _, err := r.Submit(job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !signaled() {
+		t.Fatal("no signal for a job entering an empty queue")
+	}
+	if signaled() {
+		t.Fatal("second signal for a job joining a non-empty queue")
+	}
+	// A Lease that comes up short saw the queue empty: the next arrival,
+	// here the lost owner's leases coming back, signals again.
+	if got := r.Lease("w", 3); len(got) != 2 {
+		t.Fatalf("leased %d, want 2", len(got))
+	}
+	if signaled() {
+		t.Fatal("signal for draining the queue")
+	}
+	if requeued, _ := r.Requeue("w"); requeued != 2 {
+		t.Fatalf("requeued %d, want 2", requeued)
+	}
+	if !signaled() || signaled() {
+		t.Fatal("want exactly one signal for two leases requeued onto an empty queue")
+	}
+}
+
 // TestRunnerRequeueFencesDeadWorker: requeuing a lost worker's leases puts
 // the jobs back at the head of the queue with their streams intact, and
 // the dead worker's late result is rejected while the new lease's result

@@ -70,6 +70,7 @@ type Runner struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
 	queue     []Job
+	ready     chan struct{} // see Ready
 	jobs      map[string]*JobState
 	order     []string
 	streams   map[string]*obs.RoundStream
@@ -130,6 +131,7 @@ func New(store *Store, slots int, opts ...Option) *Runner {
 		store:     store,
 		slots:     slots,
 		execute:   ExecuteJob,
+		ready:     make(chan struct{}, 1),
 		jobs:      make(map[string]*JobState),
 		streams:   make(map[string]*obs.RoundStream),
 		cancels:   make(map[string]context.CancelFunc),
@@ -277,6 +279,7 @@ func (r *Runner) enqueue(job Job) {
 	// closed, because terminal status and stream close happen atomically
 	// under r.mu (see the worker loop) and only terminal jobs requeue.
 	r.streams[job.ID()] = obs.NewRoundStream()
+	r.signalIfEmpty()
 	r.queue = append(r.queue, job)
 	rm().queueDepth.Inc()
 	// Broadcast, not Signal: Wait and the workers share the condition
@@ -285,10 +288,31 @@ func (r *Runner) enqueue(job Job) {
 	r.cond.Broadcast()
 }
 
+// signalIfEmpty raises Ready when the job about to be queued finds the
+// queue empty. Callers hold r.mu. A non-empty queue costs one comparison:
+// whoever drains it sees the new job without being told.
+func (r *Runner) signalIfEmpty() {
+	if len(r.queue) == 0 {
+		select {
+		case r.ready <- struct{}{}:
+		default: // a signal is already pending; one is enough
+		}
+	}
+}
+
+// Ready delivers one coalesced signal each time a job enters an empty
+// queue (Submit, or Requeue of a lost owner's leases). It is how a lease
+// holder with idle capacity learns of work without polling: a Lease that
+// returned fewer jobs than asked saw the queue empty, so the next job to
+// arrive is guaranteed to signal. There is a single channel, so a single
+// consumer (the federation control).
+func (r *Runner) Ready() <-chan struct{} { return r.ready }
+
 // requeueFront returns a previously leased job to the head of the queue,
 // keeping its existing stream so attached subscribers ride through the
 // worker loss transparently.
 func (r *Runner) requeueFront(job Job) {
+	r.signalIfEmpty()
 	r.queue = append([]Job{job}, r.queue...)
 	rm().queueDepth.Inc()
 	r.cond.Broadcast()

@@ -127,6 +127,42 @@ func TestJobIDDeterministicAcrossSpellings(t *testing.T) {
 	}
 }
 
+// TestJobIDCachedAtAdmissionIsTheHash: the ID NewJob carries with the job is
+// the one a job decoded from its own JSON (a worker's view, and every record
+// written before the cache existed) computes, and it never reaches the wire.
+func TestJobIDCachedAtAdmissionIsTheHash(t *testing.T) {
+	job := mustJob(t, "fig4", experiments.Options{Quick: true, Seed: 7})
+	if job.id == "" {
+		t.Fatal("NewJob left the ID to be hashed at every use")
+	}
+	spec, err := json.Marshal(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"experiment":"fig4","options":` + string(mustMarshal(t, job.Options)) + `}`; string(spec) != want {
+		t.Fatalf("job spec = %s, want %s", spec, want)
+	}
+	var decoded Job
+	if err := json.Unmarshal(spec, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if decoded.id != "" || decoded.ID() != job.ID() {
+		t.Fatalf("decoded job: cached %q, hashed %s, want none and %s", decoded.id, decoded.ID(), job.ID())
+	}
+	if want := "fig4-4dc4c926d2ed65cbda3421a5"; job.ID() != want {
+		t.Fatalf("job ID = %s, want %s as at the parent commit", job.ID(), want)
+	}
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestRunnerRunsSweepAndPersists(t *testing.T) {
 	store, err := Open(tempStore(t))
 	if err != nil {
