@@ -2,6 +2,7 @@ package fl
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"aergia/internal/cluster"
@@ -35,8 +36,10 @@ type Client struct {
 	JitterSeed uint64
 	// Cost converts FLOPs into durations.
 	Cost cluster.CostModel
-	// Backend executes the client's model math; all clients of a run share
-	// the same backend (and thus the same worker pool). Nil means serial.
+	// Backend executes the client's model math; nil means serial. All
+	// clients of a run share it, and since their training runs on compute
+	// lanes (lane.go) several of them call into it at once — a backend
+	// keeps no per-call state of its own (layers bring their Workspace).
 	Backend tensor.Backend
 	// Codec encodes the client's uplink model payloads (updates, offload
 	// shipments, feature returns) as deltas against the round's global
@@ -66,6 +69,11 @@ type Client struct {
 	base          nn.Weights
 	updFeature    codec.Codec
 	updClassifier codec.Codec
+	// lanes is the run's lane group (Topology.Build sets it; a bare client
+	// makes its own). lane is the round's compute lane, nil until the
+	// round launches its first step.
+	lanes *laneGroup
+	lane  *lane
 
 	// Per-round state.
 	round        int
@@ -73,14 +81,22 @@ type Client struct {
 	batchXs      [][]*tensor.Tensor
 	batchYs      [][]int
 	totalBatches int
-	executed     int // real batches already executed this round
-	frozen       bool
-	fullDur      time.Duration
-	frozenDur    time.Duration
-	bfDur        time.Duration
-	trainStart   time.Duration
-	completion   comm.Timer
-	offloaded    bool
+	executed     int // batches of this round handed to the lane
+	// The round's futures, each dropped where it is joined: tail is the
+	// last training step launched (the finish or final timer joins it),
+	// snap the freeze-and-snapshot step (offloadNow joins it).
+	tail, snap *step
+	// frozenW is the freeze-time snapshot, kept until the round's update
+	// is sent: a helper reassigned in between must get the bits the dead
+	// one got, and the frozen tail has moved the classifier on by then.
+	frozenW    nn.Weights
+	frozen     bool
+	fullDur    time.Duration
+	frozenDur  time.Duration
+	bfDur      time.Duration
+	trainStart time.Duration
+	completion comm.Timer
+	offloaded  bool
 	// Weak-side offload state; offloadDir.Peer may be repointed by a
 	// reassignment directive while the offload is pending or shipped.
 	offloadDir       sched.Directive
@@ -91,6 +107,7 @@ type Client struct {
 	ownDone      bool
 	offloadJob   *OffloadPayload
 	helperActive bool
+	helper       *step // the helper job; its bfDur timer joins it
 }
 
 var _ comm.Handler = (*Client)(nil)
@@ -133,6 +150,9 @@ func (c *Client) Init() error {
 // still rejected. The client then idles until the federator's next
 // dispatch enrolls it in a fresh round.
 func (c *Client) OnRejoin(env comm.Env) {
+	// What the crashed incarnation left on its lane trains a network that
+	// Init is about to replace.
+	c.dropLane()
 	if err := c.Init(); err != nil {
 		c.logf("client %d: rejoin init: %v", c.ID, err)
 		return
@@ -232,6 +252,9 @@ func (c *Client) startRound(env comm.Env, p TrainPayload) {
 	if c.completion != nil {
 		c.completion.Cancel()
 	}
+	// A round the federator cut (deadline, FedCS, TiFL) or re-enrolled
+	// mid-round may still be training the network LoadWeights overwrites.
+	c.dropLane()
 	c.round = p.Config.Round
 	c.cfg = p.Config
 	c.effSpeed = c.roundSpeed()
@@ -301,7 +324,12 @@ func (c *Client) startRound(env comm.Env, p TrainPayload) {
 	if profBatches >= c.totalBatches {
 		profBatches = 0 // nothing left to optimize; skip profiling
 	}
+	// Inputs are fixed for the whole round unless a directive can still
+	// arrive, and none can precede this client's own report: with a
+	// profiling window only the window's batches are certain to be full.
+	certain := c.totalBatches
 	if profBatches > 0 {
+		certain = profBatches
 		round := c.round
 		env.After(c.durationOfBatches(profBatches), func() {
 			if c.round != round {
@@ -310,6 +338,7 @@ func (c *Client) startRound(env comm.Env, p TrainPayload) {
 			c.sendProfileReport(env, profBatches)
 		})
 	}
+	c.launchBatches(certain, false, c.trainStart+c.durationOfBatches(certain))
 	round := c.round
 	c.completion = env.After(c.durationOfBatches(c.totalBatches), func() {
 		if c.round != round {
@@ -429,15 +458,26 @@ func (c *Client) onSchedule(env comm.Env, envlp sched.Envelope) {
 		c.beginOffload(env, d)
 	case sched.RoleReceive:
 		c.directive = &d
+		if !c.ownDone && !c.offloaded {
+			// A receiver is never told to offload: the rest of its round is
+			// full batches.
+			c.launchBatches(c.totalBatches-c.executed, false, c.trainStart+c.durationOfBatches(c.totalBatches))
+		}
 		c.maybeRunHelper(env)
 	default:
 		c.logf("client %d: unknown role %d", c.ID, d.Role)
 	}
 }
 
-// resendOffload re-ships the frozen model to a newly assigned helper.
+// resendOffload re-ships the frozen model to a newly assigned helper: the
+// freeze-time snapshot while the round's update is still owed, so the new
+// helper starts from the bits the dead one received. Once the update is out
+// the snapshot went with it and the idle network is shipped as it stands.
 func (c *Client) resendOffload(env comm.Env, d sched.Directive) {
-	w := c.net.SnapshotWeights()
+	w := c.frozenW
+	if w.Len() == 0 {
+		w = c.net.SnapshotWeights()
+	}
 	payload, size, err := c.offloadPayload(w, c.offloadRemaining)
 	if err != nil {
 		c.logf("client %d: encode offload re-ship: %v", c.ID, err)
@@ -480,6 +520,18 @@ func (c *Client) beginOffload(env comm.Env, d sched.Directive) {
 	}
 	readyAt := c.trainStart + c.durationOfBatches(target)
 	delay := readyAt - env.Now()
+	// The directive fixes the rest of the round: full batches up to the
+	// target, the freeze and its snapshot, then the frozen tail. The timers
+	// below only join them.
+	full := target - c.executed
+	if full < 0 {
+		c.logf("client %d: offload after %d batches, %d already launched", c.ID, target, c.executed)
+		full = 0
+	}
+	c.launchBatches(full, false, readyAt)
+	c.snap = c.launch(readyAt, freezeStep(c.net))
+	tail := c.totalBatches - c.executed
+	c.launchBatches(tail, true, readyAt+time.Duration(tail)*c.frozenDur)
 	round := c.round
 	env.After(delay, func() {
 		if c.round != round {
@@ -493,17 +545,18 @@ func (c *Client) beginOffload(env comm.Env, d sched.Directive) {
 // count completes. The helper identity is read from offloadDir at ship
 // time, so a reassignment that lands before the freeze retargets the send.
 func (c *Client) offloadNow(env comm.Env, target int) {
-	if err := c.runBatches(target-c.executed, false); err != nil {
+	w, err := c.snap.join()
+	c.snap = nil
+	if err != nil {
 		c.logf("client %d: full batches before offload: %v", c.ID, err)
 		return
 	}
-	c.net.SetFeaturesFrozen(true)
 	c.frozen = true
+	c.frozenW = w
 	remaining := c.totalBatches - target
 	c.offloadRemaining = remaining
 	c.Trace.Record(env.Now(), c.ID, c.round, trace.ModelFrozen,
 		fmt.Sprintf("after %d batches", target))
-	w := c.net.SnapshotWeights()
 	payload, size, err := c.offloadPayload(w, remaining)
 	if err != nil {
 		c.logf("client %d: encode offload: %v", c.ID, err)
@@ -523,7 +576,7 @@ func (c *Client) offloadNow(env comm.Env, target int) {
 		if c.round != round {
 			return
 		}
-		if err := c.runBatches(remaining, true); err != nil {
+		if err := c.joinTraining(); err != nil {
 			c.logf("client %d: frozen batches: %v", c.ID, err)
 			return
 		}
@@ -531,12 +584,15 @@ func (c *Client) offloadNow(env comm.Env, target int) {
 	})
 }
 
-// finishOwnTraining completes the round without offloading.
+// finishOwnTraining completes the round without offloading. A client no
+// directive reached learns only here that its remaining batches are full
+// ones; they are launched and joined on the spot.
 func (c *Client) finishOwnTraining(env comm.Env) {
 	if c.offloaded {
 		return
 	}
-	if err := c.runBatches(c.totalBatches-c.executed, false); err != nil {
+	c.launchBatches(c.totalBatches-c.executed, false, env.Now())
+	if err := c.joinTraining(); err != nil {
 		c.logf("client %d: training: %v", c.ID, err)
 		return
 	}
@@ -552,6 +608,7 @@ func (c *Client) sendUpdate(env comm.Env, partial bool) {
 		detail = "classifier only (features offloaded)"
 	}
 	c.Trace.Record(env.Now(), c.ID, c.round, trace.UpdateSent, detail)
+	c.frozenW = nn.Weights{}
 	w := c.net.SnapshotWeights()
 	update := Update{
 		Client:     c.ID,
@@ -607,52 +664,28 @@ func (c *Client) maybeRunHelper(env comm.Env) {
 	round := c.round
 	c.Trace.Record(env.Now(), c.ID, c.round, trace.HelperStart,
 		fmt.Sprintf("training %d offloaded updates for client %d", updates, job.Weak))
-	env.After(time.Duration(updates)*c.bfDur, func() {
+	done := time.Duration(updates) * c.bfDur
+	c.helper = c.launch(env.Now()+done, helperStep(c.Arch, c.Backend, c.Codec, c.base, job, c.batchXs, c.batchYs, c.cfg.LR))
+	env.After(done, func() {
 		if c.round != round {
 			return
 		}
-		c.runHelperTraining(env, job, updates)
+		c.returnHelperResult(env, job.Weak)
 	})
 }
 
-// runHelperTraining trains the offloaded model's feature section on the
-// strong client's own data and returns it to the federator.
-func (c *Client) runHelperTraining(env comm.Env, job OffloadPayload, updates int) {
-	scratch, err := nn.BuildWith(c.Arch, 1, c.Backend)
+// returnHelperResult joins the helper job and returns the offloaded model's
+// trained feature section to the federator.
+func (c *Client) returnHelperResult(env comm.Env, weak comm.NodeID) {
+	w, err := c.helper.join()
+	c.helper = nil
 	if err != nil {
-		c.logf("client %d: helper network: %v", c.ID, err)
+		c.logf("client %d: %v", c.ID, err)
 		return
 	}
-	weak := job.Weights
-	if !job.Encoded.IsZero() {
-		// The weak client encoded its frozen model as a delta against the
-		// round's global base; this client holds the same base.
-		if c.Codec == nil {
-			c.logf("client %d: encoded offload on a codec-free run", c.ID)
-			return
-		}
-		if weak, err = decodeWeights(c.Codec, job.Encoded, c.base); err != nil {
-			c.logf("client %d: decode offload: %v", c.ID, err)
-			return
-		}
-	}
-	if err := scratch.LoadWeights(weak); err != nil {
-		c.logf("client %d: helper load: %v", c.ID, err)
-		return
-	}
-	opt := nn.NewSGD(c.cfg.LR)
-	opt.Backend = c.Backend
-	for i := 0; i < updates; i++ {
-		b := i % len(c.batchXs)
-		if _, err := scratch.TrainBatch(c.batchXs[b], c.batchYs[b], opt); err != nil {
-			c.logf("client %d: helper training: %v", c.ID, err)
-			return
-		}
-	}
-	w := scratch.SnapshotWeights()
 	c.Trace.Record(env.Now(), c.ID, c.round, trace.HelperDone,
-		fmt.Sprintf("returning features of client %d", job.Weak))
-	result := OffloadResultPayload{Weak: job.Weak, Strong: c.ID}
+		fmt.Sprintf("returning features of client %d", weak))
+	result := OffloadResultPayload{Weak: weak, Strong: c.ID}
 	size := 8 * len(w.Feature)
 	if c.Codec == nil {
 		result.Feature = w.Feature
@@ -674,22 +707,107 @@ func (c *Client) runHelperTraining(env comm.Env, job OffloadPayload, updates int
 	})
 }
 
-// runBatches executes n real training batches on the local model; frozen
-// selects the bf-free procedure (the feature section must already be
-// frozen by the caller via offloadNow).
-func (c *Client) runBatches(n int, frozen bool) error {
-	if n <= 0 {
-		return nil
-	}
-	if frozen != c.net.FeaturesFrozen() {
-		return fmt.Errorf("fl: client %d frozen state mismatch", c.ID)
-	}
-	for i := 0; i < n; i++ {
-		b := c.executed % len(c.batchXs)
-		if _, err := c.net.TrainBatch(c.batchXs[b], c.batchYs[b], c.opt); err != nil {
-			return err
+// launch hands the round's lane a step that the event at virtual time due
+// will join.
+func (c *Client) launch(due time.Duration, run stepFunc) *step {
+	if c.lane == nil {
+		if c.lanes == nil {
+			c.lanes = newLaneGroup()
 		}
-		c.executed++
+		c.lane = &lane{group: c.lanes}
 	}
-	return nil
+	return c.lane.launch(due, run)
+}
+
+// launchBatches hands the lane the round's next n batches; frozen selects
+// the bf-free procedure (a freezeStep must precede it on the lane).
+func (c *Client) launchBatches(n int, frozen bool, due time.Duration) {
+	if n <= 0 {
+		return
+	}
+	c.tail = c.launch(due, trainStep(c.ID, c.net, c.opt, c.batchXs, c.batchYs, c.executed, n, frozen))
+	c.executed += n
+}
+
+// joinTraining waits for every batch launched so far (steps run in lane
+// order, so the last one covers them all).
+func (c *Client) joinTraining() error {
+	_, err := c.tail.join()
+	c.tail = nil
+	return err
+}
+
+// dropLane cancels what the lane still holds, waits out the batch it is in
+// the middle of, and forgets the round's futures.
+func (c *Client) dropLane() {
+	c.lane.cancel()
+	c.lane = nil
+	c.tail, c.snap, c.helper = nil, nil, nil
+	c.frozenW = nn.Weights{}
+}
+
+// trainStep is the lane step running batches [from, from+n) of the round's
+// batch cycle on the client's network.
+func trainStep(id comm.NodeID, net *nn.Network, opt *nn.SGD, xs [][]*tensor.Tensor, ys [][]int, from, n int, frozen bool) stepFunc {
+	return func(stop *atomic.Bool) (nn.Weights, error) {
+		if frozen != net.FeaturesFrozen() {
+			return nn.Weights{}, fmt.Errorf("fl: client %d frozen state mismatch", id)
+		}
+		for i := from; i < from+n; i++ {
+			if stop.Load() {
+				return nn.Weights{}, errLaneCancelled
+			}
+			b := i % len(xs)
+			if _, err := net.TrainBatch(xs[b], ys[b], opt); err != nil {
+				return nn.Weights{}, err
+			}
+		}
+		return nn.Weights{}, nil
+	}
+}
+
+// freezeStep freezes the feature section and returns the model as it stands
+// at that point: the shipment the helper trains from.
+func freezeStep(net *nn.Network) stepFunc {
+	return func(*atomic.Bool) (nn.Weights, error) {
+		net.SetFeaturesFrozen(true)
+		return net.SnapshotWeights(), nil
+	}
+}
+
+// helperStep trains the offloaded model's feature section on the strong
+// client's own batches, on a scratch replica, and returns its weights.
+func helperStep(arch nn.Arch, be tensor.Backend, cdc codec.Codec, base nn.Weights, job OffloadPayload, xs [][]*tensor.Tensor, ys [][]int, lr float64) stepFunc {
+	return func(stop *atomic.Bool) (nn.Weights, error) {
+		scratch, err := nn.BuildWith(arch, 1, be)
+		if err != nil {
+			return nn.Weights{}, fmt.Errorf("helper network: %w", err)
+		}
+		weak := job.Weights
+		if !job.Encoded.IsZero() {
+			// The weak client encoded its frozen model as a delta against the
+			// round's global base; this client holds the same base.
+			if cdc == nil {
+				return nn.Weights{}, fmt.Errorf("encoded offload on a codec-free run")
+			}
+			if weak, err = decodeWeights(cdc, job.Encoded, base); err != nil {
+				return nn.Weights{}, fmt.Errorf("decode offload: %w", err)
+			}
+		}
+		if err := scratch.LoadWeights(weak); err != nil {
+			return nn.Weights{}, fmt.Errorf("helper load: %w", err)
+		}
+		opt := nn.NewSGD(lr)
+		opt.Backend = be
+		for i := 0; i < job.Updates; i++ {
+			if stop.Load() {
+				return nn.Weights{}, errLaneCancelled
+			}
+			b := i % len(xs)
+			if _, err := scratch.TrainBatch(xs[b], ys[b], opt); err != nil {
+				return nn.Weights{}, fmt.Errorf("helper training: %w", err)
+			}
+		}
+		return scratch.SnapshotWeights(), nil
+	}
 }

@@ -8,9 +8,17 @@ import (
 	"aergia/internal/tensor"
 )
 
+// Where a run's real computation executes. Client training — the bulk of
+// it — runs on compute lanes (lane.go, DESIGN.md §14): up to GOMAXPROCS
+// clients at once, process-wide. Evaluation stays on the goroutine that
+// drives the federator, because the round waits for it anyway; it is
+// sharded only when the backend brings a pool of its own.
+
 // forRunner is the optional backend capability the evaluator shards on; the
-// parallel backend implements it with its shared worker pool, so evaluation
-// goroutines count against the same global bound as the compute kernels.
+// parallel backends implement it with the tensor worker pool. That pool's
+// bound is separate from the lanes' — an evaluation can overlap the last
+// steps of clients the round cut — and it goes when the kernel-level pool
+// does (ROADMAP item 6).
 type forRunner interface {
 	ParallelFor(n int, fn func(lo, hi int))
 }

@@ -113,6 +113,10 @@ func (d *Deployment) Run() (*Results, error) {
 	if err := d.bind(fed); err != nil {
 		return nil, err
 	}
+	// Whatever the run leaves on its compute lanes — a cut straggler, a
+	// crashed client's round — is cancelled and waited out here, so no step
+	// of this run executes after it returned.
+	defer d.Cluster.lanes.drain()
 	var out *Results
 	done := make(chan struct{})
 	prev := fed.OnFinish
@@ -150,6 +154,7 @@ func (d *Deployment) RunAsync() (*AsyncResults, error) {
 	if err := d.bind(fed); err != nil {
 		return nil, err
 	}
+	defer d.Cluster.lanes.drain()
 	var out *AsyncResults
 	done := make(chan struct{})
 	prev := fed.OnFinish

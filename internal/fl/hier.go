@@ -441,7 +441,7 @@ func (s *sampledStrategy) Offloading() bool             { return false }
 // synthesized on hydration from the seed and the client's dataset Variant
 // (2+ID; the test set holds Variant 1), so the build cost and resident
 // memory follow the sampled cohort, not the population.
-func (t Topology) buildHier(wireCodec codec.Codec, bw *Bandwidth) (*Cluster, error) {
+func (t Topology) buildHier(wireCodec codec.Codec, bw *Bandwidth, lanes *laneGroup) (*Cluster, error) {
 	if t.Async {
 		return nil, fmt.Errorf("fl: hierarchical topology does not support the async engine yet")
 	}
@@ -496,6 +496,7 @@ func (t Topology) buildHier(wireCodec codec.Codec, bw *Bandwidth) (*Cluster, err
 			ProfilerOverhead: -1,
 			Logf:             t.Logf,
 			Trace:            t.Trace,
+			lanes:            lanes,
 		}
 		if err := c.Init(); err != nil {
 			return nil, err
@@ -600,6 +601,7 @@ func (t Topology) buildHier(wireCodec codec.Codec, bw *Bandwidth) (*Cluster, err
 		Infos:     infos,
 		Bandwidth: bw,
 		Hier:      &HierCluster{Options: t.Hier, Shells: shells, Edges: edges},
+		lanes:     lanes,
 	}, nil
 }
 

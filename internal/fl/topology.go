@@ -206,6 +206,9 @@ type Cluster struct {
 	// shells and edge aggregators); nil for flat topologies, in which case
 	// Clients holds the materialized actors.
 	Hier *HierCluster
+	// lanes groups the compute lanes of the cluster's clients, hydrated
+	// ones included; Deployment.Run/RunAsync drain it before they return.
+	lanes *laneGroup
 }
 
 // Build materializes the cluster: it generates and partitions the dataset,
@@ -247,10 +250,11 @@ func (t Topology) Build() (*Cluster, error) {
 		}
 	}
 	bw := &Bandwidth{}
+	lanes := newLaneGroup()
 	if t.Hier.Enabled() {
 		// The scale-out path: lazy profiles and edge aggregators instead of
 		// N materialized clients (see hier.go and DESIGN.md §11).
-		return t.buildHier(wireCodec, bw)
+		return t.buildHier(wireCodec, bw, lanes)
 	}
 
 	// Data: disjoint client shards plus a held-out test set drawn from the
@@ -385,6 +389,7 @@ func (t Topology) Build() (*Cluster, error) {
 			ProfilerOverhead: -1,
 			Logf:             t.Logf,
 			Trace:            t.Trace,
+			lanes:            lanes,
 		}
 		if err := client.Init(); err != nil {
 			return nil, err
@@ -403,6 +408,7 @@ func (t Topology) Build() (*Cluster, error) {
 		Clients:   clients,
 		Infos:     infos,
 		Bandwidth: bw,
+		lanes:     lanes,
 	}
 	if t.Async {
 		fed := &AsyncFederator{

@@ -28,12 +28,13 @@ const (
 
 // flightSlot is one ring entry. Every field is atomic so writers never
 // block and a torn concurrent read is detectable instead of corrupting:
-// seq follows the seqlock protocol — a writer claims a ticket t, stores the
-// odd value 2t-1, writes the fields, then publishes 2t. Readers discard a
-// slot whose seq is odd, zero, or changed across the field reads. Ticket-
-// derived seq values (rather than a plain increment) mean even two writers
-// landing on the same slot — which needs flightSlots in-flight events —
-// cannot present torn fields as consistent.
+// seq follows the seqlock protocol — a writer with ticket t claims the slot
+// by swapping its even seq for the odd value 2t-1, writes the fields, then
+// publishes 2t. Tickets t and t+flightSlots share a slot, so the claim is
+// what makes a slot single-writer: a writer that finds the slot claimed, or
+// already published by a later ticket, drops its event instead of writing
+// over (or under) the other's fields. Readers discard a slot whose seq is
+// odd, zero, or changed across the field reads.
 type flightSlot struct {
 	seq    atomic.Uint64
 	class  atomic.Uint64
@@ -85,14 +86,20 @@ type FlightEvent struct {
 	Down bool `json:"down,omitempty"`
 }
 
-// record claims the next slot and publishes fields through fill.
+// record claims the next ticket's slot and publishes fields through fill.
+// The event is dropped when the slot is contended: that takes a writer
+// preempted for a whole lap of the ring, and a flight recorder short one
+// event beats one that blocks or shows fields of two events as one.
 func (f *Flight) record(class uint64, fill func(*flightSlot)) {
 	if f == nil {
 		return
 	}
 	t := f.head.Add(1)
 	s := &f.slots[(t-1)&(flightSlots-1)]
-	s.seq.Store(2*t - 1)
+	cur := s.seq.Load()
+	if cur%2 == 1 || cur >= 2*t || !s.seq.CompareAndSwap(cur, 2*t-1) {
+		return
+	}
 	s.class.Store(class)
 	fill(s)
 	s.seq.Store(2 * t)

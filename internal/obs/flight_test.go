@@ -146,3 +146,52 @@ func TestFlightConcurrent(t *testing.T) {
 		t.Fatalf("Len = %d, want full ring %d", f.Len(), flightSlots)
 	}
 }
+
+// TestFlightLappedWriterDoesNotTear forces the interleaving the concurrent
+// test only hopes for: a writer is held in the middle of its fill while the
+// ring wraps a full lap, so the ticket one lap later lands on its slot. The
+// slot is claimed, so the lapping event is dropped and the held writer's
+// event comes out whole; without the claim the two writers' fields mixed
+// under an even seq.
+func TestFlightLappedWriterDoesNotTear(t *testing.T) {
+	f := &Flight{}
+	half := make(chan struct{})
+	resume := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f.record(flightSpan, func(s *flightSlot) {
+			s.trace.Store(1)
+			s.id.Store(1)
+			close(half)
+			<-resume
+			s.parent.Store(1)
+			s.round.Store(1)
+		})
+	}()
+	<-half
+	for i := 0; i < flightSlots; i++ {
+		v := uint64(i + 2) // tickets 2..flightSlots+1; the last shares slot 0
+		f.RecordSpan(Span{Trace: v, ID: v, Parent: v, Round: int(v)})
+	}
+	check := func(when string, wantFirst uint64) {
+		t.Helper()
+		events := f.Snapshot()
+		if len(events) != flightSlots-1+int(2-wantFirst) {
+			t.Fatalf("%s: %d events", when, len(events))
+		}
+		if events[0].Seq != wantFirst {
+			t.Fatalf("%s: oldest event is ticket %d, want %d", when, events[0].Seq, wantFirst)
+		}
+		for _, ev := range events {
+			if ev.Trace != ev.ID || ev.ID != ev.Parent || int(ev.ID) != ev.Round || ev.ID != ev.Seq {
+				t.Fatalf("%s: torn slot surfaced: %+v", when, ev)
+			}
+		}
+	}
+	// Mid-fill the held slot reads as in flight; the lapping event is gone.
+	check("writer held", 2)
+	close(resume)
+	<-done
+	check("writer released", 1)
+}
