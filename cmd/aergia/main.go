@@ -4,7 +4,7 @@
 //
 //	aergia -experiment fig6                       # full-scale run of one experiment
 //	aergia -experiment all -quick                 # quick pass over every experiment
-//	aergia -experiment fig6 -backend parallel     # same numbers, all cores
+//	aergia -experiment fig6 -backend serial32     # float32 model math
 //	aergia -experiment fig6 -json                 # machine-readable result record
 //	aergia -experiment fig4 -transport tcp        # same actors over real loopback TCP
 //	aergia -experiment fig-churn -chaos 'churn=0.3,rejoin=1'  # faulted run
@@ -19,12 +19,12 @@
 //	aergia -experiment fig4 -quick -metrics-out metrics.prom  # final metrics scrape + quantile summary
 //	aergia -experiment fig4 -quick -spans-out spans.jsonl     # causal message spans as JSONL
 //
-// The -backend flag selects the compute backend for all model math: serial
-// and parallel are the float64 pair, serial32 and parallel32 the float32
-// pair (DESIGN.md §9). Within a pair the results are bit-identical under
-// the same -seed, so the serial/parallel choice only affects wall-clock
-// time; float32 runs are deterministic across reruns but differ from
-// float64 by rounding.
+// The -backend flag selects the element type of all model math: serial is
+// float64, the golden-pinned reference; serial32 is float32, deterministic
+// across reruns but different from float64 by rounding (DESIGN.md §9).
+// parallel and parallel32 are accepted as aliases of the two. Every run
+// uses all cores whatever the backend: its clients train side by side
+// (DESIGN.md §14).
 //
 // The -transport flag selects the message transport the federator/client
 // actors run on (DESIGN.md §6): sim is the deterministic virtual-time
@@ -118,8 +118,7 @@ func run(args []string, out io.Writer) error {
 		experiment       = fs.String("experiment", "", "experiment ID (see -list) or 'all'")
 		quick            = fs.Bool("quick", false, "use the reduced benchmark-scale configuration")
 		seed             = fs.Uint64("seed", 1, "experiment seed")
-		backend          = fs.String("backend", "serial", "compute backend: serial, parallel, serial32, or parallel32")
-		workers          = fs.Int("workers", 0, "parallel backend worker count (0 = GOMAXPROCS)")
+		backend          = fs.String("backend", "serial", "compute backend: serial (float64) or serial32 (float32)")
 		transport        = fs.String("transport", "sim", "message transport: sim (virtual time) or tcp (real loopback TCP)")
 		transportTimeout = fs.Duration("transport-timeout", 0,
 			"wall-clock bound per tcp run (0 = 2m default); tcp runs take the real time they simulate")
@@ -180,14 +179,14 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 	if *sweepSpec != "" {
-		// The sweep spec defines its own quick/seed/backend/workers axes;
+		// The sweep spec defines its own quick/seed/backend axes;
 		// silently ignoring the single-run flags would run the wrong grid.
 		var conflicts []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			// -trace-out and -spans-out conflict too: one trace/span file
 			// cannot attribute events across a grid of concurrent runs.
-			case "experiment", "quick", "seed", "backend", "workers", "transport", "transport-timeout", "chaos", "codec", "sample", "tiers", "trace-out", "spans-out":
+			case "experiment", "quick", "seed", "backend", "transport", "transport-timeout", "chaos", "codec", "sample", "tiers", "trace-out", "spans-out":
 				conflicts = append(conflicts, "-"+f.Name)
 			}
 		})
@@ -210,8 +209,7 @@ func run(args []string, out io.Writer) error {
 			strings.Join(experiments.Names(), ", "))
 	}
 	opt := experiments.Options{
-		Quick: *quick, Seed: *seed,
-		Backend: *backend, Workers: *workers,
+		Quick: *quick, Seed: *seed, Backend: *backend,
 		Transport: *transport, TransportTimeout: *transportTimeout,
 		Chaos: chaosPlan, Codec: *codecName,
 		Hier: hierOpts,

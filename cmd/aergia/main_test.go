@@ -313,6 +313,8 @@ func TestRunSweepBadSpecs(t *testing.T) {
 		{"-sweep", `{"experiments":}`},
 		{"-sweep", `{"experiments":["fig99"]}`},
 		{"-sweep", `{"unknown_field":1}`},
+		{"-sweep", `{"experiments":["fig4"],"workers":[0,2]}`}, // the axis went with the kernel pool
+		{"-experiment", "fig4", "-workers", "2"},
 		{"-sweep", `@/does/not/exist.json`},
 		{"-sweep", `{"experiments":["fig4"]}`, "-experiment", "fig4"},
 		{"-sweep", `{"experiments":["fig4"]}`, "-quick"},

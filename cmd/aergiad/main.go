@@ -1,6 +1,6 @@
 // Command aergiad is the experiment service daemon: it accepts experiment
 // jobs and parameter sweeps over HTTP, schedules them on a bounded set of
-// worker slots (all compute shares the global tensor worker pool), and
+// worker slots (all compute shares the process-wide compute lanes), and
 // persists every result to an append-only JSONL store. Restarting the
 // daemon on the same store resumes interrupted sweeps without recomputing
 // completed jobs.

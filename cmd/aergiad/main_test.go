@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -70,6 +71,14 @@ func waitDone(t *testing.T, base string, want int) []runner.JobState {
 // newTestServer starts a daemon instance; the returned stop function
 // releases the store's file lock so a successor can open the same path
 // (it is also registered as cleanup and safe to call twice).
+// counting stubs the job executor with one that counts executions.
+func counting(count *atomic.Int64) runner.Option {
+	return runner.WithExecutor(func(_ context.Context, j runner.Job) (json.RawMessage, error) {
+		count.Add(1)
+		return json.RawMessage(fmt.Sprintf(`{"job":%q}`, j.ID())), nil
+	})
+}
+
 func newTestServer(t *testing.T, storePath string, opts ...runner.Option) (*httptest.Server, *runner.Store, func()) {
 	t.Helper()
 	st, err := runner.Open(storePath)
@@ -202,12 +211,6 @@ func TestDaemonCodecJobRoundTrip(t *testing.T) {
 // mid-sweep; resubmitting the full sweep only computes the missing half.
 func TestDaemonRestartResumesSweep(t *testing.T) {
 	storePath := filepath.Join(t.TempDir(), "store.jsonl")
-	counting := func(count *atomic.Int64) runner.Option {
-		return runner.WithExecutor(func(_ context.Context, j runner.Job) (json.RawMessage, error) {
-			count.Add(1)
-			return json.RawMessage(fmt.Sprintf(`{"job":%q}`, j.ID())), nil
-		})
-	}
 	sweep := `{"sweep":{"experiments":["fig6","fig7"],"seeds":[1,2],"quick":[true]}}`
 	half := `{"sweep":{"experiments":["fig6"],"seeds":[1,2],"quick":[true]}}`
 
@@ -280,6 +283,75 @@ func TestDaemonServesStoreOnlyJobs(t *testing.T) {
 	}
 }
 
+// TestDaemonServesOldParallelRecords: a store written while "parallel" was a
+// backend of its own (the line below is what the parent commit's `aergia
+// -sweep` wrote) still opens, still answers under the ID it was stored
+// with, and a client that resubmits the old body lands on the serial twin's
+// job, which the same store then holds too.
+func TestDaemonServesOldParallelRecords(t *testing.T) {
+	const oldID = "table1-0e104c718a98470fe66a67cb"
+	const oldLine = `{"id":"` + oldID + `","experiment":"table1","options":{"quick":true,"seed":1,"backend":"parallel","workers":4},"status":"done","elapsed_ns":61499,"result":{"experiment":"table1","options":{"quick":true,"seed":1,"backend":"parallel","workers":4},"data":["strategy"]}}` + "\n"
+	storePath := filepath.Join(t.TempDir(), "store.jsonl")
+	if err := os.WriteFile(storePath, []byte(oldLine), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var count atomic.Int64
+	ts, st, stop := newTestServer(t, storePath, counting(&count))
+	var got runner.JobState
+	if code := getJSON(t, ts.URL+"/jobs/"+oldID, &got); code != http.StatusOK {
+		t.Fatalf("get old record = %d", code)
+	}
+	if got.Status != runner.StatusDone || got.Options.Backend != "parallel" || got.Options.Workers != 4 ||
+		!strings.Contains(string(got.Result), `"backend":"parallel","workers":4`) {
+		t.Fatalf("old record = %+v", got)
+	}
+
+	twin, err := runner.NewJob("table1", experiments.Options{Quick: true, Backend: "serial"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postJSON(t, ts.URL+"/jobs",
+		`{"experiment":"table1","options":{"quick":true,"backend":"parallel","workers":4}}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("resubmit = %d: %s", resp.StatusCode, body)
+	}
+	var submitted jobsResponse
+	if err := json.Unmarshal(body, &submitted); err != nil {
+		t.Fatal(err)
+	}
+	if len(submitted.Jobs) != 1 || submitted.Jobs[0].ID != twin.ID() ||
+		submitted.Jobs[0].Options.Backend != "serial" || submitted.Jobs[0].Options.Workers != 0 {
+		t.Fatalf("resubmitted as %+v, want the serial twin %s", submitted.Jobs, twin.ID())
+	}
+	waitDone(t, ts.URL, 1)
+	stop()
+
+	// Second life: both records load, and the twin is answered from the
+	// store without running again.
+	ts2, st2, _ := newTestServer(t, storePath, counting(&count))
+	if st.Path() != st2.Path() || st2.Len() != 2 {
+		t.Fatalf("reopened store has %d records, want the old one and its twin", st2.Len())
+	}
+	resp, body = postJSON(t, ts2.URL+"/jobs", `{"experiment":"table1","options":{"quick":true,"backend":"parallel32"}}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("parallel32 submit = %d: %s", resp.StatusCode, body)
+	}
+	resp, body = postJSON(t, ts2.URL+"/jobs", `{"experiment":"table1","options":{"quick":true,"backend":"parallel","workers":8}}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("second resubmit = %d: %s", resp.StatusCode, body)
+	}
+	if err := json.Unmarshal(body, &submitted); err != nil {
+		t.Fatal(err)
+	}
+	if submitted.Jobs[0].ID != twin.ID() || submitted.Jobs[0].Status != runner.StatusDone {
+		t.Fatalf("second resubmit = %+v, want %s done from the store", submitted.Jobs, twin.ID())
+	}
+	waitDone(t, ts2.URL, 2)
+	if n := count.Load(); n != 2 {
+		t.Fatalf("executed %d jobs, want 2 (the serial twin once, the serial32 one once)", n)
+	}
+}
+
 func TestDaemonRejectsBadRequests(t *testing.T) {
 	ts, _, _ := newTestServer(t, filepath.Join(t.TempDir(), "store.jsonl"))
 	cases := []string{
@@ -291,7 +363,7 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 		`{"options":{"quick":true},"sweep":{"experiments":["fig6"]}}`,
 		`{"sweep":{"experiments":[]}}`,
 		`{"experiment":"fig4"}{"experiment":"table1"}`,
-		`{"experiment":"fig4","options":{"quick":true,"backend":"parallel","workers":100000000}}`,
+		`{"sweep":{"experiments":["fig4"],"workers":[2]}}`,
 	}
 	for _, body := range cases {
 		if resp, _ := postJSON(t, ts.URL+"/jobs", body); resp.StatusCode != http.StatusBadRequest {

@@ -94,7 +94,7 @@ func run(clientsList string, cohort, tiers, rounds int) error {
 }
 
 func runOne(n, cohort, tiers, rounds int) (point, error) {
-	be, err := tensor.NewBackend("parallel32", 0)
+	be, err := tensor.NewBackend("serial32", 0)
 	if err != nil {
 		return point{}, err
 	}

@@ -33,13 +33,12 @@ func main() {
 }
 
 func run(base string) error {
-	// Four quick cells: the main IID grid at two seeds on both compute
-	// backends. Backends are bit-identical, so the sweep doubles as an
-	// end-to-end parity check over the service layer.
+	// Four quick cells: the main IID grid at two seeds in both element
+	// types, float64 and float32.
 	sweep := runner.Sweep{
 		Experiments: []string{"fig6"},
 		Seeds:       []uint64{1, 2},
-		Backends:    []string{"serial", "parallel"},
+		Backends:    []string{"serial", "serial32"},
 		Quick:       []bool{true},
 	}
 	body, err := json.Marshal(map[string]any{"sweep": sweep})

@@ -46,7 +46,7 @@ func AsyncStudy(opt Options) ([]AsyncComparison, error) {
 		})
 	}
 
-	be, err := tensor.NewBackend(opt.Backend, opt.Workers)
+	be, err := tensor.NewBackend(opt.Backend, 0)
 	if err != nil {
 		return nil, err
 	}

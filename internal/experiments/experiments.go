@@ -33,14 +33,15 @@ type Options struct {
 	// Seed drives all randomness; 0 selects the default (1).
 	Seed uint64 `json:"seed"`
 	// Backend selects the compute backend for all model math: "" or
-	// "serial" for the single-threaded float64 reference, "parallel" for
-	// the float64 worker-pool backend, "serial32"/"parallel32" for their
-	// float32 counterparts. The float64 backends are bit-identical to each
-	// other; the float32 pair is bit-identical to each other and to its
-	// own reruns, but diverges from float64 by rounding (DESIGN.md §9).
+	// "serial" for the float64 reference, "serial32" for float32, which is
+	// bit-identical to its own reruns but diverges from float64 by rounding
+	// (DESIGN.md §9). Normalization maps the aliases "parallel" and
+	// "parallel32" onto the two.
 	Backend string `json:"backend"`
-	// Workers sizes the parallel backend's worker pool; 0 means GOMAXPROCS.
-	// Ignored by the serial backend.
+	// Workers selects nothing: it sized the worker pool of the former
+	// parallel backends. Normalization sets it to 0, and the field stays so
+	// that records and the content-hash job IDs derived from them keep
+	// their "workers":0 bytes.
 	Workers int `json:"workers"`
 	// Transport selects the message transport for the FL runs: "" or "sim"
 	// for the deterministic virtual-time simulator, "tcp" for real TCP on
@@ -99,8 +100,8 @@ type Options struct {
 func (o Options) seed() uint64 { return fl.NormalizeSeed(o.Seed) }
 
 // Normalize resolves the defaults (seed 1, backend "serial", transport
-// "sim") into explicit values and rejects unknown backend/transport names
-// and absurd worker counts. Two option values that normalize equally
+// "sim") into explicit values and rejects unknown backend/transport names.
+// Two option values that normalize equally
 // configure identical runs, so normalized options are the dedup key of the
 // result store. Normalize never constructs a backend — it is safe on
 // untrusted daemon input.
@@ -116,10 +117,6 @@ func (o Options) Normalize() (Options, error) {
 	codecName, err := codec.Canonical(o.Codec)
 	if err != nil {
 		return Options{}, err
-	}
-	if o.Workers > tensor.MaxWorkers {
-		return Options{}, fmt.Errorf("experiments: %d workers exceeds the pool limit %d",
-			o.Workers, tensor.MaxWorkers)
 	}
 	if o.TransportTimeout < 0 {
 		return Options{}, fmt.Errorf("experiments: negative transport timeout %v", o.TransportTimeout)
@@ -137,12 +134,7 @@ func (o Options) Normalize() (Options, error) {
 	o.Seed = o.seed()
 	o.Backend = name
 	o.Transport = transport
-	if o.Backend == "serial" || o.Backend == "serial32" || o.Workers < 0 {
-		// Workers are ignored on the serial backends, and any non-positive
-		// count means GOMAXPROCS; collapse both so they cannot split the
-		// dedup key.
-		o.Workers = 0
-	}
+	o.Workers = 0
 	if o.Transport == fl.TransportSim {
 		// Collapse the default transport to "" (and drop its unused
 		// timeout) so sim runs cannot split the dedup key — and so default
@@ -223,7 +215,7 @@ func archFor(kind dataset.Kind) nn.Arch {
 // unknown backend name is an error here — the config never silently falls
 // back to the serial backend.
 func (o Options) baseConfig(kind dataset.Kind, strat fl.Strategy) (fl.Config, error) {
-	be, err := tensor.NewBackend(o.Backend, o.Workers)
+	be, err := tensor.NewBackend(o.Backend, 0)
 	if err != nil {
 		return fl.Config{}, err
 	}

@@ -186,55 +186,31 @@ func TestOptionsNormalize(t *testing.T) {
 	if norm.Seed != 1 || norm.Backend != "serial" || norm.Workers != 0 {
 		t.Fatalf("normalized defaults = %+v", norm)
 	}
-	// Workers are ignored on the serial backend and must not split the
-	// dedup key.
-	norm, err = (Options{Backend: "serial", Workers: 8}).Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if norm.Workers != 0 {
-		t.Fatalf("serial workers = %d, want 0", norm.Workers)
-	}
-	norm, err = (Options{Backend: "parallel", Workers: 2}).Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if norm.Backend != "parallel" || norm.Workers != 2 {
-		t.Fatalf("parallel normalized = %+v", norm)
-	}
-	// Any non-positive worker count means GOMAXPROCS, so -1 and 0 must
-	// normalize equally or dedup keys would split.
-	norm, err = (Options{Backend: "parallel", Workers: -1}).Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if norm.Workers != 0 {
-		t.Fatalf("parallel workers -1 normalized to %d, want 0", norm.Workers)
-	}
-	// serial32 is a serial backend too: its workers must collapse the same
-	// way, and parallel32 must keep an explicit count, so the float32 pair
-	// cannot split dedup keys differently from the float64 pair.
-	norm, err = (Options{Backend: "serial32", Workers: 8}).Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if norm.Backend != "serial32" || norm.Workers != 0 {
-		t.Fatalf("serial32 normalized = %+v", norm)
-	}
-	norm, err = (Options{Backend: "parallel32", Workers: 2}).Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if norm.Backend != "parallel32" || norm.Workers != 2 {
-		t.Fatalf("parallel32 normalized = %+v", norm)
+	// The former parallel names are aliases of the two engines, and the
+	// worker count selects nothing: whatever a caller still sends must land
+	// on the serial twin's dedup key.
+	for _, c := range []struct {
+		in   Options
+		want string
+	}{
+		{Options{Backend: "serial", Workers: 8}, "serial"},
+		{Options{Backend: "parallel", Workers: 4}, "serial"},
+		{Options{Backend: "parallel", Workers: -1}, "serial"},
+		{Options{Backend: "parallel", Workers: 100_000_000}, "serial"},
+		{Options{Backend: "serial32", Workers: 8}, "serial32"},
+		{Options{Backend: "parallel32", Workers: 2}, "serial32"},
+	} {
+		norm, err := c.in.Normalize()
+		if err != nil {
+			t.Fatalf("%+v: %v", c.in, err)
+		}
+		if norm.Backend != c.want || norm.Workers != 0 {
+			t.Fatalf("%+v normalized to backend %q workers %d, want %q and 0",
+				c.in, norm.Backend, norm.Workers, c.want)
+		}
 	}
 	if _, err := (Options{Backend: "quantum"}).Normalize(); err == nil {
 		t.Fatal("unknown backend normalized")
-	}
-	// Validation must reject absurd worker counts instead of letting a
-	// request spawn an arbitrary-width pool.
-	if _, err := (Options{Backend: "parallel", Workers: 100_000_000}).Normalize(); err == nil {
-		t.Fatal("unbounded workers normalized")
 	}
 }
 

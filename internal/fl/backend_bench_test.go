@@ -33,10 +33,7 @@ func BenchmarkClientRound(b *testing.B) {
 		be   tensor.Backend
 	}{
 		{"serial", tensor.Serial{}},
-		{"parallel", tensor.NewParallel(0)},
-		{"parallel-4", tensor.NewParallel(4)},
 		{"serial32", tensor.NewSerial32()},
-		{"parallel32", tensor.NewParallel32(0)},
 	} {
 		b.Run(bb.name, func(b *testing.B) {
 			net, err := nn.BuildWith(nn.ArchMNISTSmall, 1, bb.be)

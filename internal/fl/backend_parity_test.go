@@ -56,8 +56,18 @@ func assertResultsIdentical(t *testing.T, label string, ref, got *Results) {
 	}
 }
 
+// aliasBackend constructs a backend by one of the former parallel names.
+func aliasBackend(t *testing.T, name string) tensor.Backend {
+	t.Helper()
+	be, err := tensor.NewBackend(name, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return be
+}
+
 // TestBackendEndToEndParity runs the same fixed-seed experiment on the
-// serial backend and on parallel backends with several worker counts; every
+// default backend and on what the alias "parallel" constructs; every
 // reported number must match bit-for-bit.
 func TestBackendEndToEndParity(t *testing.T) {
 	for _, mk := range []struct {
@@ -72,15 +82,13 @@ func TestBackendEndToEndParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s serial: %v", mk.name, err)
 		}
-		for _, workers := range []int{1, 2, 4} {
-			cfg := parityConfig(mk.strat())
-			cfg.Backend = tensor.NewParallel(workers)
-			got, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("%s parallel-%d: %v", mk.name, workers, err)
-			}
-			assertResultsIdentical(t, mk.name+"/parallel-"+string(rune('0'+workers)), ref, got)
+		cfg = parityConfig(mk.strat())
+		cfg.Backend = aliasBackend(t, "parallel")
+		got, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s parallel: %v", mk.name, err)
 		}
+		assertResultsIdentical(t, mk.name+"/parallel", ref, got)
 	}
 }
 
@@ -99,8 +107,8 @@ func TestBackendSeedReproducibility(t *testing.T) {
 }
 
 // TestFloat32EndToEndParity is the float32 mirror of the parity run:
-// serial32 and parallel32 must agree bit-for-bit on every reported number
-// for any worker count, same as the float64 pair.
+// serial32 and its alias parallel32 must agree bit-for-bit on every
+// reported number.
 func TestFloat32EndToEndParity(t *testing.T) {
 	for _, mk := range []struct {
 		name  string
@@ -115,25 +123,23 @@ func TestFloat32EndToEndParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s serial32: %v", mk.name, err)
 		}
-		for _, workers := range []int{1, 2, 4} {
-			cfg := parityConfig(mk.strat())
-			cfg.Backend = tensor.NewParallel32(workers)
-			got, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("%s parallel32-%d: %v", mk.name, workers, err)
-			}
-			assertResultsIdentical(t, mk.name+"/parallel32-"+string(rune('0'+workers)), ref, got)
+		cfg = parityConfig(mk.strat())
+		cfg.Backend = aliasBackend(t, "parallel32")
+		got, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s parallel32: %v", mk.name, err)
 		}
+		assertResultsIdentical(t, mk.name+"/parallel32", ref, got)
 	}
 }
 
 // TestFloat32SeedReproducibility pins the float32 determinism contract:
-// two parallel32 runs with the same seed are bit-identical end to end,
+// two float32 runs with the same seed are bit-identical end to end,
 // even though float32 results differ from float64 by rounding.
 func TestFloat32SeedReproducibility(t *testing.T) {
 	mk := func() Config {
 		cfg := parityConfig(NewAergia(0, 1))
-		cfg.Backend = tensor.NewParallel32(4)
+		cfg.Backend = tensor.NewSerial32()
 		return cfg
 	}
 	a, err := Run(mk())
@@ -144,7 +150,7 @@ func TestFloat32SeedReproducibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertResultsIdentical(t, "parallel32 repeat", a, b)
+	assertResultsIdentical(t, "serial32 repeat", a, b)
 }
 
 // TestFloat32AccuracyWithinTolerance bounds the float32/float64 divergence:
@@ -191,7 +197,7 @@ func TestAsyncBackendParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunAsync(mk(tensor.NewParallel(4)))
+	got, err := RunAsync(mk(aliasBackend(t, "parallel")))
 	if err != nil {
 		t.Fatal(err)
 	}

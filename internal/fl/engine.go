@@ -74,8 +74,8 @@ type Config struct {
 	// under churn. The zero plan keeps the fault-free bit-identical path.
 	Chaos chaos.Plan
 	// Backend selects the compute backend shared by every client and the
-	// evaluator; nil means the serial reference. Results are bit-identical
-	// across backends and worker counts (see DESIGN.md).
+	// evaluator; nil means the serial float64 reference. Results are
+	// bit-identical per backend at any GOMAXPROCS (see DESIGN.md).
 	Backend tensor.Backend
 	// Codec selects the wire codec for model-update payloads: "" or
 	// "none" (raw, the pre-codec wire format), "q8", or "topk" — see

@@ -321,7 +321,105 @@ func TestHierChurnWithoutTimeoutCompletes(t *testing.T) {
 		t.Fatalf("completed %d rounds under churn, want %d", len(resA.Rounds), clA.Topology.Rounds)
 	}
 	assertResultsIdentical(t, "tiered churn replay", resA, resB)
+	// Captured at fc70771, before a rejoining shell told the client it drops
+	// (and so cancelled its lane): the fix moves no number.
+	if got, want := resultHash(resA), uint64(0x334bb6c36ee19a81); got != want {
+		t.Fatalf("tiered churn result hash %#x, the parent commit's is %#x", got, want)
+	}
 	if !sameIDSet(hydratedSet(clA), hydratedSet(clB)) {
 		t.Fatal("replayed faulted runs hydrated different shells")
+	}
+}
+
+// rejoinProbe stands between a lazy shell and the client it hydrated, and
+// counts the unfinished steps on the client's compute lane on both sides of
+// a rejoin.
+type rejoinProbe struct {
+	*Client
+	rejoined    bool
+	held, after int
+}
+
+func (p *rejoinProbe) OnRejoin(env comm.Env) {
+	l := p.Client.lane
+	unfinished := func() int {
+		if l == nil {
+			return 0
+		}
+		laneSched.mu.Lock()
+		defer laneSched.mu.Unlock()
+		return len(l.queue)
+	}
+	p.held = unfinished()
+	p.Client.OnRejoin(env)
+	p.rejoined, p.after = true, unfinished()
+}
+
+// TestHierRejoinStopsTheDroppedClientsLane: a hydrated shell that crashes in
+// the middle of its round and rejoins dormant must tell the incarnation it
+// drops, or that client's lane goes on training a round nobody will read
+// until the run's final drain. No step of it may be left once the rejoin
+// has been handled, the run's numbers must not notice, and they are the
+// parent commit's (where the lane was left running) at every width.
+func TestHierRejoinStopsTheDroppedClientsLane(t *testing.T) {
+	const victim = comm.NodeID(5)
+	top := hierTopology(2, 0)
+	// Client 0 holds the round open; the victim would need half of it.
+	top.Speeds = []float64{0.25, 1, 1, 1, 1, 0.5, 1, 1, 1, 1, 1, 1}
+	base, _ := runHier(t, top, TransportSim)
+	d0 := base.Rounds[0].Duration
+
+	for _, procs := range []int{1, 2, 8} {
+		atWidth(procs, func() {
+			cl, err := top.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var probes []*rejoinProbe
+			shell := cl.Hier.Shells[victim]
+			hydrate := shell.Hydrate
+			shell.Hydrate = func(p hier.Profile) (comm.Handler, error) {
+				h, err := hydrate(p)
+				if err != nil {
+					return nil, err
+				}
+				probes = append(probes, &rejoinProbe{Client: h.(*Client)})
+				return probes[len(probes)-1], nil
+			}
+			inner, err := NewTransport(TransportSim, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer inner.Close()
+			ct := chaos.New(inner, cl.Topology.Chaos, cl.Topology.Seed)
+			// Down at a quarter of the round, back at three eighths: the
+			// victim's own round would have run to one half.
+			ct.ScheduleCrash(victim, d0/4, d0/8)
+			res, err := (&Deployment{Cluster: cl, Transport: ct}).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(probes) != 2 || shell.Hydrations() != 2 {
+				t.Fatalf("victim hydrated %d times (%d probes), want the crashed and the rejoined incarnation",
+					shell.Hydrations(), len(probes))
+			}
+			first := probes[0]
+			if !first.rejoined {
+				t.Fatal("the shell dropped its hydrated client without telling it of the rejoin")
+			}
+			if first.after != 0 {
+				t.Fatalf("%d steps left on the dropped client's lane after the rejoin", first.after)
+			}
+			// Without a second processor nothing runs before its join, so
+			// the crashed round is still on the lane, whole, when the
+			// rejoin comes: the case the run's final drain used to catch.
+			if procs == 1 && first.held == 0 {
+				t.Fatal("the crash did not land mid-round: the lane was already empty at the rejoin")
+			}
+			// Captured at fc70771, at GOMAXPROCS 1, 2 and 8.
+			if got, want := resultHash(res), uint64(0xa35b04c607319d74); got != want {
+				t.Fatalf("GOMAXPROCS %d: result hash %#x, the parent commit's is %#x", procs, got, want)
+			}
+		})
 	}
 }

@@ -112,8 +112,8 @@ type Topology struct {
 	// Deployment users wrap with chaos.Wrap themselves).
 	Chaos chaos.Plan
 	// Backend selects the compute backend shared by every client and the
-	// evaluator; nil means the serial reference. Results are bit-identical
-	// across backends and worker counts (see DESIGN.md §2).
+	// evaluator; nil means the serial float64 reference. Results are
+	// bit-identical per backend at any GOMAXPROCS (see DESIGN.md §2).
 	Backend tensor.Backend
 	// Hier selects the scale-out behavior (internal/hier, DESIGN.md §11):
 	// Sample picks a deterministic per-round cohort fraction, Tiers inserts

@@ -14,9 +14,9 @@ import (
 // the Topology/Deployment path on the sim transport — the engine-level unit
 // the experiment suite and the job runner schedule. Build cost (dataset
 // generation, partitioning, actor init) is included on purpose: it is part
-// of every scheduled scenario. Serial vs. parallel isolates how much of a
-// whole run the backend can accelerate (client math dominates; the
-// discrete-event kernel is serial by design).
+// of every scheduled scenario. serial vs. serial32 shows how much of a whole
+// run the element type moves (client math dominates); the same sub-benchmark
+// at -cpu 1,2 shows what the compute lanes add.
 func BenchmarkTopologyRun(b *testing.B) {
 	// churn10 layers a 10%-churn fault plan (with rejoins and quorum) over
 	// the serial run; the delta against "serial" is the whole fault
@@ -41,9 +41,7 @@ func BenchmarkTopologyRun(b *testing.B) {
 		wireCodec string
 	}{
 		{"serial", nil, chaos.Plan{}, ""},
-		{"parallel", tensor.NewParallel(0), chaos.Plan{}, ""},
 		{"serial32", tensor.NewSerial32(), chaos.Plan{}, ""},
-		{"parallel32", tensor.NewParallel32(0), chaos.Plan{}, ""},
 		{"serial-churn10", nil, churn, ""},
 		{"codec-q8", nil, chaos.Plan{}, "q8"},
 		{"codec-topk", nil, chaos.Plan{}, "topk"},

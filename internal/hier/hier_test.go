@@ -336,6 +336,9 @@ func TestLazyClientHydrationLifecycle(t *testing.T) {
 		t.Fatal("rejoin left the shell hydrated")
 	}
 	lc.OnRejoin(env) // idempotent on a dormant shell
+	if inner.rejoins != 1 {
+		t.Fatalf("the dropped client heard of %d rejoins, want the one that dropped it", inner.rejoins)
+	}
 	lc.OnMessage(env, comm.Message{Kind: comm.KindUpdate})
 	if built != 1 {
 		t.Fatal("non-train traffic hydrated a dehydrated shell")

@@ -78,10 +78,15 @@ func (c *LazyClient) OnMessage(env comm.Env, msg comm.Message) {
 }
 
 // OnRejoin implements the chaos layer's Rejoiner: the rejoined incarnation
-// starts dormant again, holding only the profile.
-func (c *LazyClient) OnRejoin(comm.Env) {
+// starts dormant again, holding only the profile. The crashed incarnation
+// hears of the rejoin before it is dropped, so that it stops what it still
+// has running (a client's compute lane trains a round nobody will read).
+func (c *LazyClient) OnRejoin(env comm.Env) {
 	if c.inner == nil {
 		return
+	}
+	if rj, ok := c.inner.(interface{ OnRejoin(comm.Env) }); ok {
+		rj.OnRejoin(env)
 	}
 	c.inner = nil
 	hm().dehydrations.Add(1)

@@ -113,9 +113,8 @@ func (n *Network) OutShape() ([]int, error) {
 // and converts every parameter and gradient tensor to the backend's element
 // type (float64→float32 rounds once; tensor pointers stay stable, so
 // optimizer state keyed by tensor identity survives). A nil backend selects
-// the serial float64 reference. For a fixed element type, switching backends
-// never changes results (see tensor.Backend); switching float64→float32
-// starts training from the narrowed reference weights.
+// the serial float64 reference; switching float64→float32 starts training
+// from the narrowed reference weights.
 func (n *Network) SetBackend(be tensor.Backend) {
 	n.backend = be
 	dt := backendOr(be).DType()

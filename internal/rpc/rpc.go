@@ -181,23 +181,37 @@ func (p *Peer) readLoop(conn net.Conn) {
 	}()
 	dec := gob.NewDecoder(conn)
 	for {
-		var wm wireMessage
-		if err := dec.Decode(&wm); err != nil {
+		msg, err := readFrame(dec)
+		if err != nil {
 			return
-		}
-		msg := comm.Message{
-			From:    wm.From,
-			To:      wm.To,
-			Round:   wm.Round,
-			Kind:    wm.Kind,
-			Size:    wm.Size,
-			Span:    wm.Span,
-			Payload: wm.Payload,
 		}
 		p.handleMu.Lock()
 		p.handler.OnMessage(p.Env(), msg)
 		p.handleMu.Unlock()
 	}
+}
+
+// readFrame decodes the next envelope from a peer's byte stream. The bytes
+// are untrusted: a truncated frame, a length prefix larger than the stream
+// delivers, or a value of another type is an error that ends the
+// connection, never a panic. gob refuses a length over its frame cap and
+// reads anything under it in 10 MiB chunks as the bytes arrive, so a forged
+// length costs one chunk, not what it promises (FuzzReadFrame holds it to
+// that).
+func readFrame(dec *gob.Decoder) (comm.Message, error) {
+	var wm wireMessage
+	if err := dec.Decode(&wm); err != nil {
+		return comm.Message{}, err
+	}
+	return comm.Message{
+		From:    wm.From,
+		To:      wm.To,
+		Round:   wm.Round,
+		Kind:    wm.Kind,
+		Size:    wm.Size,
+		Span:    wm.Span,
+		Payload: wm.Payload,
+	}, nil
 }
 
 // Env returns the comm.Env for this peer.

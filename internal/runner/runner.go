@@ -45,11 +45,11 @@ var (
 // persists every outcome to the result store.
 //
 // Concurrency budget: the slots bound how many experiments run at once
-// locally, while all compute inside them flows through the shared tensor
-// worker pool (one pool per width, process-global — see
-// internal/tensor/pool.go). N concurrent jobs on the parallel backend
-// therefore contend for the same GOMAXPROCS-bounded pool instead of
-// oversubscribing cores N times.
+// locally. Inside them, client training runs on the process-wide compute
+// lanes (internal/fl/lane.go): at most GOMAXPROCS training steps execute at
+// any moment however many jobs are in flight, so N concurrent jobs share
+// the cores instead of oversubscribing them N times. What a job does on its
+// own goroutine (evaluation, aggregation, codecs) is bounded by the slots.
 //
 // Dedup/resume: Submit answers repeats of completed work from the store
 // without recomputing — submitting the same sweep to a restarted runner

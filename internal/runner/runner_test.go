@@ -52,12 +52,11 @@ func TestSweepExpandCartesian(t *testing.T) {
 }
 
 func TestSweepExpandDedupsNormalizedCells(t *testing.T) {
-	// Workers are ignored on the serial backend, so the three cells
-	// collapse into one job.
+	// "", "serial" and the alias "parallel" name one backend, so the three
+	// cells collapse into one job.
 	jobs, err := Sweep{
 		Experiments: []string{"fig4"},
-		Backends:    []string{"serial"},
-		Workers:     []int{0, 2, 4},
+		Backends:    []string{"", "serial", "parallel"},
 		Quick:       []bool{true},
 	}.Expand()
 	if err != nil {
@@ -68,27 +67,19 @@ func TestSweepExpandDedupsNormalizedCells(t *testing.T) {
 	}
 }
 
-// TestSweepExpandFloat32Axis pins the dtype sweep axis: the float32
-// backends grid like any other backend name, serial32 collapses its
-// workers like serial, and parallel32 keeps distinct worker cells.
+// TestSweepExpandFloat32Axis pins the dtype sweep axis: float64 and
+// float32 are distinct cells, and each alias collapses onto its twin.
 func TestSweepExpandFloat32Axis(t *testing.T) {
 	jobs, err := Sweep{
 		Experiments: []string{"fig4"},
-		Backends:    []string{"serial32", "parallel32"},
-		Workers:     []int{0, 2},
+		Backends:    []string{"serial", "parallel", "serial32", "parallel32"},
 		Quick:       []bool{true},
 	}.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// serial32 × {0,2} dedups to one job; parallel32 × {0,2} stays two.
-	if len(jobs) != 3 {
-		t.Fatalf("expanded %d jobs, want 3 (serial32 deduped, parallel32 per worker count)", len(jobs))
-	}
-	for _, job := range jobs {
-		if be := job.Options.Backend; be != "serial32" && be != "parallel32" {
-			t.Fatalf("job backend %q, want a float32 backend", be)
-		}
+	if len(jobs) != 2 || jobs[0].Options.Backend != "serial" || jobs[1].Options.Backend != "serial32" {
+		t.Fatalf("expanded %+v, want one serial and one serial32 job", jobs)
 	}
 }
 
@@ -109,14 +100,19 @@ func TestJobIDDeterministicAcrossSpellings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Seed 0 means 1, "" means serial, workers are ignored on serial: all
-	// spellings of the default must map to one job.
-	b, err := NewJob("fig4", experiments.Options{Seed: 1, Backend: "serial", Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.ID() != b.ID() {
-		t.Fatalf("equivalent options got different ids: %s vs %s", a.ID(), b.ID())
+	// Seed 0 means 1, "" means serial, "parallel" is its alias and workers
+	// select nothing: all spellings of the default must map to one job.
+	for _, opt := range []experiments.Options{
+		{Seed: 1, Backend: "serial", Workers: 3},
+		{Backend: "parallel", Workers: 4},
+	} {
+		b, err := NewJob("fig4", opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.ID() != b.ID() {
+			t.Fatalf("%+v got id %s, the default's is %s", opt, b.ID(), a.ID())
+		}
 	}
 	c, err := NewJob("fig4", experiments.Options{Seed: 2})
 	if err != nil {

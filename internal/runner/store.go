@@ -34,9 +34,11 @@ type Record struct {
 
 // Store is a crash-safe append-only JSONL file of Records.
 //
-// Each Append writes one line and syncs it. On Open, a truncated tail line
-// (the artifact of a crash mid-write) is detected, dropped, and truncated
-// away so the file is valid JSONL again; duplicate IDs are deduplicated —
+// Each Append writes one line and syncs it. On Open, a torn tail (the
+// artifact of a crash mid-write: a partial line, or unreadable lines with no
+// record behind them) is detected, dropped, and truncated away so the file
+// is valid JSONL again, while an unreadable line with a record behind it is
+// damage Open refuses to guess about; duplicate IDs are deduplicated —
 // a completed record is immutable, while a failed record is superseded by
 // any later record for the same job. The file is held under an exclusive
 // advisory lock, so a second process opening the same store (a stray
@@ -101,18 +103,17 @@ func (s *Store) load() error {
 		}
 		line := data[start : start+nl]
 		start += nl + 1
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil || rec.ID == "" {
-			if err == nil {
-				err = fmt.Errorf("record missing id")
+		rec, err := parseRecord(line)
+		if err != nil {
+			if holdsRecord(data[start:]) {
+				return fmt.Errorf("runner: store %s corrupt at byte %d: %v", s.path, start-nl-1, err)
 			}
-			if start >= len(data) {
-				// Complete but unparseable tail line: same crash artifact
-				// with the newline already written. Drop it.
-				s.skipped++
-				break
-			}
-			return fmt.Errorf("runner: store %s corrupt at byte %d: %v", s.path, start-nl-1, err)
+			// No record follows the unreadable line, so it and whatever
+			// trails it are what a crash left of the last appends (a torn
+			// write need not be one clean prefix: the blocks behind it can
+			// come back as zeros or noise, newlines included). Drop them.
+			s.skipped++
+			break
 		}
 		s.remember(rec, int64(start-nl-1), len(line))
 		valid = int64(start)
@@ -124,6 +125,32 @@ func (s *Store) load() error {
 	}
 	s.size = valid
 	return nil
+}
+
+// parseRecord decodes one store line.
+func parseRecord(line []byte) (Record, error) {
+	var rec Record
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return Record{}, err
+	}
+	if rec.ID == "" {
+		return Record{}, fmt.Errorf("record missing id")
+	}
+	return rec, nil
+}
+
+// holdsRecord reports whether any complete line of data is a record.
+func holdsRecord(data []byte) bool {
+	for {
+		nl := bytes.IndexByte(data, '\n')
+		if nl < 0 {
+			return false
+		}
+		if _, err := parseRecord(data[:nl]); err == nil {
+			return true
+		}
+		data = data[nl+1:]
+	}
 }
 
 // remember merges one record (whose line occupies [off, off+n) in the

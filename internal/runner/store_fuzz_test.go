@@ -1,0 +1,144 @@
+package runner
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"testing"
+
+	"aergia/internal/experiments"
+)
+
+// FuzzStoreTornTail cuts a valid store at any byte and glues arbitrary bytes
+// behind the cut — what a crash, a full disk or a power loss can leave of
+// the last appends. Open must come back with every record that was whole
+// before the tear, leave the file appendable, and refuse only what it
+// cannot tell from damage in the middle of the file: an unreadable line
+// with a readable record behind it.
+func FuzzStoreTornTail(f *testing.F) {
+	var image []byte
+	var ends []int // end offset of each whole line in image
+	add := func(rec Record) {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		image = append(append(image, line...), '\n')
+		ends = append(ends, len(image))
+	}
+	rec := func(seed uint64, status Status, result string) Record {
+		job, err := NewJob("fig4", experiments.Options{Quick: true, Seed: seed})
+		if err != nil {
+			f.Fatal(err)
+		}
+		r := Record{ID: job.ID(), Experiment: job.Experiment, Options: job.Options, Status: status}
+		if result != "" {
+			r.Result = json.RawMessage(result)
+		}
+		return r
+	}
+	add(rec(1, StatusDone, `{"experiment":"fig4","data":[1,2,3]}`))
+	add(rec(2, StatusFailed, ""))
+	add(rec(3, StatusLeased, ""))
+	add(rec(2, StatusDone, `{"experiment":"fig4","note":"line\nbreak   in a string"}`))
+	add(rec(3, StatusDone, `{"experiment":"fig4"}`))
+	add(rec(4, StatusCanceled, ""))
+
+	whole := string(image[ends[0]:ends[1]])
+	for _, cut := range append([]int{0, 1, ends[0] - 1, ends[0] + 40, len(image) - 2}, ends...) {
+		for _, tail := range []string{
+			"",
+			`{"id":"fig4-deadbeef","exper`,
+			"not json at all\n",
+			"garbage\nmore garbage\n",
+			"\n\n\n",
+			"\x00\x00\x00\x00\n\x00\x00",
+			`{"id":""}` + "\n",
+			whole,
+			"garbage\n" + whole, // damage with a record behind it: refused
+		} {
+			f.Add(uint16(cut), []byte(tail))
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, cut uint16, tail []byte) {
+		k := int(cut) % (len(image) + 1)
+		kept := 0 // whole lines of the image before the tear
+		for kept < len(ends) && ends[kept] <= k {
+			kept++
+		}
+		file := append(append([]byte{}, image[:k]...), tail...)
+		path := tempStore(t)
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		// The oracle: behind the last whole line, find the first line that
+		// is not a record; a record anywhere after it is mid-file damage.
+		rest := file
+		if kept > 0 {
+			rest = file[ends[kept-1]:]
+		}
+		damaged, refuse := false, false
+		for {
+			nl := bytes.IndexByte(rest, '\n')
+			if nl < 0 {
+				break
+			}
+			_, err := parseRecord(rest[:nl])
+			refuse = refuse || damaged && err == nil
+			damaged = damaged || err != nil
+			rest = rest[nl+1:]
+		}
+
+		s, err := Open(path)
+		if refuse {
+			if err == nil {
+				s.Close()
+				t.Fatal("opened a store with a record behind an unreadable line")
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("torn tail not recovered: %v", err)
+		}
+		final := map[string]Record{} // what the whole lines say, later lines superseding
+		for i := 0; i < kept; i++ {
+			start := 0
+			if i > 0 {
+				start = ends[i-1]
+			}
+			r, _ := parseRecord(image[start : ends[i]-1])
+			if prev, ok := final[r.ID]; !ok || prev.Status != StatusDone {
+				final[r.ID] = r
+			}
+		}
+		for id, want := range final {
+			got, ok := s.Get(id)
+			if !ok {
+				t.Fatalf("record %s, whole before the tear, is gone", id)
+			}
+			if want.Status == StatusDone && (got.Status != StatusDone || !bytes.Equal(got.Result, want.Result)) {
+				t.Fatalf("done record %s came back as %s %s, want %s", id, got.Status, got.Result, want.Result)
+			}
+		}
+		// The file must be whole lines again: an append lands on its own
+		// line and the next Open sees it.
+		next := rec(99, StatusDone, `{"experiment":"fig4","after":"recovery"}`)
+		if err := s.Append(next); err != nil {
+			t.Fatal(err)
+		}
+		n := s.Len()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s, err = Open(path)
+		if err != nil {
+			t.Fatalf("reopen after recovery and append: %v", err)
+		}
+		defer s.Close()
+		if got, ok := s.Get(next.ID); !ok || !bytes.Equal(got.Result, next.Result) || s.Len() != n {
+			t.Fatalf("after reopen: %d records (want %d), appended record %+v", s.Len(), n, got)
+		}
+	})
+}

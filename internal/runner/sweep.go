@@ -10,13 +10,12 @@ import (
 
 // Sweep is a parameter grid over the experiment options. Expand takes the
 // cartesian product of every axis; an empty axis means "the default only"
-// (seed 1, serial backend, default workers, full scale, no faults), so the
+// (seed 1, serial backend, full scale, no faults), so the
 // minimal sweep {"experiments": ["fig6"]} is one job.
 type Sweep struct {
 	Experiments []string `json:"experiments"`
 	Seeds       []uint64 `json:"seeds,omitempty"`
 	Backends    []string `json:"backends,omitempty"`
-	Workers     []int    `json:"workers,omitempty"`
 	Quick       []bool   `json:"quick,omitempty"`
 	// Chaos lists fault schedules in the -chaos spec form (e.g.
 	// "churn=0.3,rejoin=1,window=2s"); "" is the fault-free run. Churn
@@ -35,8 +34,8 @@ type Sweep struct {
 }
 
 // Expand materializes the grid as jobs, validating every cell. Cells that
-// normalize to the same job (for example serial runs that differ only in
-// workers) are deduplicated, keeping the first.
+// normalize to the same job (for example backends "serial" and its alias
+// "parallel") are deduplicated, keeping the first.
 func (s Sweep) Expand() ([]Job, error) {
 	if len(s.Experiments) == 0 {
 		return nil, fmt.Errorf("runner: sweep has no experiments")
@@ -48,10 +47,6 @@ func (s Sweep) Expand() ([]Job, error) {
 	backends := s.Backends
 	if len(backends) == 0 {
 		backends = []string{""}
-	}
-	workers := s.Workers
-	if len(workers) == 0 {
-		workers = []int{0}
 	}
 	quicks := s.Quick
 	if len(quicks) == 0 {
@@ -87,27 +82,24 @@ func (s Sweep) Expand() ([]Job, error) {
 		for _, quick := range quicks {
 			for _, seed := range seeds {
 				for _, backend := range backends {
-					for _, w := range workers {
-						for _, plan := range plans {
-							for _, wireCodec := range codecs {
-								for _, sample := range samples {
-									for _, tier := range tiers {
-										job, err := NewJob(exp, experiments.Options{
-											Quick:   quick,
-											Seed:    seed,
-											Backend: backend,
-											Workers: w,
-											Chaos:   plan,
-											Codec:   wireCodec,
-											Hier:    hier.Options{Sample: sample, Tiers: tier},
-										})
-										if err != nil {
-											return nil, err
-										}
-										if id := job.ID(); !seen[id] {
-											seen[id] = true
-											jobs = append(jobs, job)
-										}
+					for _, plan := range plans {
+						for _, wireCodec := range codecs {
+							for _, sample := range samples {
+								for _, tier := range tiers {
+									job, err := NewJob(exp, experiments.Options{
+										Quick:   quick,
+										Seed:    seed,
+										Backend: backend,
+										Chaos:   plan,
+										Codec:   wireCodec,
+										Hier:    hier.Options{Sample: sample, Tiers: tier},
+									})
+									if err != nil {
+										return nil, err
+									}
+									if id := job.ID(); !seen[id] {
+										seen[id] = true
+										jobs = append(jobs, job)
 									}
 								}
 							}

@@ -3,23 +3,23 @@ package tensor
 import "fmt"
 
 // Backend is the pluggable compute substrate behind every tensor operation
-// the neural-network layers perform. Four configurations exist, all stamped
-// from one generic engine (see kernels.go):
+// the neural-network layers perform. Two exist, one per element type, both
+// stamped from one generic engine (see kernels.go):
 //
-//   - "serial":     single-threaded float64 — the correctness reference;
-//   - "parallel":   worker-pool float64 with row-blocked matrix
-//     multiplication and im2col-based convolution;
-//   - "serial32":   single-threaded float32;
-//   - "parallel32": worker-pool float32.
+//   - "serial":   float64 — the correctness reference;
+//   - "serial32": float32.
 //
-// Determinism: backends of the same dtype are guaranteed to produce
-// bit-identical results for identical inputs — every output element is
-// accumulated in exactly the same floating-point order (see DESIGN.md,
-// "Determinism"). Parallelism only partitions *independent* output elements
-// across workers; it never splits a single reduction. The float64 backends
-// are additionally pinned to the historical golden runs; float32 backends
-// are deterministic run-to-run but numerically distinct from float64
-// (results agree within float32 tolerance).
+// "parallel" and "parallel32" are accepted as aliases of the two (they once
+// named worker-pool variants with the same bits). Kernels run on the calling
+// goroutine; a run spreads over the cores by training its clients side by
+// side (DESIGN.md §14).
+//
+// Determinism: a backend produces bit-identical results for identical inputs
+// — every output element is accumulated in one fixed floating-point order
+// (see DESIGN.md, "Determinism"). The float64 backend is additionally pinned
+// to the historical golden runs; the float32 backend is deterministic
+// run-to-run but numerically distinct from float64 (results agree within
+// float32 tolerance).
 //
 // The *Fused and *WS methods are the zero-allocation hot path: they stage
 // outputs, gradients, im2col matrices, activation masks, and argmax indices
@@ -27,10 +27,9 @@ import "fmt"
 // same pass as the linear kernel. Buffers they return are valid until the
 // next call on the same workspace.
 type Backend interface {
-	// Name identifies the backend ("serial", "parallel", "serial32", or
-	// "parallel32").
+	// Name identifies the backend ("serial" or "serial32").
 	Name() string
-	// Workers reports the parallel width (1 for serial backends).
+	// Workers reports the width of one kernel call: always 1.
 	Workers() int
 	// DType reports the element type the backend computes in.
 	DType() DType
@@ -97,14 +96,13 @@ type Backend interface {
 
 var (
 	_ Backend = Serial{}
-	_ Backend = (*Parallel)(nil)
 	_ Backend = (*engine[float32])(nil)
 	_ Backend = (*engine[float64])(nil)
 )
 
-// Serial is the single-threaded float64 reference backend. Its methods
-// delegate to the shared serial float64 engine, which executes the exact
-// operation sequence of the seed implementation.
+// Serial is the float64 reference backend. Its methods delegate to the
+// float64 engine, which executes the exact operation sequence of the seed
+// implementation.
 type Serial struct{}
 
 // Name implements Backend.
@@ -203,65 +201,41 @@ func (Serial) AxpyT(a float64, x, y *Tensor) error { return serialRef.AxpyT(a, x
 // ScaleT implements Backend.
 func (Serial) ScaleT(a float64, x *Tensor) { serialRef.ScaleT(a, x) }
 
-// NewSerial32 returns the single-threaded float32 backend.
+// NewSerial32 returns the float32 backend.
 func NewSerial32() Backend { return serialRef32 }
 
-// NewParallel32 returns the worker-pool float32 backend drawing from the
-// shared pool of the given width; workers <= 0 selects GOMAXPROCS.
-func NewParallel32(workers int) Backend {
-	return newEngine32("parallel32", getPool(workers))
-}
+// NewParallel32 is NewSerial32 under its former name; the worker count
+// selects nothing.
+func NewParallel32(int) Backend { return serialRef32 }
 
-// BackendNames lists every registered backend name in canonical order.
-func BackendNames() []string {
-	return []string{"serial", "parallel", "serial32", "parallel32"}
-}
+// BackendNames lists the backends in canonical order.
+func BackendNames() []string { return []string{"serial", "serial32"} }
 
-// CanonicalBackend validates a backend name and returns its canonical
-// form ("" maps to "serial") without constructing anything — in
-// particular without spawning a worker pool, so request-validation layers
-// can call it on untrusted input.
+// CanonicalBackend validates a backend name and returns its canonical form:
+// "" and the alias "parallel" map to "serial", "parallel32" to "serial32".
 func CanonicalBackend(name string) (string, error) {
 	switch name {
-	case "":
+	case "", "serial", "parallel":
 		return "serial", nil
-	case "serial", "parallel", "serial32", "parallel32":
-		return name, nil
+	case "serial32", "parallel32":
+		return "serial32", nil
 	default:
-		return "", fmt.Errorf("tensor: unknown backend %q (want serial, parallel, serial32, or parallel32)", name)
+		return "", fmt.Errorf("tensor: unknown backend %q (want serial or serial32)", name)
 	}
 }
 
-// NewBackend constructs a backend by name: "" or "serial" select the float64
-// serial reference, "parallel" the float64 worker-pool backend, and
-// "serial32"/"parallel32" their float32 counterparts. workers applies to the
-// parallel variants (0 = GOMAXPROCS, capped at MaxWorkers).
-func NewBackend(name string, workers int) (Backend, error) {
+// NewBackend returns the backend a name canonicalises to (see
+// CanonicalBackend). The second argument was the worker count of the
+// parallel variants and selects nothing.
+func NewBackend(name string, _ int) (Backend, error) {
 	canonical, err := CanonicalBackend(name)
 	if err != nil {
 		return nil, err
 	}
-	switch canonical {
-	case "parallel":
-		return NewParallel(workers), nil
-	case "serial32":
-		return NewSerial32(), nil
-	case "parallel32":
-		return NewParallel32(workers), nil
-	default:
-		return Serial{}, nil
+	if canonical == "serial32" {
+		return serialRef32, nil
 	}
-}
-
-// ReferenceBackend returns the single-threaded backend of the same dtype as
-// be: the backend whose results be is contractually bit-identical to.
-// Evaluator replicas use this so sharded evaluation reproduces the
-// single-backend bits for every dtype.
-func ReferenceBackend(be Backend) Backend {
-	if be != nil && be.DType() == F32 {
-		return NewSerial32()
-	}
-	return Serial{}
+	return Serial{}, nil
 }
 
 // DenseForward computes y = Wx + bias for W (out×in), x (in) and bias (out);

@@ -7,8 +7,9 @@ import (
 	"testing"
 )
 
-// TestCanonicalBackendTable covers every registered backend name plus the
-// unknown-name error (which must mention all registered names).
+// TestCanonicalBackendTable covers every accepted backend name, aliases
+// included, plus the unknown-name error (which must mention all registered
+// names).
 func TestCanonicalBackendTable(t *testing.T) {
 	cases := []struct {
 		name string
@@ -16,9 +17,9 @@ func TestCanonicalBackendTable(t *testing.T) {
 	}{
 		{"", "serial"},
 		{"serial", "serial"},
-		{"parallel", "parallel"},
+		{"parallel", "serial"},
 		{"serial32", "serial32"},
-		{"parallel32", "parallel32"},
+		{"parallel32", "serial32"},
 	}
 	seen := map[string]bool{}
 	for _, c := range cases {
@@ -48,21 +49,6 @@ func TestCanonicalBackendTable(t *testing.T) {
 				t.Fatalf("unknown-name error %q does not mention %q", err, name)
 			}
 		}
-	}
-}
-
-func TestReferenceBackend(t *testing.T) {
-	if got := ReferenceBackend(NewParallel(4)); got.Name() != "serial" {
-		t.Fatalf("ReferenceBackend(parallel) = %q", got.Name())
-	}
-	if got := ReferenceBackend(NewParallel32(4)); got.Name() != "serial32" {
-		t.Fatalf("ReferenceBackend(parallel32) = %q", got.Name())
-	}
-	if got := ReferenceBackend(nil); got.Name() != "serial" {
-		t.Fatalf("ReferenceBackend(nil) = %q", got.Name())
-	}
-	if got := ReferenceBackend(NewSerial32()); got.DType() != F32 {
-		t.Fatalf("ReferenceBackend(serial32) dtype = %v", got.DType())
 	}
 }
 
@@ -273,6 +259,16 @@ func fusedVsComposed(t *testing.T, be Backend, dt DType) {
 	bitsEqual(t, "ReLUBwd", rgGot, rgWant)
 }
 
+// aliasBackend constructs a backend by one of the former parallel names.
+func aliasBackend(t *testing.T, name string, workers int) Backend {
+	t.Helper()
+	be, err := NewBackend(name, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return be
+}
+
 func TestFusedKernelsBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -280,21 +276,26 @@ func TestFusedKernelsBitIdentical(t *testing.T) {
 		dt   DType
 	}{
 		{"serial", Serial{}, F64},
-		{"parallel", NewParallel(4), F64},
+		{"parallel", aliasBackend(t, "parallel", 4), F64},
 		{"serial32", NewSerial32(), F32},
-		{"parallel32", NewParallel32(4), F32},
+		{"parallel32", aliasBackend(t, "parallel32", 4), F32},
 	} {
 		t.Run(tc.name, func(t *testing.T) { fusedVsComposed(t, tc.be, tc.dt) })
 	}
 }
 
-// TestFloat32SerialParallelBitIdentical pins the float32 determinism
-// contract: serial32 and parallel32 produce the same bits for the same
-// inputs, including on operations large enough to cross the parallel
-// dispatch threshold.
+// TestFloat32SerialParallelBitIdentical pins the float32 alias: what
+// "parallel32" constructs, at any worker count, produces the bits of
+// serial32 on the same inputs — the float32 counterpart of the float64
+// parity tests in backend_test.go.
 func TestFloat32SerialParallelBitIdentical(t *testing.T) {
-	s := NewSerial32()
-	p := NewParallel32(4)
+	for _, n := range []int{0, 1, 8} {
+		float32AliasParity(t, NewSerial32(), aliasBackend(t, "parallel32", n))
+	}
+}
+
+func float32AliasParity(t *testing.T, s, p Backend) {
+	t.Helper()
 	r1 := NewRNG(7)
 	r2 := NewRNG(7)
 
@@ -304,7 +305,7 @@ func TestFloat32SerialParallelBitIdentical(t *testing.T) {
 		return x
 	}
 
-	// Large matmul (crosses minParallelWork).
+	// Large matmul.
 	a1, b1 := mk(r1, 64, 48), mk(r1, 48, 64)
 	a2, b2 := mk(r2, 64, 48), mk(r2, 48, 64)
 	cs, err := s.MatMul(a1, b1)

@@ -5,22 +5,7 @@ import (
 	"testing"
 )
 
-// benchBackends pairs each backend with the label used in benchmark names.
-func benchBackends() []struct {
-	name string
-	be   Backend
-} {
-	return []struct {
-		name string
-		be   Backend
-	}{
-		{"serial", Serial{}},
-		{"parallel", NewParallel(0)},
-		{"parallel-4", NewParallel(4)},
-	}
-}
-
-// BenchmarkMatMul tracks the throughput of the MatMul kernel per backend at
+// BenchmarkMatMul tracks the throughput of the float64 MatMul kernel at
 // the matrix sizes the experiment networks produce (run with -benchmem).
 func BenchmarkMatMul(b *testing.B) {
 	for _, size := range []int{32, 96, 192} {
@@ -29,21 +14,19 @@ func BenchmarkMatMul(b *testing.B) {
 		y := MustNew(size, size)
 		x.FillNormal(rng, 1)
 		y.FillNormal(rng, 1)
-		for _, bb := range benchBackends() {
-			b.Run(fmt.Sprintf("%s/%dx%d", bb.name, size, size), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := bb.be.MatMul(x, y); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("serial/%dx%d", size, size), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := (Serial{}).MatMul(x, y); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// BenchmarkConv2D tracks the convolution kernel (forward plus backward) per
-// backend on a CIFAR-scale feature map.
+// BenchmarkConv2D tracks the float64 convolution kernel (forward plus
+// backward) on a CIFAR-scale feature map.
 func BenchmarkConv2D(b *testing.B) {
 	rng := NewRNG(7)
 	x := MustNew(8, 32, 32)
@@ -52,30 +35,26 @@ func BenchmarkConv2D(b *testing.B) {
 	x.FillNormal(rng, 1)
 	w.FillNormal(rng, 0.2)
 	bias.FillNormal(rng, 0.1)
-	for _, bb := range benchBackends() {
-		b.Run("forward/"+bb.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := bb.be.Conv2D(x, w, bias, 1, 1); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("forward/serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := (Serial{}).Conv2D(x, w, bias, 1, 1); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 	y, err := Serial{}.Conv2D(x, w, bias, 1, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	gy := MustNew(y.Shape()...)
 	gy.FillNormal(rng, 1)
-	for _, bb := range benchBackends() {
-		b.Run("backward/"+bb.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, _, err := bb.be.Conv2DGrads(x, w, gy, 1, 1); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("backward/serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, _, err := (Serial{}).Conv2DGrads(x, w, gy, 1, 1); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }

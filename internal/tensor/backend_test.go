@@ -6,14 +6,20 @@ import (
 	"testing"
 )
 
-// parityBackends returns the serial reference plus parallel backends at the
-// worker counts the parity contract must hold for.
+// parityBackends returns what the alias "parallel" constructs at the worker
+// counts old callers still pass. The parity tests below compare each with
+// Serial{} on their inputs: the alias is the float64 engine, bit for bit,
+// whatever the count.
 func parityBackends() map[string]Backend {
-	return map[string]Backend{
-		"parallel-1": NewParallel(1),
-		"parallel-3": NewParallel(3),
-		"parallel-4": NewParallel(4),
+	out := map[string]Backend{}
+	for _, n := range []int{0, 1, 8} {
+		be, err := NewBackend("parallel", n)
+		if err != nil {
+			panic(err)
+		}
+		out[fmt.Sprintf("parallel-%d", n)] = be
 	}
+	return out
 }
 
 // fillRandomWithZeros populates t with normal variates and zeroes a fraction
@@ -281,9 +287,17 @@ func TestNewBackend(t *testing.T) {
 			t.Fatalf("NewBackend(%q) = %v, %v", name, be, err)
 		}
 	}
-	be, err := NewBackend("parallel", 3)
-	if err != nil || be.Name() != "parallel" || be.Workers() != 3 {
-		t.Fatalf("NewBackend(parallel,3) = %v, %v", be, err)
+	// The aliases construct their serial twins; the count selects nothing.
+	for alias, want := range map[string]string{"parallel": "serial", "parallel32": "serial32"} {
+		for _, n := range []int{0, 1, 8} {
+			be, err := NewBackend(alias, n)
+			if err != nil || be.Name() != want || be.Workers() != 1 {
+				t.Fatalf("NewBackend(%s,%d) = %v, %v; want %s at width 1", alias, n, be, err, want)
+			}
+		}
+	}
+	if be := NewParallel32(4); be.Name() != "serial32" || be.Workers() != 1 {
+		t.Fatalf("NewParallel32(4) = %s at width %d", be.Name(), be.Workers())
 	}
 	if _, err := NewBackend("gpu", 0); err == nil {
 		t.Fatal("NewBackend accepted unknown name")

@@ -1,11 +1,11 @@
 package tensor
 
 // DType identifies the element type of a tensor or backend. The float64
-// reference type is the golden-parity dtype: serial/parallel float64 runs are
-// pinned bit-identical to the historical kernels. F32 halves the memory
-// traffic of every kernel and is the training dtype of the serial32 and
-// parallel32 backends; its results are deterministic (same bits run-to-run
-// and across serial32/parallel32) but numerically distinct from float64.
+// reference type is the golden-parity dtype: float64 runs are pinned
+// bit-identical to the historical kernels. F32 halves the memory traffic of
+// every kernel and is the training dtype of the serial32 backend; its
+// results are deterministic (same bits run-to-run) but numerically distinct
+// from float64.
 type DType uint8
 
 // Element types.

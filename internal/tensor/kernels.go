@@ -2,111 +2,65 @@ package tensor
 
 import "fmt"
 
-// engine is the generic compute engine behind every Backend implementation.
-// It is written once against the Elem constraint and instantiated per dtype:
-// engine[float64] with a nil pool is the serial reference, with a pool the
-// "parallel" backend; engine[float32] yields "serial32"/"parallel32".
+// engine is the generic compute engine behind every Backend. It is written
+// once against the Elem constraint and instantiated once per element type:
+// engine[float64] is "serial", the golden-pinned reference, and
+// engine[float32] is "serial32". Every kernel runs on the calling goroutine;
+// a run's parallelism is its clients training side by side on compute lanes
+// (internal/fl/lane.go, DESIGN.md §14), never a kernel split across cores.
 //
-// Determinism contract: for a given dtype, every engine configuration is
-// bit-identical. Work is partitioned only across *independent output
-// elements*; the accumulation order within every single output element is
-// exactly the serial order. The im2col convolution path preserves this too:
-// the extra zero-padding terms it touches contribute ±0.0 to accumulators
-// that can never themselves be -0.0 (they start from +0.0 or a bias and
-// IEEE-754 addition only yields -0.0 from two -0.0 operands), so x + 0.0
-// == x bit-for-bit along the whole reduction. The float64 instantiation
-// additionally executes the exact operation sequence of the historical
-// hand-written kernels (Go forbids implicit FMA contraction), so it stays
-// bit-identical to the pre-generic golden runs.
+// Determinism contract: a kernel's result is a pure function of its inputs —
+// one fixed accumulation order per output element. The float64 engine
+// executes the exact operation sequence of the historical hand-written
+// kernels (Go forbids implicit FMA contraction), so it stays bit-identical
+// to the pre-generic golden runs. That includes the im2col path of
+// Conv2DFused against the direct convolution: the extra zero-padding terms
+// im2col touches contribute ±0.0 to accumulators that can never themselves
+// be -0.0 (they start from +0.0 or a bias and IEEE-754 addition only yields
+// -0.0 from two -0.0 operands), so x + 0.0 == x bit-for-bit along the whole
+// reduction.
 //
-// The data/newT/scratch accessors are plain function fields rather than
-// method-set dispatch so that fetching a typed slice from a Tensor performs
-// no interface boxing on the per-operation path.
+// The data/newT accessors are plain function fields rather than method-set
+// dispatch so that fetching a typed slice from a Tensor performs no
+// interface boxing on the per-operation path.
 type engine[T Elem] struct {
-	name       string
-	dt         DType
-	pool       *workerPool // nil for the serial configurations
-	ops        Ops[T]
-	data       func(*Tensor) []T
-	newT       func(shape ...int) *Tensor
-	getScratch func(n int) *[]T
-	putScratch func(*[]T)
+	name    string
+	dt      DType
+	ops     Ops[T]
+	data    func(*Tensor) []T
+	newT    func(shape ...int) *Tensor
+	scratch arena[T]
 	// fast selects reassociating kernel variants (im2col convolution
 	// backward, multi-accumulator dot products). These regroup
-	// floating-point sums, so only the float32 engines — which carry no
-	// historical golden constraint, only serial32 ≡ parallel32 — set it.
+	// floating-point sums, so only the float32 engine — which carries no
+	// historical golden constraint — sets it.
 	fast bool
-	// minWork is the approximate scalar multiply-add count below which an
-	// operation runs inline instead of on the pool (with identical results
-	// — the kernels are partition-invariant). The fast float32 kernels
-	// retire small operations several times quicker than the float64 ones,
-	// so their break-even point against pool dispatch sits far higher.
-	minWork int
 }
 
-func newEngine64(name string, pool *workerPool) *engine[float64] {
-	return &engine[float64]{
-		name: name, dt: F64, pool: pool,
-		data:       func(t *Tensor) []float64 { return t.data },
-		newT:       func(shape ...int) *Tensor { return MustNewOf(F64, shape...) },
-		getScratch: getScratch, putScratch: putScratch,
-		minWork: minParallelWork,
-	}
+// serialRef is the float64 engine; the exported Serial value type and the
+// package-level reference kernels delegate to it.
+var serialRef = &engine[float64]{
+	name: "serial", dt: F64,
+	data: func(t *Tensor) []float64 { return t.data },
+	newT: func(shape ...int) *Tensor { return MustNewOf(F64, shape...) },
 }
 
-func newEngine32(name string, pool *workerPool) *engine[float32] {
-	return &engine[float32]{
-		name: name, dt: F32, pool: pool,
-		data:       func(t *Tensor) []float32 { return t.f32 },
-		newT:       func(shape ...int) *Tensor { return MustNewOf(F32, shape...) },
-		getScratch: getScratch32, putScratch: putScratch32,
-		fast:    true,
-		minWork: minParallelWork32,
-	}
+// serialRef32 is the float32 engine behind NewSerial32.
+var serialRef32 = &engine[float32]{
+	name: "serial32", dt: F32,
+	data: func(t *Tensor) []float32 { return t.f32 },
+	newT: func(shape ...int) *Tensor { return MustNewOf(F32, shape...) },
+	fast: true,
 }
-
-// minParallelWork32 is the fast-engine dispatch threshold (see
-// engine.minWork): fused float32 kernels finish a minParallelWork-sized
-// operation in single-digit microseconds, well under the cost of a pool
-// round trip, so the float32 engines only fan out genuinely large layers —
-// in the paper's CNNs, the convolutions but not the dense heads.
-const minParallelWork32 = 1 << 17
-
-// serialRef is the shared float64 serial engine; the exported Serial value
-// type and the package-level reference kernels delegate to it.
-var serialRef = newEngine64("serial", nil)
-
-// serialRef32 is the shared float32 serial engine behind NewSerial32.
-var serialRef32 = newEngine32("serial32", nil)
 
 // Name implements Backend.
 func (e *engine[T]) Name() string { return e.name }
 
-// Workers implements Backend.
-func (e *engine[T]) Workers() int {
-	if e.pool == nil {
-		return 1
-	}
-	return e.pool.size
-}
+// Workers implements Backend: kernels run on the calling goroutine.
+func (e *engine[T]) Workers() int { return 1 }
 
 // DType implements Backend.
 func (e *engine[T]) DType() DType { return e.dt }
-
-// ParallelFor runs fn over contiguous blocks of [0,n) on the backend's
-// worker pool (inline for serial engines) and returns when all blocks
-// complete. Callers outside the tensor package (e.g. the federated evaluator
-// sharding a test set) use this instead of spawning their own goroutines so
-// total parallelism stays bounded by the pool.
-func (e *engine[T]) ParallelFor(n int, fn func(lo, hi int)) {
-	if e.pool == nil {
-		if n > 0 {
-			fn(0, n)
-		}
-		return
-	}
-	e.pool.parallelFor(n, fn)
-}
 
 // check rejects tensors whose dtype does not match the engine.
 func (e *engine[T]) check(ts ...*Tensor) error {
@@ -118,18 +72,7 @@ func (e *engine[T]) check(ts ...*Tensor) error {
 	return nil
 }
 
-// run executes body over [0,n): inline for serial engines or when the
-// operation is too small to amortize pool dispatch (work approximates the
-// scalar multiply-add count), otherwise blocked across the pool.
-func (e *engine[T]) run(n, work int, body func(lo, hi int)) {
-	if e.pool == nil || e.pool.size == 1 || work < e.minWork {
-		body(0, n)
-		return
-	}
-	e.pool.parallelFor(n, body)
-}
-
-// MatMul implements Backend: C = A × B, row-blocked over the rows of C.
+// MatMul implements Backend: C = A × B.
 func (e *engine[T]) MatMul(a, b *Tensor) (*Tensor, error) {
 	if a.Dims() != 2 || b.Dims() != 2 {
 		return nil, fmt.Errorf("%w: MatMul needs 2-D tensors, got %v and %v",
@@ -145,27 +88,24 @@ func (e *engine[T]) MatMul(a, b *Tensor) (*Tensor, error) {
 	}
 	c := e.newT(m, n)
 	ad, bd, cd := e.data(a), e.data(b), e.data(c)
-	e.run(m, m*k*n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := ad[i*k : (i+1)*k]
-			crow := cd[i*n : (i+1)*n]
-			for p, av := range arow {
-				if av == 0 {
-					continue
-				}
-				brow := bd[p*n : (p+1)*n]
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
+	for i := 0; i < m; i++ {
+		arow := ad[i*k : (i+1)*k]
+		crow := cd[i*n : (i+1)*n]
+		for p, av := range arow {
+			if av == 0 {
+				continue
+			}
+			brow := bd[p*n : (p+1)*n]
+			for j, bv := range brow {
+				crow[j] += av * bv
 			}
 		}
-	})
+	}
 	return c, nil
 }
 
-// MatMulTransA implements Backend: C = Aᵀ × B for A (k×m), B (k×n). Rows of
-// C are independent; each row i accumulates over p in ascending order,
-// matching the reference kernel's per-element order.
+// MatMulTransA implements Backend: C = Aᵀ × B for A (k×m), B (k×n). Each row
+// i accumulates over p in ascending order.
 func (e *engine[T]) MatMulTransA(a, b *Tensor) (*Tensor, error) {
 	if a.Dims() != 2 || b.Dims() != 2 {
 		return nil, fmt.Errorf("%w: MatMulTransA needs 2-D tensors", ErrShapeMismatch)
@@ -180,21 +120,19 @@ func (e *engine[T]) MatMulTransA(a, b *Tensor) (*Tensor, error) {
 	}
 	c := e.newT(m, n)
 	ad, bd, cd := e.data(a), e.data(b), e.data(c)
-	e.run(m, m*k*n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			crow := cd[i*n : (i+1)*n]
-			for p := 0; p < k; p++ {
-				av := ad[p*m+i]
-				if av == 0 {
-					continue
-				}
-				brow := bd[p*n : (p+1)*n]
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
+	for i := 0; i < m; i++ {
+		crow := cd[i*n : (i+1)*n]
+		for p := 0; p < k; p++ {
+			av := ad[p*m+i]
+			if av == 0 {
+				continue
+			}
+			brow := bd[p*n : (p+1)*n]
+			for j, bv := range brow {
+				crow[j] += av * bv
 			}
 		}
-	})
+	}
 	return c, nil
 }
 
@@ -213,20 +151,18 @@ func (e *engine[T]) MatMulTransB(a, b *Tensor) (*Tensor, error) {
 	}
 	c := e.newT(m, n)
 	ad, bd, cd := e.data(a), e.data(b), e.data(c)
-	e.run(m, m*k*n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := ad[i*k : (i+1)*k]
-			crow := cd[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				brow := bd[j*k : (j+1)*k]
-				var s T
-				for p, av := range arow {
-					s += av * brow[p]
-				}
-				crow[j] = s
+	for i := 0; i < m; i++ {
+		arow := ad[i*k : (i+1)*k]
+		crow := cd[i*n : (i+1)*n]
+		for j := 0; j < n; j++ {
+			brow := bd[j*k : (j+1)*k]
+			var s T
+			for p, av := range arow {
+				s += av * brow[p]
 			}
+			crow[j] = s
 		}
-	})
+	}
 	return c, nil
 }
 
@@ -244,8 +180,7 @@ func (e *engine[T]) denseCheck(w, bias, x *Tensor) (out, in int, err error) {
 	return out, in, e.check(w, bias, x)
 }
 
-// DenseForward implements Backend: y = Wx + bias; rows of y are independent
-// dot products.
+// DenseForward implements Backend: y = Wx + bias.
 func (e *engine[T]) DenseForward(w, bias, x *Tensor) (*Tensor, error) {
 	out, in, err := e.denseCheck(w, bias, x)
 	if err != nil {
@@ -283,19 +218,7 @@ func (e *engine[T]) denseForwardInto(w, bias, x *Tensor, act Activation, mask []
 	if bias != nil {
 		bd = e.data(bias)
 	}
-	// The serial branch calls the range kernel directly (no closure) so the
-	// fused steady state stays allocation-free.
-	if e.pool == nil || e.pool.size == 1 || out*in < e.minWork {
-		denseForwardRange(0, out, wd, xd, yd, bd, in, act, mask)
-		return
-	}
-	e.pool.parallelFor(out, func(lo, hi int) {
-		denseForwardRange(lo, hi, wd, xd, yd, bd, in, act, mask)
-	})
-}
-
-func denseForwardRange[T Elem](lo, hi int, wd, xd, yd, bd []T, in int, act Activation, mask []bool) {
-	for o := lo; o < hi; o++ {
+	for o := 0; o < out; o++ {
 		row := wd[o*in : (o+1)*in]
 		var s T
 		if bd != nil {
@@ -383,71 +306,28 @@ func (e *engine[T]) denseBackwardInto(w, x, gy *Tensor, act Activation, mask []b
 		e.denseBackwardFast(wd, xd, gyd, gwd, gbd, gxd, act, mask, ws, out, in)
 		return
 	}
-	if e.pool == nil || e.pool.size == 1 || out*in < e.minWork {
-		for o := 0; o < out; o++ {
-			g := gyd[o]
-			if act == ActReLU && !mask[o] {
-				g = 0
-			}
-			gbd[o] += g
-			if g == 0 {
-				continue
-			}
-			row := wd[o*in : (o+1)*in]
-			grow := gwd[o*in : (o+1)*in]
-			for i, v := range xd {
-				grow[i] += g * v
-				gxd[i] += g * row[i]
-			}
+	for o := 0; o < out; o++ {
+		g := gyd[o]
+		if act == ActReLU && !mask[o] {
+			g = 0
 		}
-		return
-	}
-	// The parameter gradients partition over output rows; the input gradient
-	// partitions over input columns. Each gx[i] accumulates over o in
-	// ascending order with the same g==0 skip as the serial path, so the
-	// reduction order per element is unchanged.
-	paramRows := func(lo, hi int) {
-		for o := lo; o < hi; o++ {
-			g := gyd[o]
-			if act == ActReLU && !mask[o] {
-				g = 0
-			}
-			gbd[o] += g
-			if g == 0 {
-				continue
-			}
-			grow := gwd[o*in : (o+1)*in]
-			for i, v := range xd {
-				grow[i] += g * v
-			}
+		gbd[o] += g
+		if g == 0 {
+			continue
+		}
+		row := wd[o*in : (o+1)*in]
+		grow := gwd[o*in : (o+1)*in]
+		for i, v := range xd {
+			grow[i] += g * v
+			gxd[i] += g * row[i]
 		}
 	}
-	inputCols := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var s T
-			for o := 0; o < out; o++ {
-				g := gyd[o]
-				if act == ActReLU && !mask[o] {
-					g = 0
-				}
-				if g == 0 {
-					continue
-				}
-				s += g * wd[o*in+i]
-			}
-			gxd[i] = s
-		}
-	}
-	e.pool.parallelFor(out, paramRows)
-	e.pool.parallelFor(in, inputCols)
 }
 
 // denseBackwardFast is the fast-engine dense backward. The input gradient
 // folds four weight rows into gx per pass, quartering the gx loads/stores;
-// the regrouped per-element sum reassociates the reduction, so only float32
-// engines take this path. The output-block grouping is fixed (blocks of four
-// from o=0) regardless of how workers partition the input columns, so every
-// gx element sees the same reduction order and serial32 ≡ parallel32.
+// the regrouped per-element sum reassociates the reduction, so only the
+// float32 engine takes this path.
 func (e *engine[T]) denseBackwardFast(wd, xd, gyd, gwd, gbd, gxd []T, act Activation, mask []bool, ws *Workspace, out, in int) {
 	geff := gyd
 	if act == ActReLU {
@@ -463,24 +343,9 @@ func (e *engine[T]) denseBackwardFast(wd, xd, gyd, gwd, gbd, gxd []T, act Activa
 			}
 		}
 	}
-	if e.pool == nil || e.pool.size == 1 || out*in < e.minWork {
-		denseBwdGwFastRange(0, out, xd, geff, gwd, gbd, in)
-		denseBwdGxFastRange(0, in, wd, geff, gxd, in, out)
-		return
-	}
-	e.pool.parallelFor(out, func(lo, hi int) {
-		denseBwdGwFastRange(lo, hi, xd, geff, gwd, gbd, in)
-	})
-	e.pool.parallelFor(in, func(lo, hi int) {
-		denseBwdGxFastRange(lo, hi, wd, geff, gxd, in, out)
-	})
-}
-
-// denseBwdGwFastRange accumulates gw += geff ⊗ x and gb += geff for output
-// rows [lo,hi). geff is the activation-masked upstream gradient; masked rows
-// still add their +0.0 into gb (bit-preserving) and skip the axpy.
-func denseBwdGwFastRange[T Elem](lo, hi int, xd, geff, gwd, gbd []T, in int) {
-	for o := lo; o < hi; o++ {
+	// gw += geff ⊗ x and gb += geff. Masked rows still add their +0.0 into
+	// gb (bit-preserving) and skip the axpy.
+	for o := 0; o < out; o++ {
 		g := geff[o]
 		gbd[o] += g
 		if g == 0 {
@@ -491,13 +356,8 @@ func denseBwdGwFastRange[T Elem](lo, hi int, xd, geff, gwd, gbd []T, in int) {
 			grow[i] += g * v
 		}
 	}
-}
-
-// denseBwdGxFastRange accumulates gx[lo:hi] += Wᵀ geff, four output rows per
-// pass. Blocks where all four gradients are zero are skipped entirely — the
-// skip condition depends only on geff, not the column partition, so all
-// workers agree on it.
-func denseBwdGxFastRange[T Elem](lo, hi int, wd, geff, gxd []T, in, out int) {
+	// gx += Wᵀ geff, four output rows per pass; blocks where all four
+	// gradients are zero are skipped entirely.
 	o := 0
 	for ; o+4 <= out; o += 4 {
 		g0, g1, g2, g3 := geff[o], geff[o+1], geff[o+2], geff[o+3]
@@ -508,7 +368,7 @@ func denseBwdGxFastRange[T Elem](lo, hi int, wd, geff, gxd []T, in, out int) {
 		r1 := wd[(o+1)*in : (o+2)*in]
 		r2 := wd[(o+2)*in : (o+3)*in]
 		r3 := wd[(o+3)*in : (o+4)*in]
-		for i := lo; i < hi; i++ {
+		for i := range gxd {
 			gxd[i] += g0*r0[i] + g1*r1[i] + g2*r2[i] + g3*r3[i]
 		}
 	}
@@ -518,7 +378,7 @@ func denseBwdGxFastRange[T Elem](lo, hi int, wd, geff, gxd []T, in, out int) {
 			continue
 		}
 		row := wd[o*in : (o+1)*in]
-		for i := lo; i < hi; i++ {
+		for i := range gxd {
 			gxd[i] += g * row[i]
 		}
 	}
@@ -595,12 +455,11 @@ func (e *engine[T]) conv2DDirect(x, w, b, out *Tensor, pad, stride int, d convDi
 	}
 }
 
-// im2colFillRange unrolls rows [lo,hi) of x into the (ckk)×(ohw) column
-// matrix cols; padded positions become explicit zeros (bit-preserving per
-// the package determinism contract). It is a plain range function so serial
-// callers invoke it directly without materializing a closure.
-func im2colFillRange[T Elem](lo, hi int, cols, xd []T, pad, stride int, d convDims) {
-	for pp := lo; pp < hi; pp++ {
+// im2colFill unrolls x into the (ckk)×(ohw) column matrix cols; padded
+// positions become explicit zeros (bit-preserving per the engine's
+// determinism contract).
+func im2colFill[T Elem](cols, xd []T, pad, stride int, d convDims) {
+	for pp := 0; pp < d.ckk; pp++ {
 		c := pp / (d.kh * d.kw)
 		rem := pp % (d.kh * d.kw)
 		ky := rem / d.kw
@@ -619,7 +478,7 @@ func im2colFillRange[T Elem](lo, hi int, cols, xd []T, pad, stride int, d convDi
 			if stride == 1 {
 				// Unit stride makes ix = ox - pad + kx contiguous: zero the
 				// out-of-bounds edges and bulk-copy the interior span. Pure
-				// data movement, so this is bit-exact for every engine.
+				// data movement, so this is bit-exact.
 				lo0 := pad - kx
 				if lo0 < 0 {
 					lo0 = 0
@@ -655,19 +514,16 @@ func im2colFillRange[T Elem](lo, hi int, cols, xd []T, pad, stride int, d convDi
 	}
 }
 
-// im2colMulFastRange is the fast-engine variant of im2colMulRange: four
-// column rows fold into the output row per pass (quartering the output
-// loads/stores), and output rows advance in pairs so each loaded column
-// element feeds two filters (halving the dominant cols traffic). The
-// regrouped per-element sum (w0·c0 + w1·c1 + w2·c2 + w3·c3 added as one
-// chain) reassociates the reduction, so only float32 engines use it. Every
-// output row sees the same k-block grouping and add order whether it lands
-// in a pair or the odd tail, so worker partitioning — and therefore
-// serial32 ≡ parallel32 — is unaffected by the pairing.
-func im2colMulFastRange[T Elem](lo, hi int, cols, wdta, bd, od []T, act Activation, mask []bool, d convDims) {
+// im2colMulFast is the fast-engine variant of im2colMul: four column rows
+// fold into the output row per pass (quartering the output loads/stores),
+// and output rows advance in pairs so each loaded column element feeds two
+// filters (halving the dominant cols traffic). The regrouped per-element sum
+// (w0·c0 + w1·c1 + w2·c2 + w3·c3 added as one chain) reassociates the
+// reduction, so only the float32 engine uses it.
+func im2colMulFast[T Elem](cols, wdta, bd, od []T, act Activation, mask []bool, d convDims) {
 	n := d.ohw
-	fi := lo
-	for ; fi+2 <= hi; fi += 2 {
+	fi := 0
+	for ; fi+2 <= d.f; fi += 2 {
 		crowA := od[fi*n:][:n]
 		crowB := od[(fi+1)*n:][:n]
 		if bd != nil {
@@ -707,7 +563,7 @@ func im2colMulFastRange[T Elem](lo, hi int, cols, wdta, bd, od []T, act Activati
 			}
 		}
 	}
-	for ; fi < hi; fi++ {
+	for ; fi < d.f; fi++ {
 		crow := od[fi*n:][:n]
 		if bd != nil {
 			bias := bd[fi]
@@ -732,9 +588,8 @@ func im2colMulFastRange[T Elem](lo, hi int, cols, wdta, bd, od []T, act Activati
 			}
 		}
 		for ; k < d.ckk; k++ {
-			// No zero-weight skip: the paired path above always adds, and a
-			// row must produce identical bits whether it lands in a pair or
-			// here (the pairing depends on the worker partition).
+			// No zero-weight skip: the paired path above always adds, and the
+			// odd filter takes the same arithmetic as the paired ones.
 			av := wrow[k]
 			colrow := cols[k*n:][:n]
 			for j, cv := range colrow {
@@ -743,7 +598,7 @@ func im2colMulFastRange[T Elem](lo, hi int, cols, wdta, bd, od []T, act Activati
 		}
 	}
 	if act == ActReLU {
-		for fi := lo; fi < hi; fi++ {
+		for fi := 0; fi < d.f; fi++ {
 			crow := od[fi*n : (fi+1)*n]
 			mrow := mask[fi*n : (fi+1)*n]
 			for j, v := range crow {
@@ -760,11 +615,11 @@ func im2colMulFastRange[T Elem](lo, hi int, cols, wdta, bd, od []T, act Activati
 	}
 }
 
-// im2colMulRange multiplies rows [lo,hi) of the (f)×(ckk) kernel matrix with
-// cols into out, each output row seeded by the filter bias, optionally
-// applying the fused activation to the finished row.
-func im2colMulRange[T Elem](lo, hi int, cols, wdta, bd, od []T, act Activation, mask []bool, d convDims) {
-	for fi := lo; fi < hi; fi++ {
+// im2colMul multiplies the (f)×(ckk) kernel matrix with cols into out, each
+// output row seeded by the filter bias, optionally applying the fused
+// activation to the finished row.
+func im2colMul[T Elem](cols, wdta, bd, od []T, act Activation, mask []bool, d convDims) {
+	for fi := 0; fi < d.f; fi++ {
 		crow := od[fi*d.ohw : (fi+1)*d.ohw]
 		if bd != nil {
 			bias := bd[fi]
@@ -802,58 +657,36 @@ func im2colMulRange[T Elem](lo, hi int, cols, wdta, bd, od []T, act Activation, 
 	}
 }
 
-// Conv2D implements Backend. Serial engines use the direct nested-loop
-// kernel; pooled engines stage an im2col column matrix in the scratch arena
-// and run a row-blocked matrix product (bit-identical, see the engine doc).
+// Conv2D implements Backend. The float64 engine runs the direct nested-loop
+// kernel; the fast engine stages an im2col column matrix in the scratch
+// arena and runs the reassociated product, the one algorithm behind both
+// its Conv2D and its Conv2DFused.
 func (e *engine[T]) Conv2D(x, w, b *Tensor, pad, stride int) (*Tensor, error) {
 	d, err := e.convCheck(x, w, b, pad, stride)
 	if err != nil {
 		return nil, err
 	}
 	out := e.newT(d.f, d.oh, d.ow)
-	if e.pool == nil && !e.fast {
-		// Fast engines skip the direct kernel even when serial: the
-		// reassociated im2col product must be the one algorithm every
-		// engine of the dtype runs, or serial32 and parallel32 would
-		// diverge in bits.
+	if !e.fast {
 		e.conv2DDirect(x, w, b, out, pad, stride, d)
 		return out, nil
 	}
-	colsBuf := e.getScratch(d.ckk * d.ohw)
-	defer e.putScratch(colsBuf)
-	cols := *colsBuf
+	colsBuf := e.scratch.get(d.ckk * d.ohw)
+	defer e.scratch.put(colsBuf)
 	var bd []T
 	if b != nil {
 		bd = e.data(b)
 	}
-	xd, wdta, od := e.data(x), e.data(w), e.data(out)
-	if e.pool == nil || d.f*d.ckk*d.ohw < e.minWork {
-		im2colFillRange(0, d.ckk, cols, xd, pad, stride, d)
-		if e.fast {
-			im2colMulFastRange(0, d.f, cols, wdta, bd, od, ActNone, nil, d)
-		} else {
-			im2colMulRange(0, d.f, cols, wdta, bd, od, ActNone, nil, d)
-		}
-	} else {
-		e.pool.parallelFor(d.ckk, func(lo, hi int) {
-			im2colFillRange(lo, hi, cols, xd, pad, stride, d)
-		})
-		e.pool.parallelFor(d.f, func(lo, hi int) {
-			if e.fast {
-				im2colMulFastRange(lo, hi, cols, wdta, bd, od, ActNone, nil, d)
-			} else {
-				im2colMulRange(lo, hi, cols, wdta, bd, od, ActNone, nil, d)
-			}
-		})
-	}
+	im2colFill(*colsBuf, e.data(x), pad, stride, d)
+	im2colMulFast(*colsBuf, e.data(w), bd, e.data(out), ActNone, nil, d)
 	return out, nil
 }
 
 // Conv2DFused implements Backend: Conv2D with the activation applied in the
 // same pass, the output and im2col matrix staged in the workspace, and (for
-// ActReLU) the pass-through mask recorded for Conv2DGradsFused. All engines
-// (serial included) use the workspace-arena im2col path here, so the layer
-// hot path performs no allocations in steady state regardless of backend.
+// ActReLU) the pass-through mask recorded for Conv2DGradsFused. Both engines
+// use the workspace-arena im2col path here, so the layer hot path performs
+// no allocations in steady state.
 func (e *engine[T]) Conv2DFused(x, w, b *Tensor, pad, stride int, act Activation, ws *Workspace) (*Tensor, error) {
 	if ws == nil {
 		return nil, fmt.Errorf("tensor: Conv2DFused needs a workspace")
@@ -872,28 +705,11 @@ func (e *engine[T]) Conv2DFused(x, w, b *Tensor, pad, stride int, act Activation
 	if b != nil {
 		bd = e.data(b)
 	}
-	xd, wdta, od := e.data(x), e.data(w), e.data(out)
-	if e.pool == nil || e.pool.size == 1 || d.f*d.ckk*d.ohw < e.minWork {
-		// Direct range calls: the serial fused path must not materialize
-		// closures (or generic func values), keeping the layer steady state
-		// allocation-free.
-		im2colFillRange(0, d.ckk, cols, xd, pad, stride, d)
-		if e.fast {
-			im2colMulFastRange(0, d.f, cols, wdta, bd, od, act, mask, d)
-		} else {
-			im2colMulRange(0, d.f, cols, wdta, bd, od, act, mask, d)
-		}
+	im2colFill(cols, e.data(x), pad, stride, d)
+	if e.fast {
+		im2colMulFast(cols, e.data(w), bd, e.data(out), act, mask, d)
 	} else {
-		e.pool.parallelFor(d.ckk, func(lo, hi int) {
-			im2colFillRange(lo, hi, cols, xd, pad, stride, d)
-		})
-		e.pool.parallelFor(d.f, func(lo, hi int) {
-			if e.fast {
-				im2colMulFastRange(lo, hi, cols, wdta, bd, od, act, mask, d)
-			} else {
-				im2colMulRange(lo, hi, cols, wdta, bd, od, act, mask, d)
-			}
-		})
+		im2colMul(cols, e.data(w), bd, e.data(out), act, mask, d)
 	}
 	return out, nil
 }
@@ -921,147 +737,60 @@ func (e *engine[T]) convGradsCheck(x, w, gy *Tensor, pad, stride int) (convDims,
 func (e *engine[T]) convGradsInto(x, w, gy *Tensor, pad, stride int, act Activation, mask []bool, gx, gw, gb *Tensor, d convDims) {
 	xd, wdta := e.data(x), e.data(w)
 	gyd, gxd, gwd, gbd := e.data(gy), e.data(gx), e.data(gw), e.data(gb)
-	if e.pool == nil || e.pool.size == 1 || d.f*d.ckk*d.ohw < e.minWork {
-		for fi := 0; fi < d.f; fi++ {
-			var gbias T
-			for oy := 0; oy < d.oh; oy++ {
-				for ox := 0; ox < d.ow; ox++ {
-					oi := (fi*d.oh+oy)*d.ow + ox
-					g := gyd[oi]
-					if act == ActReLU && !mask[oi] {
-						g = 0
-					}
-					if g == 0 {
-						continue
-					}
-					gbias += g
-					iy0 := oy*stride - pad
-					ix0 := ox*stride - pad
-					for c := 0; c < d.cIn; c++ {
-						for ky := 0; ky < d.kh; ky++ {
-							iy := iy0 + ky
-							if iy < 0 || iy >= d.h {
-								continue
-							}
-							xrow := xd[(c*d.h+iy)*d.w:]
-							gxrow := gxd[(c*d.h+iy)*d.w:]
-							wrow := wdta[((fi*d.cIn+c)*d.kh+ky)*d.kw:]
-							gwrow := gwd[((fi*d.cIn+c)*d.kh+ky)*d.kw:]
-							for kx := 0; kx < d.kw; kx++ {
-								ix := ix0 + kx
-								if ix < 0 || ix >= d.w {
-									continue
-								}
-								gxrow[ix] += g * wrow[kx]
-								gwrow[kx] += g * xrow[ix]
-							}
-						}
-					}
+	for fi := 0; fi < d.f; fi++ {
+		var gbias T
+		for oy := 0; oy < d.oh; oy++ {
+			for ox := 0; ox < d.ow; ox++ {
+				oi := (fi*d.oh+oy)*d.ow + ox
+				g := gyd[oi]
+				if act == ActReLU && !mask[oi] {
+					g = 0
 				}
-			}
-			gbd[fi] = gbias
-		}
-		return
-	}
-	// The kernel and bias gradients partition over filters (each filter's
-	// gradient is written by exactly one worker); the input gradient
-	// partitions over input channels, with every worker scanning filters in
-	// ascending order so each gx element sees its contributions in the
-	// serial order (fi, oy, ox, ky, kx). The split rescans gy once per input
-	// channel, which only pays on several workers — smaller cases took the
-	// combined path above.
-	filters := func(lo, hi int) {
-		for fi := lo; fi < hi; fi++ {
-			var gbias T
-			for oy := 0; oy < d.oh; oy++ {
-				for ox := 0; ox < d.ow; ox++ {
-					oi := (fi*d.oh+oy)*d.ow + ox
-					g := gyd[oi]
-					if act == ActReLU && !mask[oi] {
-						g = 0
-					}
-					if g == 0 {
-						continue
-					}
-					gbias += g
-					iy0 := oy*stride - pad
-					ix0 := ox*stride - pad
-					for c := 0; c < d.cIn; c++ {
-						for ky := 0; ky < d.kh; ky++ {
-							iy := iy0 + ky
-							if iy < 0 || iy >= d.h {
-								continue
-							}
-							xrow := xd[(c*d.h+iy)*d.w:]
-							gwrow := gwd[((fi*d.cIn+c)*d.kh+ky)*d.kw:]
-							for kx := 0; kx < d.kw; kx++ {
-								ix := ix0 + kx
-								if ix < 0 || ix >= d.w {
-									continue
-								}
-								gwrow[kx] += g * xrow[ix]
-							}
-						}
-					}
+				if g == 0 {
+					continue
 				}
-			}
-			gbd[fi] = gbias
-		}
-	}
-	channels := func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			for fi := 0; fi < d.f; fi++ {
-				for oy := 0; oy < d.oh; oy++ {
-					for ox := 0; ox < d.ow; ox++ {
-						oi := (fi*d.oh+oy)*d.ow + ox
-						g := gyd[oi]
-						if act == ActReLU && !mask[oi] {
-							g = 0
-						}
-						if g == 0 {
+				gbias += g
+				iy0 := oy*stride - pad
+				ix0 := ox*stride - pad
+				for c := 0; c < d.cIn; c++ {
+					for ky := 0; ky < d.kh; ky++ {
+						iy := iy0 + ky
+						if iy < 0 || iy >= d.h {
 							continue
 						}
-						iy0 := oy*stride - pad
-						ix0 := ox*stride - pad
-						for ky := 0; ky < d.kh; ky++ {
-							iy := iy0 + ky
-							if iy < 0 || iy >= d.h {
+						xrow := xd[(c*d.h+iy)*d.w:]
+						gxrow := gxd[(c*d.h+iy)*d.w:]
+						wrow := wdta[((fi*d.cIn+c)*d.kh+ky)*d.kw:]
+						gwrow := gwd[((fi*d.cIn+c)*d.kh+ky)*d.kw:]
+						for kx := 0; kx < d.kw; kx++ {
+							ix := ix0 + kx
+							if ix < 0 || ix >= d.w {
 								continue
 							}
-							gxrow := gxd[(c*d.h+iy)*d.w:]
-							wrow := wdta[((fi*d.cIn+c)*d.kh+ky)*d.kw:]
-							for kx := 0; kx < d.kw; kx++ {
-								ix := ix0 + kx
-								if ix < 0 || ix >= d.w {
-									continue
-								}
-								gxrow[ix] += g * wrow[kx]
-							}
+							gxrow[ix] += g * wrow[kx]
+							gwrow[kx] += g * xrow[ix]
 						}
 					}
 				}
 			}
 		}
+		gbd[fi] = gbias
 	}
-	e.pool.parallelFor(d.f, filters)
-	e.pool.parallelFor(d.cIn, channels)
 }
 
-// convBwdColRange handles im2col rows [lo,hi) of the fast convolution
-// backward: for each column-matrix row k it computes the weight-gradient
-// column (gw[f][k] += <gyEff[f], cols[k]>) and the input-column gradient
+// convBwdCol is the fast convolution backward over the im2col rows: for each
+// column-matrix row k it computes the weight-gradient column
+// (gw[f][k] += <gyEff[f], cols[k]>) and the input-column gradient
 // colsG[k] = Σ_f w[f][k]·gyEff[k] in one fused pass, keeping both streams
 // resident in L1. The four-way accumulators regroup the dot-product sum, so
-// only fast (float32) engines may call this; partitioning over k keeps
-// every gw column and colsG row written by exactly one worker, preserving
-// serial32 ≡ parallel32 bit-identity.
-func convBwdColRange[T Elem](lo, hi int, wdta, gyEff, cols, colsG, gwd []T, d convDims) {
+// only the fast (float32) engine may call this.
+func convBwdCol[T Elem](wdta, gyEff, cols, colsG, gwd []T, d convDims) {
 	n := d.ohw
 	// One column row at a time: a paired variant (two k rows against the
 	// same four gyEff loads) was measured slower here — twelve live scalars
 	// plus eight accumulators spill on amd64 and cost more than the halved
 	// gyEff traffic saves on these L2-resident shapes.
-	for k := lo; k < hi; k++ {
+	for k := 0; k < d.ckk; k++ {
 		// The [base:][:n] re-slices pin every row's length to n, so the
 		// prover drops the per-element bounds checks in the inner loops.
 		crow := cols[k*n:][:n]
@@ -1100,9 +829,7 @@ func convBwdColRange[T Elem](lo, hi int, wdta, gyEff, cols, colsG, gwd []T, d co
 }
 
 // convBwdColTail finishes im2col row k for the filters [fi0, d.f) left over
-// after the four-wide blocks. Shared by the paired and single paths of
-// convBwdColRange so a row's remainder filters accumulate in exactly one
-// order regardless of pairing.
+// after the four-wide blocks.
 func convBwdColTail[T Elem](k, fi0 int, wdta, gyEff, cols, colsG, gwd []T, d convDims) {
 	n := d.ohw
 	crow := cols[k*n:][:n]
@@ -1132,15 +859,15 @@ func convBwdColTail[T Elem](k, fi0 int, wdta, gyEff, cols, colsG, gwd []T, d con
 	}
 }
 
-// convBwdWRange is convBwdColRange without the input-gradient stream, used
+// convBwdW is convBwdCol without the input-gradient stream, used
 // when the workspace's NoInputGrad hint marks gx as dead (the network's
 // first layer). The per-(filter, k) accumulation order matches
-// convBwdColRange exactly — single accumulator over ascending p in the
+// convBwdCol exactly — single accumulator over ascending p in the
 // four-filter blocks, stride-four accumulators in the filter tail — so
 // enabling the hint never changes a single weight-gradient bit.
-func convBwdWRange[T Elem](lo, hi int, gyEff, cols, gwd []T, d convDims) {
+func convBwdW[T Elem](gyEff, cols, gwd []T, d convDims) {
 	n := d.ohw
-	for k := lo; k < hi; k++ {
+	for k := 0; k < d.ckk; k++ {
 		crow := cols[k*n:][:n]
 		fi := 0
 		for ; fi+4 <= d.f; fi += 4 {
@@ -1178,12 +905,11 @@ func convBwdWRange[T Elem](lo, hi int, gyEff, cols, gwd []T, d convDims) {
 	}
 }
 
-// col2imRange folds im2col column gradients for channels [lo,hi) back into
-// the spatial input gradient. Every gx element belongs to exactly one
-// channel and receives its contributions in the fixed (ky, kx, oy, ox)
-// order, so the channel partition is deterministic.
-func col2imRange[T Elem](lo, hi int, colsG, gxd []T, pad, stride int, d convDims) {
-	for c := lo; c < hi; c++ {
+// col2im folds im2col column gradients back into the spatial input
+// gradient. Every gx element receives its contributions in the fixed
+// (ky, kx, oy, ox) order.
+func col2im[T Elem](colsG, gxd []T, pad, stride int, d convDims) {
+	for c := 0; c < d.cIn; c++ {
 		for ky := 0; ky < d.kh; ky++ {
 			for kx := 0; kx < d.kw; kx++ {
 				k := (c*d.kh+ky)*d.kw + kx
@@ -1208,7 +934,7 @@ func col2imRange[T Elem](lo, hi int, colsG, gxd []T, pad, stride int, d convDims
 	}
 }
 
-// convGradsFast is the im2col convolution backward used by fast engines. It
+// convGradsFast is the im2col convolution backward of the fast engine. It
 // accumulates the weight and bias gradients directly into gwAcc/gbAcc (one
 // IEEE-754 add of the same fresh value the staged float64 path performs) and
 // returns gx — workspace-owned when ws is non-nil, freshly allocated
@@ -1245,7 +971,7 @@ func (e *engine[T]) convGradsFast(x, w, gy *Tensor, pad, stride int, act Activat
 			// and would allocate every step.
 			gyEff = e.data(ensureTensor(&ws.gye, e.dt, d.f, d.ohw))
 		} else {
-			gyBuf = e.getScratch(d.f * d.ohw)
+			gyBuf = e.scratch.get(d.f * d.ohw)
 			gyEff = *gyBuf
 		}
 		for fi := 0; fi < d.f; fi++ {
@@ -1283,24 +1009,17 @@ func (e *engine[T]) convGradsFast(x, w, gy *Tensor, pad, stride int, act Activat
 	if ws != nil && ws.cols != nil && ws.cols.dt == e.dt && ws.cols.Size() == d.ckk*d.ohw {
 		cols = e.data(ws.cols)
 	} else {
-		colsBuf = e.getScratch(d.ckk * d.ohw)
+		colsBuf = e.scratch.get(d.ckk * d.ohw)
 		cols = *colsBuf
-		xd := e.data(x)
-		im2colFillRange(0, d.ckk, cols, xd, pad, stride, d)
+		im2colFill(cols, e.data(x), pad, stride, d)
 	}
 	if skipGX {
-		if e.pool == nil || e.pool.size == 1 || d.f*d.ckk*d.ohw < e.minWork {
-			convBwdWRange(0, d.ckk, gyEff, cols, gwd, d)
-		} else {
-			e.pool.parallelFor(d.ckk, func(lo, hi int) {
-				convBwdWRange(lo, hi, gyEff, cols, gwd, d)
-			})
-		}
+		convBwdW(gyEff, cols, gwd, d)
 		if colsBuf != nil {
-			e.putScratch(colsBuf)
+			e.scratch.put(colsBuf)
 		}
 		if gyBuf != nil {
-			e.putScratch(gyBuf)
+			e.scratch.put(gyBuf)
 		}
 		return nil
 	}
@@ -1309,28 +1028,19 @@ func (e *engine[T]) convGradsFast(x, w, gy *Tensor, pad, stride int, act Activat
 	if ws != nil {
 		colsG = e.data(ensureTensor(&ws.colsG, e.dt, d.ckk, d.ohw))
 	} else {
-		colsGBuf = e.getScratch(d.ckk * d.ohw)
+		colsGBuf = e.scratch.get(d.ckk * d.ohw)
 		colsG = *colsGBuf
 	}
-	if e.pool == nil || e.pool.size == 1 || d.f*d.ckk*d.ohw < e.minWork {
-		convBwdColRange(0, d.ckk, wdta, gyEff, cols, colsG, gwd, d)
-		col2imRange(0, d.cIn, colsG, gxd, pad, stride, d)
-	} else {
-		e.pool.parallelFor(d.ckk, func(lo, hi int) {
-			convBwdColRange(lo, hi, wdta, gyEff, cols, colsG, gwd, d)
-		})
-		e.pool.parallelFor(d.cIn, func(lo, hi int) {
-			col2imRange(lo, hi, colsG, gxd, pad, stride, d)
-		})
-	}
+	convBwdCol(wdta, gyEff, cols, colsG, gwd, d)
+	col2im(colsG, gxd, pad, stride, d)
 	if colsGBuf != nil {
-		e.putScratch(colsGBuf)
+		e.scratch.put(colsGBuf)
 	}
 	if colsBuf != nil {
-		e.putScratch(colsBuf)
+		e.scratch.put(colsBuf)
 	}
 	if gyBuf != nil {
-		e.putScratch(gyBuf)
+		e.scratch.put(gyBuf)
 	}
 	return gx
 }
@@ -1410,17 +1120,7 @@ func poolCheck(x *Tensor, size int) (c, h, w int, err error) {
 func (e *engine[T]) maxPoolInto(x, out *Tensor, arg []int, size, c, h, w int) {
 	oh, ow := h/size, w/size
 	xd, od := e.data(x), e.data(out)
-	if e.pool == nil || e.pool.size == 1 || c*h*w < e.minWork {
-		maxPoolRange(0, c, xd, od, arg, size, h, w, oh, ow)
-		return
-	}
-	e.pool.parallelFor(c, func(lo, hi int) {
-		maxPoolRange(lo, hi, xd, od, arg, size, h, w, oh, ow)
-	})
-}
-
-func maxPoolRange[T Elem](lo, hi int, xd, od []T, arg []int, size, h, w, oh, ow int) {
-	for ci := lo; ci < hi; ci++ {
+	for ci := 0; ci < c; ci++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
 				bestIdx := (ci*h+oy*size)*w + ox*size
@@ -1442,7 +1142,7 @@ func maxPoolRange[T Elem](lo, hi int, xd, od []T, arg []int, size, h, w, oh, ow 
 	}
 }
 
-// MaxPool2D implements Backend, partitioned over channels.
+// MaxPool2D implements Backend.
 func (e *engine[T]) MaxPool2D(x *Tensor, size int) (*Tensor, []int, error) {
 	c, h, w, err := poolCheck(x, size)
 	if err != nil {
@@ -1476,30 +1176,6 @@ func (e *engine[T]) MaxPool2DWS(x *Tensor, size int, ws *Workspace) (*Tensor, []
 	return out, arg, nil
 }
 
-func (e *engine[T]) maxPoolGradInto(gy, gx *Tensor, arg []int, inShape []int) {
-	gyd, gxd := e.data(gy), e.data(gx)
-	// Argmax indices never cross channel boundaries, so partitioning the
-	// scatter over channels is race-free and preserves the serial
-	// accumulation order within each element. Layouts that cannot be split
-	// evenly by channel scatter serially.
-	if e.pool != nil && e.pool.size > 1 && len(arg) >= e.minWork &&
-		len(inShape) == 3 && inShape[0] > 0 && len(arg)%inShape[0] == 0 {
-		c := inShape[0]
-		perChan := len(arg) / c
-		e.pool.parallelFor(c, func(lo, hi int) {
-			for ci := lo; ci < hi; ci++ {
-				for i := ci * perChan; i < (ci+1)*perChan; i++ {
-					gxd[arg[i]] += gyd[i]
-				}
-			}
-		})
-		return
-	}
-	for i, idx := range arg {
-		gxd[idx] += gyd[i]
-	}
-}
-
 // MaxPool2DGrad implements Backend: routes gy back through the argmax
 // indices.
 func (e *engine[T]) MaxPool2DGrad(gy *Tensor, arg []int, inShape []int) (*Tensor, error) {
@@ -1513,7 +1189,10 @@ func (e *engine[T]) MaxPool2DGrad(gy *Tensor, arg []int, inShape []int) (*Tensor
 	if err != nil {
 		return nil, err
 	}
-	e.maxPoolGradInto(gy, gx, arg, inShape)
+	gyd, gxd := e.data(gy), e.data(gx)
+	for i, idx := range arg {
+		gxd[idx] += gyd[i]
+	}
 	return gx, nil
 }
 
@@ -1534,7 +1213,10 @@ func (e *engine[T]) MaxPool2DGradWS(gy *Tensor, arg []int, inShape []int, ws *Wo
 	}
 	gx := ensureTensor(&ws.gx, e.dt, inShape...)
 	gx.Zero()
-	e.maxPoolGradInto(gy, gx, arg, inShape)
+	gyd, gxd := e.data(gy), e.data(gx)
+	for i, idx := range arg {
+		gxd[idx] += gyd[i]
+	}
 	return gx, nil
 }
 
@@ -1591,37 +1273,18 @@ func (e *engine[T]) ReLUBwd(gy *Tensor, ws *Workspace) (*Tensor, error) {
 	return gx, nil
 }
 
-// Axpy implements Backend: y += a*x over raw float64 slices, chunked across
-// workers when pooled.
+// Axpy implements Backend: y += a*x over raw float64 slices.
 func (e *engine[T]) Axpy(a float64, x, y []float64) {
-	if e.pool == nil || len(x) < e.minWork {
-		for i, v := range x {
-			y[i] += a * v
-		}
-		return
+	for i, v := range x {
+		y[i] += a * v
 	}
-	e.pool.parallelFor(len(x), func(lo, hi int) {
-		xs, ys := x[lo:hi], y[lo:hi]
-		for i, v := range xs {
-			ys[i] += a * v
-		}
-	})
 }
 
 // Scale implements Backend: x *= a over a raw float64 slice.
 func (e *engine[T]) Scale(a float64, x []float64) {
-	if e.pool == nil || len(x) < e.minWork {
-		for i := range x {
-			x[i] *= a
-		}
-		return
+	for i := range x {
+		x[i] *= a
 	}
-	e.pool.parallelFor(len(x), func(lo, hi int) {
-		xs := x[lo:hi]
-		for i := range xs {
-			xs[i] *= a
-		}
-	})
 }
 
 // AxpyT implements Backend: y += a*x over tensors, dispatching on the
@@ -1636,20 +1299,11 @@ func (e *engine[T]) AxpyT(a float64, x, y *Tensor) error {
 		e.Axpy(a, x.data, y.data)
 		return nil
 	}
-	xf, yf := x.f32, y.f32
+	yf := y.f32
 	af := float32(a)
-	if e.pool == nil || len(xf) < e.minWork {
-		for i, v := range xf {
-			yf[i] += af * v
-		}
-		return nil
+	for i, v := range x.f32 {
+		yf[i] += af * v
 	}
-	e.pool.parallelFor(len(xf), func(lo, hi int) {
-		xs, ys := xf[lo:hi], yf[lo:hi]
-		for i, v := range xs {
-			ys[i] += af * v
-		}
-	})
 	return nil
 }
 
@@ -1661,16 +1315,7 @@ func (e *engine[T]) ScaleT(a float64, x *Tensor) {
 	}
 	xf := x.f32
 	af := float32(a)
-	if e.pool == nil || len(xf) < e.minWork {
-		for i := range xf {
-			xf[i] *= af
-		}
-		return
+	for i := range xf {
+		xf[i] *= af
 	}
-	e.pool.parallelFor(len(xf), func(lo, hi int) {
-		xs := xf[lo:hi]
-		for i := range xs {
-			xs[i] *= af
-		}
-	})
 }

@@ -1,145 +1,24 @@
 package tensor
 
-import (
-	"runtime"
-	"sync"
-)
+import "sync"
 
-// workerPool is a fixed set of goroutines executing submitted closures. One
-// pool is shared by every Parallel backend of the same width, so concurrent
-// clients in a federated simulation draw from the same bounded set of
-// workers instead of spawning goroutines per operation.
-type workerPool struct {
-	tasks chan func()
-	size  int
-}
+// arena is a stock of scratch buffers of one element type, backed by
+// sync.Pool. The float32 engine stages im2col matrices here on the
+// non-workspace Conv2D/Conv2DGrads path, so even direct backend calls perform
+// no steady-state scratch allocations; the fused layer path stages in
+// per-layer Workspaces instead. The zero value is ready to use.
+type arena[T Elem] struct{ free sync.Pool }
 
-// MaxWorkers bounds the width of any worker pool; wider requests are
-// clamped. Pools live for the process lifetime, so an unbounded width
-// would let one absurd request pin millions of goroutines.
-const MaxWorkers = 1024
-
-var (
-	poolMu sync.Mutex
-	pools  = map[int]*workerPool{}
-)
-
-// getPool returns the shared pool with the given worker count, creating it
-// on first use. workers <= 0 selects GOMAXPROCS. Pools live for the process
-// lifetime; their goroutines are idle (blocked on a channel) when no
-// parallel work is in flight.
-func getPool(workers int) *workerPool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > MaxWorkers {
-		workers = MaxWorkers
-	}
-	poolMu.Lock()
-	defer poolMu.Unlock()
-	if p, ok := pools[workers]; ok {
-		return p
-	}
-	p := &workerPool{tasks: make(chan func(), 4*workers), size: workers}
-	for i := 0; i < workers; i++ {
-		go func() {
-			for f := range p.tasks {
-				f()
-			}
-		}()
-	}
-	pools[workers] = p
-	return p
-}
-
-// parallelFor partitions [0,n) into contiguous blocks and runs fn on each,
-// using the pool for all blocks but the first (which runs on the calling
-// goroutine). It returns when every block has completed. Two mechanisms make
-// it deadlock-free even when a task itself calls parallelFor: a saturated
-// task queue degrades submissions to inline execution, and a waiting caller
-// drains other queued tasks instead of sleeping, so blocked parents always
-// make progress on behalf of their children.
-func (p *workerPool) parallelFor(n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	w := p.size
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for lo := chunk; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		lo, hi := lo, hi
-		wg.Add(1)
-		task := func() {
-			defer wg.Done()
-			fn(lo, hi)
-		}
-		select {
-		case p.tasks <- task:
-		default:
-			task()
-		}
-	}
-	fn(0, chunk)
-	// Drain the queue before blocking: every block of this call was either
-	// enqueued above or ran inline, so once the queue reads empty they have
-	// all been picked up, and waiting only depends on tasks already running.
-	// Waiting relationships follow the call tree (parents wait on children),
-	// which is acyclic, so wg.Wait cannot deadlock even under nesting.
-	for {
-		select {
-		case task := <-p.tasks:
-			task()
-		default:
-			wg.Wait()
-			return
-		}
-	}
-}
-
-// scratch and scratch32 are process-wide arenas of per-dtype buffers backed
-// by sync.Pool. Pooled backends stage im2col matrices here on the non-fused
-// Conv2D path, so even direct backend calls perform no steady-state scratch
-// allocations; the fused layer path stages in per-layer Workspaces instead.
-var (
-	scratch   = sync.Pool{New: func() any { b := make([]float64, 0, 1024); return &b }}
-	scratch32 = sync.Pool{New: func() any { b := make([]float32, 0, 1024); return &b }}
-)
-
-// getScratch returns a float64 buffer with length n (contents unspecified).
-func getScratch(n int) *[]float64 {
-	bp, ok := scratch.Get().(*[]float64)
+// get returns a buffer with length n (contents unspecified).
+func (a *arena[T]) get(n int) *[]T {
+	bp, ok := a.free.Get().(*[]T)
 	if !ok || cap(*bp) < n {
-		b := make([]float64, n)
+		b := make([]T, n)
 		return &b
 	}
 	*bp = (*bp)[:n]
 	return bp
 }
 
-// putScratch returns a float64 buffer to the arena.
-func putScratch(bp *[]float64) { scratch.Put(bp) }
-
-// getScratch32 returns a float32 buffer with length n (contents unspecified).
-func getScratch32(n int) *[]float32 {
-	bp, ok := scratch32.Get().(*[]float32)
-	if !ok || cap(*bp) < n {
-		b := make([]float32, n)
-		return &b
-	}
-	*bp = (*bp)[:n]
-	return bp
-}
-
-// putScratch32 returns a float32 buffer to the arena.
-func putScratch32(bp *[]float32) { scratch32.Put(bp) }
+// put returns a buffer to the arena.
+func (a *arena[T]) put(bp *[]T) { a.free.Put(bp) }
