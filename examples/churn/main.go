@@ -83,7 +83,7 @@ func run(clients, rounds int, transport string) error {
 	if err != nil {
 		return err
 	}
-	// The chaos wrapper injects the plan's faults into any transport; the
+	// The chaos layer injects the plan's faults into any transport; the
 	// Deployment below is byte-for-byte the one examples/distributed uses.
 	net := chaos.New(inner, built.Topology.Chaos, built.Topology.Seed)
 	defer func() {

@@ -2,7 +2,7 @@
 // deterministic fault schedule (client crashes, rejoins, transient compute
 // spikes, lossy and laggy links) injected between the FL actors and any
 // comm.Transport. The same Plan perturbs the virtual-time simulator and the
-// real TCP transport through one wrapper (see Wrap), so resilience code is
+// real TCP transport through one interceptor (see Wrap), so resilience code is
 // exercised identically in deterministic replay and in wall-clock
 // deployments. DESIGN.md §7 documents the fault model and the determinism
 // contract: same seed + same plan ⇒ identical trajectory on sim; tcp is

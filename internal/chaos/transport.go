@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -9,13 +10,8 @@ import (
 	"aergia/internal/tensor"
 )
 
-// Rejoiner is implemented by client actors that can be resurrected after a
-// crash. OnRejoin runs in the node's actor context (serialized with its
-// message handling) and must rebuild all in-memory state from the actor's
-// static, seed-derived configuration — a crash wiped everything else.
-type Rejoiner interface {
-	OnRejoin(env comm.Env)
-}
+// Rejoiner is comm.Rejoiner, under the name the fault layer introduced.
+type Rejoiner = comm.Rejoiner
 
 // Stats counts the faults a Transport actually injected; the churn example
 // and the smoke tests assert on them.
@@ -35,59 +31,51 @@ type Stats struct {
 	SuppressedTimers int
 }
 
-// Transport injects the plan's faults between a cluster's actors and an
-// inner comm.Transport. It is transparent when the plan is zero: no extra
-// events are scheduled and every call passes straight through, so a
-// zero-plan wrapped run is bit-identical to an unwrapped one (the parity
-// tests pin this). Crash/rejoin events are scheduled on the federator's
-// env at Seal, so they ride virtual time on the simulator and wall-clock
-// time over TCP — the identical plan perturbs both.
+// Transport is the handle of the fault interceptor on a comm.Stack: the
+// embedded stack is the transport, and the handle carries the plan's fault
+// state, Stats and ScheduleCrash. Crash/rejoin events are scheduled on the
+// federator's env at Seal, so they ride virtual time on the simulator and
+// wall-clock time over TCP — the identical plan perturbs both. Under a zero
+// plan with no explicit fates no event is scheduled and every hook passes
+// straight through, so the run is bit-identical to an unwrapped one (the
+// parity tests pin this).
 type Transport struct {
-	inner comm.Transport
-	plan  Plan
-	seed  uint64
+	*comm.Stack
+	plan Plan
+	seed uint64
 
-	mu          sync.Mutex
-	handlers    map[comm.NodeID]comm.Handler
-	order       []comm.NodeID
-	down        map[comm.NodeID]bool
-	incarnation map[comm.NodeID]uint64
-	fates       map[comm.NodeID]Fate
-	explicit    []Fate
-	linkSeq     map[[2]comm.NodeID]uint64
-	stats       Stats
-	sealed      bool
-	closed      bool
-	timers      []comm.Timer
-	inflight    sync.WaitGroup
-	envs        map[comm.NodeID]comm.Env
+	mu       sync.Mutex  // guards everything below
+	nodes    []nodeFault // by comm.Layer.Index
+	explicit []Fate
+	linkSeq  map[[2]comm.NodeID]uint64
+	stats    Stats
+	sealed   bool
+	closed   bool
+	timers   []comm.Timer
+	inflight sync.WaitGroup
 }
 
-var (
-	_ comm.Transport       = (*Transport)(nil)
-	_ comm.PayloadRegistry = (*Transport)(nil)
-)
+// nodeFault is one node's fault state.
+type nodeFault struct {
+	down        bool
+	incarnation uint64
+	fate        Fate
+}
 
-// New wraps inner with the plan's fault layer. The plan is normalized here;
-// an invalid plan surfaces at Seal (construction sites without error paths
-// stay simple). seed is the run's topology seed.
+// New adds the plan's fault interceptor above inner (see comm.Interceptor.On).
+// The plan is normalized at Seal, where an invalid one surfaces (construction
+// sites without error paths stay simple). seed is the run's topology seed.
 func New(inner comm.Transport, plan Plan, seed uint64) *Transport {
-	return &Transport{
-		inner:       inner,
-		plan:        plan,
-		seed:        seed,
-		handlers:    make(map[comm.NodeID]comm.Handler),
-		down:        make(map[comm.NodeID]bool),
-		incarnation: make(map[comm.NodeID]uint64),
-		fates:       make(map[comm.NodeID]Fate),
-		linkSeq:     make(map[[2]comm.NodeID]uint64),
-		envs:        make(map[comm.NodeID]comm.Env),
-	}
+	t := &Transport{plan: plan, seed: seed, linkSeq: make(map[[2]comm.NodeID]uint64)}
+	t.Stack = comm.Interceptor{
+		Send: t.send, Deliver: t.deliver, After: t.after, Seal: t.seal, Close: t.close,
+	}.On(inner)
+	return t
 }
 
 // Wrap returns inner unchanged for a zero plan and a fault-injecting
-// Transport otherwise. fl.Run/RunAsync route every run through it, so the
-// fault-free fast path stays byte-for-byte the PR 3 code path.
+// Transport otherwise, so the fault-free path carries no fault interceptor
+// at all.
 func Wrap(inner comm.Transport, plan Plan, seed uint64) comm.Transport {
 	if plan.IsZero() {
 		return inner
@@ -120,74 +108,59 @@ func (t *Transport) Stats() Stats {
 	return t.stats
 }
 
-// RegisterPayload forwards to serializing inner transports; fault
-// notifications themselves never serialize (they are delivered by direct
-// handler invocation), so no chaos types are registered.
-func (t *Transport) RegisterPayload(v any) {
-	if reg, ok := t.inner.(comm.PayloadRegistry); ok {
-		reg.RegisterPayload(v)
-	}
-}
-
-// Register implements comm.Transport; the handler is wrapped so delivery to
-// a crashed node is discarded.
-func (t *Transport) Register(id comm.NodeID, h comm.Handler) {
-	t.mu.Lock()
-	if _, dup := t.handlers[id]; !dup {
-		t.order = append(t.order, id)
-	}
-	t.handlers[id] = h
-	t.mu.Unlock()
-	t.inner.Register(id, &proxy{t: t, id: id, h: h})
-}
-
-// Seal implements comm.Transport: it seals the inner transport, expands the
-// plan into per-node fates, and schedules every crash/rejoin event on the
-// federator's environment (the federator itself is never faulted).
-func (t *Transport) Seal() error {
+// seal expands the plan into per-node fates and schedules every crash and
+// rejoin on the federator's timers below this layer (the federator itself
+// is never faulted), so the events are neither spike-scaled nor
+// incarnation-guarded.
+func (t *Transport) seal(nodes []comm.Layer) error {
 	plan, err := t.plan.Normalized()
 	if err != nil {
 		return err
 	}
-	t.plan = plan
-	if err := t.inner.Seal(); err != nil {
-		return err
+	var fed comm.Layer
+	hasFed := false
+	var clients []comm.NodeID
+	for _, l := range nodes {
+		if l.ID() == comm.FederatorID {
+			fed, hasFed = l, true
+		} else {
+			clients = append(clients, l.ID())
+		}
 	}
 	t.mu.Lock()
+	t.plan = plan
 	t.sealed = true
-	var clients []comm.NodeID
-	for _, id := range t.order {
-		if id != comm.FederatorID {
-			clients = append(clients, id)
-		}
-	}
 	// Explicit fates (ScheduleCrash) override the node's plan-expanded
 	// fate, so the deduped map — not the raw slices — is what gets armed.
-	for _, f := range t.plan.Expand(t.seed, clients) {
-		t.fates[f.Node] = f
+	fates := make(map[comm.NodeID]Fate)
+	for _, f := range plan.Expand(t.seed, clients) {
+		fates[f.Node] = f
 	}
 	for _, f := range t.explicit {
-		t.fates[f.Node] = f
+		fates[f.Node] = f
 	}
-	fates := make([]Fate, 0, len(t.fates))
-	for _, f := range t.fates {
-		fates = append(fates, f)
+	t.nodes = make([]nodeFault, len(nodes))
+	var crashing []comm.Layer
+	for _, l := range nodes {
+		f := fates[l.ID()]
+		t.nodes[l.Index()].fate = f
+		if f.Crashes {
+			crashing = append(crashing, l)
+		}
 	}
 	t.mu.Unlock()
-	if len(fates) == 0 {
-		return nil
+	if len(crashing) > 0 && !hasFed {
+		return fmt.Errorf("chaos: %d crashes are scheduled on the federator, which is not registered", len(crashing))
 	}
-	sort.Slice(fates, func(i, j int) bool { return fates[i].Node < fates[j].Node })
-	fedEnv := t.inner.Env(comm.FederatorID)
+	// Timers are armed in node order, so a replay arms the same sequence
+	// whatever order the nodes registered in.
+	sort.Slice(crashing, func(i, j int) bool { return crashing[i].ID() < crashing[j].ID() })
 	var timers []comm.Timer
-	for _, f := range fates {
-		if !f.Crashes {
-			continue
-		}
-		node := f.Node
-		timers = append(timers, fedEnv.After(f.CrashAt, func() { t.crash(node) }))
+	for _, l := range crashing {
+		f := fates[l.ID()]
+		timers = append(timers, fed.After(f.CrashAt, func() { t.crash(fed, l) }))
 		if f.Rejoins {
-			timers = append(timers, fedEnv.After(f.RejoinAt, func() { t.rejoin(node) }))
+			timers = append(timers, fed.After(f.RejoinAt, func() { t.rejoin(fed, l) }))
 		}
 	}
 	t.mu.Lock()
@@ -197,11 +170,13 @@ func (t *Transport) Seal() error {
 }
 
 // crash marks the node down, invalidates its pending timers, and notifies
-// the federator. It runs in the federator's actor context (scheduled via
-// its env), so the direct handler call is serialized like any delivery.
-func (t *Transport) crash(node comm.NodeID) {
+// the federator. It runs in the federator's actor context (on its timer),
+// and the notice enters the deliver chain above this layer like any
+// delivery the layers above see.
+func (t *Transport) crash(fed, l comm.Layer) {
 	t.mu.Lock()
-	if t.closed || t.down[node] {
+	st := &t.nodes[l.Index()]
+	if t.closed || st.down {
 		t.mu.Unlock()
 		return
 	}
@@ -210,70 +185,47 @@ func (t *Transport) crash(node comm.NodeID) {
 	// transport's peers.
 	t.inflight.Add(1)
 	defer t.inflight.Done()
-	t.down[node] = true
-	t.incarnation[node]++
+	st.down = true
+	st.incarnation++
 	t.stats.Crashes++
-	fed := t.handlers[comm.FederatorID]
 	t.mu.Unlock()
-	if fed != nil {
-		fed.OnMessage(t.Env(comm.FederatorID), comm.Message{
-			From:    node,
-			To:      comm.FederatorID,
-			Kind:    comm.KindFault,
-			Payload: comm.FaultPayload{Node: node, Down: true},
-		})
-	}
+	fed.Deliver(faultNotice(l.ID(), true))
 }
 
 // rejoin resurrects the node: its in-memory state is rebuilt from its
-// static seed-derived config (Rejoiner.OnRejoin, run in the node's own
-// actor context) before the federator learns it is back, so a dispatch the
+// static seed-derived config (comm.Rejoiner, run in the node's own actor
+// context) before the federator learns it is back, so a dispatch the
 // federator sends on the notification can never reach a half-reset actor.
-func (t *Transport) rejoin(node comm.NodeID) {
+func (t *Transport) rejoin(fed, l comm.Layer) {
 	t.mu.Lock()
-	if t.closed || !t.down[node] {
+	st := &t.nodes[l.Index()]
+	if t.closed || !st.down {
 		t.mu.Unlock()
 		return
 	}
 	t.inflight.Add(1)
 	defer t.inflight.Done()
-	delete(t.down, node)
+	st.down = false
 	t.stats.Rejoins++
-	h := t.handlers[node]
-	fed := t.handlers[comm.FederatorID]
 	t.mu.Unlock()
-	if r, ok := h.(Rejoiner); ok {
-		t.inner.Invoke(node, func(env comm.Env) {
-			r.OnRejoin(t.wrapEnv(env, node))
-		})
-	}
-	if fed != nil {
-		fed.OnMessage(t.Env(comm.FederatorID), comm.Message{
-			From:    node,
-			To:      comm.FederatorID,
-			Kind:    comm.KindFault,
-			Payload: comm.FaultPayload{Node: node, Down: false},
-		})
+	l.Rejoin()
+	fed.Deliver(faultNotice(l.ID(), false))
+}
+
+func faultNotice(node comm.NodeID, down bool) comm.Message {
+	return comm.Message{
+		From:    node,
+		To:      comm.FederatorID,
+		Kind:    comm.KindFault,
+		Payload: comm.FaultPayload{Node: node, Down: down},
 	}
 }
 
-// Env implements comm.Transport.
-func (t *Transport) Env(id comm.NodeID) comm.Env {
-	return t.wrapEnv(t.inner.Env(id), id)
-}
-
-// Invoke implements comm.Transport; fn sees the fault-injecting env.
-func (t *Transport) Invoke(id comm.NodeID, fn func(comm.Env)) {
-	t.inner.Invoke(id, func(env comm.Env) { fn(t.wrapEnv(env, id)) })
-}
-
-// Drive implements comm.Transport.
-func (t *Transport) Drive(done <-chan struct{}) error { return t.inner.Drive(done) }
-
-// Close implements comm.Transport: pending fault-event timers are disarmed
-// before the inner transport is torn down, so a wall-clock crash/rejoin
-// scheduled past the end of a finished run cannot touch released peers.
-func (t *Transport) Close() error {
+// close disarms pending fault-event timers and waits out the ones in
+// flight before the inner transport is torn down, so a wall-clock
+// crash/rejoin scheduled past the end of a finished run cannot touch
+// released peers.
+func (t *Transport) close() {
 	t.mu.Lock()
 	t.closed = true
 	timers := t.timers
@@ -283,153 +235,97 @@ func (t *Transport) Close() error {
 		tm.Cancel()
 	}
 	t.inflight.Wait()
-	return t.inner.Close()
 }
 
-func (t *Transport) isDown(id comm.NodeID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.down[id]
-}
-
-func (t *Transport) incarnationOf(id comm.NodeID) uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.incarnation[id]
-}
-
-// spikeFactor returns the compute-slowdown factor of a node at time now.
-func (t *Transport) spikeFactor(id comm.NodeID, now time.Duration) float64 {
-	t.mu.Lock()
-	f, ok := t.fates[id]
-	t.mu.Unlock()
-	if !ok || f.SpikeFactor <= 1 {
-		return 1
-	}
-	if now >= f.SpikeStart && now < f.SpikeEnd {
-		return f.SpikeFactor
-	}
-	return 1
-}
-
-// linkFault draws the deterministic drop/delay decision for the n-th
+// linkFault draws the deterministic drop/delay decision for the next
 // message on the (from, to) link. Decisions hash (run seed, plan seed,
 // link, sequence), so a replayed run sees the identical loss pattern.
+// The caller holds t.mu.
 func (t *Transport) linkFault(from, to comm.NodeID) (drop bool, delay time.Duration) {
 	if t.plan.Drop == 0 && t.plan.Delay == 0 {
 		return false, 0
 	}
-	t.mu.Lock()
 	key := [2]comm.NodeID{from, to}
 	n := t.linkSeq[key]
 	t.linkSeq[key] = n + 1
-	t.mu.Unlock()
 	mixed := t.seed ^ (t.plan.Seed+1)*0x9e3779b97f4a7c15 ^
 		(uint64(from)+3)*0xd6e8feb86659fd93 ^ (uint64(to)+5)*0xa5a3d31efb8c2a71 ^ n
 	rng := tensor.NewRNG(mixed)
 	if t.plan.Drop > 0 && rng.Float64() < t.plan.Drop {
-		t.mu.Lock()
 		t.stats.DroppedLink++
-		t.mu.Unlock()
 		return true, 0
 	}
 	if t.plan.Delay > 0 {
 		delay = time.Duration(rng.Float64() * float64(t.plan.Delay))
 		if delay > 0 {
-			t.mu.Lock()
 			t.stats.Delayed++
-			t.mu.Unlock()
 		}
 	}
 	return false, delay
 }
 
-// proxy wraps a registered handler: delivery to a downed node is a drop.
-type proxy struct {
-	t  *Transport
-	id comm.NodeID
-	h  comm.Handler
-}
-
-func (p *proxy) OnMessage(env comm.Env, msg comm.Message) {
-	if p.t.isDown(p.id) {
-		p.t.mu.Lock()
-		p.t.stats.DroppedDown++
-		p.t.mu.Unlock()
-		return
-	}
-	p.h.OnMessage(p.t.wrapEnv(env, p.id), msg)
-}
-
-// wrapEnv returns the node's fault-injecting env, cached per node — inner
-// envs are stateless per node, so one wrapper serves every delivery.
-func (t *Transport) wrapEnv(inner comm.Env, id comm.NodeID) comm.Env {
-	if ce, ok := inner.(*chaosEnv); ok && ce.t == t {
-		return inner
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if e, ok := t.envs[id]; ok {
-		return e
-	}
-	e := &chaosEnv{t: t, id: id, inner: inner}
-	t.envs[id] = e
-	return e
-}
-
-// chaosEnv is the fault-injecting comm.Env of one node.
-type chaosEnv struct {
-	t     *Transport
-	id    comm.NodeID
-	inner comm.Env
-}
-
-var _ comm.Env = (*chaosEnv)(nil)
-
-func (e *chaosEnv) Now() time.Duration { return e.inner.Now() }
-
-// Send applies the link fault model. A message that draws a delay is
-// re-scheduled through the inner env's timer, so on the simulator the extra
+// send applies the link fault model. A message that draws a delay is
+// re-sent from a timer below this layer, so on the simulator the extra
 // latency is virtual and on TCP it is a real timer — in both cases the
 // message survives a subsequent sender crash, like a frame already on the
 // wire.
-func (e *chaosEnv) Send(msg comm.Message) {
-	if e.t.isDown(e.id) {
+func (t *Transport) send(l comm.Layer, msg comm.Message) {
+	t.mu.Lock()
+	st := &t.nodes[l.Index()]
+	if st.down {
 		// A racing timer on a wall-clock transport can attempt a send in
 		// the instant its node is declared down; model it as lost output.
-		e.t.mu.Lock()
-		e.t.stats.DroppedDown++
-		e.t.mu.Unlock()
+		t.stats.DroppedDown++
+		t.mu.Unlock()
 		return
 	}
-	drop, delay := e.t.linkFault(e.id, msg.To)
-	if drop {
-		return
+	drop, delay := t.linkFault(l.ID(), msg.To)
+	t.mu.Unlock()
+	switch {
+	case drop:
+	case delay > 0:
+		l.After(delay, func() { l.Send(msg) })
+	default:
+		l.Send(msg)
 	}
-	if delay > 0 {
-		inner := e.inner
-		e.inner.After(delay, func() { inner.Send(msg) })
-		return
-	}
-	e.inner.Send(msg)
 }
 
-// After scales the duration by the node's current spike factor (transient
+// deliver discards a message that reaches a downed node.
+func (t *Transport) deliver(l comm.Layer, msg comm.Message) {
+	t.mu.Lock()
+	st := &t.nodes[l.Index()]
+	down := st.down
+	if down {
+		t.stats.DroppedDown++
+	}
+	t.mu.Unlock()
+	if !down {
+		l.Deliver(msg)
+	}
+}
+
+// after scales the duration by the node's current spike factor (transient
 // load makes the same work take longer) and arms the callback against the
 // node's incarnation: a crash between scheduling and firing swallows it,
 // modeling lost in-memory state.
-func (e *chaosEnv) After(d time.Duration, fn func()) comm.Timer {
-	if f := e.t.spikeFactor(e.id, e.inner.Now()); f > 1 {
-		d = time.Duration(float64(d) * f)
+func (t *Transport) after(l comm.Layer, d time.Duration, fn func()) comm.Timer {
+	now := l.Now()
+	t.mu.Lock()
+	st := &t.nodes[l.Index()]
+	if f := st.fate; f.SpikeFactor > 1 && now >= f.SpikeStart && now < f.SpikeEnd {
+		d = time.Duration(float64(d) * f.SpikeFactor)
 	}
-	inc := e.t.incarnationOf(e.id)
-	return e.inner.After(d, func() {
-		if e.t.isDown(e.id) || e.t.incarnationOf(e.id) != inc {
-			e.t.mu.Lock()
-			e.t.stats.SuppressedTimers++
-			e.t.mu.Unlock()
-			return
+	inc := st.incarnation
+	t.mu.Unlock()
+	return l.After(d, func() {
+		t.mu.Lock()
+		stale := st.down || st.incarnation != inc
+		if stale {
+			t.stats.SuppressedTimers++
 		}
-		fn()
+		t.mu.Unlock()
+		if !stale {
+			fn()
+		}
 	})
 }

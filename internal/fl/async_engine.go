@@ -98,30 +98,11 @@ func (c AsyncConfig) Topology() Topology {
 
 // RunAsync executes an asynchronous (FedAsync-style) experiment. Like Run
 // it is a thin wrapper over Topology.Build and a Deployment on the
-// configured transport.
+// configured transport's run stack (runOn).
 func RunAsync(cfg AsyncConfig) (*AsyncResults, error) {
 	cl, err := cfg.Topology().Build()
 	if err != nil {
 		return nil, err
 	}
-	transport, err := newRunTransport(cfg.Transport, cfg.Link, cfg.TransportTimeout)
-	if err != nil {
-		return nil, err
-	}
-	// Same fault-layer wrap as Run; a zero plan is a pass-through, and the
-	// obs wrap outermost is passive instrumentation (see internal/obs).
-	transport = chaos.Wrap(transport, cl.Topology.Chaos, cl.Topology.Seed)
-	transport = obs.WrapTransport(transport, obs.Default)
-	// Span tracer above the instrumentation, same as Run: always on,
-	// passive, with Spans/Events as optional sinks.
-	transport = tracerFor(cl.Topology).Wrap(transport)
-	dep := &Deployment{Cluster: cl, Transport: transport}
-	res, err := dep.RunAsync()
-	if cerr := transport.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runOn(cl, cfg.Transport, cfg.Link, cfg.TransportTimeout, (*Deployment).RunAsync)
 }

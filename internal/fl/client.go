@@ -140,7 +140,7 @@ func (c *Client) Init() error {
 	return nil
 }
 
-// OnRejoin implements the chaos.Rejoiner rejoin handshake: a crash wiped
+// OnRejoin implements the comm.Rejoiner rejoin handshake: a crash wiped
 // every piece of in-memory state, so the returning client rebuilds its
 // model replica, phase costs, jitter stream, and codec streams (the
 // residual error feedback dies with the crash) from its static,

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"time"
 
+	"aergia/internal/chaos"
 	"aergia/internal/comm"
 	"aergia/internal/hier"
+	"aergia/internal/obs"
 	"aergia/internal/rpc"
 	"aergia/internal/sim"
 )
@@ -57,6 +59,32 @@ func newRunTransport(name string, link sim.LinkModel, timeout time.Duration) (co
 	return sim.NewNetwork(sim.NewKernel(), link), nil
 }
 
+// runOn is how Run and RunAsync execute a built cluster: the named
+// transport under the fault, metrics and span interceptors — each absent
+// when its input is zero, always in this order (DESIGN.md §15 has the hook
+// table; Deployment.bind adds tier routing on top) — driven by run and
+// closed.
+func runOn[R any](cl *Cluster, name string, link sim.LinkModel, timeout time.Duration,
+	run func(*Deployment) (*R, error)) (*R, error) {
+	transport, err := newRunTransport(name, link, timeout)
+	if err != nil {
+		return nil, err
+	}
+	transport = chaos.Wrap(transport, cl.Topology.Chaos, cl.Topology.Seed)
+	transport = obs.WrapTransport(transport, obs.Default)
+	// The tracer is always on — every run feeds the flight recorder and the
+	// span-latency histograms; Spans/Events are optional retention sinks.
+	transport = tracerFor(cl.Topology).Wrap(transport)
+	res, err := run(&Deployment{Cluster: cl, Transport: transport})
+	if cerr := transport.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
 // Deployment binds a built Cluster to a Transport and drives the run: it
 // registers every actor, seals membership, feeds the payload types to
 // serializing transports, starts the federator in its actor context, and
@@ -72,11 +100,11 @@ type Deployment struct {
 
 // bind registers the cluster's actors on the transport and seals it. For
 // hierarchical clusters it registers the lazy shells and edge aggregators
-// instead of materialized clients and, when edge tiers exist, wraps the
-// transport with the hier.Route actor router so client uplinks reach their
-// owning edge; the wrapped transport replaces d.Transport for the rest of
-// the run (the router forwards Close to the inner transport, so callers
-// closing the original are unaffected).
+// instead of materialized clients and, when edge tiers exist, adds the
+// hier.Route interceptor so client uplinks reach their owning edge — on
+// the stack d.Transport already is, when it is one. The routed transport
+// replaces d.Transport for the rest of the run (its Close reaches the
+// original's, so callers closing the original are unaffected).
 func (d *Deployment) bind(fed comm.Handler) error {
 	hc := d.Cluster.Hier
 	if hc != nil && hc.Options.Tiers > 0 {
@@ -101,6 +129,38 @@ func (d *Deployment) bind(fed comm.Handler) error {
 	return d.Transport.Seal()
 }
 
+// drive is the body Run and RunAsync share: bind the actors, start the
+// federator in its actor context, and pump the transport until the
+// federator hands its results to onFinish (the federator's own OnFinish
+// field, chained so a caller's hook still fires).
+func drive[R any](d *Deployment, fed comm.Handler, start func(comm.Env), onFinish *func(*R)) (*R, error) {
+	if err := d.bind(fed); err != nil {
+		return nil, err
+	}
+	// Whatever the run leaves on its compute lanes — a cut straggler, a
+	// crashed client's round — is cancelled and waited out here, so no step
+	// of this run executes after it returned.
+	defer d.Cluster.lanes.drain()
+	var out *R
+	done := make(chan struct{})
+	prev := *onFinish
+	*onFinish = func(r *R) {
+		out = r
+		if prev != nil {
+			prev(r)
+		}
+		close(done)
+	}
+	d.Transport.Invoke(comm.FederatorID, start)
+	if err := d.Transport.Drive(done); err != nil {
+		return nil, err
+	}
+	if out == nil {
+		return nil, fmt.Errorf("fl: experiment did not complete")
+	}
+	return out, nil
+}
+
 // Run drives a synchronous cluster to completion and returns its results.
 func (d *Deployment) Run() (*Results, error) {
 	if d.Cluster == nil || d.Transport == nil {
@@ -110,29 +170,9 @@ func (d *Deployment) Run() (*Results, error) {
 	if fed == nil {
 		return nil, fmt.Errorf("fl: Run needs a sync cluster (the topology was built with Async set)")
 	}
-	if err := d.bind(fed); err != nil {
+	out, err := drive(d, fed, fed.Start, &fed.OnFinish)
+	if err != nil {
 		return nil, err
-	}
-	// Whatever the run leaves on its compute lanes — a cut straggler, a
-	// crashed client's round — is cancelled and waited out here, so no step
-	// of this run executes after it returned.
-	defer d.Cluster.lanes.drain()
-	var out *Results
-	done := make(chan struct{})
-	prev := fed.OnFinish
-	fed.OnFinish = func(r *Results) {
-		out = r
-		if prev != nil {
-			prev(r)
-		}
-		close(done)
-	}
-	d.Transport.Invoke(comm.FederatorID, func(env comm.Env) { fed.Start(env) })
-	if err := d.Transport.Drive(done); err != nil {
-		return nil, err
-	}
-	if out == nil {
-		return nil, fmt.Errorf("fl: experiment did not complete")
 	}
 	out.TotalTime = out.PreTraining + sumDurations(out.Rounds)
 	// The transport drained (sim) or the run signaled completion (tcp), so
@@ -151,26 +191,9 @@ func (d *Deployment) RunAsync() (*AsyncResults, error) {
 	if fed == nil {
 		return nil, fmt.Errorf("fl: RunAsync needs an async cluster (set Topology.Async)")
 	}
-	if err := d.bind(fed); err != nil {
+	out, err := drive(d, fed, fed.Start, &fed.OnFinish)
+	if err != nil {
 		return nil, err
-	}
-	defer d.Cluster.lanes.drain()
-	var out *AsyncResults
-	done := make(chan struct{})
-	prev := fed.OnFinish
-	fed.OnFinish = func(r *AsyncResults) {
-		out = r
-		if prev != nil {
-			prev(r)
-		}
-		close(done)
-	}
-	d.Transport.Invoke(comm.FederatorID, func(env comm.Env) { fed.Start(env) })
-	if err := d.Transport.Drive(done); err != nil {
-		return nil, err
-	}
-	if out == nil {
-		return nil, fmt.Errorf("fl: async experiment did not complete")
 	}
 	out.Bandwidth = d.Cluster.Bandwidth.Snapshot()
 	return out, nil

@@ -153,8 +153,8 @@ func tracerFor(t Topology) *obs.Tracer {
 
 // Run executes the experiment and returns its results. It is a thin
 // compatibility wrapper: the cluster is materialized by Topology.Build and
-// driven by a Deployment over the configured transport (the virtual-time
-// simulator by default).
+// driven by a Deployment over the configured transport's run stack (runOn;
+// the virtual-time simulator by default).
 func Run(cfg Config) (*Results, error) {
 	if cfg.Strategy == nil {
 		return nil, fmt.Errorf("fl: config needs a strategy")
@@ -163,31 +163,5 @@ func Run(cfg Config) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	transport, err := newRunTransport(cfg.Transport, cfg.Link, cfg.TransportTimeout)
-	if err != nil {
-		return nil, err
-	}
-	// The fault layer wraps any transport; a zero plan passes it through
-	// untouched (chaos.Wrap returns the inner transport), keeping the
-	// fault-free path bit-identical. Build normalized the plan.
-	transport = chaos.Wrap(transport, cl.Topology.Chaos, cl.Topology.Seed)
-	// Instrumentation wraps outermost so sent counts what actors emit and
-	// delivered counts what survived the fault layer; it is passive and
-	// keeps the run bit-identical (see internal/obs).
-	transport = obs.WrapTransport(transport, obs.Default)
-	// The span tracer wraps above that (hier.Route, applied by the
-	// Deployment, stays outermost so spans record the rewritten tier
-	// links). It is always on — every run feeds the flight recorder and
-	// the span-latency histograms — and equally passive; Spans/Events are
-	// optional retention sinks.
-	transport = tracerFor(cl.Topology).Wrap(transport)
-	dep := &Deployment{Cluster: cl, Transport: transport}
-	res, err := dep.Run()
-	if cerr := transport.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runOn(cl, cfg.Transport, cfg.Link, cfg.TransportTimeout, (*Deployment).Run)
 }

@@ -19,7 +19,7 @@ import (
 // (Topology.Hier enabled): the lazy shells standing in for the client
 // population and the edge aggregators that own them. Deployment.bind
 // registers these instead of Cluster.Clients and, when edge tiers exist,
-// wraps the transport with the hier.Route actor router.
+// adds the hier.Route interceptor to the transport.
 type HierCluster struct {
 	// Options is the normalized scale-out selection the cluster was built
 	// with.

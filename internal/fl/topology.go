@@ -108,7 +108,7 @@ type Topology struct {
 	// lossy links — see internal/chaos and DESIGN.md §7). The zero plan
 	// is a fault-free run, bit-identical to the pre-chaos code path. The
 	// plan's Quorum/RoundTimeout harden the federator; the event timeline
-	// is injected by the transport wrapper Run/RunAsync apply (explicit
+	// is injected by the fault interceptor Run/RunAsync stack (explicit
 	// Deployment users wrap with chaos.Wrap themselves).
 	Chaos chaos.Plan
 	// Backend selects the compute backend shared by every client and the

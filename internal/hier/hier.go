@@ -12,12 +12,13 @@
 //     the size of its Profile (speed/skew metadata), hydrated into a full
 //     client only when a dispatch first reaches it. Memory follows the
 //     cohort, not the population.
-//   - A Router wraps any comm.Transport and rewrites client uplink sends
-//     to the edge aggregator that owns the client (a stable hash of the
-//     actor ID, dvactor-style location-transparent routing), so the root
-//     federator sees tens of children instead of N clients. Because the
-//     router is a transport wrapper, a tier can live in-process (sim) or
-//     across processes (rpc) without the actors changing.
+//   - Route, an interceptor on the comm stack over any comm.Transport,
+//     rewrites client uplink sends to the edge aggregator that owns the
+//     client (a stable hash of the actor ID, dvactor-style
+//     location-transparent routing), so the root federator sees tens of
+//     children instead of N clients. Because routing is a transport
+//     concern, a tier can live in-process (sim) or across processes (rpc)
+//     without the actors changing.
 //
 // The zero Options value keeps the flat everyone-participates topology
 // bit-identical to the pre-hier code path; fl.Topology.Build only diverts

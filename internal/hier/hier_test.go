@@ -178,7 +178,6 @@ func (fakeTimer) Cancel() {}
 type fakeTransport struct {
 	handlers map[comm.NodeID]comm.Handler
 	envs     map[comm.NodeID]*fakeEnv
-	payloads int
 	sealed   bool
 }
 
@@ -197,7 +196,6 @@ func (f *fakeTransport) Invoke(id comm.NodeID, fn func(comm.Env)) {
 }
 func (f *fakeTransport) Drive(<-chan struct{}) error { return nil }
 func (f *fakeTransport) Close() error                { return nil }
-func (f *fakeTransport) RegisterPayload(any)         { f.payloads++ }
 
 func (f *fakeTransport) env(id comm.NodeID) *fakeEnv {
 	if e, ok := f.envs[id]; ok {
@@ -232,6 +230,7 @@ func TestRouteRewritesClientUplinks(t *testing.T) {
 	rec := &recorder{}
 	rt.Register(7, rec)
 	rt.Register(comm.FederatorID, &recorder{})
+	rt.Register(EdgeID(1), &recorder{})
 	if err := rt.Seal(); err != nil || !inner.sealed {
 		t.Fatalf("Seal not forwarded: %v", err)
 	}
@@ -278,22 +277,6 @@ func TestRouteRewritesClientUplinks(t *testing.T) {
 	replies := inner.env(7).sent
 	if got := replies[len(replies)-1].To; got != wantEdge {
 		t.Fatalf("reply routed to %d, want edge %d", got, wantEdge)
-	}
-
-	// Rejoin notifications traverse the proxy.
-	if rj, ok := inner.handlers[7].(interface{ OnRejoin(comm.Env) }); !ok {
-		t.Fatal("router proxy does not forward rejoins")
-	} else {
-		rj.OnRejoin(inner.env(7))
-	}
-	if rec.rejoins != 1 {
-		t.Fatalf("rejoins = %d, want 1", rec.rejoins)
-	}
-
-	// PayloadRegistry passes through.
-	rt.(comm.PayloadRegistry).RegisterPayload(struct{}{})
-	if inner.payloads != 1 {
-		t.Fatal("RegisterPayload not forwarded")
 	}
 }
 

@@ -77,7 +77,7 @@ func (c *LazyClient) OnMessage(env comm.Env, msg comm.Message) {
 	c.inner.OnMessage(env, msg)
 }
 
-// OnRejoin implements the chaos layer's Rejoiner: the rejoined incarnation
+// OnRejoin implements comm.Rejoiner: the rejoined incarnation
 // starts dormant again, holding only the profile. The crashed incarnation
 // hears of the rejoin before it is dropped, so that it stops what it still
 // has running (a client's compute lane trains a round nobody will read).
@@ -85,7 +85,7 @@ func (c *LazyClient) OnRejoin(env comm.Env) {
 	if c.inner == nil {
 		return
 	}
-	if rj, ok := c.inner.(interface{ OnRejoin(comm.Env) }); ok {
+	if rj, ok := c.inner.(comm.Rejoiner); ok {
 		rj.OnRejoin(env)
 	}
 	c.inner = nil

@@ -1,20 +1,15 @@
 package hier
 
-import (
-	"sync"
-	"time"
+import "aergia/internal/comm"
 
-	"aergia/internal/comm"
-)
-
-// Route wraps a transport with the actor-ID→tier router: any message a
-// client (non-negative ID) addresses to the federator is rewritten to the
-// edge aggregator that owns the client, per Assign's stable hash. Actors
-// keep speaking the flat protocol — "send my update to the federator" —
-// and the router turns it into the tree, dvactor-style: ownership is a
-// pure function of the actor ID, so the same rewrite works whether the
-// edge lives in this process (sim) or across a socket (rpc), and no
-// membership table ever crosses the wire.
+// Route adds the actor-ID→tier router above inner (see
+// comm.Interceptor.On): any message a client (non-negative ID) addresses to
+// the federator is rewritten to the edge aggregator that owns the client,
+// per Assign's stable hash. Actors keep speaking the flat protocol — "send
+// my update to the federator" — and the router turns it into the tree,
+// dvactor-style: ownership is a pure function of the actor ID, so the same
+// rewrite works whether the edge lives in this process (sim) or across a
+// socket (rpc), and no membership table ever crosses the wire.
 //
 // Route(inner, 0, seed) returns inner unchanged: the flat topology pays
 // nothing.
@@ -22,130 +17,37 @@ func Route(inner comm.Transport, tiers int, seed uint64) comm.Transport {
 	if tiers <= 0 {
 		return inner
 	}
-	return &router{inner: inner, tiers: tiers, seed: seed, envs: make(map[comm.Env]comm.Env)}
-}
-
-// router is the routing transport wrapper.
-type router struct {
-	inner comm.Transport
-	tiers int
-	seed  uint64
-
-	mu   sync.Mutex
-	envs map[comm.Env]comm.Env
-}
-
-var (
-	_ comm.Transport       = (*router)(nil)
-	_ comm.PayloadRegistry = (*router)(nil)
-)
-
-// RegisterPayload forwards to serializing inner transports.
-func (r *router) RegisterPayload(v any) {
-	if reg, ok := r.inner.(comm.PayloadRegistry); ok {
-		reg.RegisterPayload(v)
-	}
-}
-
-// Register implements comm.Transport; h's deliveries see routing envs.
-func (r *router) Register(id comm.NodeID, h comm.Handler) {
-	r.inner.Register(id, &routerHandler{r: r, id: id, h: h})
-}
-
-// Seal implements comm.Transport.
-func (r *router) Seal() error { return r.inner.Seal() }
-
-// Env implements comm.Transport.
-func (r *router) Env(id comm.NodeID) comm.Env {
-	return r.wrapEnv(r.inner.Env(id), id)
-}
-
-// Invoke implements comm.Transport; fn sees the routing env.
-func (r *router) Invoke(id comm.NodeID, fn func(comm.Env)) {
-	r.inner.Invoke(id, func(env comm.Env) { fn(r.wrapEnv(env, id)) })
-}
-
-// Drive implements comm.Transport.
-func (r *router) Drive(done <-chan struct{}) error { return r.inner.Drive(done) }
-
-// Close implements comm.Transport.
-func (r *router) Close() error { return r.inner.Close() }
-
-// wrapEnv returns the routing env for node id over inner, cached per inner
-// identity (inner envs are per-node singletons on every transport and
-// wrapper in the stack).
-func (r *router) wrapEnv(inner comm.Env, id comm.NodeID) comm.Env {
-	if re, ok := inner.(*routerEnv); ok && re.r == r {
-		return inner
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.envs[inner]; ok {
-		return e
-	}
-	e := &routerEnv{r: r, id: id, inner: inner}
-	r.envs[inner] = e
-	return e
-}
-
-// routerEnv rewrites client uplinks. The rewrite keys on the sending env's
-// own node — not Message.From, which the transport below stamps after this
-// layer — so only client-originated federator traffic is redirected; edges
-// (negative IDs) still reach the root directly.
-type routerEnv struct {
-	r     *router
-	id    comm.NodeID
-	inner comm.Env
-}
-
-var _ comm.Env = (*routerEnv)(nil)
-
-func (e *routerEnv) Now() time.Duration { return e.inner.Now() }
-
-func (e *routerEnv) Send(msg comm.Message) {
-	if e.id >= 0 && msg.To == comm.FederatorID {
-		msg.To = EdgeID(Assign(e.r.seed, e.id, e.r.tiers))
-	}
-	e.inner.Send(msg)
-}
-
-func (e *routerEnv) After(d time.Duration, fn func()) comm.Timer {
-	return e.inner.After(d, fn)
-}
-
-// routerHandler hands routing envs to deliveries and forwards the chaos
-// layer's rejoin callback through the wrap, mirroring the obs proxy.
-type routerHandler struct {
-	r  *router
-	id comm.NodeID
-	h  comm.Handler
-}
-
-func (p *routerHandler) OnMessage(env comm.Env, msg comm.Message) {
-	// The chaos layer addresses client liveness notices to the federator
-	// only — it predates the hierarchy and has no notion of edges. In a
-	// tiered run the node that actually waits on a client is the edge that
-	// owns it, so the router tees a copy of each client-scoped fault notice
-	// to the owning tier (the same Assign hash that routes the client's
-	// uplinks). The root still sees the original: its selected set holds
-	// edge IDs, so client notices are inert there.
-	if p.id == comm.FederatorID && msg.Kind == comm.KindFault {
-		if fp, ok := msg.Payload.(comm.FaultPayload); ok && fp.Node >= 0 {
-			env.Send(comm.Message{
-				To:      EdgeID(Assign(p.r.seed, fp.Node, p.r.tiers)),
-				Round:   msg.Round,
-				Kind:    comm.KindFault,
-				Payload: fp,
-			})
-		}
-	}
-	p.h.OnMessage(p.r.wrapEnv(env, p.id), msg)
-}
-
-// OnRejoin forwards the fault layer's rejoin notification to the wrapped
-// actor (structurally, to avoid importing the chaos package).
-func (p *routerHandler) OnRejoin(env comm.Env) {
-	if rj, ok := p.h.(interface{ OnRejoin(comm.Env) }); ok {
-		rj.OnRejoin(p.r.wrapEnv(env, p.id))
-	}
+	owner := func(client comm.NodeID) comm.NodeID { return EdgeID(Assign(seed, client, tiers)) }
+	return comm.Interceptor{
+		// The rewrite keys on the sending node — not Message.From, which the
+		// transport below stamps after this layer — so only client-originated
+		// federator traffic is redirected; edges (negative IDs) still reach
+		// the root directly.
+		Send: func(l comm.Layer, msg comm.Message) {
+			if l.ID() >= 0 && msg.To == comm.FederatorID {
+				msg.To = owner(l.ID())
+			}
+			l.Send(msg)
+		},
+		// The fault layer addresses client liveness notices to the federator
+		// only — it predates the hierarchy and has no notion of edges. In a
+		// tiered run the node that actually waits on a client is the edge that
+		// owns it, so the router tees a copy of each client-scoped fault notice
+		// to the owning tier, sent through the layers below like any federator
+		// message. The root still sees the original: its selected set holds
+		// edge IDs, so client notices are inert there.
+		Deliver: func(l comm.Layer, msg comm.Message) {
+			if l.ID() == comm.FederatorID && msg.Kind == comm.KindFault {
+				if fp, ok := msg.Payload.(comm.FaultPayload); ok && fp.Node >= 0 {
+					l.Send(comm.Message{
+						To:      owner(fp.Node),
+						Round:   msg.Round,
+						Kind:    comm.KindFault,
+						Payload: fp,
+					})
+				}
+			}
+			l.Deliver(msg)
+		},
+	}.On(inner)
 }

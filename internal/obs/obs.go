@@ -1,7 +1,7 @@
 // Package obs is the unified observability layer: a zero-dependency
 // metrics registry — counters, gauges, and histograms, plain or as labeled
 // families — with Prometheus text-format exposition (see expose.go) and an
-// instrumented comm.Transport wrapper (see transport.go).
+// metrics interceptor for the comm stack (see transport.go).
 //
 // The registry is passive: instruments record with single atomic operations
 // and never block, reorder, or delay the code they observe, so an

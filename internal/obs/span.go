@@ -61,14 +61,14 @@ func linkLabel(from, to comm.NodeID) string {
 	return NodeRole(from) + ">" + NodeRole(to)
 }
 
-// Tracer stamps a comm.SpanContext on every message a wrapped transport
-// sends and closes the span at delivery, fanning completed spans out to
-// its sinks, the flight recorder, and the per-kind/per-link latency
-// histograms. Wrap it above the obs/chaos wrappers (Run/RunAsync do) and
-// below hier.Route, so spans record the rewritten tier links.
+// Tracer stamps a comm.SpanContext on every message a node sends and closes
+// the span at delivery, fanning completed spans out to its sinks, the
+// flight recorder, and the per-kind/per-link latency histograms. Add it
+// above the metrics and fault layers and below hier.Route (DESIGN.md §15),
+// so spans record the rewritten tier links.
 //
-// Causality: each traced env tracks the span currently being handled on
-// its node (deliveries set it; After callbacks capture and restore it at
+// Causality: the tracer tracks the span currently being handled on each
+// node (deliveries set it; After callbacks capture and restore it at
 // schedule time), and every send parents its fresh span on that current
 // span. Node handlers and their timers are serialized by both transports
 // — the sim kernel is single-threaded, rpc holds a per-peer handler lock —
@@ -107,12 +107,21 @@ func newTracerIn(reg *Registry, flight *Flight, trace uint64, sinks ...SpanSink)
 	return t
 }
 
-// Wrap returns inner with span propagation attached.
+// Wrap adds span propagation above inner (see comm.Interceptor.On).
 func (t *Tracer) Wrap(inner comm.Transport) comm.Transport {
 	if t == nil {
 		return inner
 	}
-	return &traceTransport{t: t, inner: inner, envs: make(map[comm.NodeID]*traceEnv)}
+	st := &spanLayer{t: t}
+	return comm.Interceptor{
+		Seal: func(nodes []comm.Layer) error {
+			st.cur = make([]uint64, len(nodes))
+			return nil
+		},
+		Send:    st.send,
+		Deliver: st.deliver,
+		After:   st.after,
+	}.On(inner)
 }
 
 // emit closes a span: flight ring, latency histogram, sinks.
@@ -139,123 +148,47 @@ func (t *Tracer) latency(kind comm.Kind, link string) *Histogram {
 	return h
 }
 
-// traceTransport is the span-propagating transport wrapper.
-type traceTransport struct {
-	t     *Tracer
-	inner comm.Transport
-
-	mu   sync.Mutex
-	envs map[comm.NodeID]*traceEnv
+// spanLayer is a Tracer on one stack. cur is the span currently being
+// handled on each node (by comm.Layer.Index; 0 outside any span); an entry
+// is only touched from its node's serialized actor context (see Tracer), so
+// plain reads and writes suffice.
+type spanLayer struct {
+	t   *Tracer
+	cur []uint64
 }
 
-var (
-	_ comm.Transport       = (*traceTransport)(nil)
-	_ comm.PayloadRegistry = (*traceTransport)(nil)
-)
-
-// RegisterPayload forwards to serializing inner transports.
-func (tt *traceTransport) RegisterPayload(v any) {
-	if reg, ok := tt.inner.(comm.PayloadRegistry); ok {
-		reg.RegisterPayload(v)
-	}
-}
-
-// Register implements comm.Transport; deliveries to h close spans and set
-// the node's current span for the duration of the handler.
-func (tt *traceTransport) Register(id comm.NodeID, h comm.Handler) {
-	tt.inner.Register(id, &traceHandler{tt: tt, id: id, h: h})
-}
-
-// Seal implements comm.Transport.
-func (tt *traceTransport) Seal() error { return tt.inner.Seal() }
-
-// Env implements comm.Transport.
-func (tt *traceTransport) Env(id comm.NodeID) comm.Env {
-	return tt.wrapEnv(tt.inner.Env(id), id)
-}
-
-// Invoke implements comm.Transport; fn sees the tracing env.
-func (tt *traceTransport) Invoke(id comm.NodeID, fn func(comm.Env)) {
-	tt.inner.Invoke(id, func(env comm.Env) { fn(tt.wrapEnv(env, id)) })
-}
-
-// Drive implements comm.Transport.
-func (tt *traceTransport) Drive(done <-chan struct{}) error { return tt.inner.Drive(done) }
-
-// Close implements comm.Transport.
-func (tt *traceTransport) Close() error { return tt.inner.Close() }
-
-// wrapEnv returns the node's tracing env, cached per node like the chaos
-// wrapper — inner envs are stateless per node (rpc peers mint a fresh env
-// value per delivery), so one wrapper over the first-seen inner serves
-// every delivery, and the per-node current-span state lives in exactly one
-// place.
-func (tt *traceTransport) wrapEnv(inner comm.Env, id comm.NodeID) *traceEnv {
-	if te, ok := inner.(*traceEnv); ok && te.tt == tt {
-		return te
-	}
-	tt.mu.Lock()
-	defer tt.mu.Unlock()
-	if e, ok := tt.envs[id]; ok {
-		return e
-	}
-	e := &traceEnv{tt: tt, inner: inner}
-	tt.envs[id] = e
-	return e
-}
-
-// traceEnv stamps outgoing spans and propagates the current span into
-// After callbacks. cur is only touched from the node's serialized handler
-// context (see Tracer), so plain reads and writes suffice.
-type traceEnv struct {
-	tt    *traceTransport
-	inner comm.Env
-	cur   uint64 // span being handled on this node; 0 outside any span
-}
-
-var _ comm.Env = (*traceEnv)(nil)
-
-func (e *traceEnv) Now() time.Duration { return e.inner.Now() }
-
-func (e *traceEnv) Send(msg comm.Message) {
-	t := e.tt.t
+// send stamps a fresh span parented on the node's current one.
+func (s *spanLayer) send(l comm.Layer, msg comm.Message) {
 	msg.Span = comm.SpanContext{
-		Trace:  t.trace,
-		Span:   t.next.Add(1),
-		Parent: e.cur,
-		Sent:   e.inner.Now(),
+		Trace:  s.t.trace,
+		Span:   s.t.next.Add(1),
+		Parent: s.cur[l.Index()],
+		Sent:   l.Now(),
 	}
-	e.inner.Send(msg)
+	l.Send(msg)
 }
 
-// After captures the current span at schedule time and restores it while
+// after captures the current span at schedule time and restores it while
 // fn runs, so work an actor defers (training completion, deadlines) still
 // parents its sends on the message that scheduled it. The inner transport
 // serializes fn with the node's handler, so the save/restore cannot
 // interleave with a delivery.
-func (e *traceEnv) After(d time.Duration, fn func()) comm.Timer {
-	parent := e.cur
-	return e.inner.After(d, func() {
-		saved := e.cur
-		e.cur = parent
+func (s *spanLayer) after(l comm.Layer, d time.Duration, fn func()) comm.Timer {
+	cur := &s.cur[l.Index()]
+	parent := *cur
+	return l.After(d, func() {
+		saved := *cur
+		*cur = parent
 		fn()
-		e.cur = saved
+		*cur = saved
 	})
 }
 
-// traceHandler closes the inbound span and scopes the node's current span
-// to the handler invocation.
-type traceHandler struct {
-	tt *traceTransport
-	id comm.NodeID
-	h  comm.Handler
-}
-
-func (p *traceHandler) OnMessage(env comm.Env, msg comm.Message) {
-	te := p.tt.wrapEnv(env, p.id)
-	t := p.tt.t
+// deliver closes the inbound span and scopes the node's current span to
+// everything above this layer.
+func (s *spanLayer) deliver(l comm.Layer, msg comm.Message) {
 	if msg.Span.Traced() {
-		t.emit(Span{
+		s.t.emit(Span{
 			Trace:  msg.Span.Trace,
 			ID:     msg.Span.Span,
 			Parent: msg.Span.Parent,
@@ -265,29 +198,21 @@ func (p *traceHandler) OnMessage(env comm.Env, msg comm.Message) {
 			Round:  msg.Round,
 			Size:   msg.Size,
 			Start:  msg.Span.Sent,
-			End:    te.inner.Now(),
+			End:    l.Now(),
 		})
 	} else if msg.Kind == comm.KindFault {
-		// Fault notices are injected by the chaos layer's direct handler
-		// call — no Send, no span — but they are exactly what a post-mortem
-		// wants in the ring.
+		// Fault notices are injected by the fault layer above its own hooks
+		// — no Send, no span — but they are exactly what a post-mortem wants
+		// in the ring.
 		if fp, ok := msg.Payload.(comm.FaultPayload); ok {
-			t.flight.RecordFault(fp.Node, fp.Down, te.inner.Now())
+			s.t.flight.RecordFault(fp.Node, fp.Down, l.Now())
 		}
 	}
-	saved := te.cur
-	te.cur = msg.Span.Span
-	p.h.OnMessage(te, msg)
-	te.cur = saved
-}
-
-// OnRejoin forwards the fault layer's rejoin notification through the
-// tracing proxy (structurally, like the obs and router proxies, so the
-// wrapped actor's rejoin hook stays reachable).
-func (p *traceHandler) OnRejoin(env comm.Env) {
-	if r, ok := p.h.(interface{ OnRejoin(comm.Env) }); ok {
-		r.OnRejoin(p.tt.wrapEnv(env, p.id))
-	}
+	cur := &s.cur[l.Index()]
+	saved := *cur
+	*cur = msg.Span.Span
+	l.Deliver(msg)
+	*cur = saved
 }
 
 // ---------------------------------------------------------------------------

@@ -145,22 +145,34 @@ func TestTracerFanoutParents(t *testing.T) {
 	}
 }
 
-// TestTracerRecordsFaultNotices: chaos injects KindFault by direct handler
-// call (no Send, no span); the tracing proxy files it in the flight ring
-// and still forwards it to the actor.
+// captureNetwork is a sim.Network that remembers the handlers registered on
+// it, so a test can deliver to one the way a layer below would.
+type captureNetwork struct {
+	*sim.Network
+	handlers map[comm.NodeID]comm.Handler
+}
+
+func (c *captureNetwork) Register(id comm.NodeID, h comm.Handler) {
+	c.handlers[id] = h
+	c.Network.Register(id, h)
+}
+
+// TestTracerRecordsFaultNotices: the fault layer injects KindFault without
+// a Send, so it carries no span; the tracer files it in the flight ring and
+// still passes it on to the actor.
 func TestTracerRecordsFaultNotices(t *testing.T) {
 	flight := &Flight{}
 	tracer := newTracerIn(NewRegistry(), flight, 1)
-	inner := sim.NewNetwork(sim.NewKernel(), nil)
-	tt := tracer.Wrap(inner).(*traceTransport)
+	inner := &captureNetwork{Network: sim.NewNetwork(sim.NewKernel(), nil),
+		handlers: make(map[comm.NodeID]comm.Handler)}
+	tr := tracer.Wrap(inner)
 
 	sink := &sinkHandler{}
-	tt.Register(comm.FederatorID, sink)
-	if err := tt.Seal(); err != nil {
+	tr.Register(comm.FederatorID, sink)
+	if err := tr.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	h := &traceHandler{tt: tt, id: comm.FederatorID, h: sink}
-	h.OnMessage(inner.Env(comm.FederatorID), comm.Message{
+	inner.handlers[comm.FederatorID].OnMessage(inner.Env(comm.FederatorID), comm.Message{
 		From: 3, To: comm.FederatorID, Kind: comm.KindFault,
 		Payload: comm.FaultPayload{Node: 3, Down: true},
 	})

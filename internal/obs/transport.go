@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sync"
 	"time"
 
 	"aergia/internal/comm"
@@ -18,22 +17,24 @@ const (
 	DirDelivered = "delivered"
 )
 
-// commMetrics is the instrument bundle of one wrapped transport, with
-// children pre-resolved per message kind so the per-message hot path is a
-// handful of atomic adds and no map lookups.
+// commMetrics is the instrument bundle of one metrics interceptor, with
+// children pre-resolved per message kind so the per-message hot path is one
+// map read and a handful of atomic adds.
 type commMetrics struct {
-	msgs    *CounterVec
-	bytes   *CounterVec
-	handle  *HistogramVec
-	sentM   map[comm.Kind]*Counter
-	sentB   map[comm.Kind]*Counter
-	delivM  map[comm.Kind]*Counter
-	delivB  map[comm.Kind]*Counter
-	handleH map[comm.Kind]*Histogram
+	msgs   *CounterVec
+	bytes  *CounterVec
+	handle *HistogramVec
+	kinds  map[comm.Kind]kindMetrics
+}
+
+// kindMetrics is the children of one message kind.
+type kindMetrics struct {
+	sentMsgs, sentBytes, delivMsgs, delivBytes *Counter
+	handle                                     *Histogram
 }
 
 // commKinds is the closed set of protocol message kinds (comm.Kind is an
-// enum; KindFault is delivered by the fault layer's direct handler call and
+// enum; KindFault is injected by the fault layer above its own hooks and
 // still counts as traffic here).
 var commKinds = []comm.Kind{
 	comm.KindTrain, comm.KindProfile, comm.KindSchedule, comm.KindOffload,
@@ -51,60 +52,55 @@ func newCommMetrics(reg *Registry) *commMetrics {
 		handle: reg.HistogramVec("aergia_comm_handle_seconds",
 			"Wall-clock handler service time per delivered message, by payload kind.",
 			nil, "kind"),
-		sentM:   make(map[comm.Kind]*Counter),
-		sentB:   make(map[comm.Kind]*Counter),
-		delivM:  make(map[comm.Kind]*Counter),
-		delivB:  make(map[comm.Kind]*Counter),
-		handleH: make(map[comm.Kind]*Histogram),
+		kinds: make(map[comm.Kind]kindMetrics),
 	}
 	for _, k := range commKinds {
-		name := k.String()
-		m.sentM[k] = m.msgs.With(name, DirSent)
-		m.sentB[k] = m.bytes.With(name, DirSent)
-		m.delivM[k] = m.msgs.With(name, DirDelivered)
-		m.delivB[k] = m.bytes.With(name, DirDelivered)
-		m.handleH[k] = m.handle.With(name)
+		m.kinds[k] = m.resolve(k)
 	}
 	return m
 }
 
+// resolve looks the kind's children up in the vecs, registering them.
+func (m *commMetrics) resolve(k comm.Kind) kindMetrics {
+	name := k.String()
+	return kindMetrics{
+		sentMsgs:   m.msgs.With(name, DirSent),
+		sentBytes:  m.bytes.With(name, DirSent),
+		delivMsgs:  m.msgs.With(name, DirDelivered),
+		delivBytes: m.bytes.With(name, DirDelivered),
+		handle:     m.handle.With(name),
+	}
+}
+
+// of returns the kind's children; a kind outside commKinds falls back to
+// the vecs.
+func (m *commMetrics) of(k comm.Kind) kindMetrics {
+	if km, ok := m.kinds[k]; ok {
+		return km
+	}
+	return m.resolve(k)
+}
+
 func (m *commMetrics) sent(msg comm.Message) {
-	c, ok := m.sentM[msg.Kind]
-	if !ok { // unknown kind: fall back to the vec (registers a child)
-		c = m.msgs.With(msg.Kind.String(), DirSent)
-	}
-	c.Inc()
-	b, ok := m.sentB[msg.Kind]
-	if !ok {
-		b = m.bytes.With(msg.Kind.String(), DirSent)
-	}
-	b.Add(float64(msg.Size))
+	km := m.of(msg.Kind)
+	km.sentMsgs.Inc()
+	km.sentBytes.Add(float64(msg.Size))
 }
 
 func (m *commMetrics) delivered(msg comm.Message, service time.Duration) {
-	c, ok := m.delivM[msg.Kind]
-	if !ok {
-		c = m.msgs.With(msg.Kind.String(), DirDelivered)
-	}
-	c.Inc()
-	b, ok := m.delivB[msg.Kind]
-	if !ok {
-		b = m.bytes.With(msg.Kind.String(), DirDelivered)
-	}
-	b.Add(float64(msg.Size))
-	h, ok := m.handleH[msg.Kind]
-	if !ok {
-		h = m.handle.With(msg.Kind.String())
-	}
-	h.Observe(service.Seconds())
+	km := m.of(msg.Kind)
+	km.delivMsgs.Inc()
+	km.delivBytes.Add(float64(msg.Size))
+	km.handle.Observe(service.Seconds())
 }
 
-// WrapTransport wraps a comm.Transport with passive instrumentation,
-// mirroring chaos.Wrap: message and byte counters per payload kind and
-// direction, and a wall-clock handler-latency histogram per kind. A nil
-// registry returns inner unchanged, so observation stays strictly opt-out
-// at the wrap site. Wrap outermost (after the fault layer) so sent counts
-// see what actors emitted and delivered counts see what survived.
+// WrapTransport adds passive instrumentation above inner (see
+// comm.Interceptor.On): message and byte counters per payload kind and
+// direction, and a wall-clock handler-latency histogram per kind that
+// covers every layer above this one and the actor. A nil registry returns
+// inner unchanged, so observation stays strictly opt-out at the wrap site.
+// Add it above the fault layer so sent counts see what actors emitted and
+// delivered counts see what survived.
 //
 // Timing is read with the wall clock only — never the transport's virtual
 // clock — and nothing is delayed or reordered, so a wrapped run's virtual
@@ -113,117 +109,16 @@ func WrapTransport(inner comm.Transport, reg *Registry) comm.Transport {
 	if reg == nil {
 		return inner
 	}
-	return &instTransport{
-		inner: inner,
-		m:     newCommMetrics(reg),
-		envs:  make(map[comm.Env]comm.Env),
-	}
-}
-
-// instTransport is the instrumented transport.
-type instTransport struct {
-	inner comm.Transport
-	m     *commMetrics
-
-	mu   sync.Mutex
-	envs map[comm.Env]comm.Env
-}
-
-var (
-	_ comm.Transport       = (*instTransport)(nil)
-	_ comm.PayloadRegistry = (*instTransport)(nil)
-)
-
-// RegisterPayload forwards to serializing inner transports.
-func (t *instTransport) RegisterPayload(v any) {
-	if reg, ok := t.inner.(comm.PayloadRegistry); ok {
-		reg.RegisterPayload(v)
-	}
-}
-
-// Register implements comm.Transport; deliveries to h are timed and
-// counted.
-func (t *instTransport) Register(id comm.NodeID, h comm.Handler) {
-	t.inner.Register(id, &instHandler{t: t, h: h})
-}
-
-// Seal implements comm.Transport.
-func (t *instTransport) Seal() error { return t.inner.Seal() }
-
-// Env implements comm.Transport.
-func (t *instTransport) Env(id comm.NodeID) comm.Env {
-	return t.wrapEnv(t.inner.Env(id))
-}
-
-// Invoke implements comm.Transport; fn sees the instrumented env.
-func (t *instTransport) Invoke(id comm.NodeID, fn func(comm.Env)) {
-	t.inner.Invoke(id, func(env comm.Env) { fn(t.wrapEnv(env)) })
-}
-
-// Drive implements comm.Transport.
-func (t *instTransport) Drive(done <-chan struct{}) error { return t.inner.Drive(done) }
-
-// Close implements comm.Transport.
-func (t *instTransport) Close() error { return t.inner.Close() }
-
-// wrapEnv returns the instrumented env over inner, cached per identity so
-// repeated deliveries do not allocate.
-func (t *instTransport) wrapEnv(inner comm.Env) comm.Env {
-	if ie, ok := inner.(*instEnv); ok && ie.t == t {
-		return inner
-	}
-	// Inner envs are per-node singletons on both transports (and on the
-	// chaos wrapper), so caching by the env's own identity is equivalent to
-	// caching by node without needing the node ID here.
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if e, ok := t.envs[inner]; ok {
-		return e
-	}
-	e := &instEnv{t: t, inner: inner}
-	t.envs[inner] = e
-	return e
-}
-
-// instEnv counts sends; Now and After pass straight through.
-type instEnv struct {
-	t     *instTransport
-	inner comm.Env
-}
-
-var _ comm.Env = (*instEnv)(nil)
-
-func (e *instEnv) Now() time.Duration { return e.inner.Now() }
-
-func (e *instEnv) Send(msg comm.Message) {
-	e.t.m.sent(msg)
-	e.inner.Send(msg)
-}
-
-func (e *instEnv) After(d time.Duration, fn func()) comm.Timer {
-	return e.inner.After(d, fn)
-}
-
-// instHandler times and counts deliveries.
-type instHandler struct {
-	t *instTransport
-	h comm.Handler
-}
-
-func (p *instHandler) OnMessage(env comm.Env, msg comm.Message) {
-	start := time.Now()
-	p.h.OnMessage(p.t.wrapEnv(env), msg)
-	p.t.m.delivered(msg, time.Since(start))
-}
-
-// OnRejoin forwards the fault layer's rejoin notification through the
-// instrumentation proxy. The fault layer sits below this wrapper, so the
-// handler it holds for a node is this proxy, and the wrapped actor's own
-// rejoin hook is unreachable unless the proxy forwards it. The assertion is
-// structural rather than on chaos.Rejoiner to keep obs free of a chaos
-// import.
-func (p *instHandler) OnRejoin(env comm.Env) {
-	if r, ok := p.h.(interface{ OnRejoin(comm.Env) }); ok {
-		r.OnRejoin(p.t.wrapEnv(env))
-	}
+	m := newCommMetrics(reg)
+	return comm.Interceptor{
+		Send: func(l comm.Layer, msg comm.Message) {
+			m.sent(msg)
+			l.Send(msg)
+		},
+		Deliver: func(l comm.Layer, msg comm.Message) {
+			start := time.Now()
+			l.Deliver(msg)
+			m.delivered(msg, time.Since(start))
+		},
+	}.On(inner)
 }

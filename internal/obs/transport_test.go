@@ -119,44 +119,3 @@ func TestWrapTransportPreservesVirtualTime(t *testing.T) {
 			bare, instrumented)
 	}
 }
-
-// rejoinHandler counts rejoin callbacks and records the env it saw.
-type rejoinHandler struct {
-	sinkHandler
-	rejoins int
-	env     comm.Env
-}
-
-func (h *rejoinHandler) OnRejoin(env comm.Env) { h.rejoins++; h.env = env }
-
-// TestInstHandlerForwardsRejoin pins the proxy's rejoin forwarding: the
-// fault layer below the instrumentation holds instHandler as the node's
-// handler, so the wrapped actor's OnRejoin hook is reachable only through
-// the proxy. A handler without the hook must be a safe no-op.
-func TestInstHandlerForwardsRejoin(t *testing.T) {
-	inner := sim.NewNetwork(sim.NewKernel(), nil)
-	tr := WrapTransport(inner, NewRegistry()).(*instTransport)
-
-	rec := &rejoinHandler{}
-	proxied := comm.Handler(&instHandler{t: tr, h: rec})
-	rj, ok := proxied.(interface{ OnRejoin(comm.Env) })
-	if !ok {
-		t.Fatal("instHandler does not expose OnRejoin")
-	}
-	tr.Register(0, rec)
-	if err := tr.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	env := inner.Env(0)
-	rj.OnRejoin(env)
-	if rec.rejoins != 1 {
-		t.Fatalf("rejoins = %d, want 1", rec.rejoins)
-	}
-	if _, wrapped := rec.env.(*instEnv); !wrapped {
-		t.Fatalf("rejoin env %T not instrumented", rec.env)
-	}
-
-	// A handler without the hook: forwarding is a structural no-op.
-	plain := &instHandler{t: tr, h: &sinkHandler{}}
-	plain.OnRejoin(env)
-}
