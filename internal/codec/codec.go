@@ -23,8 +23,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 )
 
 // Canonical codec names, accepted by Canonical and New.
@@ -44,18 +45,34 @@ const DefaultTopKFraction = 0.1
 // framing (truncated buffer, header/length mismatch, out-of-range index).
 var ErrCorrupt = errors.New("codec: corrupt wire bytes")
 
-// Codec converts one flat value vector to wire bytes and back. Encode is
-// deterministic; Decode returns a vector of exactly the encoded length and
-// rejects malformed bytes with an error wrapping ErrCorrupt (never a
-// panic). Lossy codecs document their error bound; none is exact to the
-// bit.
+// Codec converts one flat value vector to wire bytes and back. Encoding is
+// deterministic; decoding rejects malformed bytes with an error wrapping
+// ErrCorrupt (never a panic). Lossy codecs document their error bound; none
+// is exact to the bit.
+//
+// AppendEncode and DecodeInto are the implementation; Encode and Decode are
+// allocating conveniences over them. The codecs New returns hold no
+// scratch, so one value may encode and decode on any number of goroutines
+// at once; work vectors come from a process-wide stock (GetScratch).
 type Codec interface {
 	// Name returns the canonical codec name.
 	Name() string
-	// Encode serializes vals into the codec's wire form.
+	// AppendEncode appends the wire form of vals to dst and returns the
+	// extended slice (dst itself on error). vals is only read. Pass a nil
+	// dst for bytes a message will own: a payload stays referenced until
+	// it is delivered, so its backing array is never reused.
+	AppendEncode(dst []byte, vals []float64) ([]byte, error)
+	// DecodeInto reverses AppendEncode into dst. The length the header
+	// claims is compared with len(dst) before anything is written or
+	// allocated, so a peer's bytes cannot size an allocation; a mismatch
+	// leaves dst untouched. Any other error leaves dst unspecified.
+	DecodeInto(dst []float64, data []byte) error
+	// Encode is AppendEncode(nil, vals).
 	Encode(vals []float64) ([]byte, error)
-	// Decode reverses Encode. The result has the originally encoded
-	// length; for lossy codecs the values are approximations.
+	// Decode allocates the length the header claims and decodes into it.
+	// It is for bytes this process trusts (its own, a test's): a topk
+	// header can claim 2³² values in 28 bytes. Bytes from a peer go through
+	// DecodeInto, sized by what the receiver expects.
 	Decode(data []byte) ([]float64, error)
 }
 
@@ -98,6 +115,69 @@ func New(name string) (Codec, error) {
 }
 
 // ---------------------------------------------------------------------------
+// Shared plumbing: the Decode wrapper, the length-first rule, work vectors.
+
+// framing is what Decode needs from a codec: the validated length its
+// header claims, and the decoder proper.
+type framing interface {
+	decodedLen(data []byte) (int, error)
+	DecodeInto(dst []float64, data []byte) error
+}
+
+// decode is Decode for every codec.
+func decode[C framing](c C, data []byte) ([]float64, error) {
+	n, err := c.decodedLen(data)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, n)
+	if err := c.DecodeInto(out, data); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// grow extends dst by n bytes; tail is the extension, for the encoders to
+// fill by offset.
+func grow(dst []byte, n int) (all, tail []byte) {
+	all = slices.Grow(dst, n)[:len(dst)+n]
+	return all, all[len(dst):]
+}
+
+// checkLen is the length-first rule of DecodeInto.
+func checkLen(name string, n, want int) error {
+	if n != want {
+		return fmt.Errorf("%w: %s: header says %d values, receiver expects %d", ErrCorrupt, name, n, want)
+	}
+	return nil
+}
+
+// floats is the stock of float64 work vectors. It belongs to the process,
+// never to a codec value, a stream or a client: a retained section-sized
+// vector per client would cost more live heap than the models do, and a
+// buffer hung on a shared codec value would be a data race. sync.Pool
+// keeps at most what concurrent encoders had out at once and drops it over
+// two collections.
+var floats sync.Pool
+
+// GetScratch borrows a float64 work vector of length n (contents
+// unspecified) from the process-wide stock; PutScratch returns it. The fl
+// layer stages deltas in these so an encode allocates only its wire bytes.
+func GetScratch(n int) *[]float64 {
+	bp, ok := floats.Get().(*[]float64)
+	if !ok || cap(*bp) < n {
+		b := make([]float64, n)
+		return &b
+	}
+	*bp = (*bp)[:n]
+	return bp
+}
+
+// PutScratch returns a vector GetScratch lent. The caller keeps no
+// reference to it.
+func PutScratch(b *[]float64) { floats.Put(b) }
+
+// ---------------------------------------------------------------------------
 // none: exact framing.
 
 // none frames values verbatim: an 8-byte count header followed by the
@@ -107,28 +187,41 @@ type none struct{}
 
 func (none) Name() string { return None }
 
-func (none) Encode(vals []float64) ([]byte, error) {
-	buf := make([]byte, 8+8*len(vals))
+func (c none) Encode(vals []float64) ([]byte, error) { return c.AppendEncode(nil, vals) }
+func (c none) Decode(data []byte) ([]float64, error) { return decode(c, data) }
+
+func (none) AppendEncode(dst []byte, vals []float64) ([]byte, error) {
+	dst, buf := grow(dst, 8+8*len(vals))
 	binary.LittleEndian.PutUint64(buf, uint64(len(vals)))
 	for i, v := range vals {
 		binary.LittleEndian.PutUint64(buf[8+8*i:], math.Float64bits(v))
 	}
-	return buf, nil
+	return dst, nil
 }
 
-func (none) Decode(data []byte) ([]float64, error) {
+func (none) decodedLen(data []byte) (int, error) {
 	if len(data) < 8 {
-		return nil, fmt.Errorf("%w: none: %d-byte buffer, need a header", ErrCorrupt, len(data))
+		return 0, fmt.Errorf("%w: none: %d-byte buffer, need a header", ErrCorrupt, len(data))
 	}
 	n := binary.LittleEndian.Uint64(data)
 	if n > uint64(len(data)) || len(data) != int(8+8*n) {
-		return nil, fmt.Errorf("%w: none: header says %d values for %d bytes", ErrCorrupt, n, len(data))
+		return 0, fmt.Errorf("%w: none: header says %d values for %d bytes", ErrCorrupt, n, len(data))
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8+8*i:]))
+	return int(n), nil
+}
+
+func (c none) DecodeInto(dst []float64, data []byte) error {
+	n, err := c.decodedLen(data)
+	if err == nil {
+		err = checkLen(None, n, len(dst))
 	}
-	return out, nil
+	if err != nil {
+		return err
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8+8*i:]))
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -144,11 +237,14 @@ type q8 struct{}
 
 func (q8) Name() string { return Q8 }
 
-func (q8) Encode(vals []float64) ([]byte, error) {
+func (c q8) Encode(vals []float64) ([]byte, error) { return c.AppendEncode(nil, vals) }
+func (c q8) Decode(data []byte) ([]float64, error) { return decode(c, data) }
+
+func (q8) AppendEncode(dst []byte, vals []float64) ([]byte, error) {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for i, v := range vals {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("codec: q8: non-finite value %v at index %d", v, i)
+			return dst, fmt.Errorf("codec: q8: non-finite value %v at index %d", v, i)
 		}
 		if v < lo {
 			lo = v
@@ -160,7 +256,7 @@ func (q8) Encode(vals []float64) ([]byte, error) {
 	if len(vals) == 0 {
 		lo, hi = 0, 0
 	}
-	buf := make([]byte, 24+len(vals))
+	dst, buf := grow(dst, 24+len(vals))
 	binary.LittleEndian.PutUint64(buf, uint64(len(vals)))
 	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(lo))
 	binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(hi))
@@ -178,37 +274,52 @@ func (q8) Encode(vals []float64) ([]byte, error) {
 		}
 		buf[24+i] = byte(q)
 	}
-	return buf, nil
+	return dst, nil
 }
 
-func (q8) Decode(data []byte) ([]float64, error) {
+func (q8) decodedLen(data []byte) (int, error) {
 	if len(data) < 24 {
-		return nil, fmt.Errorf("%w: q8: %d-byte buffer, need a header", ErrCorrupt, len(data))
+		return 0, fmt.Errorf("%w: q8: %d-byte buffer, need a header", ErrCorrupt, len(data))
 	}
 	n := binary.LittleEndian.Uint64(data)
 	if n > uint64(len(data)) || len(data) != int(24+n) {
-		return nil, fmt.Errorf("%w: q8: header says %d values for %d bytes", ErrCorrupt, n, len(data))
+		return 0, fmt.Errorf("%w: q8: header says %d values for %d bytes", ErrCorrupt, n, len(data))
+	}
+	return int(n), nil
+}
+
+func (c q8) DecodeInto(dst []float64, data []byte) error {
+	n, err := c.decodedLen(data)
+	if err == nil {
+		err = checkLen(Q8, n, len(dst))
+	}
+	if err != nil {
+		return err
 	}
 	lo := math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
 	hi := math.Float64frombits(binary.LittleEndian.Uint64(data[16:]))
 	if math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsNaN(hi) || math.IsInf(hi, 0) || hi < lo {
-		return nil, fmt.Errorf("%w: q8: range [%v, %v]", ErrCorrupt, lo, hi)
+		return fmt.Errorf("%w: q8: range [%v, %v]", ErrCorrupt, lo, hi)
 	}
 	scale := (hi - lo) / 255
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = lo + float64(data[24+i])*scale
+	for i := range dst {
+		dst[i] = lo + float64(data[24+i])*scale
 	}
-	return out, nil
+	return nil
 }
 
 // ---------------------------------------------------------------------------
 // topk: magnitude sparsification.
 
-// topk keeps the k largest-magnitude entries of the vector and packs them
-// as (uint32 index, float64 value) pairs behind a count(8)+k(8) header.
-// Kept values round-trip exactly; everything else decodes to zero. Ties
-// are broken toward the lower index, so encoding is deterministic.
+// topk keeps the k largest-magnitude entries of the vector and packs them,
+// in ascending index order, as (uint32 index, float64 value) pairs behind
+// a count(8)+k(8) header. Kept values round-trip exactly; everything else
+// decodes to zero.
+//
+// Magnitude is a total order, and the order is part of the wire contract:
+// entries rank by math.Float64bits(math.Abs(v)), ties go to the lower
+// index. On every non-NaN float that is magnitude order (±0 tie, ±Inf on
+// top); a NaN ranks above +Inf, NaNs among themselves by payload bits.
 type topk struct {
 	frac float64
 }
@@ -225,6 +336,9 @@ func NewTopK(frac float64) Codec {
 
 func (topk) Name() string { return TopK }
 
+func (t topk) Encode(vals []float64) ([]byte, error) { return t.AppendEncode(nil, vals) }
+func (t topk) Decode(data []byte) ([]float64, error) { return decode(t, data) }
+
 func (t topk) k(n int) int {
 	if n == 0 {
 		return 0
@@ -239,68 +353,152 @@ func (t topk) k(n int) int {
 	return k
 }
 
-func (t topk) Encode(vals []float64) ([]byte, error) {
+// magKey is topk's rank of one value: its bits with the sign cleared.
+func magKey(v float64) uint64 { return math.Float64bits(v) &^ (1 << 63) }
+
+func (t topk) AppendEncode(dst []byte, vals []float64) ([]byte, error) {
 	if len(vals) > math.MaxUint32 {
-		return nil, fmt.Errorf("codec: topk: %d values exceed the uint32 index space", len(vals))
+		return dst, fmt.Errorf("codec: topk: %d values exceed the uint32 index space", len(vals))
 	}
 	k := t.k(len(vals))
-	idx := make([]int, len(vals))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Stable sort by descending magnitude; equal magnitudes (and NaNs,
-	// which compare false both ways) keep ascending index order, so the
-	// selection is deterministic.
-	sort.SliceStable(idx, func(a, b int) bool {
-		return math.Abs(vals[idx[a]]) > math.Abs(vals[idx[b]])
-	})
-	kept := idx[:k]
-	sort.Ints(kept) // ascending indices compress scan order for the decoder
-	buf := make([]byte, 16+12*k)
+	dst, buf := grow(dst, 16+12*k)
 	binary.LittleEndian.PutUint64(buf, uint64(len(vals)))
 	binary.LittleEndian.PutUint64(buf[8:], uint64(k))
+	if k == 0 {
+		return dst, nil
+	}
+	// Everything above the k-th largest key is kept, and so are the first
+	// ties with it in index order: one ascending scan emits the entries
+	// already sorted.
+	thr, greater, _ := kthLargestKey(vals, k)
+	ties := k - greater
 	off := 16
-	for _, i := range kept {
+	for i, v := range vals {
+		key := magKey(v)
+		if key < thr || (key == thr && ties == 0) {
+			continue
+		}
+		if key == thr {
+			ties--
+		}
 		binary.LittleEndian.PutUint32(buf[off:], uint32(i))
-		binary.LittleEndian.PutUint64(buf[off+4:], math.Float64bits(vals[i]))
+		binary.LittleEndian.PutUint64(buf[off+4:], math.Float64bits(v))
 		off += 12
 	}
-	return buf, nil
+	return dst, nil
 }
 
-func (t topk) Decode(data []byte) ([]float64, error) {
-	if len(data) < 16 {
-		return nil, fmt.Errorf("%w: topk: %d-byte buffer, need a header", ErrCorrupt, len(data))
-	}
-	n := binary.LittleEndian.Uint64(data)
-	k := binary.LittleEndian.Uint64(data[8:])
-	if n > math.MaxUint32 || k > n || len(data) != int(16+12*k) {
-		return nil, fmt.Errorf("%w: topk: header n=%d k=%d for %d bytes", ErrCorrupt, n, k, len(data))
-	}
-	out := make([]float64, n)
-	off := 16
-	for j := uint64(0); j < k; j++ {
-		i := binary.LittleEndian.Uint32(data[off:])
-		if uint64(i) >= n {
-			return nil, fmt.Errorf("%w: topk: index %d out of range %d", ErrCorrupt, i, n)
+// Radix-select geometry: the 63 key bits below the sign are seven 9-bit
+// digits, most significant first.
+const (
+	digitBits = 9
+	digitMask = 1<<digitBits - 1
+)
+
+// kthLargestKey returns the k-th largest magKey of vals (1 <= k <=
+// len(vals)) and how many keys are strictly greater. It is a most-
+// significant-digit radix select that moves no data: each pass histograms
+// the next digit of the keys that share the prefix found so far and walks
+// the buckets from the top to the one the k-th key falls in. Once that
+// bucket is down to a handful, they are collected and sorted. Seven digits
+// bound the work at 8·n key visits whatever the input — sorted, organ-pipe
+// and all-equal vectors included, where a quickselect goes quadratic — and
+// there is no scratch vector to own. visits counts them for the tests that
+// hold the bound; gradient-like data needs two digits, so about 3·n.
+func kthLargestKey(vals []float64, k int) (thr uint64, greater, visits int) {
+	var (
+		hist [2 << digitBits]int // upper half: keys off the prefix, so a pass has no branch to mispredict
+		few  [128]uint64
+		need = k // rank of the k-th key among those sharing thr's digits so far
+	)
+	for shift := 63 - digitBits; shift >= 0; shift -= digitBits {
+		clear(hist[:])
+		above := shift + digitBits
+		for _, v := range vals {
+			key := magKey(v)
+			off := (key ^ thr) >> above // non-zero off the prefix
+			hist[key>>shift&digitMask|(off|-off)>>63<<digitBits]++
 		}
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off+4:]))
-		off += 12
+		visits += len(vals)
+		d := digitMask
+		for ; hist[d] < need; d-- {
+			need -= hist[d]
+			greater += hist[d]
+		}
+		thr |= uint64(d) << shift
+		if hist[d] > len(few) {
+			continue
+		}
+		cand := few[:0]
+		for _, v := range vals {
+			if key := magKey(v); key>>shift == thr>>shift {
+				cand = append(cand, key)
+			}
+		}
+		visits += len(vals)
+		slices.Sort(cand)
+		thr = cand[len(cand)-need]
+		for _, key := range cand[len(cand)-need:] {
+			if key > thr {
+				greater++
+			}
+		}
+		break
 	}
-	return out, nil
+	return thr, greater, visits
+}
+
+// header validates topk framing and returns the counts it claims.
+func (topk) header(data []byte) (n, k int, err error) {
+	if len(data) < 16 {
+		return 0, 0, fmt.Errorf("%w: topk: %d-byte buffer, need a header", ErrCorrupt, len(data))
+	}
+	un := binary.LittleEndian.Uint64(data)
+	uk := binary.LittleEndian.Uint64(data[8:])
+	// No encoder writes k = 0 for a non-empty vector; refusing it keeps a
+	// bare 16-byte header from claiming any length it likes.
+	if un > math.MaxUint32 || uk > un || (uk == 0) != (un == 0) || uint64(len(data)) != 16+12*uk {
+		return 0, 0, fmt.Errorf("%w: topk: header n=%d k=%d for %d bytes", ErrCorrupt, un, uk, len(data))
+	}
+	return int(un), int(uk), nil
+}
+
+func (t topk) decodedLen(data []byte) (int, error) {
+	n, _, err := t.header(data)
+	return n, err
+}
+
+func (t topk) DecodeInto(dst []float64, data []byte) error {
+	n, k, err := t.header(data)
+	if err == nil {
+		err = checkLen(TopK, n, len(dst))
+	}
+	if err != nil {
+		return err
+	}
+	clear(dst)
+	for off := 16; k > 0; k, off = k-1, off+12 {
+		i := binary.LittleEndian.Uint32(data[off:])
+		if uint64(i) >= uint64(n) {
+			return fmt.Errorf("%w: topk: index %d out of range %d", ErrCorrupt, i, n)
+		}
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off+4:]))
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------
 // Residual: client-side error feedback.
 
 // Residual wraps a lossy codec with error feedback for a repeated stream
-// of vectors (one weight section across rounds): each Encode first adds
+// of vectors (one weight section across rounds): each encode first adds
 // the residual the previous round failed to transmit, then retains the new
 // residual (input minus what the receiver will decode). Exact codecs pass
 // through with a zero residual. Residual implements Codec, so it drops in
 // wherever a plain codec does; it is not safe for concurrent use — each
 // sender stream owns its own Residual and discards the whole value to
-// reset (a crashed client's streams are rebuilt from scratch).
+// reset (a crashed client's streams are rebuilt from scratch). The
+// residual is the only state it keeps; work vectors are borrowed.
 type Residual struct {
 	inner Codec
 	res   []float64
@@ -314,30 +512,44 @@ var _ Codec = (*Residual)(nil)
 // Name returns the inner codec's name — the wire format is unchanged.
 func (r *Residual) Name() string { return r.inner.Name() }
 
-// Encode adds the accumulated residual, encodes through the inner codec,
-// and retains the new residual. A length change (a different section)
-// resets the state.
-func (r *Residual) Encode(vals []float64) ([]byte, error) {
+// Encode is AppendEncode(nil, vals).
+func (r *Residual) Encode(vals []float64) ([]byte, error) { return r.AppendEncode(nil, vals) }
+
+// AppendEncode adds the accumulated residual, encodes through the inner
+// codec, and retains the new residual. A length change (a different
+// section) resets the state; an input the inner codec rejects leaves it as
+// it was.
+func (r *Residual) AppendEncode(dst []byte, vals []float64) ([]byte, error) {
 	if len(r.res) != len(vals) {
 		r.res = make([]float64, len(vals))
 	}
-	in := make([]float64, len(vals))
+	bp := GetScratch(len(vals))
+	defer PutScratch(bp)
+	in := *bp
 	for i, v := range vals {
 		in[i] = v + r.res[i]
 	}
-	data, err := r.inner.Encode(in)
+	start := len(dst)
+	out, err := r.inner.AppendEncode(dst, in)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	dec, err := r.inner.Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("codec: residual self-decode: %w", err)
+	// The old residual is spent once the encode succeeded, so its memory
+	// takes the self-decode: res = in - decoded, in place.
+	if err := r.inner.DecodeInto(r.res, out[start:]); err != nil {
+		clear(r.res)
+		return dst, fmt.Errorf("codec: residual self-decode: %w", err)
 	}
-	for i := range in {
-		r.res[i] = in[i] - dec[i]
+	for i, v := range in {
+		r.res[i] = v - r.res[i]
 	}
-	return data, nil
+	return out, nil
 }
 
 // Decode delegates to the inner codec (decoding is stateless).
 func (r *Residual) Decode(data []byte) ([]float64, error) { return r.inner.Decode(data) }
+
+// DecodeInto delegates to the inner codec.
+func (r *Residual) DecodeInto(dst []float64, data []byte) error {
+	return r.inner.DecodeInto(dst, data)
+}

@@ -2,8 +2,13 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
+	"slices"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"aergia/internal/tensor"
@@ -248,5 +253,276 @@ func TestDecodeRejectsCorruptBytes(t *testing.T) {
 				t.Fatalf("%s decoded corrupt %d-byte buffer", name, len(data))
 			}
 		}
+	}
+}
+
+// refTopKEncode is the encoder topk shipped with before the radix select: a
+// stable sort of every index by descending magnitude, the first k kept,
+// re-sorted by index. It is the byte-for-byte reference on NaN-free input
+// (its comparator is not a strict weak order once a NaN is present, so
+// which entries it keeps then depends on sort's algorithm).
+func refTopKEncode(frac float64, vals []float64) []byte {
+	k := NewTopK(frac).(topk).k(len(vals))
+	idx := make([]int, len(vals))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		return math.Abs(vals[idx[a]]) > math.Abs(vals[idx[b]])
+	})
+	kept := idx[:k]
+	sort.Ints(kept)
+	buf := make([]byte, 16+12*k)
+	binary.LittleEndian.PutUint64(buf, uint64(len(vals)))
+	binary.LittleEndian.PutUint64(buf[8:], uint64(k))
+	off := 16
+	for _, i := range kept {
+		binary.LittleEndian.PutUint32(buf[off:], uint32(i))
+		binary.LittleEndian.PutUint64(buf[off+4:], math.Float64bits(vals[i]))
+		off += 12
+	}
+	return buf
+}
+
+// TestTopKMatchesSortReference: the select emits the sort's bytes on every
+// NaN-free input shape — random, heavily tied, signed zeros, infinities,
+// denormals — at k = 1, k = n and fractions in between.
+func TestTopKMatchesSortReference(t *testing.T) {
+	rng := tensor.NewRNG(21)
+	negZero := math.Copysign(0, -1)
+	denorm := math.SmallestNonzeroFloat64
+	inputs := map[string][]float64{
+		"empty":     {},
+		"one":       {-3},
+		"random":    randVec(rng, 1000),
+		"gradient":  make([]float64, 5000),
+		"tied":      make([]float64, 999),
+		"all-equal": make([]float64, 300),
+		"zeros":     {0, negZero, 0, negZero, negZero, 0, 0},
+		"inf":       {1, math.Inf(-1), -2, math.Inf(1), math.MaxFloat64, math.Inf(1), 0, -math.MaxFloat64},
+		"denormal":  {denorm, -2 * denorm, 0, 3 * denorm, negZero, -denorm, denorm, 2.2250738585072014e-308},
+	}
+	for i := range inputs["gradient"] {
+		inputs["gradient"][i] = 0.01 * rng.NormFloat64()
+	}
+	for i := range inputs["tied"] {
+		inputs["tied"][i] = float64(rng.Intn(7)-3) / 2 // seven values, both signs, ±0 among them
+	}
+	for i := range inputs["all-equal"] {
+		inputs["all-equal"][i] = -1.5
+	}
+	for name, vals := range inputs {
+		for _, frac := range []float64{1e-9, 0.01, DefaultTopKFraction, 1.0 / 3, 0.5, 0.999, 1} {
+			got, err := NewTopK(frac).Encode(vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := refTopKEncode(frac, vals); !bytes.Equal(got, want) {
+				t.Fatalf("%s at fraction %v: %d bytes differ from the sort reference's %d", name, frac, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestTopKNaNOrder pins the part of the order the sort never defined: a NaN
+// outranks +Inf, NaNs tie-break like everything else (payload bits, then
+// the lower index), and the sign of a NaN is ignored.
+func TestTopKNaNOrder(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8 << 48)
+	loud := math.Float64frombits(0x7ff8<<48 | 1) // larger payload
+	vals := []float64{math.Inf(1), nan, 1, math.Copysign(nan, -1), loud, math.Inf(-1)}
+	for k, want := range [][]int{1: {4}, 2: {1, 4}, 3: {1, 3, 4}, 4: {0, 1, 3, 4}, 5: {0, 1, 3, 4, 5}} {
+		if k == 0 {
+			continue
+		}
+		data, err := NewTopK(float64(k) / float64(len(vals))).Encode(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int
+		for off := 16; off < len(data); off += 12 {
+			i := int(binary.LittleEndian.Uint32(data[off:]))
+			if math.Float64bits(vals[i]) != binary.LittleEndian.Uint64(data[off+4:]) {
+				t.Fatalf("k=%d: entry %d does not carry its value's bits", k, i)
+			}
+			got = append(got, i)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("k=%d kept indices %v, want %v", k, got, want)
+		}
+	}
+}
+
+// TestTopKSelectIsLinear counts key visits on the shapes that break a
+// quickselect's pivoting: every one stays under the radix select's 8·n,
+// well inside any c·n·log n.
+func TestTopKSelectIsLinear(t *testing.T) {
+	const n = 100_000
+	shapes := map[string]func(i int) float64{
+		"sorted":     func(i int) float64 { return float64(i) },
+		"reverse":    func(i int) float64 { return float64(n - i) },
+		"all-equal":  func(int) float64 { return 0.25 },
+		"two-valued": func(i int) float64 { return float64(i % 2) },
+		"organ-pipe": func(i int) float64 { return float64(min(i, n-i)) },
+		"near-equal": func(i int) float64 { return math.Float64frombits(math.Float64bits(1) + uint64(i%3)) },
+	}
+	vals := make([]float64, n)
+	for name, at := range shapes {
+		for i := range vals {
+			vals[i] = at(i)
+		}
+		for _, k := range []int{1, n / 10, n / 2, n} {
+			thr, greater, visits := kthLargestKey(vals, k)
+			if visits > 8*n {
+				t.Errorf("%s k=%d: %d key visits for %d keys, bound is %d", name, k, visits, n, 8*n)
+			}
+			above, ties := 0, 0
+			for _, v := range vals {
+				switch key := magKey(v); {
+				case key > thr:
+					above++
+				case key == thr:
+					ties++
+				}
+			}
+			if above != greater || above >= k || above+ties < k {
+				t.Errorf("%s k=%d: threshold %#x has %d keys above (reported %d) and %d ties", name, k, thr, above, greater, ties)
+			}
+		}
+	}
+}
+
+// TestDecodeIntoLengthFirst: the header is compared with what the receiver
+// expects before anything is written, for every codec; and the frame that
+// motivated the rule — 16 bytes claiming 2²⁷ values — is refused by Decode
+// too instead of costing a gibibyte.
+func TestDecodeIntoLengthFirst(t *testing.T) {
+	vals := []float64{1, -2, 3, -4, 5}
+	for _, name := range []string{None, Q8, TopK} {
+		c, _ := New(name)
+		data, err := c.Encode(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{0, len(vals) - 1, len(vals) + 1} {
+			dst := make([]float64, n)
+			for i := range dst {
+				dst[i] = 7
+			}
+			if err := c.DecodeInto(dst, data); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s decoded %d values into %d: %v", name, len(vals), n, err)
+			}
+			for _, v := range dst {
+				if v != 7 {
+					t.Fatalf("%s wrote to a wrong-length destination: %v", name, dst)
+				}
+			}
+		}
+		dst := make([]float64, len(vals))
+		if err := c.DecodeInto(dst, data); err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := c.Decode(data); !slices.Equal(dst, again) {
+			t.Fatalf("%s: DecodeInto %v, Decode %v", name, dst, again)
+		}
+	}
+	c, _ := New(TopK)
+	if _, err := c.Decode(forgedTopKHeader); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("topk decoded a bare header claiming 1<<27 values: %v", err)
+	}
+	if err := c.DecodeInto(make([]float64, 1<<10), forgedTopKHeader); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("topk DecodeInto accepted the forged header: %v", err)
+	}
+}
+
+// forgedTopKHeader is a complete topk frame by the old rules: n = 1<<27
+// values, k = 0 entries, 16 bytes.
+var forgedTopKHeader = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 1<<27), 0)
+
+// TestCodecAllocations pins where the codec path allocates: an encode makes
+// its wire bytes and nothing else once the stock is warm, a decode into a
+// caller's vector makes nothing, and the stock's vectors are never read
+// before they are written (they come back poisoned here).
+func TestCodecAllocations(t *testing.T) {
+	rng := tensor.NewRNG(5)
+	vals := randVec(rng, 4096)
+	poison := func() {
+		bufs := []*[]float64{GetScratch(len(vals)), GetScratch(len(vals))}
+		for _, bp := range bufs {
+			for i := range *bp {
+				(*bp)[i] = math.NaN()
+			}
+			PutScratch(bp)
+		}
+	}
+	for _, name := range []string{None, Q8, TopK} {
+		c, _ := New(name)
+		if n := testing.AllocsPerRun(20, func() { c.Encode(vals) }); n > 2 {
+			t.Errorf("%s Encode: %v allocations, want the wire bytes (at most 2)", name, n)
+		}
+		data, _ := c.Encode(vals)
+		dst := make([]float64, len(vals))
+		if n := testing.AllocsPerRun(20, func() { c.DecodeInto(dst, data) }); n != 0 {
+			t.Errorf("%s DecodeInto: %v allocations, want 0", name, n)
+		}
+
+		// sync.Pool gives no guarantee across a collection, so the steady
+		// state is measured between collections: AllocsPerRun's own warm-up
+		// call refills the stock.
+		r := NewResidual(c)
+		r.Encode(vals)
+		if n := testing.AllocsPerRun(20, func() { r.Encode(vals) }); n != 1 && !raceDetector {
+			t.Errorf("residual %s Encode: %v allocations a call, want 1 (the wire bytes)", name, n)
+		}
+
+		clean, dirty := NewResidual(c), NewResidual(c)
+		for round := 0; round < 3; round++ {
+			want, _ := clean.Encode(vals)
+			poison()
+			got, _ := dirty.Encode(vals)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("residual %s round %d: a poisoned work vector changed the wire bytes", name, round)
+			}
+		}
+	}
+}
+
+// TestCodecValueSharedAcrossGoroutines: one codec value encodes and decodes
+// on many goroutines at once, as fl's lane workers and rpc's deliveries
+// make it (the values hold no scratch; run under -race), each with its own
+// Residual over the one shared stock of work vectors.
+func TestCodecValueSharedAcrossGoroutines(t *testing.T) {
+	for _, name := range []string{None, Q8, TopK} {
+		c, _ := New(name)
+		rng := tensor.NewRNG(9)
+		inputs := make([][]float64, 8)
+		want := make([][]byte, len(inputs))
+		for g := range inputs {
+			inputs[g] = randVec(rng, 500+100*g)
+			r := NewResidual(c)
+			for round := 0; round < 5; round++ {
+				want[g], _ = r.Encode(inputs[g])
+			}
+		}
+		var wg sync.WaitGroup
+		for g := range inputs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r := NewResidual(c)
+				var got []byte
+				for round := 0; round < 5; round++ {
+					got, _ = r.Encode(inputs[g])
+					plain, _ := c.Encode(inputs[g])
+					if err := c.DecodeInto(make([]float64, len(inputs[g])), plain); err != nil {
+						t.Errorf("%s goroutine %d: %v", name, g, err)
+					}
+				}
+				if !bytes.Equal(got, want[g]) {
+					t.Errorf("%s goroutine %d: residual stream differs from the serial one", name, g)
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

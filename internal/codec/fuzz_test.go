@@ -1,8 +1,11 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -159,23 +162,89 @@ func FuzzTopKRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzDecodeNeverPanics: arbitrary wire bytes must be rejected cleanly by
-// every codec — an error, never a panic, never a bogus vector length.
+// FuzzTopKMatchesSortReference: on NaN-free input the radix select emits
+// the bytes of the sort it replaced, at any fraction. (With a NaN the sort
+// had no defined answer; TestTopKNaNOrder pins the select's.)
+func FuzzTopKMatchesSortReference(f *testing.F) {
+	for _, frac := range []byte{0, 1, 25, 128, 255} {
+		f.Add(frac, []byte{})
+		f.Add(frac, make([]byte, 64))
+		buf := make([]byte, 0, 96)
+		for _, v := range []float64{0, 1.5, -1.5, math.Inf(-1), math.Copysign(0, -1), 5e-324, -5e-324, 1.5, math.MaxFloat64, 1e-300, -1.5, math.Inf(1)} {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+		f.Add(frac, buf)
+	}
+	f.Fuzz(func(t *testing.T, frac byte, raw []byte) {
+		vals := valsFromBytes(raw)
+		for i, v := range vals {
+			if math.IsNaN(v) {
+				vals[i] = float64(i%3) - 1 // ties and a zero where the NaNs were
+			}
+		}
+		fraction := (float64(frac) + 1) / 256
+		got, err := NewTopK(fraction).Encode(vals)
+		if err != nil {
+			t.Fatalf("topk rejected a vector: %v", err)
+		}
+		if want := refTopKEncode(fraction, vals); !bytes.Equal(got, want) {
+			t.Fatalf("fraction %v, %d values: bytes differ from the sort reference\n got %x\nwant %x", fraction, len(vals), got, want)
+		}
+	})
+}
+
+// FuzzDecodeNeverPanics: arbitrary wire bytes are rejected cleanly by every
+// decoder — an error, never a panic — and cannot size an allocation: a
+// destination of the wrong length is refused untouched, and decoding into
+// the right one allocates nothing but an error message. (Decode is left out
+// on purpose: it trusts the header for the length, which is what fl's
+// receivers never do.)
 func FuzzDecodeNeverPanics(f *testing.F) {
 	fuzzSeeds(f)
 	good, _ := NewTopK(0.5).Encode([]float64{1, -2, 3, -4})
 	f.Add(good)
+	f.Add(forgedTopKHeader)
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		// Every codec's frame opens with its value count.
+		claimed := uint64(math.MaxUint64)
+		if len(raw) >= 8 {
+			claimed = binary.LittleEndian.Uint64(raw)
+		}
+		const sentinel = 42.5
+		dsts := [][]float64{make([]float64, 3), make([]float64, 4), make([]float64, min(claimed, 1<<12))}
 		for _, name := range []string{None, Q8, TopK} {
 			c, _ := New(name)
-			dec, err := c.Decode(raw)
-			if err != nil {
-				continue
+			for _, dst := range dsts {
+				for i := range dst {
+					dst[i] = sentinel
+				}
 			}
-			// A successful decode must be internally consistent: re-encoding
-			// through none must not explode (length sanity).
-			if len(raw) > 0 && len(dec) > len(raw) {
-				t.Fatalf("%s decoded %d values from %d bytes", name, len(dec), len(raw))
+			errs := make([]error, len(dsts))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i, dst := range dsts {
+				errs[i] = c.DecodeInto(dst, raw)
+			}
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<14 {
+				t.Fatalf("%s: decoding %d bytes into caller vectors allocated %d bytes", name, len(raw), grew)
+			}
+			for i, dst := range dsts {
+				fits := uint64(len(dst)) == claimed
+				if errs[i] == nil && !fits {
+					t.Fatalf("%s: a frame claiming %d values decoded into %d", name, claimed, len(dst))
+				}
+				if errs[i] != nil && !errors.Is(errs[i], ErrCorrupt) {
+					t.Fatalf("%s: %v does not wrap ErrCorrupt", name, errs[i])
+				}
+				if fits {
+					continue
+				}
+				for _, v := range dst {
+					if v != sentinel {
+						t.Fatalf("%s: wrote to a %d-value destination for a frame claiming %d", name, len(dst), claimed)
+					}
+				}
 			}
 		}
 	})

@@ -620,7 +620,7 @@ func (c *Client) sendUpdate(env comm.Env, partial bool) {
 	payload := UpdatePayload{}
 	size := w.ByteSize()
 	if c.Codec == nil {
-		update.Weights = w.Clone()
+		update.Weights = w // the snapshot is fresh memory nothing else holds
 	} else {
 		// The update stream rides the residual-carrying encoders: what this
 		// round's sparsification drops is carried into the next send.

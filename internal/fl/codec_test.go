@@ -1,6 +1,8 @@
 package fl
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -9,7 +11,9 @@ import (
 	"aergia/internal/chaos"
 	"aergia/internal/cluster"
 	"aergia/internal/codec"
+	"aergia/internal/nn"
 	"aergia/internal/sim"
+	"aergia/internal/tensor"
 )
 
 // TestCodecNoneMatchesGolden is the golden parity pin for the codec
@@ -242,6 +246,10 @@ func TestCodecAsync(t *testing.T) {
 // TestCodecWithChurn composes the two subsystems: a crash-and-rejoin plan
 // over an encoded run must still complete deterministically — the rejoin
 // handshake resets the residual streams with the rest of the client state.
+// It replays at GOMAXPROCS 1, 2 and 8: Aergia's helpers decode on lane
+// workers with the codec value the clock's goroutine encodes with, and
+// every client stages its deltas in the process's one stock of work
+// vectors, so state leaking through either would show as a diverging run.
 func TestCodecWithChurn(t *testing.T) {
 	run := func() *Results {
 		cfg := parityConfig(NewAergia(0, 1))
@@ -263,12 +271,105 @@ func TestCodecWithChurn(t *testing.T) {
 		return res
 	}
 	a := run()
-	b := run()
-	assertResultsIdentical(t, "topk churn replay", a, b)
-	if a.Bandwidth != b.Bandwidth {
-		t.Fatalf("churn bandwidth ledgers diverged: %+v vs %+v", a.Bandwidth, b.Bandwidth)
-	}
 	if len(a.Rounds) != 3 {
 		t.Fatalf("churned codec run completed %d rounds, want 3", len(a.Rounds))
+	}
+	for _, procs := range []int{1, 2, 8} {
+		atWidth(procs, func() {
+			b := run()
+			assertResultsIdentical(t, fmt.Sprintf("topk churn replay at GOMAXPROCS %d", procs), a, b)
+			if a.Bandwidth != b.Bandwidth {
+				t.Fatalf("GOMAXPROCS %d: churn bandwidth ledgers diverged: %+v vs %+v", procs, a.Bandwidth, b.Bandwidth)
+			}
+		})
+	}
+}
+
+// oldDecodeSection is decodeSection as it stood before DecodeInto: decode
+// to a fresh delta, add it to the base in a second fresh vector.
+func oldDecodeSection(dec codec.Codec, data []byte, base []float64) ([]float64, error) {
+	delta, err := dec.Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	if len(delta) != len(base) {
+		return nil, fmt.Errorf("fl: decode: %d-value delta for a %d-value section", len(delta), len(base))
+	}
+	out := make([]float64, len(base))
+	for i, b := range base {
+		out[i] = b + delta[i]
+	}
+	return out, nil
+}
+
+// TestDecodeSectionBitIdentical: decoding straight into the output vector
+// reconstructs what the two-vector version did, bit for bit, on bases that
+// hold negative zeros (which base + 0.0 turns positive and a copy of the
+// base would not) — for every codec, per section and per snapshot — in one
+// allocation, and a frame sized for another section is refused.
+func TestDecodeSectionBitIdentical(t *testing.T) {
+	rng := tensor.NewRNG(17)
+	section := func(n int) (base, vals []float64) {
+		base, vals = make([]float64, n), make([]float64, n)
+		for i := range base {
+			base[i] = rng.NormFloat64()
+			if i%5 == 0 {
+				base[i] = math.Copysign(0, -1)
+			}
+			vals[i] = base[i] + 0.01*rng.NormFloat64()
+			if i%7 == 0 {
+				vals[i] = base[i] // a zero delta on a -0 base every 35th entry
+			}
+		}
+		return base, vals
+	}
+	var base, w nn.Weights
+	base.Feature, w.Feature = section(700)
+	base.Classifier, w.Classifier = section(90)
+	for _, name := range []string{codec.None, codec.Q8, codec.TopK} {
+		c, err := codec.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := encodeWeights(name, c, c, w, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeWeights(c, enc, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []struct {
+			label     string
+			data      []byte
+			base, got []float64
+		}{
+			{"feature", enc.Feature, base.Feature, got.Feature},
+			{"classifier", enc.Classifier, base.Classifier, got.Classifier},
+		} {
+			want, err := oldDecodeSection(c, s.data, s.base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			zeros := 0
+			for i := range want {
+				if math.Float64bits(s.got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s %s[%d]: %x, the two-vector decode gives %x", name, s.label, i,
+						math.Float64bits(s.got[i]), math.Float64bits(want[i]))
+				}
+				if want[i] == 0 && !math.Signbit(want[i]) {
+					zeros++
+				}
+			}
+			if name != codec.Q8 && zeros == 0 {
+				t.Fatalf("%s %s: no -0 base entry came back as +0; the case is not exercised", name, s.label)
+			}
+			if n := testing.AllocsPerRun(10, func() { decodeSection(c, s.data, s.base) }); n != 1 {
+				t.Errorf("%s %s: decodeSection made %v allocations, want 1 (the output)", name, s.label, n)
+			}
+		}
+		if _, err := decodeSection(c, enc.Classifier, base.Feature); !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("%s: a classifier frame decoded as a feature section: %v", name, err)
+		}
 	}
 }

@@ -38,39 +38,36 @@ func (e EncodedWeights) WireSize() int {
 	return encodedMetaSize + len(e.Feature) + len(e.Classifier)
 }
 
-// deltaOf returns vals - base; the caller guarantees congruent lengths
-// (both sides derive from the same Arch).
-func deltaOf(vals, base []float64) []float64 {
-	out := make([]float64, len(vals))
-	for i, v := range vals {
-		out[i] = v - base[i]
-	}
-	return out
-}
-
-// encodeSection encodes vals as a delta against base through enc.
+// encodeSection encodes vals as a delta against base through enc. The
+// delta is staged in a borrowed work vector; the wire bytes are freshly
+// allocated because the message owns them until delivery (a re-ship must
+// equal the first shipment).
 func encodeSection(enc codec.Codec, vals, base []float64) ([]byte, error) {
 	if len(vals) != len(base) {
 		return nil, fmt.Errorf("fl: encode: %d values against a %d-value base", len(vals), len(base))
 	}
-	return enc.Encode(deltaOf(vals, base))
+	bp := codec.GetScratch(len(vals))
+	defer codec.PutScratch(bp)
+	delta := *bp
+	for i, v := range vals {
+		delta[i] = v - base[i]
+	}
+	return enc.AppendEncode(nil, delta)
 }
 
 // decodeSection decodes a delta section and applies it to base, returning
-// the reconstructed absolute values. The decoded length must match the
-// base — the codec header is authoritative for the wire, the architecture
-// for the model.
+// the reconstructed absolute values. The architecture sizes the output,
+// never the wire: DecodeInto refuses a header that claims another length
+// before it writes. The add runs over every index — base + 0.0 turns a
+// stored -0 into +0, which copying base and scattering the kept entries
+// would not.
 func decodeSection(dec codec.Codec, data []byte, base []float64) ([]float64, error) {
-	delta, err := dec.Decode(data)
-	if err != nil {
+	out := make([]float64, len(base))
+	if err := dec.DecodeInto(out, data); err != nil {
 		return nil, err
 	}
-	if len(delta) != len(base) {
-		return nil, fmt.Errorf("fl: decode: %d-value delta for a %d-value section", len(delta), len(base))
-	}
-	out := make([]float64, len(base))
 	for i, b := range base {
-		out[i] = b + delta[i]
+		out[i] = b + out[i]
 	}
 	return out, nil
 }
