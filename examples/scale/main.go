@@ -11,7 +11,11 @@
 // N client updates, both curves must grow sublinearly in N: the run exits
 // non-zero if the 10x client growth from the first to the last point costs
 // more than 6x in either wall-clock or heap, so CI uses it as the
-// clients-vs-wall-clock / clients-vs-RSS smoke (BENCH_scale.json).
+// clients-vs-wall-clock / clients-vs-RSS smoke (BENCH_scale.json). The two
+// ratios alone would let the per-cohort constant grow unnoticed, so the
+// 100 000-client point (at a cohort of 512 or less) must also fit
+// maxHeapMBAt100k of live heap after the run — a count of bytes, not a
+// timing.
 //
 // Run with: go run ./examples/scale [-clients 10000,31623,100000] [-cohort 512] [-tiers 32] [-rounds 2]
 package main
@@ -43,6 +47,15 @@ func main() {
 	}
 }
 
+// maxHeapMBAt100k bounds the post-GC heap of the 100 000-client point at the
+// default cohort. A hydrated client holds a network only from dispatch to update
+// (DESIGN.md §11), so what is live after the run is shells, shards and
+// retained snapshots: 75 MB at the change that introduced the lease, 199 MB
+// before it with 1 018 networks resident. The bound is what the lease without
+// the end-of-run release measured (140 MB) plus slack — a client that goes
+// back to keeping its network fails it.
+const maxHeapMBAt100k = 160
+
 // point is one (cluster size) measurement of the two curves.
 type point struct {
 	clients  int
@@ -70,6 +83,12 @@ func run(clientsList string, cohort, tiers, rounds int) error {
 			return fmt.Errorf("clients=%d: %w", n, err)
 		}
 		points = append(points, p)
+	}
+	for _, p := range points {
+		if p.clients == 100000 && cohort <= 512 && p.heapMB > maxHeapMBAt100k {
+			return fmt.Errorf("clients=%d holds %.1f MB of heap after the run (limit %d MB) — hydrated clients are keeping what a round should hand back",
+				p.clients, p.heapMB, maxHeapMBAt100k)
+		}
 	}
 	if len(points) < 2 {
 		return nil

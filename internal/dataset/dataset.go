@@ -121,47 +121,70 @@ type Config struct {
 	Small bool
 }
 
-// Generate builds a synthetic dataset with balanced classes.
+// Generate builds a synthetic dataset with balanced classes: one draw from
+// a Source made for the occasion. Callers that draw more than once from the
+// same distributions keep the Source.
 func Generate(cfg Config) (*Dataset, error) {
-	if cfg.N <= 0 {
-		return nil, fmt.Errorf("dataset: N = %d", cfg.N)
+	src, err := NewSource(cfg.Kind, cfg.Seed, cfg.Small, cfg.NoiseStd)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Kind.Classes() == 0 {
-		return nil, fmt.Errorf("dataset: unknown kind %d", int(cfg.Kind))
+	return src.Generate(cfg.N, cfg.Variant)
+}
+
+// Source is the class distributions of one (Kind, Seed, Small, NoiseStd):
+// the class prototypes, computed once, and the noise level. Every dataset
+// drawn from it — train set, test set, a lazy client's shard — differs only
+// in size and noise stream (Variant). A Source is read-only after NewSource
+// and safe for concurrent Generate calls.
+type Source struct {
+	kind   Kind
+	seed   uint64
+	noise  float64
+	shape  []int
+	protos []*tensor.Tensor
+}
+
+// NewSource computes the class prototypes of the dataset kind. The arguments
+// are Config's fields of the same names.
+func NewSource(kind Kind, seed uint64, small bool, noiseStd float64) (*Source, error) {
+	if kind.Classes() == 0 {
+		return nil, fmt.Errorf("dataset: unknown kind %d", int(kind))
 	}
-	noise := cfg.NoiseStd
-	if noise == 0 {
-		noise = 0.35
+	if noiseStd == 0 {
+		noiseStd = 0.35
 	}
-	shape := cfg.Kind.Shape()
-	if cfg.Small {
-		shape = cfg.Kind.SmallShape()
+	shape := kind.Shape()
+	if small {
+		shape = kind.SmallShape()
 	}
-	classes := cfg.Kind.Classes()
-	protos := prototypes(cfg.Kind, cfg.Seed, shape)
-	rng := tensor.NewRNG(cfg.Seed ^ 0xabcdef123456 ^ (cfg.Variant * 0x9e3779b97f4a7c15))
-	ds := &Dataset{
-		Kind:    cfg.Kind,
-		Classes: classes,
-		Shape:   shape,
-		Samples: make([]Sample, cfg.N),
+	return &Source{kind: kind, seed: seed, noise: noiseStd, shape: shape,
+		protos: prototypes(kind, seed, shape)}, nil
+}
+
+// Generate draws n class-balanced samples with the noise stream of variant
+// (Config.Variant). Samples own their storage; none aliases a prototype.
+func (s *Source) Generate(n int, variant uint64) (*Dataset, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("dataset: N = %d", n)
 	}
-	for i := 0; i < cfg.N; i++ {
+	classes := s.kind.Classes()
+	rng := tensor.NewRNG(s.seed ^ 0xabcdef123456 ^ (variant * 0x9e3779b97f4a7c15))
+	samples := make([]Sample, n)
+	for i := range samples {
 		y := i % classes
-		x := protos[y].Clone()
+		x := s.protos[y].Clone()
 		d := x.Data()
 		for j := range d {
-			d[j] += rng.NormFloat64() * noise
+			d[j] += rng.NormFloat64() * s.noise
 		}
-		ds.Samples[i] = Sample{X: x, Y: y}
+		samples[i] = Sample{X: x, Y: y}
 	}
 	// Shuffle so contiguous slices are class-balanced draws.
-	perm := rng.Perm(cfg.N)
-	shuffled := make([]Sample, cfg.N)
-	for i, p := range perm {
-		shuffled[i] = ds.Samples[p]
+	ds := &Dataset{Kind: s.kind, Classes: classes, Shape: s.shape, Samples: make([]Sample, n)}
+	for i, p := range rng.Perm(n) {
+		ds.Samples[i] = samples[p]
 	}
-	ds.Samples = shuffled
 	return ds, nil
 }
 

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"errors"
+	"math"
+	"runtime"
 	"testing"
 
 	"aergia/internal/tensor"
@@ -260,5 +262,112 @@ func TestClassesAreLearnable(t *testing.T) {
 	acc := float64(correct) / float64(test.Len())
 	if acc < 0.5 {
 		t.Fatalf("nearest-prototype accuracy = %v, want >= 0.5 (chance is 0.1)", acc)
+	}
+}
+
+// TestSourceGenerateMatchesGenerate: a dataset drawn from a kept Source is the
+// one Generate builds from scratch, sample for sample and bit for bit, for
+// every kind, both image sizes, and the three variants the topologies use
+// (train 0, test 1, a lazy client's 2+id) — and no sample aliases a
+// prototype, so a caller that edits its shard cannot move the next draw.
+func TestSourceGenerateMatchesGenerate(t *testing.T) {
+	for _, kind := range []Kind{MNIST, FMNIST, Cifar10, Cifar100} {
+		for _, small := range []bool{true, false} {
+			src, err := NewSource(kind, 11, small, 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			other, err := NewSource(kind, 11, small, 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			protoStorage := map[*float64]bool{}
+			for _, s := range []*Source{src, other} {
+				for _, p := range s.protos {
+					protoStorage[&p.Data()[0]] = true
+				}
+			}
+			n := kind.Classes() + 3
+			for _, variant := range []uint64{0, 1, 2 + 37} {
+				want, err := Generate(Config{Kind: kind, N: n, Seed: 11, Small: small, NoiseStd: 0.5, Variant: variant})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := src.Generate(n, variant)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Kind != want.Kind || got.Classes != want.Classes || len(got.Shape) != len(want.Shape) || got.Len() != want.Len() {
+					t.Fatalf("%v small=%v variant %d: header %+v, want %+v", kind, small, variant, got, want)
+				}
+				for i, s := range got.Samples {
+					w := want.Samples[i]
+					if s.Y != w.Y || !s.X.SameShape(w.X) {
+						t.Fatalf("%v small=%v variant %d: sample %d is class %d shape %v, want %d %v",
+							kind, small, variant, i, s.Y, s.X.Shape(), w.Y, w.X.Shape())
+					}
+					for j, v := range s.X.Data() {
+						if math.Float64bits(v) != math.Float64bits(w.X.Data()[j]) {
+							t.Fatalf("%v small=%v variant %d: sample %d pixel %d = %v, want %v",
+								kind, small, variant, i, j, v, w.X.Data()[j])
+						}
+					}
+					if protoStorage[&s.X.Data()[0]] {
+						t.Fatalf("%v small=%v variant %d: sample %d shares a prototype's storage", kind, small, variant, i)
+					}
+					s.X.Fill(math.NaN()) // a caller scribbling on its shard
+				}
+			}
+			// The scribbles above reached no prototype.
+			again, err := src.Generate(n, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := other.Generate(n, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, s := range again.Samples {
+				if !tensor.Equal(s.X, fresh.Samples[i].X, 0) {
+					t.Fatalf("%v small=%v: sample %d of a second draw differs between two sources", kind, small, i)
+				}
+			}
+		}
+	}
+}
+
+// TestSourceGenerateComputesNoPrototypes counts instead of timing: a draw
+// from a kept Source allocates less than Generate by at least the storage of
+// the class prototypes Generate has to compute first.
+func TestSourceGenerateComputesNoPrototypes(t *testing.T) {
+	const n = 8
+	src, err := NewSource(MNIST, 3, true, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytesOf := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	kept := bytesOf(func() {
+		if _, err := src.Generate(n, 2); err != nil {
+			t.Error(err)
+		}
+	})
+	scratch := bytesOf(func() {
+		if _, err := Generate(Config{Kind: MNIST, N: n, Seed: 3, Small: true, Variant: 2}); err != nil {
+			t.Error(err)
+		}
+	})
+	protoBytes := uint64(MNIST.Classes() * 14 * 14 * 8)
+	if scratch < kept+protoBytes {
+		t.Fatalf("Generate allocated %d B, a kept Source %d B: less than the %d B of prototypes apart", scratch, kept, protoBytes)
+	}
+	// 8 samples of 196 float64 plus headers, the label/permutation slices.
+	if kept > 16<<10 {
+		t.Fatalf("a kept Source allocated %d B for %d small MNIST samples", kept, n)
 	}
 }

@@ -31,11 +31,7 @@ func ProfilerOverhead(Options) ([]ProfilerOverheadResult, error) {
 	cm := cluster.DefaultCostModel()
 	var out []ProfilerOverheadResult
 	for _, a := range archs {
-		net, err := nn.Build(a, 1)
-		if err != nil {
-			return nil, err
-		}
-		cost, err := net.PhaseFLOPs()
+		cost, err := a.PhaseFLOPs()
 		if err != nil {
 			return nil, err
 		}
@@ -89,11 +85,7 @@ func AblationFreeze(Options) ([]FreezeGain, error) {
 	cm := cluster.DefaultCostModel()
 	var out []FreezeGain
 	for _, a := range archs {
-		net, err := nn.Build(a, 1)
-		if err != nil {
-			return nil, err
-		}
-		cost, err := net.PhaseFLOPs()
+		cost, err := a.PhaseFLOPs()
 		if err != nil {
 			return nil, err
 		}

@@ -11,7 +11,6 @@ import (
 	"aergia/internal/dataset"
 	"aergia/internal/fl"
 	"aergia/internal/metrics"
-	"aergia/internal/nn"
 )
 
 // ChurnCell is one (churn rate, strategy) cell of the fig-churn study.
@@ -44,11 +43,7 @@ const ChurnAccuracyTarget = 0.6
 // from the offline-profiled speed, with the budget sized so mid-speed
 // clients fit (the paper's §6.2 setup).
 func (o Options) fedCSForChurn(kind dataset.Kind) (fl.Strategy, error) {
-	probe, err := nn.Build(archFor(kind), 1)
-	if err != nil {
-		return nil, err
-	}
-	phase, err := probe.PhaseFLOPs()
+	phase, err := archFor(kind).PhaseFLOPs()
 	if err != nil {
 		return nil, err
 	}

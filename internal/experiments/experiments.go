@@ -436,11 +436,7 @@ func Fig4(Options) ([]PhaseShare, error) {
 	}
 	out := make([]PhaseShare, 0, len(archs))
 	for _, a := range archs {
-		net, err := nn.Build(a, 1)
-		if err != nil {
-			return nil, fmt.Errorf("fig4 %s: %w", a, err)
-		}
-		cost, err := net.PhaseFLOPs()
+		cost, err := a.PhaseFLOPs()
 		if err != nil {
 			return nil, fmt.Errorf("fig4 %s: %w", a, err)
 		}

@@ -57,8 +57,15 @@ type Client struct {
 	// Trace, when set, records timeline events (Figure 5 style).
 	Trace *trace.Log
 
-	net       *nn.Network
-	opt       *nn.SGD
+	// net is the model replica the round trains: leased from the run's free
+	// list (laneGroup.takeNet) at dispatch and handed back once the update
+	// is snapshotted, so a client holds none between rounds. A round that
+	// was cut keeps its lease until the next dispatch or rejoin; a weak
+	// client that froze keeps it for a late helper reassignment.
+	net *nn.Network
+	opt *nn.SGD
+	// phase is the architecture's per-sample phase cost (Topology.Build
+	// computes it once for all clients; a bare client computes its own).
 	phase     nn.PhaseCost
 	jitterRNG *tensor.RNG
 	effSpeed  float64
@@ -112,19 +119,21 @@ type Client struct {
 
 var _ comm.Handler = (*Client)(nil)
 
-// Init builds the client's local network replica. It must be called once
+// Init derives the client's seed-dependent state: jitter stream, codec
+// streams, and the phase costs unless the topology supplied them. It builds
+// no network — the round leases one at dispatch. It must be called once
 // before the client receives messages.
 func (c *Client) Init() error {
-	net, err := nn.BuildWith(c.Arch, 1, c.Backend) // weights are overwritten by the global model
-	if err != nil {
-		return fmt.Errorf("client %d: build network: %w", c.ID, err)
+	if c.phase == (nn.PhaseCost{}) {
+		phase, err := c.Arch.PhaseFLOPs()
+		if err != nil {
+			return fmt.Errorf("client %d: phase costs: %w", c.ID, err)
+		}
+		c.phase = phase
 	}
-	phase, err := net.PhaseFLOPs()
-	if err != nil {
-		return fmt.Errorf("client %d: phase costs: %w", c.ID, err)
+	if c.lanes == nil {
+		c.lanes = newLaneGroup()
 	}
-	c.net = net
-	c.phase = phase
 	c.jitterRNG = tensor.NewRNG(c.JitterSeed ^ (uint64(c.ID+1) * 0x9e3779b97f4a7c15))
 	c.effSpeed = c.Speed
 	c.base = nn.Weights{}
@@ -141,18 +150,19 @@ func (c *Client) Init() error {
 }
 
 // OnRejoin implements the comm.Rejoiner rejoin handshake: a crash wiped
-// every piece of in-memory state, so the returning client rebuilds its
-// model replica, phase costs, jitter stream, and codec streams (the
-// residual error feedback dies with the crash) from its static,
-// seed-derived configuration (Init re-derives them from the topology seed)
-// and drops all round state. The signed-schedule verifier survives — its
-// replay floor is monotone, so a directive replayed across the crash is
-// still rejected. The client then idles until the federator's next
-// dispatch enrolls it in a fresh round.
+// every piece of in-memory state, so the returning client re-derives its
+// jitter stream and codec streams (the residual error feedback dies with
+// the crash) from its static, seed-derived configuration (Init) and drops
+// all round state — the crashed round's network goes back to the run's free
+// list; the next dispatch leases one and overwrites it. The signed-schedule
+// verifier survives — its replay floor is monotone, so a directive replayed
+// across the crash is still rejected. The client then idles until the
+// federator's next dispatch enrolls it in a fresh round.
 func (c *Client) OnRejoin(env comm.Env) {
-	// What the crashed incarnation left on its lane trains a network that
-	// Init is about to replace.
+	// What the crashed incarnation left on its lane trains the network;
+	// dropLane waits out the running batch, then the lease can end.
 	c.dropLane()
+	c.releaseNet()
 	if err := c.Init(); err != nil {
 		c.logf("client %d: rejoin init: %v", c.ID, err)
 		return
@@ -267,7 +277,15 @@ func (c *Client) startRound(env comm.Env, p TrainPayload) {
 	c.ownDone = false
 	c.offloadJob = nil
 	c.helperActive = false
-	c.net.SetFeaturesFrozen(false)
+	// A lease the last round kept (it was cut, or froze and waited for a
+	// helper reassignment) ends here; last in, first out hands it back.
+	c.releaseNet()
+	net, err := c.lanes.takeNet(c.Arch, c.Backend)
+	if err != nil {
+		c.logf("client %d: build network: %v", c.ID, err)
+		return
+	}
+	c.net = net
 	if err := c.net.LoadWeights(p.Global); err != nil {
 		c.logf("client %d: load global: %v", c.ID, err)
 		return
@@ -472,7 +490,8 @@ func (c *Client) onSchedule(env comm.Env, envlp sched.Envelope) {
 // resendOffload re-ships the frozen model to a newly assigned helper: the
 // freeze-time snapshot while the round's update is still owed, so the new
 // helper starts from the bits the dead one received. Once the update is out
-// the snapshot went with it and the idle network is shipped as it stands.
+// the snapshot went with it and the idle network — a frozen client keeps its
+// lease past the update for this — is shipped as it stands.
 func (c *Client) resendOffload(env comm.Env, d sched.Directive) {
 	w := c.frozenW
 	if w.Len() == 0 {
@@ -610,6 +629,12 @@ func (c *Client) sendUpdate(env comm.Env, partial bool) {
 	c.Trace.Record(env.Now(), c.ID, c.round, trace.UpdateSent, detail)
 	c.frozenW = nn.Weights{}
 	w := c.net.SnapshotWeights()
+	if !c.frozen {
+		// The tail step is joined, so the network is quiescent and the round
+		// has no further use for it. (A frozen client may yet be told to
+		// re-ship it: resendOffload.)
+		c.releaseNet()
+	}
 	update := Update{
 		Client:     c.ID,
 		Round:      c.round,
@@ -665,7 +690,7 @@ func (c *Client) maybeRunHelper(env comm.Env) {
 	c.Trace.Record(env.Now(), c.ID, c.round, trace.HelperStart,
 		fmt.Sprintf("training %d offloaded updates for client %d", updates, job.Weak))
 	done := time.Duration(updates) * c.bfDur
-	c.helper = c.launch(env.Now()+done, helperStep(c.Arch, c.Backend, c.Codec, c.base, job, c.batchXs, c.batchYs, c.cfg.LR))
+	c.helper = c.launch(env.Now()+done, helperStep(c.lanes, c.Arch, c.Backend, c.Codec, c.base, job, c.batchXs, c.batchYs, c.cfg.LR))
 	env.After(done, func() {
 		if c.round != round {
 			return
@@ -711,9 +736,6 @@ func (c *Client) returnHelperResult(env comm.Env, weak comm.NodeID) {
 // will join.
 func (c *Client) launch(due time.Duration, run stepFunc) *step {
 	if c.lane == nil {
-		if c.lanes == nil {
-			c.lanes = newLaneGroup()
-		}
 		c.lane = &lane{group: c.lanes}
 	}
 	return c.lane.launch(due, run)
@@ -737,8 +759,15 @@ func (c *Client) joinTraining() error {
 	return err
 }
 
+// releaseNet ends the round's lease on the network; the lane must hold no
+// step that trains it.
+func (c *Client) releaseNet() {
+	c.lanes.putNet(c.net)
+	c.net = nil
+}
+
 // dropLane cancels what the lane still holds, waits out the batch it is in
-// the middle of, and forgets the round's futures.
+// the middle of, and forgets the round's futures. The network stays leased.
 func (c *Client) dropLane() {
 	c.lane.cancel()
 	c.lane = nil
@@ -776,13 +805,15 @@ func freezeStep(net *nn.Network) stepFunc {
 }
 
 // helperStep trains the offloaded model's feature section on the strong
-// client's own batches, on a scratch replica, and returns its weights.
-func helperStep(arch nn.Arch, be tensor.Backend, cdc codec.Codec, base nn.Weights, job OffloadPayload, xs [][]*tensor.Tensor, ys [][]int, lr float64) stepFunc {
+// client's own batches, on a scratch replica leased from the run's free list
+// for the length of the job, and returns its weights.
+func helperStep(nets *laneGroup, arch nn.Arch, be tensor.Backend, cdc codec.Codec, base nn.Weights, job OffloadPayload, xs [][]*tensor.Tensor, ys [][]int, lr float64) stepFunc {
 	return func(stop *atomic.Bool) (nn.Weights, error) {
-		scratch, err := nn.BuildWith(arch, 1, be)
+		scratch, err := nets.takeNet(arch, be)
 		if err != nil {
 			return nn.Weights{}, fmt.Errorf("helper network: %w", err)
 		}
+		defer nets.putNet(scratch)
 		weak := job.Weights
 		if !job.Encoded.IsZero() {
 			// The weak client encoded its frozen model as a delta against the

@@ -19,7 +19,7 @@ func newEvaluator(arch nn.Arch, be tensor.Backend, xs []*tensor.Tensor, ys []int
 	if len(xs) == 0 || len(xs) != len(ys) {
 		return nil, fmt.Errorf("fl: evaluator set of %d inputs, %d labels", len(xs), len(ys))
 	}
-	net, err := nn.BuildWith(arch, 1, be)
+	net, err := nn.Replica(arch, be)
 	if err != nil {
 		return nil, err
 	}

@@ -438,10 +438,11 @@ func (s *sampledStrategy) Offloading() bool             { return false }
 // materializing N clients it creates N lazy profiles plus shells, the edge
 // aggregators that own them, and a root federator whose children are the
 // edges (or, with Tiers 0, the sampled population). Per-client shards are
-// synthesized on hydration from the seed and the client's dataset Variant
-// (2+ID; the test set holds Variant 1), so the build cost and resident
-// memory follow the sampled cohort, not the population.
-func (t Topology) buildHier(wireCodec codec.Codec, bw *Bandwidth, lanes *laneGroup) (*Cluster, error) {
+// drawn on hydration from data, the cluster's one Source, with the client's
+// noise stream (Variant 2+ID; the test set holds Variant 1), and a hydrated
+// client holds a network only from dispatch to update, so the build cost and
+// resident memory follow the sampled cohort, not the population.
+func (t Topology) buildHier(data *dataset.Source, test *dataset.Dataset, phase nn.PhaseCost, wireCodec codec.Codec, bw *Bandwidth, lanes *laneGroup) (*Cluster, error) {
 	if t.Async {
 		return nil, fmt.Errorf("fl: hierarchical topology does not support the async engine yet")
 	}
@@ -452,13 +453,6 @@ func (t Topology) buildHier(wireCodec codec.Codec, bw *Bandwidth, lanes *laneGro
 		return nil, fmt.Errorf("fl: hierarchical topology does not support offloading strategies yet (peer pairing within a cohort is future work)")
 	}
 
-	test, err := dataset.Generate(dataset.Config{
-		Kind: t.Dataset, N: t.TestSamples, Seed: t.Seed, Small: t.SmallImages,
-		NoiseStd: t.NoiseStd, Variant: 1,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("fl: test data: %w", err)
-	}
 	evaluate, err := newEvaluator(t.Arch, t.Backend, test.Inputs(), test.Labels())
 	if err != nil {
 		return nil, err
@@ -478,7 +472,7 @@ func (t Topology) buildHier(wireCodec codec.Codec, bw *Bandwidth, lanes *laneGro
 	}
 
 	hydrate := func(p hier.Profile) (comm.Handler, error) {
-		shard, err := hierShard(t, p, samplesPer)
+		shard, err := hierShard(data, t.Dataset.Classes(), p, samplesPer)
 		if err != nil {
 			return nil, err
 		}
@@ -496,6 +490,7 @@ func (t Topology) buildHier(wireCodec codec.Codec, bw *Bandwidth, lanes *laneGro
 			ProfilerOverhead: -1,
 			Logf:             t.Logf,
 			Trace:            t.Trace,
+			phase:            phase,
 			lanes:            lanes,
 		}
 		if err := c.Init(); err != nil {
@@ -526,7 +521,7 @@ func (t Topology) buildHier(wireCodec codec.Codec, bw *Bandwidth, lanes *laneGro
 		shells[i] = &hier.LazyClient{
 			Profile: hier.Profile{
 				ID: id, Speed: speeds[i], Samples: samplesPer,
-				Classes: classes, Seed: t.Seed,
+				Classes: classes,
 			},
 			Hydrate: hydrate,
 		}
@@ -606,23 +601,19 @@ func (t Topology) buildHier(wireCodec codec.Codec, bw *Bandwidth, lanes *laneGro
 }
 
 // hierShard synthesizes one client's private shard on hydration. Every
-// client draws from the same class prototypes as the flat build (the
-// prototypes depend only on the seed) with its own noise stream (Variant
+// client draws from the cluster's one Source — the class prototypes of the
+// flat build, computed once at Build — with its own noise stream (Variant
 // 2+ID), so shards are disjoint by construction and deterministic per
 // (seed, id). Class-skewed clients over-generate and keep the first
 // `want` samples of their class set.
-func hierShard(t Topology, p hier.Profile, want int) (*dataset.Dataset, error) {
+func hierShard(data *dataset.Source, numClasses int, p hier.Profile, want int) (*dataset.Dataset, error) {
 	n := want
-	numClasses := t.Dataset.Classes()
 	if len(p.Classes) > 0 && len(p.Classes) < numClasses {
 		// Generation is class-balanced, so n*|classes|/numClasses samples
 		// survive the filter; double it for slack.
 		n = 2 * want * numClasses / len(p.Classes)
 	}
-	ds, err := dataset.Generate(dataset.Config{
-		Kind: t.Dataset, N: n, Seed: p.Seed, Small: t.SmallImages,
-		NoiseStd: t.NoiseStd, Variant: 2 + uint64(p.ID),
-	})
+	ds, err := data.Generate(n, 2+uint64(p.ID))
 	if err != nil {
 		return nil, fmt.Errorf("fl: client %d shard: %w", p.ID, err)
 	}

@@ -242,7 +242,9 @@ func TestHierSamplingAgreesAcrossTransports(t *testing.T) {
 // shells: a hydrated client that crashes dehydrates back to its profile on
 // rejoin (through the router and instrumentation proxies), and the next
 // round's dispatch rebuilds it from the seed — exactly one extra hydration,
-// and the run still completes every round.
+// and the run still completes every round. The second hydration builds no
+// network: the crashed incarnation's went back to the run's free list (with
+// its update, or at the rejoin), and the rejoined one draws from it.
 func TestHierHydrationUnderChaos(t *testing.T) {
 	top := hierTopology(2, 0) // everyone participates: hydration count is exact
 	top.Speeds = []float64{0.25, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
@@ -266,12 +268,20 @@ func TestHierHydrationUnderChaos(t *testing.T) {
 	// must dehydrate the shell, and round 1's dispatch re-hydrates it.
 	const victim = comm.NodeID(5)
 	ct.ScheduleCrash(victim, d0/2, d0/4)
+	ledger := newLeaseLedger()
+	cl.lanes.onLease = ledger.observe
 	res, err := (&Deployment{Cluster: cl, Transport: ct}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rounds) != top.Rounds {
 		t.Fatalf("completed %d rounds under churn, want %d", len(res.Rounds), top.Rounds)
+	}
+	// Twelve clients in flight at once need twelve networks; thirteen
+	// hydrations and three rounds of leases build no more.
+	if built, want := len(ledger.seen), top.Clients; built != want || ledger.takes != top.Clients*top.Rounds || len(ledger.faults) != 0 {
+		t.Fatalf("built %d networks over %d leases (faults %v), want %d over %d",
+			built, ledger.takes, ledger.faults, want, top.Clients*top.Rounds)
 	}
 	for _, s := range cl.Hier.Shells {
 		want := 1
@@ -338,6 +348,7 @@ type rejoinProbe struct {
 	*Client
 	rejoined    bool
 	held, after int
+	keptNet     bool // the dropped client still holds its lease
 }
 
 func (p *rejoinProbe) OnRejoin(env comm.Env) {
@@ -353,6 +364,7 @@ func (p *rejoinProbe) OnRejoin(env comm.Env) {
 	p.held = unfinished()
 	p.Client.OnRejoin(env)
 	p.rejoined, p.after = true, unfinished()
+	p.keptNet = p.Client.net != nil
 }
 
 // TestHierRejoinStopsTheDroppedClientsLane: a hydrated shell that crashes in
@@ -375,6 +387,8 @@ func TestHierRejoinStopsTheDroppedClientsLane(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			ledger := newLeaseLedger()
+			cl.lanes.onLease = ledger.observe
 			var probes []*rejoinProbe
 			shell := cl.Hier.Shells[victim]
 			hydrate := shell.Hydrate
@@ -409,6 +423,12 @@ func TestHierRejoinStopsTheDroppedClientsLane(t *testing.T) {
 			}
 			if first.after != 0 {
 				t.Fatalf("%d steps left on the dropped client's lane after the rejoin", first.after)
+			}
+			if first.keptNet {
+				t.Fatal("the dropped client took its network with it instead of returning it to the free list")
+			}
+			if built := len(ledger.seen); built != top.Clients {
+				t.Fatalf("built %d networks for %d clients: the rejoined victim did not draw the one its crash freed", built, top.Clients)
 			}
 			// Without a second processor nothing runs before its join, so
 			// the crashed round is still on the lane, whole, when the

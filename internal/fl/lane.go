@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"aergia/internal/nn"
+	"aergia/internal/tensor"
 )
 
 // Compute lanes (DESIGN.md §14). A client's training is a pure function of
@@ -68,15 +69,67 @@ type lane struct {
 	urgent bool    // a joiner is blocked on this lane; it runs before any due
 }
 
-// laneGroup is the set of lanes one run created, so that the run can
-// cancel and drain them before it returns: no step of one run executes
-// into the next run's clock. Topology.Build makes one per cluster.
+// laneGroup is what one run's compute owns: the lanes it created, so that
+// the run can cancel and drain them before it returns — no step of one run
+// executes into the next run's clock — and the networks those lanes train.
+// Topology.Build makes one per cluster.
 type laneGroup struct {
 	// live holds the lanes with unfinished steps; guarded by laneSched.mu.
 	live map[*lane]struct{}
+
+	// free is the run's idle model replicas, last in first out. A replica is
+	// leased from dispatch to update (a client's round) or for one helper
+	// job, and every lease overwrites all of it (takeNet), so which physical
+	// network a lease draws never shows in a result. Steps return helper
+	// scratch from lane workers: netMu guards free.
+	netMu sync.Mutex
+	free  []*nn.Network
+	// onLease, when set by a test, observes every take (true) and put.
+	onLease func(net *nn.Network, take bool)
 }
 
 func newLaneGroup() *laneGroup { return &laneGroup{live: map[*lane]struct{}{}} }
+
+// takeNet leases a replica of the run's architecture: an idle one when the
+// list has one, a blank nn.Replica otherwise. The caller must LoadWeights
+// before the first forward pass; parameters, gradients, optimizer and
+// workspaces are all rewritten by a round before they are read, and the
+// freeze flag — the one piece of state a previous holder leaves that nothing
+// overwrites — is cleared here.
+func (g *laneGroup) takeNet(arch nn.Arch, be tensor.Backend) (*nn.Network, error) {
+	g.netMu.Lock()
+	var net *nn.Network
+	if n := len(g.free); n > 0 {
+		net, g.free[n-1] = g.free[n-1], nil
+		g.free = g.free[:n-1]
+	}
+	g.netMu.Unlock()
+	if net == nil {
+		var err error
+		if net, err = nn.Replica(arch, be); err != nil {
+			return nil, err
+		}
+	}
+	net.SetFeaturesFrozen(false)
+	if g.onLease != nil {
+		g.onLease(net, true)
+	}
+	return net, nil
+}
+
+// putNet ends a lease. The network must be quiescent: no step that trains it
+// is queued or running.
+func (g *laneGroup) putNet(net *nn.Network) {
+	if net == nil {
+		return
+	}
+	if g.onLease != nil {
+		g.onLease(net, false)
+	}
+	g.netMu.Lock()
+	g.free = append(g.free, net)
+	g.netMu.Unlock()
+}
 
 // laneSched is the process-wide scheduler state.
 var laneSched struct {
@@ -308,8 +361,8 @@ func (l *lane) cancel() {
 	}
 }
 
-// drain cancels every lane of the group and returns once none of their
-// steps is executing (the queued ones are failed unrun).
+// drain cancels every lane of the group, returns once none of their steps is
+// executing (the queued ones are failed unrun), and empties the free list.
 func (g *laneGroup) drain() {
 	if g == nil {
 		return
@@ -325,6 +378,10 @@ func (g *laneGroup) drain() {
 	for _, ch := range running {
 		<-ch
 	}
+	// The run is over: its idle replicas are garbage with it.
+	g.netMu.Lock()
+	g.free = nil
+	g.netMu.Unlock()
 }
 
 // unfinished reports the group's queued plus executing steps.

@@ -1,0 +1,372 @@
+package fl
+
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"aergia/internal/codec"
+	"aergia/internal/comm"
+	"aergia/internal/dataset"
+	"aergia/internal/hier"
+	"aergia/internal/nn"
+	"aergia/internal/sched"
+	"aergia/internal/tensor"
+)
+
+// A client leases its network from the run's free list for the length of a
+// round (DESIGN.md §11). These tests are the lease's licence: a network a
+// previous holder left in any state trains the next round to the same bits
+// as a fresh one, no network ever has two holders, hydration costs what it
+// is budgeted, and the state a lease must not touch — the jitter stream, the
+// topk residuals — replays at every width.
+
+// leaseLedger is the test hook on laneGroup.onLease: who holds what, by
+// pointer.
+type leaseLedger struct {
+	mu      sync.Mutex
+	held    map[*nn.Network]bool
+	seen    map[*nn.Network]bool
+	takes   int
+	reused  int // takes of a network that had been out before
+	faults  []string
+	maxHeld int
+}
+
+func newLeaseLedger() *leaseLedger {
+	return &leaseLedger{held: map[*nn.Network]bool{}, seen: map[*nn.Network]bool{}}
+}
+
+func (l *leaseLedger) observe(net *nn.Network, take bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	switch {
+	case take && l.held[net]:
+		l.faults = append(l.faults, fmt.Sprintf("network %p leased while already held", net))
+	case !take && !l.held[net]:
+		l.faults = append(l.faults, fmt.Sprintf("network %p returned by a non-holder", net))
+	}
+	if take {
+		l.takes++
+		if l.seen[net] {
+			l.reused++
+		}
+		l.seen[net] = true
+		l.held[net] = true
+		if len(l.held) > l.maxHeld {
+			l.maxHeld = len(l.held)
+		}
+	} else {
+		delete(l.held, net)
+	}
+}
+
+// dirtyNet leaves on the group's free list a network in the worst state a
+// holder can leave one: other weights, trained on other data (gradients,
+// workspaces, input staging all used), feature section frozen.
+func dirtyNet(t *testing.T, g *laneGroup, be tensor.Backend) *nn.Network {
+	t.Helper()
+	net, err := g.takeNet(nn.ArchMNISTSmall, be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := nn.Build(nn.ArchMNISTSmall, 777)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.LoadWeights(other.SnapshotWeights()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := dataset.Generate(dataset.Config{Kind: dataset.MNIST, N: 12, Seed: 99, Small: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs, ys, err := data.Batches(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := nn.NewSGD(0.3)
+	opt.Backend = be
+	if _, err := net.TrainBatch(xs[0], ys[0], opt); err != nil {
+		t.Fatal(err)
+	}
+	net.SetFeaturesFrozen(true)
+	if _, err := net.TrainBatch(xs[1], ys[1], opt); err != nil {
+		t.Fatal(err)
+	}
+	g.putNet(net)
+	return net
+}
+
+// TestLeasedDirtyNetworkTrainsLikeFresh: a round on a dirtied network sends
+// what a round on a fresh one sends, message for message and bit for bit —
+// a plain round, the weak side of an offload (freeze, ship, frozen tail) and
+// the strong side (own round, then the helper job, whose scratch is the
+// network the own round has just handed back), on both element types.
+func TestLeasedDirtyNetworkTrainsLikeFresh(t *testing.T) {
+	scenarios := []struct {
+		name  string
+		speed float64
+		takes int // leases the scenario takes
+		drive func(h *protoHarness)
+	}{
+		{"plain", 0.5, 1, func(h *protoHarness) {
+			h.sendTrain()
+			h.kernel.Run()
+		}},
+		{"weak", 0.2, 1, func(h *protoHarness) {
+			h.sendTrain()
+			h.kernel.RunUntil(time.Second)
+			h.network.Env(comm.FederatorID).Send(comm.Message{
+				To: 1, Round: 0, Kind: comm.KindSchedule,
+				Payload: h.signedDirective(sched.Directive{
+					Client: 1, Round: 0, Role: sched.RoleOffload, Peer: 2, OffloadAfter: 3,
+				}),
+			})
+			h.kernel.Run()
+		}},
+		{"strong", 1.0, 2, func(h *protoHarness) {
+			h.sendTrain()
+			h.kernel.RunUntil(time.Millisecond)
+			h.network.Env(comm.FederatorID).Send(comm.Message{
+				To: 1, Round: 0, Kind: comm.KindSchedule,
+				Payload: h.signedDirective(sched.Directive{
+					Client: 1, Round: 0, Role: sched.RoleReceive, Peer: 2, OffloadedUpdates: 4,
+				}),
+			})
+			weak, err := nn.Build(nn.ArchMNISTSmall, 123)
+			if err != nil {
+				h.t.Fatal(err)
+			}
+			h.network.Env(2).Send(comm.Message{
+				To: 1, Round: 0, Kind: comm.KindOffload,
+				Payload: OffloadPayload{Weak: 2, Weights: weak.SnapshotWeights(), Updates: 4},
+			})
+			h.kernel.Run()
+		}},
+	}
+	for _, name := range []string{"serial", "serial32"} {
+		be, err := tensor.NewBackend(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sc := range scenarios {
+			run := func(dirty bool) string {
+				h := newProtoHarness(t, sc.speed)
+				ledger := newLeaseLedger()
+				g := newLaneGroup()
+				var planted *nn.Network
+				if dirty {
+					planted = dirtyNet(t, g, be)
+				}
+				g.onLease = ledger.observe
+				h.client.Backend, h.client.lanes = be, g
+				sc.drive(h)
+				g.drain()
+				if dirty && (!ledger.seen[planted] || len(ledger.seen) != 1) {
+					t.Fatalf("%s on %s: the round drew %d networks, the dirtied one among them: %v",
+						sc.name, name, len(ledger.seen), ledger.seen[planted])
+				}
+				if ledger.takes != sc.takes || len(ledger.faults) != 0 {
+					t.Fatalf("%s on %s: %d leases (want %d), faults %v", sc.name, name, ledger.takes, sc.takes, ledger.faults)
+				}
+				return fmt.Sprintf("federator %v\npeer %v", h.fed.msgs, h.peer.msgs)
+			}
+			fresh, dirtied := run(false), run(true)
+			if fresh != dirtied {
+				t.Fatalf("%s on %s: a round on a dirtied network sent other bits than on a fresh one", sc.name, name)
+			}
+			if len(fresh) < 1000 {
+				t.Fatalf("%s on %s: the round sent no model (%d bytes of messages)", sc.name, name, len(fresh))
+			}
+		}
+	}
+}
+
+// TestNoNetworkHasTwoHolders drives the runs that move leases around — a
+// tiered run whose clients are resampled, an Aergia run with helper jobs, a
+// run a deadline cuts, a churned run with rejoins — at every width, with the
+// ledger on: a take of a held network or a put by a non-holder fails the
+// test, the race detector watches the networks themselves, and a finished
+// run leaves nothing on the list.
+func TestNoNetworkHasTwoHolders(t *testing.T) {
+	tiered := testConfig(NewFedAvg(0))
+	tiered.Clients, tiered.TrainSamples, tiered.Rounds = 16, 256, 6
+	tiered.Hier = hier.Options{Tiers: 2, Sample: 0.5}
+	// The four slow clients take ten times the fast ones' round; a deadline
+	// at a fifth of it cuts exactly them, every round, and a cut client
+	// keeps its lease into the next dispatch.
+	deadline := testConfig(NewFedAvg(0))
+	deadline.Speeds = []float64{0.05, 0.06, 0.07, 0.08, 0.9, 0.9, 0.9, 0.9}
+	uncut, err := Run(deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline.Strategy = NewDeadlineFedAvg(0, uncut.Rounds[0].Duration/5)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		// reuse: the run must draw at least one network a second time.
+		reuse bool
+		// helpers: more leases than client-rounds, the rest are helper jobs.
+		helpers bool
+	}{
+		{name: "tiered", cfg: tiered, reuse: true},
+		{name: "aergia", cfg: aergiaShapedConfig(), reuse: true, helpers: true},
+		{name: "deadline", cfg: deadline, reuse: true},
+		{name: "churn", cfg: churnTopKConfig(), reuse: true},
+	} {
+		for _, procs := range []int{1, 2, 8} {
+			atWidth(procs, func() {
+				dep, _ := buildChaosDeployment(t, tc.cfg, tc.cfg.Chaos)
+				ledger := newLeaseLedger()
+				dep.Cluster.lanes.onLease = ledger.observe
+				res, err := dep.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ledger.faults) != 0 {
+					t.Fatalf("%s at GOMAXPROCS %d: %v", tc.name, procs, ledger.faults)
+				}
+				if ledger.takes == 0 || (tc.reuse && ledger.reused == 0) {
+					t.Fatalf("%s at GOMAXPROCS %d: %d leases, %d of a network that had been out before",
+						tc.name, procs, ledger.takes, ledger.reused)
+				}
+				clientRounds := 0
+				for _, r := range res.Rounds {
+					clientRounds += r.Completed
+				}
+				if tc.helpers && (res.TotalOffloads() == 0 || ledger.takes <= clientRounds) {
+					t.Fatalf("%s at GOMAXPROCS %d: %d offloads, %d leases for %d client-rounds: no helper leased a scratch",
+						tc.name, procs, res.TotalOffloads(), ledger.takes, clientRounds)
+				}
+				// A network per client in flight, plus at most one per helper
+				// job running beside them; rejoins and resamples build none.
+				most := tc.cfg.Clients
+				if tc.helpers {
+					most *= 2
+				}
+				if len(ledger.seen) > most {
+					t.Fatalf("%s at GOMAXPROCS %d: built %d networks for %d clients", tc.name, procs, len(ledger.seen), tc.cfg.Clients)
+				}
+				if n := len(dep.Cluster.lanes.free); n != 0 {
+					t.Fatalf("%s at GOMAXPROCS %d: %d networks on the free list after Run", tc.name, procs, n)
+				}
+				t.Logf("%s at GOMAXPROCS %d: %d leases of %d networks, at most %d out at once",
+					tc.name, procs, ledger.takes, len(ledger.seen), ledger.maxHeld)
+			})
+		}
+	}
+}
+
+// TestHydrationBudget counts what hydrating one ArchMNISTSmall client on
+// serial32 allocates up to the point its first batch could run: the shard and
+// the round's bookkeeping when the free list has a network, plus one blank
+// float32 replica when it has not. At the parent commit the same path
+// allocated 205–208 kB (ten prototypes, a float64 network with drawn weights,
+// its float32 copy). The pins are the measured values + 10%; recomputing the
+// prototypes (+16 kB) or building in float64 (+106 kB) breaks them.
+func TestHydrationBudget(t *testing.T) {
+	const (
+		withFreeNet = 19000 // measured 17232 B
+		withoutNet  = 83000 // measured 75472 B
+	)
+	be, err := tensor.NewBackend("serial32", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := hierTopology(2, 0.5)
+	top.Clients, top.TrainSamples, top.BatchSize = 64, 8*64, 4
+	top.Backend = be
+	// Width 1: no lane worker exists, so nothing trains (and no workspace is
+	// allocated) before a join — the measurement ends where the first batch
+	// would begin.
+	atWidth(1, func() {
+		cl, err := top.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := NewTransport(TransportSim, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		for _, s := range cl.Hier.Shells {
+			tr.Register(s.Profile.ID, s)
+		}
+		tr.Register(comm.FederatorID, &recorder{})
+		if err := tr.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		defer cl.lanes.drain()
+		dispatch := comm.Message{From: comm.FederatorID, Kind: comm.KindTrain, Payload: TrainPayload{
+			Config: LocalConfig{Epochs: 1, BatchSize: top.BatchSize, LR: 0.05},
+			Global: cl.Federator.GlobalWeights(),
+		}}
+		hydrate := func(id comm.NodeID) uint64 {
+			shell, env := cl.Hier.Shells[id], tr.Env(id)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			shell.OnMessage(env, dispatch)
+			runtime.ReadMemStats(&after)
+			if !shell.Hydrated() {
+				t.Fatalf("shell %d did not hydrate", id)
+			}
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		cold := hydrate(3) // builds the run's first replica
+		spare, err := cl.lanes.takeNet(top.Arch, be)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.lanes.putNet(spare)
+		warm := hydrate(4) // draws the spare
+		t.Logf("hydration allocates %d B with a free network, %d B without", warm, cold)
+		if warm > withFreeNet {
+			t.Errorf("hydrating with a free network allocated %d B, budget %d", warm, withFreeNet)
+		}
+		if cold > withoutNet {
+			t.Errorf("hydrating without a free network allocated %d B, budget %d", cold, withoutNet)
+		}
+		if cold < warm+6582*4*2 {
+			t.Errorf("a blank replica cost %d B, less than its %d float32 parameters and gradients", cold-warm, 6582)
+		}
+	})
+}
+
+// TestLeaseKeepsPerClientStateAcrossWidths: what a lease must not touch is
+// the state that stays with the client between rounds — its jitter stream
+// and, under topk, its residual error feedback. A tiered, sampled run with
+// both replays to one hash at GOMAXPROCS 1, 2 and 8, and it is the hash of
+// the parent commit, where every client owned its network for life.
+func TestLeaseKeepsPerClientStateAcrossWidths(t *testing.T) {
+	cfg := testConfig(NewFedAvg(0))
+	cfg.Clients, cfg.TrainSamples, cfg.Rounds = 16, 256, 6
+	cfg.Speeds = nil
+	cfg.SpeedJitter = 0.3
+	cfg.Codec = codec.TopK
+	cfg.Hier = hier.Options{Tiers: 2, Sample: 0.5}
+	for _, procs := range []int{1, 2, 8} {
+		atWidth(procs, func() {
+			cl, err := cfg.Topology().Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ledger := newLeaseLedger()
+			cl.lanes.onLease = ledger.observe
+			res, err := runOn(cl, cfg.Transport, cfg.Link, 0, (*Deployment).Run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hydrated := len(hydratedSet(cl)); ledger.takes <= hydrated {
+				t.Fatalf("%d leases by %d clients: nobody was sampled twice", ledger.takes, hydrated)
+			}
+			// Captured at 1f74e52 (the parent commit) at GOMAXPROCS 1, 2, 8.
+			if got, want := resultHash(res), uint64(0xd7afb1ee1995a311); got != want {
+				t.Fatalf("GOMAXPROCS %d: result hash %#x, the parent commit's is %#x", procs, got, want)
+			}
+		})
+	}
+}

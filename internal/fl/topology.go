@@ -249,29 +249,36 @@ func (t Topology) Build() (*Cluster, error) {
 			return nil, fmt.Errorf("fl: %w", err)
 		}
 	}
+	// What every client of the cluster shares and none needs its own copy
+	// of: the class distributions all data is drawn from (prototypes computed
+	// once), the architecture's phase costs, the byte ledger, and the lane
+	// group with the run's free list of model replicas.
+	data, err := dataset.NewSource(t.Dataset, t.Seed, t.SmallImages, t.NoiseStd)
+	if err != nil {
+		return nil, fmt.Errorf("fl: data: %w", err)
+	}
+	phase, err := t.Arch.PhaseFLOPs()
+	if err != nil {
+		return nil, fmt.Errorf("fl: phase costs: %w", err)
+	}
 	bw := &Bandwidth{}
 	lanes := newLaneGroup()
+	// The held-out test set: the same class prototypes as the training data,
+	// a different noise stream.
+	test, err := data.Generate(t.TestSamples, 1)
+	if err != nil {
+		return nil, fmt.Errorf("fl: test data: %w", err)
+	}
 	if t.Hier.Enabled() {
 		// The scale-out path: lazy profiles and edge aggregators instead of
 		// N materialized clients (see hier.go and DESIGN.md §11).
-		return t.buildHier(wireCodec, bw, lanes)
+		return t.buildHier(data, test, phase, wireCodec, bw, lanes)
 	}
 
-	// Data: disjoint client shards plus a held-out test set drawn from the
-	// same class prototypes but a different noise stream.
-	train, err := dataset.Generate(dataset.Config{
-		Kind: t.Dataset, N: t.TrainSamples, Seed: t.Seed, Small: t.SmallImages,
-		NoiseStd: t.NoiseStd,
-	})
+	// Disjoint client shards of one train set.
+	train, err := data.Generate(t.TrainSamples, 0)
 	if err != nil {
 		return nil, fmt.Errorf("fl: train data: %w", err)
-	}
-	test, err := dataset.Generate(dataset.Config{
-		Kind: t.Dataset, N: t.TestSamples, Seed: t.Seed, Small: t.SmallImages,
-		NoiseStd: t.NoiseStd, Variant: 1,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("fl: test data: %w", err)
 	}
 	dataRNG := tensor.NewRNG(t.Seed ^ 0xda7a)
 	var shards []*dataset.Dataset
@@ -337,14 +344,6 @@ func (t Topology) Build() (*Cluster, error) {
 	// TiFL profiles clients offline before training; charge the profiling
 	// pass (clients run in parallel, so the slowest bounds it).
 	if tifl, ok := t.Strategy.(*TiFL); ok && tifl != nil {
-		probe, err := nn.Build(t.Arch, t.Seed)
-		if err != nil {
-			return nil, err
-		}
-		phase, err := probe.PhaseFLOPs()
-		if err != nil {
-			return nil, err
-		}
 		var slowest time.Duration
 		for _, s := range speeds {
 			d, err := t.Cost.BatchDuration(phase, t.BatchSize, s)
@@ -389,6 +388,7 @@ func (t Topology) Build() (*Cluster, error) {
 			ProfilerOverhead: -1,
 			Logf:             t.Logf,
 			Trace:            t.Trace,
+			phase:            phase,
 			lanes:            lanes,
 		}
 		if err := client.Init(); err != nil {

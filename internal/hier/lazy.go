@@ -9,9 +9,10 @@ import (
 
 // Profile is the lazy stand-in for an unmaterialized client: the metadata
 // the schedulers and samplers need (speed, data skew) without any of the
-// state that makes a live client expensive (model weights, training shard,
-// optimizer buffers). A 100k-client topology holds 100k profiles but only
-// materializes the sampled cohort.
+// state that makes a live client expensive (training shard, codec and
+// jitter streams, and for the length of a round a model replica). A
+// 100k-client topology holds 100k profiles but only materializes the
+// sampled cohort.
 type Profile struct {
 	// ID is the client's actor identity.
 	ID comm.NodeID
@@ -23,14 +24,16 @@ type Profile struct {
 	// Classes is the client's label skew (non-IID class set); empty means
 	// the full label space.
 	Classes []int
-	// Seed derives the client's shard and jitter streams on hydration.
-	Seed uint64
 }
 
 // Hydrator materializes a full client actor from its profile. It must be a
 // pure function of the profile — hydrating the same profile twice (e.g.
 // after a crash/rejoin dropped the first incarnation) must yield an
-// identically initialized actor, or determinism breaks.
+// identically initialized actor, or determinism breaks. It runs inside the
+// dispatch handler, once per sampled client, so it should do only what that
+// client's round needs: fl's hydrator draws the shard from the cluster's one
+// dataset.Source and builds no network (the round leases one; DESIGN.md
+// §11), about 17 kB of allocation a client.
 type Hydrator func(Profile) (comm.Handler, error)
 
 // LazyClient is the registered shell of an unmaterialized client. It

@@ -110,132 +110,168 @@ func BuildWith(a Arch, seed uint64, be tensor.Backend) (*Network, error) {
 // Networks built with the same seed are bit-identical, which the federator
 // relies on to distribute a common initial model.
 func Build(a Arch, seed uint64) (*Network, error) {
-	rng := tensor.NewRNG(seed)
+	return a.build(initParams{rng: tensor.NewRNG(seed)})
+}
+
+// Replica constructs a network for the architecture on the given backend
+// (nil = serial) whose parameters are all zero and allocated directly in the
+// backend's element type: no weight is drawn and none is converted. It is for
+// a network that gets LoadWeights before its first forward pass — a client's
+// local model, a helper's scratch, the evaluator — where an initialization
+// would be overwritten unread.
+func Replica(a Arch, be tensor.Backend) (*Network, error) {
+	n, err := a.build(initParams{dt: backendOr(be).DType()})
+	if err != nil {
+		return nil, err
+	}
+	if be != nil {
+		n.SetBackend(be)
+	}
+	return n, nil
+}
+
+// initParams is how an architecture's layers come by their parameters:
+// float64 tensors with weights drawn from rng (Build), or, with a nil rng,
+// zero tensors of dt (Replica).
+type initParams struct {
+	rng *tensor.RNG
+	dt  tensor.DType
+}
+
+func (ip initParams) fill(weight *tensor.Tensor, std float64) {
+	if ip.rng != nil {
+		weight.FillNormal(ip.rng, std)
+	}
+}
+
+// build assembles the architecture's layers. It is the one definition of
+// every architecture; Build and Replica differ only in ip.
+func (a Arch) build(ip initParams) (*Network, error) {
 	switch a {
 	case ArchMNISTCNN, ArchFMNISTCNN:
 		// Paper: three-layer CNN — two convolutional, one fully connected.
 		features := []Layer{
-			NewConv2D(1, 8, 5, 2, 1, rng),
+			ip.conv(1, 8, 5, 2, 1),
 			NewReLU(),
 			NewMaxPool(2),
-			NewConv2D(8, 16, 5, 2, 1, rng),
+			ip.conv(8, 16, 5, 2, 1),
 			NewReLU(),
 			NewMaxPool(2),
 		}
 		classifier := []Layer{
 			NewFlatten(),
-			NewDense(16*7*7, 10, rng),
+			ip.dense(16*7*7, 10),
 		}
 		return NewNetwork(a.InShape(), features, classifier)
 	case ArchCifar10CNN:
 		// Paper: eight-layer CNN — six convolutional, two fully connected.
 		features := []Layer{
-			NewConv2D(3, 8, 3, 1, 1, rng),
+			ip.conv(3, 8, 3, 1, 1),
 			NewReLU(),
-			NewConv2D(8, 8, 3, 1, 1, rng),
-			NewReLU(),
-			NewMaxPool(2),
-			NewConv2D(8, 16, 3, 1, 1, rng),
-			NewReLU(),
-			NewConv2D(16, 16, 3, 1, 1, rng),
+			ip.conv(8, 8, 3, 1, 1),
 			NewReLU(),
 			NewMaxPool(2),
-			NewConv2D(16, 32, 3, 1, 1, rng),
+			ip.conv(8, 16, 3, 1, 1),
 			NewReLU(),
-			NewConv2D(32, 32, 3, 1, 1, rng),
+			ip.conv(16, 16, 3, 1, 1),
+			NewReLU(),
+			NewMaxPool(2),
+			ip.conv(16, 32, 3, 1, 1),
+			NewReLU(),
+			ip.conv(32, 32, 3, 1, 1),
 			NewReLU(),
 			NewMaxPool(2),
 		}
 		classifier := []Layer{
 			NewFlatten(),
-			NewDense(32*4*4, 64, rng),
+			ip.dense(32*4*4, 64),
 			NewReLU(),
-			NewDense(64, 10, rng),
+			ip.dense(64, 10),
 		}
 		return NewNetwork(a.InShape(), features, classifier)
 	case ArchCifar10ResNet:
 		features := []Layer{
-			NewConv2D(3, 16, 3, 1, 1, rng),
+			ip.conv(3, 16, 3, 1, 1),
 			NewReLU(),
-			NewResidualBlock(16, rng),
+			ip.residual(16),
 			NewMaxPool(2),
-			NewResidualBlock(16, rng),
+			ip.residual(16),
 			NewMaxPool(2),
 		}
 		classifier := []Layer{
 			NewFlatten(),
-			NewDense(16*8*8, 10, rng),
+			ip.dense(16*8*8, 10),
 		}
 		return NewNetwork(a.InShape(), features, classifier)
 	case ArchCifar100VGG:
 		features := []Layer{
-			NewConv2D(3, 16, 3, 1, 1, rng),
+			ip.conv(3, 16, 3, 1, 1),
 			NewReLU(),
-			NewConv2D(16, 16, 3, 1, 1, rng),
+			ip.conv(16, 16, 3, 1, 1),
 			NewReLU(),
 			NewMaxPool(2),
-			NewConv2D(16, 32, 3, 1, 1, rng),
+			ip.conv(16, 32, 3, 1, 1),
 			NewReLU(),
-			NewConv2D(32, 32, 3, 1, 1, rng),
+			ip.conv(32, 32, 3, 1, 1),
 			NewReLU(),
 			NewMaxPool(2),
 		}
 		classifier := []Layer{
 			NewFlatten(),
-			NewDense(32*8*8, 128, rng),
+			ip.dense(32*8*8, 128),
 			NewReLU(),
-			NewDense(128, 100, rng),
+			ip.dense(128, 100),
 		}
 		return NewNetwork(a.InShape(), features, classifier)
 	case ArchMNISTSmall, ArchFMNISTSmall:
 		// Two conv + one FC on 14×14, like the paper's MNIST model.
 		features := []Layer{
-			NewConv2D(1, 6, 3, 1, 1, rng),
+			ip.conv(1, 6, 3, 1, 1),
 			NewReLU(),
 			NewMaxPool(2),
-			NewConv2D(6, 12, 3, 1, 1, rng),
+			ip.conv(6, 12, 3, 1, 1),
 			NewReLU(),
 		}
 		classifier := []Layer{
 			NewFlatten(),
-			NewDense(12*7*7, 10, rng),
+			ip.dense(12*7*7, 10),
 		}
 		return NewNetwork(a.InShape(), features, classifier)
 	case ArchCifar10Small:
 		// Four conv + two FC on 16×16, echoing the paper's deeper
 		// Cifar-10 CNN (conv-heavy features, two dense classifier layers).
 		features := []Layer{
-			NewConv2D(3, 8, 3, 1, 1, rng),
+			ip.conv(3, 8, 3, 1, 1),
 			NewReLU(),
-			NewConv2D(8, 8, 3, 1, 1, rng),
+			ip.conv(8, 8, 3, 1, 1),
 			NewReLU(),
 			NewMaxPool(2),
-			NewConv2D(8, 16, 3, 1, 1, rng),
+			ip.conv(8, 16, 3, 1, 1),
 			NewReLU(),
-			NewConv2D(16, 16, 3, 1, 1, rng),
+			ip.conv(16, 16, 3, 1, 1),
 			NewReLU(),
 			NewMaxPool(2),
 		}
 		classifier := []Layer{
 			NewFlatten(),
-			NewDense(16*4*4, 32, rng),
+			ip.dense(16*4*4, 32),
 			NewReLU(),
-			NewDense(32, 10, rng),
+			ip.dense(32, 10),
 		}
 		return NewNetwork(a.InShape(), features, classifier)
 	case ArchCifar100ResNet:
 		features := []Layer{
-			NewConv2D(3, 16, 3, 1, 1, rng),
+			ip.conv(3, 16, 3, 1, 1),
 			NewReLU(),
-			NewResidualBlock(16, rng),
-			NewResidualBlock(16, rng),
+			ip.residual(16),
+			ip.residual(16),
 			NewMaxPool(2),
-			NewResidualBlock(16, rng),
+			ip.residual(16),
 			NewMaxPool(2),
 		}
 		classifier := []Layer{
 			NewFlatten(),
-			NewDense(16*8*8, 100, rng),
+			ip.dense(16*8*8, 100),
 		}
 		return NewNetwork(a.InShape(), features, classifier)
 	default:

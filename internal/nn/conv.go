@@ -33,19 +33,23 @@ var _ Layer = (*Conv2DLayer)(nil)
 
 // NewConv2D returns a convolution layer with He-initialized weights.
 func NewConv2D(inC, outC, kernel, pad, stride int, rng *tensor.RNG) *Conv2DLayer {
+	return initParams{rng: rng}.conv(inC, outC, kernel, pad, stride)
+}
+
+func (ip initParams) conv(inC, outC, kernel, pad, stride int) *Conv2DLayer {
 	l := &Conv2DLayer{
 		InChannels:  inC,
 		OutChannels: outC,
 		Kernel:      kernel,
 		Pad:         pad,
 		Stride:      stride,
-		weight:      tensor.MustNew(outC, inC, kernel, kernel),
-		bias:        tensor.MustNew(outC),
-		gw:          tensor.MustNew(outC, inC, kernel, kernel),
-		gb:          tensor.MustNew(outC),
+		weight:      tensor.MustNewOf(ip.dt, outC, inC, kernel, kernel),
+		bias:        tensor.MustNewOf(ip.dt, outC),
+		gw:          tensor.MustNewOf(ip.dt, outC, inC, kernel, kernel),
+		gb:          tensor.MustNewOf(ip.dt, outC),
 	}
 	fanIn := float64(inC * kernel * kernel)
-	l.weight.FillNormal(rng, math.Sqrt(2/fanIn))
+	ip.fill(l.weight, math.Sqrt(2/fanIn))
 	return l
 }
 

@@ -50,3 +50,13 @@ func (n *Network) PhaseFLOPs() (PhaseCost, error) {
 	}
 	return cost, nil
 }
+
+// PhaseFLOPs computes the per-sample phase costs of the architecture: those
+// of every network built from it, since they depend on layer shapes alone.
+func (a Arch) PhaseFLOPs() (PhaseCost, error) {
+	n, err := Replica(a, nil)
+	if err != nil {
+		return PhaseCost{}, err
+	}
+	return n.PhaseFLOPs()
+}

@@ -30,15 +30,19 @@ var _ Layer = (*DenseLayer)(nil)
 
 // NewDense returns a dense layer with Xavier-initialized weights.
 func NewDense(in, out int, rng *tensor.RNG) *DenseLayer {
+	return initParams{rng: rng}.dense(in, out)
+}
+
+func (ip initParams) dense(in, out int) *DenseLayer {
 	l := &DenseLayer{
 		In:     in,
 		Out:    out,
-		weight: tensor.MustNew(out, in),
-		bias:   tensor.MustNew(out),
-		gw:     tensor.MustNew(out, in),
-		gb:     tensor.MustNew(out),
+		weight: tensor.MustNewOf(ip.dt, out, in),
+		bias:   tensor.MustNewOf(ip.dt, out),
+		gw:     tensor.MustNewOf(ip.dt, out, in),
+		gb:     tensor.MustNewOf(ip.dt, out),
 	}
-	l.weight.FillNormal(rng, math.Sqrt(2/float64(in+out)))
+	ip.fill(l.weight, math.Sqrt(2/float64(in+out)))
 	return l
 }
 

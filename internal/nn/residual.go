@@ -27,10 +27,14 @@ var _ Layer = (*ResidualBlock)(nil)
 // relu2 cannot fuse because the skip connection adds into conv2's output
 // before the activation.
 func NewResidualBlock(channels int, rng *tensor.RNG) *ResidualBlock {
+	return initParams{rng: rng}.residual(channels)
+}
+
+func (ip initParams) residual(channels int) *ResidualBlock {
 	b := &ResidualBlock{
-		conv1: NewConv2D(channels, channels, 3, 1, 1, rng),
+		conv1: ip.conv(channels, channels, 3, 1, 1),
 		relu1: NewReLU(),
-		conv2: NewConv2D(channels, channels, 3, 1, 1, rng),
+		conv2: ip.conv(channels, channels, 3, 1, 1),
 		relu2: NewReLU(),
 	}
 	b.conv1.act = tensor.ActReLU

@@ -136,7 +136,10 @@ func (n *Network) Drive(done <-chan struct{}) error {
 // Close shuts down every peer, returning the first error. Shutdown is
 // two-phase: all peers stop sending before any listener is torn down, so
 // actor timers firing mid-shutdown drop their sends cleanly instead of
-// dialing an already-closed sibling.
+// dialing an already-closed sibling. The peer map is left as Seal filled it:
+// reader goroutines and timers still resolve nodes through it until their
+// peer's Close has joined them, and Peer.Close is idempotent, so a second
+// Close is harmless.
 func (n *Network) Close() error {
 	for _, p := range n.peers {
 		p.beginClose()
@@ -145,12 +148,11 @@ func (n *Network) Close() error {
 	for _, id := range n.order {
 		p := n.peers[id]
 		if p == nil {
-			continue
+			continue // Seal failed before this node listened
 		}
 		if cerr := p.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
-		delete(n.peers, id)
 	}
 	return err
 }
