@@ -49,12 +49,13 @@ func main() {
 
 // maxHeapMBAt100k bounds the post-GC heap of the 100 000-client point at the
 // default cohort. A hydrated client holds a network only from dispatch to update
-// (DESIGN.md §11), so what is live after the run is shells, shards and
-// retained snapshots: 75 MB at the change that introduced the lease, 199 MB
-// before it with 1 018 networks resident. The bound is what the lease without
-// the end-of-run release measured (140 MB) plus slack — a client that goes
-// back to keeping its network fails it.
-const maxHeapMBAt100k = 160
+// (DESIGN.md §11) and an edge drops its cohort's updates once the aggregate is
+// sent, so what is live after the run is shells and shards: 43 MB. It was
+// 75 MB while the edges' update buffers still referenced every snapshot of
+// the last round (605 × 52.7 kB), and 199 MB with 1 018 networks resident on
+// top. The bound is the measured value plus slack: either of those coming
+// back fails it.
+const maxHeapMBAt100k = 60
 
 // point is one (cluster size) measurement of the two curves.
 type point struct {

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"aergia/internal/race"
 	"aergia/internal/tensor"
 )
 
@@ -471,7 +472,7 @@ func TestCodecAllocations(t *testing.T) {
 		// call refills the stock.
 		r := NewResidual(c)
 		r.Encode(vals)
-		if n := testing.AllocsPerRun(20, func() { r.Encode(vals) }); n != 1 && !raceDetector {
+		if n := testing.AllocsPerRun(20, func() { r.Encode(vals) }); n != 1 && !race.Enabled {
 			t.Errorf("residual %s Encode: %v allocations a call, want 1 (the wire bytes)", name, n)
 		}
 

@@ -310,6 +310,14 @@ func (e *EdgeAggregator) flush(env comm.Env) {
 	if len(e.updates) == 0 {
 		return
 	}
+	// The round is closed: nothing reads the updates after this call, and a
+	// slice merely cut to length zero at the next dispatch would keep every
+	// client's weight snapshot reachable until then (and, after the last
+	// round, for as long as the cluster lives).
+	defer func() {
+		clear(e.updates)
+		e.updates = e.updates[:0]
+	}()
 	agg, err := weightedAverage(e.updates)
 	if err != nil {
 		e.logf("edge %d: aggregate: %v", e.ID, err)

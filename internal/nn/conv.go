@@ -24,7 +24,7 @@ type Conv2DLayer struct {
 	lastInput *tensor.Tensor
 	// act is the activation fused into the layer's kernels (set by
 	// fuseSection when a ReLU directly follows); ws owns the layer's
-	// preallocated im2col, output, and gradient-staging buffers.
+	// preallocated im2col, output, and input-gradient buffers.
 	act tensor.Activation
 	ws  tensor.Workspace
 }
@@ -71,10 +71,11 @@ func (l *Conv2DLayer) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // Backward implements Layer. The fused kernel masks the upstream gradient
-// through any fused activation, stages fresh weight/bias gradients in the
-// workspace, and adds them into the layer accumulators — the same
-// fresh-gradient-then-add order as the unfused path, so float64 results are
-// bit-identical.
+// through any fused activation, computes fresh weight/bias gradients, and
+// adds them into the layer accumulators — the same fresh-gradient-then-add
+// order as the unfused path, so float64 results are bit-identical. The
+// returned input gradient is nil for a network's first layer, where nothing
+// reads it.
 func (l *Conv2DLayer) Backward(gy *tensor.Tensor) (*tensor.Tensor, error) {
 	if l.lastInput == nil {
 		return nil, ErrNoForward

@@ -60,7 +60,7 @@ func NewNetwork(inShape []int, features, classifier []Layer) (*Network, error) {
 	fuseSection(n.Features)
 	fuseSection(n.Classifier)
 	// The first layer's input gradient is discarded by the training loop;
-	// tell its workspace so fast engines can skip computing it. Parameter
+	// tell its workspace so the engines skip computing it. Parameter
 	// gradients are unaffected, so this never changes trained weights.
 	if len(n.Features) > 0 {
 		if l, ok := n.Features[0].(*Conv2DLayer); ok {

@@ -2,8 +2,11 @@ package nn
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
+	"aergia/internal/race"
 	"aergia/internal/tensor"
 )
 
@@ -29,14 +32,7 @@ func TestReplicaTrainsLikeBuildWith(t *testing.T) {
 				t.Fatal(err)
 			}
 			w := seeded.SnapshotWeights()
-			rng := tensor.NewRNG(9)
-			xs := make([]*tensor.Tensor, 2)
-			ys := make([]int, len(xs))
-			for i := range xs {
-				xs[i] = tensor.MustNew(arch.InShape()...)
-				xs[i].FillNormal(rng, 1)
-				ys[i] = (3 + 4*i) % arch.Classes()
-			}
+			xs, ys := randomBatch(arch, 2)
 
 			built, err := BuildWith(arch, 1, be)
 			if err != nil {
@@ -128,5 +124,103 @@ func TestArchPhaseFLOPs(t *testing.T) {
 	}
 	if _, err := Arch(0).PhaseFLOPs(); err == nil {
 		t.Fatal("unknown architecture has phase costs")
+	}
+}
+
+// randomBatch is n random samples of the architecture's input shape with
+// labels spread over its classes.
+func randomBatch(arch Arch, n int) ([]*tensor.Tensor, []int) {
+	rng := tensor.NewRNG(9)
+	xs := make([]*tensor.Tensor, n)
+	ys := make([]int, n)
+	for i := range xs {
+		xs[i] = tensor.MustNew(arch.InShape()...)
+		xs[i].FillNormal(rng, 1)
+		ys[i] = (3 + 4*i) % arch.Classes()
+	}
+	return xs, ys
+}
+
+// TestTrainBatchSteadyStateAllocs: a training step's kernels allocate
+// nothing once the workspaces and the engine's scratch stock are sized —
+// forward, backward, the float64 backward's staging included. What a
+// TrainBatch does allocate is the 21 short slices Params()/Grads() build
+// for the optimizer, the same count as before the float64 backward drew on
+// scratch at all; one buffer a step more would show here.
+func TestTrainBatchSteadyStateAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
+	}
+	const paramSlices = 21
+	xs, ys := randomBatch(ArchMNISTSmall, 8)
+	for _, name := range []string{"serial", "serial32"} {
+		be, err := tensor.NewBackend(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := BuildWith(ArchMNISTSmall, 1, be)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := NewSGD(0.05)
+		step := func() {
+			if _, err := net.TrainBatch(xs, ys, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step()
+		if allocs := testing.AllocsPerRun(10, step); allocs > paramSlices {
+			t.Errorf("%s: TrainBatch allocates %.0f times a step, want the %d parameter-list slices and nothing from a kernel",
+				name, allocs, paramSlices)
+		}
+	}
+}
+
+// TestReplicaFootprint pins the bytes one more MNISTSmall replica costs a run
+// — built blank, loaded, trained for one batch, so every workspace is sized
+// — at no more than it cost before the float64 convolution backward moved
+// its staging out of the layers: 198 320 B then (each conv layer held a
+// weight-gradient staging tensor, and the first an input gradient nobody
+// read), 189 960 B now that the staging is one buffer in the engine's
+// scratch stock, which a first replica warms here so that the second is
+// charged only for what it holds. Per-layer slots for the staged gradient
+// and the padded planes would put ≈ 24 kB on every leased network instead,
+// which is how a prototype of the sweeps lost sim_aergia's heap_live_mb
+// bound.
+func TestReplicaFootprint(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
+	}
+	const budget = 192000 // measured 189960 B; 198320 B at the parent commit
+	xs, ys := randomBatch(ArchMNISTSmall, 8)
+	seeded, err := Build(ArchMNISTSmall, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	global := seeded.SnapshotWeights()
+	// No collection inside the window: one would empty the scratch stock
+	// and charge its refill to the replica.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	oneMore := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		net, err := Replica(ArchMNISTSmall, tensor.Serial{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := net.LoadWeights(global); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := net.TrainBatch(xs, ys, NewSGD(0.05)); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first := oneMore()
+	second := oneMore()
+	t.Logf("a replica and its first step allocate %d B with the scratch stock cold, %d B with it warm", first, second)
+	if second > budget {
+		t.Errorf("one more trained replica costs %d B, budget %d", second, budget)
 	}
 }

@@ -58,3 +58,41 @@ func BenchmarkConv2D(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkConv2DGradsFused tracks the fused convolution backward — the
+// kernel a training step spends most of its time in — on MNISTSmall's two
+// convolutions as the network runs them: through the ReLU mask the matching
+// fused forward recorded, the first layer with its input gradient waived, on
+// both engines.
+func BenchmarkConv2DGradsFused(b *testing.B) {
+	for _, sh := range []struct {
+		name         string
+		cIn, hw, out int
+	}{
+		{"conv1_1x14x14_6", 1, 14, 6},
+		{"conv2_6x7x7_12", 6, 7, 12},
+	} {
+		for _, be := range []Backend{Serial{}, NewSerial32()} {
+			rng := NewRNG(7)
+			fill := func(shape ...int) *Tensor {
+				t := MustNewOf(be.DType(), shape...)
+				t.FillNormal(rng, 0.1)
+				return t
+			}
+			x, w, bias := fill(sh.cIn, sh.hw, sh.hw), fill(sh.out, sh.cIn, 3, 3), fill(sh.out)
+			gy, gw, gb := fill(sh.out, sh.hw, sh.hw), fill(sh.out, sh.cIn, 3, 3), fill(sh.out)
+			ws := Workspace{NoInputGrad: sh.cIn == 1}
+			if _, err := be.Conv2DFused(x, w, bias, 1, 1, ActReLU, &ws); err != nil {
+				b.Fatal(err)
+			}
+			b.Run(sh.name+"/"+be.Name(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := be.Conv2DGradsFused(x, w, gy, 1, 1, ActReLU, gw, gb, &ws); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -10,15 +10,21 @@ import "fmt"
 // (internal/fl/lane.go, DESIGN.md §14), never a kernel split across cores.
 //
 // Determinism contract: a kernel's result is a pure function of its inputs —
-// one fixed accumulation order per output element. The float64 engine
-// executes the exact operation sequence of the historical hand-written
-// kernels (Go forbids implicit FMA contraction), so it stays bit-identical
-// to the pre-generic golden runs. That includes the im2col path of
-// Conv2DFused against the direct convolution: the extra zero-padding terms
-// im2col touches contribute ±0.0 to accumulators that can never themselves
-// be -0.0 (they start from +0.0 or a bias and IEEE-754 addition only yields
-// -0.0 from two -0.0 operands), so x + 0.0 == x bit-for-bit along the whole
-// reduction.
+// one fixed accumulation order per output element. The float64 engine adds,
+// for every output element, the terms of the historical hand-written kernels
+// in their order, one rounded operation each, so it stays bit-identical to
+// the pre-generic golden runs. The Go specification does allow a compiler to
+// fuse x*y + z into one rounding; gc does so on arm64 and at GOAMD64=v3, not
+// at amd64's default GOAMD64=v1, which is therefore what the goldens are
+// pinned for. A left-associated chain c + w0·x0 + w1·x1 offers the compiler
+// the same products feeding the same adds as c += w0·x0; c += w1·x1, so it
+// fuses exactly where the statement form would.
+//
+// Where a fused kernel visits terms the direct one skips — the zero padding
+// im2col makes explicit, gradients a ReLU masked — those terms are ±0.0 (for
+// finite operands) added to accumulators that can never themselves be -0.0
+// (they start from +0.0 or a bias and IEEE-754 addition only yields -0.0 from
+// two -0.0 operands), so x + 0.0 == x bit-for-bit along the whole reduction.
 //
 // The data/newT accessors are plain function fields rather than method-set
 // dispatch so that fetching a typed slice from a Tensor performs no
@@ -218,19 +224,11 @@ func (e *engine[T]) denseForwardInto(w, bias, x *Tensor, act Activation, mask []
 	if bias != nil {
 		bd = e.data(bias)
 	}
-	for o := 0; o < out; o++ {
-		row := wd[o*in : (o+1)*in]
-		var s T
-		if bd != nil {
-			s = bd[o]
-		}
-		for i, v := range xd {
-			s += row[i] * v
-		}
+	// finish applies the activation to one completed sum. Same element
+	// semantics as the standalone ReLU layer: mask = s > 0, non-positive
+	// values clamp to +0.0, NaN passes through unmasked.
+	finish := func(o int, s T) {
 		if act == ActReLU {
-			// Same element semantics as the standalone ReLU layer:
-			// mask = s > 0, non-positive values clamp to +0.0, NaN
-			// passes through unmasked.
 			if s > 0 {
 				mask[o] = true
 			} else {
@@ -241,6 +239,41 @@ func (e *engine[T]) denseForwardInto(w, bias, x *Tensor, act Activation, mask []
 			}
 		}
 		yd[o] = s
+	}
+	// Four output rows per pass: each sum is still its own bias-first chain
+	// over ascending i, but four independent chains overlap where one alone
+	// waits out the add latency at every step, and x is loaded once for four.
+	o := 0
+	for ; o+4 <= out; o += 4 {
+		r0 := wd[o*in:][:in]
+		r1 := wd[(o+1)*in:][:in]
+		r2 := wd[(o+2)*in:][:in]
+		r3 := wd[(o+3)*in:][:in]
+		var s0, s1, s2, s3 T
+		if bd != nil {
+			s0, s1, s2, s3 = bd[o], bd[o+1], bd[o+2], bd[o+3]
+		}
+		for i, v := range xd[:in] {
+			s0 += r0[i] * v
+			s1 += r1[i] * v
+			s2 += r2[i] * v
+			s3 += r3[i] * v
+		}
+		finish(o, s0)
+		finish(o+1, s1)
+		finish(o+2, s2)
+		finish(o+3, s3)
+	}
+	for ; o < out; o++ {
+		row := wd[o*in:][:in]
+		var s T
+		if bd != nil {
+			s = bd[o]
+		}
+		for i, v := range xd[:in] {
+			s += row[i] * v
+		}
+		finish(o, s)
 	}
 }
 
@@ -306,21 +339,47 @@ func (e *engine[T]) denseBackwardInto(w, x, gy *Tensor, act Activation, mask []b
 		e.denseBackwardFast(wd, xd, gyd, gwd, gbd, gxd, act, mask, ws, out, in)
 		return
 	}
-	for o := 0; o < out; o++ {
-		g := gyd[o]
+	geff := func(o int) T {
 		if act == ActReLU && !mask[o] {
-			g = 0
+			return 0
 		}
+		return gyd[o]
+	}
+	xd, gxd = xd[:in], gxd[:in]
+	for o := 0; o < out; {
+		g := geff(o)
 		gbd[o] += g
 		if g == 0 {
+			o++
 			continue
 		}
-		row := wd[o*in : (o+1)*in]
-		grow := gwd[o*in : (o+1)*in]
+		row := wd[o*in:][:in]
+		grow := gwd[o*in:][:in]
+		var g1 T
+		if o+1 < out {
+			g1 = geff(o + 1)
+		}
+		if g1 == 0 {
+			for i, v := range xd {
+				grow[i] += g * v
+				gxd[i] += g * row[i]
+			}
+			o++
+			continue
+		}
+		// Two live rows per pass: x is loaded once for both outer-product
+		// rows and gx takes both terms in one load and store, as the
+		// left-associated chain that adds row o's term and then row o+1's
+		// exactly like two passes would.
+		gbd[o+1] += g1
+		row1 := wd[(o+1)*in:][:in]
+		grow1 := gwd[(o+1)*in:][:in]
 		for i, v := range xd {
 			grow[i] += g * v
-			gxd[i] += g * row[i]
+			grow1[i] += g1 * v
+			gxd[i] = gxd[i] + g*row[i] + g1*row1[i]
 		}
+		o += 2
 	}
 }
 
@@ -617,44 +676,120 @@ func im2colMulFast[T Elem](cols, wdta, bd, od []T, act Activation, mask []bool, 
 
 // im2colMul multiplies the (f)×(ckk) kernel matrix with cols into out, each
 // output row seeded by the filter bias, optionally applying the fused
-// activation to the finished row.
+// activation to the finished rows. It is the exact (non-reassociating)
+// product: every output element receives bias, then w[k]·cols[k] for
+// ascending k, one rounded add per tap, zero weights skipped — the order of
+// the historical one-tap-per-pass loop. Four taps are folded per pass as the
+// left-associated chain c + w0·x0 + w1·x1 + w2·x2 + w3·x3, which Go
+// evaluates as the same four adds in the same order as four `+=` statements
+// while loading and storing c once; filters advance in pairs so each loaded
+// column element feeds two rows. A four-tap block holding a zero weight
+// takes the one-tap loop with its skip, so the chain never adds a term the
+// historical loop left out.
 func im2colMul[T Elem](cols, wdta, bd, od []T, act Activation, mask []bool, d convDims) {
-	for fi := 0; fi < d.f; fi++ {
-		crow := od[fi*d.ohw : (fi+1)*d.ohw]
+	n := d.ohw
+	fi := 0
+	for ; fi+2 <= d.f; fi += 2 {
+		crowA := od[fi*n:][:n]
+		crowB := od[(fi+1)*n:][:n]
+		var ba, bb T
 		if bd != nil {
-			bias := bd[fi]
-			for j := range crow {
-				crow[j] = bias
-			}
-		} else {
-			for j := range crow {
-				crow[j] = 0
-			}
+			ba, bb = bd[fi], bd[fi+1]
 		}
-		wrow := wdta[fi*d.ckk : (fi+1)*d.ckk]
-		for pp, av := range wrow {
-			if av == 0 {
+		for j := range crowA {
+			crowA[j] = ba
+			crowB[j] = bb
+		}
+		wrowA := wdta[fi*d.ckk:][:d.ckk]
+		wrowB := wdta[(fi+1)*d.ckk:][:d.ckk]
+		k := 0
+		for ; k+4 <= d.ckk; k += 4 {
+			wa0, wa1, wa2, wa3 := wrowA[k], wrowA[k+1], wrowA[k+2], wrowA[k+3]
+			wb0, wb1, wb2, wb3 := wrowB[k], wrowB[k+1], wrowB[k+2], wrowB[k+3]
+			if wa0 == 0 || wa1 == 0 || wa2 == 0 || wa3 == 0 ||
+				wb0 == 0 || wb1 == 0 || wb2 == 0 || wb3 == 0 {
+				for t := k; t < k+4; t++ {
+					axpySkipZero(wrowA[t], cols[t*n:][:n], crowA)
+					axpySkipZero(wrowB[t], cols[t*n:][:n], crowB)
+				}
 				continue
 			}
-			colrow := cols[pp*d.ohw : (pp+1)*d.ohw]
-			for j, cv := range colrow {
-				crow[j] += av * cv
+			c0 := cols[k*n:][:n]
+			c1 := cols[(k+1)*n:][:n]
+			c2 := cols[(k+2)*n:][:n]
+			c3 := cols[(k+3)*n:][:n]
+			for j := range crowA {
+				cv0, cv1, cv2, cv3 := c0[j], c1[j], c2[j], c3[j]
+				crowA[j] = crowA[j] + wa0*cv0 + wa1*cv1 + wa2*cv2 + wa3*cv3
+				crowB[j] = crowB[j] + wb0*cv0 + wb1*cv1 + wb2*cv2 + wb3*cv3
 			}
+		}
+		for ; k < d.ckk; k++ {
+			axpySkipZero(wrowA[k], cols[k*n:][:n], crowA)
+			axpySkipZero(wrowB[k], cols[k*n:][:n], crowB)
 		}
 		if act == ActReLU {
-			mrow := mask[fi*d.ohw : (fi+1)*d.ohw]
-			for j, v := range crow {
-				if v > 0 {
-					mrow[j] = true
-				} else {
-					mrow[j] = false
-					if v <= 0 {
-						crow[j] = 0
-					}
-				}
-			}
+			reluRow(crowA, mask[fi*n:][:n])
+			reluRow(crowB, mask[(fi+1)*n:][:n])
 		}
 	}
+	if fi < d.f {
+		// An odd last filter (no architecture in the tree has one) takes
+		// the one-tap loop throughout.
+		crow := od[fi*n:][:n]
+		var bias T
+		if bd != nil {
+			bias = bd[fi]
+		}
+		for j := range crow {
+			crow[j] = bias
+		}
+		for k, wv := range wdta[fi*d.ckk:][:d.ckk] {
+			axpySkipZero(wv, cols[k*n:][:n], crow)
+		}
+		if act == ActReLU {
+			reluRow(crow, mask[fi*n:][:n])
+		}
+	}
+}
+
+// axpySkipZero is one tap of the exact product: y += a·x, or nothing at all
+// for a zero weight (the historical kernel's skip). len(y) must equal len(x).
+func axpySkipZero[T Elem](a T, x, y []T) {
+	if a == 0 {
+		return
+	}
+	y = y[:len(x)]
+	for j, v := range x {
+		y[j] += a * v
+	}
+}
+
+// reluRow applies the fused ReLU to one finished output row with the element
+// semantics of the standalone layer: mask = v > 0, non-positive values clamp
+// to +0.0, NaN passes through unmasked.
+func reluRow[T Elem](row []T, mask []bool) {
+	mask = mask[:len(row)]
+	for j, v := range row {
+		mask[j] = v > 0
+		row[j] = pick(!(v <= 0), v)
+	}
+}
+
+// pick returns v if keep and +0.0 otherwise, as an indexed load rather than
+// a branch: the compiler has no conditional move for floats, and a branch on
+// a ReLU mask — half taken, in no pattern — mispredicts on every other
+// element, which costs more than the arithmetic around it.
+func pick[T Elem](keep bool, v T) T {
+	return [2]T{0, v}[b2i(keep)]
+}
+
+// b2i is 1 for true and 0 for false; it compiles to a flag move.
+func b2i(c bool) int {
+	if c {
+		return 1
+	}
+	return 0
 }
 
 // Conv2D implements Backend. The float64 engine runs the direct nested-loop
@@ -686,7 +821,8 @@ func (e *engine[T]) Conv2D(x, w, b *Tensor, pad, stride int) (*Tensor, error) {
 // same pass, the output and im2col matrix staged in the workspace, and (for
 // ActReLU) the pass-through mask recorded for Conv2DGradsFused. Both engines
 // use the workspace-arena im2col path here, so the layer hot path performs
-// no allocations in steady state.
+// no allocations in steady state; the float64 engine's product (im2colMul)
+// is exact, the float32 engine's (im2colMulFast) reassociates.
 func (e *engine[T]) Conv2DFused(x, w, b *Tensor, pad, stride int, act Activation, ws *Workspace) (*Tensor, error) {
 	if ws == nil {
 		return nil, fmt.Errorf("tensor: Conv2DFused needs a workspace")
@@ -730,20 +866,20 @@ func (e *engine[T]) convGradsCheck(x, w, gy *Tensor, pad, stride int) (convDims,
 	return d, e.check(x, w, gy)
 }
 
-// convGradsInto computes conv gradients into zeroed gx/gw/gb. The masked
-// upstream gradient geff (gy, or 0 where the fused ReLU clamped) replicates
-// a standalone ReLU backward followed by the plain kernel: work skips
-// entirely on geff == 0, exactly like the historical g == 0 skip.
-func (e *engine[T]) convGradsInto(x, w, gy *Tensor, pad, stride int, act Activation, mask []bool, gx, gw, gb *Tensor, d convDims) {
-	xd, wdta := e.data(x), e.data(w)
-	gyd, gxd, gwd, gbd := e.data(gy), e.data(gx), e.data(gw), e.data(gb)
+// convGradsInto computes conv gradients into zeroed gxd/gwd and into gbd. The
+// masked upstream gradient geff (gy, or 0 where the fused ReLU clamped)
+// replicates a standalone ReLU backward followed by the plain kernel: work
+// skips entirely on geff == 0, exactly like the historical g == 0 skip. It is
+// the reference the float64 engine's sweeps (convGradsSweep) are held to, and
+// what a strided convolution still runs.
+func convGradsInto[T Elem](xd, wdta, gyd []T, pad, stride int, mask []bool, gxd, gwd, gbd []T, d convDims) {
 	for fi := 0; fi < d.f; fi++ {
 		var gbias T
 		for oy := 0; oy < d.oh; oy++ {
 			for ox := 0; ox < d.ow; ox++ {
 				oi := (fi*d.oh+oy)*d.ow + ox
 				g := gyd[oi]
-				if act == ActReLU && !mask[oi] {
+				if mask != nil && !mask[oi] {
 					g = 0
 				}
 				if g == 0 {
@@ -776,6 +912,189 @@ func (e *engine[T]) convGradsInto(x, w, gy *Tensor, pad, stride int, act Activat
 		}
 		gbd[fi] = gbias
 	}
+}
+
+// convGradW adds two filters' weight gradients, gw[k] += <g, cols[k]> for
+// every column row k, each dot product one accumulator from +0.0 over
+// ascending position. Two filters against two column rows per pass: four
+// independent add chains overlap where one alone waits out the add latency
+// at every step, and each loaded element feeds two products. An odd last
+// column row is paired with itself and its twin discarded; so is an odd last
+// filter, which the caller passes twice (gw1 == nil).
+func convGradW[T Elem](g0r, g1r, cols, gw0, gw1 []T) {
+	n, ckk := len(g0r), len(gw0)
+	g1r = g1r[:n]
+	for k0 := 0; k0 < ckk; k0 += 2 {
+		k1 := min(k0+1, ckk-1)
+		c0r := cols[k0*n:][:n]
+		c1r := cols[k1*n:][:n]
+		var a00, a01, a10, a11 T
+		for p, c0 := range c0r {
+			c1 := c1r[p]
+			g0, g1 := g0r[p], g1r[p]
+			a00 += g0 * c0
+			a01 += g0 * c1
+			a10 += g1 * c0
+			a11 += g1 * c1
+		}
+		gw0[k0] += a00
+		if k1 != k0 {
+			gw0[k1] += a01
+		}
+		if gw1 == nil {
+			continue
+		}
+		gw1[k0] += a10
+		if k1 != k0 {
+			gw1[k1] += a11
+		}
+	}
+}
+
+// convGradsSweep is the float64 engine's fused convolution backward for unit
+// stride: convGradsInto's sums, term for term and in convGradsInto's order,
+// computed as long contiguous sweeps instead of a scatter per output pixel.
+// Filters go through in pairs, ascending:
+//
+//   - The pair's masked gradient rows are staged, branch-free, with gb's row
+//     sum riding the same pass.
+//   - gw[f][k] is the dot product of gradient row f with column row k of the
+//     im2col matrix the forward left in ws.cols: one accumulator from +0.0
+//     over ascending position, which is the order in which the scatter's
+//     output pixels reach gwrow[kx] (convGradW).
+//   - gx accumulates in a zero-padded plane of row stride pw = w+2·pad per
+//     channel, against the gradient row restaged at the same stride. There a
+//     tap (ky, kx) moves every output pixel by one flat offset ky·pw+kx, so
+//     a filter row is one sweep over the plane,
+//     dst[i] = dst[i] + g[i-kx]·w[kx] for descending kx as one
+//     left-associated chain, rather than kw·oh row updates of length ow.
+//     Taps run in descending (ky, kx) because for a fixed input cell
+//     descending tap is ascending (oy, ox), the order the scatter reaches it.
+//
+// What the sweeps add that the scatter skipped — masked gradients, padding,
+// the gaps between restaged rows — are ±0.0 terms (for finite operands) into
+// accumulators that start at +0.0 and so can never be -0.0: every sum keeps
+// its bits (DESIGN.md §2 rule 2). All staging is one buffer from the
+// engine's scratch stock, none of it a workspace slot.
+func (e *engine[T]) convGradsSweep(x, w, gy *Tensor, pad int, mask []bool, gwAcc, gbAcc *Tensor, ws *Workspace, d convDims) *Tensor {
+	const chain = 3 // taps folded into one sweep
+	wdta, gyd := e.data(w), e.data(gy)
+	gwd, gbd := e.data(gwAcc), e.data(gbAcc)
+	n := d.ohw
+	pw := d.w + 2*pad
+	plane := (d.h + 2*pad) * pw
+	span := d.oh * pw // plane cells one filter row's sweep covers
+	// The restaged gradient row: kw-1 zeros, so the chain can read behind
+	// the first pixel; oh rows at stride pw, gaps zero; chain-1 zeros, so a
+	// chain's unused taps (weight zero) can read past the last.
+	lead := d.kw - 1
+	glen := lead + span + chain - 1
+	skipGX := ws.NoInputGrad
+	haveCols := ws.cols != nil && ws.cols.dt == e.dt && ws.cols.Size() == d.ckk*n
+
+	size := 2 * n
+	if !skipGX {
+		size += glen + d.cIn*plane
+	}
+	if !haveCols {
+		size += d.ckk * n
+	}
+	buf := e.scratch.get(size)
+	defer e.scratch.put(buf)
+	pair, rest := (*buf)[:2*n], (*buf)[2*n:]
+	var gpad, planes []T
+	if !skipGX {
+		gpad, planes, rest = rest[:glen], rest[glen:][:d.cIn*plane], rest[glen+d.cIn*plane:]
+		// Every filter overwrites the same pixel cells of gpad; what lies
+		// between them is zeroed once.
+		for i := range gpad {
+			gpad[i] = 0
+		}
+		for i := range planes {
+			planes[i] = 0
+		}
+	}
+	var cols []T
+	if haveCols {
+		cols = e.data(ws.cols)
+	} else {
+		cols = rest[:d.ckk*n]
+		im2colFill(cols, e.data(x), pad, 1, d)
+	}
+
+	for f0 := 0; f0 < d.f; f0 += 2 {
+		f1 := min(f0+2, d.f)
+		for fi := f0; fi < f1; fi++ {
+			grow := gyd[fi*n:][:n]
+			erow := pair[(fi-f0)*n:][:n]
+			var s T
+			if mask == nil {
+				for j, g := range grow {
+					erow[j] = g
+					s += g
+				}
+			} else {
+				mrow := mask[fi*n:][:n]
+				for j, g := range grow {
+					g = pick(mrow[j], g)
+					erow[j] = g
+					s += g
+				}
+			}
+			gbd[fi] += s
+		}
+		if f1-f0 == 2 {
+			convGradW(pair[:n], pair[n:], cols, gwd[f0*d.ckk:][:d.ckk], gwd[(f0+1)*d.ckk:][:d.ckk])
+		} else {
+			convGradW(pair[:n], pair[:n], cols, gwd[f0*d.ckk:][:d.ckk], nil)
+		}
+		if skipGX {
+			continue
+		}
+		for fi := f0; fi < f1; fi++ {
+			erow := pair[(fi-f0)*n:][:n]
+			for oy := 0; oy < d.oh; oy++ {
+				copy(gpad[lead+oy*pw:][:d.ow], erow[oy*d.ow:])
+			}
+			for c := 0; c < d.cIn; c++ {
+				for ky := d.kh - 1; ky >= 0; ky-- {
+					dst := planes[c*plane+ky*pw:][:span]
+					wrow := wdta[((fi*d.cIn+c)*d.kh+ky)*d.kw:][:d.kw]
+					for hi := d.kw - 1; hi >= 0; hi -= chain {
+						// Taps hi, hi-1, hi-2 read gpad at offsets 0, 1, 2
+						// from lead-hi: a sliding window — carry two, load
+						// one.
+						var wa, wb, wc T
+						wa = wrow[hi]
+						if hi >= 1 {
+							wb = wrow[hi-1]
+						}
+						if hi >= 2 {
+							wc = wrow[hi-2]
+						}
+						at := lead - hi
+						ga, gb, next := gpad[at], gpad[at+1], gpad[at+2:][:span]
+						for i := range dst {
+							gc := next[i]
+							dst[i] = dst[i] + ga*wa + gb*wb + gc*wc
+							ga, gb = gb, gc
+						}
+					}
+				}
+			}
+		}
+	}
+	if skipGX {
+		return nil
+	}
+	gx := ensureTensor(&ws.gx, e.dt, d.cIn, d.h, d.w)
+	gxd := e.data(gx)
+	for c := 0; c < d.cIn; c++ {
+		for iy := 0; iy < d.h; iy++ {
+			copy(gxd[(c*d.h+iy)*d.w:][:d.w], planes[c*plane+(iy+pad)*pw+pad:])
+		}
+	}
+	return gx
 }
 
 // convBwdCol is the fast convolution backward over the im2col rows: for each
@@ -1058,17 +1377,17 @@ func (e *engine[T]) Conv2DGrads(x, w, gy *Tensor, pad, stride int) (gx, gw, gb *
 		return gx, gw, gb, nil
 	}
 	gx = e.newT(d.cIn, d.h, d.w)
-	e.convGradsInto(x, w, gy, pad, stride, ActNone, nil, gx, gw, gb, d)
+	convGradsInto(e.data(x), e.data(w), e.data(gy), pad, stride, nil, e.data(gx), e.data(gw), e.data(gb), d)
 	return gx, gw, gb, nil
 }
 
 // Conv2DGradsFused implements Backend: Conv2DGrads with the upstream
 // gradient masked through the activation recorded by Conv2DFused. The
-// weight and bias gradients are staged in zeroed workspace scratch and then
-// added into the caller's accumulators gwAcc/gbAcc — the same
-// fresh-gradient-then-AddInPlace order as the historical layer code, so
-// float64 summation order (and therefore golden bits) is preserved. The
-// returned gx is workspace-owned.
+// weight and bias gradients are computed fresh and then added into the
+// caller's accumulators gwAcc/gbAcc — the same fresh-gradient-then-add
+// order as the historical layer code, so float64 summation order (and
+// therefore golden bits) is preserved. The returned gx is workspace-owned,
+// or nil when the workspace's NoInputGrad hint marks it dead.
 func (e *engine[T]) Conv2DGradsFused(x, w, gy *Tensor, pad, stride int, act Activation, gwAcc, gbAcc *Tensor, ws *Workspace) (*Tensor, error) {
 	if ws == nil {
 		return nil, fmt.Errorf("tensor: Conv2DGradsFused needs a workspace")
@@ -1079,6 +1398,10 @@ func (e *engine[T]) Conv2DGradsFused(x, w, gy *Tensor, pad, stride int, act Acti
 	}
 	if err := e.check(gwAcc, gbAcc); err != nil {
 		return nil, err
+	}
+	if gwAcc.Size() != d.f*d.ckk || gbAcc.Size() != d.f {
+		return nil, fmt.Errorf("%w: Conv2DGradsFused accumulators gw=%d gb=%d for %d filters of %d taps",
+			ErrShapeMismatch, gwAcc.Size(), gbAcc.Size(), d.f, d.ckk)
 	}
 	var mask []bool
 	if act == ActReLU {
@@ -1091,17 +1414,26 @@ func (e *engine[T]) Conv2DGradsFused(x, w, gy *Tensor, pad, stride int, act Acti
 	if e.fast {
 		return e.convGradsFast(x, w, gy, pad, stride, act, mask, gwAcc, gbAcc, ws, d), nil
 	}
-	gx := ensureTensor(&ws.gx, e.dt, d.cIn, d.h, d.w)
-	gwS := ensureTensor(&ws.gw, e.dt, d.f, d.cIn, d.kh, d.kw)
-	gbS := ensureTensor(&ws.gb, e.dt, d.f)
-	gx.Zero()
-	gwS.Zero()
-	e.convGradsInto(x, w, gy, pad, stride, act, mask, gx, gwS, gbS, d)
-	if err := gwAcc.AddInPlace(gwS); err != nil {
-		return nil, err
+	if stride == 1 && d.oh == d.h+2*pad-d.kh+1 && d.ow == d.w+2*pad-d.kw+1 {
+		return e.convGradsSweep(x, w, gy, pad, mask, gwAcc, gbAcc, ws, d), nil
 	}
-	if err := gbAcc.AddInPlace(gbS); err != nil {
-		return nil, err
+	// No architecture in the tree strides, so a strided convolution keeps
+	// the reference scatter, its fresh gradients staged in scratch.
+	gx := ensureTensor(&ws.gx, e.dt, d.cIn, d.h, d.w)
+	gx.Zero()
+	buf := e.scratch.get(d.f*d.ckk + d.f)
+	defer e.scratch.put(buf)
+	gwS, gbS := (*buf)[:d.f*d.ckk], (*buf)[d.f*d.ckk:]
+	for i := range gwS {
+		gwS[i] = 0
+	}
+	convGradsInto(e.data(x), e.data(w), e.data(gy), pad, stride, mask, e.data(gx), gwS, gbS, d)
+	gwd, gbd := e.data(gwAcc), e.data(gbAcc)
+	for i, v := range gwS {
+		gwd[i] += v
+	}
+	for i, v := range gbS {
+		gbd[i] += v
 	}
 	return gx, nil
 }
@@ -1117,27 +1449,27 @@ func poolCheck(x *Tensor, size int) (c, h, w int, err error) {
 	return c, h, w, nil
 }
 
+// maxPoolInto scans each window in (py, px) order and keeps the first
+// strictly greatest element (NaN never wins a comparison). The running best
+// is carried as its index alone and moved by a mask instead of a branch:
+// which cell of a ReLU'd map is largest has no pattern to predict.
 func (e *engine[T]) maxPoolInto(x, out *Tensor, arg []int, size, c, h, w int) {
 	oh, ow := h/size, w/size
 	xd, od := e.data(x), e.data(out)
-	for ci := 0; ci < c; ci++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				bestIdx := (ci*h+oy*size)*w + ox*size
-				best := xd[bestIdx]
-				for py := 0; py < size; py++ {
-					for px := 0; px < size; px++ {
-						idx := (ci*h+oy*size+py)*w + ox*size + px
-						if xd[idx] > best {
-							best = xd[idx]
-							bestIdx = idx
-						}
-					}
+	o := 0
+	for r := 0; r < c*oh; r++ {
+		for ox := 0; ox < ow; ox++ {
+			corner := r*size*w + ox*size
+			best := corner
+			for py := 0; py < size; py++ {
+				row := corner + py*w
+				for idx := row; idx < row+size; idx++ {
+					best += (idx - best) & -b2i(xd[idx] > xd[best])
 				}
-				o := (ci*oh+oy)*ow + ox
-				od[o] = best
-				arg[o] = bestIdx
 			}
+			od[o] = xd[best]
+			arg[o] = best
+			o++
 		}
 	}
 }

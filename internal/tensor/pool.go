@@ -3,10 +3,13 @@ package tensor
 import "sync"
 
 // arena is a stock of scratch buffers of one element type, backed by
-// sync.Pool. The float32 engine stages im2col matrices here on the
-// non-workspace Conv2D/Conv2DGrads path, so even direct backend calls perform
-// no steady-state scratch allocations; the fused layer path stages in
-// per-layer Workspaces instead. The zero value is ready to use.
+// sync.Pool, for what a kernel needs only until it returns. The float64
+// engine's fused convolution backward stages its masked gradient and padded
+// planes here, one buffer a call, so that no layer holds them between steps;
+// the float32 engine stages im2col matrices here on the non-workspace
+// Conv2D/Conv2DGrads path. A caller that takes one buffer at a time keeps the
+// stock at its largest request: steady state allocates nothing. The zero
+// value is ready to use.
 type arena[T Elem] struct{ free sync.Pool }
 
 // get returns a buffer with length n (contents unspecified).
