@@ -46,7 +46,8 @@ type AsyncFederator struct {
 	// none, and arm no timers). Topology.Build wires it from
 	// chaos.Plan.RoundTimeout.
 	RedispatchAfter time.Duration
-	// Evaluate computes test accuracy of the global weights.
+	// Evaluate computes test accuracy of the global weights, on a compute
+	// lane (off the federator's goroutine), one call at a time.
 	Evaluate func(w nn.Weights) (float64, error)
 	// Seed identifies the run in published round events.
 	Seed uint64
@@ -94,6 +95,9 @@ type AsyncFederator struct {
 	// published sample, so events carry per-sample deltas.
 	lastSampleAt      time.Duration
 	lastSampleUpdates int
+
+	lanes    *laneGroup  // the run's (Topology.Build), or Init makes one
+	sampling *evaluation // the last sample's, joined at the next sample
 }
 
 // asyncBase is one retained dispatch base and its outstanding-dispatch
@@ -158,6 +162,9 @@ func (f *AsyncFederator) Init() error {
 	f.pending = make(map[comm.NodeID]uint64)
 	f.bases = make(map[int]*asyncBase)
 	f.clientBases = make(map[comm.NodeID]map[int]bool)
+	if f.lanes == nil {
+		f.lanes = newLaneGroup()
+	}
 	return nil
 }
 
@@ -302,34 +309,36 @@ func (f *AsyncFederator) OnMessage(env comm.Env, msg comm.Message) {
 	m.staleness.Observe(float64(staleness))
 
 	if f.Evaluate != nil && (f.absorbed%f.EvalEvery == 0 || f.absorbed == f.TotalUpdates) {
-		acc, err := f.Evaluate(f.global.SnapshotWeights())
-		if err != nil {
-			f.logf("async: evaluate: %v", err)
-		} else {
-			f.results.Samples = append(f.results.Samples, AsyncSample{
-				Updates:  f.absorbed,
-				Time:     env.Now(),
-				Accuracy: acc,
-			})
+		f.sampling.settle() // its success moves this event's deltas
+		sample := AsyncSample{Updates: f.absorbed, Time: env.Now()}
+		ev := f.Events.Resolve(obs.RoundEvent{
+			Run:      f.Seed,
+			Round:    f.absorbed,
+			Cohort:   f.absorbed - f.lastSampleUpdates,
+			Duration: env.Now() - f.lastSampleAt,
+			Time:     env.Now(),
+			Bytes:    f.BW.Snapshot().TotalBytes,
+			// Async spans are filed under dispatch rounds, not absorb
+			// counts, so the straggler stays unnamed.
+			Straggler: comm.FederatorID,
+		})
+		f.sampling = launchEvaluation(f.lanes, env.Now(), f.Evaluate, f.global.SnapshotWeights(), func(acc float64, err error) {
+			if err != nil {
+				f.logf("async: evaluate: %v", err)
+				return
+			}
+			sample.Accuracy, ev.Accuracy = acc, acc
+			f.results.Samples = append(f.results.Samples, sample)
 			f.results.FinalAccuracy = acc
-			f.Events.Publish(obs.RoundEvent{
-				Run:      f.Seed,
-				Round:    f.absorbed,
-				Accuracy: acc,
-				Cohort:   f.absorbed - f.lastSampleUpdates,
-				Duration: env.Now() - f.lastSampleAt,
-				Time:     env.Now(),
-				Bytes:    f.BW.Snapshot().TotalBytes,
-				// Async spans are filed under dispatch rounds, not absorb
-				// counts, so the straggler stays unnamed.
-				Straggler: comm.FederatorID,
-			})
-			f.lastSampleAt = env.Now()
-			f.lastSampleUpdates = f.absorbed
-		}
+			f.Events.Announce(ev)
+			f.lastSampleAt = sample.Time
+			f.lastSampleUpdates = sample.Updates
+		})
 	}
 	if f.absorbed >= f.TotalUpdates {
 		f.finished = true
+		f.sampling.settle()
+		f.sampling = nil
 		f.results.TotalUpdates = f.absorbed
 		f.results.TotalTime = env.Now()
 		if f.absorbed > 0 {

@@ -115,6 +115,8 @@ type Client struct {
 	offloadJob   *OffloadPayload
 	helperActive bool
 	helper       *step // the helper job; its bfDur timer joins it
+
+	onFinishLaunch func(batches int) // test hook: what finishOwnTraining launches
 }
 
 var _ comm.Handler = (*Client)(nil)
@@ -357,12 +359,32 @@ func (c *Client) startRound(env comm.Env, p TrainPayload) {
 		})
 	}
 	c.launchBatches(certain, false, c.trainStart+c.durationOfBatches(certain))
+	c.armBoundary(env, certain+1)
 	round := c.round
 	c.completion = env.After(c.durationOfBatches(c.totalBatches), func() {
 		if c.round != round {
 			return
 		}
 		c.finishOwnTraining(env)
+	})
+}
+
+// armBoundary sets the round's one boundary timer, at the end of batch k-1.
+// Reached with no directive seen, batches [executed, k) are certainly full
+// (a later RoleOffload freezes after max(OffloadAfter, batchesDoneBy(now))
+// >= k; a chaos spike only delays timers): they launch, and the timer
+// re-arms for k+1. The last batch is the finish timer's.
+func (c *Client) armBoundary(env comm.Env, k int) {
+	if k >= c.totalBatches {
+		return
+	}
+	round := c.round
+	env.After(c.trainStart+c.durationOfBatches(k)-env.Now(), func() {
+		if c.round != round || c.offloaded || c.directive != nil || c.ownDone {
+			return
+		}
+		c.launchBatches(k-c.executed, false, c.trainStart+c.durationOfBatches(k))
+		c.armBoundary(env, k+1)
 	})
 }
 
@@ -604,11 +626,14 @@ func (c *Client) offloadNow(env comm.Env, target int) {
 }
 
 // finishOwnTraining completes the round without offloading. A client no
-// directive reached learns only here that its remaining batches are full
-// ones; they are launched and joined on the spot.
+// directive reached has had every batch but the last launched by its
+// boundary chain; the last is certain only now.
 func (c *Client) finishOwnTraining(env comm.Env) {
 	if c.offloaded {
 		return
+	}
+	if c.onFinishLaunch != nil {
+		c.onFinishLaunch(c.totalBatches - c.executed)
 	}
 	c.launchBatches(c.totalBatches-c.executed, false, env.Now())
 	if err := c.joinTraining(); err != nil {
@@ -679,12 +704,14 @@ func (c *Client) maybeRunHelper(env comm.Env) {
 	if c.helperActive || !c.ownDone || c.directive == nil || c.offloadJob == nil {
 		return
 	}
-	c.helperActive = true
 	job := *c.offloadJob
 	if job.Weak != c.directive.Peer {
+		// Stale: a reassignment repointed this helper; the new peer re-ships.
 		c.logf("client %d: offload from %d, directive peer %d", c.ID, job.Weak, c.directive.Peer)
+		c.offloadJob = nil
 		return
 	}
+	c.helperActive = true
 	updates := job.Updates
 	round := c.round
 	c.Trace.Record(env.Now(), c.ID, c.round, trace.HelperStart,

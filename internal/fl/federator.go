@@ -35,7 +35,8 @@ type Federator struct {
 	// EvalEvery evaluates test accuracy every k rounds (and always on the
 	// final round); 0 defaults to 1.
 	EvalEvery int
-	// Evaluate computes the global model's test accuracy.
+	// Evaluate computes the global model's test accuracy, on a compute lane
+	// (off the federator's goroutine), one call at a time.
 	Evaluate func(w nn.Weights) (float64, error)
 	// Signer signs schedule envelopes; required when the strategy
 	// offloads.
@@ -66,9 +67,9 @@ type Federator struct {
 	BW *Bandwidth
 	// OnFinish is invoked once all rounds complete.
 	OnFinish func(*Results)
-	// Events, when set, receives one live obs.RoundEvent as each round
-	// finalizes (aergiad streams it to SSE subscribers). Publishing is
-	// passive: it observes round state without touching it.
+	// Events, when set, receives one live obs.RoundEvent per round, fixed
+	// as the round finalizes and announced once its evaluation is joined
+	// (aergiad streams it to SSE subscribers). Publishing is passive.
 	Events *obs.RoundStream
 	// Logf, when set, receives debug traces.
 	Logf func(format string, args ...any)
@@ -78,6 +79,8 @@ type Federator struct {
 	global  *nn.Network
 	rng     *tensor.RNG
 	results *Results
+	lanes   *laneGroup  // the run's (Topology.Build), or Init makes one
+	closing *evaluation // the last close's, joined at the next close
 
 	round       int
 	roundStart  time.Duration
@@ -129,6 +132,9 @@ func (f *Federator) Init() error {
 	f.down = make(map[comm.NodeID]bool)
 	if f.EvalEvery <= 0 {
 		f.EvalEvery = 1
+	}
+	if f.lanes == nil {
+		f.lanes = newLaneGroup()
 	}
 	return nil
 }
@@ -622,8 +628,11 @@ func (f *Federator) reassignOffload(env comm.Env, weak comm.NodeID, pair sched.P
 }
 
 // finalizeRound recombines offloaded models, aggregates, records stats, and
-// starts the next round (or finishes the experiment).
+// starts the next round (or finishes the experiment). The accuracy comes
+// from a lane step the next close (or the finish) joins.
 func (f *Federator) finalizeRound(env comm.Env) {
+	f.closing.settle()
+	f.closing = nil
 	f.finished = true
 	if f.deadline != nil {
 		f.deadline.Cancel()
@@ -658,15 +667,6 @@ func (f *Federator) finalizeRound(env comm.Env) {
 		Offloads:  len(f.pairs),
 	}
 	lastRound := f.round == f.Rounds-1
-	if f.Evaluate != nil && (lastRound || f.round%f.EvalEvery == 0) {
-		acc, err := f.Evaluate(f.global.SnapshotWeights())
-		if err != nil {
-			f.logf("federator: evaluate: %v", err)
-		} else {
-			stats.Accuracy = acc
-			f.results.FinalAccuracy = acc
-		}
-	}
 	m := flm()
 	m.rounds.Inc()
 	m.roundDur.Observe(stats.Duration.Seconds())
@@ -681,7 +681,7 @@ func (f *Federator) finalizeRound(env comm.Env) {
 	if f.haveFirstUpdate {
 		wait = env.Now() - f.firstUpdateAt
 	}
-	f.Events.Publish(obs.RoundEvent{
+	ev := f.Events.Resolve(obs.RoundEvent{
 		Run:       f.Seed,
 		Round:     f.round,
 		Accuracy:  stats.Accuracy,
@@ -689,13 +689,30 @@ func (f *Federator) finalizeRound(env comm.Env) {
 		Duration:  stats.Duration,
 		Time:      env.Now(),
 		Bytes:     f.BW.Snapshot().TotalBytes,
-		Straggler: comm.FederatorID, // unknown here; Publish names it from the span stream
+		Straggler: comm.FederatorID, // unknown here; Resolve names it from the span stream
 		Wait:      wait,
 	})
 	f.results.Rounds = append(f.results.Rounds, stats)
 	f.results.TotalTime = f.results.PreTraining + sumDurations(f.results.Rounds)
+	if f.Evaluate != nil && (lastRound || f.round%f.EvalEvery == 0) {
+		i := len(f.results.Rounds) - 1
+		f.closing = launchEvaluation(f.lanes, env.Now(), f.Evaluate, f.global.SnapshotWeights(), func(acc float64, err error) {
+			if err != nil {
+				f.logf("federator: evaluate: %v", err)
+			} else {
+				f.results.Rounds[i].Accuracy = acc
+				f.results.FinalAccuracy = acc
+				ev.Accuracy = acc
+			}
+			f.Events.Announce(ev)
+		})
+	} else {
+		f.Events.Announce(ev)
+	}
 
 	if lastRound {
+		f.closing.settle()
+		f.closing = nil
 		if f.OnFinish != nil {
 			f.OnFinish(f.results)
 		}

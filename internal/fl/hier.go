@@ -594,6 +594,7 @@ func (t Topology) buildHier(data *dataset.Source, test *dataset.Dataset, phase n
 		Events:       t.Events,
 		Logf:         t.Logf,
 		Trace:        t.Trace,
+		lanes:        lanes,
 	}
 	if err := fed.Init(); err != nil {
 		return nil, err

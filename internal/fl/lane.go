@@ -37,17 +37,17 @@ const (
 	stepQueued   stepState = iota // behind another step of its lane
 	stepReady                     // head of its lane, in the ready heap
 	stepRunning                   // executing on a worker or inline at a join
-	stepFinished                  // w and err are set, done is closed
+	stepFinished                  // w and err are set, done (if made) is closed
 )
 
 // step is a launched stepFunc and the future its joiner waits on. All
-// fields but done are guarded by laneSched.mu.
+// fields are guarded by laneSched.mu.
 type step struct {
 	run  stepFunc
 	due  time.Duration // virtual time of the event that joins the step
 	seq  uint64        // launch order, the tie-break between equal dues
 	lane *lane
-	done chan struct{}
+	done chan struct{} // made by the first waiter: most joiners run the step
 
 	state stepState
 	idx   int // position in the ready heap while stepReady
@@ -55,9 +55,17 @@ type step struct {
 	err   error
 }
 
-// lane is one client's ordered chain of steps for one round. Steps run in
-// launch order, one at a time; the first failure (or a cancel) fails every
-// step behind it without running it.
+// waitLocked returns a channel that closes when the step finishes.
+func (s *step) waitLocked() <-chan struct{} {
+	if s.done == nil {
+		s.done = make(chan struct{})
+	}
+	return s.done
+}
+
+// lane is one client's ordered chain of steps for one round, or one
+// evaluation. Steps run in launch order, one at a time; the first failure
+// (or a cancel) fails every step behind it without running it.
 type lane struct {
 	group *laneGroup
 	// stop is the cancel flag running steps poll between batches.
@@ -180,7 +188,7 @@ func laneWidth() int { return runtime.GOMAXPROCS(0) }
 // launch appends a step to the lane and makes it runnable if it is the
 // lane's head. due is the virtual time of the event that will join it.
 func (l *lane) launch(due time.Duration, run stepFunc) *step {
-	s := &step{run: run, due: due, lane: l, done: make(chan struct{})}
+	s := &step{run: run, due: due, lane: l}
 	laneSched.mu.Lock()
 	defer laneSched.mu.Unlock()
 	laneSched.seq++
@@ -216,7 +224,9 @@ func finishLocked(s *step, w nn.Weights, err error) {
 	l := s.lane
 	s.w, s.err, s.run = w, err, nil
 	s.state = stepFinished
-	close(s.done)
+	if s.done != nil {
+		close(s.done)
+	}
 	l.queue[0] = nil
 	l.queue = l.queue[1:]
 	if err != nil && l.err == nil {
@@ -316,8 +326,9 @@ func (s *step) join() (nn.Weights, error) {
 		// Running elsewhere, or ready with every slot taken: whoever
 		// finishes next takes an urgent lane first.
 		setUrgentLocked(l, true)
+		done := head.waitLocked()
 		laneSched.mu.Unlock()
-		<-head.done
+		<-done
 		laneSched.mu.Lock()
 	}
 	setUrgentLocked(l, false)
@@ -340,7 +351,7 @@ func cancelLocked(l *lane) <-chan struct{} {
 	}
 	head := l.queue[0]
 	if head.state == stepRunning {
-		return head.done // its finish flushes the rest
+		return head.waitLocked() // its finish flushes the rest
 	}
 	heap.Remove(&laneSched.ready, head.idx)
 	advanceLocked(l)

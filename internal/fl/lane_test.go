@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"aergia/internal/comm"
 	"aergia/internal/hier"
 	"aergia/internal/nn"
+	"aergia/internal/obs"
 	"aergia/internal/sim"
 	"aergia/internal/tensor"
 	"aergia/internal/trace"
@@ -110,10 +112,133 @@ const (
 	goldenChurnTopK    uint64 = 0x3476d27f8b04570
 )
 
+// TestLanesKeepEveryEvent: evaluation is a lane step the next close joins,
+// so a round's accuracy and its RoundEvent arrive later in wall time — with
+// the content the close fixed, straggler included, in the same order, at
+// every width. The runs cover Aergia, a churned run, an async run, a tiered
+// run that evaluates every second round, and a run whose cut stragglers
+// deliver their updates while the next round runs — spans of a closed round
+// landing before its evaluation is joined, which would rename its straggler
+// if the event were resolved at the join. Each replays to the events and
+// accuracies of GOMAXPROCS 1, and those hash to what the commit before
+// evaluation moved onto lanes published inline.
+func TestLanesKeepEveryEvent(t *testing.T) {
+	tiered := testConfig(NewFedAvg(0))
+	tiered.Hier = hier.Options{Tiers: 2}
+	tiered.EvalEvery = 2
+	// The 0.6-speed clients need 1.97 s, the deadline cuts at 1.5 s, and
+	// the ones the next round leaves out finish during it.
+	late := testConfig(NewDeadlineFedAvg(4, 1500*time.Millisecond))
+	late.Rounds = 6
+	late.Speeds = []float64{0.6, 0.9, 0.6, 0.9, 0.6, 0.9, 0.6, 0.9}
+	runSync := func(cfg Config) func(*obs.RoundStream) ([]float64, error) {
+		return func(events *obs.RoundStream) ([]float64, error) {
+			cfg.Events = events
+			res, err := Run(cfg)
+			if err != nil {
+				return nil, err
+			}
+			accs := []float64{res.FinalAccuracy}
+			for _, r := range res.Rounds {
+				accs = append(accs, r.Accuracy)
+			}
+			return accs, nil
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(*obs.RoundStream) ([]float64, error)
+		want uint64 // captured at 3853003, which evaluated inline at the close
+	}{
+		{"aergia-shaped", runSync(aergiaShapedConfig()), 0xc6d76ced290df2e5},
+		{"churn-topk", runSync(churnTopKConfig()), 0x503bba00f42ab77a},
+		{"tiered-eval-every-2", runSync(tiered), 0xfd9c95dc44c6618f},
+		{"late-stragglers", runSync(late), 0xa8855542841ad27b},
+		{"async", func(events *obs.RoundStream) ([]float64, error) {
+			cfg := asyncTestConfig()
+			cfg.Events = events
+			res, err := RunAsync(cfg)
+			if err != nil {
+				return nil, err
+			}
+			accs := []float64{res.FinalAccuracy}
+			for _, s := range res.Samples {
+				accs = append(accs, s.Accuracy)
+			}
+			return accs, nil
+		}, 0x958abeb589b6185e},
+	} {
+		var refEvents []obs.RoundEvent
+		var refAccs []float64
+		for _, procs := range []int{1, 2, 8} {
+			atWidth(procs, func() {
+				events := obs.NewRoundStream()
+				accs, err := tc.run(events)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := events.Events()
+				if refEvents == nil {
+					refEvents, refAccs = got, accs
+				}
+				if !reflect.DeepEqual(got, refEvents) || !reflect.DeepEqual(accs, refAccs) {
+					t.Errorf("%s at GOMAXPROCS %d: events %+v accuracies %v, GOMAXPROCS 1 read %+v %v",
+						tc.name, procs, got, accs, refEvents, refAccs)
+				}
+				if h := eventsHash(got, accs); h != tc.want {
+					t.Errorf("%s at GOMAXPROCS %d: events hash %#x, want the inline evaluation's %#x", tc.name, procs, h, tc.want)
+				}
+			})
+		}
+	}
+}
+
+// eventsHash folds a run's published events and its accuracies into one
+// value (%v prints a float64 in its shortest round-tripping form, so every
+// bit counts).
+func eventsHash(evs []obs.RoundEvent, accs []float64) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v %v", evs, accs)
+	return h.Sum64()
+}
+
+// TestLanesPipelineTheRemainder: a client no directive reaches launches
+// each batch when the clock passes the boundary that makes it certain, so
+// its finish timer launches only the last one (the code before the
+// boundary chain launched all nine there), a receiver's finish launches
+// none, and the run keeps its bits.
+func TestLanesPipelineTheRemainder(t *testing.T) {
+	cfg := aergiaShapedConfig()
+	cl, err := cfg.Topology().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	launched := map[int]int{} // batches launched at a finish timer -> finish timers
+	for _, c := range cl.Clients {
+		c.onFinishLaunch = func(n int) { launched[n]++ }
+	}
+	res, err := runOn(cl, cfg.Transport, cfg.Link, 0, (*Deployment).Run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resultHash(res); got != goldenAergiaShaped {
+		t.Fatalf("result hash %#x, want %#x", got, goldenAergiaShaped)
+	}
+	unpaired, receivers := 0, 0
+	for _, r := range res.Rounds {
+		unpaired += r.Completed - 2*r.Offloads
+		receivers += r.Offloads
+	}
+	if unpaired == 0 || receivers == 0 || launched[1] != unpaired || launched[0] != receivers || len(launched) != 2 {
+		t.Fatalf("finish timers launched %v (batches: timers); want {1: %d unpaired client-rounds, 0: %d receivers}",
+			launched, unpaired, receivers)
+	}
+}
+
 // gaugeBackend counts backward-kernel calls in flight. Backward kernels run
 // only inside TrainBatch, and TrainBatch runs only inside lane steps, so
-// the gauge reads the number of steps computing at once — evaluation, which
-// is forward-only and stays on the kernel goroutine, does not touch it.
+// the gauge reads the number of training steps computing at once —
+// evaluation, a lane step too but forward-only, does not touch it.
 type gaugeBackend struct {
 	tensor.Backend
 	inFlight atomic.Int64
@@ -347,12 +472,13 @@ func TestLaneStepsRunInOrderAndFailFast(t *testing.T) {
 	}
 }
 
-// TestLanesLeaveNothingBehind: when Deployment.Run returns, no goroutine
-// the run started is alive, its lane group holds no step, and no client
+// TestLanesLeaveNothingBehind: when Deployment.Run or RunAsync returns, no
+// goroutine the run started is alive, its lane group holds no step and no
+// live lane, the federator holds no pending evaluation, and no client
 // retains a future, a snapshot or a queued step — whether the run ended
-// cleanly, under churn, with clients cut by a deadline, or with a hydrated
-// shell crashed mid-training and dehydrated (its client, lane and all, is
-// then reachable from nothing but the group).
+// cleanly, asynchronously, under churn, with clients cut by a deadline, or
+// with a hydrated shell crashed mid-training and dehydrated (its client,
+// lane and all, is then reachable from nothing but the group).
 func TestLanesLeaveNothingBehind(t *testing.T) {
 	deadline := testConfig(NewDeadlineFedAvg(0, 400*time.Millisecond))
 	deadline.Speeds = []float64{0.05, 0.06, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9}
@@ -371,8 +497,11 @@ func TestLanesLeaveNothingBehind(t *testing.T) {
 		// cut: some clients end the run with a cancelled round, so their
 		// tail future is finished rather than joined.
 		cut bool
+		// async runs asyncTestConfig instead of cfg.
+		async bool
 	}{
 		{name: "plain", cfg: testConfig(NewFedAvg(0))},
+		{name: "async", async: true},
 		{name: "aergia", cfg: aergiaShapedConfig()},
 		{name: "hostile", cfg: churnTopKConfig(), cut: true},
 		{name: "deadline", cfg: deadline, cut: true},
@@ -384,16 +513,37 @@ func TestLanesLeaveNothingBehind(t *testing.T) {
 	} {
 		atWidth(4, func() {
 			before := runtime.NumGoroutine()
-			dep, ct := buildChaosDeployment(t, tc.cfg, tc.cfg.Chaos)
-			if tc.pin != nil {
-				tc.pin(ct)
+			var cl *Cluster
+			if tc.async {
+				var err error
+				if cl, err = asyncTestConfig().Topology().Build(); err != nil {
+					t.Fatal(err)
+				}
+				tr, err := NewTransport(TransportSim, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := (&Deployment{Cluster: cl, Transport: tr}).RunAsync(); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				dep, ct := buildChaosDeployment(t, tc.cfg, tc.cfg.Chaos)
+				if tc.pin != nil {
+					tc.pin(ct)
+				}
+				if _, err := dep.Run(); err != nil {
+					t.Fatal(err)
+				}
+				cl = dep.Cluster
 			}
-			if _, err := dep.Run(); err != nil {
-				t.Fatal(err)
+			laneSched.mu.Lock()
+			live := len(cl.lanes.live)
+			laneSched.mu.Unlock()
+			if n := cl.lanes.unfinished(); n != 0 || live != 0 {
+				t.Fatalf("%s: lane group holds %d unfinished steps on %d live lanes after the run", tc.name, n, live)
 			}
-			cl := dep.Cluster
-			if n := cl.lanes.unfinished(); n != 0 {
-				t.Fatalf("%s: lane group holds %d unfinished steps after Run", tc.name, n)
+			if (cl.Federator != nil && cl.Federator.closing != nil) || (cl.AsyncFederator != nil && cl.AsyncFederator.sampling != nil) {
+				t.Fatalf("%s: the federator holds an evaluation after the run", tc.name)
 			}
 			// A worker that just closed its last step's done channel is
 			// still returning; give the scheduler a moment to retire it.

@@ -311,6 +311,54 @@ func TestStrongClientRunsHelperTraining(t *testing.T) {
 	}
 }
 
+// TestStrongClientDropsStaleShipment: the strong client holds client 2's
+// shipment when the federator repoints it at client 3 (client 2's pair was
+// dropped, client 3's helper died). Finishing its own training with a
+// shipment the directive no longer names must drop it, not occupy the
+// helper, so client 3's re-ship still gets trained and returned — otherwise
+// the round waits for client 3's features until its deadline, or forever.
+func TestStrongClientDropsStaleShipment(t *testing.T) {
+	h := newProtoHarness(t, 1.0)
+	h.sendTrain()
+	h.kernel.RunUntil(time.Millisecond) // deliver train request only
+	fed := h.network.Env(comm.FederatorID)
+	receive := func(peer comm.NodeID) {
+		fed.Send(comm.Message{
+			To: 1, Round: 0, Kind: comm.KindSchedule,
+			Payload: h.signedDirective(sched.Directive{
+				Client: 1, Round: 0, Role: sched.RoleReceive, Peer: peer, OffloadedUpdates: 4,
+			}),
+		})
+	}
+	ship := func(weak comm.NodeID, seed uint64) {
+		net, err := nn.Build(nn.ArchMNISTSmall, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.network.Env(weak).Send(comm.Message{
+			To: 1, Round: 0, Kind: comm.KindOffload,
+			Payload: OffloadPayload{Weak: weak, Weights: net.SnapshotWeights(), Updates: 4},
+		})
+	}
+	receive(2)
+	ship(2, 123)
+	h.kernel.RunUntil(2 * time.Millisecond)
+	receive(3)
+	h.kernel.Run() // the client finishes its own training holding client 2's shipment
+	if n := len(h.fed.byKind(comm.KindOffloadResult)); n != 0 {
+		t.Fatalf("%d offload results for a shipment the directive no longer names", n)
+	}
+	ship(3, 124)
+	h.kernel.Run()
+	results := h.fed.byKind(comm.KindOffloadResult)
+	if len(results) != 1 {
+		t.Fatalf("offload results = %d, want client 3's", len(results))
+	}
+	if res, _ := results[0].Payload.(OffloadResultPayload); res.Weak != 3 || res.Strong != 1 {
+		t.Fatalf("result = %+v, want weak 3 trained by strong 1", res)
+	}
+}
+
 func TestClientIgnoresStaleOffload(t *testing.T) {
 	h := newProtoHarness(t, 1.0)
 	h.sendTrain()

@@ -207,7 +207,8 @@ type Cluster struct {
 	// Clients holds the materialized actors.
 	Hier *HierCluster
 	// lanes groups the compute lanes of the cluster's clients, hydrated
-	// ones included; Deployment.Run/RunAsync drain it before they return.
+	// ones included, and the federator's evaluations; Deployment.Run/RunAsync
+	// drain it before they return.
 	lanes *laneGroup
 }
 
@@ -432,6 +433,7 @@ func (t Topology) Build() (*Cluster, error) {
 			BW:              bw,
 			Events:          t.Events,
 			Logf:            t.Logf,
+			lanes:           lanes,
 		}
 		if err := fed.Init(); err != nil {
 			return nil, err
@@ -470,6 +472,7 @@ func (t Topology) Build() (*Cluster, error) {
 		Events:           t.Events,
 		Logf:             t.Logf,
 		Trace:            t.Trace,
+		lanes:            lanes,
 	}
 	if err := fed.Init(); err != nil {
 		return nil, err

@@ -33,18 +33,23 @@ func BenchmarkTopologyRun(b *testing.B) {
 	// The codec-* variants layer a wire codec over the serial run; the
 	// delta against "serial" is the whole codec subsystem's CPU overhead —
 	// delta computation, encode/decode, residual bookkeeping — which buys
-	// the wire-byte reduction BENCH_codec.json tracks in CI.
+	// the wire-byte reduction BENCH_codec.json tracks in CI. aergia is the
+	// paper's strategy at the tests' size (8 clients, 2 epochs, 320
+	// samples): profiling windows, offload pairs, helper jobs and the
+	// boundary chain, so -cpu 1,2 shows what the lanes give an Aergia run.
 	for _, bb := range []struct {
 		name      string
 		be        tensor.Backend
 		plan      chaos.Plan
 		wireCodec string
+		aergia    bool
 	}{
-		{"serial", nil, chaos.Plan{}, ""},
-		{"serial32", tensor.NewSerial32(), chaos.Plan{}, ""},
-		{"serial-churn10", nil, churn, ""},
-		{"codec-q8", nil, chaos.Plan{}, "q8"},
-		{"codec-topk", nil, chaos.Plan{}, "topk"},
+		{"serial", nil, chaos.Plan{}, "", false},
+		{"serial32", tensor.NewSerial32(), chaos.Plan{}, "", false},
+		{"serial-churn10", nil, churn, "", false},
+		{"codec-q8", nil, chaos.Plan{}, "q8", false},
+		{"codec-topk", nil, chaos.Plan{}, "topk", false},
+		{"aergia", nil, chaos.Plan{}, "", true},
 	} {
 		b.Run(bb.name, func(b *testing.B) {
 			top := Topology{
@@ -63,6 +68,10 @@ func BenchmarkTopologyRun(b *testing.B) {
 				Backend:      bb.be,
 				Chaos:        bb.plan,
 				Codec:        bb.wireCodec,
+			}
+			if bb.aergia {
+				top.Strategy = NewAergia(0, 1)
+				top.Clients, top.LocalEpochs, top.TrainSamples = 8, 2, 320
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -28,15 +28,15 @@ type RoundEvent struct {
 	Bytes int64 `json:"bytes"`
 	// Straggler is the client the round's critical path bottomed out on,
 	// -1 when unknown (the federator itself, ID -1, can never straggle
-	// behind its own round). Publishers leave it -1; Publish fills it from
-	// the span stream.
+	// behind its own round). Publishers leave it -1; Resolve (and so
+	// Publish) fills it from the span stream.
 	Straggler comm.NodeID `json:"straggler"`
 	// Wait is how long the federator waited between the first completed
 	// update and the end of the round — the straggler tax.
 	Wait time.Duration `json:"wait_ns"`
 }
 
-// Retention bounds: spans are only held until their round is published, but
+// Retention bounds: spans are only held until their round is resolved, but
 // a publisher that never comes (async runs number events by update count,
 // not message round) must not let the map grow without bound.
 const (
@@ -46,9 +46,10 @@ const (
 
 // RoundStream fans live RoundEvents out to subscribers and, as a SpanSink,
 // retains each round's spans just long enough to name its straggler via
-// CriticalPath. The federator publishes an event as it finalizes each
-// round; aergiad's SSE handler and the runner subscribe. All methods are
-// nil-receiver safe and safe for concurrent use.
+// CriticalPath. The federator resolves an event as it finalizes each round
+// and announces it once the round's evaluation is joined; aergiad's SSE
+// handler and the runner subscribe. All methods are nil-receiver safe and
+// safe for concurrent use.
 type RoundStream struct {
 	mu      sync.Mutex
 	spans   map[int][]Span
@@ -97,19 +98,20 @@ func (s *RoundStream) OnSpan(sp Span) {
 	s.spans[sp.Round] = append(s.spans[sp.Round], sp)
 }
 
-// Publish completes a round: fills Straggler from the retained spans when
-// the publisher left it -1, releases spans up to that round, records the
-// event for late subscribers, and fans it out without blocking (a slow
-// subscriber misses events rather than stalling the federator).
-func (s *RoundStream) Publish(ev RoundEvent) {
+// Publish completes a round: Resolve, then Announce.
+func (s *RoundStream) Publish(ev RoundEvent) { s.Announce(s.Resolve(ev)) }
+
+// Resolve fixes what the spans say about a round as it closes: it fills
+// Straggler from the retained spans when the publisher left it -1 and
+// releases spans up to that round (a closed stream retains none). A
+// publisher that announces later than it closes (the fl federators join an
+// evaluation first) resolves at the close, so later spans change nothing.
+func (s *RoundStream) Resolve(ev RoundEvent) RoundEvent {
 	if s == nil {
-		return
+		return ev
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
 	if ev.Straggler == comm.FederatorID {
 		if chain, ok := CriticalPath(s.spans[ev.Round], ev.Round); ok {
 			ev.Straggler = chain.Straggler
@@ -119,6 +121,21 @@ func (s *RoundStream) Publish(ev RoundEvent) {
 		if r <= ev.Round {
 			delete(s.spans, r)
 		}
+	}
+	return ev
+}
+
+// Announce records a resolved event for late subscribers and fans it out
+// without blocking (a slow subscriber misses events rather than stalling
+// the federator).
+func (s *RoundStream) Announce(ev RoundEvent) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return
 	}
 	s.history = append(s.history, ev)
 	for _, ch := range s.subs {

@@ -70,6 +70,27 @@ func TestRoundStreamStragglerFromSpans(t *testing.T) {
 	}
 }
 
+// TestRoundStreamResolveFixesTheClose: an event resolved at its round's
+// close and announced later says what the close saw — a late uplink of that
+// round filed in between neither names a straggler the close could not (the
+// unknown sentinel stays) nor shows in history before the announce.
+func TestRoundStreamResolveFixesTheClose(t *testing.T) {
+	s := NewRoundStream()
+	s.OnSpan(Span{ID: 1, From: comm.FederatorID, To: 2, Kind: comm.KindTrain, Round: 0, End: ms(1)})
+	ev := s.Resolve(RoundEvent{Round: 0, Straggler: comm.FederatorID})
+	if ev.Straggler != comm.FederatorID {
+		t.Fatalf("straggler at the close = %d, want unknown: only the federator's dispatch had landed", ev.Straggler)
+	}
+	s.OnSpan(Span{ID: 2, Parent: 1, From: 2, To: comm.FederatorID, Kind: comm.KindUpdate, Round: 0, Start: ms(7), End: ms(8)})
+	if n := len(s.Events()); n != 0 {
+		t.Fatalf("%d events before the announce", n)
+	}
+	s.Announce(ev)
+	if evs := s.Events(); len(evs) != 1 || evs[0].Straggler != comm.FederatorID {
+		t.Fatalf("announced %+v, want the close's unknown straggler", evs)
+	}
+}
+
 func TestRoundStreamSlowSubscriber(t *testing.T) {
 	s := NewRoundStream()
 	ch, cancel := s.Subscribe(1)
