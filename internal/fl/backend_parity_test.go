@@ -1,6 +1,8 @@
 package fl
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -135,7 +137,9 @@ func TestFloat32EndToEndParity(t *testing.T) {
 
 // TestFloat32SeedReproducibility pins the float32 determinism contract:
 // two float32 runs with the same seed are bit-identical end to end,
-// even though float32 results differ from float64 by rounding.
+// even though float32 results differ from float64 by rounding, and they
+// replay to one pinned result at GOMAXPROCS 1, 2 and 8, so a kernel edit
+// that moves a float32 bit shows here as it would for float64.
 func TestFloat32SeedReproducibility(t *testing.T) {
 	mk := func() Config {
 		cfg := parityConfig(NewAergia(0, 1))
@@ -151,6 +155,38 @@ func TestFloat32SeedReproducibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertResultsIdentical(t, "serial32 repeat", a, b)
+	for _, procs := range []int{1, 2, 8} {
+		atWidth(procs, func() {
+			cfg := mk()
+			cl, err := cfg.Topology().Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The reported numbers alone barely see the weights: 40 test
+			// samples score the same under a last-bit change. So the pin
+			// also folds every global model the run evaluates, bit for bit.
+			models := fnv.New64a()
+			eval := cl.Federator.Evaluate
+			cl.Federator.Evaluate = func(w nn.Weights) (float64, error) {
+				// A hash's Write never fails.
+				_ = binary.Write(models, binary.LittleEndian, w.Feature)
+				_ = binary.Write(models, binary.LittleEndian, w.Classifier)
+				return eval(w)
+			}
+			res, err := runOn(cl, cfg.Transport, cfg.Link, 0, (*Deployment).Run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Both captured when the float32 engine first ran the exact
+			// kernels the float64 engine runs, at GOMAXPROCS 1, 2 and 8.
+			if got, want := resultHash(res), uint64(0xaccb2adbae3020da); got != want {
+				t.Fatalf("GOMAXPROCS %d: result hash %#x, want %#x", procs, got, want)
+			}
+			if got, want := models.Sum64(), uint64(0x5c38f67c816a0cd8); got != want {
+				t.Fatalf("GOMAXPROCS %d: evaluated-model hash %#x, want %#x", procs, got, want)
+			}
+		})
+	}
 }
 
 // TestFloat32AccuracyWithinTolerance bounds the float32/float64 divergence:

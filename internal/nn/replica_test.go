@@ -143,10 +143,10 @@ func randomBatch(arch Arch, n int) ([]*tensor.Tensor, []int) {
 
 // TestTrainBatchSteadyStateAllocs: a training step's kernels allocate
 // nothing once the workspaces and the engine's scratch stock are sized —
-// forward, backward, the float64 backward's staging included. What a
+// forward, backward, the convolution backward's staging included. What a
 // TrainBatch does allocate is the 21 short slices Params()/Grads() build
-// for the optimizer, the same count as before the float64 backward drew on
-// scratch at all; one buffer a step more would show here.
+// for the optimizer, the same count as before the convolution backward drew
+// on scratch at all; one buffer a step more would show here.
 func TestTrainBatchSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops a quarter of its puts under the race detector")

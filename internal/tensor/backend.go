@@ -17,9 +17,9 @@ import "fmt"
 // Determinism: a backend produces bit-identical results for identical inputs
 // — every output element is accumulated in one fixed floating-point order
 // (see DESIGN.md, "Determinism"). The float64 backend is additionally pinned
-// to the historical golden runs; the float32 backend is deterministic
-// run-to-run but numerically distinct from float64 (results agree within
-// float32 tolerance).
+// to the historical golden runs; the float32 backend runs the same kernels in
+// the same order, so it is deterministic run-to-run but numerically distinct
+// from float64 (results agree within float32 tolerance).
 //
 // The *Fused and *WS methods are the zero-allocation hot path: they stage
 // outputs, gradients, im2col matrices, activation masks, and argmax indices

@@ -383,7 +383,7 @@ func TestFloat32MatchesFloat64WithinTolerance(t *testing.T) {
 // TestWorkspaceSteadyStateZeroAlloc pins the zero-allocation contract of
 // the fused/workspace path: after a warm-up call, repeated fused
 // forward/backward steps allocate nothing — the engine's scratch stock
-// included, which the float64 backward draws on once a call. The layers are
+// included, which the backward draws on once a call. The layers are
 // MNISTSmall's two convolutions, the first with its input gradient waived,
 // run the way a training step runs them: their backward calls ask the stock
 // for different sizes in turn, and it must settle on the larger.
@@ -397,7 +397,7 @@ func TestWorkspaceSteadyStateZeroAlloc(t *testing.T) {
 		{"serial32", NewSerial32(), F32},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if race.Enabled && tc.dt == F64 {
+			if race.Enabled {
 				t.Skip("sync.Pool drops a quarter of its puts under the race detector")
 			}
 			r := NewRNG(3)

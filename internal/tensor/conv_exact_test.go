@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// convCase is one comparison of the float64 engine's fused convolution
-// (im2colMul forward, convGradsSweep backward) against the reference loops
-// conv2DDirect and convGradsInto.
+// convCase is one comparison of an engine's fused convolution (im2colMul
+// forward, convGradsSweep backward) against the reference loops conv2DDirect
+// and convGradsInto.
 type convCase struct {
 	seed                  uint64
 	cIn, f, k, pad, hw    int
@@ -23,38 +23,39 @@ func (c convCase) String() string {
 		c.seed, c.cIn, c.f, c.k, c.pad, c.stride, c.hw, c.zeroPct, c.relu, c.noInputGrad, c.zeroWeights, c.negZeroB)
 }
 
-// checkConvFusedBitExact runs one case: out, mask, gx, gw and gb of the fused
-// kernels must equal the reference's bit for bit, accumulating into non-zero
-// gwAcc/gbAcc.
-func checkConvFusedBitExact(t *testing.T, c convCase) {
+// checkConvFusedBitExact runs one case on engine e: out, mask, gx, gw and gb
+// of the fused kernels must equal the reference's bit for bit (Float64bits or
+// Float32bits), accumulating into non-zero gwAcc/gbAcc.
+func checkConvFusedBitExact[T Elem](t *testing.T, e *engine[T], c convCase) {
 	t.Helper()
-	e := serialRef
 	r := NewRNG(c.seed)
-	x := MustNew(c.cIn, c.hw, c.hw)
-	w := MustNew(c.f, c.cIn, c.k, c.k)
-	b := MustNew(c.f)
+	x := MustNewOf(e.dt, c.cIn, c.hw, c.hw)
+	w := MustNewOf(e.dt, c.f, c.cIn, c.k, c.k)
+	b := MustNewOf(e.dt, c.f)
 	x.FillNormal(r, 1)
 	w.FillNormal(r, 0.5)
 	b.FillNormal(r, 0.5)
 	if c.zeroWeights {
 		// Exact zeros land in some four-tap blocks and not in others, so
 		// both the chain and its one-tap fallback run.
-		for i := range w.data {
+		wd := e.data(w)
+		for i := range wd {
 			if r.Float64() < 0.15 {
-				w.data[i] = 0
+				wd[i] = 0
 			}
 		}
 	}
 	if c.negZeroB {
-		b.data[0] = math.Copysign(0, -1)
+		e.data(b)[0] = T(math.Copysign(0, -1))
 	}
 	d, err := e.convCheck(x, w, b, c.pad, c.stride)
 	if err != nil {
-		t.Fatalf("%v: %v", c, err)
+		t.Fatalf("%s %v: %v", e.name, c, err)
 	}
+	label := e.name + " " + c.String()
 
 	// Forward: the direct loop, then a standalone ReLU.
-	direct := MustNew(d.f, d.oh, d.ow)
+	direct := MustNewOf(e.dt, d.f, d.oh, d.ow)
 	e.conv2DDirect(x, w, b, direct, c.pad, c.stride, d)
 	wantOut, act := direct, ActNone
 	var wantMask []bool
@@ -65,59 +66,67 @@ func checkConvFusedBitExact(t *testing.T, c convCase) {
 	ws := &Workspace{NoInputGrad: c.noInputGrad}
 	out, err := e.Conv2DFused(x, w, b, c.pad, c.stride, act, ws)
 	if err != nil {
-		t.Fatalf("%v: %v", c, err)
+		t.Fatalf("%s: %v", label, err)
 	}
-	bitsEqual(t, c.String()+" out", out, wantOut)
+	bitsEqual(t, label+" out", out, wantOut)
 	if c.relu {
 		for i, m := range wantMask {
 			if ws.mask[i] != m {
-				t.Fatalf("%v: mask[%d] = %v, want %v", c, i, ws.mask[i], m)
+				t.Fatalf("%s: mask[%d] = %v, want %v", label, i, ws.mask[i], m)
 			}
 		}
 	}
 
 	// Backward: the scatter over the masked gradient, then fresh-then-add
 	// into accumulators that already hold something.
-	gy := MustNew(d.f, d.oh, d.ow)
+	gy := MustNewOf(e.dt, d.f, d.oh, d.ow)
 	gy.FillNormal(r, 1)
-	for i := range gy.data {
+	gyd := e.data(gy)
+	for i := range gyd {
 		if r.Float64()*100 < float64(c.zeroPct) {
-			gy.data[i] = 0
+			gyd[i] = 0
 		}
 	}
-	wantGX := MustNew(c.cIn, c.hw, c.hw)
-	gwFresh := MustNew(c.f, c.cIn, c.k, c.k)
-	gbFresh := MustNew(c.f)
-	convGradsInto(x.data, w.data, gy.data, c.pad, c.stride, wantMask, wantGX.data, gwFresh.data, gbFresh.data, d)
-	wantGW := MustNew(c.f, c.cIn, c.k, c.k)
-	wantGB := MustNew(c.f)
+	wantGX := MustNewOf(e.dt, c.cIn, c.hw, c.hw)
+	gwFresh := MustNewOf(e.dt, c.f, c.cIn, c.k, c.k)
+	gbFresh := MustNewOf(e.dt, c.f)
+	convGradsInto(e.data(x), e.data(w), gyd, c.pad, c.stride, wantMask, e.data(wantGX), e.data(gwFresh), e.data(gbFresh), d)
+	wantGW := MustNewOf(e.dt, c.f, c.cIn, c.k, c.k)
+	wantGB := MustNewOf(e.dt, c.f)
 	wantGW.FillNormal(r, 1)
 	wantGB.FillNormal(r, 1)
 	gwAcc, gbAcc := wantGW.Clone(), wantGB.Clone()
-	for i, v := range gwFresh.data {
-		wantGW.data[i] += v
+	if err := wantGW.AddInPlace(gwFresh); err != nil {
+		t.Fatal(err)
 	}
-	for i, v := range gbFresh.data {
-		wantGB.data[i] += v
+	if err := wantGB.AddInPlace(gbFresh); err != nil {
+		t.Fatal(err)
 	}
 	gx, err := e.Conv2DGradsFused(x, w, gy, c.pad, c.stride, act, gwAcc, gbAcc, ws)
 	if err != nil {
-		t.Fatalf("%v: %v", c, err)
+		t.Fatalf("%s: %v", label, err)
 	}
-	bitsEqual(t, c.String()+" gw", gwAcc, wantGW)
-	bitsEqual(t, c.String()+" gb", gbAcc, wantGB)
+	bitsEqual(t, label+" gw", gwAcc, wantGW)
+	bitsEqual(t, label+" gb", gbAcc, wantGB)
 	switch {
 	case gx != nil:
-		bitsEqual(t, c.String()+" gx", gx, wantGX)
+		bitsEqual(t, label+" gx", gx, wantGX)
 	case !c.noInputGrad:
-		t.Fatalf("%v: no input gradient returned, and the workspace did not waive it", c)
+		t.Fatalf("%s: no input gradient returned, and the workspace did not waive it", label)
 	}
 	if c.noInputGrad && c.stride == 1 && gx != nil {
-		t.Fatalf("%v: input gradient computed although the workspace waived it", c)
+		t.Fatalf("%s: input gradient computed although the workspace waived it", label)
 	}
 }
 
-// TestConvFusedBitExact holds the float64 engine's fused convolution to the
+// checkBothEngines runs one case on the float64 and the float32 engine.
+func checkBothEngines(t *testing.T, c convCase) {
+	t.Helper()
+	checkConvFusedBitExact(t, serialRef, c)
+	checkConvFusedBitExact(t, serialRef32, c)
+}
+
+// TestConvFusedBitExact holds both engines' fused convolution to the
 // reference loops over the shapes where the two can part: channel and filter
 // counts on both sides of every block size (odd counts reach the tails),
 // kernels 1/3/5 (one, one and two tap chains per filter row), padding from
@@ -128,7 +137,7 @@ func TestConvFusedBitExact(t *testing.T) {
 	run := func(c convCase) {
 		seed++
 		c.seed = seed
-		checkConvFusedBitExact(t, c)
+		checkBothEngines(t, c)
 	}
 	for _, k := range []int{1, 3, 5} {
 		for pad := 0; pad <= 2; pad++ {
@@ -183,7 +192,7 @@ func FuzzConvFusedBitExact(f *testing.F) {
 			relu:    flags&1 != 0, noInputGrad: flags&2 != 0, zeroWeights: flags&4 != 0,
 		}
 		c.negZeroB = c.relu && flags&8 != 0
-		checkConvFusedBitExact(t, c)
+		checkBothEngines(t, c)
 	})
 }
 

@@ -10,15 +10,17 @@ import "fmt"
 // (internal/fl/lane.go, DESIGN.md §14), never a kernel split across cores.
 //
 // Determinism contract: a kernel's result is a pure function of its inputs —
-// one fixed accumulation order per output element. The float64 engine adds,
-// for every output element, the terms of the historical hand-written kernels
-// in their order, one rounded operation each, so it stays bit-identical to
-// the pre-generic golden runs. The Go specification does allow a compiler to
-// fuse x*y + z into one rounding; gc does so on arm64 and at GOAMD64=v3, not
-// at amd64's default GOAMD64=v1, which is therefore what the goldens are
-// pinned for. A left-associated chain c + w0·x0 + w1·x1 offers the compiler
-// the same products feeding the same adds as c += w0·x0; c += w1·x1, so it
-// fuses exactly where the statement form would.
+// one fixed accumulation order per output element. Both engines run the same
+// kernels, which add, for every output element, the terms of the historical
+// hand-written kernels in their order, one rounded operation each: the
+// float64 engine stays bit-identical to the pre-generic golden runs, and
+// both are held by bit pattern to the reference loops. The Go specification
+// does allow a compiler to fuse x*y + z into one rounding; gc does so on
+// arm64 and at GOAMD64=v3, not at amd64's default GOAMD64=v1, which is
+// therefore what the goldens are pinned for. A left-associated chain
+// c + w0·x0 + w1·x1 offers the compiler the same products feeding the same
+// adds as c += w0·x0; c += w1·x1, so it fuses exactly where the statement
+// form would.
 //
 // Where a fused kernel visits terms the direct one skips — the zero padding
 // im2col makes explicit, gradients a ReLU masked — those terms are ±0.0 (for
@@ -36,11 +38,6 @@ type engine[T Elem] struct {
 	data    func(*Tensor) []T
 	newT    func(shape ...int) *Tensor
 	scratch arena[T]
-	// fast selects reassociating kernel variants (im2col convolution
-	// backward, multi-accumulator dot products). These regroup
-	// floating-point sums, so only the float32 engine — which carries no
-	// historical golden constraint — sets it.
-	fast bool
 }
 
 // serialRef is the float64 engine; the exported Serial value type and the
@@ -56,7 +53,6 @@ var serialRef32 = &engine[float32]{
 	name: "serial32", dt: F32,
 	data: func(t *Tensor) []float32 { return t.f32 },
 	newT: func(shape ...int) *Tensor { return MustNewOf(F32, shape...) },
-	fast: true,
 }
 
 // Name implements Backend.
@@ -297,7 +293,7 @@ func (e *engine[T]) DenseBackward(w, x, gy, gw, gb *Tensor) (*Tensor, error) {
 		return nil, err
 	}
 	gx := e.newT(in)
-	e.denseBackwardInto(w, x, gy, ActNone, nil, gw, gb, gx, nil, out, in)
+	e.denseBackwardInto(w, x, gy, ActNone, nil, gw, gb, gx, out, in)
 	return gx, nil
 }
 
@@ -323,7 +319,7 @@ func (e *engine[T]) DenseBackwardFused(w, x, gy *Tensor, act Activation, gw, gb 
 	}
 	gx := ensureTensor(&ws.gx, e.dt, in)
 	gx.Zero()
-	e.denseBackwardInto(w, x, gy, act, mask, gw, gb, gx, ws, out, in)
+	e.denseBackwardInto(w, x, gy, act, mask, gw, gb, gx, out, in)
 	return gx, nil
 }
 
@@ -332,13 +328,9 @@ func (e *engine[T]) DenseBackwardFused(w, x, gy *Tensor, act Activation, gw, gb 
 // exact dataflow of a standalone ReLU backward followed by the plain kernel:
 // gb accumulates geff even when zero (adding +0.0 is bit-preserving) and the
 // remaining work skips on geff == 0.
-func (e *engine[T]) denseBackwardInto(w, x, gy *Tensor, act Activation, mask []bool, gw, gb, gx *Tensor, ws *Workspace, out, in int) {
+func (e *engine[T]) denseBackwardInto(w, x, gy *Tensor, act Activation, mask []bool, gw, gb, gx *Tensor, out, in int) {
 	wd, xd := e.data(w), e.data(x)
 	gyd, gxd, gwd, gbd := e.data(gy), e.data(gx), e.data(gw), e.data(gb)
-	if e.fast {
-		e.denseBackwardFast(wd, xd, gyd, gwd, gbd, gxd, act, mask, ws, out, in)
-		return
-	}
 	geff := func(o int) T {
 		if act == ActReLU && !mask[o] {
 			return 0
@@ -380,66 +372,6 @@ func (e *engine[T]) denseBackwardInto(w, x, gy *Tensor, act Activation, mask []b
 			gxd[i] = gxd[i] + g*row[i] + g1*row1[i]
 		}
 		o += 2
-	}
-}
-
-// denseBackwardFast is the fast-engine dense backward. The input gradient
-// folds four weight rows into gx per pass, quartering the gx loads/stores;
-// the regrouped per-element sum reassociates the reduction, so only the
-// float32 engine takes this path.
-func (e *engine[T]) denseBackwardFast(wd, xd, gyd, gwd, gbd, gxd []T, act Activation, mask []bool, ws *Workspace, out, in int) {
-	geff := gyd
-	if act == ActReLU {
-		// ws is non-nil on every fused call (DenseBackwardFused checks); the
-		// staged buffer lives in the workspace so the steady state stays
-		// allocation-free.
-		geff = e.data(ensureTensor(&ws.gye, e.dt, out))
-		for o, g := range gyd {
-			if mask[o] {
-				geff[o] = g
-			} else {
-				geff[o] = 0
-			}
-		}
-	}
-	// gw += geff ⊗ x and gb += geff. Masked rows still add their +0.0 into
-	// gb (bit-preserving) and skip the axpy.
-	for o := 0; o < out; o++ {
-		g := geff[o]
-		gbd[o] += g
-		if g == 0 {
-			continue
-		}
-		grow := gwd[o*in : (o+1)*in]
-		for i, v := range xd {
-			grow[i] += g * v
-		}
-	}
-	// gx += Wᵀ geff, four output rows per pass; blocks where all four
-	// gradients are zero are skipped entirely.
-	o := 0
-	for ; o+4 <= out; o += 4 {
-		g0, g1, g2, g3 := geff[o], geff[o+1], geff[o+2], geff[o+3]
-		if g0 == 0 && g1 == 0 && g2 == 0 && g3 == 0 {
-			continue
-		}
-		r0 := wd[o*in : (o+1)*in]
-		r1 := wd[(o+1)*in : (o+2)*in]
-		r2 := wd[(o+2)*in : (o+3)*in]
-		r3 := wd[(o+3)*in : (o+4)*in]
-		for i := range gxd {
-			gxd[i] += g0*r0[i] + g1*r1[i] + g2*r2[i] + g3*r3[i]
-		}
-	}
-	for ; o < out; o++ {
-		g := geff[o]
-		if g == 0 {
-			continue
-		}
-		row := wd[o*in : (o+1)*in]
-		for i := range gxd {
-			gxd[i] += g * row[i]
-		}
 	}
 }
 
@@ -573,107 +505,6 @@ func im2colFill[T Elem](cols, xd []T, pad, stride int, d convDims) {
 	}
 }
 
-// im2colMulFast is the fast-engine variant of im2colMul: four column rows
-// fold into the output row per pass (quartering the output loads/stores),
-// and output rows advance in pairs so each loaded column element feeds two
-// filters (halving the dominant cols traffic). The regrouped per-element sum
-// (w0·c0 + w1·c1 + w2·c2 + w3·c3 added as one chain) reassociates the
-// reduction, so only the float32 engine uses it.
-func im2colMulFast[T Elem](cols, wdta, bd, od []T, act Activation, mask []bool, d convDims) {
-	n := d.ohw
-	fi := 0
-	for ; fi+2 <= d.f; fi += 2 {
-		crowA := od[fi*n:][:n]
-		crowB := od[(fi+1)*n:][:n]
-		if bd != nil {
-			ba, bb := bd[fi], bd[fi+1]
-			for j := range crowA {
-				crowA[j] = ba
-				crowB[j] = bb
-			}
-		} else {
-			for j := range crowA {
-				crowA[j] = 0
-				crowB[j] = 0
-			}
-		}
-		wrowA := wdta[fi*d.ckk : (fi+1)*d.ckk]
-		wrowB := wdta[(fi+1)*d.ckk : (fi+2)*d.ckk]
-		k := 0
-		for ; k+4 <= d.ckk; k += 4 {
-			wa0, wa1, wa2, wa3 := wrowA[k], wrowA[k+1], wrowA[k+2], wrowA[k+3]
-			wb0, wb1, wb2, wb3 := wrowB[k], wrowB[k+1], wrowB[k+2], wrowB[k+3]
-			c0 := cols[k*n:][:n]
-			c1 := cols[(k+1)*n:][:n]
-			c2 := cols[(k+2)*n:][:n]
-			c3 := cols[(k+3)*n:][:n]
-			for j := range crowA {
-				cv0, cv1, cv2, cv3 := c0[j], c1[j], c2[j], c3[j]
-				crowA[j] += wa0*cv0 + wa1*cv1 + wa2*cv2 + wa3*cv3
-				crowB[j] += wb0*cv0 + wb1*cv1 + wb2*cv2 + wb3*cv3
-			}
-		}
-		for ; k < d.ckk; k++ {
-			av, bv := wrowA[k], wrowB[k]
-			colrow := cols[k*n:][:n]
-			for j, cv := range colrow {
-				crowA[j] += av * cv
-				crowB[j] += bv * cv
-			}
-		}
-	}
-	for ; fi < d.f; fi++ {
-		crow := od[fi*n:][:n]
-		if bd != nil {
-			bias := bd[fi]
-			for j := range crow {
-				crow[j] = bias
-			}
-		} else {
-			for j := range crow {
-				crow[j] = 0
-			}
-		}
-		wrow := wdta[fi*d.ckk : (fi+1)*d.ckk]
-		k := 0
-		for ; k+4 <= d.ckk; k += 4 {
-			w0, w1, w2, w3 := wrow[k], wrow[k+1], wrow[k+2], wrow[k+3]
-			c0 := cols[k*n:][:n]
-			c1 := cols[(k+1)*n:][:n]
-			c2 := cols[(k+2)*n:][:n]
-			c3 := cols[(k+3)*n:][:n]
-			for j := range crow {
-				crow[j] += w0*c0[j] + w1*c1[j] + w2*c2[j] + w3*c3[j]
-			}
-		}
-		for ; k < d.ckk; k++ {
-			// No zero-weight skip: the paired path above always adds, and the
-			// odd filter takes the same arithmetic as the paired ones.
-			av := wrow[k]
-			colrow := cols[k*n:][:n]
-			for j, cv := range colrow {
-				crow[j] += av * cv
-			}
-		}
-	}
-	if act == ActReLU {
-		for fi := 0; fi < d.f; fi++ {
-			crow := od[fi*n : (fi+1)*n]
-			mrow := mask[fi*n : (fi+1)*n]
-			for j, v := range crow {
-				if v > 0 {
-					mrow[j] = true
-				} else {
-					mrow[j] = false
-					if v <= 0 {
-						crow[j] = 0
-					}
-				}
-			}
-		}
-	}
-}
-
 // im2colMul multiplies the (f)×(ckk) kernel matrix with cols into out, each
 // output row seeded by the filter bias, optionally applying the fused
 // activation to the finished rows. It is the exact (non-reassociating)
@@ -792,37 +623,23 @@ func b2i(c bool) int {
 	return 0
 }
 
-// Conv2D implements Backend. The float64 engine runs the direct nested-loop
-// kernel; the fast engine stages an im2col column matrix in the scratch
-// arena and runs the reassociated product, the one algorithm behind both
-// its Conv2D and its Conv2DFused.
+// Conv2D implements Backend with the direct nested-loop kernel, the
+// reference Conv2DFused is held to.
 func (e *engine[T]) Conv2D(x, w, b *Tensor, pad, stride int) (*Tensor, error) {
 	d, err := e.convCheck(x, w, b, pad, stride)
 	if err != nil {
 		return nil, err
 	}
 	out := e.newT(d.f, d.oh, d.ow)
-	if !e.fast {
-		e.conv2DDirect(x, w, b, out, pad, stride, d)
-		return out, nil
-	}
-	colsBuf := e.scratch.get(d.ckk * d.ohw)
-	defer e.scratch.put(colsBuf)
-	var bd []T
-	if b != nil {
-		bd = e.data(b)
-	}
-	im2colFill(*colsBuf, e.data(x), pad, stride, d)
-	im2colMulFast(*colsBuf, e.data(w), bd, e.data(out), ActNone, nil, d)
+	e.conv2DDirect(x, w, b, out, pad, stride, d)
 	return out, nil
 }
 
 // Conv2DFused implements Backend: Conv2D with the activation applied in the
 // same pass, the output and im2col matrix staged in the workspace, and (for
-// ActReLU) the pass-through mask recorded for Conv2DGradsFused. Both engines
-// use the workspace-arena im2col path here, so the layer hot path performs
-// no allocations in steady state; the float64 engine's product (im2colMul)
-// is exact, the float32 engine's (im2colMulFast) reassociates.
+// ActReLU) the pass-through mask recorded for Conv2DGradsFused. The product
+// (im2colMul) is exact, and the layer hot path performs no allocations in
+// steady state.
 func (e *engine[T]) Conv2DFused(x, w, b *Tensor, pad, stride int, act Activation, ws *Workspace) (*Tensor, error) {
 	if ws == nil {
 		return nil, fmt.Errorf("tensor: Conv2DFused needs a workspace")
@@ -842,11 +659,7 @@ func (e *engine[T]) Conv2DFused(x, w, b *Tensor, pad, stride int, act Activation
 		bd = e.data(b)
 	}
 	im2colFill(cols, e.data(x), pad, stride, d)
-	if e.fast {
-		im2colMulFast(cols, e.data(w), bd, e.data(out), act, mask, d)
-	} else {
-		im2colMul(cols, e.data(w), bd, e.data(out), act, mask, d)
-	}
+	im2colMul(cols, e.data(w), bd, e.data(out), act, mask, d)
 	return out, nil
 }
 
@@ -870,8 +683,8 @@ func (e *engine[T]) convGradsCheck(x, w, gy *Tensor, pad, stride int) (convDims,
 // masked upstream gradient geff (gy, or 0 where the fused ReLU clamped)
 // replicates a standalone ReLU backward followed by the plain kernel: work
 // skips entirely on geff == 0, exactly like the historical g == 0 skip. It is
-// the reference the float64 engine's sweeps (convGradsSweep) are held to, and
-// what a strided convolution still runs.
+// the reference the sweeps (convGradsSweep) are held to, and what a strided
+// convolution still runs.
 func convGradsInto[T Elem](xd, wdta, gyd []T, pad, stride int, mask []bool, gxd, gwd, gbd []T, d convDims) {
 	for fi := 0; fi < d.f; fi++ {
 		var gbias T
@@ -951,8 +764,8 @@ func convGradW[T Elem](g0r, g1r, cols, gw0, gw1 []T) {
 	}
 }
 
-// convGradsSweep is the float64 engine's fused convolution backward for unit
-// stride: convGradsInto's sums, term for term and in convGradsInto's order,
+// convGradsSweep is the fused convolution backward for unit stride:
+// convGradsInto's sums, term for term and in convGradsInto's order,
 // computed as long contiguous sweeps instead of a scatter per output pixel.
 // Filters go through in pairs, ascending:
 //
@@ -1097,273 +910,6 @@ func (e *engine[T]) convGradsSweep(x, w, gy *Tensor, pad int, mask []bool, gwAcc
 	return gx
 }
 
-// convBwdCol is the fast convolution backward over the im2col rows: for each
-// column-matrix row k it computes the weight-gradient column
-// (gw[f][k] += <gyEff[f], cols[k]>) and the input-column gradient
-// colsG[k] = Σ_f w[f][k]·gyEff[k] in one fused pass, keeping both streams
-// resident in L1. The four-way accumulators regroup the dot-product sum, so
-// only the fast (float32) engine may call this.
-func convBwdCol[T Elem](wdta, gyEff, cols, colsG, gwd []T, d convDims) {
-	n := d.ohw
-	// One column row at a time: a paired variant (two k rows against the
-	// same four gyEff loads) was measured slower here — twelve live scalars
-	// plus eight accumulators spill on amd64 and cost more than the halved
-	// gyEff traffic saves on these L2-resident shapes.
-	for k := 0; k < d.ckk; k++ {
-		// The [base:][:n] re-slices pin every row's length to n, so the
-		// prover drops the per-element bounds checks in the inner loops.
-		crow := cols[k*n:][:n]
-		cgrow := colsG[k*n:][:n]
-		for i := range cgrow {
-			cgrow[i] = 0
-		}
-		fi := 0
-		for ; fi+4 <= d.f; fi += 4 {
-			g0r := gyEff[fi*n:][:n]
-			g1r := gyEff[(fi+1)*n:][:n]
-			g2r := gyEff[(fi+2)*n:][:n]
-			g3r := gyEff[(fi+3)*n:][:n]
-			w0 := wdta[fi*d.ckk+k]
-			w1 := wdta[(fi+1)*d.ckk+k]
-			w2 := wdta[(fi+2)*d.ckk+k]
-			w3 := wdta[(fi+3)*d.ckk+k]
-			var a0, a1, a2, a3 T
-			for p, cv := range crow {
-				g0, g1, g2, g3 := g0r[p], g1r[p], g2r[p], g3r[p]
-				a0 += g0 * cv
-				a1 += g1 * cv
-				a2 += g2 * cv
-				a3 += g3 * cv
-				cgrow[p] += w0*g0 + w1*g1 + w2*g2 + w3*g3
-			}
-			gwd[fi*d.ckk+k] += a0
-			gwd[(fi+1)*d.ckk+k] += a1
-			gwd[(fi+2)*d.ckk+k] += a2
-			gwd[(fi+3)*d.ckk+k] += a3
-		}
-		if fi < d.f {
-			convBwdColTail(k, fi, wdta, gyEff, cols, colsG, gwd, d)
-		}
-	}
-}
-
-// convBwdColTail finishes im2col row k for the filters [fi0, d.f) left over
-// after the four-wide blocks.
-func convBwdColTail[T Elem](k, fi0 int, wdta, gyEff, cols, colsG, gwd []T, d convDims) {
-	n := d.ohw
-	crow := cols[k*n:][:n]
-	cgrow := colsG[k*n:][:n]
-	for fi := fi0; fi < d.f; fi++ {
-		grow := gyEff[fi*n:][:n]
-		wv := wdta[fi*d.ckk+k]
-		var a0, a1, a2, a3 T
-		p := 0
-		for ; p+4 <= n; p += 4 {
-			g0, g1, g2, g3 := grow[p], grow[p+1], grow[p+2], grow[p+3]
-			a0 += g0 * crow[p]
-			a1 += g1 * crow[p+1]
-			a2 += g2 * crow[p+2]
-			a3 += g3 * crow[p+3]
-			cgrow[p] += wv * g0
-			cgrow[p+1] += wv * g1
-			cgrow[p+2] += wv * g2
-			cgrow[p+3] += wv * g3
-		}
-		for ; p < n; p++ {
-			g := grow[p]
-			a0 += g * crow[p]
-			cgrow[p] += wv * g
-		}
-		gwd[fi*d.ckk+k] += a0 + a1 + a2 + a3
-	}
-}
-
-// convBwdW is convBwdCol without the input-gradient stream, used
-// when the workspace's NoInputGrad hint marks gx as dead (the network's
-// first layer). The per-(filter, k) accumulation order matches
-// convBwdCol exactly — single accumulator over ascending p in the
-// four-filter blocks, stride-four accumulators in the filter tail — so
-// enabling the hint never changes a single weight-gradient bit.
-func convBwdW[T Elem](gyEff, cols, gwd []T, d convDims) {
-	n := d.ohw
-	for k := 0; k < d.ckk; k++ {
-		crow := cols[k*n:][:n]
-		fi := 0
-		for ; fi+4 <= d.f; fi += 4 {
-			g0r := gyEff[fi*n:][:n]
-			g1r := gyEff[(fi+1)*n:][:n]
-			g2r := gyEff[(fi+2)*n:][:n]
-			g3r := gyEff[(fi+3)*n:][:n]
-			var a0, a1, a2, a3 T
-			for p, cv := range crow {
-				a0 += g0r[p] * cv
-				a1 += g1r[p] * cv
-				a2 += g2r[p] * cv
-				a3 += g3r[p] * cv
-			}
-			gwd[fi*d.ckk+k] += a0
-			gwd[(fi+1)*d.ckk+k] += a1
-			gwd[(fi+2)*d.ckk+k] += a2
-			gwd[(fi+3)*d.ckk+k] += a3
-		}
-		for ; fi < d.f; fi++ {
-			grow := gyEff[fi*n:][:n]
-			var a0, a1, a2, a3 T
-			p := 0
-			for ; p+4 <= n; p += 4 {
-				a0 += grow[p] * crow[p]
-				a1 += grow[p+1] * crow[p+1]
-				a2 += grow[p+2] * crow[p+2]
-				a3 += grow[p+3] * crow[p+3]
-			}
-			for ; p < n; p++ {
-				a0 += grow[p] * crow[p]
-			}
-			gwd[fi*d.ckk+k] += a0 + a1 + a2 + a3
-		}
-	}
-}
-
-// col2im folds im2col column gradients back into the spatial input
-// gradient. Every gx element receives its contributions in the fixed
-// (ky, kx, oy, ox) order.
-func col2im[T Elem](colsG, gxd []T, pad, stride int, d convDims) {
-	for c := 0; c < d.cIn; c++ {
-		for ky := 0; ky < d.kh; ky++ {
-			for kx := 0; kx < d.kw; kx++ {
-				k := (c*d.kh+ky)*d.kw + kx
-				crow := colsG[k*d.ohw : (k+1)*d.ohw]
-				for oy := 0; oy < d.oh; oy++ {
-					iy := oy*stride - pad + ky
-					if iy < 0 || iy >= d.h {
-						continue
-					}
-					gxrow := gxd[(c*d.h+iy)*d.w : (c*d.h+iy+1)*d.w]
-					src := crow[oy*d.ow : (oy+1)*d.ow]
-					for ox, v := range src {
-						ix := ox*stride - pad + kx
-						if ix < 0 || ix >= d.w {
-							continue
-						}
-						gxrow[ix] += v
-					}
-				}
-			}
-		}
-	}
-}
-
-// convGradsFast is the im2col convolution backward of the fast engine. It
-// accumulates the weight and bias gradients directly into gwAcc/gbAcc (one
-// IEEE-754 add of the same fresh value the staged float64 path performs) and
-// returns gx — workspace-owned when ws is non-nil, freshly allocated
-// otherwise, or nil when the workspace's NoInputGrad hint marks gx as dead.
-// With a workspace it reuses the column matrix the matching Conv2DFused
-// staged (the Backend contract requires that forward to have run); the
-// plain path rebuilds the identical columns in scratch, so fused and
-// composed results stay bit-for-bit equal.
-func (e *engine[T]) convGradsFast(x, w, gy *Tensor, pad, stride int, act Activation, mask []bool, gwAcc, gbAcc *Tensor, ws *Workspace, d convDims) *Tensor {
-	wdta, gyd := e.data(w), e.data(gy)
-	gwd, gbd := e.data(gwAcc), e.data(gbAcc)
-	skipGX := ws != nil && ws.NoInputGrad
-	var gx *Tensor
-	var gxd []T
-	if !skipGX {
-		if ws != nil {
-			gx = ensureTensor(&ws.gx, e.dt, d.cIn, d.h, d.w)
-		} else {
-			gx = e.newT(d.cIn, d.h, d.w)
-		}
-		gx.Zero()
-		gxd = e.data(gx)
-	}
-
-	// Stage the activation-masked upstream gradient, folding the bias
-	// gradient (a per-filter row sum) into the same pass over gy.
-	gyEff := gyd
-	var gyBuf *[]T
-	if act == ActReLU {
-		if ws != nil {
-			// Workspace slot, not the scratch pool: the fused steady state
-			// alternates buffer sizes (f·ohw here, ckk·ohw below) across
-			// layers, which defeats the single capacity-checked pool slot
-			// and would allocate every step.
-			gyEff = e.data(ensureTensor(&ws.gye, e.dt, d.f, d.ohw))
-		} else {
-			gyBuf = e.scratch.get(d.f * d.ohw)
-			gyEff = *gyBuf
-		}
-		for fi := 0; fi < d.f; fi++ {
-			grow := gyd[fi*d.ohw:][:d.ohw]
-			erow := gyEff[fi*d.ohw:][:d.ohw]
-			mrow := mask[fi*d.ohw:][:d.ohw]
-			var s T
-			// Value-select form (zero g, then store and add
-			// unconditionally) so the compiler emits branch-free selects;
-			// the masked +0.0 adds into s are bit-preserving, matching the
-			// composed path where the standalone ReLU backward already
-			// zeroed those entries.
-			for j, g := range grow {
-				if !mrow[j] {
-					g = 0
-				}
-				erow[j] = g
-				s += g
-			}
-			gbd[fi] += s
-		}
-	} else {
-		for fi := 0; fi < d.f; fi++ {
-			grow := gyEff[fi*d.ohw : (fi+1)*d.ohw]
-			var s T
-			for _, g := range grow {
-				s += g
-			}
-			gbd[fi] += s
-		}
-	}
-
-	var cols []T
-	var colsBuf *[]T
-	if ws != nil && ws.cols != nil && ws.cols.dt == e.dt && ws.cols.Size() == d.ckk*d.ohw {
-		cols = e.data(ws.cols)
-	} else {
-		colsBuf = e.scratch.get(d.ckk * d.ohw)
-		cols = *colsBuf
-		im2colFill(cols, e.data(x), pad, stride, d)
-	}
-	if skipGX {
-		convBwdW(gyEff, cols, gwd, d)
-		if colsBuf != nil {
-			e.scratch.put(colsBuf)
-		}
-		if gyBuf != nil {
-			e.scratch.put(gyBuf)
-		}
-		return nil
-	}
-	var colsG []T
-	var colsGBuf *[]T
-	if ws != nil {
-		colsG = e.data(ensureTensor(&ws.colsG, e.dt, d.ckk, d.ohw))
-	} else {
-		colsGBuf = e.scratch.get(d.ckk * d.ohw)
-		colsG = *colsGBuf
-	}
-	convBwdCol(wdta, gyEff, cols, colsG, gwd, d)
-	col2im(colsG, gxd, pad, stride, d)
-	if colsGBuf != nil {
-		e.scratch.put(colsGBuf)
-	}
-	if colsBuf != nil {
-		e.scratch.put(colsBuf)
-	}
-	if gyBuf != nil {
-		e.scratch.put(gyBuf)
-	}
-	return gx
-}
-
 // Conv2DGrads implements Backend.
 func (e *engine[T]) Conv2DGrads(x, w, gy *Tensor, pad, stride int) (gx, gw, gb *Tensor, err error) {
 	d, err := e.convGradsCheck(x, w, gy, pad, stride)
@@ -1372,10 +918,6 @@ func (e *engine[T]) Conv2DGrads(x, w, gy *Tensor, pad, stride int) (gx, gw, gb *
 	}
 	gw = e.newT(d.f, d.cIn, d.kh, d.kw)
 	gb = e.newT(d.f)
-	if e.fast {
-		gx = e.convGradsFast(x, w, gy, pad, stride, ActNone, nil, gw, gb, nil, d)
-		return gx, gw, gb, nil
-	}
 	gx = e.newT(d.cIn, d.h, d.w)
 	convGradsInto(e.data(x), e.data(w), e.data(gy), pad, stride, nil, e.data(gx), e.data(gw), e.data(gb), d)
 	return gx, gw, gb, nil
@@ -1385,8 +927,8 @@ func (e *engine[T]) Conv2DGrads(x, w, gy *Tensor, pad, stride int) (gx, gw, gb *
 // gradient masked through the activation recorded by Conv2DFused. The
 // weight and bias gradients are computed fresh and then added into the
 // caller's accumulators gwAcc/gbAcc — the same fresh-gradient-then-add
-// order as the historical layer code, so float64 summation order (and
-// therefore golden bits) is preserved. The returned gx is workspace-owned,
+// order as the historical layer code, so summation order (and therefore the
+// float64 golden bits) is preserved. The returned gx is workspace-owned,
 // or nil when the workspace's NoInputGrad hint marks it dead.
 func (e *engine[T]) Conv2DGradsFused(x, w, gy *Tensor, pad, stride int, act Activation, gwAcc, gbAcc *Tensor, ws *Workspace) (*Tensor, error) {
 	if ws == nil {
@@ -1410,9 +952,6 @@ func (e *engine[T]) Conv2DGradsFused(x, w, gy *Tensor, pad, stride int, act Acti
 			return nil, fmt.Errorf("tensor: Conv2DGradsFused mask %d, want %d (run the fused forward first)",
 				len(mask), d.f*d.ohw)
 		}
-	}
-	if e.fast {
-		return e.convGradsFast(x, w, gy, pad, stride, act, mask, gwAcc, gbAcc, ws, d), nil
 	}
 	if stride == 1 && d.oh == d.h+2*pad-d.kh+1 && d.ow == d.w+2*pad-d.kw+1 {
 		return e.convGradsSweep(x, w, gy, pad, mask, gwAcc, gbAcc, ws, d), nil

@@ -3,13 +3,11 @@ package tensor
 import "sync"
 
 // arena is a stock of scratch buffers of one element type, backed by
-// sync.Pool, for what a kernel needs only until it returns. The float64
-// engine's fused convolution backward stages its masked gradient and padded
-// planes here, one buffer a call, so that no layer holds them between steps;
-// the float32 engine stages im2col matrices here on the non-workspace
-// Conv2D/Conv2DGrads path. A caller that takes one buffer at a time keeps the
-// stock at its largest request: steady state allocates nothing. The zero
-// value is ready to use.
+// sync.Pool, for what a kernel needs only until it returns. The fused
+// convolution backward stages its masked gradient and padded planes here, one
+// buffer a call, so that no layer holds them between steps. A caller that
+// takes one buffer at a time keeps the stock at its largest request: steady
+// state allocates nothing. The zero value is ready to use.
 type arena[T Elem] struct{ free sync.Pool }
 
 // get returns a buffer with length n (contents unspecified).

@@ -5,7 +5,7 @@
 // and backward), max pooling, and deterministic random initialization.
 //
 // Tensors store data in row-major order with a per-tensor element type
-// (float64, the golden reference dtype, or float32, the fast training
+// (float64, the golden reference dtype, or float32, the half-size training
 // dtype — see DType). The package is deliberately free of external
 // dependencies and unsafe tricks; clarity and determinism matter more than
 // peak throughput for a simulation-driven reproduction.
@@ -510,7 +510,8 @@ func (t *Tensor) MaxIndex() int {
 }
 
 // Equal reports element-wise equality within tolerance eps. Tensors of
-// different dtypes compare by widened value.
+// different dtypes compare by widened value. NaN equals nothing, itself
+// included; an infinity equals only itself.
 func Equal(a, b *Tensor, eps float64) bool {
 	if !a.SameShape(b) {
 		return false
@@ -528,7 +529,7 @@ func Equal(a, b *Tensor, eps float64) bool {
 		} else {
 			bv = b.data[i]
 		}
-		if math.Abs(av-bv) > eps {
+		if av != bv && !(math.Abs(av-bv) <= eps) {
 			return false
 		}
 	}

@@ -482,3 +482,42 @@ func TestQuickMatMulDistributes(t *testing.T) {
 		}
 	}
 }
+
+// TestEqualNaNAndInf: a kernel that emits NaN must fail every Equal-based
+// check, whatever the tolerance, the argument order or the dtypes; an
+// infinity still equals itself.
+func TestEqualNaNAndInf(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	one := func(dt DType, v float64) *Tensor {
+		x := MustNewOf(dt, 1)
+		if dt == F32 {
+			x.Data32()[0] = float32(v)
+		} else {
+			x.Data()[0] = v
+		}
+		return x
+	}
+	for _, c := range []struct {
+		a, b float64
+		want bool
+	}{
+		{nan, 1, false},
+		{nan, nan, false},
+		{inf, inf, true},
+		{inf, -inf, false},
+		{inf, 1, false},
+		{1, 1, true},
+	} {
+		for _, eps := range []float64{0, 1e-4} {
+			for _, dts := range [][2]DType{{F64, F64}, {F32, F32}, {F64, F32}, {F32, F64}} {
+				a, b := one(dts[0], c.a), one(dts[1], c.b)
+				if got := Equal(a, b, eps); got != c.want {
+					t.Errorf("Equal(%v %v, %v %v, %g) = %v, want %v", dts[0], c.a, dts[1], c.b, eps, got, c.want)
+				}
+				if got := Equal(b, a, eps); got != c.want {
+					t.Errorf("Equal(%v %v, %v %v, %g) = %v, want %v", dts[1], c.b, dts[0], c.a, eps, got, c.want)
+				}
+			}
+		}
+	}
+}

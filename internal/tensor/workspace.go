@@ -21,10 +21,9 @@ const (
 // matrix, the activation mask, and pooling argmax indices. Kernels size the
 // buffers lazily on first use and reuse them on every later call with the
 // same shapes, so a layer's steady state performs no allocations. What a
-// kernel needs only for the length of one call (the float64 convolution
-// backward's staged gradient and padded planes) is not here but in the
-// engine's scratch stock, shared by every layer. The zero value is ready to
-// use.
+// kernel needs only for the length of one call (the convolution backward's
+// staged gradient and padded planes) is not here but in the engine's
+// scratch stock, shared by every layer. The zero value is ready to use.
 //
 // A Workspace is owned by exactly one layer of one network (the network's
 // layers form a per-client arena) and must not be shared across goroutines:
@@ -34,19 +33,17 @@ type Workspace struct {
 	// NoInputGrad marks a layer whose input gradient is never consumed —
 	// the first layer of a network, whose backward output the training
 	// loop discards. Every engine's fused convolution backward then skips
-	// computing gx and returns nil (the one exception: the float64
-	// engine's strided fallback, which has the gradient anyway and returns
-	// it). Parameter gradients are unaffected (gx feeds nothing else), so
-	// setting it never changes trained weights.
+	// computing gx and returns nil (the one exception: the strided
+	// fallback, which has the gradient anyway and returns it). Parameter
+	// gradients are unaffected (gx feeds nothing else), so setting it
+	// never changes trained weights.
 	NoInputGrad bool
 
-	out   *Tensor // forward output
-	gx    *Tensor // backward gradient w.r.t. the layer input
-	cols  *Tensor // im2col column matrix
-	gye   *Tensor // activation-masked upstream gradient (fast backward)
-	colsG *Tensor // column-space input gradient (fast conv backward)
-	mask  []bool  // fused-activation pass-through mask
-	arg   []int   // pooling argmax indices
+	out  *Tensor // forward output
+	gx   *Tensor // backward gradient w.r.t. the layer input
+	cols *Tensor // im2col column matrix
+	mask []bool  // fused-activation pass-through mask
+	arg  []int   // pooling argmax indices
 }
 
 // ensureMask returns the mask buffer resized to n.
