@@ -74,11 +74,11 @@ type AsyncFederator struct {
 	absorbed int
 	results  *AsyncResults
 	finished bool
-	down     map[comm.NodeID]bool
-	// pending maps each client to the sequence number of its outstanding
-	// dispatch; the redispatch watchdog fires only if that exact dispatch
-	// is still unanswered.
-	pending     map[comm.NodeID]uint64
+	tracker  *cohort // only its liveness view: the async loop has no rounds
+	// outstanding maps each client to the sequence number of its latest
+	// dispatch, until an update answers it; the redispatch watchdog fires
+	// only if that exact dispatch is still unanswered.
+	outstanding map[comm.NodeID]uint64
 	dispatchSeq uint64
 	// bases retains the dispatched model snapshots by version — the
 	// codec's delta bases — each stored once and reference-counted by the
@@ -158,8 +158,8 @@ func (f *AsyncFederator) Init() error {
 		f.EvalEvery = len(f.Clients)
 	}
 	f.results = &AsyncResults{}
-	f.down = make(map[comm.NodeID]bool)
-	f.pending = make(map[comm.NodeID]uint64)
+	f.tracker = newCohort("async")
+	f.outstanding = make(map[comm.NodeID]uint64)
 	f.bases = make(map[int]*asyncBase)
 	f.clientBases = make(map[comm.NodeID]map[int]bool)
 	if f.lanes == nil {
@@ -203,8 +203,7 @@ func (f *AsyncFederator) dispatch(env comm.Env, to comm.NodeID) {
 			ref.refs++
 		}
 	}
-	f.BW.Count(comm.KindTrain, w.ByteSize())
-	env.Send(comm.Message{
+	f.BW.send(env, comm.Message{
 		To:      to,
 		Round:   f.version,
 		Kind:    comm.KindTrain,
@@ -216,12 +215,12 @@ func (f *AsyncFederator) dispatch(env comm.Env, to comm.NodeID) {
 	}
 	f.dispatchSeq++
 	seq := f.dispatchSeq
-	f.pending[to] = seq
+	f.outstanding[to] = seq
 	env.After(f.RedispatchAfter, func() {
 		// Only the exact unanswered dispatch retries: an absorbed update
-		// clears pending, a rejoin re-dispatch bumps the sequence, and a
+		// clears the entry, a rejoin re-dispatch bumps the sequence, and a
 		// crashed client waits for its rejoin instead.
-		if f.finished || f.pending[to] != seq || f.down[to] {
+		if f.finished || f.outstanding[to] != seq || f.tracker.down[to] {
 			return
 		}
 		flm().redispatch.Inc()
@@ -250,28 +249,16 @@ func (f *AsyncFederator) OnMessage(env comm.Env, msg comm.Message) {
 		f.logf("async: update from the future (version %d > %d)", p.Update.Round, f.version)
 		return
 	}
-	update := p.Update
-	if !p.Encoded.IsZero() {
-		if f.Codec == nil {
-			f.logf("async: encoded update from %d on a codec-free run", update.Client)
-			return
-		}
-		var base *asyncBase
-		if f.clientBases[update.Client][update.Round] {
-			base = f.bases[update.Round]
-		}
-		if base == nil {
-			// The dispatch this update answers was superseded (redispatch)
-			// or belongs to a crashed incarnation; its delta base is gone.
-			f.logf("async: no base v%d for encoded update from %d", update.Round, update.Client)
-			return
-		}
-		w, err := decodeWeights(f.Codec, p.Encoded, base.w)
-		if err != nil {
-			f.logf("async: decode update from %d: %v", update.Client, err)
-			return
-		}
-		update.Weights = w
+	// An update answering a dispatch that was superseded (redispatch) or
+	// belongs to a crashed incarnation has no delta base left.
+	var base *nn.Weights
+	if ref := f.bases[p.Update.Round]; ref != nil && f.clientBases[p.Update.Client][p.Update.Round] {
+		base = &ref.w
+	}
+	update, err := decodeUpdate(f.Codec, p, base)
+	if err != nil {
+		f.logf("async: update from %d: %v", p.Update.Client, err)
+		return
 	}
 	if f.Codec != nil {
 		// The answered dispatch (and anything older) can no longer produce
@@ -289,7 +276,7 @@ func (f *AsyncFederator) OnMessage(env comm.Env, msg comm.Message) {
 			}
 		}
 	}
-	delete(f.pending, update.Client)
+	delete(f.outstanding, update.Client)
 	alpha := f.Alpha / float64(1+staleness)
 	current := f.global.SnapshotWeights()
 	current.Scale(1 - alpha)
@@ -351,7 +338,7 @@ func (f *AsyncFederator) OnMessage(env comm.Env, msg comm.Message) {
 	}
 	// Keep the sender busy with the fresh model. A crashed sender's
 	// dispatch would be lost; its rejoin re-enlists it instead.
-	if !f.down[p.Update.Client] {
+	if !f.tracker.down[p.Update.Client] {
 		f.dispatch(env, p.Update.Client)
 	}
 }
@@ -362,13 +349,11 @@ func (f *AsyncFederator) OnMessage(env comm.Env, msg comm.Message) {
 // crashed incarnation's model died with it.
 func (f *AsyncFederator) onFault(env comm.Env, p comm.FaultPayload) {
 	if p.Down {
-		f.down[p.Node] = true
-		flm().downAsync.Inc()
+		f.tracker.crash(p.Node)
 		f.logf("async: client %d crashed", p.Node)
 		return
 	}
-	delete(f.down, p.Node)
-	flm().rejoinAsync.Inc()
+	f.tracker.rejoin(p.Node)
 	f.logf("async: client %d rejoined", p.Node)
 	if !f.finished {
 		f.dispatch(env, p.Node)

@@ -205,6 +205,48 @@ func TestChaosDeadlineDropAndCrashCountedOnce(t *testing.T) {
 	}
 }
 
+// TestChaosBlackoutRoundCloses: without any deadline, a round whose every
+// selected client is down when it opens can wait on nothing — no update and
+// no crash notice will come — so the federator closes it empty at once, and
+// the rounds that select a live or rejoining client run as usual.
+func TestChaosBlackoutRoundCloses(t *testing.T) {
+	base, err := Run(fixedSpeedConfig(NewFedAvg(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d0 := base.Rounds[0].Duration
+	for _, procs := range []int{1, 2, 8} {
+		atWidth(procs, func() {
+			cfg := fixedSpeedConfig(NewFedAvg(2))
+			cfg.Rounds = 8
+			dep, ct := buildChaosDeployment(t, cfg, chaos.Plan{})
+			// Four of the five go dark early in round 0 and come back one
+			// round apart, so some rounds select only dark clients and others
+			// catch a rejoin.
+			for i := 0; i < 4; i++ {
+				ct.ScheduleCrash(comm.NodeID(i), d0/100, time.Duration(i+1)*d0)
+			}
+			res, err := dep.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			dark := 0
+			for _, r := range res.Rounds {
+				if r.Completed == 0 && r.Duration == 0 {
+					dark++
+				}
+			}
+			if len(res.Rounds) != cfg.Rounds || dark == 0 {
+				t.Fatalf("%d rounds, %d of them opened dark and closed empty: %+v", len(res.Rounds), dark, res.Rounds)
+			}
+			// Captured at b5ebc35, before the cohort tracker, at GOMAXPROCS 1, 2, 8.
+			if got, want := resultHash(res), uint64(0x1537d4c36741cbe6); got != want {
+				t.Fatalf("GOMAXPROCS %d: result hash %#x, the parent commit's is %#x", procs, got, want)
+			}
+		})
+	}
+}
+
 // TestChaosQuorumHoldsRoundOpen pins the quorum contract: a deadline that
 // fires below quorum holds the round open (within its grace period) until
 // the quorum-th update arrives, instead of aggregating a near-empty round.
@@ -279,14 +321,24 @@ func TestChaosOffloadReassignment(t *testing.T) {
 		t.Fatalf("bad baseline window [%v, %v]", scheduleAt, helperDoneAt)
 	}
 
+	for _, procs := range []int{1, 2, 8} {
+		atWidth(procs, func() { checkOffloadReassignment(t, procs, strong, (scheduleAt+helperDoneAt)/2) })
+	}
+}
+
+func checkOffloadReassignment(t *testing.T, procs int, strong comm.NodeID, crashAt time.Duration) {
 	cfg := fixedSpeedConfig(NewAergia(0, 1))
 	log := trace.NewLog()
 	cfg.Trace = log
 	dep, ct := buildChaosDeployment(t, cfg, chaos.Plan{})
-	ct.ScheduleCrash(strong, (scheduleAt+helperDoneAt)/2, 0)
+	ct.ScheduleCrash(strong, crashAt, 0)
 	res, err := dep.Run()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Captured at b5ebc35, before the cohort tracker, at GOMAXPROCS 1, 2, 8.
+	if got, want := resultHash(res), uint64(0x1d3b830167cd8eb5); got != want {
+		t.Fatalf("GOMAXPROCS %d: result hash %#x, the parent commit's is %#x", procs, got, want)
 	}
 	if len(res.Rounds) != 2 {
 		t.Fatalf("%d rounds, want 2", len(res.Rounds))
@@ -352,14 +404,22 @@ func TestChaosAsyncCrashRejoin(t *testing.T) {
 		}
 		return res
 	}
-	a := run()
-	if a.TotalUpdates != 12 {
-		t.Fatalf("absorbed %d updates, want 12", a.TotalUpdates)
-	}
-	b := run()
-	if math.Float64bits(a.FinalAccuracy) != math.Float64bits(b.FinalAccuracy) ||
-		a.TotalTime != b.TotalTime || a.TotalUpdates != b.TotalUpdates {
-		t.Fatalf("async churn replay diverged: %+v vs %+v", a, b)
+	for _, procs := range []int{1, 2, 8} {
+		atWidth(procs, func() {
+			a := run()
+			if a.TotalUpdates != 12 {
+				t.Fatalf("absorbed %d updates, want 12", a.TotalUpdates)
+			}
+			b := run()
+			if math.Float64bits(a.FinalAccuracy) != math.Float64bits(b.FinalAccuracy) ||
+				a.TotalTime != b.TotalTime || a.TotalUpdates != b.TotalUpdates {
+				t.Fatalf("async churn replay diverged: %+v vs %+v", a, b)
+			}
+			// Captured at b5ebc35, before the cohort tracker, at GOMAXPROCS 1, 2, 8.
+			if got, want := asyncResultHash(a), uint64(0xdcff3d11fb19d7d0); got != want {
+				t.Fatalf("GOMAXPROCS %d: result hash %#x, the parent commit's is %#x", procs, got, want)
+			}
+		})
 	}
 }
 

@@ -236,13 +236,6 @@ func (c *Client) logf(format string, args ...any) {
 	}
 }
 
-// send counts the message against the run's bandwidth ledger and delivers
-// it; every client send goes through here.
-func (c *Client) send(env comm.Env, msg comm.Message) {
-	c.BW.Count(msg.Kind, msg.Size)
-	env.Send(msg)
-}
-
 // offloadPayload builds the frozen-model shipment for the current helper:
 // raw weights without a codec, the encoded delta against the round base
 // with one. Encoding is one-shot and deterministic, so a re-ship after a
@@ -457,7 +450,7 @@ func (c *Client) sendProfileReport(env comm.Env, profiled int) {
 	}
 	c.Trace.Record(env.Now(), c.ID, c.round, trace.ProfileSent,
 		fmt.Sprintf("full batch %v", report.FullBatch()))
-	c.send(env, comm.Message{
+	c.BW.send(env, comm.Message{
 		To:      comm.FederatorID,
 		Round:   c.round,
 		Kind:    comm.KindProfile,
@@ -526,7 +519,7 @@ func (c *Client) resendOffload(env comm.Env, d sched.Directive) {
 	}
 	c.Trace.Record(env.Now(), c.ID, c.round, trace.OffloadSent,
 		fmt.Sprintf("re-sent to client %d, %d updates", d.Peer, c.offloadRemaining))
-	c.send(env, comm.Message{
+	c.BW.send(env, comm.Message{
 		To:      d.Peer,
 		Round:   c.round,
 		Kind:    comm.KindOffload,
@@ -605,7 +598,7 @@ func (c *Client) offloadNow(env comm.Env, target int) {
 	}
 	c.Trace.Record(env.Now(), c.ID, c.round, trace.OffloadSent,
 		fmt.Sprintf("to client %d, %d updates", c.offloadDir.Peer, remaining))
-	c.send(env, comm.Message{
+	c.BW.send(env, comm.Message{
 		To:      c.offloadDir.Peer,
 		Round:   c.round,
 		Kind:    comm.KindOffload,
@@ -683,7 +676,7 @@ func (c *Client) sendUpdate(env comm.Env, partial bool) {
 		size = enc.WireSize()
 	}
 	payload.Update = update
-	c.send(env, comm.Message{
+	c.BW.send(env, comm.Message{
 		To:      comm.FederatorID,
 		Round:   c.round,
 		Kind:    comm.KindUpdate,
@@ -750,7 +743,7 @@ func (c *Client) returnHelperResult(env comm.Env, weak comm.NodeID) {
 		result.Encoded = EncodedWeights{Codec: c.Codec.Name(), Feature: data}
 		size = result.Encoded.WireSize()
 	}
-	c.send(env, comm.Message{
+	c.BW.send(env, comm.Message{
 		To:      comm.FederatorID,
 		Round:   c.round,
 		Kind:    comm.KindOffloadResult,

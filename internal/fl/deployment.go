@@ -59,6 +59,11 @@ func newRunTransport(name string, link sim.LinkModel, timeout time.Duration) (co
 	return sim.NewNetwork(sim.NewKernel(), link), nil
 }
 
+// checkRun, when set, wraps the stack runOn built for a run over the named
+// transport whose actors count their sends in bw; the package's tests set it
+// to their protocol checker. A Close error it returns fails the run.
+var checkRun func(bw *Bandwidth, transport string, t comm.Transport) comm.Transport
+
 // runOn is how Run and RunAsync execute a built cluster: the named
 // transport under the fault, metrics and span interceptors — each absent
 // when its input is zero, always in this order (DESIGN.md §15 has the hook
@@ -75,6 +80,9 @@ func runOn[R any](cl *Cluster, name string, link sim.LinkModel, timeout time.Dur
 	// The tracer is always on — every run feeds the flight recorder and the
 	// span-latency histograms; Spans/Events are optional retention sinks.
 	transport = tracerFor(cl.Topology).Wrap(transport)
+	if checkRun != nil {
+		transport = checkRun(cl.Bandwidth, name, transport)
+	}
 	res, err := run(&Deployment{Cluster: cl, Transport: transport})
 	if cerr := transport.Close(); err == nil {
 		err = cerr

@@ -82,31 +82,25 @@ type Federator struct {
 	lanes   *laneGroup  // the run's (Topology.Build), or Init makes one
 	closing *evaluation // the last close's, joined at the next close
 
-	round       int
-	roundStart  time.Duration
-	roundBase   nn.Weights // the round's dispatched global: the codec's delta base
-	selected    []comm.NodeID
-	selectedSet map[comm.NodeID]bool
-	reports     map[comm.NodeID]profile.Report
-	scheduled   bool
-	pairs       map[comm.NodeID]sched.Pair // weak -> pair
-	updates     map[comm.NodeID]Update
-	features    map[comm.NodeID][]float64 // weak -> trained features
-	deadline    comm.Timer
-	finished    bool
+	// tracker holds the round's selection and who of it still owes an
+	// update, and the liveness view the fault notices (comm.KindFault) keep.
+	tracker *cohort
+
+	round        int
+	roundStart   time.Duration
+	roundBase    nn.Weights // the round's dispatched global: the codec's delta base
+	reports      map[comm.NodeID]profile.Report
+	scheduled    bool
+	pairs        map[comm.NodeID]sched.Pair // weak -> pair
+	updates      map[comm.NodeID]Update
+	features     map[comm.NodeID][]float64 // weak -> trained features
+	deadline     comm.Timer
+	pastDeadline bool
 
 	// firstUpdateAt is the round's first update-arrival time; the gap to
 	// finalizeRound is the straggler wait the metrics expose.
 	firstUpdateAt   time.Duration
 	haveFirstUpdate bool
-
-	// Liveness (fault notifications, comm.KindFault). down is the current
-	// membership view; deadRound marks selected clients lost to this round
-	// — a client that crashed mid-round stays lost even if it rejoins
-	// before the round ends, because its round state died with it.
-	down         map[comm.NodeID]bool
-	deadRound    map[comm.NodeID]bool
-	pastDeadline bool
 }
 
 var _ comm.Handler = (*Federator)(nil)
@@ -129,7 +123,7 @@ func (f *Federator) Init() error {
 	f.global = global
 	f.rng = tensor.NewRNG(f.Seed ^ 0x5ca1ab1e)
 	f.results = &Results{Strategy: f.Strategy.Name()}
-	f.down = make(map[comm.NodeID]bool)
+	f.tracker = newCohort("sync")
 	if f.EvalEvery <= 0 {
 		f.EvalEvery = 1
 	}
@@ -157,48 +151,23 @@ func (f *Federator) logf(format string, args ...any) {
 	}
 }
 
-// send counts the message against the run's bandwidth ledger and delivers
-// it; every federator send goes through here.
-func (f *Federator) send(env comm.Env, msg comm.Message) {
-	f.BW.Count(msg.Kind, msg.Size)
-	env.Send(msg)
-}
-
 func (f *Federator) startRound(env comm.Env) {
-	f.selected = f.Strategy.Select(f.round, f.Clients, f.rng)
-	f.selectedSet = make(map[comm.NodeID]bool, len(f.selected))
-	for _, id := range f.selected {
-		f.selectedSet[id] = true
-	}
-	f.reports = make(map[comm.NodeID]profile.Report, len(f.selected))
+	selected := f.Strategy.Select(f.round, f.Clients, f.rng)
+	f.reports = make(map[comm.NodeID]profile.Report, len(selected))
 	f.scheduled = false
 	f.pairs = make(map[comm.NodeID]sched.Pair)
-	f.updates = make(map[comm.NodeID]Update, len(f.selected))
+	f.updates = make(map[comm.NodeID]Update, len(selected))
 	f.features = make(map[comm.NodeID][]float64)
-	f.finished = false
 	f.pastDeadline = false
 	f.haveFirstUpdate = false
-	f.deadRound = make(map[comm.NodeID]bool)
-	for _, id := range f.selected {
-		if f.down[id] {
-			// Selected while crashed: its train dispatch is lost, so the
-			// round must not wait for it.
-			f.deadRound[id] = true
-		}
-	}
 	f.roundStart = env.Now()
 	f.Trace.Record(env.Now(), comm.FederatorID, f.round, trace.RoundStart,
-		fmt.Sprintf("%d clients selected", len(f.selected)))
+		fmt.Sprintf("%d clients selected", len(selected)))
 
 	cfg := f.trainConfig()
 	w := f.global.SnapshotWeights()
 	f.roundBase = w
-	for _, id := range f.selected {
-		if f.deadRound[id] {
-			continue // down at round start: the dispatch is guaranteed lost
-		}
-		f.dispatchTrain(env, id, cfg, w)
-	}
+	f.tracker.openRound(selected, func(id comm.NodeID) { f.dispatchTrain(env, id, cfg, w) })
 	f.deadline = nil
 	d := f.Strategy.Deadline(f.round)
 	if d <= 0 {
@@ -231,7 +200,7 @@ func (f *Federator) trainConfig() LocalConfig {
 // client; startRound snapshots once for the whole selection, onFault
 // snapshots fresh when re-enrolling a rejoining client.
 func (f *Federator) dispatchTrain(env comm.Env, id comm.NodeID, cfg LocalConfig, w nn.Weights) {
-	f.send(env, comm.Message{
+	f.BW.send(env, comm.Message{
 		To:      id,
 		Round:   f.round,
 		Kind:    comm.KindTrain,
@@ -246,11 +215,11 @@ func (f *Federator) dispatchTrain(env comm.Env, id comm.NodeID, cfg LocalConfig,
 // unconditionally when the grace period also expires, so a run whose
 // updates were lost on a lossy link can never wedge a round forever.
 func (f *Federator) onDeadline(env comm.Env, round int, d time.Duration) {
-	if f.round != round || f.finished {
+	if f.round != round || !f.tracker.open {
 		return
 	}
 	f.logf("federator: round %d deadline fired with %d/%d updates",
-		round, len(f.updates), len(f.selected))
+		round, len(f.updates), len(f.tracker.members))
 	if len(f.updates) >= f.quorum() || f.pastDeadline {
 		f.finalizeRound(env)
 		return
@@ -266,9 +235,10 @@ func (f *Federator) quorum() int {
 	if f.QuorumFrac <= 0 {
 		return 0
 	}
-	q := int(math.Ceil(f.QuorumFrac * float64(len(f.selected))))
-	if q > len(f.selected) {
-		q = len(f.selected)
+	n := len(f.tracker.members)
+	q := int(math.Ceil(f.QuorumFrac * float64(n)))
+	if q > n {
+		q = n
 	}
 	return q
 }
@@ -298,23 +268,16 @@ func (f *Federator) OnMessage(env comm.Env, msg comm.Message) {
 		if !ok {
 			return
 		}
-		if !f.selectedSet[p.Update.Client] {
-			f.logf("federator: update from unselected client %d", p.Update.Client)
+		if !f.tracker.expects(p.Update.Client) {
+			f.logf("federator: update from %d, which owes none", p.Update.Client)
 			return
 		}
-		u := p.Update
-		if !p.Encoded.IsZero() {
-			if f.Codec == nil {
-				f.logf("federator: encoded update from %d on a codec-free run", u.Client)
-				return
-			}
-			w, err := decodeWeights(f.Codec, p.Encoded, f.roundBase)
-			if err != nil {
-				f.logf("federator: decode update from %d: %v", u.Client, err)
-				return
-			}
-			u.Weights = w
+		u, err := decodeUpdate(f.Codec, p, &f.roundBase)
+		if err != nil {
+			f.logf("federator: update from %d: %v", p.Update.Client, err)
+			return
 		}
+		f.tracker.deliver(u.Client)
 		if !f.haveFirstUpdate {
 			f.haveFirstUpdate = true
 			f.firstUpdateAt = env.Now()
@@ -356,7 +319,7 @@ func (f *Federator) onProfile(env comm.Env, r profile.Report) {
 		f.logf("federator: invalid report from %d: %v", r.ClientID, err)
 		return
 	}
-	if !f.selectedSet[r.ClientID] || f.scheduled {
+	if !f.tracker.member(r.ClientID) || f.scheduled {
 		return
 	}
 	f.reports[r.ClientID] = r
@@ -372,8 +335,8 @@ func (f *Federator) maybeSchedule(env comm.Env) {
 		return
 	}
 	perfs := make([]sched.Perf, 0, len(f.reports))
-	for _, id := range f.selected {
-		if f.deadRound[id] {
+	for _, id := range f.tracker.members {
+		if f.tracker.lost(id) {
 			continue
 		}
 		rep, ok := f.reports[id]
@@ -427,7 +390,7 @@ func (f *Federator) maybeSchedule(env comm.Env) {
 				f.logf("federator: sign directive: %v", err)
 				return
 			}
-			f.send(env, comm.Message{
+			f.BW.send(env, comm.Message{
 				To:      d.Client,
 				Round:   f.round,
 				Kind:    comm.KindSchedule,
@@ -439,31 +402,22 @@ func (f *Federator) maybeSchedule(env comm.Env) {
 }
 
 // maybeFinalize completes the round once every expected piece arrived.
-// Clients lost to the round (deadRound) owe nothing; past a below-quorum
-// deadline the round cuts the moment the quorum-th update lands.
+// Clients written off owe nothing; past a below-quorum deadline the round
+// cuts the moment the quorum-th update lands.
 func (f *Federator) maybeFinalize(env comm.Env) {
-	if f.finished {
+	if !f.tracker.open {
 		return
-	}
-	// allLiveDelivered: every selected client has either delivered or been
-	// written off for the round — nothing more can arrive.
-	allLiveDelivered := true
-	for _, id := range f.selected {
-		if _, ok := f.updates[id]; !ok && !f.deadRound[id] {
-			allLiveDelivered = false
-			break
-		}
 	}
 	if f.pastDeadline {
 		// Past a below-quorum deadline the round cuts at the quorum-th
 		// update, or when quorum became unreachable (holding on would
 		// wedge the round).
-		if len(f.updates) >= f.quorum() || allLiveDelivered {
+		if len(f.updates) >= f.quorum() || f.tracker.settled() {
 			f.finalizeRound(env)
 		}
 		return
 	}
-	if !allLiveDelivered {
+	if !f.tracker.settled() {
 		return
 	}
 	for weak := range f.pairs {
@@ -482,45 +436,30 @@ func (f *Federator) maybeFinalize(env comm.Env) {
 	f.finalizeRound(env)
 }
 
-// onFault folds a liveness notification into the round: a crashed client is
-// written off for the current round (its in-memory round state is gone),
-// offload pairs whose helper died are reassigned to a live strong client,
-// and the round re-checks both scheduling and completion — the crash may
-// have been the one thing the round was waiting on. A rejoin restores
-// membership and, when the client's round is still open and its update
-// cannot otherwise arrive, re-enrolls it mid-round with a fresh dispatch;
-// otherwise the client participates again from the next selection.
+// onFault folds a liveness notification into the round (the tracker's
+// rules, DESIGN.md §7): a crashed client is written off for the current
+// round, offload pairs whose helper died are reassigned to a live strong
+// client, and the round re-checks both scheduling and completion — the
+// crash may have been the one thing the round was waiting on. A rejoining
+// client the tracker re-enrols gets a fresh dispatch: the rejoin handshake
+// re-seeded its actor state, so it restarts cleanly mid-round.
 func (f *Federator) onFault(env comm.Env, p comm.FaultPayload) {
 	if !p.Down {
-		delete(f.down, p.Node)
-		flm().rejoinSync.Inc()
+		reenrol := f.tracker.rejoin(p.Node)
 		f.logf("federator: client %d rejoined", p.Node)
 		f.Trace.Record(env.Now(), comm.FederatorID, f.round, trace.NodeRejoin,
 			fmt.Sprintf("client %d rejoined", p.Node))
-		// Re-enroll a returning client whose round is still open and whose
-		// update cannot arrive otherwise (its dispatch or round state was
-		// lost in the crash): the rejoin handshake re-seeded its actor
-		// state, so a fresh dispatch restarts it cleanly mid-round. This is
-		// also the liveness path out of a full blackout in deadline-free
-		// runs.
-		if f.finished || !f.selectedSet[p.Node] || !f.deadRound[p.Node] {
-			return
+		if reenrol {
+			f.dispatchTrain(env, p.Node, f.trainConfig(), f.global.SnapshotWeights())
 		}
-		if _, ok := f.updates[p.Node]; ok {
-			return
-		}
-		delete(f.deadRound, p.Node)
-		f.dispatchTrain(env, p.Node, f.trainConfig(), f.global.SnapshotWeights())
 		return
 	}
-	f.down[p.Node] = true
-	flm().downSync.Inc()
+	f.tracker.crash(p.Node)
 	f.Trace.Record(env.Now(), comm.FederatorID, f.round, trace.NodeCrash,
 		fmt.Sprintf("client %d crashed", p.Node))
-	if f.finished || !f.selectedSet[p.Node] {
+	if !f.tracker.open || !f.tracker.member(p.Node) {
 		return
 	}
-	f.deadRound[p.Node] = true
 	// Weak side: if the crashed client owes its (partial) update, the pair
 	// is moot — nothing remains to recombine.
 	if _, isWeak := f.pairs[p.Node]; isWeak {
@@ -552,14 +491,15 @@ func (f *Federator) onFault(env comm.Env, p comm.FaultPayload) {
 // pair is dropped and the weak client's partial update aggregates with its
 // frozen (stale) feature section.
 func (f *Federator) reassignOffload(env comm.Env, weak comm.NodeID, pair sched.Pair) {
-	if f.deadRound[weak] {
+	if f.tracker.lost(weak) {
 		delete(f.pairs, weak)
 		return
 	}
 	var strong comm.NodeID
 	found := false
-	for _, id := range f.selected {
-		if id == weak || id == pair.Strong || f.deadRound[id] || f.down[id] {
+	for _, id := range f.tracker.members {
+		// A member that is down has been written off.
+		if id == weak || id == pair.Strong || f.tracker.lost(id) {
 			continue
 		}
 		// Skip clients on either side of any pair this round: a weak
@@ -617,7 +557,7 @@ func (f *Federator) reassignOffload(env comm.Env, weak comm.NodeID, pair sched.P
 			f.logf("federator: sign reassignment: %v", err)
 			return
 		}
-		f.send(env, comm.Message{
+		f.BW.send(env, comm.Message{
 			To:      d.Client,
 			Round:   f.round,
 			Kind:    comm.KindSchedule,
@@ -633,13 +573,13 @@ func (f *Federator) reassignOffload(env comm.Env, weak comm.NodeID, pair sched.P
 func (f *Federator) finalizeRound(env comm.Env) {
 	f.closing.settle()
 	f.closing = nil
-	f.finished = true
+	f.tracker.closeRound()
 	if f.deadline != nil {
 		f.deadline.Cancel()
 		f.deadline = nil
 	}
 	updates := make([]Update, 0, len(f.updates))
-	for _, id := range f.selected {
+	for _, id := range f.tracker.members {
 		u, ok := f.updates[id]
 		if !ok {
 			continue // dropped by deadline

@@ -73,32 +73,25 @@ type EdgeAggregator struct {
 	updFeature    codec.Codec
 	updClassifier codec.Codec
 
+	// tracker holds the round's sampled clients, who of them still owes an
+	// update, and the cohort's liveness, by the root federator's rules.
+	tracker *cohort
+
 	// Per-round state.
 	round   int
 	base    nn.Weights
 	trainP  TrainPayload
-	sampled []comm.NodeID
-	pending map[comm.NodeID]bool
-	// dead holds sampled clients written off by a crash notice whose update
-	// has not arrived: the round no longer waits on them, but a rejoin (or
-	// an update that was already in flight) can still fold them back in.
-	dead map[comm.NodeID]bool
-	// down is the edge's persistent liveness view of its cohort (the root
-	// federator keeps the same map over its selection): a client sampled
-	// while down is written off at round start, its dispatch unsent.
-	down    map[comm.NodeID]bool
 	updates []Update
 	timer   comm.Timer
-	closed  bool
 }
 
 var _ comm.Handler = (*EdgeAggregator)(nil)
 
-// Init prepares the edge's codec streams. Call once before messages flow.
+// Init prepares the edge's codec streams and an empty tracker. Call once
+// before messages flow.
 func (e *EdgeAggregator) Init() {
 	e.round = -1
-	e.closed = true
-	e.down = make(map[comm.NodeID]bool)
+	e.tracker = newCohort("")
 	e.updFeature, e.updClassifier = e.Codec, e.Codec
 	if e.Codec != nil && e.Codec.Name() == codec.TopK {
 		e.updFeature = codec.NewResidual(e.Codec)
@@ -116,7 +109,7 @@ func (e *EdgeAggregator) OnRejoin(env comm.Env) {
 	}
 	e.base = nn.Weights{}
 	e.trainP = TrainPayload{}
-	e.sampled, e.pending, e.dead, e.updates = nil, nil, nil, nil
+	e.updates = nil
 	e.Init()
 	e.Trace.Record(env.Now(), e.ID, -1, trace.NodeRejoin, "edge state re-seeded")
 }
@@ -163,137 +156,88 @@ func (e *EdgeAggregator) startRound(env comm.Env, p TrainPayload) {
 	e.round = p.Config.Round
 	e.base = p.Global
 	e.trainP = p
-	e.closed = false
-	e.dead = make(map[comm.NodeID]bool)
 	e.updates = e.updates[:0]
 	ids := make([]comm.NodeID, len(e.Cohort))
 	for i, c := range e.Cohort {
 		ids[i] = c.ID
 	}
-	e.sampled = e.Sampler.Cohort(e.round, ids)
-	hier.ObserveCohort(len(e.sampled))
-	e.pending = make(map[comm.NodeID]bool, len(e.sampled))
-	for _, id := range e.sampled {
-		if e.down[id] {
-			// Sampled while crashed: the dispatch is guaranteed lost, so
-			// the round must not wait for it — the root makes the same
-			// call over its selection. A rejoin can still re-enroll it.
-			e.dead[id] = true
-			continue
-		}
-		e.pending[id] = true
-	}
+	sampled := e.Sampler.Cohort(e.round, ids)
+	hier.ObserveCohort(len(sampled))
 	e.Trace.Record(env.Now(), e.ID, e.round, trace.RoundStart,
-		fmt.Sprintf("edge cohort %d/%d sampled", len(e.sampled), len(e.Cohort)))
-	size := p.Global.ByteSize()
-	for _, id := range e.sampled {
-		if e.dead[id] {
-			continue
-		}
-		e.BW.Count(comm.KindTrain, size)
-		env.Send(comm.Message{
-			To:      id,
-			Round:   e.round,
-			Kind:    comm.KindTrain,
-			Size:    size,
-			Payload: p,
-		})
-	}
+		fmt.Sprintf("edge cohort %d/%d sampled", len(sampled), len(e.Cohort)))
+	e.tracker.openRound(sampled, func(id comm.NodeID) { e.dispatch(env, id) })
 	if e.Timeout > 0 {
 		round := e.round
 		e.timer = env.After(e.Timeout, func() {
-			if e.round != round || e.closed {
+			if e.round != round || !e.tracker.open {
 				return
 			}
 			e.logf("edge %d: round %d timeout with %d/%d updates",
-				e.ID, round, len(e.updates), len(e.sampled))
+				e.ID, round, len(e.updates), len(e.tracker.members))
 			e.flush(env)
 		})
 	}
 }
 
+// dispatch forwards the round's training payload to one sampled client.
+func (e *EdgeAggregator) dispatch(env comm.Env, id comm.NodeID) {
+	e.BW.send(env, comm.Message{
+		To:      id,
+		Round:   e.round,
+		Kind:    comm.KindTrain,
+		Size:    e.trainP.Global.ByteSize(),
+		Payload: e.trainP,
+	})
+}
+
 // onUpdate absorbs one sampled client's update; the edge flushes upstream
-// when the sub-cohort is complete.
+// when the sub-cohort owes nothing more.
 func (e *EdgeAggregator) onUpdate(env comm.Env, msg comm.Message) {
 	p, ok := msg.Payload.(UpdatePayload)
 	if !ok {
 		return
 	}
-	u := p.Update
-	if msg.Round != e.round || e.closed || (!e.pending[u.Client] && !e.dead[u.Client]) {
-		e.logf("edge %d: stray update from %d round %d", e.ID, u.Client, msg.Round)
+	if msg.Round != e.round || !e.tracker.expects(p.Update.Client) {
+		e.logf("edge %d: stray update from %d round %d", e.ID, p.Update.Client, msg.Round)
 		return
 	}
 	hier.CountUpdateBytes("edge", msg.Size)
-	if !p.Encoded.IsZero() {
-		if e.Codec == nil {
-			e.logf("edge %d: encoded update from %d on a codec-free run", e.ID, u.Client)
-			return
-		}
-		w, err := decodeWeights(e.Codec, p.Encoded, e.base)
-		if err != nil {
-			e.logf("edge %d: decode update from %d: %v", e.ID, u.Client, err)
-			return
-		}
-		u.Weights = w
+	u, err := decodeUpdate(e.Codec, p, &e.base)
+	if err != nil {
+		e.logf("edge %d: update from %d: %v", e.ID, p.Update.Client, err)
+		return
 	}
-	delete(e.pending, u.Client)
-	delete(e.dead, u.Client)
+	e.tracker.deliver(u.Client)
 	e.updates = append(e.updates, u)
-	if len(e.pending) == 0 {
+	if e.tracker.settled() {
 		e.flush(env)
 	}
 }
 
-// onFault folds a cohort member's liveness change into the open round,
-// mirroring the root federator's churn semantics at edge scope: a crashed
-// sampled client is written off — its in-memory round state is gone, so
-// barring an update already in flight nothing more will arrive from it,
-// and the crash may have been the one thing the round was waiting on — and
-// a rejoining client whose round is still open and whose update was lost
-// is re-enrolled mid-round with a fresh dispatch of the stored round
-// payload. The hier router tees the chaos layer's federator-addressed
+// onFault folds a cohort member's liveness change into the open round by
+// the tracker's rules: a crashed client that owed its update is written
+// off, and a rejoining one the tracker re-enrols gets the stored round
+// payload again. The hier router tees the chaos layer's federator-addressed
 // client notices to the owning edge, so this fires without the edge
 // subscribing to the fault plan.
 func (e *EdgeAggregator) onFault(env comm.Env, p comm.FaultPayload) {
 	if !p.Down {
-		delete(e.down, p.Node)
-		// Re-enroll when the round is open and the node's update cannot
-		// otherwise arrive. A node still marked pending here means its
-		// crash notice was missed (the edge itself crashed in between);
-		// its round state is equally gone, so the dispatch is owed either
-		// way.
-		if e.closed || (!e.dead[p.Node] && !e.pending[p.Node]) {
-			return
+		if e.tracker.rejoin(p.Node) {
+			e.Trace.Record(env.Now(), e.ID, e.round, trace.NodeRejoin,
+				fmt.Sprintf("cohort client %d re-enrolled", p.Node))
+			e.dispatch(env, p.Node)
 		}
-		delete(e.dead, p.Node)
-		e.pending[p.Node] = true
-		e.Trace.Record(env.Now(), e.ID, e.round, trace.NodeRejoin,
-			fmt.Sprintf("cohort client %d re-enrolled", p.Node))
-		size := e.trainP.Global.ByteSize()
-		e.BW.Count(comm.KindTrain, size)
-		env.Send(comm.Message{
-			To:      p.Node,
-			Round:   e.round,
-			Kind:    comm.KindTrain,
-			Size:    size,
-			Payload: e.trainP,
-		})
 		return
 	}
-	e.down[p.Node] = true
-	if e.closed || !e.pending[p.Node] {
+	if !e.tracker.crash(p.Node) {
 		return
 	}
-	e.dead[p.Node] = true
-	delete(e.pending, p.Node)
 	e.Trace.Record(env.Now(), e.ID, e.round, trace.NodeCrash,
 		fmt.Sprintf("cohort client %d written off", p.Node))
-	// Flush only if something arrived: a round where every sampled client
-	// died stays open, so the first rejoin re-enrolls into it — the same
-	// liveness path out of a full blackout the flat federator takes in
-	// deadline-free runs. Closing on empty would wedge the root instead.
-	if len(e.pending) == 0 && len(e.updates) > 0 {
+	// Flush only if something arrived: unlike the root, an edge keeps a
+	// round whose every sampled client died open, so the first rejoin
+	// re-enrols into it. Closing on empty would wedge the root instead.
+	if e.tracker.settled() && len(e.updates) > 0 {
 		e.flush(env)
 	}
 }
@@ -302,7 +246,7 @@ func (e *EdgeAggregator) onFault(env comm.Env, p comm.FaultPayload) {
 // nothing arrived the edge sends nothing — the root's round timeout and
 // quorum grace decide what to do about a silent edge.
 func (e *EdgeAggregator) flush(env comm.Env) {
-	e.closed = true
+	e.tracker.closeRound()
 	if e.timer != nil {
 		e.timer.Cancel()
 		e.timer = nil
@@ -354,10 +298,9 @@ func (e *EdgeAggregator) flush(env comm.Env) {
 	}
 	payload.Update = upd
 	hier.CountUpdateBytes("root", size)
-	e.BW.Count(comm.KindUpdate, size)
 	e.Trace.Record(env.Now(), e.ID, e.round, trace.UpdateSent,
 		fmt.Sprintf("aggregate of %d clients, %d samples", len(e.updates), samples))
-	env.Send(comm.Message{
+	e.BW.send(env, comm.Message{
 		To:      comm.FederatorID,
 		Round:   e.round,
 		Kind:    comm.KindUpdate,
@@ -370,18 +313,13 @@ func (e *EdgeAggregator) flush(env comm.Env) {
 // federation: the root's "clients" are the edge aggregators, every edge
 // participates in every round (sampling happens inside each edge), and the
 // offload protocol is off — profiling and peer pairing across a tier
-// boundary is future work. Aggregation and deadlines delegate, so the
-// FedAvg-family math is the strategy's own.
+// boundary is future work. Everything else is the strategy's own, so the
+// FedAvg-family math is unchanged.
 type hierRootStrategy struct {
-	inner Strategy
+	Strategy
 }
 
-var _ Strategy = (*hierRootStrategy)(nil)
-
-func (s *hierRootStrategy) Name() string { return s.inner.Name() }
-func (s *hierRootStrategy) Caps() Caps   { return s.inner.Caps() }
-
-func (s *hierRootStrategy) Select(_ int, clients []ClientInfo, _ *tensor.RNG) []comm.NodeID {
+func (s hierRootStrategy) Select(_ int, clients []ClientInfo, _ *tensor.RNG) []comm.NodeID {
 	ids := make([]comm.NodeID, len(clients))
 	for i, c := range clients {
 		ids[i] = c.ID
@@ -389,14 +327,7 @@ func (s *hierRootStrategy) Select(_ int, clients []ClientInfo, _ *tensor.RNG) []
 	return ids
 }
 
-func (s *hierRootStrategy) LocalMu() float64 { return s.inner.LocalMu() }
-
-func (s *hierRootStrategy) Aggregate(prev nn.Weights, updates []Update) (nn.Weights, error) {
-	return s.inner.Aggregate(prev, updates)
-}
-
-func (s *hierRootStrategy) Deadline(r int) time.Duration { return s.inner.Deadline(r) }
-func (s *hierRootStrategy) Offloading() bool             { return false }
+func (s hierRootStrategy) Offloading() bool { return false }
 
 // sampledStrategy adapts the configured strategy to a flat sampled
 // topology (Sample set, Tiers 0): the deterministic sampler narrows the
@@ -404,16 +335,11 @@ func (s *hierRootStrategy) Offloading() bool             { return false }
 // within it. Offloading is off for the same reason as the tiered root —
 // unsampled peers are dormant shells.
 type sampledStrategy struct {
-	inner   Strategy
+	Strategy
 	sampler hier.Sampler
 }
 
-var _ Strategy = (*sampledStrategy)(nil)
-
-func (s *sampledStrategy) Name() string { return s.inner.Name() }
-func (s *sampledStrategy) Caps() Caps   { return s.inner.Caps() }
-
-func (s *sampledStrategy) Select(r int, clients []ClientInfo, rng *tensor.RNG) []comm.NodeID {
+func (s sampledStrategy) Select(r int, clients []ClientInfo, rng *tensor.RNG) []comm.NodeID {
 	ids := make([]comm.NodeID, len(clients))
 	for i, c := range clients {
 		ids[i] = c.ID
@@ -430,17 +356,10 @@ func (s *sampledStrategy) Select(r int, clients []ClientInfo, rng *tensor.RNG) [
 			narrowed = append(narrowed, c)
 		}
 	}
-	return s.inner.Select(r, narrowed, rng)
+	return s.Strategy.Select(r, narrowed, rng)
 }
 
-func (s *sampledStrategy) LocalMu() float64 { return s.inner.LocalMu() }
-
-func (s *sampledStrategy) Aggregate(prev nn.Weights, updates []Update) (nn.Weights, error) {
-	return s.inner.Aggregate(prev, updates)
-}
-
-func (s *sampledStrategy) Deadline(r int) time.Duration { return s.inner.Deadline(r) }
-func (s *sampledStrategy) Offloading() bool             { return false }
+func (s sampledStrategy) Offloading() bool { return false }
 
 // buildHier is Build's scale-out path (Topology.Hier enabled): instead of
 // materializing N clients it creates N lazy profiles plus shells, the edge
@@ -568,10 +487,10 @@ func (t Topology) buildHier(data *dataset.Source, test *dataset.Dataset, phase n
 			}
 			infos = append(infos, ClientInfo{ID: e.ID, Samples: samples, Speed: 1})
 		}
-		strategy = &hierRootStrategy{inner: t.Strategy}
+		strategy = hierRootStrategy{t.Strategy}
 	} else {
 		infos = infosAll
-		strategy = &sampledStrategy{inner: t.Strategy, sampler: sampler}
+		strategy = sampledStrategy{Strategy: t.Strategy, sampler: sampler}
 	}
 
 	fed := &Federator{

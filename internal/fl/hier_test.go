@@ -9,7 +9,11 @@ import (
 	"aergia/internal/chaos"
 	"aergia/internal/cluster"
 	"aergia/internal/comm"
+	"aergia/internal/dataset"
 	"aergia/internal/hier"
+	"aergia/internal/nn"
+	"aergia/internal/sim"
+	"aergia/internal/tensor"
 )
 
 // hierTopology is a small hierarchical experiment: 12 clients behind edge
@@ -338,6 +342,62 @@ func TestHierChurnWithoutTimeoutCompletes(t *testing.T) {
 	}
 	if !sameIDSet(hydratedSet(clA), hydratedSet(clB)) {
 		t.Fatal("replayed faulted runs hydrated different shells")
+	}
+}
+
+// TestHierChurnReenrolsAPendingMember is the tiered churn run of
+//
+//	aergia -experiment fig1a -quick -seed 7 -tiers 2 \
+//	  -chaos 'churn=0.5,rejoin=1,window=1s,drop=0.02,delay=5ms,round_timeout=30s,quorum=0.5'
+//
+// at its largest CPU variance. An edge crashes and rejoins mid-round, which
+// wipes its liveness view; the root re-enrols it, it samples a cohort member
+// that went down meanwhile and counts it as pending, and so it sees that
+// member rejoin while still waiting on it. No other run in the suite reaches
+// that re-enrol.
+func TestHierChurnReenrolsAPendingMember(t *testing.T) {
+	plan, err := chaos.ParseSpec("churn=0.5,rejoin=1,window=1s,drop=0.02,delay=5ms,round_timeout=30s,quorum=0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		clients int
+		want    uint64 // captured at b5ebc35, before the cohort tracker, at GOMAXPROCS 1, 2, 8
+	}{{3, 0xb6a3d8868f7a4fdc}, {5, 0x6d74d0bdfe6ce737}} {
+		top := Topology{
+			Strategy:     NewFedAvg(0),
+			Arch:         nn.ArchMNISTSmall,
+			Dataset:      dataset.MNIST,
+			SmallImages:  true,
+			Clients:      tc.clients,
+			Rounds:       2,
+			LocalEpochs:  2,
+			BatchSize:    8,
+			TrainSamples: 40 * tc.clients,
+			TestSamples:  100,
+			NoiseStd:     1.4,
+			Speeds:       cluster.SpeedsWithVariance(tc.clients, 0.5, 0.16, tensor.NewRNG(7*1000+uint64(tc.clients))),
+			EvalEvery:    100,
+			Seed:         7,
+			Chaos:        plan,
+			Hier:         hier.Options{Tiers: 2},
+		}
+		for _, procs := range []int{1, 2, 8} {
+			atWidth(procs, func() {
+				cl, err := top.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := runOn(cl, TransportSim, sim.UniformLink(10*time.Millisecond, 1e6), 0, (*Deployment).Run)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := resultHash(res); got != tc.want {
+					t.Fatalf("%d clients at GOMAXPROCS %d: result hash %#x, the parent commit's is %#x",
+						tc.clients, procs, got, tc.want)
+				}
+			})
+		}
 	}
 }
 

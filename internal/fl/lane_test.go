@@ -50,6 +50,14 @@ func resultHash(r *Results) uint64 {
 	return h.Sum64()
 }
 
+// asyncResultHash is resultHash for an asynchronous run: every sample, the
+// totals, the mean staleness and the bandwidth ledger.
+func asyncResultHash(r *AsyncResults) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v", *r)
+	return h.Sum64()
+}
+
 // aergiaShapedConfig is the bench's sim_aergia workload at test size:
 // Aergia over a speed ladder, two local epochs, non-IID shards, and links
 // with latency and bandwidth so dispatches land at different virtual times.

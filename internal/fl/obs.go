@@ -30,12 +30,6 @@ type flInstruments struct {
 	asyncUpdates *obs.Counter
 	staleness    *obs.Histogram
 	redispatch   *obs.Counter
-
-	// Liveness, shared shape across both modes.
-	downSync    *obs.Counter
-	rejoinSync  *obs.Counter
-	downAsync   *obs.Counter
-	rejoinAsync *obs.Counter
 }
 
 var flm = sync.OnceValue(func() *flInstruments {
@@ -43,9 +37,6 @@ var flm = sync.OnceValue(func() *flInstruments {
 	bw := reg.CounterVec("aergia_bandwidth_bytes_total",
 		"On-the-wire bytes by traffic class, as charged by the transports (live view of the run bandwidth ledger).",
 		"class")
-	liveness := reg.CounterVec("aergia_liveness_events_total",
-		"Client liveness transitions seen by the federator.",
-		"event", "mode")
 	return &flInstruments{
 		bwDispatch: bw.With("dispatch"),
 		bwUpdate:   bw.With("update"),
@@ -73,10 +64,5 @@ var flm = sync.OnceValue(func() *flInstruments {
 			[]float64{0, 1, 2, 4, 8, 16, 32, 64}),
 		redispatch: reg.Counter("aergia_async_redispatch_total",
 			"Watchdog re-dispatches to silent clients on lossy async runs."),
-
-		downSync:    liveness.With("down", "sync"),
-		rejoinSync:  liveness.With("rejoined", "sync"),
-		downAsync:   liveness.With("down", "async"),
-		rejoinAsync: liveness.With("rejoined", "async"),
 	}
 })

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -88,6 +89,27 @@ func decodeWeights(dec codec.Codec, enc EncodedWeights, base nn.Weights) (nn.Wei
 	return nn.Weights{Feature: feature, Classifier: classifier}, nil
 }
 
+// decodeUpdate returns the update a payload carries, its weights decoded
+// against base when it came encoded. base is nil when the receiver no
+// longer holds the model the update was trained from.
+func decodeUpdate(dec codec.Codec, p UpdatePayload, base *nn.Weights) (Update, error) {
+	u := p.Update
+	switch {
+	case p.Encoded.IsZero():
+		return u, nil
+	case dec == nil:
+		return u, errors.New("encoded on a codec-free run")
+	case base == nil:
+		return u, fmt.Errorf("no base v%d to decode against", u.Round)
+	}
+	w, err := decodeWeights(dec, p.Encoded, *base)
+	if err != nil {
+		return u, fmt.Errorf("decode: %w", err)
+	}
+	u.Weights = w
+	return u, nil
+}
+
 // encodeWeights encodes a full snapshot as deltas against base. encF and
 // encC are the per-section encoders — distinct instances when they carry
 // residual state (the update stream), the same one-shot codec otherwise.
@@ -146,6 +168,12 @@ func (b *Bandwidth) Count(kind comm.Kind, size int) {
 		b.control.Add(int64(size))
 		m.bwControl.Add(float64(size))
 	}
+}
+
+// send counts msg and sends it; every actor send goes through here.
+func (b *Bandwidth) send(env comm.Env, msg comm.Message) {
+	b.Count(msg.Kind, msg.Size)
+	env.Send(msg)
 }
 
 // Snapshot returns the current totals.
