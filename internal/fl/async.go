@@ -69,7 +69,10 @@ type AsyncFederator struct {
 	// Logf, when set, receives debug traces.
 	Logf func(format string, args ...any)
 
-	global   *nn.Network
+	// current is the global model: one snapshot per version, dispatched by
+	// reference, retained as the codec's delta base, evaluated, and never
+	// written — an absorb mixes into a copy that becomes the next version.
+	current  nn.Weights
 	version  int
 	absorbed int
 	results  *AsyncResults
@@ -153,7 +156,7 @@ func (f *AsyncFederator) Init() error {
 	if err != nil {
 		return fmt.Errorf("fl: async global model: %w", err)
 	}
-	f.global = global
+	f.current = global.SnapshotWeights()
 	if f.EvalEvery <= 0 {
 		f.EvalEvery = len(f.Clients)
 	}
@@ -184,7 +187,7 @@ func (f *AsyncFederator) dispatch(env comm.Env, to comm.NodeID) {
 	cfg := f.Local
 	cfg.Round = f.version
 	cfg.ProfileBatches = 0
-	w := f.global.SnapshotWeights()
+	w := f.current
 	if f.Codec != nil {
 		// Retain the shipped snapshot: it is the base the client's encoded
 		// delta will be decoded against when this dispatch is answered.
@@ -208,7 +211,7 @@ func (f *AsyncFederator) dispatch(env comm.Env, to comm.NodeID) {
 		Round:   f.version,
 		Kind:    comm.KindTrain,
 		Size:    w.ByteSize(),
-		Payload: TrainPayload{Config: cfg, Global: w.Clone()},
+		Payload: TrainPayload{Config: cfg, Global: w},
 	})
 	if f.RedispatchAfter <= 0 {
 		return
@@ -255,10 +258,13 @@ func (f *AsyncFederator) OnMessage(env comm.Env, msg comm.Message) {
 	if ref := f.bases[p.Update.Round]; ref != nil && f.clientBases[p.Update.Client][p.Update.Round] {
 		base = &ref.w
 	}
-	update, err := decodeUpdate(f.Codec, p, base)
+	update, leased, err := decodeUpdate(f.Codec, p, base, f.lanes)
 	if err != nil {
 		f.logf("async: update from %d: %v", p.Update.Client, err)
 		return
+	}
+	if leased {
+		defer f.lanes.putWeights(update.Weights) // read by the mix alone
 	}
 	if f.Codec != nil {
 		// The answered dispatch (and anything older) can no longer produce
@@ -278,16 +284,13 @@ func (f *AsyncFederator) OnMessage(env comm.Env, msg comm.Message) {
 	}
 	delete(f.outstanding, update.Client)
 	alpha := f.Alpha / float64(1+staleness)
-	current := f.global.SnapshotWeights()
-	current.Scale(1 - alpha)
-	if err := current.Axpy(alpha, update.Weights); err != nil {
+	next := f.current.Clone()
+	next.Scale(1 - alpha)
+	if err := next.Axpy(alpha, update.Weights); err != nil {
 		f.logf("async: mix update from %d: %v", update.Client, err)
 		return
 	}
-	if err := f.global.LoadWeights(current); err != nil {
-		f.logf("async: load mixed weights: %v", err)
-		return
-	}
+	f.current = next
 	f.version++
 	f.absorbed++
 	f.results.stalenessSum += staleness
@@ -309,7 +312,7 @@ func (f *AsyncFederator) OnMessage(env comm.Env, msg comm.Message) {
 			// counts, so the straggler stays unnamed.
 			Straggler: comm.FederatorID,
 		})
-		f.sampling = launchEvaluation(f.lanes, env.Now(), f.Evaluate, f.global.SnapshotWeights(), func(acc float64, err error) {
+		f.sampling = launchEvaluation(f.lanes, env.Now(), f.Evaluate, f.current, func(acc float64, err error) {
 			if err != nil {
 				f.logf("async: evaluate: %v", err)
 				return

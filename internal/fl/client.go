@@ -57,13 +57,14 @@ type Client struct {
 	// Trace, when set, records timeline events (Figure 5 style).
 	Trace *trace.Log
 
-	// net is the model replica the round trains: leased from the run's free
-	// list (laneGroup.takeNet) at dispatch and handed back once the update
-	// is snapshotted, so a client holds none between rounds. A round that
-	// was cut keeps its lease until the next dispatch or rejoin; a weak
-	// client that froze keeps it for a late helper reassignment.
-	net *nn.Network
-	opt *nn.SGD
+	// lease is the round's claim on a model replica (roundNet): the round's
+	// first lane step to run takes one from the run's free list, the step
+	// that runs its last live-feature batch snapshots the update and hands
+	// it back, so a client holds none while its round waits for a lane, once
+	// its training is done, or between rounds. A weak client that froze
+	// keeps it for a late helper reassignment until the next dispatch, its
+	// rejoin or the run's end.
+	lease *roundNet
 	// phase is the architecture's per-sample phase cost (Topology.Build
 	// computes it once for all clients; a bare client computes its own).
 	phase     nn.PhaseCost
@@ -155,16 +156,17 @@ func (c *Client) Init() error {
 // every piece of in-memory state, so the returning client re-derives its
 // jitter stream and codec streams (the residual error feedback dies with
 // the crash) from its static, seed-derived configuration (Init) and drops
-// all round state — the crashed round's network goes back to the run's free
-// list; the next dispatch leases one and overwrites it. The signed-schedule
-// verifier survives — its replay floor is monotone, so a directive replayed
-// across the crash is still rejected. The client then idles until the
-// federator's next dispatch enrolls it in a fresh round.
+// all round state — a network the crashed round still held goes back to the
+// run's free list; the next round's steps lease one and overwrite it. The
+// signed-schedule verifier survives — its replay floor is monotone, so a
+// directive replayed across the crash is still rejected. The client then
+// idles until the federator's next dispatch enrolls it in a fresh round.
 func (c *Client) OnRejoin(env comm.Env) {
 	// What the crashed incarnation left on its lane trains the network;
 	// dropLane waits out the running batch, then the lease can end.
 	c.dropLane()
 	c.releaseNet()
+	c.lease = nil
 	if err := c.Init(); err != nil {
 		c.logf("client %d: rejoin init: %v", c.ID, err)
 		return
@@ -178,7 +180,6 @@ func (c *Client) OnRejoin(env comm.Env) {
 	c.offloadRemaining = 0
 	c.directive, c.offloadJob = nil, nil
 	c.completion = nil
-	c.opt = nil
 	c.Trace.Record(env.Now(), c.ID, -1, trace.NodeRejoin, "state re-seeded")
 }
 
@@ -272,34 +273,22 @@ func (c *Client) startRound(env comm.Env, p TrainPayload) {
 	c.ownDone = false
 	c.offloadJob = nil
 	c.helperActive = false
-	// A lease the last round kept (it was cut, or froze and waited for a
-	// helper reassignment) ends here; last in, first out hands it back.
+	// A lease the last round kept (it was cut before its last batch, or
+	// froze and waited for a helper reassignment) ends here; last in, first
+	// out hands it back.
 	c.releaseNet()
-	net, err := c.lanes.takeNet(c.Arch, c.Backend)
-	if err != nil {
-		c.logf("client %d: build network: %v", c.ID, err)
-		return
+	opt := nn.NewSGD(p.Config.LR)
+	opt.Backend = c.Backend
+	if p.Config.Mu > 0 {
+		opt.Mu = p.Config.Mu
+		opt.SetGlobalReference(p.Global)
 	}
-	c.net = net
-	if err := c.net.LoadWeights(p.Global); err != nil {
-		c.logf("client %d: load global: %v", c.ID, err)
-		return
-	}
+	c.lease = &roundNet{group: c.lanes, arch: c.Arch, be: c.Backend, global: p.Global, opt: opt, leaseUpdate: c.Codec != nil}
 	if c.Codec != nil {
 		// The dispatched global is the delta base for every encoded payload
 		// of this round; the federator (and every peer) holds the same
 		// snapshot, so only deltas need to cross the wire.
 		c.base = p.Global
-	}
-	c.opt = nn.NewSGD(p.Config.LR)
-	c.opt.Backend = c.Backend
-	if p.Config.Mu > 0 {
-		c.opt.Mu = p.Config.Mu
-		c.opt.SetGlobalReference(p.Global)
-		if err := c.opt.RegisterProximalLayout(c.net); err != nil {
-			c.logf("client %d: proximal layout: %v", c.ID, err)
-			return
-		}
 	}
 	xs, ys, err := c.Data.Batches(p.Config.BatchSize)
 	if err != nil {
@@ -510,7 +499,12 @@ func (c *Client) onSchedule(env comm.Env, envlp sched.Envelope) {
 func (c *Client) resendOffload(env comm.Env, d sched.Directive) {
 	w := c.frozenW
 	if w.Len() == 0 {
-		w = c.net.SnapshotWeights()
+		net := c.lease.net.Load()
+		if net == nil {
+			c.logf("client %d: no frozen network left to re-ship", c.ID)
+			return
+		}
+		w = net.SnapshotWeights()
 	}
 	payload, size, err := c.offloadPayload(w, c.offloadRemaining)
 	if err != nil {
@@ -563,7 +557,7 @@ func (c *Client) beginOffload(env comm.Env, d sched.Directive) {
 		full = 0
 	}
 	c.launchBatches(full, false, readyAt)
-	c.snap = c.launch(readyAt, freezeStep(c.net))
+	c.snap = c.launch(readyAt, freezeStep(c.lease))
 	tail := c.totalBatches - c.executed
 	c.launchBatches(tail, true, readyAt+time.Duration(tail)*c.frozenDur)
 	round := c.round
@@ -646,12 +640,18 @@ func (c *Client) sendUpdate(env comm.Env, partial bool) {
 	}
 	c.Trace.Record(env.Now(), c.ID, c.round, trace.UpdateSent, detail)
 	c.frozenW = nn.Weights{}
-	w := c.net.SnapshotWeights()
-	if !c.frozen {
-		// The tail step is joined, so the network is quiescent and the round
-		// has no further use for it. (A frozen client may yet be told to
-		// re-ship it: resendOffload.)
-		c.releaseNet()
+	// The tail step is joined. A round whose features stayed live took the
+	// snapshot in it and handed the network back; a frozen client keeps the
+	// network for a re-ship (resendOffload) and snapshots it here.
+	w := c.lease.upd
+	c.lease.upd = nn.Weights{}
+	if c.frozen {
+		net := c.lease.net.Load()
+		if net == nil {
+			c.logf("client %d: no frozen network left to send", c.ID)
+			return
+		}
+		w = c.lease.snapshot(net)
 	}
 	update := Update{
 		Client:     c.ID,
@@ -668,6 +668,7 @@ func (c *Client) sendUpdate(env comm.Env, partial bool) {
 		// The update stream rides the residual-carrying encoders: what this
 		// round's sparsification drops is carried into the next send.
 		enc, err := encodeWeights(c.Codec.Name(), c.updFeature, c.updClassifier, w, c.base)
+		c.lanes.putWeights(w) // leased (roundNet.snapshot); the wire bytes are enc's own
 		if err != nil {
 			c.logf("client %d: encode update: %v", c.ID, err)
 			return
@@ -762,12 +763,16 @@ func (c *Client) launch(due time.Duration, run stepFunc) *step {
 }
 
 // launchBatches hands the lane the round's next n batches; frozen selects
-// the bf-free procedure (a freezeStep must precede it on the lane).
+// the bf-free procedure (a freezeStep must precede it on the lane). The
+// launch that reaches the round's last batch with the features live ends
+// the lease: nothing trains the network after it. A weak client's full
+// batches are followed by its freeze, and its frozen tail keeps the lease.
 func (c *Client) launchBatches(n int, frozen bool, due time.Duration) {
 	if n <= 0 {
 		return
 	}
-	c.tail = c.launch(due, trainStep(c.ID, c.net, c.opt, c.batchXs, c.batchYs, c.executed, n, frozen))
+	last := !frozen && !c.offloaded && c.executed+n == c.totalBatches
+	c.tail = c.launch(due, trainStep(c.ID, c.lease, c.batchXs, c.batchYs, c.executed, n, frozen, last))
 	c.executed += n
 }
 
@@ -779,11 +784,12 @@ func (c *Client) joinTraining() error {
 	return err
 }
 
-// releaseNet ends the round's lease on the network; the lane must hold no
-// step that trains it.
+// releaseNet ends the round's lease on the network if its steps have not;
+// the lane must hold no step that trains it.
 func (c *Client) releaseNet() {
-	c.lanes.putNet(c.net)
-	c.net = nil
+	if c.lease != nil {
+		c.lanes.endLease(c.lease)
+	}
 }
 
 // dropLane cancels what the lane still holds, waits out the batch it is in
@@ -795,10 +801,68 @@ func (c *Client) dropLane() {
 	c.frozenW = nn.Weights{}
 }
 
+// roundNet is one client round's lease on a model replica, shared by the
+// round's lane steps: the first of them to run takes a replica and loads the
+// dispatched global into it (hold), and the one that runs the round's last
+// batch with the features live snapshots the update into upd and hands the
+// replica back (trainStep's last). The steps of a round run one at a time
+// in launch order, each handed over under the lane scheduler's lock, so
+// they share it without one of their own; the clock's goroutine reads it
+// only after a join, or once dropLane has waited the lane out. net is
+// atomic for the run's end alone: drain ends the leases a round left open
+// while, over TCP, a late timer may still be handling a client.
+type roundNet struct {
+	group  *laneGroup
+	arch   nn.Arch
+	be     tensor.Backend
+	global nn.Weights // the dispatched model, read-only
+	opt    *nn.SGD
+	// leaseUpdate: a codec will encode the update, so it is snapshotted into
+	// a leased vector, which sendUpdate returns once the bytes are out.
+	leaseUpdate bool
+
+	net atomic.Pointer[nn.Network]
+	upd nn.Weights
+}
+
+// hold returns the round's replica, leasing and loading one if no earlier
+// step of the round has.
+func (r *roundNet) hold() (*nn.Network, error) {
+	if net := r.net.Load(); net != nil {
+		return net, nil
+	}
+	net, err := r.group.leaseNet(r)
+	if err != nil {
+		return nil, fmt.Errorf("fl: build network: %w", err)
+	}
+	if err := net.LoadWeights(r.global); err != nil {
+		return nil, fmt.Errorf("fl: load global: %w", err)
+	}
+	if r.opt.Mu > 0 {
+		if err := r.opt.RegisterProximalLayout(net); err != nil {
+			return nil, fmt.Errorf("fl: proximal layout: %w", err)
+		}
+	}
+	return net, nil
+}
+
+// snapshot takes the update off net.
+func (r *roundNet) snapshot(net *nn.Network) nn.Weights {
+	if r.leaseUpdate {
+		return net.SnapshotInto(r.group.takeWeights())
+	}
+	return net.SnapshotWeights()
+}
+
 // trainStep is the lane step running batches [from, from+n) of the round's
-// batch cycle on the client's network.
-func trainStep(id comm.NodeID, net *nn.Network, opt *nn.SGD, xs [][]*tensor.Tensor, ys [][]int, from, n int, frozen bool) stepFunc {
+// batch cycle on the round's replica; last makes it the step that ends the
+// lease.
+func trainStep(id comm.NodeID, r *roundNet, xs [][]*tensor.Tensor, ys [][]int, from, n int, frozen, last bool) stepFunc {
 	return func(stop *atomic.Bool) (nn.Weights, error) {
+		net, err := r.hold()
+		if err != nil {
+			return nn.Weights{}, err
+		}
 		if frozen != net.FeaturesFrozen() {
 			return nn.Weights{}, fmt.Errorf("fl: client %d frozen state mismatch", id)
 		}
@@ -807,9 +871,13 @@ func trainStep(id comm.NodeID, net *nn.Network, opt *nn.SGD, xs [][]*tensor.Tens
 				return nn.Weights{}, errLaneCancelled
 			}
 			b := i % len(xs)
-			if _, err := net.TrainBatch(xs[b], ys[b], opt); err != nil {
+			if _, err := net.TrainBatch(xs[b], ys[b], r.opt); err != nil {
 				return nn.Weights{}, err
 			}
+		}
+		if last {
+			r.upd = r.snapshot(net)
+			r.group.endLease(r)
 		}
 		return nn.Weights{}, nil
 	}
@@ -817,8 +885,12 @@ func trainStep(id comm.NodeID, net *nn.Network, opt *nn.SGD, xs [][]*tensor.Tens
 
 // freezeStep freezes the feature section and returns the model as it stands
 // at that point: the shipment the helper trains from.
-func freezeStep(net *nn.Network) stepFunc {
+func freezeStep(r *roundNet) stepFunc {
 	return func(*atomic.Bool) (nn.Weights, error) {
+		net, err := r.hold()
+		if err != nil {
+			return nn.Weights{}, err
+		}
 		net.SetFeaturesFrozen(true)
 		return net.SnapshotWeights(), nil
 	}
@@ -841,9 +913,10 @@ func helperStep(nets *laneGroup, arch nn.Arch, be tensor.Backend, cdc codec.Code
 			if cdc == nil {
 				return nn.Weights{}, fmt.Errorf("encoded offload on a codec-free run")
 			}
-			if weak, err = decodeWeights(cdc, job.Encoded, base); err != nil {
+			if weak, err = decodeWeights(cdc, job.Encoded, base, nets.takeWeights()); err != nil {
 				return nn.Weights{}, fmt.Errorf("decode offload: %w", err)
 			}
+			defer nets.putWeights(weak) // LoadWeights copies it
 		}
 		if err := scratch.LoadWeights(weak); err != nil {
 			return nn.Weights{}, fmt.Errorf("helper load: %w", err)

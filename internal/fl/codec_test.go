@@ -305,8 +305,9 @@ func oldDecodeSection(dec codec.Codec, data []byte, base []float64) ([]float64, 
 // TestDecodeSectionBitIdentical: decoding straight into the output vector
 // reconstructs what the two-vector version did, bit for bit, on bases that
 // hold negative zeros (which base + 0.0 turns positive and a copy of the
-// base would not) — for every codec, per section and per snapshot — in one
-// allocation, and a frame sized for another section is refused.
+// base would not) — for every codec, per section and per snapshot, into a
+// fresh vector (one allocation) or a dirty leased one (none) — and a frame
+// sized for another section is refused.
 func TestDecodeSectionBitIdentical(t *testing.T) {
 	rng := tensor.NewRNG(17)
 	section := func(n int) (base, vals []float64) {
@@ -335,9 +336,21 @@ func TestDecodeSectionBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := decodeWeights(c, enc, base)
+		got, err := decodeWeights(c, enc, base, nn.Weights{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		// A leased vector holds what its last holder left in it: NaNs here.
+		dirty := nn.Weights{Feature: make([]float64, 700, 800), Classifier: make([]float64, 3)}
+		for i := range dirty.Feature {
+			dirty.Feature[i] = math.NaN()
+		}
+		leased, err := decodeWeights(c, enc, base, dirty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &leased.Feature[0] != &dirty.Feature[0] {
+			t.Fatalf("%s: a vector with room for the feature section was not decoded into", name)
 		}
 		for _, s := range []struct {
 			label     string
@@ -346,6 +359,8 @@ func TestDecodeSectionBitIdentical(t *testing.T) {
 		}{
 			{"feature", enc.Feature, base.Feature, got.Feature},
 			{"classifier", enc.Classifier, base.Classifier, got.Classifier},
+			{"leased feature", enc.Feature, base.Feature, leased.Feature},
+			{"leased classifier", enc.Classifier, base.Classifier, leased.Classifier},
 		} {
 			want, err := oldDecodeSection(c, s.data, s.base)
 			if err != nil {
@@ -364,11 +379,14 @@ func TestDecodeSectionBitIdentical(t *testing.T) {
 			if name != codec.Q8 && zeros == 0 {
 				t.Fatalf("%s %s: no -0 base entry came back as +0; the case is not exercised", name, s.label)
 			}
-			if n := testing.AllocsPerRun(10, func() { decodeSection(c, s.data, s.base) }); n != 1 {
+			if n := testing.AllocsPerRun(10, func() { decodeSection(c, s.data, s.base, nil) }); n != 1 {
 				t.Errorf("%s %s: decodeSection made %v allocations, want 1 (the output)", name, s.label, n)
 			}
+			if n := testing.AllocsPerRun(10, func() { decodeSection(c, s.data, s.base, s.got) }); n != 0 {
+				t.Errorf("%s %s: decodeSection into a vector of its size made %v allocations", name, s.label, n)
+			}
 		}
-		if _, err := decodeSection(c, enc.Classifier, base.Feature); !errors.Is(err, codec.ErrCorrupt) {
+		if _, err := decodeSection(c, enc.Classifier, base.Feature, nil); !errors.Is(err, codec.ErrCorrupt) {
 			t.Fatalf("%s: a classifier frame decoded as a feature section: %v", name, err)
 		}
 	}

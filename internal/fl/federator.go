@@ -86,9 +86,13 @@ type Federator struct {
 	// update, and the liveness view the fault notices (comm.KindFault) keep.
 	tracker *cohort
 
-	round        int
-	roundStart   time.Duration
-	roundBase    nn.Weights // the round's dispatched global: the codec's delta base
+	round      int
+	roundStart time.Duration
+	// roundBase is the one snapshot of the round's global: every dispatch of
+	// the round ships it by reference, it is the codec's delta base and
+	// Aggregate's prev, and the close that takes the next one evaluates it.
+	roundBase    nn.Weights
+	leased       []nn.Weights // the round's decoded updates (decodeUpdate)
 	reports      map[comm.NodeID]profile.Report
 	scheduled    bool
 	pairs        map[comm.NodeID]sched.Pair // weak -> pair
@@ -121,6 +125,7 @@ func (f *Federator) Init() error {
 		return fmt.Errorf("fl: global model: %w", err)
 	}
 	f.global = global
+	f.roundBase = global.SnapshotWeights()
 	f.rng = tensor.NewRNG(f.Seed ^ 0x5ca1ab1e)
 	f.results = &Results{Strategy: f.Strategy.Name()}
 	f.tracker = newCohort("sync")
@@ -165,9 +170,7 @@ func (f *Federator) startRound(env comm.Env) {
 		fmt.Sprintf("%d clients selected", len(selected)))
 
 	cfg := f.trainConfig()
-	w := f.global.SnapshotWeights()
-	f.roundBase = w
-	f.tracker.openRound(selected, func(id comm.NodeID) { f.dispatchTrain(env, id, cfg, w) })
+	f.tracker.openRound(selected, func(id comm.NodeID) { f.dispatchTrain(env, id, cfg) })
 	f.deadline = nil
 	d := f.Strategy.Deadline(f.round)
 	if d <= 0 {
@@ -196,16 +199,16 @@ func (f *Federator) trainConfig() LocalConfig {
 	return cfg
 }
 
-// dispatchTrain ships the given global snapshot and round config to one
-// client; startRound snapshots once for the whole selection, onFault
-// snapshots fresh when re-enrolling a rejoining client.
-func (f *Federator) dispatchTrain(env comm.Env, id comm.NodeID, cfg LocalConfig, w nn.Weights) {
+// dispatchTrain ships the round's global snapshot, by reference, and the
+// round config to one client: the selection at startRound, a re-enrolled
+// client at its rejoin.
+func (f *Federator) dispatchTrain(env comm.Env, id comm.NodeID, cfg LocalConfig) {
 	f.BW.send(env, comm.Message{
 		To:      id,
 		Round:   f.round,
 		Kind:    comm.KindTrain,
-		Size:    w.ByteSize(),
-		Payload: TrainPayload{Config: cfg, Global: w.Clone()},
+		Size:    f.roundBase.ByteSize(),
+		Payload: TrainPayload{Config: cfg, Global: f.roundBase},
 	})
 }
 
@@ -272,10 +275,13 @@ func (f *Federator) OnMessage(env comm.Env, msg comm.Message) {
 			f.logf("federator: update from %d, which owes none", p.Update.Client)
 			return
 		}
-		u, err := decodeUpdate(f.Codec, p, &f.roundBase)
+		u, leased, err := decodeUpdate(f.Codec, p, &f.roundBase, f.lanes)
 		if err != nil {
 			f.logf("federator: update from %d: %v", p.Update.Client, err)
 			return
+		}
+		if leased {
+			f.leased = append(f.leased, u.Weights)
 		}
 		f.tracker.deliver(u.Client)
 		if !f.haveFirstUpdate {
@@ -300,7 +306,7 @@ func (f *Federator) OnMessage(env comm.Env, msg comm.Message) {
 				return
 			}
 			var err error
-			if feature, err = decodeSection(f.Codec, p.Encoded.Feature, f.roundBase.Feature); err != nil {
+			if feature, err = decodeSection(f.Codec, p.Encoded.Feature, f.roundBase.Feature, nil); err != nil {
 				f.logf("federator: decode offload result from %d: %v", p.Strong, err)
 				return
 			}
@@ -450,7 +456,7 @@ func (f *Federator) onFault(env comm.Env, p comm.FaultPayload) {
 		f.Trace.Record(env.Now(), comm.FederatorID, f.round, trace.NodeRejoin,
 			fmt.Sprintf("client %d rejoined", p.Node))
 		if reenrol {
-			f.dispatchTrain(env, p.Node, f.trainConfig(), f.global.SnapshotWeights())
+			f.dispatchTrain(env, p.Node, f.trainConfig())
 		}
 		return
 	}
@@ -592,13 +598,21 @@ func (f *Federator) finalizeRound(env comm.Env) {
 		updates = append(updates, u)
 	}
 	if len(updates) > 0 {
-		next, err := f.Strategy.Aggregate(f.global.SnapshotWeights(), updates)
+		next, err := f.Strategy.Aggregate(f.roundBase, updates)
 		if err != nil {
 			f.logf("federator: aggregate: %v", err)
 		} else if err := f.global.LoadWeights(next); err != nil {
 			f.logf("federator: load aggregated: %v", err)
 		}
 	}
+	// Nothing reads the round's updates any more.
+	for _, w := range f.leased {
+		f.lanes.putWeights(w)
+	}
+	clear(f.leased)
+	f.leased = f.leased[:0]
+	clear(f.updates)
+	f.roundBase = f.global.SnapshotWeights()
 	stats := RoundStats{
 		Round:     f.round,
 		Duration:  env.Now() - f.roundStart,
@@ -636,7 +650,7 @@ func (f *Federator) finalizeRound(env comm.Env) {
 	f.results.TotalTime = f.results.PreTraining + sumDurations(f.results.Rounds)
 	if f.Evaluate != nil && (lastRound || f.round%f.EvalEvery == 0) {
 		i := len(f.results.Rounds) - 1
-		f.closing = launchEvaluation(f.lanes, env.Now(), f.Evaluate, f.global.SnapshotWeights(), func(acc float64, err error) {
+		f.closing = launchEvaluation(f.lanes, env.Now(), f.Evaluate, f.roundBase, func(acc float64, err error) {
 			if err != nil {
 				f.logf("federator: evaluate: %v", err)
 			} else {

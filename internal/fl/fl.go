@@ -60,6 +60,11 @@ type LocalConfig struct {
 // TrainPayload starts local training (comm.KindTrain).
 type TrainPayload struct {
 	Config LocalConfig
+	// Global is the model to train from. The federator, the async federator
+	// and an edge aggregator each dispatch one snapshot by reference to every
+	// client it goes to (a serializing transport copies per send anyway), and
+	// keep it as the codec's delta base and, at the root, as Aggregate's prev
+	// and the evaluated model: every holder reads it and none may write it.
 	Global nn.Weights
 }
 

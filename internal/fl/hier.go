@@ -77,11 +77,16 @@ type EdgeAggregator struct {
 	// update, and the cohort's liveness, by the root federator's rules.
 	tracker *cohort
 
+	// lanes is the run's lane group (buildHier sets it; Init makes one for a
+	// bare edge), whose free list the decoded updates are leased from.
+	lanes *laneGroup
+
 	// Per-round state.
 	round   int
 	base    nn.Weights
 	trainP  TrainPayload
 	updates []Update
+	leased  []nn.Weights // the decoded updates' vectors (decodeUpdate)
 	timer   comm.Timer
 }
 
@@ -92,6 +97,9 @@ var _ comm.Handler = (*EdgeAggregator)(nil)
 func (e *EdgeAggregator) Init() {
 	e.round = -1
 	e.tracker = newCohort("")
+	if e.lanes == nil {
+		e.lanes = newLaneGroup()
+	}
 	e.updFeature, e.updClassifier = e.Codec, e.Codec
 	if e.Codec != nil && e.Codec.Name() == codec.TopK {
 		e.updFeature = codec.NewResidual(e.Codec)
@@ -109,7 +117,7 @@ func (e *EdgeAggregator) OnRejoin(env comm.Env) {
 	}
 	e.base = nn.Weights{}
 	e.trainP = TrainPayload{}
-	e.updates = nil
+	e.updates, e.leased = nil, nil
 	e.Init()
 	e.Trace.Record(env.Now(), e.ID, -1, trace.NodeRejoin, "edge state re-seeded")
 }
@@ -145,9 +153,7 @@ func (e *EdgeAggregator) OnMessage(env comm.Env, msg comm.Message) {
 }
 
 // startRound samples the round's sub-cohort and fans the root's dispatch
-// out to it. The global snapshot is forwarded by reference: clients treat
-// TrainPayload.Global as read-only, so one in-process copy serves the whole
-// cohort (serializing transports copy per send anyway).
+// out to it, the global by reference (TrainPayload.Global).
 func (e *EdgeAggregator) startRound(env comm.Env, p TrainPayload) {
 	if e.timer != nil {
 		e.timer.Cancel()
@@ -156,7 +162,7 @@ func (e *EdgeAggregator) startRound(env comm.Env, p TrainPayload) {
 	e.round = p.Config.Round
 	e.base = p.Global
 	e.trainP = p
-	e.updates = e.updates[:0]
+	e.releaseUpdates()
 	ids := make([]comm.NodeID, len(e.Cohort))
 	for i, c := range e.Cohort {
 		ids[i] = c.ID
@@ -202,10 +208,13 @@ func (e *EdgeAggregator) onUpdate(env comm.Env, msg comm.Message) {
 		return
 	}
 	hier.CountUpdateBytes("edge", msg.Size)
-	u, err := decodeUpdate(e.Codec, p, &e.base)
+	u, leased, err := decodeUpdate(e.Codec, p, &e.base, e.lanes)
 	if err != nil {
 		e.logf("edge %d: update from %d: %v", e.ID, p.Update.Client, err)
 		return
+	}
+	if leased {
+		e.leased = append(e.leased, u.Weights)
 	}
 	e.tracker.deliver(u.Client)
 	e.updates = append(e.updates, u)
@@ -254,14 +263,8 @@ func (e *EdgeAggregator) flush(env comm.Env) {
 	if len(e.updates) == 0 {
 		return
 	}
-	// The round is closed: nothing reads the updates after this call, and a
-	// slice merely cut to length zero at the next dispatch would keep every
-	// client's weight snapshot reachable until then (and, after the last
-	// round, for as long as the cluster lives).
-	defer func() {
-		clear(e.updates)
-		e.updates = e.updates[:0]
-	}()
+	// The round is closed: nothing reads the updates after this call.
+	defer e.releaseUpdates()
 	agg, err := weightedAverage(e.updates)
 	if err != nil {
 		e.logf("edge %d: aggregate: %v", e.ID, err)
@@ -307,6 +310,20 @@ func (e *EdgeAggregator) flush(env comm.Env) {
 		Size:    size,
 		Payload: payload,
 	})
+}
+
+// releaseUpdates drops the round's updates and returns their decoded vectors
+// to the run's free list. A buffer merely cut to length zero would keep
+// every client's weight snapshot reachable until the next dispatch (and,
+// after the last round, for as long as the cluster lives).
+func (e *EdgeAggregator) releaseUpdates() {
+	for _, w := range e.leased {
+		e.lanes.putWeights(w)
+	}
+	clear(e.leased)
+	e.leased = e.leased[:0]
+	clear(e.updates)
+	e.updates = e.updates[:0]
 }
 
 // hierRootStrategy adapts the configured strategy to the root of a tiered
@@ -478,6 +495,7 @@ func (t Topology) buildHier(data *dataset.Source, test *dataset.Dataset, phase n
 				Timeout: t.Chaos.RoundTimeout,
 				Logf:    t.Logf,
 				Trace:   t.Trace,
+				lanes:   lanes,
 			}
 			e.Init()
 			edges = append(edges, e)

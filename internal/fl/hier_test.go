@@ -246,9 +246,10 @@ func TestHierSamplingAgreesAcrossTransports(t *testing.T) {
 // shells: a hydrated client that crashes dehydrates back to its profile on
 // rejoin (through the router and instrumentation proxies), and the next
 // round's dispatch rebuilds it from the seed — exactly one extra hydration,
-// and the run still completes every round. The second hydration builds no
-// network: the crashed incarnation's went back to the run's free list (with
-// its update, or at the rejoin), and the rejoined one draws from it.
+// and the run still completes every round. Neither hydration builds a
+// network: a client holds one only while a lane trains it, so twelve clients
+// and thirteen hydrations share at most one network per lane (and one more
+// for slack), drawn 36 times.
 func TestHierHydrationUnderChaos(t *testing.T) {
 	top := hierTopology(2, 0) // everyone participates: hydration count is exact
 	top.Speeds = []float64{0.25, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
@@ -281,11 +282,9 @@ func TestHierHydrationUnderChaos(t *testing.T) {
 	if len(res.Rounds) != top.Rounds {
 		t.Fatalf("completed %d rounds under churn, want %d", len(res.Rounds), top.Rounds)
 	}
-	// Twelve clients in flight at once need twelve networks; thirteen
-	// hydrations and three rounds of leases build no more.
-	if built, want := len(ledger.seen), top.Clients; built != want || ledger.takes != top.Clients*top.Rounds || len(ledger.faults) != 0 {
-		t.Fatalf("built %d networks over %d leases (faults %v), want %d over %d",
-			built, ledger.takes, ledger.faults, want, top.Clients*top.Rounds)
+	if built, most := len(ledger.seen), laneWidth()+1; built > most || ledger.takes != top.Clients*top.Rounds || len(ledger.faults) != 0 {
+		t.Fatalf("built %d networks over %d leases (faults %v), want at most %d over %d",
+			built, ledger.takes, ledger.faults, most, top.Clients*top.Rounds)
 	}
 	for _, s := range cl.Hier.Shells {
 		want := 1
@@ -408,7 +407,7 @@ type rejoinProbe struct {
 	*Client
 	rejoined    bool
 	held, after int
-	keptNet     bool // the dropped client still holds its lease
+	keptNet     bool // the dropped client's round still holds its lease
 }
 
 func (p *rejoinProbe) OnRejoin(env comm.Env) {
@@ -422,9 +421,10 @@ func (p *rejoinProbe) OnRejoin(env comm.Env) {
 		return len(l.queue)
 	}
 	p.held = unfinished()
+	lease := p.Client.lease
 	p.Client.OnRejoin(env)
 	p.rejoined, p.after = true, unfinished()
-	p.keptNet = p.Client.net != nil
+	p.keptNet = lease != nil && lease.net.Load() != nil
 }
 
 // TestHierRejoinStopsTheDroppedClientsLane: a hydrated shell that crashes in
@@ -487,8 +487,11 @@ func TestHierRejoinStopsTheDroppedClientsLane(t *testing.T) {
 			if first.keptNet {
 				t.Fatal("the dropped client took its network with it instead of returning it to the free list")
 			}
-			if built := len(ledger.seen); built != top.Clients {
-				t.Fatalf("built %d networks for %d clients: the rejoined victim did not draw the one its crash freed", built, top.Clients)
+			// A client holds a network only while a lane trains it, the
+			// crashed incarnation's round included.
+			if built, most := len(ledger.seen), procs+1; built > most || len(ledger.held) != 0 {
+				t.Fatalf("built %d networks for %d clients (at most %d), %d still held after the run",
+					built, top.Clients, most, len(ledger.held))
 			}
 			// Without a second processor nothing runs before its join, so
 			// the crashed round is still on the lane, whole, when the

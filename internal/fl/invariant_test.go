@@ -2,6 +2,7 @@ package fl
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"aergia/internal/chaos"
 	"aergia/internal/comm"
+	"aergia/internal/nn"
 	"aergia/internal/sim"
 )
 
@@ -28,7 +30,11 @@ func TestMain(m *testing.M) {
 //   - a client or edge sends at most one update per (round, incarnation),
 //     an incarnation ending at each crash notice;
 //   - the run's bandwidth ledger equals the summed Size of what the actors
-//     sent.
+//     sent;
+//   - a dispatched TrainPayload.Global is never written: the federators and
+//     the edges send one snapshot by reference to a whole round, so a holder
+//     that wrote it would change every other holder's model. Each distinct
+//     backing array is hashed at its first send and again at Close.
 type invariants struct {
 	*comm.Stack
 	bw *Bandwidth
@@ -39,8 +45,30 @@ type invariants struct {
 	down    map[comm.NodeID]bool
 	crashes map[comm.NodeID]int
 	updates map[[3]int]bool // (node, incarnation, round)
+	globals map[*float64]sentGlobal
 	sent    int64
 	err     error
+}
+
+// sentGlobal is a dispatched global as its first send found it.
+type sentGlobal struct {
+	w     nn.Weights
+	hash  uint64
+	from  comm.NodeID
+	round int
+}
+
+// hashWeights folds the bits of both sections, a word at a time, FNV-1a
+// style: each step is a bijection in either input, so two snapshots that
+// differ in one value never collide.
+func hashWeights(w nn.Weights) uint64 {
+	h := uint64(14695981039346656037)
+	for _, s := range [][]float64{w.Feature, w.Classifier} {
+		for _, v := range s {
+			h = (h ^ math.Float64bits(v)) * 1099511628211
+		}
+	}
+	return h
 }
 
 func checkInvariants(bw *Bandwidth, transport string, inner comm.Transport) comm.Transport {
@@ -53,9 +81,23 @@ func checkInvariants(bw *Bandwidth, transport string, inner comm.Transport) comm
 		down:    make(map[comm.NodeID]bool),
 		crashes: make(map[comm.NodeID]int),
 		updates: make(map[[3]int]bool),
+		globals: make(map[*float64]sentGlobal),
 	}
 	v.Stack = comm.Interceptor{Send: v.send, Deliver: v.deliver, After: v.after}.On(inner)
 	return v
+}
+
+// dispatched records a train payload's global at its backing array's first
+// send.
+func (v *invariants) dispatched(from comm.NodeID, msg comm.Message) {
+	p, ok := msg.Payload.(TrainPayload)
+	if !ok || len(p.Global.Feature) == 0 {
+		return
+	}
+	key := &p.Global.Feature[0]
+	if _, seen := v.globals[key]; !seen {
+		v.globals[key] = sentGlobal{w: p.Global, hash: hashWeights(p.Global), from: from, round: msg.Round}
+	}
 }
 
 func (v *invariants) failf(format string, args ...any) {
@@ -86,6 +128,9 @@ func (v *invariants) send(l comm.Layer, msg comm.Message) {
 		}
 		v.updates[k] = true
 	}
+	if msg.Kind == comm.KindTrain {
+		v.dispatched(id, msg)
+	}
 	v.sent += int64(msg.Size)
 	l.Send(msg)
 }
@@ -108,11 +153,17 @@ func (v *invariants) after(l comm.Layer, d time.Duration, fn func()) comm.Timer 
 }
 
 // Close closes the stack and reports the first violation, checking the
-// bandwidth ledger last: by now every send of the run has been counted.
+// bandwidth ledger and the dispatched globals last: by now every send of the
+// run has been counted and every holder of a global is done with it.
 func (v *invariants) Close() error {
 	err := v.Stack.Close()
 	if total := v.bw.Snapshot().TotalBytes; total != v.sent {
 		v.failf("the bandwidth ledger holds %d B, the actors sent %d B", total, v.sent)
+	}
+	for _, g := range v.globals {
+		if hashWeights(g.w) != g.hash {
+			v.failf("the global node %d dispatched for round %d was written after its send", g.from, g.round)
+		}
 	}
 	if v.err != nil {
 		return v.err
@@ -146,6 +197,9 @@ func (idle) OnMessage(comm.Env, comm.Message) {}
 func TestInvariantsCatchEachViolation(t *testing.T) {
 	const client = comm.NodeID(1)
 	update := comm.Message{To: comm.FederatorID, Round: 3, Kind: comm.KindUpdate}
+	dispatch := func(w nn.Weights) comm.Message {
+		return comm.Message{To: comm.FederatorID, Round: 3, Kind: comm.KindTrain, Payload: TrainPayload{Global: w}}
+	}
 	for _, tc := range []struct {
 		name   string
 		crash  bool // client down from 10 ms to 30 ms
@@ -175,6 +229,16 @@ func TestInvariantsCatchEachViolation(t *testing.T) {
 		}, "ledger holds 0 B, the actors sent 64 B"},
 		{"counted send", false, func(at func(time.Duration, func(comm.Env)), bw *Bandwidth, _ *time.Duration) {
 			at(20*time.Millisecond, func(env comm.Env) { bw.send(env, comm.Message{To: comm.FederatorID, Kind: comm.KindProfile, Size: 64}) })
+		}, ""},
+		{"dispatched global written", false, func(at func(time.Duration, func(comm.Env)), _ *Bandwidth, _ *time.Duration) {
+			w := nn.Weights{Feature: []float64{1, 2}, Classifier: []float64{3}}
+			at(20*time.Millisecond, func(env comm.Env) { env.Send(dispatch(w)) })
+			at(40*time.Millisecond, func(comm.Env) { w.Classifier[0] = -3 })
+		}, "global node 1 dispatched for round 3 was written after its send"},
+		{"dispatched global shared", false, func(at func(time.Duration, func(comm.Env)), _ *Bandwidth, _ *time.Duration) {
+			w := nn.Weights{Feature: []float64{1, 2}, Classifier: []float64{3}}
+			at(20*time.Millisecond, func(env comm.Env) { env.Send(dispatch(w)) })
+			at(40*time.Millisecond, func(env comm.Env) { env.Send(dispatch(w)) })
 		}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -79,24 +79,31 @@ type lane struct {
 
 // laneGroup is what one run's compute owns: the lanes it created, so that
 // the run can cancel and drain them before it returns — no step of one run
-// executes into the next run's clock — and the networks those lanes train.
-// Topology.Build makes one per cluster.
+// executes into the next run's clock — and the networks and weight vectors
+// those lanes and the run's actors lease. Topology.Build makes one per
+// cluster.
 type laneGroup struct {
 	// live holds the lanes with unfinished steps; guarded by laneSched.mu.
 	live map[*lane]struct{}
 
-	// free is the run's idle model replicas, last in first out. A replica is
-	// leased from dispatch to update (a client's round) or for one helper
-	// job, and every lease overwrites all of it (takeNet), so which physical
-	// network a lease draws never shows in a result. Steps return helper
-	// scratch from lane workers: netMu guards free.
-	netMu sync.Mutex
-	free  []*nn.Network
+	// The run's idle model replicas and weight vectors, last in first out,
+	// and the client round leases holding a replica now. A replica is leased
+	// by a client round's lane steps (roundNet) or for one helper job, and
+	// every lease overwrites all of it (takeNet), so which physical network a
+	// lease draws never shows in a result; the same holds for a vector, which
+	// a snapshot or a decode overwrites whole (takeWeights). Lane workers take
+	// and return both: mu guards free, vecs and rounds.
+	mu     sync.Mutex
+	free   []*nn.Network
+	vecs   []nn.Weights
+	rounds map[*roundNet]struct{}
 	// onLease, when set by a test, observes every take (true) and put.
 	onLease func(net *nn.Network, take bool)
 }
 
-func newLaneGroup() *laneGroup { return &laneGroup{live: map[*lane]struct{}{}} }
+func newLaneGroup() *laneGroup {
+	return &laneGroup{live: map[*lane]struct{}{}, rounds: map[*roundNet]struct{}{}}
+}
 
 // takeNet leases a replica of the run's architecture: an idle one when the
 // list has one, a blank nn.Replica otherwise. The caller must LoadWeights
@@ -105,13 +112,13 @@ func newLaneGroup() *laneGroup { return &laneGroup{live: map[*lane]struct{}{}} }
 // freeze flag — the one piece of state a previous holder leaves that nothing
 // overwrites — is cleared here.
 func (g *laneGroup) takeNet(arch nn.Arch, be tensor.Backend) (*nn.Network, error) {
-	g.netMu.Lock()
+	g.mu.Lock()
 	var net *nn.Network
 	if n := len(g.free); n > 0 {
 		net, g.free[n-1] = g.free[n-1], nil
 		g.free = g.free[:n-1]
 	}
-	g.netMu.Unlock()
+	g.mu.Unlock()
 	if net == nil {
 		var err error
 		if net, err = nn.Replica(arch, be); err != nil {
@@ -128,15 +135,59 @@ func (g *laneGroup) takeNet(arch nn.Arch, be tensor.Backend) (*nn.Network, error
 // putNet ends a lease. The network must be quiescent: no step that trains it
 // is queued or running.
 func (g *laneGroup) putNet(net *nn.Network) {
-	if net == nil {
-		return
-	}
 	if g.onLease != nil {
 		g.onLease(net, false)
 	}
-	g.netMu.Lock()
+	g.mu.Lock()
 	g.free = append(g.free, net)
-	g.netMu.Unlock()
+	g.mu.Unlock()
+}
+
+// leaseNet takes a replica for the client round r (roundNet.hold). The round
+// ends the lease (endLease), or drain does.
+func (g *laneGroup) leaseNet(r *roundNet) (*nn.Network, error) {
+	net, err := g.takeNet(r.arch, r.be)
+	if err != nil {
+		return nil, err
+	}
+	g.mu.Lock()
+	g.rounds[r] = struct{}{}
+	g.mu.Unlock()
+	r.net.Store(net)
+	return net, nil
+}
+
+// endLease hands the round's replica back if it still holds one. No step
+// may be training it.
+func (g *laneGroup) endLease(r *roundNet) {
+	net := r.net.Swap(nil)
+	if net == nil {
+		return
+	}
+	g.mu.Lock()
+	delete(g.rounds, r)
+	g.mu.Unlock()
+	g.putNet(net)
+}
+
+// takeWeights leases a weight vector pair for a snapshot (nn SnapshotInto)
+// or a decode (decodeWeights) to fill: an idle pair when the list has one, an
+// empty one, which the filler allocates, otherwise.
+func (g *laneGroup) takeWeights() (w nn.Weights) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if n := len(g.vecs); n > 0 {
+		w, g.vecs[n-1] = g.vecs[n-1], nn.Weights{}
+		g.vecs = g.vecs[:n-1]
+	}
+	return w
+}
+
+// putWeights ends a vector lease; nothing may read w afterwards.
+func (g *laneGroup) putWeights(w nn.Weights) {
+	g.mu.Lock()
+	g.vecs = append(g.vecs, w)
+	g.mu.Unlock()
 }
 
 // laneSched is the process-wide scheduler state.
@@ -373,7 +424,9 @@ func (l *lane) cancel() {
 }
 
 // drain cancels every lane of the group, returns once none of their steps is
-// executing (the queued ones are failed unrun), and empties the free list.
+// executing (the queued ones are failed unrun), ends the client round leases
+// still open — a weak client that froze in the last round, a round cut or
+// crashed before its last batch — and empties the free lists.
 func (g *laneGroup) drain() {
 	if g == nil {
 		return
@@ -389,10 +442,19 @@ func (g *laneGroup) drain() {
 	for _, ch := range running {
 		<-ch
 	}
-	// The run is over: its idle replicas are garbage with it.
-	g.netMu.Lock()
-	g.free = nil
-	g.netMu.Unlock()
+	// The run is over: its leased and idle replicas and vectors are garbage
+	// with it, and no client keeps one reachable for as long as the cluster
+	// lives.
+	g.mu.Lock()
+	rounds := g.rounds
+	g.rounds = map[*roundNet]struct{}{}
+	g.free, g.vecs = nil, nil
+	g.mu.Unlock()
+	for r := range rounds {
+		if net := r.net.Swap(nil); net != nil && g.onLease != nil {
+			g.onLease(net, false)
+		}
+	}
 }
 
 // unfinished reports the group's queued plus executing steps.

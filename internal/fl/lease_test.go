@@ -16,12 +16,13 @@ import (
 	"aergia/internal/tensor"
 )
 
-// A client leases its network from the run's free list for the length of a
-// round (DESIGN.md §11). These tests are the lease's licence: a network a
-// previous holder left in any state trains the next round to the same bits
-// as a fresh one, no network ever has two holders, hydration costs what it
-// is budgeted, and the state a lease must not touch — the jitter stream, the
-// topk residuals — replays at every width.
+// A client leases its network from the run's free list while its round's
+// lane steps train it (DESIGN.md §11). These tests are the lease's licence: a
+// network a previous holder left in any state trains the next round to the
+// same bits as a fresh one, no network ever has two holders, hydration costs
+// what it is budgeted, the replicas a run builds follow the lane width, and
+// the state a lease must not touch — the jitter stream, the topk residuals —
+// replays at every width.
 
 // leaseLedger is the test hook on laneGroup.onLease: who holds what, by
 // pointer.
@@ -263,15 +264,19 @@ func TestNoNetworkHasTwoHolders(t *testing.T) {
 
 // TestHydrationBudget counts what hydrating one ArchMNISTSmall client on
 // serial32 allocates up to the point its first batch could run: the shard and
-// the round's bookkeeping when the free list has a network, plus one blank
-// float32 replica when it has not. At the parent commit the same path
-// allocated 205–208 kB (ten prototypes, a float64 network with drawn weights,
+// the round's bookkeeping, whether or not the free list has a network — the
+// dispatch leases none, the round's first lane step does — and, apart, what
+// that step's lease costs: nothing with a free network, one blank float32
+// replica without. When a client leased its network at dispatch, hydration
+// allocated 17232 B with a free network and 75472 B without; before the
+// lease, 205–208 kB (ten prototypes, a float64 network with drawn weights,
 // its float32 copy). The pins are the measured values + 10%; recomputing the
-// prototypes (+16 kB) or building in float64 (+106 kB) breaks them.
+// prototypes (+16 kB), building in float64 (+106 kB) or leasing at dispatch
+// again (+58 kB cold) breaks them.
 func TestHydrationBudget(t *testing.T) {
 	const (
-		withFreeNet = 19000 // measured 17232 B
-		withoutNet  = 83000 // measured 75472 B
+		hydration = 19000 // measured 17168-17552 B
+		replica   = 64000 // measured 57912 B
 	)
 	be, err := tensor.NewBackend("serial32", 0)
 	if err != nil {
@@ -301,39 +306,127 @@ func TestHydrationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.lanes.drain()
+		ledger := newLeaseLedger()
+		cl.lanes.onLease = ledger.observe
 		dispatch := comm.Message{From: comm.FederatorID, Kind: comm.KindTrain, Payload: TrainPayload{
 			Config: LocalConfig{Epochs: 1, BatchSize: top.BatchSize, LR: 0.05},
 			Global: cl.Federator.GlobalWeights(),
 		}}
-		hydrate := func(id comm.NodeID) uint64 {
-			shell, env := cl.Hier.Shells[id], tr.Env(id)
+		allocated := func(fn func()) uint64 {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			shell.OnMessage(env, dispatch)
+			fn()
 			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		hydrate := func(id comm.NodeID) uint64 {
+			shell, env := cl.Hier.Shells[id], tr.Env(id)
+			n := allocated(func() { shell.OnMessage(env, dispatch) })
 			if !shell.Hydrated() {
 				t.Fatalf("shell %d did not hydrate", id)
 			}
-			return after.TotalAlloc - before.TotalAlloc
+			return n
 		}
-		cold := hydrate(3) // builds the run's first replica
+		cold := hydrate(3) // the free list is empty
 		spare, err := cl.lanes.takeNet(top.Arch, be)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cl.lanes.putNet(spare)
-		warm := hydrate(4) // draws the spare
-		t.Logf("hydration allocates %d B with a free network, %d B without", warm, cold)
-		if warm > withFreeNet {
-			t.Errorf("hydrating with a free network allocated %d B, budget %d", warm, withFreeNet)
+		warm := hydrate(4) // the free list holds the spare
+		if ledger.takes != 1 {
+			t.Fatalf("%d leases after two dispatches and a spare: a dispatch leased a network", ledger.takes)
 		}
-		if cold > withoutNet {
-			t.Errorf("hydrating without a free network allocated %d B, budget %d", cold, withoutNet)
+		cl.lanes.onLease = nil // the ledger's maps would allocate in the window
+		// What the rounds' first steps lease: the spare, then a blank replica.
+		var nets [2]*nn.Network
+		lease := func(i int) uint64 {
+			return allocated(func() {
+				if nets[i], err = cl.lanes.takeNet(top.Arch, be); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
-		if cold < warm+6582*4*2 {
-			t.Errorf("a blank replica cost %d B, less than its %d float32 parameters and gradients", cold-warm, 6582)
+		free, blank := lease(0), lease(1)
+		t.Logf("hydration allocates %d B with a free network, %d B without; a lease %d B with, %d B without",
+			warm, cold, free, blank)
+		for _, n := range []uint64{cold, warm} {
+			if n > hydration {
+				t.Errorf("hydration allocated %d B, budget %d", n, hydration)
+			}
+		}
+		if free != 0 || nets[0] != spare {
+			t.Errorf("leasing the free network allocated %d B (the spare drawn: %v)", free, nets[0] == spare)
+		}
+		if blank > replica {
+			t.Errorf("leasing a blank replica allocated %d B, budget %d", blank, replica)
+		}
+		if blank < 6582*4*2 {
+			t.Errorf("a blank replica cost %d B, less than its %d float32 parameters and gradients", blank, 6582)
 		}
 	})
+}
+
+// TestLeaseSpansOnlyTraining: a client holds its network only while a lane
+// trains it, so a tiered round of a 512-client cohort builds at most one
+// network per lane, and one more for slack — where a lease from dispatch to
+// update built 512 — and a finished run holds none.
+func TestLeaseSpansOnlyTraining(t *testing.T) {
+	top := hierTopology(4, 0)
+	top.Clients, top.TrainSamples, top.Rounds = 512, 512*4, 1
+	for _, procs := range []int{1, 2, 8} {
+		atWidth(procs, func() {
+			cl, err := top.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ledger := newLeaseLedger()
+			cl.lanes.onLease = ledger.observe
+			if _, err := runOn(cl, TransportSim, nil, 0, (*Deployment).Run); err != nil {
+				t.Fatal(err)
+			}
+			if hydrated := len(hydratedSet(cl)); hydrated != top.Clients || ledger.takes != top.Clients {
+				t.Fatalf("GOMAXPROCS %d: %d leases by %d hydrated clients, want one each of %d", procs, ledger.takes, hydrated, top.Clients)
+			}
+			if built, most := len(ledger.seen), procs+1; built > most || len(ledger.faults) != 0 || len(ledger.held) != 0 {
+				t.Fatalf("GOMAXPROCS %d: built %d networks (at most %d), %d held after the run, faults %v",
+					procs, built, most, len(ledger.held), ledger.faults)
+			}
+			t.Logf("GOMAXPROCS %d: %d leases of %d networks, at most %d out at once", procs, ledger.takes, len(ledger.seen), ledger.maxHeld)
+		})
+	}
+}
+
+// TestRunEndsEveryLease: a weak client that froze in the last round keeps
+// its network for a helper reassignment that can no longer come; the run's
+// drain ends that lease, and every other, so a finished cluster holds no
+// network.
+func TestRunEndsEveryLease(t *testing.T) {
+	cfg := aergiaShapedConfig()
+	cl, err := cfg.Topology().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger := newLeaseLedger()
+	cl.lanes.onLease = ledger.observe
+	if _, err := runOn(cl, cfg.Transport, cfg.Link, 0, (*Deployment).Run); err != nil {
+		t.Fatal(err)
+	}
+	frozen := 0
+	for _, c := range cl.Clients {
+		if c.frozen {
+			frozen++
+		}
+		if c.lease != nil && c.lease.net.Load() != nil {
+			t.Errorf("client %d (frozen %v) still holds a network after the run", c.ID, c.frozen)
+		}
+	}
+	if frozen == 0 {
+		t.Fatal("no client froze in the last round: the kept lease went unexercised")
+	}
+	if len(ledger.held) != 0 || len(ledger.faults) != 0 {
+		t.Fatalf("%d networks held after the run, faults %v", len(ledger.held), ledger.faults)
+	}
 }
 
 // TestLeaseKeepsPerClientStateAcrossWidths: what a lease must not touch is

@@ -52,7 +52,9 @@ type Strategy interface {
 	// LocalMu is the FedProx proximal coefficient sent to clients.
 	LocalMu() float64
 	// Aggregate folds the round's updates into the previous global
-	// weights.
+	// weights. prev is the round's dispatched global (TrainPayload.Global)
+	// and an update's vectors may be leased (decodeUpdate): both are read,
+	// never written.
 	Aggregate(prev nn.Weights, updates []Update) (nn.Weights, error)
 	// Deadline is the round cutoff after which late updates are dropped;
 	// zero waits for every update.

@@ -57,13 +57,18 @@ func encodeSection(enc codec.Codec, vals, base []float64) ([]byte, error) {
 }
 
 // decodeSection decodes a delta section and applies it to base, returning
-// the reconstructed absolute values. The architecture sizes the output,
-// never the wire: DecodeInto refuses a header that claims another length
-// before it writes. The add runs over every index — base + 0.0 turns a
-// stored -0 into +0, which copying base and scattering the kept entries
-// would not.
-func decodeSection(dec codec.Codec, data []byte, base []float64) ([]float64, error) {
-	out := make([]float64, len(base))
+// the reconstructed absolute values in dst, resliced to base's length when
+// its capacity allows (nil, or too short, allocates). The architecture sizes
+// the output, never the wire: DecodeInto refuses a header that claims
+// another length before it writes, and on success has written every index,
+// so what dst held never shows. The add runs over every index — base + 0.0
+// turns a stored -0 into +0, which copying base and scattering the kept
+// entries would not.
+func decodeSection(dec codec.Codec, data []byte, base, dst []float64) ([]float64, error) {
+	if cap(dst) < len(base) {
+		dst = make([]float64, len(base))
+	}
+	out := dst[:len(base)]
 	if err := dec.DecodeInto(out, data); err != nil {
 		return nil, err
 	}
@@ -73,16 +78,17 @@ func decodeSection(dec codec.Codec, data []byte, base []float64) ([]float64, err
 	return out, nil
 }
 
-// decodeWeights reconstructs a full snapshot from an encoded update.
-func decodeWeights(dec codec.Codec, enc EncodedWeights, base nn.Weights) (nn.Weights, error) {
+// decodeWeights reconstructs a full snapshot from an encoded update into
+// dst's vectors (decodeSection).
+func decodeWeights(dec codec.Codec, enc EncodedWeights, base, dst nn.Weights) (nn.Weights, error) {
 	if enc.Codec != dec.Name() {
 		return nn.Weights{}, fmt.Errorf("fl: payload codec %q, run codec %q", enc.Codec, dec.Name())
 	}
-	feature, err := decodeSection(dec, enc.Feature, base.Feature)
+	feature, err := decodeSection(dec, enc.Feature, base.Feature, dst.Feature)
 	if err != nil {
 		return nn.Weights{}, fmt.Errorf("fl: feature section: %w", err)
 	}
-	classifier, err := decodeSection(dec, enc.Classifier, base.Classifier)
+	classifier, err := decodeSection(dec, enc.Classifier, base.Classifier, dst.Classifier)
 	if err != nil {
 		return nn.Weights{}, fmt.Errorf("fl: classifier section: %w", err)
 	}
@@ -91,23 +97,28 @@ func decodeWeights(dec codec.Codec, enc EncodedWeights, base nn.Weights) (nn.Wei
 
 // decodeUpdate returns the update a payload carries, its weights decoded
 // against base when it came encoded. base is nil when the receiver no
-// longer holds the model the update was trained from.
-func decodeUpdate(dec codec.Codec, p UpdatePayload, base *nn.Weights) (Update, error) {
-	u := p.Update
+// longer holds the model the update was trained from. An encoded update is
+// decoded into a vector leased from g, which the receiver returns
+// (putWeights) once nothing reads the update; leased reports whether it
+// must.
+func decodeUpdate(dec codec.Codec, p UpdatePayload, base *nn.Weights, g *laneGroup) (u Update, leased bool, err error) {
+	u = p.Update
 	switch {
 	case p.Encoded.IsZero():
-		return u, nil
+		return u, false, nil
 	case dec == nil:
-		return u, errors.New("encoded on a codec-free run")
+		return u, false, errors.New("encoded on a codec-free run")
 	case base == nil:
-		return u, fmt.Errorf("no base v%d to decode against", u.Round)
+		return u, false, fmt.Errorf("no base v%d to decode against", u.Round)
 	}
-	w, err := decodeWeights(dec, p.Encoded, *base)
+	dst := g.takeWeights()
+	w, err := decodeWeights(dec, p.Encoded, *base, dst)
 	if err != nil {
-		return u, fmt.Errorf("decode: %w", err)
+		g.putWeights(dst)
+		return u, false, fmt.Errorf("decode: %w", err)
 	}
 	u.Weights = w
-	return u, nil
+	return u, true, nil
 }
 
 // encodeWeights encodes a full snapshot as deltas against base. encF and

@@ -15,6 +15,51 @@ var allArchs = []Arch{
 	ArchCifar100ResNet, ArchMNISTSmall, ArchFMNISTSmall, ArchCifar10Small,
 }
 
+// TestSnapshotIntoMatchesSnapshotWeights: a snapshot into a leased vector —
+// longer than the section and dirty, or too short — holds SnapshotWeights'
+// bits, and one with the room is reused, for every architecture on both
+// element types.
+func TestSnapshotIntoMatchesSnapshotWeights(t *testing.T) {
+	same := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, name := range []string{"serial", "serial32"} {
+		be, err := tensor.NewBackend(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, arch := range allArchs {
+			net, err := BuildWith(arch, 9, be)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := net.SnapshotWeights()
+			dirty := Weights{Feature: make([]float64, len(want.Feature)+3), Classifier: make([]float64, 1)}
+			for i := range dirty.Feature {
+				dirty.Feature[i] = math.NaN()
+			}
+			got := net.SnapshotInto(dirty)
+			if !same(got.Feature, want.Feature) || !same(got.Classifier, want.Classifier) {
+				t.Fatalf("%v on %s: SnapshotInto a dirty vector differs from SnapshotWeights", arch, name)
+			}
+			if &got.Feature[0] != &dirty.Feature[0] {
+				t.Fatalf("%v on %s: a vector with room for the feature section was not reused", arch, name)
+			}
+			if again := net.SnapshotInto(got); &again.Classifier[0] != &got.Classifier[0] {
+				t.Fatalf("%v on %s: a vector of the classifier's size was not reused", arch, name)
+			}
+		}
+	}
+}
+
 // TestReplicaTrainsLikeBuildWith is the licence for fl to lease blank
 // replicas: once LoadWeights has run, a Replica is the network BuildWith(…, 1,
 // be) gives — three training steps from the same weights on the same batches

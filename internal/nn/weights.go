@@ -21,10 +21,16 @@ type Weights struct {
 var ErrWeightSize = errors.New("nn: weight snapshot size mismatch")
 
 // SnapshotWeights captures the current parameters.
-func (n *Network) SnapshotWeights() Weights {
+func (n *Network) SnapshotWeights() Weights { return n.SnapshotInto(Weights{}) }
+
+// SnapshotInto captures the current parameters into dst's vectors, each
+// resliced to its section's length when its capacity allows and replaced by
+// a fresh one when not, and returns the snapshot. The values are
+// SnapshotWeights' bit for bit; only where they are stored differs.
+func (n *Network) SnapshotInto(dst Weights) Weights {
 	return Weights{
-		Feature:    flatten(n.featureParams()),
-		Classifier: flatten(n.classifierParams()),
+		Feature:    flattenInto(dst.Feature, n.featureParams()),
+		Classifier: flattenInto(dst.Classifier, n.classifierParams()),
 	}
 }
 
@@ -49,15 +55,18 @@ func (n *Network) LoadClassifierWeights(vals []float64) error {
 	return unflatten(n.classifierParams(), vals)
 }
 
-// flatten widens parameters of either element type into the float64 wire
-// format: snapshots, aggregation, and codecs all stay float64 regardless of
-// the training dtype.
-func flatten(ps []*tensor.Tensor) []float64 {
+// flattenInto widens parameters of either element type into the float64
+// wire format, in buf when it has the capacity: snapshots, aggregation, and
+// codecs all stay float64 regardless of the training dtype.
+func flattenInto(buf []float64, ps []*tensor.Tensor) []float64 {
 	total := 0
 	for _, p := range ps {
 		total += p.Size()
 	}
-	out := make([]float64, total)
+	if cap(buf) < total {
+		buf = make([]float64, total)
+	}
+	out := buf[:total]
 	off := 0
 	for _, p := range ps {
 		p.CopyToF64(out[off : off+p.Size()])
