@@ -258,14 +258,12 @@ func (f *AsyncFederator) OnMessage(env comm.Env, msg comm.Message) {
 	if ref := f.bases[p.Update.Round]; ref != nil && f.clientBases[p.Update.Client][p.Update.Round] {
 		base = &ref.w
 	}
-	update, leased, err := decodeUpdate(f.Codec, p, base, f.lanes)
+	update, err := decodeUpdate(f.Codec, p, base, f.lanes)
 	if err != nil {
 		f.logf("async: update from %d: %v", p.Update.Client, err)
 		return
 	}
-	if leased {
-		defer f.lanes.putWeights(update.Weights) // read by the mix alone
-	}
+	defer f.lanes.putWeights(update.Weights) // read by the mix alone
 	if f.Codec != nil {
 		// The answered dispatch (and anything older) can no longer produce
 		// an update; drop the client's references and free snapshots whose

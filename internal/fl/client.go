@@ -238,13 +238,14 @@ func (c *Client) logf(format string, args ...any) {
 }
 
 // offloadPayload builds the frozen-model shipment for the current helper:
-// raw weights without a codec, the encoded delta against the round base
-// with one. Encoding is one-shot and deterministic, so a re-ship after a
-// helper reassignment produces the same feature bytes the dead helper
-// received.
+// without a codec the snapshot itself, by reference — like a dispatched
+// global it is never written once sent, and the helper only loads it — and
+// the encoded delta against the round base with one. Encoding is one-shot
+// and deterministic, so a re-ship after a helper reassignment produces the
+// same feature bytes the dead helper received.
 func (c *Client) offloadPayload(w nn.Weights, updates int) (OffloadPayload, int, error) {
 	if c.Codec == nil {
-		return OffloadPayload{Weak: c.ID, Weights: w.Clone(), Updates: updates}, w.ByteSize(), nil
+		return OffloadPayload{Weak: c.ID, Weights: w, Updates: updates}, w.ByteSize(), nil
 	}
 	enc, err := encodeWeights(c.Codec.Name(), c.Codec, c.Codec, w, c.base)
 	if err != nil {
@@ -283,7 +284,7 @@ func (c *Client) startRound(env comm.Env, p TrainPayload) {
 		opt.Mu = p.Config.Mu
 		opt.SetGlobalReference(p.Global)
 	}
-	c.lease = &roundNet{group: c.lanes, arch: c.Arch, be: c.Backend, global: p.Global, opt: opt, leaseUpdate: c.Codec != nil}
+	c.lease = &roundNet{group: c.lanes, arch: c.Arch, be: c.Backend, global: p.Global, opt: opt}
 	if c.Codec != nil {
 		// The dispatched global is the delta base for every encoded payload
 		// of this round; the federator (and every peer) holds the same
@@ -494,8 +495,8 @@ func (c *Client) onSchedule(env comm.Env, envlp sched.Envelope) {
 // resendOffload re-ships the frozen model to a newly assigned helper: the
 // freeze-time snapshot while the round's update is still owed, so the new
 // helper starts from the bits the dead one received. Once the update is out
-// the snapshot went with it and the idle network — a frozen client keeps its
-// lease past the update for this — is shipped as it stands.
+// the client has dropped the snapshot and the idle network — a frozen client
+// keeps its lease past the update for this — is shipped as it stands.
 func (c *Client) resendOffload(env comm.Env, d sched.Directive) {
 	w := c.frozenW
 	if w.Len() == 0 {
@@ -663,12 +664,14 @@ func (c *Client) sendUpdate(env comm.Env, partial bool) {
 	payload := UpdatePayload{}
 	size := w.ByteSize()
 	if c.Codec == nil {
-		update.Weights = w // the snapshot is fresh memory nothing else holds
+		// The leased snapshot itself (roundNet.snapshot): the client lets go
+		// of it here, and the receiver returns it once it has aggregated it.
+		update.Weights = w
 	} else {
 		// The update stream rides the residual-carrying encoders: what this
 		// round's sparsification drops is carried into the next send.
 		enc, err := encodeWeights(c.Codec.Name(), c.updFeature, c.updClassifier, w, c.base)
-		c.lanes.putWeights(w) // leased (roundNet.snapshot); the wire bytes are enc's own
+		c.lanes.putWeights(w) // the wire bytes are enc's own
 		if err != nil {
 			c.logf("client %d: encode update: %v", c.ID, err)
 			return
@@ -734,15 +737,20 @@ func (c *Client) returnHelperResult(env comm.Env, weak comm.NodeID) {
 	result := OffloadResultPayload{Weak: weak, Strong: c.ID}
 	size := 8 * len(w.Feature)
 	if c.Codec == nil {
-		result.Feature = w.Feature
+		// Only the feature section travels, in a vector of its own: the
+		// federator returns it, paired with the weak client's classifier, at
+		// the round's close, and the leased pair goes back whole below.
+		result.Feature = append([]float64(nil), w.Feature...)
 	} else {
-		data, err := encodeSection(c.Codec, w.Feature, c.base.Feature)
-		if err != nil {
-			c.logf("client %d: encode helper result: %v", c.ID, err)
-			return
-		}
+		var data []byte
+		data, err = encodeSection(c.Codec, w.Feature, c.base.Feature)
 		result.Encoded = EncodedWeights{Codec: c.Codec.Name(), Feature: data}
 		size = result.Encoded.WireSize()
+	}
+	c.lanes.putWeights(w)
+	if err != nil {
+		c.logf("client %d: encode helper result: %v", c.ID, err)
+		return
 	}
 	c.BW.send(env, comm.Message{
 		To:      comm.FederatorID,
@@ -817,9 +825,6 @@ type roundNet struct {
 	be     tensor.Backend
 	global nn.Weights // the dispatched model, read-only
 	opt    *nn.SGD
-	// leaseUpdate: a codec will encode the update, so it is snapshotted into
-	// a leased vector, which sendUpdate returns once the bytes are out.
-	leaseUpdate bool
 
 	net atomic.Pointer[nn.Network]
 	upd nn.Weights
@@ -846,12 +851,10 @@ func (r *roundNet) hold() (*nn.Network, error) {
 	return net, nil
 }
 
-// snapshot takes the update off net.
+// snapshot takes the update off net into a vector leased from the run's
+// free list; sendUpdate hands it on.
 func (r *roundNet) snapshot(net *nn.Network) nn.Weights {
-	if r.leaseUpdate {
-		return net.SnapshotInto(r.group.takeWeights())
-	}
-	return net.SnapshotWeights()
+	return net.SnapshotInto(r.group.takeWeights())
 }
 
 // trainStep is the lane step running batches [from, from+n) of the round's
@@ -898,7 +901,8 @@ func freezeStep(r *roundNet) stepFunc {
 
 // helperStep trains the offloaded model's feature section on the strong
 // client's own batches, on a scratch replica leased from the run's free list
-// for the length of the job, and returns its weights.
+// for the length of the job, and returns its weights in a leased vector.
+// job.Weights is the weak client's snapshot, shared: it is only loaded.
 func helperStep(nets *laneGroup, arch nn.Arch, be tensor.Backend, cdc codec.Codec, base nn.Weights, job OffloadPayload, xs [][]*tensor.Tensor, ys [][]int, lr float64) stepFunc {
 	return func(stop *atomic.Bool) (nn.Weights, error) {
 		scratch, err := nets.takeNet(arch, be)
@@ -932,6 +936,6 @@ func helperStep(nets *laneGroup, arch nn.Arch, be tensor.Backend, cdc codec.Code
 				return nn.Weights{}, fmt.Errorf("helper training: %w", err)
 			}
 		}
-		return scratch.SnapshotWeights(), nil
+		return scratch.SnapshotInto(nets.takeWeights()), nil
 	}
 }

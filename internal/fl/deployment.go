@@ -59,10 +59,10 @@ func newRunTransport(name string, link sim.LinkModel, timeout time.Duration) (co
 	return sim.NewNetwork(sim.NewKernel(), link), nil
 }
 
-// checkRun, when set, wraps the stack runOn built for a run over the named
-// transport whose actors count their sends in bw; the package's tests set it
-// to their protocol checker. A Close error it returns fails the run.
-var checkRun func(bw *Bandwidth, transport string, t comm.Transport) comm.Transport
+// checkRun, when set, wraps the stack runOn built for cl's run over the
+// named transport; the package's tests set it to their protocol checker. A
+// Close error it returns fails the run.
+var checkRun func(cl *Cluster, transport string, t comm.Transport) comm.Transport
 
 // runOn is how Run and RunAsync execute a built cluster: the named
 // transport under the fault, metrics and span interceptors — each absent
@@ -81,7 +81,7 @@ func runOn[R any](cl *Cluster, name string, link sim.LinkModel, timeout time.Dur
 	// span-latency histograms; Spans/Events are optional retention sinks.
 	transport = tracerFor(cl.Topology).Wrap(transport)
 	if checkRun != nil {
-		transport = checkRun(cl.Bandwidth, name, transport)
+		transport = checkRun(cl, name, transport)
 	}
 	res, err := run(&Deployment{Cluster: cl, Transport: transport})
 	if cerr := transport.Close(); err == nil {

@@ -92,7 +92,6 @@ type Federator struct {
 	// the round ships it by reference, it is the codec's delta base and
 	// Aggregate's prev, and the close that takes the next one evaluates it.
 	roundBase    nn.Weights
-	leased       []nn.Weights // the round's decoded updates (decodeUpdate)
 	reports      map[comm.NodeID]profile.Report
 	scheduled    bool
 	pairs        map[comm.NodeID]sched.Pair // weak -> pair
@@ -275,13 +274,10 @@ func (f *Federator) OnMessage(env comm.Env, msg comm.Message) {
 			f.logf("federator: update from %d, which owes none", p.Update.Client)
 			return
 		}
-		u, leased, err := decodeUpdate(f.Codec, p, &f.roundBase, f.lanes)
+		u, err := decodeUpdate(f.Codec, p, &f.roundBase, f.lanes)
 		if err != nil {
 			f.logf("federator: update from %d: %v", p.Update.Client, err)
 			return
-		}
-		if leased {
-			f.leased = append(f.leased, u.Weights)
 		}
 		f.tracker.deliver(u.Client)
 		if !f.haveFirstUpdate {
@@ -605,12 +601,14 @@ func (f *Federator) finalizeRound(env comm.Env) {
 			f.logf("federator: load aggregated: %v", err)
 		}
 	}
-	// Nothing reads the round's updates any more.
-	for _, w := range f.leased {
-		f.lanes.putWeights(w)
+	// Nothing reads the round's updates any more, and the federator owns
+	// every one of them (decodeUpdate). A recombined update goes back as
+	// the pair it was aggregated as — the helper's features, the weak
+	// client's classifier — so the free list holds only whole pairs, and
+	// the weak client's frozen features are garbage.
+	for _, u := range updates {
+		f.lanes.putWeights(u.Weights)
 	}
-	clear(f.leased)
-	f.leased = f.leased[:0]
 	clear(f.updates)
 	f.roundBase = f.global.SnapshotWeights()
 	stats := RoundStats{

@@ -78,15 +78,15 @@ type EdgeAggregator struct {
 	tracker *cohort
 
 	// lanes is the run's lane group (buildHier sets it; Init makes one for a
-	// bare edge), whose free list the decoded updates are leased from.
+	// bare edge), whose free list the updates' and the aggregate's vectors
+	// are leased from and returned to.
 	lanes *laneGroup
 
-	// Per-round state.
+	// Per-round state. The edge owns every update's vectors (decodeUpdate).
 	round   int
 	base    nn.Weights
 	trainP  TrainPayload
 	updates []Update
-	leased  []nn.Weights // the decoded updates' vectors (decodeUpdate)
 	timer   comm.Timer
 }
 
@@ -117,7 +117,7 @@ func (e *EdgeAggregator) OnRejoin(env comm.Env) {
 	}
 	e.base = nn.Weights{}
 	e.trainP = TrainPayload{}
-	e.updates, e.leased = nil, nil
+	e.updates = nil
 	e.Init()
 	e.Trace.Record(env.Now(), e.ID, -1, trace.NodeRejoin, "edge state re-seeded")
 }
@@ -208,13 +208,10 @@ func (e *EdgeAggregator) onUpdate(env comm.Env, msg comm.Message) {
 		return
 	}
 	hier.CountUpdateBytes("edge", msg.Size)
-	u, leased, err := decodeUpdate(e.Codec, p, &e.base, e.lanes)
+	u, err := decodeUpdate(e.Codec, p, &e.base, e.lanes)
 	if err != nil {
 		e.logf("edge %d: update from %d: %v", e.ID, p.Update.Client, err)
 		return
-	}
-	if leased {
-		e.leased = append(e.leased, u.Weights)
 	}
 	e.tracker.deliver(u.Client)
 	e.updates = append(e.updates, u)
@@ -265,7 +262,9 @@ func (e *EdgeAggregator) flush(env comm.Env) {
 	}
 	// The round is closed: nothing reads the updates after this call.
 	defer e.releaseUpdates()
-	agg, err := weightedAverage(e.updates)
+	// The aggregate is accumulated in a leased pair: shipped raw it is the
+	// root's to return, encoded it goes back once the bytes are out.
+	agg, err := weightedAverageInto(e.lanes.takeWeights(), e.updates)
 	if err != nil {
 		e.logf("edge %d: aggregate: %v", e.ID, err)
 		return
@@ -292,6 +291,7 @@ func (e *EdgeAggregator) flush(env comm.Env) {
 		upd.Weights = agg
 	} else {
 		enc, err := encodeWeights(e.Codec.Name(), e.updFeature, e.updClassifier, agg, e.base)
+		e.lanes.putWeights(agg)
 		if err != nil {
 			e.logf("edge %d: encode aggregate: %v", e.ID, err)
 			return
@@ -312,16 +312,14 @@ func (e *EdgeAggregator) flush(env comm.Env) {
 	})
 }
 
-// releaseUpdates drops the round's updates and returns their decoded vectors
-// to the run's free list. A buffer merely cut to length zero would keep
-// every client's weight snapshot reachable until the next dispatch (and,
-// after the last round, for as long as the cluster lives).
+// releaseUpdates drops the round's updates and returns their vectors to the
+// run's free list. A buffer merely cut to length zero would keep every
+// client's weight snapshot reachable until the next dispatch (and, after
+// the last round, for as long as the cluster lives).
 func (e *EdgeAggregator) releaseUpdates() {
-	for _, w := range e.leased {
-		e.lanes.putWeights(w)
+	for _, u := range e.updates {
+		e.lanes.putWeights(u.Weights)
 	}
-	clear(e.leased)
-	e.leased = e.leased[:0]
 	clear(e.updates)
 	e.updates = e.updates[:0]
 }

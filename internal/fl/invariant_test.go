@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -34,29 +35,48 @@ func TestMain(m *testing.M) {
 //   - a dispatched TrainPayload.Global is never written: the federators and
 //     the edges send one snapshot by reference to a whole round, so a holder
 //     that wrote it would change every other holder's model. Each distinct
-//     backing array is hashed at its first send and again at Close.
+//     backing array is hashed at its first send and again at Close;
+//   - a raw OffloadPayload.Weights is never written: the weak client ships
+//     its freeze-time snapshot by reference, to a reassigned helper too.
+//     Hashed like a global;
+//   - a raw update's vectors are not written between its send and its
+//     delivery: a client ships its leased snapshot (an edge its leased
+//     aggregate) by reference, and from delivery on the receiver owns it and
+//     may return it to the free list, where the next lease overwrites it.
+//     Hashed at send, checked at delivery, or at Close if it never arrives.
+//
+// Over every transport it also installs the run's ownerGuard.
 type invariants struct {
 	*comm.Stack
-	bw *Bandwidth
+	bw     *Bandwidth
+	owners *ownerGuard
 
 	// Unguarded: the simulator runs every hook on its one goroutine (lanes
 	// send nothing), and the race detector holds the checker to that.
-	now     map[comm.NodeID]time.Duration
-	down    map[comm.NodeID]bool
-	crashes map[comm.NodeID]int
-	updates map[[3]int]bool // (node, incarnation, round)
-	globals map[*float64]sentGlobal
-	sent    int64
-	err     error
+	now      map[comm.NodeID]time.Duration
+	down     map[comm.NodeID]bool
+	crashes  map[comm.NodeID]int
+	updates  map[[3]int]bool      // (node, incarnation, round)
+	shared   map[*float64]sentVec // globals and offload shipments, by backing array
+	inflight map[*float64]sentVec // raw updates sent and not yet delivered
+	sent     int64
+	err      error
 }
 
-// sentGlobal is a dispatched global as its first send found it.
-type sentGlobal struct {
-	w     nn.Weights
-	hash  uint64
-	from  comm.NodeID
-	round int
+// sentVec is a shipped vector pair as its send found it; what names the
+// shipment in a failure.
+type sentVec struct {
+	w    nn.Weights
+	hash uint64
+	what string
 }
+
+func newSentVec(w nn.Weights, format string, args ...any) sentVec {
+	return sentVec{w: w, hash: hashWeights(w), what: fmt.Sprintf(format, args...)}
+}
+
+// written reports whether the pair's bits moved since its send.
+func (s sentVec) written() bool { return hashWeights(s.w) != s.hash }
 
 // hashWeights folds the bits of both sections, a word at a time, FNV-1a
 // style: each step is a bijection in either input, so two snapshots that
@@ -71,32 +91,63 @@ func hashWeights(w nn.Weights) uint64 {
 	return h
 }
 
-func checkInvariants(bw *Bandwidth, transport string, inner comm.Transport) comm.Transport {
+func checkInvariants(cl *Cluster, transport string, inner comm.Transport) comm.Transport {
+	owners := guardOwners(cl.lanes)
 	if name, _ := CanonicalTransport(transport); name != TransportSim {
-		return inner // wall-clock runs keep no per-node order to check
+		// Wall-clock runs keep no per-node order to check.
+		return &ownerCheck{Stack: comm.Interceptor{}.On(inner), owners: owners}
 	}
 	v := &invariants{
-		bw:      bw,
-		now:     make(map[comm.NodeID]time.Duration),
-		down:    make(map[comm.NodeID]bool),
-		crashes: make(map[comm.NodeID]int),
-		updates: make(map[[3]int]bool),
-		globals: make(map[*float64]sentGlobal),
+		bw:       cl.Bandwidth,
+		owners:   owners,
+		now:      make(map[comm.NodeID]time.Duration),
+		down:     make(map[comm.NodeID]bool),
+		crashes:  make(map[comm.NodeID]int),
+		updates:  make(map[[3]int]bool),
+		shared:   make(map[*float64]sentVec),
+		inflight: make(map[*float64]sentVec),
 	}
 	v.Stack = comm.Interceptor{Send: v.send, Deliver: v.deliver, After: v.after}.On(inner)
 	return v
 }
 
-// dispatched records a train payload's global at its backing array's first
-// send.
-func (v *invariants) dispatched(from comm.NodeID, msg comm.Message) {
-	p, ok := msg.Payload.(TrainPayload)
-	if !ok || len(p.Global.Feature) == 0 {
+// shipped records the vectors a message carries by reference: a global or
+// an offload at its backing array's first send, a raw update at every send.
+func (v *invariants) shipped(from comm.NodeID, msg comm.Message) {
+	switch p := msg.Payload.(type) {
+	case TrainPayload:
+		v.share(p.Global, "the global node %d dispatched for round %d", from, msg.Round)
+	case OffloadPayload:
+		v.share(p.Weights, "the offload node %d shipped for round %d", from, msg.Round)
+	case UpdatePayload:
+		if w := p.Update.Weights; len(w.Feature) > 0 {
+			v.inflight[&w.Feature[0]] = newSentVec(w, "the update node %d sent for round %d", from, msg.Round)
+		}
+	}
+}
+
+// share records w at its backing array's first send.
+func (v *invariants) share(w nn.Weights, format string, args ...any) {
+	if len(w.Feature) == 0 {
 		return
 	}
-	key := &p.Global.Feature[0]
-	if _, seen := v.globals[key]; !seen {
-		v.globals[key] = sentGlobal{w: p.Global, hash: hashWeights(p.Global), from: from, round: msg.Round}
+	if _, seen := v.shared[&w.Feature[0]]; !seen {
+		v.shared[&w.Feature[0]] = newSentVec(w, format, args...)
+	}
+}
+
+// arrived checks a raw update's vectors as the receiver is handed them.
+func (v *invariants) arrived(msg comm.Message) {
+	p, ok := msg.Payload.(UpdatePayload)
+	if !ok || len(p.Update.Weights.Feature) == 0 {
+		return
+	}
+	key := &p.Update.Weights.Feature[0]
+	if s, ok := v.inflight[key]; ok {
+		if s.written() {
+			v.failf("%s was written before its delivery", s.what)
+		}
+		delete(v.inflight, key)
 	}
 }
 
@@ -128,9 +179,7 @@ func (v *invariants) send(l comm.Layer, msg comm.Message) {
 		}
 		v.updates[k] = true
 	}
-	if msg.Kind == comm.KindTrain {
-		v.dispatched(id, msg)
-	}
+	v.shipped(id, msg)
 	v.sent += int64(msg.Size)
 	l.Send(msg)
 }
@@ -144,6 +193,7 @@ func (v *invariants) deliver(l comm.Layer, msg comm.Message) {
 			v.crashes[p.Node]++
 		}
 	}
+	v.arrived(msg)
 	l.Deliver(msg)
 }
 
@@ -153,20 +203,94 @@ func (v *invariants) after(l comm.Layer, d time.Duration, fn func()) comm.Timer 
 }
 
 // Close closes the stack and reports the first violation, checking the
-// bandwidth ledger and the dispatched globals last: by now every send of the
-// run has been counted and every holder of a global is done with it.
+// bandwidth ledger and the shared vectors last: by now every send of the
+// run has been counted and every holder of a global or an offload is done
+// with it.
 func (v *invariants) Close() error {
 	err := v.Stack.Close()
 	if total := v.bw.Snapshot().TotalBytes; total != v.sent {
 		v.failf("the bandwidth ledger holds %d B, the actors sent %d B", total, v.sent)
 	}
-	for _, g := range v.globals {
-		if hashWeights(g.w) != g.hash {
-			v.failf("the global node %d dispatched for round %d was written after its send", g.from, g.round)
+	for _, s := range v.shared {
+		if s.written() {
+			v.failf("%s was written after its send", s.what)
 		}
+	}
+	for _, s := range v.inflight {
+		if s.written() {
+			v.failf("%s was written before its delivery", s.what)
+		}
+	}
+	if oerr := v.owners.failure(); v.err == nil && oerr != nil {
+		v.err = oerr
 	}
 	if v.err != nil {
 		return v.err
+	}
+	return err
+}
+
+// ownerGuard is the two-owner guard on a run's free list: a pair handed to
+// putWeights whose vector is already idle there had two owners, and both
+// returned it — the next two leases would write one vector. It holds the
+// first such return.
+type ownerGuard struct {
+	mu  sync.Mutex // a late TCP timer may return a vector while Close reads
+	err error
+}
+
+// guardOwners installs a guard on g's returns, after any hook a test set.
+func guardOwners(g *laneGroup) *ownerGuard {
+	o := &ownerGuard{}
+	prev := g.onReturn
+	g.onReturn = func(w nn.Weights, idle []nn.Weights) {
+		if prev != nil {
+			prev(w, idle)
+		}
+		o.check(w, idle)
+	}
+	return o
+}
+
+func (o *ownerGuard) check(w nn.Weights, idle []nn.Weights) {
+	for _, s := range [][]float64{w.Feature, w.Classifier} {
+		for _, p := range idle {
+			if sameArray(s, p.Feature) || sameArray(s, p.Classifier) {
+				o.mu.Lock()
+				if o.err == nil {
+					o.err = fmt.Errorf("fl invariant: a %d-value vector was returned to the free list while idle there", len(s))
+				}
+				o.mu.Unlock()
+				return
+			}
+		}
+	}
+}
+
+func (o *ownerGuard) failure() error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.err
+}
+
+// sameArray reports whether a and b share a backing array.
+func sameArray(a, b []float64) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	return &a[:cap(a)][cap(a)-1] == &b[:cap(b)][cap(b)-1]
+}
+
+// ownerCheck is the checker of a wall-clock run: the owner guard alone.
+type ownerCheck struct {
+	*comm.Stack
+	owners *ownerGuard
+}
+
+func (c *ownerCheck) Close() error {
+	err := c.Stack.Close()
+	if oerr := c.owners.failure(); oerr != nil {
+		return oerr
 	}
 	return err
 }
@@ -199,6 +323,12 @@ func TestInvariantsCatchEachViolation(t *testing.T) {
 	update := comm.Message{To: comm.FederatorID, Round: 3, Kind: comm.KindUpdate}
 	dispatch := func(w nn.Weights) comm.Message {
 		return comm.Message{To: comm.FederatorID, Round: 3, Kind: comm.KindTrain, Payload: TrainPayload{Global: w}}
+	}
+	offload := func(w nn.Weights) comm.Message {
+		return comm.Message{To: comm.FederatorID, Round: 3, Kind: comm.KindOffload, Payload: OffloadPayload{Weak: client, Weights: w}}
+	}
+	rawUpdate := func(w nn.Weights) comm.Message {
+		return comm.Message{To: comm.FederatorID, Round: 3, Kind: comm.KindUpdate, Payload: UpdatePayload{Update: Update{Client: client, Round: 3, Weights: w}}}
 	}
 	for _, tc := range []struct {
 		name   string
@@ -240,6 +370,25 @@ func TestInvariantsCatchEachViolation(t *testing.T) {
 			at(20*time.Millisecond, func(env comm.Env) { env.Send(dispatch(w)) })
 			at(40*time.Millisecond, func(env comm.Env) { env.Send(dispatch(w)) })
 		}, ""},
+		{"offload written", false, func(at func(time.Duration, func(comm.Env)), _ *Bandwidth, _ *time.Duration) {
+			w := nn.Weights{Feature: []float64{1, 2}, Classifier: []float64{3}}
+			at(20*time.Millisecond, func(env comm.Env) { env.Send(offload(w)) })
+			at(40*time.Millisecond, func(comm.Env) { w.Feature[1] = -2 })
+		}, "offload node 1 shipped for round 3 was written after its send"},
+		{"offload re-shipped", false, func(at func(time.Duration, func(comm.Env)), _ *Bandwidth, _ *time.Duration) {
+			w := nn.Weights{Feature: []float64{1, 2}, Classifier: []float64{3}}
+			at(20*time.Millisecond, func(env comm.Env) { env.Send(offload(w)) })
+			at(40*time.Millisecond, func(env comm.Env) { env.Send(offload(w)) })
+		}, ""},
+		{"update written in flight", false, func(at func(time.Duration, func(comm.Env)), _ *Bandwidth, _ *time.Duration) {
+			w := nn.Weights{Feature: []float64{1, 2}, Classifier: []float64{3}}
+			at(20*time.Millisecond, func(env comm.Env) { env.Send(rawUpdate(w)); w.Feature[0] = -1 })
+		}, "update node 1 sent for round 3 was written before its delivery"},
+		{"update recycled after delivery", false, func(at func(time.Duration, func(comm.Env)), _ *Bandwidth, _ *time.Duration) {
+			w := nn.Weights{Feature: []float64{1, 2}, Classifier: []float64{3}}
+			at(20*time.Millisecond, func(env comm.Env) { env.Send(rawUpdate(w)) })
+			at(40*time.Millisecond, func(comm.Env) { w.Feature[0] = -1 })
+		}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var skew time.Duration
@@ -248,7 +397,7 @@ func TestInvariantsCatchEachViolation(t *testing.T) {
 				ct.ScheduleCrash(client, 10*time.Millisecond, 20*time.Millisecond)
 			}
 			bw := &Bandwidth{}
-			tr := checkInvariants(bw, TransportSim, ct)
+			tr := checkInvariants(&Cluster{Bandwidth: bw, lanes: newLaneGroup()}, TransportSim, ct)
 			tr.Register(comm.FederatorID, idle{})
 			tr.Register(client, idle{})
 			if err := tr.Seal(); err != nil {
@@ -266,6 +415,49 @@ func TestInvariantsCatchEachViolation(t *testing.T) {
 			err := tr.Close()
 			if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
 				t.Fatalf("checker said %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestInvariantsCatchATwoOwnerReturn drives the owner guard through a run's
+// free list: a pair returned once per lease passes, a recombined pair (one
+// lease's feature vector with another's classifier) passes, and a vector
+// returned while it is idle — the pair whole, or one half of it — is caught.
+func TestInvariantsCatchATwoOwnerReturn(t *testing.T) {
+	pair := func() nn.Weights { return nn.Weights{Feature: make([]float64, 4), Classifier: make([]float64, 2)} }
+	for _, tc := range []struct {
+		name   string
+		script func(g *laneGroup)
+		caught bool
+	}{
+		{"lease and return", func(g *laneGroup) {
+			g.putWeights(pair())
+			w := g.takeWeights()
+			g.putWeights(w)
+		}, false},
+		{"recombined pair", func(g *laneGroup) {
+			a, b := pair(), pair()
+			g.putWeights(nn.Weights{Feature: b.Feature, Classifier: a.Classifier})
+			g.putWeights(pair())
+		}, false},
+		{"pair returned twice", func(g *laneGroup) {
+			w := pair()
+			g.putWeights(w)
+			g.putWeights(w)
+		}, true},
+		{"half returned twice", func(g *laneGroup) {
+			w := pair()
+			g.putWeights(w)
+			g.putWeights(nn.Weights{Feature: pair().Feature, Classifier: w.Classifier[:1]})
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := newLaneGroup()
+			o := guardOwners(g)
+			tc.script(g)
+			if err := o.failure(); (err != nil) != tc.caught {
+				t.Fatalf("guard said %v, want caught = %v", err, tc.caught)
 			}
 		})
 	}

@@ -99,6 +99,9 @@ type laneGroup struct {
 	rounds map[*roundNet]struct{}
 	// onLease, when set by a test, observes every take (true) and put.
 	onLease func(net *nn.Network, take bool)
+	// onReturn, when set by a test, sees every pair putWeights is handed and
+	// the idle list it is about to join, under mu.
+	onReturn func(w nn.Weights, idle []nn.Weights)
 }
 
 func newLaneGroup() *laneGroup {
@@ -183,9 +186,13 @@ func (g *laneGroup) takeWeights() (w nn.Weights) {
 	return w
 }
 
-// putWeights ends a vector lease; nothing may read w afterwards.
+// putWeights ends a vector lease; nothing may read w afterwards. Its caller
+// is the pair's one owner: whoever took it, or whoever it was shipped to.
 func (g *laneGroup) putWeights(w nn.Weights) {
 	g.mu.Lock()
+	if g.onReturn != nil {
+		g.onReturn(w, g.vecs)
+	}
 	g.vecs = append(g.vecs, w)
 	g.mu.Unlock()
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"aergia/internal/cluster"
 	"aergia/internal/codec"
 	"aergia/internal/comm"
 	"aergia/internal/dataset"
@@ -461,5 +462,55 @@ func TestLeaseKeepsPerClientStateAcrossWidths(t *testing.T) {
 				t.Fatalf("GOMAXPROCS %d: result hash %#x, the parent commit's is %#x", procs, got, want)
 			}
 		})
+	}
+}
+
+// TestFreeListStaysBoundedOverTCP runs a codec-free Aergia federation over
+// TCP, in process. There a receiver returns the gob-decoded copy of an
+// update, a vector it never took, while the sender's leased one is garbage
+// once encoded. Takes and returns still balance round by round, so the idle
+// list never holds more than about a round's vectors — clients plus lanes —
+// where returning without taking would pile up rounds × clients.
+func TestFreeListStaysBoundedOverTCP(t *testing.T) {
+	cfg := Config{
+		Strategy:     NewAergia(0, 1),
+		Arch:         archForParity,
+		Dataset:      dataset.MNIST,
+		SmallImages:  true,
+		Clients:      4,
+		Rounds:       6,
+		LocalEpochs:  2,
+		BatchSize:    8,
+		LR:           0.05,
+		TrainSamples: 128,
+		TestSamples:  50,
+		// A slow straggler among fast peers offloads; the fast cost model
+		// keeps the wall-clock sleeps short.
+		Speeds:         []float64{0.2, 0.9, 1.0, 0.95},
+		Cost:           cluster.CostModel{FLOPSPerSecond: 2e9},
+		ProfileBatches: 1,
+		Seed:           5,
+		Transport:      TransportTCP,
+	}
+	cl, err := cfg.Topology().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	returns, maxIdle := 0, 0 // guarded by the group's mu, which onReturn runs under
+	cl.lanes.onReturn = func(_ nn.Weights, idle []nn.Weights) {
+		returns++
+		maxIdle = max(maxIdle, len(idle)+1)
+	}
+	if _, err := runOn(cl, cfg.Transport, cfg.Link, time.Minute, (*Deployment).Run); err != nil {
+		t.Fatal(err)
+	}
+	cl.lanes.mu.Lock()
+	defer cl.lanes.mu.Unlock()
+	if returns < cfg.Rounds*cfg.Clients {
+		t.Fatalf("%d vectors returned in %d rounds of %d clients: the receivers keep what they are sent", returns, cfg.Rounds, cfg.Clients)
+	}
+	t.Logf("%d returns, at most %d idle", returns, maxIdle)
+	if bound := cfg.Clients + laneWidth(); maxIdle > bound {
+		t.Fatalf("the free list held %d idle vectors, bound %d (%d clients + %d lanes)", maxIdle, bound, cfg.Clients, laneWidth())
 	}
 }

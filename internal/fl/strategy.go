@@ -53,7 +53,7 @@ type Strategy interface {
 	LocalMu() float64
 	// Aggregate folds the round's updates into the previous global
 	// weights. prev is the round's dispatched global (TrainPayload.Global)
-	// and an update's vectors may be leased (decodeUpdate): both are read,
+	// and an update's vectors are leased (decodeUpdate): both are read,
 	// never written.
 	Aggregate(prev nn.Weights, updates []Update) (nn.Weights, error)
 	// Deadline is the round cutoff after which late updates are dropped;
@@ -88,6 +88,14 @@ func selectRandom(k int, clients []ClientInfo, rng *tensor.RNG) []comm.NodeID {
 
 // weightedAverage is the FedAvg rule: w = Σ (n_k/Σn) w_k.
 func weightedAverage(updates []Update) (nn.Weights, error) {
+	return weightedAverageInto(nn.Weights{}, updates)
+}
+
+// weightedAverageInto is weightedAverage accumulated in dst's vectors, each
+// resliced to its section's length when its capacity allows and replaced by
+// a fresh one when not. They are cleared first: the sum starts from the +0
+// a fresh vector holds, so the result is weightedAverage's bit for bit.
+func weightedAverageInto(dst nn.Weights, updates []Update) (nn.Weights, error) {
 	if len(updates) == 0 {
 		return nn.Weights{}, ErrNoUpdates
 	}
@@ -98,13 +106,28 @@ func weightedAverage(updates []Update) (nn.Weights, error) {
 		}
 		total += u.NumSamples
 	}
-	acc := updates[0].Weights.ZeroLike()
+	first := updates[0].Weights
+	acc := nn.Weights{
+		Feature:    zeroed(dst.Feature, len(first.Feature)),
+		Classifier: zeroed(dst.Classifier, len(first.Classifier)),
+	}
 	for _, u := range updates {
 		if err := acc.Axpy(float64(u.NumSamples)/float64(total), u.Weights); err != nil {
 			return nn.Weights{}, fmt.Errorf("fl: aggregate client %d: %w", u.Client, err)
 		}
 	}
 	return acc, nil
+}
+
+// zeroed returns s resliced to n values, all +0, or a fresh vector when s
+// is too short.
+func zeroed(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // FedAvg is the classical synchronous weighted-average baseline

@@ -97,28 +97,29 @@ func decodeWeights(dec codec.Codec, enc EncodedWeights, base, dst nn.Weights) (n
 
 // decodeUpdate returns the update a payload carries, its weights decoded
 // against base when it came encoded. base is nil when the receiver no
-// longer holds the model the update was trained from. An encoded update is
-// decoded into a vector leased from g, which the receiver returns
-// (putWeights) once nothing reads the update; leased reports whether it
-// must.
-func decodeUpdate(dec codec.Codec, p UpdatePayload, base *nn.Weights, g *laneGroup) (u Update, leased bool, err error) {
-	u = p.Update
+// longer holds the model the update was trained from. Either way the
+// receiver owns u.Weights on success and returns it to g (putWeights) once
+// nothing reads the update: an encoded update is decoded into a vector
+// leased from g, and a raw one is the vector the sender leased, shipped by
+// reference (or, over TCP, the receiver's own gob-decoded copy).
+func decodeUpdate(dec codec.Codec, p UpdatePayload, base *nn.Weights, g *laneGroup) (Update, error) {
+	u := p.Update
 	switch {
 	case p.Encoded.IsZero():
-		return u, false, nil
+		return u, nil
 	case dec == nil:
-		return u, false, errors.New("encoded on a codec-free run")
+		return u, errors.New("encoded on a codec-free run")
 	case base == nil:
-		return u, false, fmt.Errorf("no base v%d to decode against", u.Round)
+		return u, fmt.Errorf("no base v%d to decode against", u.Round)
 	}
 	dst := g.takeWeights()
 	w, err := decodeWeights(dec, p.Encoded, *base, dst)
 	if err != nil {
 		g.putWeights(dst)
-		return u, false, fmt.Errorf("decode: %w", err)
+		return u, fmt.Errorf("decode: %w", err)
 	}
 	u.Weights = w
-	return u, true, nil
+	return u, nil
 }
 
 // encodeWeights encodes a full snapshot as deltas against base. encF and
