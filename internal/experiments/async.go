@@ -27,61 +27,69 @@ type AsyncComparison struct {
 func AsyncStudy(opt Options) ([]AsyncComparison, error) {
 	s := opt.scale()
 	updatesBudget := s.rounds * s.clients
-	var out []AsyncComparison
-
-	for _, strat := range []fl.Strategy{fl.NewFedAvg(0), fl.NewAergia(0, 1)} {
-		cfg, err := opt.baseConfig(dataset.FMNIST, strat)
-		if err != nil {
-			return nil, err
-		}
-		cfg.NonIIDClasses = 3
-		res, err := fl.Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("async study %s: %w", strat.Name(), err)
-		}
-		out = append(out, AsyncComparison{
-			Name:      res.Strategy,
-			Accuracy:  res.FinalAccuracy,
-			TotalTime: res.TotalTime,
+	syncStrats := []fl.Strategy{fl.NewFedAvg(0), fl.NewAergia(0, 1)}
+	out := make([]AsyncComparison, len(syncStrats)+1)
+	runs := make([]func(Options) error, 0, len(out))
+	for i, strat := range syncStrats {
+		runs = append(runs, func(o Options) error {
+			cfg, err := o.baseConfig(dataset.FMNIST, strat)
+			if err != nil {
+				return err
+			}
+			cfg.NonIIDClasses = 3
+			res, err := fl.Run(cfg)
+			if err != nil {
+				return fmt.Errorf("async study %s: %w", strat.Name(), err)
+			}
+			out[i] = AsyncComparison{
+				Name:      res.Strategy,
+				Accuracy:  res.FinalAccuracy,
+				TotalTime: res.TotalTime,
+			}
+			return nil
 		})
 	}
-
-	be, err := tensor.NewBackend(opt.Backend, 0)
-	if err != nil {
+	runs = append(runs, func(o Options) error {
+		be, err := tensor.NewBackend(o.Backend, 0)
+		if err != nil {
+			return err
+		}
+		asyncRes, err := fl.RunAsync(fl.AsyncConfig{
+			Arch:             archFor(dataset.FMNIST),
+			Dataset:          dataset.FMNIST,
+			SmallImages:      true,
+			Clients:          s.clients,
+			TotalUpdates:     updatesBudget,
+			LocalEpochs:      s.localEpochs,
+			BatchSize:        s.batchSize,
+			TrainSamples:     s.trainPerCli * s.clients,
+			TestSamples:      s.testSamples,
+			NonIIDClasses:    3,
+			NoiseStd:         s.noiseStd,
+			SpeedJitter:      s.speedJitter,
+			Seed:             o.seed(),
+			Chaos:            o.Chaos,
+			Backend:          be,
+			Codec:            o.Codec,
+			Transport:        o.Transport,
+			TransportTimeout: o.TransportTimeout,
+			Spans:            o.Spans,
+			Events:           o.Events,
+		})
+		if err != nil {
+			return fmt.Errorf("async study fedasync: %w", err)
+		}
+		out[len(syncStrats)] = AsyncComparison{
+			Name:          "fedasync",
+			Accuracy:      asyncRes.FinalAccuracy,
+			TotalTime:     asyncRes.TotalTime,
+			MeanStaleness: asyncRes.MeanStaleness,
+		}
+		return nil
+	})
+	if err := runAll(opt, runs...); err != nil {
 		return nil, err
 	}
-	asyncCfg := fl.AsyncConfig{
-		Arch:             archFor(dataset.FMNIST),
-		Dataset:          dataset.FMNIST,
-		SmallImages:      true,
-		Clients:          s.clients,
-		TotalUpdates:     updatesBudget,
-		LocalEpochs:      s.localEpochs,
-		BatchSize:        s.batchSize,
-		TrainSamples:     s.trainPerCli * s.clients,
-		TestSamples:      s.testSamples,
-		NonIIDClasses:    3,
-		NoiseStd:         s.noiseStd,
-		SpeedJitter:      s.speedJitter,
-		Seed:             opt.seed(),
-		Chaos:            opt.Chaos,
-		Backend:          be,
-		Codec:            opt.Codec,
-		Transport:        opt.Transport,
-		TransportTimeout: opt.TransportTimeout,
-		Spans:            opt.Spans,
-		Events:           opt.Events,
-	}
-	asyncRes, err := fl.RunAsync(asyncCfg)
-	if err != nil {
-		return nil, fmt.Errorf("async study fedasync: %w", err)
-	}
-	out = append(out, AsyncComparison{
-		Name:          "fedasync",
-		Accuracy:      asyncRes.FinalAccuracy,
-		TotalTime:     asyncRes.TotalTime,
-		MeanStaleness: asyncRes.MeanStaleness,
-	})
 	return out, nil
 }
 

@@ -52,30 +52,36 @@ func bandwidthCodecs(quick bool) []string {
 func FigBandwidth(opt Options) ([]BandwidthCell, error) {
 	kind := dataset.MNIST
 	strategies := []fl.Strategy{fl.NewAergia(0, 1), fl.NewFedAvg(0)}
-	var out []BandwidthCell
+	type cell struct {
+		codec string
+		strat fl.Strategy
+	}
+	var cells []cell
 	for _, codecName := range bandwidthCodecs(opt.Quick) {
 		for _, strat := range strategies {
-			cfg, err := opt.baseConfig(kind, strat)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Codec = codecName
-			res, err := fl.Run(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("fig-bandwidth %s/%s: %w", codecName, strat.Name(), err)
-			}
-			out = append(out, BandwidthCell{
-				Codec:         codecName,
-				Strategy:      res.Strategy,
-				Accuracy:      res.FinalAccuracy,
-				TotalTime:     res.TotalTime,
-				UpdateBytes:   res.Bandwidth.UpdateTraffic(),
-				DispatchBytes: res.Bandwidth.DispatchBytes,
-				TotalBytes:    res.Bandwidth.TotalBytes,
-			})
+			cells = append(cells, cell{codecName, strat})
 		}
 	}
-	return out, nil
+	return runEach(opt, cells, func(o Options, c cell) (BandwidthCell, error) {
+		cfg, err := o.baseConfig(kind, c.strat)
+		if err != nil {
+			return BandwidthCell{}, err
+		}
+		cfg.Codec = c.codec
+		res, err := fl.Run(cfg)
+		if err != nil {
+			return BandwidthCell{}, fmt.Errorf("fig-bandwidth %s/%s: %w", c.codec, c.strat.Name(), err)
+		}
+		return BandwidthCell{
+			Codec:         c.codec,
+			Strategy:      res.Strategy,
+			Accuracy:      res.FinalAccuracy,
+			TotalTime:     res.TotalTime,
+			UpdateBytes:   res.Bandwidth.UpdateTraffic(),
+			DispatchBytes: res.Bandwidth.DispatchBytes,
+			TotalBytes:    res.Bandwidth.TotalBytes,
+		}, nil
+	})
 }
 
 func renderFigBandwidth(cells []BandwidthCell, w io.Writer) error {

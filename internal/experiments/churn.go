@@ -108,64 +108,76 @@ func FigChurn(opt Options) ([]ChurnCell, error) {
 	strategies := []fl.Strategy{fl.NewAergia(0, 1), fl.NewFedAvg(0), fedcs}
 
 	// Fault-free FedAvg calibrates the crash window and quorum timeout.
-	baseCfg, err := opt.baseConfig(kind, fl.NewFedAvg(0))
+	calib, err := runEach(opt, []fl.Strategy{fl.NewFedAvg(0)}, func(o Options, strat fl.Strategy) (*fl.Results, error) {
+		cfg, err := o.baseConfig(kind, strat)
+		if err != nil {
+			return nil, err
+		}
+		cfg.NonIIDClasses = 3
+		cfg.Rounds = 2
+		cfg.EvalEvery = 100 // calibration run: timing only
+		cfg.Chaos = chaos.Plan{}
+		res, err := fl.Run(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("fig-churn calibration: %w", err)
+		}
+		return res, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	baseCfg.NonIIDClasses = 3
-	baseCfg.Rounds = 2
-	baseCfg.EvalEvery = 100 // calibration run: timing only
-	baseCfg.Chaos = chaos.Plan{}
-	calib, err := fl.Run(baseCfg)
-	if err != nil {
-		return nil, fmt.Errorf("fig-churn calibration: %w", err)
-	}
-	round := calib.MeanRoundDuration()
+	round := calib[0].MeanRoundDuration()
 
-	var out []ChurnCell
+	type cell struct {
+		churn float64
+		strat fl.Strategy
+	}
+	var cells []cell
 	for _, churn := range churnRates {
 		for _, strat := range strategies {
-			cfg, err := opt.baseConfig(kind, strat)
-			if err != nil {
-				return nil, err
-			}
-			cfg.NonIIDClasses = 3
-			cfg.Chaos, err = churnPlanFor(opt.Chaos, churn, round)
-			if err != nil {
-				return nil, err
-			}
-			res, err := fl.Run(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("fig-churn churn=%v %s: %w", churn, strat.Name(), err)
-			}
-			cell := ChurnCell{
-				Churn:     churn,
-				Strategy:  res.Strategy,
-				Accuracy:  res.FinalAccuracy,
-				TotalTime: res.TotalTime,
-			}
-			times, accs := res.AccuracyOverTime()
-			for i, acc := range accs {
-				if acc >= ChurnAccuracyTarget {
-					cell.TimeToAccuracy = times[i]
-					break
-				}
-			}
-			var completed int
-			for _, r := range res.Rounds {
-				completed += r.Completed
-			}
-			if len(res.Rounds) > 0 {
-				cell.MeanCompleted = float64(completed) / float64(len(res.Rounds))
-			}
-			// The transport clock starts at 0 with round 0: PreTraining is
-			// charged offline in Build, so it is not part of the horizon.
-			cell.Crashes, cell.Rejoins = churnFaultCounts(cfg.Chaos, cfg.Seed, cfg.Clients,
-				res.TotalTime-res.PreTraining)
-			out = append(out, cell)
+			cells = append(cells, cell{churn, strat})
 		}
 	}
-	return out, nil
+	return runEach(opt, cells, func(o Options, c cell) (ChurnCell, error) {
+		cfg, err := o.baseConfig(kind, c.strat)
+		if err != nil {
+			return ChurnCell{}, err
+		}
+		cfg.NonIIDClasses = 3
+		cfg.Chaos, err = churnPlanFor(o.Chaos, c.churn, round)
+		if err != nil {
+			return ChurnCell{}, err
+		}
+		res, err := fl.Run(cfg)
+		if err != nil {
+			return ChurnCell{}, fmt.Errorf("fig-churn churn=%v %s: %w", c.churn, c.strat.Name(), err)
+		}
+		cell := ChurnCell{
+			Churn:     c.churn,
+			Strategy:  res.Strategy,
+			Accuracy:  res.FinalAccuracy,
+			TotalTime: res.TotalTime,
+		}
+		times, accs := res.AccuracyOverTime()
+		for i, acc := range accs {
+			if acc >= ChurnAccuracyTarget {
+				cell.TimeToAccuracy = times[i]
+				break
+			}
+		}
+		var completed int
+		for _, r := range res.Rounds {
+			completed += r.Completed
+		}
+		if len(res.Rounds) > 0 {
+			cell.MeanCompleted = float64(completed) / float64(len(res.Rounds))
+		}
+		// The transport clock starts at 0 with round 0: PreTraining is
+		// charged offline in Build, so it is not part of the horizon.
+		cell.Crashes, cell.Rejoins = churnFaultCounts(cfg.Chaos, cfg.Seed, cfg.Clients,
+			res.TotalTime-res.PreTraining)
+		return cell, nil
+	})
 }
 
 // churnFaultCounts reports how many of the plan's crash/rejoin events fall

@@ -89,8 +89,10 @@ type Options struct {
 	// experiment's FL runs (the CLI's -spans-out). Excluded from the JSON
 	// encoding for the same reason as Trace.
 	Spans *obs.SpanLog `json:"-"`
-	// Events, when set, receives live per-round obs.RoundEvents from the
-	// experiment's FL runs — aergiad's runner wires one per job and
+	// Events, when set, receives per-round obs.RoundEvents from the
+	// experiment's FL runs in the serial loop's order: live from the
+	// lowest-index run still going, a later run's once the runs before it
+	// have finished (runAll). aergiad's runner wires one per job and
 	// streams it over SSE. Excluded from the JSON encoding like Trace.
 	Events *obs.RoundStream `json:"-"`
 }
@@ -281,27 +283,43 @@ func Fig1a(opt Options) ([]Fig1aPoint, error) {
 		clientCounts = []int{3, 5}
 		variances = []float64{0, 0.04, 0.16}
 	}
-	var out []Fig1aPoint
+	type cell struct {
+		n int
+		v float64
+	}
+	var cells []cell
 	for _, n := range clientCounts {
-		var baseline time.Duration
 		for _, v := range variances {
-			rng := tensor.NewRNG(opt.seed()*1000 + uint64(n))
-			speeds := cluster.SpeedsWithVariance(n, 0.5, v, rng)
-			cfg, err := opt.baseConfig(dataset.MNIST, fl.NewFedAvg(0))
-			if err != nil {
-				return nil, err
-			}
-			cfg.Clients = n
-			cfg.Rounds = 2
-			cfg.TrainSamples = 40 * n
-			cfg.Speeds = speeds
-			cfg.SpeedJitter = 0
-			cfg.EvalEvery = 100 // timing-only experiment
-			res, err := fl.Run(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("fig1a n=%d v=%v: %w", n, v, err)
-			}
-			mean := res.MeanRoundDuration()
+			cells = append(cells, cell{n, v})
+		}
+	}
+	means, err := runEach(opt, cells, func(o Options, c cell) (time.Duration, error) {
+		rng := tensor.NewRNG(o.seed()*1000 + uint64(c.n))
+		speeds := cluster.SpeedsWithVariance(c.n, 0.5, c.v, rng)
+		cfg, err := o.baseConfig(dataset.MNIST, fl.NewFedAvg(0))
+		if err != nil {
+			return 0, err
+		}
+		cfg.Clients = c.n
+		cfg.Rounds = 2
+		cfg.TrainSamples = 40 * c.n
+		cfg.Speeds = speeds
+		cfg.SpeedJitter = 0
+		cfg.EvalEvery = 100 // timing-only experiment
+		res, err := fl.Run(cfg)
+		if err != nil {
+			return 0, fmt.Errorf("fig1a n=%d v=%v: %w", c.n, c.v, err)
+		}
+		return res.MeanRoundDuration(), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var out []Fig1aPoint
+	for i, n := range clientCounts {
+		var baseline time.Duration
+		for j, v := range variances {
+			mean := means[i*len(variances)+j]
 			if v == 0 {
 				baseline = mean
 			}
@@ -341,54 +359,59 @@ type DeadlinePoint struct {
 // per-round deadlines at fractions of the unbounded round duration, on
 // non-IID data when nonIID is true.
 func DeadlineSweep(opt Options, nonIID bool) ([]DeadlinePoint, error) {
-	cfg, err := opt.baseConfig(dataset.MNIST, fl.NewFedAvg(0))
-	if err != nil {
-		return nil, err
+	run := func(o Options, strat fl.Strategy) (*fl.Results, error) {
+		cfg, err := o.baseConfig(dataset.MNIST, strat)
+		if err != nil {
+			return nil, err
+		}
+		if nonIID {
+			cfg.NonIIDClasses = 3
+		}
+		return fl.Run(cfg)
 	}
-	if nonIID {
-		cfg.NonIIDClasses = 3
-	}
-	base, err := fl.Run(cfg)
+	base, err := runEach(opt, []fl.Strategy{fl.NewFedAvg(0)}, run)
 	if err != nil {
 		return nil, fmt.Errorf("deadline baseline: %w", err)
 	}
-	unbounded := base.MeanRoundDuration()
+	unbounded := base[0].MeanRoundDuration()
 	points := []DeadlinePoint{{
 		Label:     "inf",
-		TotalTime: base.TotalTime,
-		Accuracy:  base.FinalAccuracy,
+		TotalTime: base[0].TotalTime,
+		Accuracy:  base[0].FinalAccuracy,
 	}}
-	fractions := []struct {
+	type fraction struct {
 		label string
 		frac  float64
-	}{
+	}
+	fractions := []fraction{
 		{"0.8x", 0.8}, {"0.6x", 0.6}, {"0.4x", 0.4}, {"0.15x", 0.15},
 	}
 	if opt.Quick {
 		fractions = fractions[1:3]
 	}
-	for _, f := range fractions {
+	cut, err := runEach(opt, fractions, func(o Options, f fraction) (DeadlinePoint, error) {
 		d := time.Duration(float64(unbounded) * f.frac)
-		dcfg := cfg
-		dcfg.Strategy = fl.NewDeadlineFedAvg(0, d)
-		res, err := fl.Run(dcfg)
+		res, err := run(o, fl.NewDeadlineFedAvg(0, d))
 		if err != nil {
-			return nil, fmt.Errorf("deadline %s: %w", f.label, err)
+			return DeadlinePoint{}, fmt.Errorf("deadline %s: %w", f.label, err)
 		}
 		var drops float64
 		for _, r := range res.Rounds {
-			drops += float64(cfg.Clients - r.Completed)
+			drops += float64(o.scale().clients - r.Completed)
 		}
 		drops /= float64(len(res.Rounds))
-		points = append(points, DeadlinePoint{
+		return DeadlinePoint{
 			Label:     f.label,
 			Deadline:  d,
 			TotalTime: res.TotalTime,
 			Accuracy:  res.FinalAccuracy,
 			MeanDrops: drops,
-		})
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return points, nil
+	return append(points, cut...), nil
 }
 
 func collectFig1b(opt Options) ([]DeadlinePoint, error) { return DeadlineSweep(opt, false) }
@@ -475,30 +498,36 @@ func MainGrid(opt Options, nonIID bool) ([]GridCell, error) {
 	if opt.Quick {
 		kinds = []dataset.Kind{dataset.MNIST, dataset.FMNIST}
 	}
-	var out []GridCell
+	type cell struct {
+		kind  dataset.Kind
+		strat fl.Strategy
+	}
+	var cells []cell
 	for _, kind := range kinds {
 		for _, strat := range strategies(0) {
-			cfg, err := opt.baseConfig(kind, strat)
-			if err != nil {
-				return nil, err
-			}
-			if nonIID {
-				cfg.NonIIDClasses = 3
-			}
-			res, err := fl.Run(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("grid %s/%s: %w", kind, strat.Name(), err)
-			}
-			out = append(out, GridCell{
-				Dataset:   kind,
-				Strategy:  res.Strategy,
-				Accuracy:  res.FinalAccuracy,
-				TotalTime: res.TotalTime,
-				Offloads:  res.TotalOffloads(),
-			})
+			cells = append(cells, cell{kind, strat})
 		}
 	}
-	return out, nil
+	return runEach(opt, cells, func(o Options, c cell) (GridCell, error) {
+		cfg, err := o.baseConfig(c.kind, c.strat)
+		if err != nil {
+			return GridCell{}, err
+		}
+		if nonIID {
+			cfg.NonIIDClasses = 3
+		}
+		res, err := fl.Run(cfg)
+		if err != nil {
+			return GridCell{}, fmt.Errorf("grid %s/%s: %w", c.kind, c.strat.Name(), err)
+		}
+		return GridCell{
+			Dataset:   c.kind,
+			Strategy:  res.Strategy,
+			Accuracy:  res.FinalAccuracy,
+			TotalTime: res.TotalTime,
+			Offloads:  res.TotalOffloads(),
+		}, nil
+	})
 }
 
 func printGrid(w io.Writer, title string, cells []GridCell) error {
@@ -537,34 +566,32 @@ type DensitySeries struct {
 // Fig8 collects per-round durations for every strategy on FMNIST and
 // estimates their densities.
 func Fig8(opt Options) ([]DensitySeries, error) {
-	var out []DensitySeries
-	for _, strat := range strategies(0) {
-		cfg, err := opt.baseConfig(dataset.FMNIST, strat)
+	return runEach(opt, strategies(0), func(o Options, strat fl.Strategy) (DensitySeries, error) {
+		cfg, err := o.baseConfig(dataset.FMNIST, strat)
 		if err != nil {
-			return nil, err
+			return DensitySeries{}, err
 		}
 		cfg.NonIIDClasses = 3
 		cfg.EvalEvery = 1000 // timing-only experiment
-		if !opt.Quick {
+		if !o.Quick {
 			cfg.Rounds = 40
 		}
 		res, err := fl.Run(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("fig8 %s: %w", strat.Name(), err)
+			return DensitySeries{}, fmt.Errorf("fig8 %s: %w", strat.Name(), err)
 		}
 		secs := metrics.DurationsToSeconds(res.RoundDurations())
 		den, err := metrics.EstimateDensity(secs, 64, 0)
 		if err != nil {
-			return nil, fmt.Errorf("fig8 %s density: %w", strat.Name(), err)
+			return DensitySeries{}, fmt.Errorf("fig8 %s density: %w", strat.Name(), err)
 		}
-		out = append(out, DensitySeries{
+		return DensitySeries{
 			Strategy: res.Strategy,
 			Mean:     res.MeanRoundDuration(),
 			Peak:     den.Peak(),
 			Density:  den,
-		})
-	}
-	return out, nil
+		}, nil
+	})
 }
 
 func renderFig8(series []DensitySeries, w io.Writer) error {
@@ -601,24 +628,22 @@ func Fig9(opt Options) ([]SimilarityPoint, error) {
 	if participants < 3 {
 		participants = 3
 	}
-	var out []SimilarityPoint
-	for _, f := range factors {
-		cfg, err := opt.baseConfig(dataset.FMNIST, fl.NewAergia(participants, f))
+	return runEach(opt, factors, func(o Options, f float64) (SimilarityPoint, error) {
+		cfg, err := o.baseConfig(dataset.FMNIST, fl.NewAergia(participants, f))
 		if err != nil {
-			return nil, err
+			return SimilarityPoint{}, err
 		}
 		cfg.NonIIDClasses = 3
 		res, err := fl.Run(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("fig9 f=%v: %w", f, err)
+			return SimilarityPoint{}, fmt.Errorf("fig9 f=%v: %w", f, err)
 		}
-		out = append(out, SimilarityPoint{
+		return SimilarityPoint{
 			Factor:        f,
 			Accuracy:      res.FinalAccuracy,
 			MeanRoundTime: res.MeanRoundDuration(),
-		})
-	}
-	return out, nil
+		}, nil
+	})
 }
 
 func renderFig9(points []SimilarityPoint, w io.Writer) error {
@@ -646,37 +671,36 @@ type NonIIDSeries struct {
 // Fig10 trains Aergia under IID, non-IID(10), non-IID(5), and non-IID(2)
 // and reports accuracy over time.
 func Fig10(opt Options) ([]NonIIDSeries, error) {
-	levels := []struct {
+	type level struct {
 		label   string
 		classes int
-	}{
+	}
+	levels := []level{
 		{"IID", 0}, {"non-IID(10)", 10}, {"non-IID(5)", 5}, {"non-IID(2)", 2},
 	}
 	if opt.Quick {
 		levels = levels[:3]
 	}
-	var out []NonIIDSeries
-	for _, lvl := range levels {
-		cfg, err := opt.baseConfig(dataset.FMNIST, fl.NewAergia(0, 1))
+	return runEach(opt, levels, func(o Options, lvl level) (NonIIDSeries, error) {
+		cfg, err := o.baseConfig(dataset.FMNIST, fl.NewAergia(0, 1))
 		if err != nil {
-			return nil, err
+			return NonIIDSeries{}, err
 		}
 		cfg.NonIIDClasses = lvl.classes
 		cfg.EvalEvery = 1
 		res, err := fl.Run(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("fig10 %s: %w", lvl.label, err)
+			return NonIIDSeries{}, fmt.Errorf("fig10 %s: %w", lvl.label, err)
 		}
 		times, accs := res.AccuracyOverTime()
-		out = append(out, NonIIDSeries{
+		return NonIIDSeries{
 			Label:    lvl.label,
 			Times:    times,
 			Accuracy: accs,
 			Final:    res.FinalAccuracy,
 			Total:    res.TotalTime,
-		})
-	}
-	return out, nil
+		}, nil
+	})
 }
 
 func renderFig10(series []NonIIDSeries, w io.Writer) error {

@@ -57,6 +57,7 @@ type RoundStream struct {
 	subs    map[int]chan RoundEvent
 	nextSub int
 	closed  bool
+	fwd     *RoundStream // see Forward
 }
 
 // NewRoundStream returns an empty stream.
@@ -144,6 +145,25 @@ func (s *RoundStream) Announce(ev RoundEvent) {
 		default:
 		}
 	}
+	s.fwd.Announce(ev)
+}
+
+// Forward relays s into dst: it announces on dst every event s has
+// announced so far, in order, and from then on every event as s announces
+// it. Unlike a subscriber, dst misses nothing. An experiment that runs its
+// FL runs side by side gives each a private stream and forwards run k's
+// once runs 0…k−1 have finished, so the job's stream sees the serial
+// order. dst must not forward back into s.
+func (s *RoundStream) Forward(dst *RoundStream) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, ev := range s.history {
+		dst.Announce(ev)
+	}
+	s.fwd = dst
 }
 
 // Events returns a copy of everything published so far.

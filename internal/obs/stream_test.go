@@ -43,6 +43,40 @@ func TestRoundStreamReplayAndLive(t *testing.T) {
 	}
 }
 
+// TestRoundStreamForward: a forwarded stream replays what it announced
+// before Forward into the destination, then relays every later event, and
+// a subscriber to the destination sees the relay in order.
+func TestRoundStreamForward(t *testing.T) {
+	dst := NewRoundStream()
+	ch, cancel := dst.Subscribe(8)
+	defer cancel()
+	a, b := NewRoundStream(), NewRoundStream()
+	a.Publish(RoundEvent{Run: 1, Round: 0})
+	b.Publish(RoundEvent{Run: 2, Round: 0}) // held until b is forwarded
+	a.Forward(dst)
+	a.Publish(RoundEvent{Run: 1, Round: 1})
+	b.Forward(dst)
+	b.Publish(RoundEvent{Run: 2, Round: 1})
+	want := [][2]int{{1, 0}, {1, 1}, {2, 0}, {2, 1}}
+	got := dst.Events()
+	if len(got) != len(want) {
+		t.Fatalf("destination holds %d events, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		if ev := <-ch; int(ev.Run) != w[0] || ev.Round != w[1] || got[i] != ev {
+			t.Fatalf("event %d: subscriber read run %d round %d (history %+v), want run %d round %d",
+				i, ev.Run, ev.Round, got[i], w[0], w[1])
+		}
+	}
+	var none *RoundStream
+	none.Forward(dst) // nil-receiver safe like every method
+	a.Forward(nil)    // and a nil destination drops the relay
+	a.Publish(RoundEvent{Run: 1, Round: 2})
+	if n := len(dst.Events()); n != len(want) {
+		t.Fatalf("destination grew to %d events after forwarding stopped", n)
+	}
+}
+
 func TestRoundStreamStragglerFromSpans(t *testing.T) {
 	s := NewRoundStream()
 	s.OnSpan(Span{ID: 1, From: comm.FederatorID, To: 2, Kind: comm.KindTrain, Round: 0, End: ms(1)})

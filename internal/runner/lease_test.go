@@ -471,3 +471,120 @@ func TestRunnerFailedRetrySubscriberSemantics(t *testing.T) {
 		t.Fatalf("final state = %+v", st)
 	}
 }
+
+// TestRunnerQueueReleasesPoppedJobs pins that the queue keeps no popped job
+// reachable: a job leaves through the worker, Lease or Cancel and its slot
+// in the queue's array is cleared, and a drained queue holds no array at
+// all. Popping by reslicing alone kept every job of a burst, and its
+// options, alive in the array append had grown.
+func TestRunnerQueueReleasesPoppedJobs(t *testing.T) {
+	// retained names the jobs in the array the queue uses now that are not
+	// in the queue. arrays are snapshots taken when the queue started at
+	// its array's first slot.
+	retained := func(r *Runner, arrays ...[]Job) []string {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if cap(r.queue) == 0 {
+			return nil
+		}
+		end := &r.queue[:cap(r.queue)][cap(r.queue)-1]
+		var stale []string
+		for _, arr := range arrays {
+			if &arr[len(arr)-1] != end {
+				continue // an array the queue no longer uses
+			}
+			start := len(arr) - cap(r.queue)
+			for k, j := range arr {
+				if (k < start || k >= start+len(r.queue)) && j.Experiment != "" {
+					stale = append(stale, j.ID())
+				}
+			}
+		}
+		return stale
+	}
+	snapshot := func(r *Runner) []Job {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.queue[:cap(r.queue)]
+	}
+	check := func(r *Runner, step string, arrays ...[]Job) {
+		t.Helper()
+		if stale := retained(r, arrays...); len(stale) > 0 {
+			t.Fatalf("after %s the queue's array still holds %v", step, stale)
+		}
+	}
+	drained := func(r *Runner, step string) {
+		t.Helper()
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if r.queue != nil {
+			t.Fatalf("after %s the drained queue keeps an array of capacity %d", step, cap(r.queue))
+		}
+	}
+	jobs := make([]Job, 6)
+	for i := range jobs {
+		jobs[i] = mustJob(t, "fig4", experiments.Options{Quick: true, Seed: uint64(i + 1)})
+	}
+
+	// The control plane: Lease, Cancel, and requeueFront through Requeue.
+	r := New(nil, -1)
+	defer r.Close()
+	if _, err := r.SubmitAll(jobs[:4]); err != nil {
+		t.Fatal(err)
+	}
+	a := snapshot(r)
+	if got := r.Lease("w1", 2); len(got) != 2 {
+		t.Fatalf("leased %d, want 2", len(got))
+	}
+	check(r, "Lease", a)
+	if _, _, err := r.Cancel(jobs[2].ID()); err != nil {
+		t.Fatal(err)
+	}
+	check(r, "Cancel", a)
+	if requeued, _ := r.Requeue("w1"); requeued != 2 {
+		t.Fatalf("requeued %d, want 2", requeued)
+	}
+	b := snapshot(r)
+	if got := r.Lease("w2", 1); len(got) != 1 {
+		t.Fatalf("leased %d, want 1", len(got))
+	}
+	check(r, "Lease after requeueFront", a, b)
+	if _, _, err := r.Cancel(jobs[3].ID()); err != nil {
+		t.Fatal(err)
+	}
+	check(r, "Cancel after requeueFront", a, b)
+	if got := r.Lease("w2", 10); len(got) != 1 {
+		t.Fatalf("leased %d, want 1", len(got))
+	}
+	drained(r, "Lease")
+
+	// The local worker: each job blocks until released, so the queue is
+	// observed between pops.
+	started := make(chan struct{})
+	release := make(chan struct{})
+	local := New(nil, 1, WithExecutor(func(context.Context, Job) (json.RawMessage, error) {
+		started <- struct{}{}
+		<-release
+		return json.RawMessage(`{}`), nil
+	}))
+	defer local.Close()
+	if _, err := local.Submit(jobs[4]); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	drained(local, "the worker's pop")
+	if _, err := local.SubmitAll([]Job{jobs[5], jobs[0], jobs[1]}); err != nil {
+		t.Fatal(err)
+	}
+	c := snapshot(local)
+	release <- struct{}{}
+	<-started
+	check(local, "the worker's pop", c)
+	for range 2 {
+		release <- struct{}{}
+		<-started
+	}
+	release <- struct{}{}
+	local.Wait()
+	drained(local, "the worker drained it")
+}

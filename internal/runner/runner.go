@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -48,8 +49,12 @@ var (
 // locally. Inside them, client training runs on the process-wide compute
 // lanes (internal/fl/lane.go): at most GOMAXPROCS training steps execute at
 // any moment however many jobs are in flight, so N concurrent jobs share
-// the cores instead of oversubscribing them N times. What a job does on its
-// own goroutine (evaluation, aggregation, codecs) is bounded by the slots.
+// the cores instead of oversubscribing them N times. A job runs its
+// experiment's independent FL runs side by side (internal/experiments,
+// GOMAXPROCS at a time on sim, one at a time on tcp), so each job may hold
+// up to GOMAXPROCS run clocks, and what those do on their own goroutines
+// (the event loop, aggregation, codecs) is bounded by slots × GOMAXPROCS;
+// training stays bounded by the lanes.
 //
 // Dedup/resume: Submit answers repeats of completed work from the store
 // without recomputing — submitting the same sweep to a restarted runner
@@ -318,6 +323,21 @@ func (r *Runner) requeueFront(job Job) {
 	r.cond.Broadcast()
 }
 
+// popFront takes the head of the non-empty queue. The vacated slot is
+// cleared and an emptied queue lets go of its array: the slice only moves
+// forward through the array append grows, so without both every job a
+// burst ever queued, and its options, would stay reachable. Callers hold
+// r.mu.
+func (r *Runner) popFront() Job {
+	job := r.queue[0]
+	r.queue[0] = Job{}
+	r.queue = r.queue[1:]
+	if len(r.queue) == 0 {
+		r.queue = nil
+	}
+	return job
+}
+
 func (r *Runner) worker() {
 	defer r.wg.Done()
 	for {
@@ -329,8 +349,7 @@ func (r *Runner) worker() {
 			r.mu.Unlock()
 			return
 		}
-		job := r.queue[0]
-		r.queue = r.queue[1:]
+		job := r.popFront()
 		id := job.ID()
 		st := r.jobs[id]
 		st.Status = StatusRunning
@@ -470,7 +489,10 @@ func (r *Runner) Cancel(id string) (JobState, string, error) {
 	// Queued: it never started, finalize here.
 	for i := range r.queue {
 		if r.queue[i].ID() == id {
-			r.queue = append(r.queue[:i], r.queue[i+1:]...)
+			r.queue = slices.Delete(r.queue, i, i+1) // clears the vacated tail slot
+			if len(r.queue) == 0 {
+				r.queue = nil
+			}
 			rm().queueDepth.Dec()
 			break
 		}
@@ -505,8 +527,7 @@ func (r *Runner) Lease(owner string, max int) []Leased {
 	out := make([]Leased, 0, n)
 	recs := make([]Record, 0, n)
 	for i := 0; i < n; i++ {
-		job := r.queue[0]
-		r.queue = r.queue[1:]
+		job := r.popFront()
 		id := job.ID()
 		st := r.jobs[id]
 		r.leaseSeq++
