@@ -15,7 +15,10 @@
 // ratios alone would let the per-cohort constant grow unnoticed, so the
 // 100 000-client point (at a cohort of 512 or less) must also fit
 // maxHeapMBAt100k of live heap after the run — a count of bytes, not a
-// timing.
+// timing — at any -rounds: a sampled client hands its shard back with its
+// update, so a long run grows the heap only by what a client keeps between
+// rounds, under 1 kB for each client ever sampled (CI also runs
+// -clients 100000 -rounds 32).
 //
 // Run with: go run ./examples/scale [-clients 10000,31623,100000] [-cohort 512] [-tiers 32] [-rounds 2]
 package main
@@ -48,13 +51,15 @@ func main() {
 }
 
 // maxHeapMBAt100k bounds the post-GC heap of the 100 000-client point at the
-// default cohort. A hydrated client holds a network only from dispatch to update
-// (DESIGN.md §11) and an edge drops its cohort's updates once the aggregate is
-// sent, so what is live after the run is shells and shards: 43 MB. It was
-// 75 MB while the edges' update buffers still referenced every snapshot of
-// the last round (605 × 52.7 kB), and 199 MB with 1 018 networks resident on
-// top. The bound is the measured value plus slack: either of those coming
-// back fails it.
+// default cohort, however many rounds run. A hydrated client holds a network
+// and its shard only from dispatch to update (DESIGN.md §11) and an edge drops
+// its cohort's updates once the aggregate is sent, so what is live after the
+// run is the shells and what a hydrated client keeps between rounds: 22 MB
+// after 2 rounds, 33 MB after 32. While every hydrated client kept its shard
+// it was 40 MB after 2 rounds and 268 MB after 32; while the edges' update
+// buffers still referenced every snapshot of the last round (605 × 52.7 kB),
+// 75 MB after 2; and 199 MB with 1 018 networks resident on top. Any of those
+// coming back fails the bound.
 const maxHeapMBAt100k = 60
 
 // point is one (cluster size) measurement of the two curves.

@@ -168,22 +168,38 @@ func (s *Source) Generate(n int, variant uint64) (*Dataset, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("dataset: N = %d", n)
 	}
+	return s.GenerateInto(make([]*tensor.Tensor, n), variant)
+}
+
+// GenerateInto is Generate drawing into storage the caller supplies: it
+// draws len(xs) samples, the i-th into xs[i], which it overwrites whole, or,
+// when xs[i] is nil, into a fresh tensor it stores there. A supplied tensor
+// must be a float64 one of the source's image shape. The dataset equals
+// Generate's bit for bit whatever xs held, and its samples are xs's tensors.
+func (s *Source) GenerateInto(xs []*tensor.Tensor, variant uint64) (*Dataset, error) {
+	n := len(xs)
+	if n == 0 {
+		return nil, fmt.Errorf("dataset: N = %d", n)
+	}
 	classes := s.kind.Classes()
 	rng := tensor.NewRNG(s.seed ^ 0xabcdef123456 ^ (variant * 0x9e3779b97f4a7c15))
-	samples := make([]Sample, n)
-	for i := range samples {
-		y := i % classes
-		x := s.protos[y].Clone()
+	for i, x := range xs {
+		proto := s.protos[i%classes]
+		if x == nil {
+			x = proto.Clone()
+			xs[i] = x
+		} else if err := x.CopyFrom(proto); err != nil {
+			return nil, fmt.Errorf("dataset: sample %d: %w", i, err)
+		}
 		d := x.Data()
 		for j := range d {
 			d[j] += rng.NormFloat64() * s.noise
 		}
-		samples[i] = Sample{X: x, Y: y}
 	}
 	// Shuffle so contiguous slices are class-balanced draws.
 	ds := &Dataset{Kind: s.kind, Classes: classes, Shape: s.shape, Samples: make([]Sample, n)}
 	for i, p := range rng.Perm(n) {
-		ds.Samples[i] = samples[p]
+		ds.Samples[i] = Sample{X: xs[p], Y: p % classes}
 	}
 	return ds, nil
 }

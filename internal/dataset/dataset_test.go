@@ -371,3 +371,71 @@ func TestSourceGenerateComputesNoPrototypes(t *testing.T) {
 		t.Fatalf("a kept Source allocated %d B for %d small MNIST samples", kept, n)
 	}
 }
+
+// TestGenerateIntoRecycledStorage: a draw into storage a caller recycled —
+// tensors of an earlier draw, scribbled with NaN — is Generate's draw bit for
+// bit, for every kind at both image sizes, and its samples are the supplied
+// tensors; a slot left nil gets a fresh one. A tensor of another shape is
+// refused.
+func TestGenerateIntoRecycledStorage(t *testing.T) {
+	for _, kind := range []Kind{MNIST, FMNIST, Cifar10, Cifar100} {
+		for _, small := range []bool{true, false} {
+			src, err := NewSource(kind, 5, small, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := kind.Classes() + 3
+			want, err := src.Generate(n, 2+9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old, err := src.Generate(n, 2+4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			xs := make([]*tensor.Tensor, n)
+			supplied := map[*tensor.Tensor]bool{}
+			for i := 0; i < n-2; i++ { // the last two slots stay nil
+				xs[i] = old.Samples[i].X
+				xs[i].Fill(math.NaN())
+				supplied[xs[i]] = true
+			}
+			got, err := src.GenerateInto(xs, 2+9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Kind != want.Kind || got.Classes != want.Classes || got.Len() != n {
+				t.Fatalf("%v small=%v: header %+v, want %+v", kind, small, got, want)
+			}
+			reused := 0
+			for i, s := range got.Samples {
+				w := want.Samples[i]
+				if s.Y != w.Y || !s.X.SameShape(w.X) {
+					t.Fatalf("%v small=%v: sample %d is class %d shape %v, want %d %v",
+						kind, small, i, s.Y, s.X.Shape(), w.Y, w.X.Shape())
+				}
+				for j, v := range s.X.Data() {
+					if math.Float64bits(v) != math.Float64bits(w.X.Data()[j]) {
+						t.Fatalf("%v small=%v: sample %d pixel %d = %v, want %v", kind, small, i, j, v, w.X.Data()[j])
+					}
+				}
+				if supplied[s.X] {
+					reused++
+				}
+			}
+			if reused != n-2 {
+				t.Fatalf("%v small=%v: %d of %d supplied tensors hold samples", kind, small, reused, n-2)
+			}
+		}
+	}
+	src, err := NewSource(MNIST, 5, true, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.GenerateInto([]*tensor.Tensor{tensor.MustNew(1, 28, 28)}, 2); err == nil {
+		t.Fatal("a full-size tensor was accepted for a small-image source")
+	}
+	if _, err := src.GenerateInto(nil, 2); err == nil {
+		t.Fatal("an empty draw was accepted")
+	}
+}

@@ -23,8 +23,10 @@ import (
 //     the freeze-time snapshot stays fresh); a fresh update snapshot reads
 //     2.33, a Clone per offload shipment 1.83, a fresh helper snapshot 1.76,
 //     and all of them 3.04;
-//   - tiered-none, hier_scale's shape: 0.75 (budget 0.95); a fresh update
-//     snapshot reads 1.65, a fresh edge aggregate 1.15, and both 2.06.
+//   - tiered-none, hier_scale's shape: 0.73 (budget 0.95); a shard drawn at
+//     each dispatch into fresh tensors instead of leased ones reads 0.96,
+//     and, measured when the count read 0.75, a fresh update snapshot 1.65,
+//     a fresh edge aggregate 1.15, and both 2.06.
 func TestRoundAllocationBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("under -race sync.Pool drops puts and the detector allocates: the count means nothing")

@@ -24,7 +24,8 @@ type Client struct {
 	ID comm.NodeID
 	// Arch builds local model replicas.
 	Arch nn.Arch
-	// Data is the client's private shard.
+	// Data is the client's private shard. A hierarchical client holds it for
+	// a round only (shard).
 	Data *dataset.Dataset
 	// Speed is the CPU fraction in (0,1].
 	Speed float64
@@ -82,6 +83,13 @@ type Client struct {
 	// round launches its first step.
 	lanes *laneGroup
 	lane  *lane
+	// shard, set by a hierarchical build (hierShard), generates Data into
+	// sample tensors leased from the run's free list. A client with it holds
+	// its shard for a round: startRound draws it when Data is nil, and the
+	// round hands it back once its update is sent (endRound). A round cut or
+	// crashed keeps it for the next dispatch, or until the rejoin. A flat
+	// client's shard is a partition of one dataset and stays for the run.
+	shard func() (*dataset.Dataset, error)
 
 	// Per-round state.
 	round        int
@@ -167,6 +175,7 @@ func (c *Client) OnRejoin(env comm.Env) {
 	c.dropLane()
 	c.releaseNet()
 	c.lease = nil
+	c.dropShard()
 	if err := c.Init(); err != nil {
 		c.logf("client %d: rejoin init: %v", c.ID, err)
 		return
@@ -290,6 +299,13 @@ func (c *Client) startRound(env comm.Env, p TrainPayload) {
 		// of this round; the federator (and every peer) holds the same
 		// snapshot, so only deltas need to cross the wire.
 		c.base = p.Global
+	}
+	if c.Data == nil {
+		var err error
+		if c.Data, err = c.shard(); err != nil {
+			c.logf("client %d: %v", c.ID, err)
+			return
+		}
 	}
 	xs, ys, err := c.Data.Batches(p.Config.BatchSize)
 	if err != nil {
@@ -631,6 +647,11 @@ func (c *Client) finishOwnTraining(env comm.Env) {
 	c.ownDone = true
 	c.sendUpdate(env, false)
 	c.maybeRunHelper(env)
+	if c.shard != nil {
+		// A hierarchical run offloads nothing: no helper job reads the
+		// batches after the update.
+		c.endRound()
+	}
 }
 
 // sendUpdate ships the trained model to the federator.
@@ -798,6 +819,31 @@ func (c *Client) releaseNet() {
 	if c.lease != nil {
 		c.lanes.endLease(c.lease)
 	}
+}
+
+// endRound lets go of everything a round of a regenerating client (shard)
+// holds once its update is sent and its lane is idle: the lease, and with it
+// the round's SGD and global, the lane and its joined tail, the fired
+// completion timer, the codec base, and the shard. The client keeps what
+// must survive between rounds: its jitter stream, codec residuals and
+// verifier.
+func (c *Client) endRound() {
+	c.releaseNet()
+	c.lease, c.lane, c.tail, c.completion = nil, nil, nil, nil
+	c.base = nn.Weights{}
+	c.dropShard()
+}
+
+// dropShard hands a regenerable shard's sample tensors back to the run's
+// free list and forgets the batches cut from them; no lane step may still
+// read them. A flat client keeps its shard.
+func (c *Client) dropShard() {
+	if c.shard == nil || c.Data == nil {
+		return
+	}
+	c.lanes.putSamples(c.Data.Samples)
+	c.Data = nil
+	c.batchXs, c.batchYs = nil, nil
 }
 
 // dropLane cancels what the lane still holds, waits out the batch it is in

@@ -47,8 +47,10 @@ type HierCluster struct {
 type EdgeAggregator struct {
 	// ID is the edge's node identity (hier.EdgeID(k)).
 	ID comm.NodeID
-	// Cohort is the full membership this edge owns.
-	Cohort []ClientInfo
+	// Cohort is the full membership this edge owns, in ID order. It is
+	// read-only once messages flow: the sampler may return it as the round's
+	// sample, which the tracker keeps as its members.
+	Cohort []comm.NodeID
 	// Sampler picks each round's participating sub-cohort; its pure
 	// (seed, round, id) hash means the edge never coordinates membership
 	// with the root or its siblings.
@@ -163,11 +165,7 @@ func (e *EdgeAggregator) startRound(env comm.Env, p TrainPayload) {
 	e.base = p.Global
 	e.trainP = p
 	e.releaseUpdates()
-	ids := make([]comm.NodeID, len(e.Cohort))
-	for i, c := range e.Cohort {
-		ids[i] = c.ID
-	}
-	sampled := e.Sampler.Cohort(e.round, ids)
+	sampled := e.Sampler.Cohort(e.round, e.Cohort)
 	hier.ObserveCohort(len(sampled))
 	e.Trace.Record(env.Now(), e.ID, e.round, trace.RoundStart,
 		fmt.Sprintf("edge cohort %d/%d sampled", len(sampled), len(e.Cohort)))
@@ -335,11 +333,7 @@ type hierRootStrategy struct {
 }
 
 func (s hierRootStrategy) Select(_ int, clients []ClientInfo, _ *tensor.RNG) []comm.NodeID {
-	ids := make([]comm.NodeID, len(clients))
-	for i, c := range clients {
-		ids[i] = c.ID
-	}
-	return ids
+	return clientIDs(clients)
 }
 
 func (s hierRootStrategy) Offloading() bool { return false }
@@ -352,22 +346,19 @@ func (s hierRootStrategy) Offloading() bool { return false }
 type sampledStrategy struct {
 	Strategy
 	sampler hier.Sampler
+	// ids is the population's IDs in the federator's client order, listed
+	// once at build and read-only: the sampler may return it whole.
+	ids []comm.NodeID
 }
 
+// Select narrows clients, the population ids lists, to the round's cohort.
+// The cohort keeps the population's order, so one walk pairs them up.
 func (s sampledStrategy) Select(r int, clients []ClientInfo, rng *tensor.RNG) []comm.NodeID {
-	ids := make([]comm.NodeID, len(clients))
-	for i, c := range clients {
-		ids[i] = c.ID
-	}
-	cohort := s.sampler.Cohort(r, ids)
+	cohort := s.sampler.Cohort(r, s.ids)
 	hier.ObserveCohort(len(cohort))
-	inCohort := make(map[comm.NodeID]bool, len(cohort))
-	for _, id := range cohort {
-		inCohort[id] = true
-	}
 	narrowed := make([]ClientInfo, 0, len(cohort))
 	for _, c := range clients {
-		if inCohort[c.ID] {
+		if len(narrowed) < len(cohort) && c.ID == cohort[len(narrowed)] {
 			narrowed = append(narrowed, c)
 		}
 	}
@@ -379,11 +370,11 @@ func (s sampledStrategy) Offloading() bool { return false }
 // buildHier is Build's scale-out path (Topology.Hier enabled): instead of
 // materializing N clients it creates N lazy profiles plus shells, the edge
 // aggregators that own them, and a root federator whose children are the
-// edges (or, with Tiers 0, the sampled population). Per-client shards are
-// drawn on hydration from data, the cluster's one Source, with the client's
-// noise stream (Variant 2+ID; the test set holds Variant 1), and a hydrated
-// client holds a network only from dispatch to update, so the build cost and
-// resident memory follow the sampled cohort, not the population.
+// edges (or, with Tiers 0, the sampled population). A hydrated client draws
+// its shard at each dispatch from data, the cluster's one Source, with its
+// own noise stream (Variant 2+ID; the test set holds Variant 1), and holds
+// the shard and a network only from dispatch to update, so the build cost
+// and resident memory follow the sampled cohort, not the population.
 func (t Topology) buildHier(data *dataset.Source, test *dataset.Dataset, phase nn.PhaseCost, wireCodec codec.Codec, bw *Bandwidth, lanes *laneGroup) (*Cluster, error) {
 	if t.Async {
 		return nil, fmt.Errorf("fl: hierarchical topology does not support the async engine yet")
@@ -413,15 +404,11 @@ func (t Topology) buildHier(data *dataset.Source, test *dataset.Dataset, phase n
 		samplesPer = 1
 	}
 
+	numClasses := t.Dataset.Classes()
 	hydrate := func(p hier.Profile) (comm.Handler, error) {
-		shard, err := hierShard(data, t.Dataset.Classes(), p, samplesPer)
-		if err != nil {
-			return nil, err
-		}
 		c := &Client{
 			ID:               p.ID,
 			Arch:             t.Arch,
-			Data:             shard,
 			Speed:            p.Speed,
 			Jitter:           t.SpeedJitter,
 			JitterSeed:       t.Seed,
@@ -434,6 +421,9 @@ func (t Topology) buildHier(data *dataset.Source, test *dataset.Dataset, phase n
 			Trace:            t.Trace,
 			phase:            phase,
 			lanes:            lanes,
+			shard: func() (*dataset.Dataset, error) {
+				return hierShard(data, lanes, numClasses, p, samplesPer)
+			},
 		}
 		if err := c.Init(); err != nil {
 			return nil, err
@@ -443,7 +433,6 @@ func (t Topology) buildHier(data *dataset.Source, test *dataset.Dataset, phase n
 
 	shells := make([]*hier.LazyClient, t.Clients)
 	infosAll := make([]ClientInfo, t.Clients)
-	numClasses := t.Dataset.Classes()
 	for i := 0; i < t.Clients; i++ {
 		id := comm.NodeID(i)
 		var classes []int
@@ -475,10 +464,10 @@ func (t Topology) buildHier(data *dataset.Source, test *dataset.Dataset, phase n
 	var infos []ClientInfo
 	var strategy Strategy
 	if t.Hier.Tiers > 0 {
-		cohorts := make([][]ClientInfo, t.Hier.Tiers)
+		cohorts := make([][]comm.NodeID, t.Hier.Tiers)
 		for _, info := range infosAll {
 			k := hier.Assign(t.Seed, info.ID, t.Hier.Tiers)
-			cohorts[k] = append(cohorts[k], info)
+			cohorts[k] = append(cohorts[k], info.ID)
 		}
 		for k, cohort := range cohorts {
 			if len(cohort) == 0 {
@@ -497,16 +486,12 @@ func (t Topology) buildHier(data *dataset.Source, test *dataset.Dataset, phase n
 			}
 			e.Init()
 			edges = append(edges, e)
-			samples := 0
-			for _, c := range cohort {
-				samples += c.Samples
-			}
-			infos = append(infos, ClientInfo{ID: e.ID, Samples: samples, Speed: 1})
+			infos = append(infos, ClientInfo{ID: e.ID, Samples: len(cohort) * samplesPer, Speed: 1})
 		}
 		strategy = hierRootStrategy{t.Strategy}
 	} else {
 		infos = infosAll
-		strategy = sampledStrategy{Strategy: t.Strategy, sampler: sampler}
+		strategy = sampledStrategy{Strategy: t.Strategy, sampler: sampler, ids: clientIDs(infos)}
 	}
 
 	fed := &Federator{
@@ -544,20 +529,22 @@ func (t Topology) buildHier(data *dataset.Source, test *dataset.Dataset, phase n
 	}, nil
 }
 
-// hierShard synthesizes one client's private shard on hydration. Every
-// client draws from the cluster's one Source — the class prototypes of the
-// flat build, computed once at Build — with its own noise stream (Variant
-// 2+ID), so shards are disjoint by construction and deterministic per
-// (seed, id). Class-skewed clients over-generate and keep the first
-// `want` samples of their class set.
-func hierShard(data *dataset.Source, numClasses int, p hier.Profile, want int) (*dataset.Dataset, error) {
+// hierShard synthesizes one client's private shard into sample tensors
+// leased from the run's free list; the client hands them back once its
+// round's update is sent. Every client draws from the cluster's one Source —
+// the class prototypes of the flat build, computed once at Build — with its
+// own noise stream (Variant 2+ID), so shards are disjoint by construction
+// and deterministic per (seed, id), and a regenerated shard is the one the
+// client had. Class-skewed clients over-generate, keep the first `want`
+// samples of their class set and return the rest at once.
+func hierShard(data *dataset.Source, lanes *laneGroup, numClasses int, p hier.Profile, want int) (*dataset.Dataset, error) {
 	n := want
 	if len(p.Classes) > 0 && len(p.Classes) < numClasses {
 		// Generation is class-balanced, so n*|classes|/numClasses samples
 		// survive the filter; double it for slack.
 		n = 2 * want * numClasses / len(p.Classes)
 	}
-	ds, err := data.Generate(n, 2+uint64(p.ID))
+	ds, err := data.GenerateInto(lanes.takeSamples(n), 2+uint64(p.ID))
 	if err != nil {
 		return nil, fmt.Errorf("fl: client %d shard: %w", p.ID, err)
 	}
@@ -568,17 +555,19 @@ func hierShard(data *dataset.Source, numClasses int, p hier.Profile, want int) (
 	for _, c := range p.Classes {
 		allowed[c] = true
 	}
-	idx := make([]int, 0, want)
-	for i, label := range ds.Labels() {
-		if allowed[label] {
-			idx = append(idx, i)
-			if len(idx) == want {
-				break
-			}
+	// dropped reuses the draw's array: it never overtakes the loop's index.
+	kept, dropped := make([]dataset.Sample, 0, want), ds.Samples[:0]
+	for _, s := range ds.Samples {
+		if len(kept) < want && allowed[s.Y] {
+			kept = append(kept, s)
+		} else {
+			dropped = append(dropped, s)
 		}
 	}
-	if len(idx) == 0 {
+	lanes.putSamples(dropped)
+	if len(kept) == 0 {
 		return nil, fmt.Errorf("fl: client %d shard has no samples of classes %v", p.ID, p.Classes)
 	}
-	return ds.Subset(idx), nil
+	ds.Samples = kept
+	return ds, nil
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aergia/internal/dataset"
 	"aergia/internal/nn"
 	"aergia/internal/tensor"
 )
@@ -79,9 +80,9 @@ type lane struct {
 
 // laneGroup is what one run's compute owns: the lanes it created, so that
 // the run can cancel and drain them before it returns — no step of one run
-// executes into the next run's clock — and the networks and weight vectors
-// those lanes and the run's actors lease. Topology.Build makes one per
-// cluster.
+// executes into the next run's clock — and the networks, weight vectors and
+// sample tensors those lanes and the run's actors lease. Topology.Build
+// makes one per cluster.
 type laneGroup struct {
 	// live holds the lanes with unfinished steps; guarded by laneSched.mu.
 	live map[*lane]struct{}
@@ -91,12 +92,15 @@ type laneGroup struct {
 	// by a client round's lane steps (roundNet) or for one helper job, and
 	// every lease overwrites all of it (takeNet), so which physical network a
 	// lease draws never shows in a result; the same holds for a vector, which
-	// a snapshot or a decode overwrites whole (takeWeights). Lane workers take
-	// and return both: mu guards free, vecs and rounds.
-	mu     sync.Mutex
-	free   []*nn.Network
-	vecs   []nn.Weights
-	rounds map[*roundNet]struct{}
+	// a snapshot or a decode overwrites whole (takeWeights), and for a sample
+	// tensor, which a shard's generation overwrites whole (takeSamples). Lane
+	// workers take and return networks and vectors: mu guards free, vecs,
+	// samples and rounds.
+	mu      sync.Mutex
+	free    []*nn.Network
+	vecs    []nn.Weights
+	samples []*tensor.Tensor
+	rounds  map[*roundNet]struct{}
 	// onLease, when set by a test, observes every take (true) and put.
 	onLease func(net *nn.Network, take bool)
 	// onReturn, when set by a test, sees every pair putWeights is handed and
@@ -194,6 +198,30 @@ func (g *laneGroup) putWeights(w nn.Weights) {
 		g.onReturn(w, g.vecs)
 	}
 	g.vecs = append(g.vecs, w)
+	g.mu.Unlock()
+}
+
+// takeSamples leases n sample tensors for a shard to be generated into
+// (dataset.Source.GenerateInto): idle ones while the list has them, nil ones,
+// which the generator allocates, for the rest.
+func (g *laneGroup) takeSamples(n int) []*tensor.Tensor {
+	xs := make([]*tensor.Tensor, n)
+	g.mu.Lock()
+	idle := len(g.samples) - min(n, len(g.samples))
+	copy(xs, g.samples[idle:])
+	clear(g.samples[idle:])
+	g.samples = g.samples[:idle]
+	g.mu.Unlock()
+	return xs
+}
+
+// putSamples ends the lease on the samples' tensors; nothing may read them
+// afterwards.
+func (g *laneGroup) putSamples(samples []dataset.Sample) {
+	g.mu.Lock()
+	for _, s := range samples {
+		g.samples = append(g.samples, s.X)
+	}
 	g.mu.Unlock()
 }
 
@@ -449,13 +477,13 @@ func (g *laneGroup) drain() {
 	for _, ch := range running {
 		<-ch
 	}
-	// The run is over: its leased and idle replicas and vectors are garbage
-	// with it, and no client keeps one reachable for as long as the cluster
-	// lives.
+	// The run is over: its leased and idle replicas, vectors and sample
+	// tensors are garbage with it, and no client keeps one reachable for as
+	// long as the cluster lives.
 	g.mu.Lock()
 	rounds := g.rounds
 	g.rounds = map[*roundNet]struct{}{}
-	g.free, g.vecs = nil, nil
+	g.free, g.vecs, g.samples = nil, nil, nil
 	g.mu.Unlock()
 	for r := range rounds {
 		if net := r.net.Swap(nil); net != nil && g.onLease != nil {

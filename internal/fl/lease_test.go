@@ -465,6 +465,87 @@ func TestLeaseKeepsPerClientStateAcrossWidths(t *testing.T) {
 	}
 }
 
+// TestShardLivesForItsRound: a hierarchical client draws its shard at each
+// dispatch into sample tensors leased from the run's free list and hands
+// them back with its update. A tiered, class-skewed, sampled run with jitter
+// and topk, in which clients are sampled again, replays to one hash at
+// GOMAXPROCS 1, 2 and 8, the parent commit's, where a client drew its shard
+// once at hydration and kept it; the later rounds' shards are drawn into
+// tensors an earlier round returned, and after the run no client holds a
+// shard or anything else of its last round.
+func TestShardLivesForItsRound(t *testing.T) {
+	cfg := testConfig(NewFedAvg(0))
+	cfg.Clients, cfg.TrainSamples, cfg.Rounds = 16, 256, 6
+	cfg.Speeds = nil
+	cfg.SpeedJitter = 0.3
+	cfg.NonIIDClasses = 3
+	cfg.Codec = codec.TopK
+	cfg.Hier = hier.Options{Tiers: 2, Sample: 0.5}
+	for _, procs := range []int{1, 2, 8} {
+		atWidth(procs, func() {
+			cl, err := cfg.Topology().Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ledger := newLeaseLedger()
+			cl.lanes.onLease = ledger.observe
+			var clients []*Client
+			draws, tensors := 0, map[*tensor.Tensor]bool{}
+			for _, s := range cl.Hier.Shells {
+				hydrate := s.Hydrate
+				s.Hydrate = func(p hier.Profile) (comm.Handler, error) {
+					h, err := hydrate(p)
+					if err != nil {
+						return nil, err
+					}
+					c := h.(*Client)
+					shard := c.shard
+					c.shard = func() (*dataset.Dataset, error) {
+						ds, err := shard()
+						if err == nil {
+							draws++
+							for _, s := range ds.Samples {
+								tensors[s.X] = true
+							}
+						}
+						return ds, err
+					}
+					clients = append(clients, c)
+					return c, nil
+				}
+			}
+			res, err := runOn(cl, cfg.Transport, cfg.Link, 0, (*Deployment).Run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("GOMAXPROCS %d: %d rounds of %d clients drew %d shards into %d tensors", procs, ledger.takes, len(clients), draws, len(tensors))
+			if ledger.takes <= len(clients) {
+				t.Fatalf("%d leases by %d clients: nobody was sampled twice", ledger.takes, len(clients))
+			}
+			if draws != ledger.takes {
+				t.Fatalf("%d rounds drew %d shards: a round trained on a shard an earlier one kept", ledger.takes, draws)
+			}
+			// Leased at once: at most every client's kept samples, and the
+			// over-generation of the one draw being filtered (16 samples of 3
+			// classes from 2 × 16 × 10/3 drawn).
+			perClient := cfg.TrainSamples / cfg.Clients
+			if most := cfg.TrainSamples + 2*perClient*10/cfg.NonIIDClasses; len(tensors) > most {
+				t.Fatalf("%d shards drawn into %d distinct tensors (at most %d): the returned ones were not reused", draws, len(tensors), most)
+			}
+			for _, c := range clients {
+				if c.Data != nil || c.batchXs != nil || c.lease != nil || c.lane != nil || c.base.Len() != 0 {
+					t.Fatalf("client %d holds its last round after the run: shard %v, batches %d, lease %v, lane %v, base %d",
+						c.ID, c.Data != nil, len(c.batchXs), c.lease != nil, c.lane != nil, c.base.Len())
+				}
+			}
+			// Captured at d8deac8 (the parent commit) at GOMAXPROCS 1, 2, 8.
+			if got, want := resultHash(res), uint64(0x9bbb35421f3916d0); got != want {
+				t.Fatalf("GOMAXPROCS %d: result hash %#x, the parent commit's is %#x", procs, got, want)
+			}
+		})
+	}
+}
+
 // TestFreeListStaysBoundedOverTCP runs a codec-free Aergia federation over
 // TCP, in process. There a receiver returns the gob-decoded copy of an
 // update, a vector it never took, while the sender's leased one is garbage

@@ -67,13 +67,19 @@ type Strategy interface {
 // ErrNoUpdates is returned when aggregation receives nothing to aggregate.
 var ErrNoUpdates = errors.New("fl: no updates to aggregate")
 
-// selectRandom picks min(k, len(clients)) distinct clients uniformly;
-// k <= 0 selects everyone.
-func selectRandom(k int, clients []ClientInfo, rng *tensor.RNG) []comm.NodeID {
+// clientIDs lists the clients' IDs in order.
+func clientIDs(clients []ClientInfo) []comm.NodeID {
 	ids := make([]comm.NodeID, len(clients))
 	for i, c := range clients {
 		ids[i] = c.ID
 	}
+	return ids
+}
+
+// selectRandom picks min(k, len(clients)) distinct clients uniformly;
+// k <= 0 selects everyone.
+func selectRandom(k int, clients []ClientInfo, rng *tensor.RNG) []comm.NodeID {
+	ids := clientIDs(clients)
 	if k <= 0 || k >= len(ids) {
 		return ids
 	}

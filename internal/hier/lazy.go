@@ -9,8 +9,8 @@ import (
 
 // Profile is the lazy stand-in for an unmaterialized client: the metadata
 // the schedulers and samplers need (speed, data skew) without any of the
-// state that makes a live client expensive (training shard, codec and
-// jitter streams, and for the length of a round a model replica). A
+// state that makes a live client expensive (codec and jitter streams, and
+// for the length of a round a training shard and a model replica). A
 // 100k-client topology holds 100k profiles but only materializes the
 // sampled cohort.
 type Profile struct {
@@ -31,9 +31,12 @@ type Profile struct {
 // after a crash/rejoin dropped the first incarnation) must yield an
 // identically initialized actor, or determinism breaks. It runs inside the
 // dispatch handler, once per sampled client, so it should do only what that
-// client's round needs: fl's hydrator draws the shard from the cluster's one
-// dataset.Source and builds no network (the round leases one; DESIGN.md
-// §11), about 17 kB of allocation a client.
+// client's round needs: fl's hydrator builds neither a network nor a shard.
+// Each round leases a network and draws the shard from the cluster's one
+// dataset.Source into sample tensors leased from the run's free list, and
+// hands both back by its update (DESIGN.md §11). A hydration and its first
+// dispatch allocate about 17 kB, most of it the shard when the free list
+// holds no returned tensors.
 type Hydrator func(Profile) (comm.Handler, error)
 
 // LazyClient is the registered shell of an unmaterialized client. It
