@@ -1,8 +1,6 @@
 package fl
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math"
 	"testing"
 
@@ -162,17 +160,8 @@ func TestFloat32SeedReproducibility(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The reported numbers alone barely see the weights: 40 test
-			// samples score the same under a last-bit change. So the pin
-			// also folds every global model the run evaluates, bit for bit.
-			models := fnv.New64a()
-			eval := cl.Federator.Evaluate
-			cl.Federator.Evaluate = func(w nn.Weights) (float64, error) {
-				// A hash's Write never fails.
-				_ = binary.Write(models, binary.LittleEndian, w.Feature)
-				_ = binary.Write(models, binary.LittleEndian, w.Classifier)
-				return eval(w)
-			}
+			// The pin also folds every global model the run evaluates.
+			models := evaluatedModels(cl)
 			res, err := runOn(cl, cfg.Transport, cfg.Link, 0, (*Deployment).Run)
 			if err != nil {
 				t.Fatal(err)
@@ -182,7 +171,7 @@ func TestFloat32SeedReproducibility(t *testing.T) {
 			if got, want := resultHash(res), uint64(0xaccb2adbae3020da); got != want {
 				t.Fatalf("GOMAXPROCS %d: result hash %#x, want %#x", procs, got, want)
 			}
-			if got, want := models.Sum64(), uint64(0x5c38f67c816a0cd8); got != want {
+			if got, want := models(), uint64(0x5c38f67c816a0cd8); got != want {
 				t.Fatalf("GOMAXPROCS %d: evaluated-model hash %#x, want %#x", procs, got, want)
 			}
 		})

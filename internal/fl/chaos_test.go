@@ -226,6 +226,7 @@ func TestChaosBlackoutRoundCloses(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				ct.ScheduleCrash(comm.NodeID(i), d0/100, time.Duration(i+1)*d0)
 			}
+			models := evaluatedModels(dep.Cluster)
 			res, err := dep.Run()
 			if err != nil {
 				t.Fatal(err)
@@ -242,6 +243,10 @@ func TestChaosBlackoutRoundCloses(t *testing.T) {
 			// Captured at b5ebc35, before the cohort tracker, at GOMAXPROCS 1, 2, 8.
 			if got, want := resultHash(res), uint64(0x1537d4c36741cbe6); got != want {
 				t.Fatalf("GOMAXPROCS %d: result hash %#x, the parent commit's is %#x", procs, got, want)
+			}
+			// Captured at 314eb1f, before the round machine, at GOMAXPROCS 1, 2, 8.
+			if got, want := models(), uint64(0x845963754687005a); got != want {
+				t.Fatalf("GOMAXPROCS %d: evaluated-model hash %#x, the parent commit's is %#x", procs, got, want)
 			}
 		})
 	}
@@ -332,6 +337,7 @@ func checkOffloadReassignment(t *testing.T, procs int, strong comm.NodeID, crash
 	cfg.Trace = log
 	dep, ct := buildChaosDeployment(t, cfg, chaos.Plan{})
 	ct.ScheduleCrash(strong, crashAt, 0)
+	models := evaluatedModels(dep.Cluster)
 	res, err := dep.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -339,6 +345,10 @@ func checkOffloadReassignment(t *testing.T, procs int, strong comm.NodeID, crash
 	// Captured at b5ebc35, before the cohort tracker, at GOMAXPROCS 1, 2, 8.
 	if got, want := resultHash(res), uint64(0x1d3b830167cd8eb5); got != want {
 		t.Fatalf("GOMAXPROCS %d: result hash %#x, the parent commit's is %#x", procs, got, want)
+	}
+	// Captured at 314eb1f, before the round machine, at GOMAXPROCS 1, 2, 8.
+	if got, want := models(), uint64(0xb778836404b6baf8); got != want {
+		t.Fatalf("GOMAXPROCS %d: evaluated-model hash %#x, the parent commit's is %#x", procs, got, want)
 	}
 	if len(res.Rounds) != 2 {
 		t.Fatalf("%d rounds, want 2", len(res.Rounds))

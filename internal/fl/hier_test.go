@@ -14,6 +14,7 @@ import (
 	"aergia/internal/nn"
 	"aergia/internal/sim"
 	"aergia/internal/tensor"
+	"aergia/internal/trace"
 )
 
 // hierTopology is a small hierarchical experiment: 12 clients behind edge
@@ -303,33 +304,38 @@ func TestHierHydrationUnderChaos(t *testing.T) {
 // router tees the chaos layer's client fault notices to the owning edge,
 // which writes crashed cohort members off and re-enrolls rejoiners —
 // without the tee an edge waits forever on a dead client and the simulator
-// runs out of events. The faulted run must also replay bit-identically.
+// runs out of events. The faulted run must also replay bit-identically, and
+// it runs under the protocol checker: an edge that crashes is re-enrolled
+// and re-dispatches its round, also to members that delivered to it before.
 func TestHierChurnWithoutTimeoutCompletes(t *testing.T) {
-	run := func() (*Results, *Cluster) {
+	run := func() (*Results, *Cluster, uint64) {
 		t.Helper()
 		top := hierTopology(2, 0.5)
 		top.Chaos = chaos.Plan{Churn: 0.5, Rejoin: 1, Window: 200 * time.Millisecond}
+		log := trace.NewLog()
+		top.Trace = log
 		cl, err := top.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		inner, err := NewTransport(TransportSim, nil)
+		models := evaluatedModels(cl)
+		res, err := runOn(cl, TransportSim, nil, 0, (*Deployment).Run)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer inner.Close()
-		ct := chaos.New(inner, cl.Topology.Chaos, cl.Topology.Seed)
-		res, err := (&Deployment{Cluster: cl, Transport: ct}).Run()
-		if err != nil {
-			t.Fatal(err)
+		crashes := 0
+		for _, e := range log.Events() {
+			if e.Kind == trace.NodeCrash && e.Node == comm.FederatorID {
+				crashes++
+			}
 		}
-		if s := ct.Stats(); s.Crashes == 0 {
+		if crashes == 0 {
 			t.Fatal("churn plan injected no crashes — the stall path went unexercised")
 		}
-		return res, cl
+		return res, cl, models()
 	}
-	resA, clA := run()
-	resB, clB := run()
+	resA, clA, modelsA := run()
+	resB, clB, _ := run()
 	if len(resA.Rounds) != clA.Topology.Rounds {
 		t.Fatalf("completed %d rounds under churn, want %d", len(resA.Rounds), clA.Topology.Rounds)
 	}
@@ -338,6 +344,10 @@ func TestHierChurnWithoutTimeoutCompletes(t *testing.T) {
 	// (and so cancelled its lane): the fix moves no number.
 	if got, want := resultHash(resA), uint64(0x334bb6c36ee19a81); got != want {
 		t.Fatalf("tiered churn result hash %#x, the parent commit's is %#x", got, want)
+	}
+	// Captured at 314eb1f, before the round machine.
+	if got, want := modelsA, uint64(0x17c247c64ebd013d); got != want {
+		t.Fatalf("tiered churn evaluated-model hash %#x, the parent commit's is %#x", got, want)
 	}
 	if !sameIDSet(hydratedSet(clA), hydratedSet(clB)) {
 		t.Fatal("replayed faulted runs hydrated different shells")
@@ -362,7 +372,8 @@ func TestHierChurnReenrolsAPendingMember(t *testing.T) {
 	for _, tc := range []struct {
 		clients int
 		want    uint64 // captured at b5ebc35, before the cohort tracker, at GOMAXPROCS 1, 2, 8
-	}{{3, 0xb6a3d8868f7a4fdc}, {5, 0x6d74d0bdfe6ce737}} {
+		models  uint64 // captured at 314eb1f, before the round machine, at GOMAXPROCS 1, 2, 8
+	}{{3, 0xb6a3d8868f7a4fdc, 0x40fc031178632ed6}, {5, 0x6d74d0bdfe6ce737, 0x2454fbc923575312}} {
 		top := Topology{
 			Strategy:     NewFedAvg(0),
 			Arch:         nn.ArchMNISTSmall,
@@ -387,6 +398,7 @@ func TestHierChurnReenrolsAPendingMember(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				models := evaluatedModels(cl)
 				res, err := runOn(cl, TransportSim, sim.UniformLink(10*time.Millisecond, 1e6), 0, (*Deployment).Run)
 				if err != nil {
 					t.Fatal(err)
@@ -394,6 +406,10 @@ func TestHierChurnReenrolsAPendingMember(t *testing.T) {
 				if got := resultHash(res); got != tc.want {
 					t.Fatalf("%d clients at GOMAXPROCS %d: result hash %#x, the parent commit's is %#x",
 						tc.clients, procs, got, tc.want)
+				}
+				if got := models(); got != tc.models {
+					t.Fatalf("%d clients at GOMAXPROCS %d: evaluated-model hash %#x, the parent commit's is %#x",
+						tc.clients, procs, got, tc.models)
 				}
 			})
 		}
@@ -533,5 +549,149 @@ func TestHierEdgesReleaseUpdatesAfterFlush(t *testing.T) {
 	}
 	if seen == 0 {
 		t.Fatal("no edge ever buffered an update — the check saw nothing")
+	}
+}
+
+// inbox is a node that keeps what reaches it.
+type inbox []comm.Message
+
+func (b *inbox) OnMessage(_ comm.Env, msg comm.Message) { *b = append(*b, msg) }
+
+// count reports how many of the messages are of kind k.
+func (b inbox) count(k comm.Kind) int {
+	n := 0
+	for _, m := range b {
+		if m.Kind == k {
+			n++
+		}
+	}
+	return n
+}
+
+// TestHierEdgeRoundRules pins the rules in which an edge's round differs
+// from the root's, on one edge of a tiered run on the simulator: a root that
+// dispatches round 0 at 1 ms and relays liveness notices as the tier router
+// does, and three cohort members that keep their dispatches and send what a
+// case scripts.
+//   - A round whose every sampled member is down or written off, with
+//     nothing arrived, stays open without a timeout, and the first rejoin is
+//     re-dispatched into it. The root closes such a round at once.
+//   - A timeout with nothing arrived closes the round and sends nothing
+//     upstream; an update that arrives later is refused.
+//   - The upstream update carries the arrivals' summed samples, their
+//     sample-weighted mean step count, at least 1, and their sample-weighted
+//     mean model.
+func TestHierEdgeRoundRules(t *testing.T) {
+	const ms = time.Millisecond
+	edge := hier.EdgeID(0)
+	type tier struct {
+		notice func(at time.Duration, node comm.NodeID, down bool)
+		update func(at time.Duration, node comm.NodeID, samples, steps int, value float64)
+	}
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration
+		script  func(s tier)
+		trains  [3]int // KindTrain deliveries per member
+		want    *Update
+	}{
+		{"down at the open, first rejoin dispatched", 0, func(s tier) {
+			for id := comm.NodeID(0); id < 3; id++ {
+				s.notice(0, id, true)
+			}
+			s.notice(5*ms, 2, false)
+			s.update(6*ms, 2, 4, 3, 4)
+		}, [3]int{0, 0, 1}, &Update{NumSamples: 4, Steps: 3}},
+		{"written off mid-round, first rejoin re-dispatched", 0, func(s tier) {
+			for id := comm.NodeID(0); id < 3; id++ {
+				s.notice(2*ms, id, true)
+			}
+			s.notice(5*ms, 1, false)
+			s.update(6*ms, 1, 4, 3, 4)
+		}, [3]int{1, 2, 1}, &Update{NumSamples: 4, Steps: 3}},
+		{"timeout with nothing arrived", 10 * ms, func(s tier) {
+			for id := comm.NodeID(0); id < 3; id++ {
+				s.update(15*ms, id, 4, 3, 1)
+			}
+		}, [3]int{1, 1, 1}, nil},
+		{"sample-weighted aggregate", 0, func(s tier) {
+			s.update(2*ms, 1, 1, 10, 1)
+			s.update(3*ms, 0, 3, 2, 5)
+			s.notice(4*ms, 2, true)
+		}, [3]int{1, 1, 1}, &Update{NumSamples: 4, Steps: 4}},
+		{"at least one step", 0, func(s tier) {
+			for id := comm.NodeID(0); id < 3; id++ {
+				s.update(2*ms, id, 2, 0, 4)
+			}
+		}, [3]int{1, 1, 1}, &Update{NumSamples: 6, Steps: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := sim.NewNetwork(sim.NewKernel(), nil)
+			e := &EdgeAggregator{ID: edge, Cohort: []comm.NodeID{0, 1, 2}, Timeout: tc.timeout, BW: &Bandwidth{}}
+			e.Init()
+			var root inbox
+			var members [3]inbox
+			tr.Register(edge, e)
+			tr.Register(comm.FederatorID, &root)
+			for i := range members {
+				tr.Register(comm.NodeID(i), &members[i])
+			}
+			if err := tr.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			at := func(d time.Duration, node comm.NodeID, fn func(comm.Env)) {
+				tr.Invoke(comm.FederatorID, func(env comm.Env) {
+					env.After(d, func() { tr.Invoke(node, fn) })
+				})
+			}
+			tc.script(tier{
+				notice: func(d time.Duration, node comm.NodeID, down bool) {
+					at(d, comm.FederatorID, func(env comm.Env) {
+						env.Send(comm.Message{To: edge, Kind: comm.KindFault, Payload: comm.FaultPayload{Node: node, Down: down}})
+					})
+				},
+				update: func(d time.Duration, node comm.NodeID, samples, steps int, value float64) {
+					u := Update{Client: node, NumSamples: samples, Steps: steps,
+						Weights: nn.Weights{Feature: []float64{value, value}, Classifier: []float64{value}}}
+					at(d, node, func(env comm.Env) {
+						env.Send(comm.Message{To: edge, Kind: comm.KindUpdate, Payload: UpdatePayload{Update: u}})
+					})
+				},
+			})
+			at(ms, comm.FederatorID, func(env comm.Env) {
+				global := nn.Weights{Feature: []float64{0, 0}, Classifier: []float64{0}}
+				env.Send(comm.Message{To: edge, Kind: comm.KindTrain, Payload: TrainPayload{Global: global}})
+			})
+			if err := tr.Drive(nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range tc.trains {
+				if got := members[i].count(comm.KindTrain); got != want {
+					t.Errorf("member %d got %d dispatches, want %d", i, got, want)
+				}
+			}
+			if tc.want == nil {
+				if len(root) != 0 {
+					t.Fatalf("the edge sent %d messages upstream, want none", len(root))
+				}
+				return
+			}
+			if len(root) != 1 || root[0].Kind != comm.KindUpdate {
+				t.Fatalf("the edge sent %d messages upstream, want one update", len(root))
+			}
+			u := root[0].Payload.(UpdatePayload).Update
+			if u.Client != edge || u.NumSamples != tc.want.NumSamples || u.Steps != tc.want.Steps {
+				t.Fatalf("upstream update from %d with %d samples and %d steps, want %d, %d and %d",
+					u.Client, u.NumSamples, u.Steps, edge, tc.want.NumSamples, tc.want.Steps)
+			}
+			for _, v := range append(u.Weights.Feature, u.Weights.Classifier...) {
+				if v != 4 {
+					t.Fatalf("upstream model %v, want every value 4", u.Weights)
+				}
+			}
+		})
 	}
 }

@@ -28,8 +28,11 @@ func TestMain(m *testing.M) {
 // with it at Close:
 //   - a node sends nothing between its crash notice and its rejoin notice;
 //   - a node's clock never goes backwards;
-//   - a client or edge sends at most one update per (round, incarnation),
-//     an incarnation ending at each crash notice;
+//   - a client or edge sends at most one update per dispatch: per (round,
+//     incarnation, KindTrain deliveries of the round), an incarnation ending
+//     at each crash notice. A re-dispatch in one incarnation is legitimate:
+//     an edge that crashed and was re-enrolled re-dispatches its round to
+//     members that delivered to its dead incarnation;
 //   - the run's bandwidth ledger equals the summed Size of what the actors
 //     sent;
 //   - a dispatched TrainPayload.Global is never written: the federators and
@@ -56,7 +59,8 @@ type invariants struct {
 	now      map[comm.NodeID]time.Duration
 	down     map[comm.NodeID]bool
 	crashes  map[comm.NodeID]int
-	updates  map[[3]int]bool      // (node, incarnation, round)
+	trains   map[[2]int]int       // KindTrain deliveries, by (node, round)
+	updates  map[[4]int]bool      // (node, incarnation, dispatches, round)
 	shared   map[*float64]sentVec // globals and offload shipments, by backing array
 	inflight map[*float64]sentVec // raw updates sent and not yet delivered
 	sent     int64
@@ -103,7 +107,8 @@ func checkInvariants(cl *Cluster, transport string, inner comm.Transport) comm.T
 		now:      make(map[comm.NodeID]time.Duration),
 		down:     make(map[comm.NodeID]bool),
 		crashes:  make(map[comm.NodeID]int),
-		updates:  make(map[[3]int]bool),
+		trains:   make(map[[2]int]int),
+		updates:  make(map[[4]int]bool),
 		shared:   make(map[*float64]sentVec),
 		inflight: make(map[*float64]sentVec),
 	}
@@ -173,9 +178,9 @@ func (v *invariants) send(l comm.Layer, msg comm.Message) {
 		v.failf("node %d sent %s (round %d) at %v, between its crash and rejoin notices", id, msg.Kind, msg.Round, l.Now())
 	}
 	if msg.Kind == comm.KindUpdate && id != comm.FederatorID {
-		k := [3]int{int(id), v.crashes[id], msg.Round}
+		k := [4]int{int(id), v.crashes[id], v.trains[[2]int{int(id), msg.Round}], msg.Round}
 		if v.updates[k] {
-			v.failf("node %d sent a second update for round %d in one incarnation", id, msg.Round)
+			v.failf("node %d sent a second update for round %d in one incarnation and dispatch", id, msg.Round)
 		}
 		v.updates[k] = true
 	}
@@ -192,6 +197,9 @@ func (v *invariants) deliver(l comm.Layer, msg comm.Message) {
 		if p.Down {
 			v.crashes[p.Node]++
 		}
+	}
+	if msg.Kind == comm.KindTrain {
+		v.trains[[2]int{int(l.ID()), msg.Round}]++
 	}
 	v.arrived(msg)
 	l.Deliver(msg)
@@ -327,6 +335,9 @@ func TestInvariantsCatchEachViolation(t *testing.T) {
 	offload := func(w nn.Weights) comm.Message {
 		return comm.Message{To: comm.FederatorID, Round: 3, Kind: comm.KindOffload, Payload: OffloadPayload{Weak: client, Weights: w}}
 	}
+	// The client dispatches round 3 to itself, as an edge's re-dispatch
+	// reaches a member.
+	retrain := comm.Message{To: client, Round: 3, Kind: comm.KindTrain}
 	rawUpdate := func(w nn.Weights) comm.Message {
 		return comm.Message{To: comm.FederatorID, Round: 3, Kind: comm.KindUpdate, Payload: UpdatePayload{Update: Update{Client: client, Round: 3, Weights: w}}}
 	}
@@ -354,6 +365,19 @@ func TestInvariantsCatchEachViolation(t *testing.T) {
 			at(5*time.Millisecond, func(env comm.Env) { env.Send(update) })
 			at(40*time.Millisecond, func(env comm.Env) { env.Send(update) })
 		}, ""},
+		{"one update per dispatch", false, func(at func(time.Duration, func(comm.Env)), _ *Bandwidth, _ *time.Duration) {
+			at(5*time.Millisecond, func(env comm.Env) { env.Send(retrain) })
+			at(10*time.Millisecond, func(env comm.Env) { env.Send(update) })
+			at(20*time.Millisecond, func(env comm.Env) { env.Send(retrain) })
+			at(40*time.Millisecond, func(env comm.Env) { env.Send(update) })
+		}, ""},
+		{"second update in one dispatch", false, func(at func(time.Duration, func(comm.Env)), _ *Bandwidth, _ *time.Duration) {
+			at(5*time.Millisecond, func(env comm.Env) { env.Send(retrain) })
+			at(10*time.Millisecond, func(env comm.Env) { env.Send(update) })
+			at(20*time.Millisecond, func(env comm.Env) { env.Send(retrain) })
+			at(30*time.Millisecond, func(env comm.Env) { env.Send(update) })
+			at(40*time.Millisecond, func(env comm.Env) { env.Send(update) })
+		}, "second update for round 3"},
 		{"uncounted send", false, func(at func(time.Duration, func(comm.Env)), _ *Bandwidth, _ *time.Duration) {
 			at(20*time.Millisecond, func(env comm.Env) { env.Send(comm.Message{To: comm.FederatorID, Kind: comm.KindProfile, Size: 64}) })
 		}, "ledger holds 0 B, the actors sent 64 B"},

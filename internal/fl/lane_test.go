@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -48,6 +49,23 @@ func resultHash(r *Results) uint64 {
 	put(uint64(bw.DispatchBytes), uint64(bw.UpdateBytes), uint64(bw.OffloadBytes),
 		uint64(bw.ResultBytes), uint64(bw.ControlBytes), uint64(bw.TotalBytes))
 	return h.Sum64()
+}
+
+// evaluatedModels makes cl's federator fold every global model it evaluates,
+// bit for bit, into the hash the returned function reads after the run. The
+// reported numbers alone barely see the weights: a handful of test samples
+// score the same under a last-bit change, or under updates summed in
+// another order.
+func evaluatedModels(cl *Cluster) func() uint64 {
+	h := fnv.New64a()
+	eval := cl.Federator.Evaluate
+	cl.Federator.Evaluate = func(w nn.Weights) (float64, error) {
+		// A hash's Write never fails.
+		_ = binary.Write(h, binary.LittleEndian, w.Feature)
+		_ = binary.Write(h, binary.LittleEndian, w.Classifier)
+		return eval(w)
+	}
+	return h.Sum64
 }
 
 // asyncResultHash is resultHash for an asynchronous run: every sample, the

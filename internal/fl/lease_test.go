@@ -450,6 +450,7 @@ func TestLeaseKeepsPerClientStateAcrossWidths(t *testing.T) {
 			}
 			ledger := newLeaseLedger()
 			cl.lanes.onLease = ledger.observe
+			models := evaluatedModels(cl)
 			res, err := runOn(cl, cfg.Transport, cfg.Link, 0, (*Deployment).Run)
 			if err != nil {
 				t.Fatal(err)
@@ -460,6 +461,10 @@ func TestLeaseKeepsPerClientStateAcrossWidths(t *testing.T) {
 			// Captured at 1f74e52 (the parent commit) at GOMAXPROCS 1, 2, 8.
 			if got, want := resultHash(res), uint64(0xd7afb1ee1995a311); got != want {
 				t.Fatalf("GOMAXPROCS %d: result hash %#x, the parent commit's is %#x", procs, got, want)
+			}
+			// Captured at 314eb1f, before the round machine, at GOMAXPROCS 1, 2, 8.
+			if got, want := models(), uint64(0x39a3d67743089a05); got != want {
+				t.Fatalf("GOMAXPROCS %d: evaluated-model hash %#x, the parent commit's is %#x", procs, got, want)
 			}
 		})
 	}
