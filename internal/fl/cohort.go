@@ -9,9 +9,10 @@ import (
 
 // cohort is the one membership tracker of the coordinators (DESIGN.md §7):
 // which nodes are down, and which members of the current round still owe an
-// update. The sync federator and the edge aggregator drive their rounds
-// through it; the async federator keeps only its liveness view. Its fields
-// are read directly and changed only by its methods.
+// update. The round machine (round.go), which the sync federator and every
+// edge aggregator embed, drives its rounds through it; the async federator
+// keeps only its liveness view. Its fields are read directly and changed
+// only by its methods.
 type cohort struct {
 	down map[comm.NodeID]bool // by the last liveness notice
 

@@ -75,33 +75,24 @@ type EdgeAggregator struct {
 	updFeature    codec.Codec
 	updClassifier codec.Codec
 
-	// tracker holds the round's sampled clients, who of them still owes an
-	// update, and the cohort's liveness, by the root federator's rules.
-	tracker *cohort
-
-	// lanes is the run's lane group (buildHier sets it; Init makes one for a
-	// bare edge), whose free list the updates' and the aggregate's vectors
-	// are leased from and returned to.
-	lanes *laneGroup
-
-	// Per-round state. The edge owns every update's vectors (decodeUpdate).
-	round   int
-	base    nn.Weights
-	trainP  TrainPayload
-	updates []Update
-	timer   comm.Timer
+	// roundMachine runs the edge's round over its sampled clients, by the
+	// root federator's rules, and with no update it keeps a settled round
+	// open (keepEmpty). Its lanes are the run's (buildHier sets them; Init
+	// makes a group for a bare edge).
+	roundMachine
 }
 
 var _ comm.Handler = (*EdgeAggregator)(nil)
 
-// Init prepares the edge's codec streams and an empty tracker. Call once
+// Init prepares the edge's codec streams and an empty round. Call once
 // before messages flow.
 func (e *EdgeAggregator) Init() {
-	e.round = -1
-	e.tracker = newCohort("")
-	if e.lanes == nil {
-		e.lanes = newLaneGroup()
-	}
+	e.round, e.base = -1, nn.Weights{}
+	e.self, e.who, e.onClose, e.keepEmpty = e.ID, fmt.Sprintf("edge %d", e.ID), e.flush, true
+	e.codec, e.bw, e.logf, e.trace = e.Codec, e.BW, e.Logf, e.Trace
+	// An edge passes no mode: the root already counts the notices the router
+	// copies to it.
+	e.initRound("")
 	e.updFeature, e.updClassifier = e.Codec, e.Codec
 	if e.Codec != nil && e.Codec.Name() == codec.TopK {
 		e.updFeature = codec.NewResidual(e.Codec)
@@ -110,197 +101,92 @@ func (e *EdgeAggregator) Init() {
 }
 
 // OnRejoin implements the chaos rejoin handshake: the crash wiped the open
-// round and the residual streams, so re-derive both from static config and
-// idle until the root's next dispatch.
+// round and the residual streams, so hand back what the round held,
+// re-derive both from static config and idle until the root's next
+// dispatch.
 func (e *EdgeAggregator) OnRejoin(env comm.Env) {
-	if e.timer != nil {
-		e.timer.Cancel()
-		e.timer = nil
-	}
-	e.base = nn.Weights{}
-	e.trainP = TrainPayload{}
-	e.updates = nil
+	e.release()
 	e.Init()
 	e.Trace.Record(env.Now(), e.ID, -1, trace.NodeRejoin, "edge state re-seeded")
 }
 
-func (e *EdgeAggregator) logf(format string, args ...any) {
-	if e.Logf != nil {
-		e.Logf(format, args...)
-	}
-}
-
-// OnMessage implements comm.Handler.
+// OnMessage implements comm.Handler. The root's dispatch opens the edge's
+// round; the rest is the round's traffic.
 func (e *EdgeAggregator) OnMessage(env comm.Env, msg comm.Message) {
 	switch msg.Kind {
 	case comm.KindTrain:
 		p, ok := msg.Payload.(TrainPayload)
 		if !ok {
-			e.logf("edge %d: bad train payload %T", e.ID, msg.Payload)
+			e.debugf("bad train payload %T", msg.Payload)
 			return
 		}
 		e.startRound(env, p)
 	case comm.KindUpdate:
-		e.onUpdate(env, msg)
-	case comm.KindFault:
-		if p, ok := msg.Payload.(comm.FaultPayload); ok {
-			e.onFault(env, p)
+		if e.onUpdate(env, msg) {
+			hier.CountUpdateBytes("edge", msg.Size)
 		}
 	default:
-		// Client traffic the hierarchy does not speak (profiles, offload
-		// results) lands here via the router; the hierarchical build only
-		// runs non-offloading strategies, so this is stale or misdirected.
-		e.logf("edge %d: unexpected message kind %s", e.ID, msg.Kind)
+		e.onMessage(env, msg)
 	}
 }
 
-// startRound samples the round's sub-cohort and fans the root's dispatch
-// out to it, the global by reference (TrainPayload.Global).
+// startRound samples the round's sub-cohort and opens the round over it with
+// the root's dispatch, the global by reference (TrainPayload.Global), and
+// the edge's Timeout and no quorum.
 func (e *EdgeAggregator) startRound(env comm.Env, p TrainPayload) {
-	if e.timer != nil {
-		e.timer.Cancel()
-		e.timer = nil
-	}
-	e.round = p.Config.Round
-	e.base = p.Global
-	e.trainP = p
-	e.releaseUpdates()
-	sampled := e.Sampler.Cohort(e.round, e.Cohort)
+	sampled := e.Sampler.Cohort(p.Config.Round, e.Cohort)
 	hier.ObserveCohort(len(sampled))
-	e.Trace.Record(env.Now(), e.ID, e.round, trace.RoundStart,
+	e.Trace.Record(env.Now(), e.ID, p.Config.Round, trace.RoundStart,
 		fmt.Sprintf("edge cohort %d/%d sampled", len(sampled), len(e.Cohort)))
-	e.tracker.openRound(sampled, func(id comm.NodeID) { e.dispatch(env, id) })
-	if e.Timeout > 0 {
-		round := e.round
-		e.timer = env.After(e.Timeout, func() {
-			if e.round != round || !e.tracker.open {
-				return
-			}
-			e.logf("edge %d: round %d timeout with %d/%d updates",
-				e.ID, round, len(e.updates), len(e.tracker.members))
-			e.flush(env)
-		})
-	}
+	e.open(env, sampled, p, e.Timeout)
 }
 
-// dispatch forwards the round's training payload to one sampled client.
-func (e *EdgeAggregator) dispatch(env comm.Env, id comm.NodeID) {
-	e.BW.send(env, comm.Message{
-		To:      id,
-		Round:   e.round,
-		Kind:    comm.KindTrain,
-		Size:    e.trainP.Global.ByteSize(),
-		Payload: e.trainP,
-	})
-}
-
-// onUpdate absorbs one sampled client's update; the edge flushes upstream
-// when the sub-cohort owes nothing more.
-func (e *EdgeAggregator) onUpdate(env comm.Env, msg comm.Message) {
-	p, ok := msg.Payload.(UpdatePayload)
-	if !ok {
-		return
-	}
-	if msg.Round != e.round || !e.tracker.expects(p.Update.Client) {
-		e.logf("edge %d: stray update from %d round %d", e.ID, p.Update.Client, msg.Round)
-		return
-	}
-	hier.CountUpdateBytes("edge", msg.Size)
-	u, err := decodeUpdate(e.Codec, p, &e.base, e.lanes)
-	if err != nil {
-		e.logf("edge %d: update from %d: %v", e.ID, p.Update.Client, err)
-		return
-	}
-	e.tracker.deliver(u.Client)
-	e.updates = append(e.updates, u)
-	if e.tracker.settled() {
-		e.flush(env)
-	}
-}
-
-// onFault folds a cohort member's liveness change into the open round by
-// the tracker's rules: a crashed client that owed its update is written
-// off, and a rejoining one the tracker re-enrols gets the stored round
-// payload again. The hier router tees the chaos layer's federator-addressed
-// client notices to the owning edge, so this fires without the edge
-// subscribing to the fault plan.
-func (e *EdgeAggregator) onFault(env comm.Env, p comm.FaultPayload) {
-	if !p.Down {
-		if e.tracker.rejoin(p.Node) {
-			e.Trace.Record(env.Now(), e.ID, e.round, trace.NodeRejoin,
-				fmt.Sprintf("cohort client %d re-enrolled", p.Node))
-			e.dispatch(env, p.Node)
-		}
-		return
-	}
-	if !e.tracker.crash(p.Node) {
-		return
-	}
-	e.Trace.Record(env.Now(), e.ID, e.round, trace.NodeCrash,
-		fmt.Sprintf("cohort client %d written off", p.Node))
-	// Flush only if something arrived: unlike the root, an edge keeps a
-	// round whose every sampled client died open, so the first rejoin
-	// re-enrols into it. Closing on empty would wedge the root instead.
-	if e.tracker.settled() && len(e.updates) > 0 {
-		e.flush(env)
-	}
-}
-
-// flush combines the arrived updates into one upstream aggregate. With
-// nothing arrived the edge sends nothing — the root's round timeout and
-// quorum grace decide what to do about a silent edge.
+// flush is the edge's close: it combines the arrived updates, in arrival
+// order (the tiered model's bits depend on it), into one upstream aggregate.
+// With nothing arrived the edge sends nothing — the root's round timeout
+// and quorum grace decide what to do about a silent edge.
 func (e *EdgeAggregator) flush(env comm.Env) {
-	e.tracker.closeRound()
-	if e.timer != nil {
-		e.timer.Cancel()
-		e.timer = nil
-	}
-	if len(e.updates) == 0 {
+	// The round is closed: nothing reads the updates after this call.
+	defer e.release()
+	if len(e.arrived) == 0 {
 		return
 	}
-	// The round is closed: nothing reads the updates after this call.
-	defer e.releaseUpdates()
+	updates := e.collect(e.arrived)
 	// The aggregate is accumulated in a leased pair: shipped raw it is the
 	// root's to return, encoded it goes back once the bytes are out.
-	agg, err := weightedAverageInto(e.lanes.takeWeights(), e.updates)
+	agg, err := weightedAverageInto(e.lanes.takeWeights(), updates)
 	if err != nil {
-		e.logf("edge %d: aggregate: %v", e.ID, err)
+		e.debugf("aggregate: %v", err)
 		return
 	}
 	samples := 0
 	var steps float64
-	for _, u := range e.updates {
+	for _, u := range updates {
 		samples += u.NumSamples
 		steps += float64(u.NumSamples) * float64(u.Steps)
 	}
-	meanSteps := int(steps / float64(samples))
-	if meanSteps < 1 {
-		meanSteps = 1
-	}
-	upd := Update{
+	payload := UpdatePayload{Update: Update{
 		Client:     e.ID,
 		Round:      e.round,
 		NumSamples: samples,
-		Steps:      meanSteps,
-	}
-	payload := UpdatePayload{}
+		Steps:      max(int(steps/float64(samples)), 1),
+	}}
 	size := agg.ByteSize()
 	if e.Codec == nil {
-		upd.Weights = agg
+		payload.Update.Weights = agg
 	} else {
 		enc, err := encodeWeights(e.Codec.Name(), e.updFeature, e.updClassifier, agg, e.base)
 		e.lanes.putWeights(agg)
 		if err != nil {
-			e.logf("edge %d: encode aggregate: %v", e.ID, err)
+			e.debugf("encode aggregate: %v", err)
 			return
 		}
 		payload.Encoded = enc
 		size = enc.WireSize()
 	}
-	payload.Update = upd
 	hier.CountUpdateBytes("root", size)
 	e.Trace.Record(env.Now(), e.ID, e.round, trace.UpdateSent,
-		fmt.Sprintf("aggregate of %d clients, %d samples", len(e.updates), samples))
+		fmt.Sprintf("aggregate of %d clients, %d samples", len(updates), samples))
 	e.BW.send(env, comm.Message{
 		To:      comm.FederatorID,
 		Round:   e.round,
@@ -308,18 +194,6 @@ func (e *EdgeAggregator) flush(env comm.Env) {
 		Size:    size,
 		Payload: payload,
 	})
-}
-
-// releaseUpdates drops the round's updates and returns their vectors to the
-// run's free list. A buffer merely cut to length zero would keep every
-// client's weight snapshot reachable until the next dispatch (and, after
-// the last round, for as long as the cluster lives).
-func (e *EdgeAggregator) releaseUpdates() {
-	for _, u := range e.updates {
-		e.lanes.putWeights(u.Weights)
-	}
-	clear(e.updates)
-	e.updates = e.updates[:0]
 }
 
 // hierRootStrategy adapts the configured strategy to the root of a tiered
@@ -482,7 +356,8 @@ func (t Topology) buildHier(data *dataset.Source, test *dataset.Dataset, phase n
 				Timeout: t.Chaos.RoundTimeout,
 				Logf:    t.Logf,
 				Trace:   t.Trace,
-				lanes:   lanes,
+
+				roundMachine: roundMachine{lanes: lanes},
 			}
 			e.Init()
 			edges = append(edges, e)
@@ -514,7 +389,7 @@ func (t Topology) buildHier(data *dataset.Source, test *dataset.Dataset, phase n
 		Events:       t.Events,
 		Logf:         t.Logf,
 		Trace:        t.Trace,
-		lanes:        lanes,
+		roundMachine: roundMachine{lanes: lanes},
 	}
 	if err := fed.Init(); err != nil {
 		return nil, err

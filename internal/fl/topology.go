@@ -472,7 +472,7 @@ func (t Topology) Build() (*Cluster, error) {
 		Events:           t.Events,
 		Logf:             t.Logf,
 		Trace:            t.Trace,
-		lanes:            lanes,
+		roundMachine:     roundMachine{lanes: lanes},
 	}
 	if err := fed.Init(); err != nil {
 		return nil, err
