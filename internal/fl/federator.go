@@ -108,11 +108,21 @@ func (f *Federator) Init() error {
 	if f.EvalEvery <= 0 {
 		f.EvalEvery = 1
 	}
-	f.self, f.who, f.onClose = comm.FederatorID, "federator", f.finalizeRound
-	f.codec, f.bw, f.logf, f.trace, f.quorum = f.Codec, f.BW, f.Logf, f.Trace, f.QuorumFrac
+	f.self = comm.FederatorID
+	f.who = "federator"
+	f.onClose = f.finalizeRound
+	f.codec = f.Codec
+	f.bw = f.BW
+	f.logf = f.Logf
+	f.trace = f.Trace
+	f.quorum = f.QuorumFrac
 	if f.Strategy.Offloading() {
-		f.offload, f.signer = true, f.Signer
-		f.schedCfg = sched.Config{SimilarityFactor: f.SimilarityFactor, Similarity: f.Similarity, Index: f.SimilarityIndex}
+		f.signer = f.Signer
+		f.schedCfg = sched.Config{
+			SimilarityFactor: f.SimilarityFactor,
+			Similarity:       f.Similarity,
+			Index:            f.SimilarityIndex,
+		}
 	}
 	f.initRound("sync")
 	return nil

@@ -87,9 +87,16 @@ var _ comm.Handler = (*EdgeAggregator)(nil)
 // Init prepares the edge's codec streams and an empty round. Call once
 // before messages flow.
 func (e *EdgeAggregator) Init() {
-	e.round, e.base = -1, nn.Weights{}
-	e.self, e.who, e.onClose, e.keepEmpty = e.ID, fmt.Sprintf("edge %d", e.ID), e.flush, true
-	e.codec, e.bw, e.logf, e.trace = e.Codec, e.BW, e.Logf, e.Trace
+	e.round = -1
+	e.base = nn.Weights{}
+	e.self = e.ID
+	e.who = fmt.Sprintf("edge %d", e.ID)
+	e.onClose = e.flush
+	e.keepEmpty = true
+	e.codec = e.Codec
+	e.bw = e.BW
+	e.logf = e.Logf
+	e.trace = e.Trace
 	// An edge passes no mode: the root already counts the notices the router
 	// copies to it.
 	e.initRound("")

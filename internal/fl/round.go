@@ -33,8 +33,7 @@ type roundMachine struct {
 	trace     *trace.Log
 	quorum    float64 // QuorumFrac
 	onClose   func(env comm.Env)
-	offload   bool // run the Aergia protocol; signer and schedCfg set
-	signer    *sched.Signer
+	signer    *sched.Signer // set: run the Aergia protocol with schedCfg
 	schedCfg  sched.Config
 	keepEmpty bool // hold a settled round with no update open (the edge)
 
@@ -94,11 +93,14 @@ func (r *roundMachine) debugf(format string, args ...any) {
 // deadline d (0 arms none).
 func (r *roundMachine) open(env comm.Env, members []comm.NodeID, p TrainPayload, d time.Duration) {
 	r.release()
-	r.round, r.cfg, r.base = p.Config.Round, p.Config, p.Global
+	r.round = p.Config.Round
+	r.cfg = p.Config
+	r.base = p.Global
 	clear(r.reports)
 	clear(r.pairs)
 	clear(r.features)
-	r.scheduled, r.pastDeadline = false, false
+	r.scheduled = false
+	r.pastDeadline = false
 	r.start = env.Now()
 	r.tracker.openRound(members, func(id comm.NodeID) { r.dispatch(env, id) })
 	if d > 0 {
@@ -170,7 +172,7 @@ func (r *roundMachine) onMessage(env comm.Env, msg comm.Message) {
 	}
 	switch msg.Kind {
 	case comm.KindProfile:
-		if p, ok := msg.Payload.(ProfilePayload); ok && r.offload {
+		if p, ok := msg.Payload.(ProfilePayload); ok && r.signer != nil {
 			r.onProfile(env, p.Report)
 		}
 	case comm.KindUpdate:
@@ -204,8 +206,8 @@ func (r *roundMachine) onMessage(env comm.Env, msg comm.Message) {
 }
 
 // onUpdate takes a member's first update of the current round, decoded
-// against the round's base into a pair the machine owns, and reports
-// whether it did.
+// against the round's base into a pair the machine owns. It reports whether
+// the round owed the update, decoded or not: the bytes crossed the link.
 func (r *roundMachine) onUpdate(env comm.Env, msg comm.Message) bool {
 	p, ok := msg.Payload.(UpdatePayload)
 	if !ok || msg.Round != r.round {
@@ -218,7 +220,7 @@ func (r *roundMachine) onUpdate(env comm.Env, msg comm.Message) bool {
 	u, err := decodeUpdate(r.codec, p, &r.base, r.lanes)
 	if err != nil {
 		r.debugf("update from %d: %v", p.Update.Client, err)
-		return false
+		return true
 	}
 	r.tracker.deliver(u.Client)
 	if len(r.arrived) == 0 {
@@ -249,7 +251,7 @@ func (r *roundMachine) onProfile(env comm.Env, rep profile.Report) {
 // excluded — a crash that removes the last missing reporter triggers
 // scheduling over the survivors (onFault re-checks).
 func (r *roundMachine) maybeSchedule(env comm.Env) {
-	if r.scheduled || !r.offload {
+	if r.scheduled || r.signer == nil {
 		return
 	}
 	perfs := make([]sched.Perf, 0, len(r.reports))
@@ -291,11 +293,19 @@ func (r *roundMachine) maybeSchedule(env comm.Env) {
 // direct signs and sends a pair's two directives: RoleOffload to the weak
 // member, RoleReceive to its helper. It reports whether both went out.
 func (r *roundMachine) direct(env comm.Env, pair sched.Pair) bool {
-	for _, d := range []sched.Directive{
-		{Client: pair.Weak, Role: sched.RoleOffload, Peer: pair.Strong},
-		{Client: pair.Strong, Role: sched.RoleReceive, Peer: pair.Weak},
-	} {
-		d.Round, d.OffloadAfter, d.OffloadedUpdates = r.round, pair.OffloadAfter, pair.OffloadedUpdates
+	weakDir := sched.Directive{
+		Client:           pair.Weak,
+		Round:            r.round,
+		Role:             sched.RoleOffload,
+		Peer:             pair.Strong,
+		OffloadAfter:     pair.OffloadAfter,
+		OffloadedUpdates: pair.OffloadedUpdates,
+	}
+	strongDir := weakDir
+	strongDir.Client = pair.Strong
+	strongDir.Role = sched.RoleReceive
+	strongDir.Peer = pair.Weak
+	for _, d := range []sched.Directive{weakDir, strongDir} {
 		envlp, err := r.signer.Sign(d)
 		if err != nil {
 			r.debugf("sign directive: %v", err)
