@@ -12,6 +12,7 @@ import (
 	"aergia/internal/dataset"
 	"aergia/internal/hier"
 	"aergia/internal/nn"
+	"aergia/internal/obs"
 	"aergia/internal/sim"
 	"aergia/internal/tensor"
 	"aergia/internal/trace"
@@ -686,5 +687,54 @@ func TestHierEdgeRoundRules(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHierEdgeCountsOwedUplinks pins what the edge tier of
+// aergia_hier_update_bytes_total counts: every update the edge's round owes,
+// decoded or not — an undecodable one crossed the link all the same — and
+// no stray update.
+func TestHierEdgeCountsOwedUplinks(t *testing.T) {
+	edgeBytes := obs.Default.CounterVec("aergia_hier_update_bytes_total", "", "tier").With("edge")
+	edge := hier.EdgeID(0)
+	tr := sim.NewNetwork(sim.NewKernel(), nil)
+	e := &EdgeAggregator{ID: edge, Cohort: []comm.NodeID{0, 1}, BW: &Bandwidth{}}
+	e.Init()
+	var root inbox
+	var members [2]inbox
+	tr.Register(edge, e)
+	tr.Register(comm.FederatorID, &root)
+	for i := range members {
+		tr.Register(comm.NodeID(i), &members[i])
+	}
+	if err := tr.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	global := nn.Weights{Feature: []float64{0, 0}, Classifier: []float64{0}}
+	tr.Invoke(comm.FederatorID, func(env comm.Env) {
+		env.Send(comm.Message{To: edge, Kind: comm.KindTrain, Payload: TrainPayload{Global: global}})
+	})
+	send := func(from comm.NodeID, round, size int, p UpdatePayload) {
+		p.Update.Client = from
+		tr.Invoke(from, func(env comm.Env) {
+			env.Send(comm.Message{To: edge, Round: round, Kind: comm.KindUpdate, Size: size, Payload: p})
+		})
+	}
+	before := edgeBytes.Value()
+	// Owed but encoded on this codec-free run: counted, then refused.
+	send(0, 0, 100, UpdatePayload{Encoded: EncodedWeights{Codec: "q8"}})
+	// Owed and decodable.
+	send(1, 0, 20, UpdatePayload{Update: Update{NumSamples: 1, Weights: global}})
+	// Not owed: a round the edge is not running, and a second update.
+	send(0, 1, 1000, UpdatePayload{Update: Update{NumSamples: 1, Weights: global}})
+	send(1, 0, 3000, UpdatePayload{Update: Update{NumSamples: 1, Weights: global}})
+	if err := tr.Drive(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := edgeBytes.Value() - before; got != 120 {
+		t.Fatalf("the edge counted %v uplink bytes, want 120", got)
 	}
 }
