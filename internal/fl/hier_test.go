@@ -575,18 +575,25 @@ func (b inbox) count(k comm.Kind) int {
 //   - The upstream update carries the arrivals' summed samples, their
 //     sample-weighted mean step count, at least 1, and their sample-weighted
 //     mean model.
+//   - The edge tier of aergia_hier_update_bytes_total counts every update
+//     the round owes, decoded or not (an undecodable one crossed the link
+//     all the same), and no refused one.
 func TestHierEdgeRoundRules(t *testing.T) {
 	const ms = time.Millisecond
 	edge := hier.EdgeID(0)
 	type tier struct {
 		notice func(at time.Duration, node comm.NodeID, down bool)
 		update func(at time.Duration, node comm.NodeID, samples, steps int, value float64)
+		// undecodable sends an update encoded on this codec-free run.
+		undecodable func(at time.Duration, node comm.NodeID)
 	}
+	edgeBytes := obs.Default.CounterVec("aergia_hier_update_bytes_total", "", "tier").With("edge")
 	for _, tc := range []struct {
 		name    string
 		timeout time.Duration
 		script  func(s tier)
 		trains  [3]int // KindTrain deliveries per member
+		uplinks int    // updates the edge counts, one byte each
 		want    *Update
 	}{
 		{"down at the open, first rejoin dispatched", 0, func(s tier) {
@@ -595,29 +602,36 @@ func TestHierEdgeRoundRules(t *testing.T) {
 			}
 			s.notice(5*ms, 2, false)
 			s.update(6*ms, 2, 4, 3, 4)
-		}, [3]int{0, 0, 1}, &Update{NumSamples: 4, Steps: 3}},
+		}, [3]int{0, 0, 1}, 1, &Update{NumSamples: 4, Steps: 3}},
 		{"written off mid-round, first rejoin re-dispatched", 0, func(s tier) {
 			for id := comm.NodeID(0); id < 3; id++ {
 				s.notice(2*ms, id, true)
 			}
 			s.notice(5*ms, 1, false)
 			s.update(6*ms, 1, 4, 3, 4)
-		}, [3]int{1, 2, 1}, &Update{NumSamples: 4, Steps: 3}},
+		}, [3]int{1, 2, 1}, 1, &Update{NumSamples: 4, Steps: 3}},
 		{"timeout with nothing arrived", 10 * ms, func(s tier) {
 			for id := comm.NodeID(0); id < 3; id++ {
 				s.update(15*ms, id, 4, 3, 1)
 			}
-		}, [3]int{1, 1, 1}, nil},
+		}, [3]int{1, 1, 1}, 0, nil},
 		{"sample-weighted aggregate", 0, func(s tier) {
 			s.update(2*ms, 1, 1, 10, 1)
 			s.update(3*ms, 0, 3, 2, 5)
 			s.notice(4*ms, 2, true)
-		}, [3]int{1, 1, 1}, &Update{NumSamples: 4, Steps: 4}},
+		}, [3]int{1, 1, 1}, 2, &Update{NumSamples: 4, Steps: 4}},
 		{"at least one step", 0, func(s tier) {
 			for id := comm.NodeID(0); id < 3; id++ {
 				s.update(2*ms, id, 2, 0, 4)
 			}
-		}, [3]int{1, 1, 1}, &Update{NumSamples: 6, Steps: 1}},
+		}, [3]int{1, 1, 1}, 3, &Update{NumSamples: 6, Steps: 1}},
+		{"undecodable update counted, then refused", 0, func(s tier) {
+			s.undecodable(2*ms, 0)
+			s.update(3*ms, 1, 2, 3, 4)
+			s.update(3*ms, 2, 2, 3, 4)
+			s.update(3*ms, 2, 2, 3, 9)
+			s.notice(4*ms, 0, true)
+		}, [3]int{1, 1, 1}, 3, &Update{NumSamples: 4, Steps: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := sim.NewNetwork(sim.NewKernel(), nil)
@@ -638,6 +652,12 @@ func TestHierEdgeRoundRules(t *testing.T) {
 					env.After(d, func() { tr.Invoke(node, fn) })
 				})
 			}
+			send := func(d time.Duration, node comm.NodeID, p UpdatePayload) {
+				p.Update.Client = node
+				at(d, node, func(env comm.Env) {
+					env.Send(comm.Message{To: edge, Kind: comm.KindUpdate, Size: 1, Payload: p})
+				})
+			}
 			tc.script(tier{
 				notice: func(d time.Duration, node comm.NodeID, down bool) {
 					at(d, comm.FederatorID, func(env comm.Env) {
@@ -645,13 +665,14 @@ func TestHierEdgeRoundRules(t *testing.T) {
 					})
 				},
 				update: func(d time.Duration, node comm.NodeID, samples, steps int, value float64) {
-					u := Update{Client: node, NumSamples: samples, Steps: steps,
-						Weights: nn.Weights{Feature: []float64{value, value}, Classifier: []float64{value}}}
-					at(d, node, func(env comm.Env) {
-						env.Send(comm.Message{To: edge, Kind: comm.KindUpdate, Payload: UpdatePayload{Update: u}})
-					})
+					send(d, node, UpdatePayload{Update: Update{NumSamples: samples, Steps: steps,
+						Weights: nn.Weights{Feature: []float64{value, value}, Classifier: []float64{value}}}})
+				},
+				undecodable: func(d time.Duration, node comm.NodeID) {
+					send(d, node, UpdatePayload{Encoded: EncodedWeights{Codec: "q8"}})
 				},
 			})
+			before := edgeBytes.Value()
 			at(ms, comm.FederatorID, func(env comm.Env) {
 				global := nn.Weights{Feature: []float64{0, 0}, Classifier: []float64{0}}
 				env.Send(comm.Message{To: edge, Kind: comm.KindTrain, Payload: TrainPayload{Global: global}})
@@ -666,6 +687,9 @@ func TestHierEdgeRoundRules(t *testing.T) {
 				if got := members[i].count(comm.KindTrain); got != want {
 					t.Errorf("member %d got %d dispatches, want %d", i, got, want)
 				}
+			}
+			if got := edgeBytes.Value() - before; got != float64(tc.uplinks) {
+				t.Errorf("the edge counted %v uplink bytes, want %d", got, tc.uplinks)
 			}
 			if tc.want == nil {
 				if len(root) != 0 {
@@ -687,54 +711,5 @@ func TestHierEdgeRoundRules(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestHierEdgeCountsOwedUplinks pins what the edge tier of
-// aergia_hier_update_bytes_total counts: every update the edge's round owes,
-// decoded or not — an undecodable one crossed the link all the same — and
-// no stray update.
-func TestHierEdgeCountsOwedUplinks(t *testing.T) {
-	edgeBytes := obs.Default.CounterVec("aergia_hier_update_bytes_total", "", "tier").With("edge")
-	edge := hier.EdgeID(0)
-	tr := sim.NewNetwork(sim.NewKernel(), nil)
-	e := &EdgeAggregator{ID: edge, Cohort: []comm.NodeID{0, 1}, BW: &Bandwidth{}}
-	e.Init()
-	var root inbox
-	var members [2]inbox
-	tr.Register(edge, e)
-	tr.Register(comm.FederatorID, &root)
-	for i := range members {
-		tr.Register(comm.NodeID(i), &members[i])
-	}
-	if err := tr.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	global := nn.Weights{Feature: []float64{0, 0}, Classifier: []float64{0}}
-	tr.Invoke(comm.FederatorID, func(env comm.Env) {
-		env.Send(comm.Message{To: edge, Kind: comm.KindTrain, Payload: TrainPayload{Global: global}})
-	})
-	send := func(from comm.NodeID, round, size int, p UpdatePayload) {
-		p.Update.Client = from
-		tr.Invoke(from, func(env comm.Env) {
-			env.Send(comm.Message{To: edge, Round: round, Kind: comm.KindUpdate, Size: size, Payload: p})
-		})
-	}
-	before := edgeBytes.Value()
-	// Owed but encoded on this codec-free run: counted, then refused.
-	send(0, 0, 100, UpdatePayload{Encoded: EncodedWeights{Codec: "q8"}})
-	// Owed and decodable.
-	send(1, 0, 20, UpdatePayload{Update: Update{NumSamples: 1, Weights: global}})
-	// Not owed: a round the edge is not running, and a second update.
-	send(0, 1, 1000, UpdatePayload{Update: Update{NumSamples: 1, Weights: global}})
-	send(1, 0, 3000, UpdatePayload{Update: Update{NumSamples: 1, Weights: global}})
-	if err := tr.Drive(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := edgeBytes.Value() - before; got != 120 {
-		t.Fatalf("the edge counted %v uplink bytes, want 120", got)
 	}
 }
