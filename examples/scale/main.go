@@ -54,9 +54,12 @@ func main() {
 // default cohort, however many rounds run. A hydrated client holds a network
 // and its shard only from dispatch to update (DESIGN.md §11) and an edge drops
 // its cohort's updates once the aggregate is sent, so what is live after the
-// run is the shells and what a hydrated client keeps between rounds: 22 MB
-// after 2 rounds, 33 MB after 32. While every hydrated client kept its shard
-// it was 40 MB after 2 rounds and 268 MB after 32; while the edges' update
+// run is the edges' cohort lists (8 B a client) and, for each client the run
+// touched, its shell, its stack and network entries and what a hydrated
+// client keeps between rounds: 3.1 MB after 2 rounds, 18.4 MB after 32 (22
+// and 33 MB while every client was registered and shelled up front). While
+// every hydrated client kept its shard it was 40 MB after 2 rounds and
+// 268 MB after 32; while the edges' update
 // buffers still referenced every snapshot of the last round (605 × 52.7 kB),
 // 75 MB after 2; and 199 MB with 1 018 networks resident on top. Any of those
 // coming back fails the bound.
@@ -100,8 +103,10 @@ func run(clientsList string, cohort, tiers, rounds int) error {
 		return nil
 	}
 	// The proof: 10x more clients must not cost anywhere near 10x. The
-	// cohort is fixed, so training work is constant and the only O(N) terms
-	// are the lazy profiles and the sampler hashes — both tiny.
+	// cohort is fixed, so training work is constant. The O(N) terms are the
+	// edges' cohort lists (8 B a client) and the sampler and assignment
+	// hashes over them; a client costs a shell and transport entries only
+	// once it is addressed.
 	first, last := points[0], points[len(points)-1]
 	growth := float64(last.clients) / float64(first.clients)
 	limit := 0.6 * growth

@@ -45,37 +45,44 @@ func (p Plan) Expand(seed uint64, nodes []comm.NodeID) []Fate {
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	var fates []Fate
 	for _, node := range sorted {
-		rng := p.nodeStream(seed, node)
-		f := Fate{Node: node, SpikeFactor: 1}
-		// Fixed draw sequence per node: crash roll, crash time, rejoin
-		// roll, spike roll, spike start. Drawing unconditionally keeps a
-		// node's fate stable when only thresholds change between plans.
-		crashRoll := rng.Float64()
-		crashFrac := rng.Float64()
-		rejoinRoll := rng.Float64()
-		spikeRoll := rng.Float64()
-		spikeFrac := rng.Float64()
-		if p.Churn > 0 && crashRoll < p.Churn {
-			f.Crashes = true
-			// Keep crash times strictly positive so a node is never down
-			// before the federator's round 0 dispatch is scheduled.
-			f.CrashAt = time.Duration((0.05 + 0.95*crashFrac) * float64(p.Window))
-			if f.CrashAt <= 0 {
-				f.CrashAt = 1
-			}
-			if p.Rejoin > 0 && rejoinRoll < p.Rejoin {
-				f.Rejoins = true
-				f.RejoinAt = f.CrashAt + p.Down
-			}
-		}
-		if p.SpikeProb > 0 && spikeRoll < p.SpikeProb {
-			f.SpikeFactor = p.Spike
-			f.SpikeStart = time.Duration(spikeFrac * float64(p.Window))
-			f.SpikeEnd = f.SpikeStart + p.SpikeLen
-		}
-		if f.Crashes || f.SpikeFactor > 1 {
+		if f := p.fate(seed, node); f.Crashes || f.SpikeFactor > 1 {
 			fates = append(fates, f)
 		}
 	}
 	return fates
+}
+
+// fate is one client node's fate, a pure function of (seed, plan, node):
+// what Expand lists for the node when it crashes or spikes, and otherwise
+// a fate with neither.
+func (p Plan) fate(seed uint64, node comm.NodeID) Fate {
+	rng := p.nodeStream(seed, node)
+	f := Fate{Node: node, SpikeFactor: 1}
+	// Fixed draw sequence per node: crash roll, crash time, rejoin roll,
+	// spike roll, spike start. Drawing unconditionally keeps a node's fate
+	// stable when only thresholds change between plans.
+	crashRoll := rng.Float64()
+	crashFrac := rng.Float64()
+	rejoinRoll := rng.Float64()
+	spikeRoll := rng.Float64()
+	spikeFrac := rng.Float64()
+	if p.Churn > 0 && crashRoll < p.Churn {
+		f.Crashes = true
+		// Keep crash times strictly positive so a node is never down before
+		// the federator's round 0 dispatch is scheduled.
+		f.CrashAt = time.Duration((0.05 + 0.95*crashFrac) * float64(p.Window))
+		if f.CrashAt <= 0 {
+			f.CrashAt = 1
+		}
+		if p.Rejoin > 0 && rejoinRoll < p.Rejoin {
+			f.Rejoins = true
+			f.RejoinAt = f.CrashAt + p.Down
+		}
+	}
+	if p.SpikeProb > 0 && spikeRoll < p.SpikeProb {
+		f.SpikeFactor = p.Spike
+		f.SpikeStart = time.Duration(spikeFrac * float64(p.Window))
+		f.SpikeEnd = f.SpikeStart + p.SpikeLen
+	}
+	return f
 }

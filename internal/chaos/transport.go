@@ -2,7 +2,7 @@ package chaos
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -41,12 +41,12 @@ type Stats struct {
 // parity tests pin this).
 type Transport struct {
 	*comm.Stack
-	plan Plan
-	seed uint64
+	plan    Plan // normalized
+	planErr error
+	seed    uint64
 
-	mu       sync.Mutex  // guards everything below
-	nodes    []nodeFault // by comm.Layer.Index
-	explicit []Fate
+	mu       sync.Mutex // guards everything below and every node's nodeFault
+	explicit map[comm.NodeID]Fate
 	linkSeq  map[[2]comm.NodeID]uint64
 	stats    Stats
 	sealed   bool
@@ -55,7 +55,7 @@ type Transport struct {
 	inflight sync.WaitGroup
 }
 
-// nodeFault is one node's fault state.
+// nodeFault is one node's fault state, the interceptor's state on the node.
 type nodeFault struct {
 	down        bool
 	incarnation uint64
@@ -63,12 +63,13 @@ type nodeFault struct {
 }
 
 // New adds the plan's fault interceptor above inner (see comm.Interceptor.On).
-// The plan is normalized at Seal, where an invalid one surfaces (construction
-// sites without error paths stay simple). seed is the run's topology seed.
+// An invalid plan surfaces at Seal (construction sites without error paths
+// stay simple). seed is the run's topology seed.
 func New(inner comm.Transport, plan Plan, seed uint64) *Transport {
-	t := &Transport{plan: plan, seed: seed, linkSeq: make(map[[2]comm.NodeID]uint64)}
+	t := &Transport{seed: seed, explicit: make(map[comm.NodeID]Fate), linkSeq: make(map[[2]comm.NodeID]uint64)}
+	t.plan, t.planErr = plan.Normalized()
 	t.Stack = comm.Interceptor{
-		Send: t.send, Deliver: t.deliver, After: t.after, Seal: t.seal, Close: t.close,
+		State: t.state, Send: t.send, Deliver: t.deliver, After: t.after, Seal: t.seal, Close: t.close,
 	}.On(inner)
 	return t
 }
@@ -98,7 +99,7 @@ func (t *Transport) ScheduleCrash(node comm.NodeID, at, downFor time.Duration) {
 	if t.sealed {
 		panic("chaos: ScheduleCrash after Seal")
 	}
-	t.explicit = append(t.explicit, f)
+	t.explicit[node] = f
 }
 
 // Stats returns a snapshot of the injected-fault counters.
@@ -108,56 +109,59 @@ func (t *Transport) Stats() Stats {
 	return t.stats
 }
 
-// seal expands the plan into per-node fates and schedules every crash and
-// rejoin on the federator's timers below this layer (the federator itself
-// is never faulted), so the events are neither spike-scaled nor
-// incarnation-guarded.
-func (t *Transport) seal(nodes []comm.Layer) error {
-	plan, err := t.plan.Normalized()
-	if err != nil {
-		return err
+// fate is node's fate: the one ScheduleCrash pinned, else the plan's (the
+// federator itself is never faulted). The caller holds t.mu.
+func (t *Transport) fate(node comm.NodeID) Fate {
+	if f, ok := t.explicit[node]; ok {
+		return f
 	}
-	var fed comm.Layer
-	hasFed := false
-	var clients []comm.NodeID
-	for _, l := range nodes {
-		if l.ID() == comm.FederatorID {
-			fed, hasFed = l, true
-		} else {
-			clients = append(clients, l.ID())
-		}
+	if node == comm.FederatorID {
+		return Fate{}
 	}
+	return t.plan.fate(t.seed, node)
+}
+
+// state makes a node's fault state as the node activates: its fate is a
+// pure function of (seed, plan, node), so it does not matter when.
+func (t *Transport) state(node comm.NodeID) any {
 	t.mu.Lock()
-	t.plan = plan
+	defer t.mu.Unlock()
+	return &nodeFault{fate: t.fate(node)}
+}
+
+// faultOf is the node's fault state.
+func faultOf(l comm.Layer) *nodeFault { return l.State().(*nodeFault) }
+
+// seal finds the members fated to crash, activating only those, and
+// schedules every crash and rejoin on the federator's timers below this
+// layer, so the events are neither spike-scaled nor incarnation-guarded.
+func (t *Transport) seal(m comm.Members) error {
+	if t.planErr != nil {
+		return t.planErr
+	}
+	var crashing []comm.NodeID
+	t.mu.Lock()
 	t.sealed = true
-	// Explicit fates (ScheduleCrash) override the node's plan-expanded
-	// fate, so the deduped map — not the raw slices — is what gets armed.
-	fates := make(map[comm.NodeID]Fate)
-	for _, f := range plan.Expand(t.seed, clients) {
-		fates[f.Node] = f
-	}
-	for _, f := range t.explicit {
-		fates[f.Node] = f
-	}
-	t.nodes = make([]nodeFault, len(nodes))
-	var crashing []comm.Layer
-	for _, l := range nodes {
-		f := fates[l.ID()]
-		t.nodes[l.Index()].fate = f
-		if f.Crashes {
-			crashing = append(crashing, l)
+	m.Each(func(id comm.NodeID) {
+		if t.fate(id).Crashes {
+			crashing = append(crashing, id)
 		}
-	}
+	})
 	t.mu.Unlock()
-	if len(crashing) > 0 && !hasFed {
+	if len(crashing) == 0 {
+		return nil
+	}
+	fed, ok := m.Layer(comm.FederatorID)
+	if !ok {
 		return fmt.Errorf("chaos: %d crashes are scheduled on the federator, which is not registered", len(crashing))
 	}
 	// Timers are armed in node order, so a replay arms the same sequence
 	// whatever order the nodes registered in.
-	sort.Slice(crashing, func(i, j int) bool { return crashing[i].ID() < crashing[j].ID() })
+	slices.Sort(crashing)
 	var timers []comm.Timer
-	for _, l := range crashing {
-		f := fates[l.ID()]
+	for _, id := range crashing {
+		l, _ := m.Layer(id)
+		f := faultOf(l).fate
 		timers = append(timers, fed.After(f.CrashAt, func() { t.crash(fed, l) }))
 		if f.Rejoins {
 			timers = append(timers, fed.After(f.RejoinAt, func() { t.rejoin(fed, l) }))
@@ -175,7 +179,7 @@ func (t *Transport) seal(nodes []comm.Layer) error {
 // delivery the layers above see.
 func (t *Transport) crash(fed, l comm.Layer) {
 	t.mu.Lock()
-	st := &t.nodes[l.Index()]
+	st := faultOf(l)
 	if t.closed || st.down {
 		t.mu.Unlock()
 		return
@@ -198,7 +202,7 @@ func (t *Transport) crash(fed, l comm.Layer) {
 // federator sends on the notification can never reach a half-reset actor.
 func (t *Transport) rejoin(fed, l comm.Layer) {
 	t.mu.Lock()
-	st := &t.nodes[l.Index()]
+	st := faultOf(l)
 	if t.closed || !st.down {
 		t.mu.Unlock()
 		return
@@ -271,7 +275,7 @@ func (t *Transport) linkFault(from, to comm.NodeID) (drop bool, delay time.Durat
 // wire.
 func (t *Transport) send(l comm.Layer, msg comm.Message) {
 	t.mu.Lock()
-	st := &t.nodes[l.Index()]
+	st := faultOf(l)
 	if st.down {
 		// A racing timer on a wall-clock transport can attempt a send in
 		// the instant its node is declared down; model it as lost output.
@@ -293,7 +297,7 @@ func (t *Transport) send(l comm.Layer, msg comm.Message) {
 // deliver discards a message that reaches a downed node.
 func (t *Transport) deliver(l comm.Layer, msg comm.Message) {
 	t.mu.Lock()
-	st := &t.nodes[l.Index()]
+	st := faultOf(l)
 	down := st.down
 	if down {
 		t.stats.DroppedDown++
@@ -311,7 +315,7 @@ func (t *Transport) deliver(l comm.Layer, msg comm.Message) {
 func (t *Transport) after(l comm.Layer, d time.Duration, fn func()) comm.Timer {
 	now := l.Now()
 	t.mu.Lock()
-	st := &t.nodes[l.Index()]
+	st := faultOf(l)
 	if f := st.fate; f.SpikeFactor > 1 && now >= f.SpikeStart && now < f.SpikeEnd {
 		d = time.Duration(float64(d) * f.SpikeFactor)
 	}

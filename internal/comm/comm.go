@@ -155,7 +155,8 @@ type Handler interface {
 // (virtual time, deterministic) and rpc.Network (real TCP on loopback).
 type Transport interface {
 	// Register attaches handler h as node id. Every node must be registered
-	// before Seal; registering after Seal is a programming error.
+	// (or belong to a range, see RangeRegistry) before Seal; registering
+	// after Seal is a programming error.
 	Register(id NodeID, h Handler)
 	// Seal finalizes membership: after Seal every registered node can reach
 	// every other, and Env, Invoke, and Drive become usable.
@@ -183,4 +184,66 @@ type Transport interface {
 // through it, so callers never hand-enumerate the protocol types.
 type PayloadRegistry interface {
 	RegisterPayload(v any)
+}
+
+// RangeRegistry is implemented by transports that register a contiguous ID
+// range by a factory instead of one Register call per node: a node of the
+// range is activated — f builds its handler — the first time anything
+// addresses it, so the nodes a run never touches cost nothing
+// (SNIPPETS.md's dvactor registers an actor type the same way). f must be
+// a pure function of the ID, and ranges must not overlap each other. Only
+// a transport that routes on one goroutine activates lazily; a concurrent
+// one lacks the interface, and RegisterRange expands the range on it.
+type RangeRegistry interface {
+	// RegisterRange registers every ID in [lo, hi).
+	RegisterRange(lo, hi NodeID, f func(NodeID) Handler)
+}
+
+// RegisterRange registers [lo, hi) on t by factory: lazily when t is a
+// RangeRegistry, and otherwise eagerly, one Register call per ID in
+// ascending order (rpc.Network, a foreign decorator).
+func RegisterRange(t Transport, lo, hi NodeID, f func(NodeID) Handler) {
+	if reg, ok := t.(RangeRegistry); ok {
+		reg.RegisterRange(lo, hi, f)
+		return
+	}
+	for id := lo; id < hi; id++ {
+		t.Register(id, f(id))
+	}
+}
+
+// Ranges is the bookkeeping of a RangeRegistry: the registered ranges and
+// their factories.
+type Ranges struct {
+	rs []idRange
+}
+
+type idRange struct {
+	lo, hi NodeID
+	f      func(NodeID) Handler
+}
+
+// Add records [lo, hi) with its factory.
+func (r *Ranges) Add(lo, hi NodeID, f func(NodeID) Handler) {
+	r.rs = append(r.rs, idRange{lo, hi, f})
+}
+
+// Factory returns the factory of the range that holds id, or nil.
+func (r *Ranges) Factory(id NodeID) func(NodeID) Handler {
+	for _, x := range r.rs {
+		if x.lo <= id && id < x.hi {
+			return x.f
+		}
+	}
+	return nil
+}
+
+// Each calls fn with every ID of every range, range by range in the order
+// they were added, each in ascending order.
+func (r *Ranges) Each(fn func(NodeID)) {
+	for _, x := range r.rs {
+		for id := x.lo; id < x.hi; id++ {
+			fn(id)
+		}
+	}
 }

@@ -29,10 +29,17 @@ type Interceptor struct {
 	Deliver func(l Layer, msg Message)
 	// After sees each timer a node arms, outermost first. l.After arms it.
 	After func(l Layer, d time.Duration, fn func()) Timer
-	// Seal runs once the inner transport is sealed, with this interceptor's
-	// layer on every registered node; nodes[i].Index() == i. It is the place
-	// to size per-node state and arm transport-level timers.
-	Seal func(nodes []Layer) error
+	// State makes the interceptor's state on one node when the node
+	// activates: at Seal for the nodes active by then, at first use for a
+	// ranged node (RangeRegistry) activated later. Hooks read it with
+	// Layer.State. It must be a pure function of the ID and of what the
+	// interceptor fixed before Seal, since when a node activates depends on
+	// the traffic.
+	State func(id NodeID) any
+	// Seal runs once the inner transport is sealed, innermost first, with
+	// the interceptor's view of the membership. It is the place to arm
+	// transport-level timers.
+	Seal func(m Members) error
 	// Close runs before the inner transport closes, outermost first.
 	Close func()
 }
@@ -50,21 +57,29 @@ func (ic Interceptor) On(inner Transport) *Stack {
 	return &Stack{inner: inner, ics: []Interceptor{ic}, nodes: make(map[NodeID]*node)}
 }
 
-// Stack implements Transport and PayloadRegistry over an inner transport
-// and runs its interceptors around every send, delivery and timer. It owns
-// what every transport wrapper used to repeat: the handler wrap, one env
-// per node, Invoke/Drive/Close/RegisterPayload forwarding and Rejoiner
-// forwarding.
+// Stack implements Transport, PayloadRegistry and RangeRegistry over an
+// inner transport and runs its interceptors around every send, delivery and
+// timer. It owns what every transport wrapper used to repeat: the handler
+// wrap, one env per node, Invoke/Drive/Close/RegisterPayload forwarding and
+// Rejoiner forwarding.
+//
+// It holds a node only once the node is active: registered, or ranged and
+// addressed — by a delivery, Env or Invoke. A ranged node activates on the
+// goroutine that addresses it, unguarded: on the simulator that is the
+// kernel's one goroutine, and a concurrent inner transport lacks
+// RangeRegistry, so RegisterRange activates every node before Seal.
 type Stack struct {
 	inner  Transport
 	ics    []Interceptor // innermost first
 	nodes  map[NodeID]*node
+	ranges Ranges
 	sealed bool
 }
 
 var (
 	_ Transport       = (*Stack)(nil)
 	_ PayloadRegistry = (*Stack)(nil)
+	_ RangeRegistry   = (*Stack)(nil)
 )
 
 func (s *Stack) stack() *Stack { return s }
@@ -80,29 +95,37 @@ func (s *Stack) RegisterPayload(v any) {
 func (s *Stack) Register(id NodeID, h Handler) {
 	n := s.nodes[id]
 	if n == nil {
-		n = &node{s: s, id: id, index: len(s.nodes)}
-		s.nodes[id] = n
+		n = s.add(id, h)
 	}
 	n.h = h
 	s.inner.Register(id, n)
 }
 
+// RegisterRange implements RangeRegistry. The inner transport learns the
+// range through comm.RegisterRange with the stack's own activation as the
+// factory, so a lazy inner transport activates the stack's node when it
+// first routes to it and any other activates every node now.
+func (s *Stack) RegisterRange(lo, hi NodeID, f func(NodeID) Handler) {
+	s.ranges.Add(lo, hi, f)
+	RegisterRange(s.inner, lo, hi, func(id NodeID) Handler { return s.activate(id) })
+}
+
 // Seal implements Transport: the inner transport seals first, then the
-// Seal hooks run innermost first.
+// active nodes make their interceptor state, then the Seal hooks run
+// innermost first.
 func (s *Stack) Seal() error {
 	if err := s.inner.Seal(); err != nil {
 		return err
 	}
 	s.sealed = true
+	for _, n := range s.nodes {
+		n.makeState()
+	}
 	for i, ic := range s.ics {
 		if ic.Seal == nil {
 			continue
 		}
-		layers := make([]Layer, len(s.nodes))
-		for _, n := range s.nodes {
-			layers[n.index] = Layer{n, i}
-		}
-		if err := ic.Seal(layers); err != nil {
+		if err := ic.Seal(Members{s, i}); err != nil {
 			return err
 		}
 	}
@@ -132,21 +155,89 @@ func (s *Stack) Close() error {
 }
 
 func (s *Stack) node(id NodeID) *node {
-	n := s.nodes[id]
-	if n == nil || !s.sealed {
+	var n *node
+	if s.sealed {
+		n = s.activate(id)
+	}
+	if n == nil {
 		panic(fmt.Sprintf("comm: node %d not registered (or stack not sealed)", id))
 	}
 	return n
 }
 
-// node is one registered node: the handler the inner transport delivers to,
-// the env the actor sees, and the Rejoiner a fault layer below resurrects.
+// activate returns id's node, activating it when a range holds it; nil
+// when id is neither registered nor ranged.
+func (s *Stack) activate(id NodeID) *node {
+	if n := s.nodes[id]; n != nil {
+		return n
+	}
+	f := s.ranges.Factory(id)
+	if f == nil {
+		return nil
+	}
+	return s.add(id, f(id))
+}
+
+// add makes id's node; on a sealed stack it makes its state at once.
+func (s *Stack) add(id NodeID, h Handler) *node {
+	n := &node{s: s, id: id, h: h}
+	s.nodes[id] = n
+	if s.sealed {
+		n.makeState()
+	}
+	return n
+}
+
+// Members is one interceptor's view of a sealed stack's membership, handed
+// to its Seal hook: the registered nodes and every ID of every range.
+type Members struct {
+	s *Stack
+	i int
+}
+
+// Each calls fn once with every member's ID, in no particular order. It
+// activates nothing.
+func (m Members) Each(fn func(NodeID)) {
+	for id := range m.s.nodes {
+		if m.s.ranges.Factory(id) == nil {
+			fn(id)
+		}
+	}
+	m.s.ranges.Each(fn)
+}
+
+// Layer activates member id and returns the interceptor's layer on it; ok
+// is false when id is no member.
+func (m Members) Layer(id NodeID) (l Layer, ok bool) {
+	n := m.s.activate(id)
+	if n == nil {
+		return Layer{}, false
+	}
+	return Layer{n, m.i}, true
+}
+
+// node is one active node: the handler the inner transport delivers to,
+// the env the actor sees, the Rejoiner a fault layer below resurrects, and
+// each interceptor's state on it.
 type node struct {
 	s     *Stack
 	id    NodeID
-	index int // registration order
 	h     Handler
-	inner Env // see below
+	inner Env   // see below
+	state []any // by interceptor; nil when none has a State hook
+}
+
+// makeState runs the interceptors' State hooks for the node.
+func (n *node) makeState() {
+	for i, ic := range n.s.ics {
+		if ic.State == nil {
+			continue
+		}
+		if n.state == nil {
+			n.state = make([]any, len(n.s.ics))
+		}
+		n.state[i] = ic.State(n.id)
+	}
 }
 
 // below is the inner transport's env for the node, resolved on first use —
@@ -211,7 +302,7 @@ func (n *node) deliver(i int, msg Message) {
 
 // Layer is one interceptor's place on one node, handed to its hooks. It is
 // the Env of everything below the interceptor (Now, Send, After) plus the
-// way up (Deliver, Rejoin) and the index of the interceptor's per-node state.
+// way up (Deliver, Rejoin) and the interceptor's state on the node.
 type Layer struct {
 	n *node
 	i int
@@ -237,9 +328,14 @@ func (l Layer) After(d time.Duration, fn func()) Timer { return l.n.after(l.i, d
 // no layer below ever saw.
 func (l Layer) Deliver(msg Message) { l.n.deliver(l.i+1, msg) }
 
-// Index is the node's position among the stack's nodes — in the slice Seal
-// received — so an interceptor keeps per-node state in a slice of its own.
-func (l Layer) Index() int { return l.n.index }
+// State is the interceptor's state on the node, made by its State hook
+// when the node activated; nil without one.
+func (l Layer) State() any {
+	if l.n.state == nil {
+		return nil
+	}
+	return l.n.state[l.i]
+}
 
 // Rejoin resurrects the node's actor: if it is a Rejoiner, its OnRejoin
 // runs in the node's own actor context with the top-of-stack env.

@@ -487,3 +487,107 @@ func TestHookOrder(t *testing.T) {
 		"actor victim got kind=train", "actor victim rejoined", "actor victim got kind=train",
 	})
 }
+
+// ranged is a node of a registered range: it answers a dispatch with an
+// uplink and logs what reached it.
+type ranged struct {
+	id  comm.NodeID
+	log *hookLog
+}
+
+func (r *ranged) OnMessage(env comm.Env, msg comm.Message) {
+	r.log.add("node=%d got kind=%s from=%d at=%v", r.id, msg.Kind, msg.From, env.Now())
+	if msg.Kind == comm.KindTrain {
+		env.Send(comm.Message{To: comm.FederatorID, Kind: comm.KindUpdate, Size: 8})
+	}
+}
+
+// TestRangeActivatesOnFirstUse: a ranged node costs nothing until something
+// addresses it, and then it is activated exactly once — its handler built,
+// its interceptor state made — whether that first use is a delivery, Env
+// or Invoke. An ID outside every range still panics. Over a transport
+// without RangeRegistry the range is expanded at registration, and the run
+// delivers exactly what the lazy one does.
+func TestRangeActivatesOnFirstUse(t *testing.T) {
+	const lo, hi = 10, 20
+	run := func(inner comm.Transport) (built, states map[comm.NodeID]int, log *hookLog) {
+		built, states, log = map[comm.NodeID]int{}, map[comm.NodeID]int{}, &hookLog{}
+		s := comm.Interceptor{
+			State: func(id comm.NodeID) any { states[id]++; return id },
+			Deliver: func(l comm.Layer, msg comm.Message) {
+				if l.State() != l.ID() {
+					t.Errorf("node %d holds state %v", l.ID(), l.State())
+				}
+				l.Deliver(msg)
+			},
+		}.On(inner)
+		s.Register(comm.FederatorID, &inbox{})
+		comm.RegisterRange(s, lo, hi, func(id comm.NodeID) comm.Handler {
+			built[id]++
+			return &ranged{id: id, log: log}
+		})
+		if err := s.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		// First use by Env (twice), by Invoke, and by a delivery; 13 is
+		// addressed by all three after its first.
+		s.Env(11).Now()
+		s.Env(11).Now()
+		s.Invoke(12, func(env comm.Env) { env.Send(comm.Message{To: comm.FederatorID, Kind: comm.KindUpdate}) })
+		s.Invoke(comm.FederatorID, func(env comm.Env) {
+			for _, id := range []comm.NodeID{13, 12, 13} {
+				env.Send(comm.Message{To: id, Kind: comm.KindTrain, Size: 16})
+			}
+		})
+		if err := s.Drive(nil); err != nil {
+			t.Fatal(err)
+		}
+		s.Invoke(13, func(comm.Env) {})
+		s.Env(13)
+		if err := s.Drive(nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []comm.NodeID{hi, lo - 1, 0} {
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "not registered") {
+						t.Errorf("Env(%d) outside the range: recovered %v, want the not-registered panic", id, r)
+					}
+				}()
+				s.Env(id)
+			}()
+		}
+		return built, states, log
+	}
+
+	built, states, lazy := run(sim.NewNetwork(sim.NewKernel(), nil))
+	for id := comm.NodeID(lo); id < hi; id++ {
+		want := 0
+		if id >= 11 && id <= 13 {
+			want = 1
+		}
+		if built[id] != want || states[id] != want {
+			t.Fatalf("node %d activated %d times (state made %d times), want %d", id, built[id], states[id], want)
+		}
+	}
+	if len(built) != 3 || states[comm.FederatorID] != 1 {
+		t.Fatalf("built %v, states %v: want 11, 12 and 13 once, and the federator's state once", built, states)
+	}
+
+	built, states, eager := run(foreign{sim.NewNetwork(sim.NewKernel(), nil)})
+	if len(built) != hi-lo || len(states) != hi-lo+1 {
+		t.Fatalf("over a transport without ranges %d of %d nodes were built and %d states made, want all", len(built), hi-lo, len(states))
+	}
+	if len(lazy.lines) != 3 || !slices.Equal(lazy.lines, eager.lines) {
+		t.Fatalf("lazy and eager registration delivered differently:\n lazy  %q\n eager %q", lazy.lines, eager.lines)
+	}
+
+	net := sim.NewNetwork(sim.NewKernel(), nil)
+	comm.RegisterRange(net, lo, hi, func(id comm.NodeID) comm.Handler { return &inbox{} })
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "unregistered node 20") {
+			t.Fatalf("a send outside the range: recovered %v, want the unregistered-node panic", r)
+		}
+	}()
+	net.Env(lo).Send(comm.Message{To: hi, Kind: comm.KindTrain})
+}

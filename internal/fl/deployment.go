@@ -107,10 +107,12 @@ type Deployment struct {
 }
 
 // bind registers the cluster's actors on the transport and seals it. For
-// hierarchical clusters it registers the lazy shells and edge aggregators
-// instead of materialized clients and, when edge tiers exist, adds the
-// hier.Route interceptor so client uplinks reach their owning edge — on
-// the stack d.Transport already is, when it is one. The routed transport
+// hierarchical clusters it registers, instead of materialized clients, the
+// client population as one ID range whose factory builds a client's lazy
+// shell when the transport first addresses it (comm.RegisterRange), and
+// the edge aggregators; when edge tiers exist it adds the hier.Route
+// interceptor so client uplinks reach their owning edge — on the stack
+// d.Transport already is, when it is one. The routed transport
 // replaces d.Transport for the rest of the run (its Close reaches the
 // original's, so callers closing the original are unaffected).
 func (d *Deployment) bind(fed comm.Handler) error {
@@ -122,9 +124,8 @@ func (d *Deployment) bind(fed comm.Handler) error {
 		RegisterPayloads(reg.RegisterPayload)
 	}
 	if hc != nil {
-		for _, s := range hc.Shells {
-			d.Transport.Register(s.Profile.ID, s)
-		}
+		comm.RegisterRange(d.Transport, 0, comm.NodeID(d.Cluster.Topology.Clients),
+			func(id comm.NodeID) comm.Handler { return hc.Shell(id) })
 		for _, e := range hc.Edges {
 			d.Transport.Register(e.ID, e)
 		}

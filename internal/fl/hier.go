@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"aergia/internal/cluster"
 	"aergia/internal/codec"
 	"aergia/internal/comm"
 	"aergia/internal/dataset"
@@ -18,18 +17,39 @@ import (
 // HierCluster is the scale-out half of a hierarchically built Cluster
 // (Topology.Hier enabled): the lazy shells standing in for the client
 // population and the edge aggregators that own them. Deployment.bind
-// registers these instead of Cluster.Clients and, when edge tiers exist,
-// adds the hier.Route interceptor to the transport.
+// registers the population as one ID range whose factory is Shell, and the
+// edges, instead of Cluster.Clients and, when edge tiers exist, adds the
+// hier.Route interceptor to the transport.
 type HierCluster struct {
 	// Options is the normalized scale-out selection the cluster was built
 	// with.
 	Options hier.Options
-	// Shells are the lazy client stand-ins, indexed by NodeID. Each
-	// hydrates into a full Client on its first training dispatch.
-	Shells []*hier.LazyClient
+	// Shells are the lazy client stand-ins built so far, by NodeID: a shell
+	// is built the first time the transport addresses its client (or Shell
+	// is called), so a run holds one for each client it touched, not one
+	// per client. Each hydrates into a full Client on its first training
+	// dispatch.
+	Shells map[comm.NodeID]*hier.LazyClient
 	// Edges are the edge aggregators (empty when Tiers is 0). Edges with
 	// no assigned clients are dropped at build time.
 	Edges []*EdgeAggregator
+
+	profile func(comm.NodeID) hier.Profile
+	hydrate hier.Hydrator
+}
+
+// Shell returns client id's shell, building it from (seed, id) the first
+// time. The transport calls it as a client activates, on one goroutine (the
+// simulator's kernel, or Deployment.bind's when the transport registers the
+// range eagerly); a test may call it before the run to drive a shell by
+// hand.
+func (hc *HierCluster) Shell(id comm.NodeID) *hier.LazyClient {
+	s := hc.Shells[id]
+	if s == nil {
+		s = &hier.LazyClient{Profile: hc.profile(id), Hydrate: hc.hydrate}
+		hc.Shells[id] = s
+	}
+	return s
 }
 
 // EdgeAggregator is the mid-tier actor of the two-tier federation: it owns
@@ -249,13 +269,14 @@ func (s sampledStrategy) Select(r int, clients []ClientInfo, rng *tensor.RNG) []
 func (s sampledStrategy) Offloading() bool { return false }
 
 // buildHier is Build's scale-out path (Topology.Hier enabled): instead of
-// materializing N clients it creates N lazy profiles plus shells, the edge
-// aggregators that own them, and a root federator whose children are the
-// edges (or, with Tiers 0, the sampled population). A hydrated client draws
-// its shard at each dispatch from data, the cluster's one Source, with its
-// own noise stream (Variant 2+ID; the test set holds Variant 1), and holds
-// the shard and a network only from dispatch to update, so the build cost
-// and resident memory follow the sampled cohort, not the population.
+// materializing N clients it makes the factory of their lazy shells, the
+// edge aggregators that own them, and a root federator whose children are
+// the edges (or, with Tiers 0, the sampled population). A hydrated client
+// draws its shard at each dispatch from data, the cluster's one Source,
+// with its own noise stream (Variant 2+ID; the test set holds Variant 1),
+// and holds the shard and a network only from dispatch to update, so the
+// build cost and resident memory follow the sampled cohort, not the
+// population.
 func (t Topology) buildHier(data *dataset.Source, test *dataset.Dataset, phase nn.PhaseCost, wireCodec codec.Codec, bw *Bandwidth, lanes *laneGroup) (*Cluster, error) {
 	if t.Async {
 		return nil, fmt.Errorf("fl: hierarchical topology does not support the async engine yet")
@@ -272,12 +293,15 @@ func (t Topology) buildHier(data *dataset.Source, test *dataset.Dataset, phase n
 		return nil, err
 	}
 
-	speeds := t.Speeds
-	if speeds == nil {
-		speeds = cluster.UniformSpeeds(t.Clients, tensor.NewRNG(t.Seed^0x5eed))
-	}
-	if len(speeds) != t.Clients {
-		return nil, fmt.Errorf("fl: %d speeds for %d clients", len(speeds), t.Clients)
+	// Client i's speed is the i-th draw of the stream cluster.UniformSpeeds
+	// reads, taken in O(1), so no slice of N speeds is held.
+	speedRNG := tensor.NewRNG(t.Seed ^ 0x5eed)
+	speed := func(id comm.NodeID) float64 { return 0.1 + 0.9*speedRNG.Float64At(uint64(id)) }
+	if t.Speeds != nil {
+		if len(t.Speeds) != t.Clients {
+			return nil, fmt.Errorf("fl: %d speeds for %d clients", len(t.Speeds), t.Clients)
+		}
+		speed = func(id comm.NodeID) float64 { return t.Speeds[id] }
 	}
 
 	samplesPer := t.TrainSamples / t.Clients
@@ -312,32 +336,18 @@ func (t Topology) buildHier(data *dataset.Source, test *dataset.Dataset, phase n
 		return c, nil
 	}
 
-	shells := make([]*hier.LazyClient, t.Clients)
-	infosAll := make([]ClientInfo, t.Clients)
-	for i := 0; i < t.Clients; i++ {
-		id := comm.NodeID(i)
-		var classes []int
+	profile := func(id comm.NodeID) hier.Profile {
+		p := hier.Profile{ID: id, Speed: speed(id), Samples: samplesPer}
 		if t.NonIIDClasses > 0 {
 			// Per-client class skew from a hash-derived stream, so a client's
 			// class set depends only on (seed, id) — never on build order or
 			// which siblings hydrate.
 			rng := tensor.NewRNG(t.Seed ^ 0xc1a55 ^ (uint64(id+1) * 0x9e3779b97f4a7c15))
 			perm := rng.Perm(numClasses)
-			k := t.NonIIDClasses
-			if k > numClasses {
-				k = numClasses
-			}
-			classes = append(classes, perm[:k]...)
-			sort.Ints(classes)
+			p.Classes = perm[:min(t.NonIIDClasses, numClasses)]
+			sort.Ints(p.Classes)
 		}
-		shells[i] = &hier.LazyClient{
-			Profile: hier.Profile{
-				ID: id, Speed: speeds[i], Samples: samplesPer,
-				Classes: classes,
-			},
-			Hydrate: hydrate,
-		}
-		infosAll[i] = ClientInfo{ID: id, Samples: samplesPer, Speed: speeds[i]}
+		return p
 	}
 
 	sampler := hier.Sampler{Seed: t.Seed, Fraction: t.Hier.Sample}
@@ -345,10 +355,20 @@ func (t Topology) buildHier(data *dataset.Source, test *dataset.Dataset, phase n
 	var infos []ClientInfo
 	var strategy Strategy
 	if t.Hier.Tiers > 0 {
+		// An edge keeps its cohort as an ID list, 8 B a client, sized
+		// exactly by a first pass over the assignment hash.
+		owner := func(id comm.NodeID) int { return hier.Assign(t.Seed, id, t.Hier.Tiers) }
+		sizes := make([]int, t.Hier.Tiers)
+		for id := range comm.NodeID(t.Clients) {
+			sizes[owner(id)]++
+		}
 		cohorts := make([][]comm.NodeID, t.Hier.Tiers)
-		for _, info := range infosAll {
-			k := hier.Assign(t.Seed, info.ID, t.Hier.Tiers)
-			cohorts[k] = append(cohorts[k], info.ID)
+		for k := range cohorts {
+			cohorts[k] = make([]comm.NodeID, 0, sizes[k])
+		}
+		for id := range comm.NodeID(t.Clients) {
+			k := owner(id)
+			cohorts[k] = append(cohorts[k], id)
 		}
 		for k, cohort := range cohorts {
 			if len(cohort) == 0 {
@@ -372,7 +392,11 @@ func (t Topology) buildHier(data *dataset.Source, test *dataset.Dataset, phase n
 		}
 		strategy = hierRootStrategy{t.Strategy}
 	} else {
-		infos = infosAll
+		infos = make([]ClientInfo, t.Clients)
+		for i := range infos {
+			id := comm.NodeID(i)
+			infos[i] = ClientInfo{ID: id, Samples: samplesPer, Speed: speed(id)}
+		}
 		strategy = sampledStrategy{Strategy: t.Strategy, sampler: sampler, ids: clientIDs(infos)}
 	}
 
@@ -406,8 +430,9 @@ func (t Topology) buildHier(data *dataset.Source, test *dataset.Dataset, phase n
 		Federator: fed,
 		Infos:     infos,
 		Bandwidth: bw,
-		Hier:      &HierCluster{Options: t.Hier, Shells: shells, Edges: edges},
-		lanes:     lanes,
+		Hier: &HierCluster{Options: t.Hier, Shells: make(map[comm.NodeID]*hier.LazyClient), Edges: edges,
+			profile: profile, hydrate: hydrate},
+		lanes: lanes,
 	}, nil
 }
 

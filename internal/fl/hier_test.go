@@ -288,6 +288,9 @@ func TestHierHydrationUnderChaos(t *testing.T) {
 		t.Fatalf("built %d networks over %d leases (faults %v), want at most %d over %d",
 			built, ledger.takes, ledger.faults, most, top.Clients*top.Rounds)
 	}
+	if len(cl.Hier.Shells) != top.Clients {
+		t.Fatalf("%d shells activated, want all %d clients (every client is sampled)", len(cl.Hier.Shells), top.Clients)
+	}
 	for _, s := range cl.Hier.Shells {
 		want := 1
 		if s.Profile.ID == victim {
@@ -467,7 +470,7 @@ func TestHierRejoinStopsTheDroppedClientsLane(t *testing.T) {
 			ledger := newLeaseLedger()
 			cl.lanes.onLease = ledger.observe
 			var probes []*rejoinProbe
-			shell := cl.Hier.Shells[victim]
+			shell := cl.Hier.Shell(victim)
 			hydrate := shell.Hydrate
 			shell.Hydrate = func(p hier.Profile) (comm.Handler, error) {
 				h, err := hydrate(p)

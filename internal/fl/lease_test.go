@@ -299,8 +299,8 @@ func TestHydrationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer tr.Close()
-		for _, s := range cl.Hier.Shells {
-			tr.Register(s.Profile.ID, s)
+		for id := range comm.NodeID(top.Clients) {
+			tr.Register(id, cl.Hier.Shell(id))
 		}
 		tr.Register(comm.FederatorID, &recorder{})
 		if err := tr.Seal(); err != nil {
@@ -321,7 +321,7 @@ func TestHydrationBudget(t *testing.T) {
 			return after.TotalAlloc - before.TotalAlloc
 		}
 		hydrate := func(id comm.NodeID) uint64 {
-			shell, env := cl.Hier.Shells[id], tr.Env(id)
+			shell, env := cl.Hier.Shell(id), tr.Env(id)
 			n := allocated(func() { shell.OnMessage(env, dispatch) })
 			if !shell.Hydrated() {
 				t.Fatalf("shell %d did not hydrate", id)
@@ -496,28 +496,26 @@ func TestShardLivesForItsRound(t *testing.T) {
 			cl.lanes.onLease = ledger.observe
 			var clients []*Client
 			draws, tensors := 0, map[*tensor.Tensor]bool{}
-			for _, s := range cl.Hier.Shells {
-				hydrate := s.Hydrate
-				s.Hydrate = func(p hier.Profile) (comm.Handler, error) {
-					h, err := hydrate(p)
-					if err != nil {
-						return nil, err
-					}
-					c := h.(*Client)
-					shard := c.shard
-					c.shard = func() (*dataset.Dataset, error) {
-						ds, err := shard()
-						if err == nil {
-							draws++
-							for _, s := range ds.Samples {
-								tensors[s.X] = true
-							}
-						}
-						return ds, err
-					}
-					clients = append(clients, c)
-					return c, nil
+			hydrate := cl.Hier.hydrate
+			cl.Hier.hydrate = func(p hier.Profile) (comm.Handler, error) {
+				h, err := hydrate(p)
+				if err != nil {
+					return nil, err
 				}
+				c := h.(*Client)
+				shard := c.shard
+				c.shard = func() (*dataset.Dataset, error) {
+					ds, err := shard()
+					if err == nil {
+						draws++
+						for _, s := range ds.Samples {
+							tensors[s.X] = true
+						}
+					}
+					return ds, err
+				}
+				clients = append(clients, c)
+				return c, nil
 			}
 			res, err := runOn(cl, cfg.Transport, cfg.Link, 0, (*Deployment).Run)
 			if err != nil {

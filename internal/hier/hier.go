@@ -8,10 +8,12 @@
 //     of (seed, round, client), so every tier of the hierarchy — and every
 //     process of a distributed deployment — computes the same cohort
 //     without coordination messages.
-//   - LazyClient shells stand in for unsampled clients: a registered actor
-//     the size of its Profile (speed/skew metadata), hydrated into a full
-//     client only when a dispatch first reaches it. Memory follows the
-//     cohort, not the population.
+//   - LazyClient shells stand in for unsampled clients: an actor the size
+//     of its Profile (speed/skew metadata), built from the seed when the
+//     transport first addresses the client (the population is one ranged
+//     registration, comm.RangeRegistry) and hydrated into a full client
+//     only when a dispatch first reaches it. Memory follows the cohort,
+//     not the population.
 //   - Route, an interceptor on the comm stack over any comm.Transport,
 //     rewrites client uplink sends to the edge aggregator that owns the
 //     client (a stable hash of the actor ID, dvactor-style

@@ -10,9 +10,10 @@ import (
 // Profile is the lazy stand-in for an unmaterialized client: the metadata
 // the schedulers and samplers need (speed, data skew) without any of the
 // state that makes a live client expensive (codec and jitter streams, and
-// for the length of a round a training shard and a model replica). A
-// 100k-client topology holds 100k profiles but only materializes the
-// sampled cohort.
+// for the length of a round a training shard and a model replica). It is a
+// pure function of (seed, ID), built when the transport first addresses
+// the client, so a 100k-client run holds a profile for each client it
+// touched and materializes only the sampled cohort.
 type Profile struct {
 	// ID is the client's actor identity.
 	ID comm.NodeID
@@ -39,10 +40,11 @@ type Profile struct {
 // holds no returned tensors.
 type Hydrator func(Profile) (comm.Handler, error)
 
-// LazyClient is the registered shell of an unmaterialized client. It
-// satisfies the transport's "every node registers before Seal" contract at
-// the cost of one Profile, and swaps in the real actor the first time a
-// training dispatch reaches it. A chaos rejoin dehydrates the shell back to
+// LazyClient is the shell of an unmaterialized client. The population is
+// registered as an ID range (comm.RangeRegistry), and a shell is what the
+// range's factory builds when the transport first addresses its client,
+// never before; it swaps in the real actor the first time a training
+// dispatch reaches it. A chaos rejoin dehydrates the shell back to
 // its profile — the crashed incarnation's state is gone, exactly as a
 // client process restart would lose it — and the next dispatch rebuilds it
 // from the seed, so recovery needs no persisted checkpoint.

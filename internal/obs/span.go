@@ -114,10 +114,7 @@ func (t *Tracer) Wrap(inner comm.Transport) comm.Transport {
 	}
 	st := &spanLayer{t: t}
 	return comm.Interceptor{
-		Seal: func(nodes []comm.Layer) error {
-			st.cur = make([]uint64, len(nodes))
-			return nil
-		},
+		State:   func(comm.NodeID) any { return new(uint64) },
 		Send:    st.send,
 		Deliver: st.deliver,
 		After:   st.after,
@@ -148,21 +145,23 @@ func (t *Tracer) latency(kind comm.Kind, link string) *Histogram {
 	return h
 }
 
-// spanLayer is a Tracer on one stack. cur is the span currently being
-// handled on each node (by comm.Layer.Index; 0 outside any span); an entry
-// is only touched from its node's serialized actor context (see Tracer), so
-// plain reads and writes suffice.
+// spanLayer is a Tracer on one stack. Its state on a node (a *uint64) is
+// the span currently being handled there, 0 outside any span; it is only
+// touched from the node's serialized actor context (see Tracer), so plain
+// reads and writes suffice.
 type spanLayer struct {
-	t   *Tracer
-	cur []uint64
+	t *Tracer
 }
+
+// cur is the node's current span.
+func cur(l comm.Layer) *uint64 { return l.State().(*uint64) }
 
 // send stamps a fresh span parented on the node's current one.
 func (s *spanLayer) send(l comm.Layer, msg comm.Message) {
 	msg.Span = comm.SpanContext{
 		Trace:  s.t.trace,
 		Span:   s.t.next.Add(1),
-		Parent: s.cur[l.Index()],
+		Parent: *cur(l),
 		Sent:   l.Now(),
 	}
 	l.Send(msg)
@@ -174,13 +173,13 @@ func (s *spanLayer) send(l comm.Layer, msg comm.Message) {
 // serializes fn with the node's handler, so the save/restore cannot
 // interleave with a delivery.
 func (s *spanLayer) after(l comm.Layer, d time.Duration, fn func()) comm.Timer {
-	cur := &s.cur[l.Index()]
-	parent := *cur
+	c := cur(l)
+	parent := *c
 	return l.After(d, func() {
-		saved := *cur
-		*cur = parent
+		saved := *c
+		*c = parent
 		fn()
-		*cur = saved
+		*c = saved
 	})
 }
 
@@ -208,11 +207,11 @@ func (s *spanLayer) deliver(l comm.Layer, msg comm.Message) {
 			s.t.flight.RecordFault(fp.Node, fp.Down, l.Now())
 		}
 	}
-	cur := &s.cur[l.Index()]
-	saved := *cur
-	*cur = msg.Span.Span
+	c := cur(l)
+	saved := *c
+	*c = msg.Span.Span
 	l.Deliver(msg)
-	*cur = saved
+	*c = saved
 }
 
 // ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ func UniformLink(latency time.Duration, bandwidth float64) LinkModel {
 type Network struct {
 	kernel *Kernel
 	link   LinkModel
-	nodes  map[comm.NodeID]comm.Handler
+	nodes  map[comm.NodeID]comm.Handler // registered and activated nodes
+	ranges comm.Ranges
 }
 
 // NewNetwork builds a network on the given kernel and link model.
@@ -41,11 +42,21 @@ func NewNetwork(kernel *Kernel, link LinkModel) *Network {
 	}
 }
 
-var _ comm.Transport = (*Network)(nil)
+var (
+	_ comm.Transport     = (*Network)(nil)
+	_ comm.RangeRegistry = (*Network)(nil)
+)
 
 // Register attaches a handler to a node ID.
 func (n *Network) Register(id comm.NodeID, h comm.Handler) {
 	n.nodes[id] = h
+}
+
+// RegisterRange implements comm.RangeRegistry: a node of the range gets its
+// handler from f when the first message to it is sent, on the kernel's
+// goroutine like everything else here.
+func (n *Network) RegisterRange(lo, hi comm.NodeID, f func(comm.NodeID) comm.Handler) {
+	n.ranges.Add(lo, hi, f)
 }
 
 // Seal implements comm.Transport; simulated membership needs no binding
@@ -83,7 +94,12 @@ func (n *Network) Kernel() *Kernel { return n.kernel }
 func (n *Network) deliver(msg comm.Message) {
 	dst, ok := n.nodes[msg.To]
 	if !ok {
-		panic(fmt.Sprintf("sim: message %s to unregistered node %d", msg.Kind, msg.To))
+		f := n.ranges.Factory(msg.To)
+		if f == nil {
+			panic(fmt.Sprintf("sim: message %s to unregistered node %d", msg.Kind, msg.To))
+		}
+		dst = f(msg.To)
+		n.nodes[msg.To] = dst
 	}
 	lat, bw := n.link(msg.From, msg.To)
 	delay := lat

@@ -16,24 +16,39 @@ type RNG struct {
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed uint64) *RNG {
 	if seed == 0 {
-		seed = 0x9e3779b97f4a7c15
+		seed = gamma
 	}
 	return &RNG{state: seed}
 }
 
+// gamma is SplitMix64's state increment.
+const gamma = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+	r.state += gamma
+	return splitmix(r.state)
+}
+
+// At returns the i-th value Uint64 would return from r's current state
+// (i = 0 is the next one) without advancing r: SplitMix64's i-th output
+// depends only on state + (i+1)·gamma, so it is O(1) in i.
+func (r *RNG) At(i uint64) uint64 { return splitmix(r.state + (i+1)*gamma) }
+
+func splitmix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
 
 // Float64 returns a uniform value in [0,1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
+func (r *RNG) Float64() float64 { return unit(r.Uint64()) }
+
+// Float64At is At as Float64 would map it: the i-th value Float64 would
+// return, without advancing r.
+func (r *RNG) Float64At(i uint64) float64 { return unit(r.At(i)) }
+
+func unit(x uint64) float64 { return float64(x>>11) / (1 << 53) }
 
 // Intn returns a uniform value in [0,n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
