@@ -277,16 +277,14 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// handleHealthz reports liveness and the job counts by status, which the
+// runner keeps as jobs move: O(1) however many jobs the daemon has seen.
 func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	counts := map[runner.Status]int{}
-	for _, st := range s.runner.List() {
-		counts[st.Status]++
-	}
 	body := map[string]any{
 		"status":    "ok",
 		"uptime_ns": time.Since(s.start),
 		"slots":     s.runner.Slots(),
-		"jobs":      counts,
+		"jobs":      s.runner.Counts(),
 		"store":     s.store.Path(),
 		"records":   s.store.Len(),
 	}
@@ -452,15 +450,12 @@ func (s *server) handleList(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
 
+// handleGet serves one job with its result: live jobs from the runner,
+// finished ones (of this daemon life or an earlier one) from the store.
 func (s *server) handleGet(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	if st, ok := s.runner.Result(id); ok {
 		writeJSON(w, http.StatusOK, st)
-		return
-	}
-	// Jobs completed in an earlier daemon life live in the store only.
-	if rec, ok := s.store.Get(id); ok {
-		writeJSON(w, http.StatusOK, rec)
 		return
 	}
 	writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))

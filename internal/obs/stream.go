@@ -237,3 +237,13 @@ func (s *RoundStream) Close() {
 	}
 	s.spans = nil
 }
+
+// Empty reports whether nothing was ever announced on the stream.
+func (s *RoundStream) Empty() bool {
+	if s == nil {
+		return true
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.history) == 0
+}

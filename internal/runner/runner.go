@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"runtime"
 	"slices"
@@ -60,6 +61,14 @@ var (
 // without recomputing — submitting the same sweep to a restarted runner
 // re-runs only the jobs that are missing, failed, or canceled.
 //
+// Where a job lives: a queued, leased or running job is a JobState in the
+// runner. Once its terminal record is in the store, the store's index is
+// its only in-memory state (under 0.3 kB a job, Store) and Get, Result,
+// List, Cancel and Subscribe read it there, as they do for jobs of an
+// earlier life; its event stream is dropped too unless it published
+// events a late subscriber still replays. Without a store, or when the
+// terminal record could not be written, the runner keeps the job.
+//
 // Leases: Lease hands queued jobs to a named remote owner; Complete
 // finishes them with the result the owner reported, and Requeue returns a
 // lost owner's jobs to the front of the queue. Every lease carries a
@@ -68,24 +77,34 @@ var (
 // the store shows which worker held what across a control-daemon restart.
 type Runner struct {
 	store    *Store
+	token    uint32 // names this runner's jobs in the store's index
 	execute  func(context.Context, Job) (json.RawMessage, error)
 	slots    int
 	maxQueue int
 
+	// mu is taken before the store's lock, never after it: the runner
+	// reads and appends to its store under mu, and the store never calls
+	// back.
 	mu        sync.Mutex
 	cond      *sync.Cond
 	queue     []Job
-	ready     chan struct{} // see Ready
-	jobs      map[string]*JobState
-	order     []string
+	ready     chan struct{}        // see Ready
+	jobs      map[string]*JobState // live jobs; see Runner
+	livePeak  int                  // len(jobs) at most, since shrinkLive
+	order     []string             // every job submitted here, for List
+	counts    map[Status]int       // jobs of order by status, for Counts
 	streams   map[string]*obs.RoundStream
 	cancels   map[string]context.CancelFunc
 	leases    map[string]*leaseState
 	cancelReq map[string]struct{}
-	leaseSeq  uint64
-	active    int
-	closed    bool
-	wg        sync.WaitGroup
+	// leaseWrites counts, by job, the lease records Lease is still
+	// appending: one landing after the job's terminal record would
+	// supersede it in the index, so such a job stays in jobs (finish).
+	leaseWrites map[string]int
+	leaseSeq    uint64
+	active      int
+	closed      bool
+	wg          sync.WaitGroup
 }
 
 // leaseState is one outstanding remote lease.
@@ -133,15 +152,18 @@ func New(store *Store, slots int, opts ...Option) *Runner {
 		slots = 0
 	}
 	r := &Runner{
-		store:     store,
-		slots:     slots,
-		execute:   ExecuteJob,
-		ready:     make(chan struct{}, 1),
-		jobs:      make(map[string]*JobState),
-		streams:   make(map[string]*obs.RoundStream),
-		cancels:   make(map[string]context.CancelFunc),
-		leases:    make(map[string]*leaseState),
-		cancelReq: make(map[string]struct{}),
+		store:       store,
+		token:       store.newLister(),
+		slots:       slots,
+		execute:     ExecuteJob,
+		ready:       make(chan struct{}, 1),
+		jobs:        make(map[string]*JobState),
+		counts:      make(map[Status]int),
+		streams:     make(map[string]*obs.RoundStream),
+		cancels:     make(map[string]context.CancelFunc),
+		leases:      make(map[string]*leaseState),
+		cancelReq:   make(map[string]struct{}),
+		leaseWrites: make(map[string]int),
 	}
 	r.cond = sync.NewCond(&r.mu)
 	for _, opt := range opts {
@@ -226,32 +248,61 @@ func (r *Runner) Submit(job Job) (JobState, error) {
 		if err := r.checkQueueSpace(); err != nil {
 			return *st, err
 		}
-		st.Status = StatusQueued
-		st.Error = ""
-		st.Elapsed = 0
-		st.Result = nil
-		st.Worker = ""
+		r.move(st.Status, StatusQueued)
+		*st = JobState{ID: id, Experiment: job.Experiment, Options: job.Options, Status: StatusQueued}
 		r.enqueue(job)
 		return *st, nil
 	}
-	st := &JobState{ID: id, Experiment: job.Experiment, Options: job.Options}
-	if rec, ok := r.store.Meta(id); ok && rec.Status == StatusDone {
-		// The store owns the result payload (on disk); job states carry
-		// only metadata so the daemon's footprint is bounded by job count.
-		r.jobs[id] = st
-		r.order = append(r.order, id)
-		st.Status = StatusDone
-		st.Elapsed = rec.Elapsed
-		return *st, nil
+	// Not live: the store's index holds it if it finished, here or in an
+	// earlier life. The token says whether it is in order already.
+	e, stored := r.store.entry(id)
+	listed := stored && e.lister == r.token
+	if stored && e.status == StatusDone {
+		if !listed {
+			r.store.list(id, r.token)
+			r.order = append(r.order, id)
+			r.counts[StatusDone]++
+		}
+		return e.record(), nil
 	}
 	if err := r.checkQueueSpace(); err != nil {
+		if listed {
+			return e.record(), err
+		}
 		return JobState{}, err
 	}
+	if listed {
+		r.move(e.status, StatusQueued)
+	} else {
+		r.order = append(r.order, id)
+		r.counts[StatusQueued]++
+	}
+	st := &JobState{ID: id, Experiment: job.Experiment, Options: job.Options, Status: StatusQueued}
 	r.jobs[id] = st
-	r.order = append(r.order, id)
-	st.Status = StatusQueued
+	r.livePeak = max(r.livePeak, len(r.jobs))
 	r.enqueue(job)
 	return *st, nil
+}
+
+// move retallies one job of order from one status to another. Callers
+// hold r.mu.
+func (r *Runner) move(from, to Status) {
+	r.counts[from]--
+	r.counts[to]++
+}
+
+// Counts reports how many of the jobs List would return are in each
+// status, omitting zeros: List's tally without copying a job.
+func (r *Runner) Counts() map[Status]int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make(map[Status]int, len(r.counts))
+	for status, n := range r.counts {
+		if n != 0 {
+			out[status] = n
+		}
+	}
+	return out
 }
 
 // checkQueueSpace enforces the admission bound. Callers hold r.mu.
@@ -352,6 +403,7 @@ func (r *Runner) worker() {
 		job := r.popFront()
 		id := job.ID()
 		st := r.jobs[id]
+		r.move(st.Status, StatusRunning)
 		st.Status = StatusRunning
 		stream := r.streams[id]
 		ctx, cancel := context.WithCancel(context.Background())
@@ -390,48 +442,96 @@ func (r *Runner) worker() {
 			rec.Error = err.Error()
 			rec.Result = nil
 		}
-		r.persist(&rec)
+		persisted := r.persist(&rec)
 
 		r.mu.Lock()
 		delete(r.cancels, id)
-		st.Status = rec.Status
-		st.Elapsed = rec.Elapsed
-		st.Error = rec.Error
-		st.Result = rec.Result
-		if r.store != nil && rec.Status == StatusDone {
-			// The store now owns the payload; see Submit.
-			st.Result = nil
-		}
 		r.active--
 		rm().activeJobs.Dec()
-		rm().observeFinished(rec.Status, rec.Elapsed)
-		// Close the stream inside the same critical section that makes the
-		// status terminal: a subscriber whose channel closed can trust that
-		// the job state already reads terminal, and a retry requeued via
-		// Submit can never interleave between the two (it would have seen a
-		// running job and returned as-is). See TestRunnerFailedJobRetry*.
-		stream.Close()
-		r.cond.Broadcast()
+		r.finish(st, rec, persisted)
 		r.mu.Unlock()
 		cancel()
 	}
 }
 
-// persist appends rec to the store, reconciling a persistence failure
-// into the record: a result that exists but did not persist is surfaced
-// loudly as a failure rather than pretending the store has it.
-func (r *Runner) persist(rec *Record) {
-	if perr := r.store.Append(*rec); perr != nil {
-		if rec.Status == StatusDone {
-			rec.Status = StatusFailed
-			rec.Error = perr.Error()
-			rec.Result = nil
-		} else {
-			// Keep the job's own failure primary, but don't swallow
-			// the signal that the store is unwritable.
-			rec.Error += "; persist: " + perr.Error()
-		}
+// persist appends a terminal rec to the store and reports whether the
+// store now holds it, reconciling a persistence failure into the record: a
+// result that exists but did not persist is surfaced loudly as a failure
+// rather than pretending the store has it.
+func (r *Runner) persist(rec *Record) bool {
+	if r.store == nil {
+		return false
 	}
+	perr := r.store.append(*rec, r.token)
+	if perr == nil {
+		return true
+	}
+	if rec.Status == StatusDone {
+		rec.Status = StatusFailed
+		rec.Error = perr.Error()
+		rec.Result = nil
+	} else {
+		// Keep the job's own failure primary, but don't swallow the
+		// signal that the store is unwritable.
+		rec.Error += "; persist: " + perr.Error()
+	}
+	return false
+}
+
+// record appends one bookkeeping record (a lease, or a cancel the runner
+// decided) and reports whether the store now holds it; a failure is
+// reported on stderr, not to the caller, whose operation stands.
+func (r *Runner) record(rec Record) bool {
+	if r.store == nil {
+		return false
+	}
+	if err := r.store.append(rec, r.token); err != nil {
+		fmt.Fprintf(os.Stderr, "runner: persist %s %s: %v\n", rec.Status, rec.ID, err)
+		return false
+	}
+	return true
+}
+
+// finish makes a live job terminal with rec, which the store holds if
+// persisted. The store is then the job's only home: the job leaves jobs,
+// and its stream too unless it published events a late subscriber still
+// replays. The runner keeps the job when the store does not hold rec, or
+// when a lease record of the job is still being written and would
+// supersede rec in the index. The stream closes in the same critical
+// section that makes the status terminal: a subscriber whose channel
+// closed can trust that the job already reads terminal, and a retry
+// requeued via Submit can never interleave between the two (it would have
+// seen a live job and returned as-is). See TestRunnerFailedRetry*.
+// Callers hold r.mu.
+func (r *Runner) finish(st *JobState, rec Record, persisted bool) {
+	id := rec.ID
+	r.move(st.Status, rec.Status)
+	rm().observeFinished(rec.Status, rec.Elapsed)
+	stream := r.streams[id]
+	stream.Close()
+	if stream.Empty() {
+		delete(r.streams, id)
+	}
+	if persisted && r.leaseWrites[id] == 0 {
+		delete(r.jobs, id)
+		r.shrinkLive()
+	} else {
+		*st = rec
+	}
+	r.cond.Broadcast()
+}
+
+// shrinkLive lets go of the tables a burst grew in jobs and streams once
+// the live jobs have drained to an eighth of their peak: a Go map never
+// shrinks, and a drained 60000-job burst would otherwise hold 6.5 MB of
+// empty table for good. Callers hold r.mu.
+func (r *Runner) shrinkLive() {
+	if r.livePeak < 256 || len(r.jobs) > r.livePeak/8 {
+		return
+	}
+	r.jobs = maps.Collect(maps.All(r.jobs))
+	r.streams = maps.Collect(maps.All(r.streams))
+	r.livePeak = len(r.jobs)
 }
 
 // runJob shields the worker slot from a panicking executor: a panic
@@ -460,9 +560,9 @@ func (r *Runner) runJob(ctx context.Context, job Job) (result json.RawMessage, e
 // ErrUnknownJob.
 func (r *Runner) Cancel(id string) (JobState, string, error) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	st, ok := r.jobs[id]
 	if !ok {
-		r.mu.Unlock()
 		if rec, ok := r.store.Meta(id); ok {
 			return rec, "", fmt.Errorf("%w: %s is %s", ErrJobFinished, id, rec.Status)
 		}
@@ -470,21 +570,15 @@ func (r *Runner) Cancel(id string) (JobState, string, error) {
 	}
 	switch st.Status {
 	case StatusDone, StatusFailed, StatusCanceled:
-		out := *st
-		r.mu.Unlock()
-		return out, "", fmt.Errorf("%w: %s is %s", ErrJobFinished, id, out.Status)
+		return *st, "", fmt.Errorf("%w: %s is %s", ErrJobFinished, id, st.Status)
 	case StatusRunning:
 		if cancel := r.cancels[id]; cancel != nil {
 			cancel()
 		}
-		out := *st
-		r.mu.Unlock()
-		return out, "", nil
+		return *st, "", nil
 	case StatusLeased:
 		r.cancelReq[id] = struct{}{}
-		out := *st
-		r.mu.Unlock()
-		return out, out.Worker, nil
+		return *st, st.Worker, nil
 	}
 	// Queued: it never started, finalize here.
 	for i := range r.queue {
@@ -497,19 +591,10 @@ func (r *Runner) Cancel(id string) (JobState, string, error) {
 			break
 		}
 	}
-	st.Status = StatusCanceled
-	st.Error = "canceled before execution"
 	rec := Record{ID: id, Experiment: st.Experiment, Options: st.Options,
-		Status: StatusCanceled, Error: st.Error}
-	rm().observeFinished(StatusCanceled, 0)
-	r.streams[id].Close()
-	r.cond.Broadcast()
-	out := *st
-	r.mu.Unlock()
-	if perr := r.store.Append(rec); perr != nil {
-		fmt.Fprintf(os.Stderr, "runner: persist canceled %s: %v\n", id, perr)
-	}
-	return out, "", nil
+		Status: StatusCanceled, Error: "canceled before execution"}
+	r.finish(st, rec, r.record(rec))
+	return rec, "", nil
 }
 
 // Lease pops up to max queued jobs and grants them to the named remote
@@ -531,8 +616,12 @@ func (r *Runner) Lease(owner string, max int) []Leased {
 		id := job.ID()
 		st := r.jobs[id]
 		r.leaseSeq++
+		r.move(st.Status, StatusLeased)
 		st.Status = StatusLeased
 		st.Worker = owner
+		if r.store != nil {
+			r.leaseWrites[id]++
+		}
 		r.leases[id] = &leaseState{job: job, owner: owner, seq: r.leaseSeq}
 		rm().queueDepth.Dec()
 		out = append(out, Leased{Job: job, Seq: r.leaseSeq})
@@ -540,13 +629,22 @@ func (r *Runner) Lease(owner string, max int) []Leased {
 			Options: job.Options, Status: StatusLeased, Worker: owner})
 	}
 	r.mu.Unlock()
+	if r.store == nil || n == 0 {
+		return out
+	}
 	for i := range recs {
 		// Lease records are visibility, not correctness (the fencing seq
 		// lives in memory): failing to persist one must not fail the grant.
-		if perr := r.store.Append(recs[i]); perr != nil {
-			fmt.Fprintf(os.Stderr, "runner: persist lease %s: %v\n", recs[i].ID, perr)
+		r.record(recs[i])
+	}
+	r.mu.Lock()
+	for i := range recs {
+		id := recs[i].ID
+		if r.leaseWrites[id]--; r.leaseWrites[id] == 0 {
+			delete(r.leaseWrites, id)
 		}
 	}
+	r.mu.Unlock()
 	return out
 }
 
@@ -579,21 +677,10 @@ func (r *Runner) Complete(id string, seq uint64, rec Record) error {
 		rec.Status = StatusFailed
 		rec.Result = nil
 	}
-	r.persist(&rec)
+	persisted := r.persist(&rec)
 
 	r.mu.Lock()
-	st := r.jobs[id]
-	st.Status = rec.Status
-	st.Elapsed = rec.Elapsed
-	st.Error = rec.Error
-	st.Worker = rec.Worker
-	st.Result = rec.Result
-	if r.store != nil && rec.Status == StatusDone {
-		st.Result = nil
-	}
-	rm().observeFinished(rec.Status, rec.Elapsed)
-	r.streams[id].Close()
-	r.cond.Broadcast()
+	r.finish(r.jobs[id], rec, persisted)
 	r.mu.Unlock()
 	return nil
 }
@@ -605,7 +692,7 @@ func (r *Runner) Complete(id string, seq uint64, rec Record) error {
 // each path.
 func (r *Runner) Requeue(owner string) (requeued, canceled int) {
 	r.mu.Lock()
-	var cancelRecs []Record
+	defer r.mu.Unlock()
 	for id, l := range r.leases {
 		if l.owner != owner {
 			continue
@@ -615,26 +702,18 @@ func (r *Runner) Requeue(owner string) (requeued, canceled int) {
 		st.Worker = ""
 		if _, drop := r.cancelReq[id]; drop {
 			delete(r.cancelReq, id)
-			st.Status = StatusCanceled
-			st.Error = "canceled while leased to a lost worker"
-			cancelRecs = append(cancelRecs, Record{ID: id, Experiment: l.job.Experiment,
-				Options: l.job.Options, Status: StatusCanceled, Error: st.Error})
-			rm().observeFinished(StatusCanceled, 0)
-			r.streams[id].Close()
+			rec := Record{ID: id, Experiment: l.job.Experiment, Options: l.job.Options,
+				Status: StatusCanceled, Error: "canceled while leased to a lost worker"}
+			r.finish(st, rec, r.record(rec))
 			canceled++
 			continue
 		}
+		r.move(st.Status, StatusQueued)
 		st.Status = StatusQueued
 		r.requeueFront(l.job)
 		requeued++
 	}
 	r.cond.Broadcast()
-	r.mu.Unlock()
-	for i := range cancelRecs {
-		if perr := r.store.Append(cancelRecs[i]); perr != nil {
-			fmt.Fprintf(os.Stderr, "runner: persist canceled %s: %v\n", cancelRecs[i].ID, perr)
-		}
-	}
 	return requeued, canceled
 }
 
@@ -658,42 +737,57 @@ func (r *Runner) PublishEvent(id string, ev obs.RoundEvent) {
 
 // Subscribe attaches to a job's live round-event stream: the channel
 // replays events published so far, then delivers live ones, and closes
-// when the job finishes (or was already answered from the store, in which
-// case it closes immediately). By the time the channel closes, the job's
-// state already reads terminal. Jobs known only to the store — completed
-// in an earlier daemon life — return an immediately-closed stream, the
-// streaming analogue of GET /jobs/{id} falling back to the store, so the
-// two endpoints can never disagree about whether a job exists. The cancel
-// function detaches early. Unknown job IDs error with ErrUnknownJob.
+// when the job finishes. By the time the channel closes, the job's state
+// already reads terminal. A finished job that published nothing has no
+// stream left, and neither has a job answered from the store: those
+// return an immediately-closed stream, the streaming analogue of GET
+// /jobs/{id} reading the store, so the two endpoints can never disagree
+// about whether a job exists. The cancel function detaches early. Unknown
+// job IDs error with ErrUnknownJob.
 func (r *Runner) Subscribe(id string, buf int) (<-chan obs.RoundEvent, func(), error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if s := r.streams[id]; s != nil {
+		ch, cancel := s.Subscribe(buf)
+		return ch, cancel, nil
+	}
 	if _, ok := r.jobs[id]; !ok {
-		if _, ok := r.store.Meta(id); ok {
-			// Completed in an earlier daemon life: no events exist here,
-			// the stream is trivially over.
-			ch := make(chan obs.RoundEvent)
-			close(ch)
-			return ch, func() {}, nil
+		if _, ok := r.store.entry(id); !ok {
+			return nil, nil, fmt.Errorf("%w %s", ErrUnknownJob, id)
 		}
-		return nil, nil, fmt.Errorf("%w %s", ErrUnknownJob, id)
 	}
-	s := r.streams[id]
-	if s == nil {
-		// Answered from the store without running here: no events existed,
-		// the stream is trivially over.
-		ch := make(chan obs.RoundEvent)
-		close(ch)
-		return ch, func() {}, nil
-	}
-	ch, cancel := s.Subscribe(buf)
-	return ch, cancel, nil
+	ch := make(chan obs.RoundEvent)
+	close(ch)
+	return ch, func() {}, nil
 }
 
-// Get returns the state snapshot for a job ID. Completed jobs carry their
-// result payload only when the runner has no store; with one, the store
-// is the single owner — use Result to fetch state and payload together.
+// Get returns the state snapshot for a job ID: the runner's for a live
+// job, the store's index entry for a finished one. Completed jobs carry
+// their result payload only when the runner has no store; with one, the
+// store is the single owner — use Result to fetch state and payload
+// together.
 func (r *Runner) Get(id string) (JobState, bool) {
+	if st, ok := r.live(id); ok {
+		return st, true
+	}
+	return r.store.Meta(id)
+}
+
+// Result returns the state snapshot with the result payload attached,
+// reading finished jobs from the store. If the store can no longer yield
+// a payload it indexed (external truncation, disk fault), its failed view
+// is what Result returns.
+func (r *Runner) Result(id string) (JobState, bool) {
+	if st, ok := r.live(id); ok {
+		return st, true
+	}
+	return r.store.Get(id)
+}
+
+// live returns a snapshot of the job if the runner holds it. A job the
+// runner does not hold is in the store, if anywhere, and stays there: the
+// caller reads it without r.mu.
+func (r *Runner) live(id string) (JobState, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st, ok := r.jobs[id]
@@ -703,35 +797,25 @@ func (r *Runner) Get(id string) (JobState, bool) {
 	return *st, true
 }
 
-// Result returns the state snapshot with the result payload attached,
-// reading it from the store for completed jobs when necessary. If the
-// store can no longer yield a payload it indexed (external truncation,
-// disk fault), the store's failed view wins over the in-memory "done".
-func (r *Runner) Result(id string) (JobState, bool) {
-	st, ok := r.Get(id)
-	if !ok {
-		return JobState{}, false
-	}
-	if st.Status == StatusDone && len(st.Result) == 0 {
-		if rec, ok := r.store.Get(id); ok {
-			if rec.Status == StatusDone {
-				st.Result = rec.Result
-			} else {
-				st.Status = rec.Status
-				st.Error = rec.Error
-			}
-		}
-	}
-	return st, true
-}
-
-// List returns snapshots of every known job in submission order.
+// List returns snapshots of every job submitted to this runner, in
+// submission order.
 func (r *Runner) List() []JobState {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]JobState, 0, len(r.order))
-	for _, id := range r.order {
-		out = append(out, *r.jobs[id])
+	out := make([]JobState, len(r.order))
+	for i, id := range r.order {
+		if st, ok := r.jobs[id]; ok {
+			out[i] = *st
+		} else {
+			out[i].ID = id
+		}
+	}
+	r.mu.Unlock()
+	// The rest finished: the store holds them, and reading it needs no
+	// runner lock. A job does not leave the store once it is there.
+	for i := range out {
+		if out[i].Status == "" {
+			out[i], _ = r.store.Meta(out[i].ID)
+		}
 	}
 	return out
 }

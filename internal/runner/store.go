@@ -45,26 +45,89 @@ type Record struct {
 // daemon, a concurrent `aergia -sweep`) fails fast instead of interleaving
 // writes. A nil *Store is valid and remembers nothing, for callers that
 // want the queue without persistence.
+//
+// The in-memory index is the only home of a finished job in a Runner over
+// the store (see Runner), so it is kept compact: one storedRecord per job,
+// under 0.3 kB with its ID and options, and no result payloads.
 type Store struct {
 	mu      sync.Mutex
 	f       *os.File
 	path    string
 	size    int64 // end offset of the last intact record
-	byID    map[string]storedRecord
-	order   []string
+	byID    map[string]int
+	entries []storedRecord    // in first-seen order; byID indexes it
+	names   map[string]string // see intern
+	listers uint32            // tokens handed out by newLister
 	skipped int
 }
 
-// storedRecord is the in-memory index entry for one job: the record with
-// its result payload stripped, plus the byte range of the record's line
-// in the file so the payload can be re-read on demand. Keeping payloads
-// out of memory bounds a long-running daemon's footprint by job count,
-// not by result size.
+// storedRecord is the in-memory index entry for one job: what dedup,
+// listing and Meta need, plus the byte range of the record's line in the
+// file so Get can re-read the result payload on demand. The options are
+// held as their canonical JSON — the bytes Job.ID hashes — which decode
+// back to the same Options. Keeping payloads and decoded structs out of
+// memory bounds a long-running daemon's footprint by job count, not by
+// result size.
 type storedRecord struct {
-	meta      Record
-	off       int64
-	n         int
+	id, experiment string
+	options        string
+	status         Status
+	worker, err    string
+	elapsed        time.Duration
+	off            int64
+	n              int
+	// lister is the token of the Runner that lists the job (Runner.List),
+	// 0 for none. It is bookkeeping of this process, never written.
+	lister    uint32
 	hasResult bool
+}
+
+// newStoredRecord is the index entry of rec, whose line occupies [off,
+// off+n) in the file and was written for the runner with token lister;
+// remember fills in the options.
+func newStoredRecord(rec Record, off int64, n int, lister uint32) storedRecord {
+	return storedRecord{
+		id: rec.ID, experiment: rec.Experiment, status: rec.Status,
+		worker: rec.Worker, err: rec.Error, elapsed: rec.Elapsed,
+		off: off, n: n, lister: lister, hasResult: len(rec.Result) > 0,
+	}
+}
+
+// optionsJSON returns the options object of a line json.Marshal wrote for
+// a Record: the bytes json.Marshal writes for its Options alone. The key
+// cannot occur earlier, inside the ID or experiment string, where every
+// quote is escaped.
+func optionsJSON(line []byte) []byte {
+	const key = `,"options":`
+	start := bytes.Index(line, []byte(key)) + len(key)
+	depth, quoted := 0, false
+	for i := start; i < len(line); i++ {
+		switch c := line[i]; {
+		case quoted && c == '\\':
+			i++ // the escaped byte
+		case c == '"':
+			quoted = !quoted
+		case quoted:
+		case c == '{':
+			depth++
+		case c == '}':
+			if depth--; depth == 0 {
+				return line[start : i+1]
+			}
+		}
+	}
+	panic(fmt.Sprintf("runner: no options object in %s", line))
+}
+
+// record rebuilds the Record the entry's line holds, result stripped.
+func (e *storedRecord) record() Record {
+	rec := Record{ID: e.id, Experiment: e.experiment, Status: e.status,
+		Elapsed: e.elapsed, Error: e.err, Worker: e.worker}
+	if err := json.Unmarshal([]byte(e.options), &rec.Options); err != nil {
+		// They are json.Marshal's encoding of an Options value.
+		panic(fmt.Sprintf("runner: decode indexed options of %s: %v", e.id, err))
+	}
+	return rec
 }
 
 // Open loads (creating if needed) the store at path, recovering from a
@@ -78,7 +141,7 @@ func Open(path string) (*Store, error) {
 		f.Close()
 		return nil, fmt.Errorf("runner: store %s is in use by another process: %w", path, err)
 	}
-	s := &Store{f: f, path: path, byID: make(map[string]storedRecord)}
+	s := &Store{f: f, path: path, byID: make(map[string]int), names: make(map[string]string)}
 	if err := s.load(); err != nil {
 		f.Close()
 		return nil, err
@@ -115,7 +178,13 @@ func (s *Store) load() error {
 			s.skipped++
 			break
 		}
-		s.remember(rec, int64(start-nl-1), len(line))
+		// The line's own options bytes need not be canonical (spacing,
+		// key order): index the encoding of what they decode to.
+		opts, err := json.Marshal(rec.Options)
+		if err != nil {
+			return fmt.Errorf("runner: store %s: options of %s: %w", s.path, rec.ID, err)
+		}
+		s.remember(newStoredRecord(rec, int64(start-nl-1), len(line), 0), opts)
 		valid = int64(start)
 	}
 	if valid < int64(len(data)) {
@@ -153,42 +222,75 @@ func holdsRecord(data []byte) bool {
 	}
 }
 
-// remember merges one record (whose line occupies [off, off+n) in the
-// file) into the in-memory index. Completed records are immutable;
-// anything else is superseded by a later record.
-func (s *Store) remember(rec Record, off int64, n int) {
-	e := storedRecord{meta: rec, off: off, n: n, hasResult: len(rec.Result) > 0}
-	e.meta.Result = nil
-	prev, ok := s.byID[rec.ID]
+// remember merges one entry, whose record has the options JSON opts, into
+// the in-memory index. Completed records are immutable; anything else is
+// superseded by a later record. A job's lister survives a superseding
+// record that names none.
+func (s *Store) remember(e storedRecord, opts []byte) {
+	e.experiment = s.intern(e.experiment)
+	e.status = Status(s.intern(string(e.status)))
+	e.worker = s.intern(e.worker)
+	i, ok := s.byID[e.id]
+	if ok && s.entries[i].options == string(opts) {
+		e.options = s.entries[i].options // a job's records repeat its options
+	} else {
+		e.options = string(opts)
+	}
 	if !ok {
-		s.byID[rec.ID] = e
-		s.order = append(s.order, rec.ID)
+		s.byID[e.id] = len(s.entries)
+		s.entries = append(s.entries, e)
 		return
 	}
 	s.skipped++
-	if prev.meta.Status == StatusDone {
+	prev := &s.entries[i]
+	e.id = prev.id // the copy byID holds as its key
+	if e.lister == 0 {
+		e.lister = prev.lister
+	}
+	if prev.status == StatusDone {
+		prev.lister = e.lister
 		return
 	}
-	s.byID[rec.ID] = e
+	*prev = e
+}
+
+// intern returns the store's copy of v. Experiment names, statuses and
+// worker names repeat across thousands of records, which a reopened store
+// would otherwise hold once each. Callers hold s.mu.
+func (s *Store) intern(v string) string {
+	if v == "" {
+		return ""
+	}
+	if w, ok := s.names[v]; ok {
+		return w
+	}
+	s.names[v] = v
+	return v
 }
 
 // payload re-reads one record's line from disk and returns its result
 // bytes. Callers hold s.mu.
-func (s *Store) payload(e storedRecord) (json.RawMessage, error) {
+func (s *Store) payload(e *storedRecord) (json.RawMessage, error) {
 	buf := make([]byte, e.n)
 	if _, err := s.f.ReadAt(buf, e.off); err != nil {
-		return nil, fmt.Errorf("runner: reread record %s: %w", e.meta.ID, err)
+		return nil, fmt.Errorf("runner: reread record %s: %w", e.id, err)
 	}
-	var full Record
+	var full struct {
+		Result json.RawMessage `json:"result"`
+	}
 	if err := json.Unmarshal(buf, &full); err != nil {
-		return nil, fmt.Errorf("runner: reread record %s: %w", e.meta.ID, err)
+		return nil, fmt.Errorf("runner: reread record %s: %w", e.id, err)
 	}
 	return full.Result, nil
 }
 
 // Append persists one record and merges it into the in-memory view. The
 // line is synced to disk before Append returns.
-func (s *Store) Append(rec Record) error {
+func (s *Store) Append(rec Record) error { return s.append(rec, 0) }
+
+// append is Append for the runner with token lister, which the index
+// entry then names.
+func (s *Store) append(rec Record, lister uint32) error {
 	if s == nil {
 		return nil
 	}
@@ -196,7 +298,8 @@ func (s *Store) Append(rec Record) error {
 	if err != nil {
 		return fmt.Errorf("runner: marshal record %s: %w", rec.ID, err)
 	}
-	jsonLen := len(line)
+	e := newStoredRecord(rec, 0, len(line), lister)
+	opts := optionsJSON(line)
 	line = append(line, '\n')
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -209,25 +312,59 @@ func (s *Store) Append(rec Record) error {
 		}
 		return fmt.Errorf("runner: append record %s: %w", rec.ID, err)
 	}
-	off := s.size
+	e.off = s.size
 	s.size += int64(len(line))
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("runner: sync store: %w", err)
 	}
-	s.remember(rec, off, jsonLen)
+	s.remember(e, opts)
 	return nil
+}
+
+// entry returns a copy of a job's index entry.
+func (s *Store) entry(id string) (storedRecord, bool) {
+	if s == nil {
+		return storedRecord{}, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i, ok := s.byID[id]
+	if !ok {
+		return storedRecord{}, false
+	}
+	return s.entries[i], true
+}
+
+// newLister returns a token no other Runner over this store holds, for
+// it to mark the jobs it lists (storedRecord.lister).
+func (s *Store) newLister() uint32 {
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.listers++
+	return s.listers
+}
+
+// list names the runner with token lister as the one listing an indexed
+// job.
+func (s *Store) list(id string, lister uint32) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if i, ok := s.byID[id]; ok {
+		s.entries[i].lister = lister
+	}
 }
 
 // Meta returns a job's record with the result payload stripped, without
 // touching disk. Status checks (dedup, resume) go through here.
 func (s *Store) Meta(id string) (Record, bool) {
-	if s == nil {
+	e, ok := s.entry(id)
+	if !ok {
 		return Record{}, false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.byID[id]
-	return e.meta, ok
+	return e.record(), true
 }
 
 // Get returns the full stored record for a job ID, re-reading the result
@@ -237,24 +374,28 @@ func (s *Store) Get(id string) (Record, bool) {
 		return Record{}, false
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.byID[id]
+	i, ok := s.byID[id]
 	if !ok {
+		s.mu.Unlock()
 		return Record{}, false
 	}
-	rec := e.meta
+	e := s.entries[i]
+	var result json.RawMessage
+	var err error
 	if e.hasResult {
-		result, err := s.payload(e)
-		if err != nil {
-			// The index says the payload exists but the file no longer
-			// yields it (hardware fault, external truncation). Surface a
-			// failed view rather than a silently payload-less success.
-			rec.Status = StatusFailed
-			rec.Error = err.Error()
-			return rec, true
-		}
-		rec.Result = result
+		result, err = s.payload(&e)
 	}
+	s.mu.Unlock()
+	rec := e.record()
+	if err != nil {
+		// The index says the payload exists but the file no longer
+		// yields it (hardware fault, external truncation). Surface a
+		// failed view rather than a silently payload-less success.
+		rec.Status = StatusFailed
+		rec.Error = err.Error()
+		return rec, true
+	}
+	rec.Result = result
 	return rec, true
 }
 
@@ -266,9 +407,9 @@ func (s *Store) List() []Record {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Record, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.byID[id].meta)
+	out := make([]Record, 0, len(s.entries))
+	for i := range s.entries {
+		out = append(out, s.entries[i].record())
 	}
 	return out
 }
@@ -280,7 +421,7 @@ func (s *Store) Len() int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.byID)
+	return len(s.entries)
 }
 
 // Skipped reports how many lines were dropped or superseded during load

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"aergia/internal/experiments"
@@ -14,7 +16,9 @@ import (
 // the last appends. Open must come back with every record that was whole
 // before the tear, leave the file appendable, and refuse only what it
 // cannot tell from damage in the middle of the file: an unreadable line
-// with a readable record behind it.
+// with a readable record behind it. Whatever it indexes must read back as
+// the line it came from (indexMatchesFile), and so must the same records
+// appended to a fresh store.
 func FuzzStoreTornTail(f *testing.F) {
 	var image []byte
 	var ends []int // end offset of each whole line in image
@@ -56,6 +60,11 @@ func FuzzStoreTornTail(f *testing.F) {
 			`{"id":""}` + "\n",
 			whole,
 			"garbage\n" + whole, // damage with a record behind it: refused
+			// Keys and braces inside strings, spacing and key order no
+			// encoder writes, a duplicate key, and fields of no record.
+			`{"id":"x\",\"options\":{","experiment":"}{\\","options":{"backend":"a}\"{","seed":3},"status":"done","worker":"w","result":{"a":"}"}}` + "\n",
+			`{ "status" : "failed", "options" : { "chaos" : {"churn":0.30000000000000004,"drop":-0}, "hier": {"tiers":2} }, "id" : "odd", "error":"e\u00e9\ud83d\ude00", "elapsed_ns": 12 }` + "\n",
+			`{"id":"dup","status":"leased","worker":"1:w1","options":{"seed":1},"options":{"seed":2},"Trace":1,"extra":[1]}` + "\n",
 		} {
 			f.Add(uint16(cut), []byte(tail))
 		}
@@ -113,6 +122,19 @@ func FuzzStoreTornTail(f *testing.F) {
 				final[r.ID] = r
 			}
 		}
+		indexMatchesFile(t, s, path)
+		copied, err := Open(filepath.Join(t.TempDir(), "copy.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, meta := range s.List() {
+			full, _ := s.Get(meta.ID)
+			if err := copied.Append(full); err != nil {
+				t.Fatal(err)
+			}
+		}
+		indexMatchesFile(t, copied, copied.Path())
+		copied.Close()
 		for id, want := range final {
 			got, ok := s.Get(id)
 			if !ok {
@@ -141,4 +163,30 @@ func FuzzStoreTornTail(f *testing.F) {
 			t.Fatalf("after reopen: %d records (want %d), appended record %+v", s.Len(), n, got)
 		}
 	})
+}
+
+// indexMatchesFile checks every job the store indexes against a full
+// decode of the line its entry points at: Get must return that record and
+// Meta the same without its result, whether the line was loaded or
+// appended.
+func indexMatchesFile(t *testing.T, s *Store, path string) {
+	t.Helper()
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, i := range s.byID {
+		e := s.entries[i]
+		var want Record
+		if err := json.Unmarshal(file[e.off:e.off+int64(e.n)], &want); err != nil {
+			t.Fatalf("line of %s: %v", id, err)
+		}
+		if got, ok := s.Get(id); !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("Get(%q) = %+v, the line decodes to %+v", id, got, want)
+		}
+		want.Result = nil
+		if got, ok := s.Meta(id); !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("Meta(%q) = %+v, the line decodes to %+v", id, got, want)
+		}
+	}
 }
