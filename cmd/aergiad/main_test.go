@@ -488,6 +488,9 @@ func TestDaemonCancelEndpoint(t *testing.T) {
 		t.Fatalf("timed out waiting for %d %s jobs", want, status)
 		return jobsResponse{}
 	}
+	// Until seeds 1-4 hold the slots, one of them may still be listed as
+	// queued beside seed 5.
+	waitStatus("running", 4)
 	queued = waitStatus("queued", 1)
 
 	// Queued job: canceled synchronously, never executes.

@@ -16,9 +16,9 @@
 // 100 000-client point (at a cohort of 512 or less) must also fit
 // maxHeapMBAt100k of live heap after the run — a count of bytes, not a
 // timing — at any -rounds: a sampled client hands its shard back with its
-// update, so a long run grows the heap only by what a client keeps between
-// rounds, under 1 kB for each client ever sampled (CI also runs
-// -clients 100000 -rounds 32).
+// update and its shell then drops it, so a long run grows the heap only by
+// the shell and transport entries of each client ever sampled, about
+// 0.33 kB (CI also runs -clients 100000 -rounds 32).
 //
 // Run with: go run ./examples/scale [-clients 10000,31623,100000] [-cohort 512] [-tiers 32] [-rounds 2]
 package main
@@ -51,13 +51,15 @@ func main() {
 }
 
 // maxHeapMBAt100k bounds the post-GC heap of the 100 000-client point at the
-// default cohort, however many rounds run. A hydrated client holds a network
-// and its shard only from dispatch to update (DESIGN.md §11) and an edge drops
-// its cohort's updates once the aggregate is sent, so what is live after the
-// run is the edges' cohort lists (8 B a client) and, for each client the run
-// touched, its shell, its stack and network entries and what a hydrated
-// client keeps between rounds: 3.1 MB after 2 rounds, 18.4 MB after 32 (22
-// and 33 MB while every client was registered and shelled up front). While
+// default cohort, however many rounds run. A client is hydrated only from a
+// dispatch to its update, and holds a network and its shard only for that
+// round (DESIGN.md §11); an edge drops its cohort's updates once the
+// aggregate is sent, so what is live after the run is the edges' cohort
+// lists (8 B a client) and, for each client the run touched, its shell —
+// holding the client's continuation, when it has one — and its stack and
+// network entries: 2.3 MB after 2 rounds, 6.9 MB after 32. While a sampled
+// client stayed hydrated between rounds it was 3.1 and 18.4 MB, and 22 and
+// 33 MB while every client was registered and shelled up front. While
 // every hydrated client kept its shard it was 40 MB after 2 rounds and
 // 268 MB after 32; while the edges' update
 // buffers still referenced every snapshot of the last round (605 × 52.7 kB),

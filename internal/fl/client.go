@@ -90,6 +90,10 @@ type Client struct {
 	// crashed keeps it for the next dispatch, or until the rejoin. A flat
 	// client's shard is a partition of one dataset and stays for the run.
 	shard func() (*dataset.Dataset, error)
+	// park, set by a hierarchical build beside shard, hands the client back
+	// to its shell with its continuation once a round has ended cleanly
+	// (endRound): the shell drops it, and the next dispatch rehydrates it.
+	park func(cont any)
 
 	// Per-round state.
 	round        int
@@ -149,7 +153,7 @@ func (c *Client) Init() error {
 	c.effSpeed = c.Speed
 	c.base = nn.Weights{}
 	c.updFeature, c.updClassifier = c.Codec, c.Codec
-	if c.Codec != nil && c.Codec.Name() == codec.TopK {
+	if c.residuals() {
 		// Sparsified update streams get client-side error feedback: the
 		// coordinates a round drops are carried into the next send. One
 		// residual per section — the streams must not mix. One-shot
@@ -158,6 +162,12 @@ func (c *Client) Init() error {
 		c.updClassifier = codec.NewResidual(c.Codec)
 	}
 	return nil
+}
+
+// residuals reports whether the client's update streams carry residual
+// error feedback: a sparsifying codec's do.
+func (c *Client) residuals() bool {
+	return c.Codec != nil && c.Codec.Name() == codec.TopK
 }
 
 // OnRejoin implements the comm.Rejoiner rejoin handshake: a crash wiped
@@ -821,17 +831,64 @@ func (c *Client) releaseNet() {
 	}
 }
 
-// endRound lets go of everything a round of a regenerating client (shard)
-// holds once its update is sent and its lane is idle: the lease, and with it
-// the round's SGD and global, the lane and its joined tail, the fired
-// completion timer, the codec base, and the shard. The client keeps what
-// must survive between rounds: its jitter stream, codec residuals and
-// verifier.
+// endRound ends a clean round of a hierarchical client (shard, park) once
+// its update is sent and its lane is idle: it ends the net lease if a step
+// has not and hands the shard's tensors back, then parks the client with its
+// continuation. The shell drops this incarnation, and with it everything
+// else the round held — the round's SGD and global, the lane and its joined
+// tail, the fired completion timer, the codec base.
 func (c *Client) endRound() {
 	c.releaseNet()
-	c.lease, c.lane, c.tail, c.completion = nil, nil, nil, nil
-	c.base = nn.Weights{}
 	c.dropShard()
+	c.park(c.continuation())
+}
+
+// continuation is what a parked client carries from one round to its next:
+// the state a rehydration from (seed, ID) cannot regenerate. Each part is
+// kept only when the client has it.
+type continuation struct {
+	// jitter is the load-jitter stream, when Jitter > 0.
+	jitter *tensor.RNG
+	// updFeature/updClassifier are the topk residual streams.
+	updFeature, updClassifier codec.Codec
+	// verifier is the signed-schedule verifier, whose replay floor must
+	// survive, when one is set.
+	verifier *sched.Verifier
+}
+
+// continuation returns the client's continuation, or nil when a
+// rehydration regenerates everything its next round needs.
+func (c *Client) continuation() any {
+	var k continuation
+	if c.Jitter > 0 {
+		k.jitter = c.jitterRNG
+	}
+	if c.residuals() {
+		k.updFeature, k.updClassifier = c.updFeature, c.updClassifier
+	}
+	k.verifier = c.Verifier
+	if k.jitter == nil && k.updFeature == nil && k.verifier == nil {
+		return nil
+	}
+	return &k
+}
+
+// resume restores what a parked incarnation carried (continuation) into a
+// freshly initialized client; cont may be nil.
+func (c *Client) resume(cont any) {
+	k, ok := cont.(*continuation)
+	if !ok {
+		return
+	}
+	if k.jitter != nil {
+		c.jitterRNG = k.jitter
+	}
+	if k.updFeature != nil {
+		c.updFeature, c.updClassifier = k.updFeature, k.updClassifier
+	}
+	if k.verifier != nil {
+		c.Verifier = k.verifier
+	}
 }
 
 // dropShard hands a regenerable shard's sample tensors back to the run's

@@ -310,7 +310,7 @@ func (t Topology) buildHier(data *dataset.Source, test *dataset.Dataset, phase n
 	}
 
 	numClasses := t.Dataset.Classes()
-	hydrate := func(p hier.Profile) (comm.Handler, error) {
+	hydrate := func(p hier.Profile, cont any, park func(any)) (comm.Handler, error) {
 		c := &Client{
 			ID:               p.ID,
 			Arch:             t.Arch,
@@ -329,10 +329,12 @@ func (t Topology) buildHier(data *dataset.Source, test *dataset.Dataset, phase n
 			shard: func() (*dataset.Dataset, error) {
 				return hierShard(data, lanes, numClasses, p, samplesPer)
 			},
+			park: park,
 		}
 		if err := c.Init(); err != nil {
 			return nil, err
 		}
+		c.resume(cont)
 		return c, nil
 	}
 

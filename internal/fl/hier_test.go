@@ -245,13 +245,15 @@ func TestHierSamplingAgreesAcrossTransports(t *testing.T) {
 }
 
 // TestHierHydrationUnderChaos pins the crash/rejoin contract for lazy
-// shells: a hydrated client that crashes dehydrates back to its profile on
-// rejoin (through the router and instrumentation proxies), and the next
-// round's dispatch rebuilds it from the seed — exactly one extra hydration,
-// and the run still completes every round. Neither hydration builds a
-// network: a client holds one only while a lane trains it, so twelve clients
-// and thirteen hydrations share at most one network per lane (and one more
-// for slack), drawn 36 times.
+// shells when the crash finds the client parked: every client trains every
+// round, hydrating at each dispatch and parking after each update, and the
+// victim, crashed between its round-0 update and round 1, had no incarnation
+// for its rejoin (delivered through the router and instrumentation proxies)
+// to drop — so its counts are every other client's, and the run still
+// completes every round. No hydration builds a network: a client holds one
+// only while a lane trains it, so twelve clients and thirty-six hydrations
+// share at most one network per lane (and one more for slack), drawn 36
+// times.
 func TestHierHydrationUnderChaos(t *testing.T) {
 	top := hierTopology(2, 0) // everyone participates: hydration count is exact
 	top.Speeds = []float64{0.25, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
@@ -271,8 +273,9 @@ func TestHierHydrationUnderChaos(t *testing.T) {
 	defer inner.Close()
 	ct := chaos.New(inner, cl.Topology.Chaos, cl.Topology.Seed)
 	// Crash a fast client after its round-0 update (~d0/4 at speed 1 vs
-	// 0.25) and rejoin it before the straggler closes the round: the rejoin
-	// must dehydrate the shell, and round 1's dispatch re-hydrates it.
+	// 0.25), when it has parked, and rejoin it before the straggler closes
+	// the round: the rejoin finds the shell dormant, and round 1's dispatch
+	// hydrates it as it does every client.
 	const victim = comm.NodeID(5)
 	ct.ScheduleCrash(victim, d0/2, d0/4)
 	ledger := newLeaseLedger()
@@ -291,13 +294,14 @@ func TestHierHydrationUnderChaos(t *testing.T) {
 	if len(cl.Hier.Shells) != top.Clients {
 		t.Fatalf("%d shells activated, want all %d clients (every client is sampled)", len(cl.Hier.Shells), top.Clients)
 	}
+	if st := ct.Stats(); st.Crashes != 1 || st.Rejoins != 1 {
+		t.Fatalf("chaos stats %+v, want the victim's one crash and rejoin", st)
+	}
 	for _, s := range cl.Hier.Shells {
-		want := 1
-		if s.Profile.ID == victim {
-			want = 2
-		}
-		if got := s.Hydrations(); got != want {
-			t.Fatalf("shell %d hydrated %d times, want %d", s.Profile.ID, got, want)
+		parked, rejoin := s.Dehydrations()
+		if got := s.Hydrations(); got != top.Rounds || parked != top.Rounds || rejoin != 0 || s.Hydrated() {
+			t.Fatalf("shell %d hydrated %d times, parked %d, dropped by a rejoin %d, hydrated after the run %v; want %d, %d, 0, false",
+				s.Profile.ID, got, parked, rejoin, s.Hydrated(), top.Rounds, top.Rounds)
 		}
 	}
 }
@@ -452,7 +456,10 @@ func (p *rejoinProbe) OnRejoin(env comm.Env) {
 // drops, or that client's lane goes on training a round nobody will read
 // until the run's final drain. No step of it may be left once the rejoin
 // has been handled, the run's numbers must not notice, and they are the
-// parent commit's (where the lane was left running) at every width.
+// parent commit's (where the lane was left running) at every width. The
+// crashed incarnation is the one a rejoin drops, exactly once; the rejoined
+// client starts dormant, and from its re-enrolment in round 0 it hydrates
+// once a round and parks after each update, never hearing of the rejoin.
 func TestHierRejoinStopsTheDroppedClientsLane(t *testing.T) {
 	const victim = comm.NodeID(5)
 	top := hierTopology(2, 0)
@@ -472,8 +479,8 @@ func TestHierRejoinStopsTheDroppedClientsLane(t *testing.T) {
 			var probes []*rejoinProbe
 			shell := cl.Hier.Shell(victim)
 			hydrate := shell.Hydrate
-			shell.Hydrate = func(p hier.Profile) (comm.Handler, error) {
-				h, err := hydrate(p)
+			shell.Hydrate = func(p hier.Profile, cont any, park func(any)) (comm.Handler, error) {
+				h, err := hydrate(p, cont, park)
 				if err != nil {
 					return nil, err
 				}
@@ -493,9 +500,15 @@ func TestHierRejoinStopsTheDroppedClientsLane(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(probes) != 2 || shell.Hydrations() != 2 {
-				t.Fatalf("victim hydrated %d times (%d probes), want the crashed and the rejoined incarnation",
-					shell.Hydrations(), len(probes))
+			parked, rejoin := shell.Dehydrations()
+			if len(probes) != top.Rounds+1 || shell.Hydrations() != len(probes) || parked != top.Rounds || rejoin != 1 || shell.Hydrated() {
+				t.Fatalf("victim hydrated %d times (%d probes), parked %d, dropped by a rejoin %d, hydrated after the run %v; want the crashed incarnation dropped once, then one parked incarnation a round",
+					shell.Hydrations(), len(probes), parked, rejoin, shell.Hydrated())
+			}
+			for i, p := range probes[1:] {
+				if p.rejoined {
+					t.Fatalf("incarnation %d, hydrated after the rejoin, heard of it", i+1)
+				}
 			}
 			first := probes[0]
 			if !first.rejoined {

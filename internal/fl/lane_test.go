@@ -583,8 +583,12 @@ func TestLanesLeaveNothingBehind(t *testing.T) {
 				t.Fatalf("%s: %d goroutines after Run, %d before", tc.name, after, before)
 			}
 			if cl.Hier != nil {
-				if s := cl.Hier.Shells[5]; s.Hydrations() != 2 {
-					t.Fatalf("%s: shell 5 hydrated %d times, want 2 (crashed hydrated, rejoined dormant)", tc.name, s.Hydrations())
+				// Crashed hydrated and dropped by its rejoin; rejoined dormant,
+				// then hydrated once a round and parked after each update.
+				s := cl.Hier.Shells[5]
+				if parked, rejoin := s.Dehydrations(); s.Hydrations() != tc.cfg.Rounds+1 || parked != tc.cfg.Rounds || rejoin != 1 || s.Hydrated() {
+					t.Fatalf("%s: shell 5 hydrated %d times, parked %d, dropped by a rejoin %d, hydrated after the run %v; want %d, %d, 1, false",
+						tc.name, s.Hydrations(), parked, rejoin, s.Hydrated(), tc.cfg.Rounds+1, tc.cfg.Rounds)
 				}
 			}
 			for _, c := range cl.Clients {

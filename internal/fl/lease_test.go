@@ -476,8 +476,9 @@ func TestLeaseKeepsPerClientStateAcrossWidths(t *testing.T) {
 // and topk, in which clients are sampled again, replays to one hash at
 // GOMAXPROCS 1, 2 and 8, the parent commit's, where a client drew its shard
 // once at hydration and kept it; the later rounds' shards are drawn into
-// tensors an earlier round returned, and after the run no client holds a
-// shard or anything else of its last round.
+// tensors an earlier round returned, and after the run every incarnation has
+// handed its shard and network back and no shell holds a client: each parked
+// after its update, taking the rest of its round with it.
 func TestShardLivesForItsRound(t *testing.T) {
 	cfg := testConfig(NewFedAvg(0))
 	cfg.Clients, cfg.TrainSamples, cfg.Rounds = 16, 256, 6
@@ -497,8 +498,8 @@ func TestShardLivesForItsRound(t *testing.T) {
 			var clients []*Client
 			draws, tensors := 0, map[*tensor.Tensor]bool{}
 			hydrate := cl.Hier.hydrate
-			cl.Hier.hydrate = func(p hier.Profile) (comm.Handler, error) {
-				h, err := hydrate(p)
+			cl.Hier.hydrate = func(p hier.Profile, cont any, park func(any)) (comm.Handler, error) {
+				h, err := hydrate(p, cont, park)
 				if err != nil {
 					return nil, err
 				}
@@ -521,9 +522,9 @@ func TestShardLivesForItsRound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("GOMAXPROCS %d: %d rounds of %d clients drew %d shards into %d tensors", procs, ledger.takes, len(clients), draws, len(tensors))
-			if ledger.takes <= len(clients) {
-				t.Fatalf("%d leases by %d clients: nobody was sampled twice", ledger.takes, len(clients))
+			t.Logf("GOMAXPROCS %d: %d rounds of %d clients drew %d shards into %d tensors", procs, ledger.takes, len(hydratedSet(cl)), draws, len(tensors))
+			if hydrated := len(hydratedSet(cl)); ledger.takes <= hydrated {
+				t.Fatalf("%d leases by %d clients: nobody was sampled twice", ledger.takes, hydrated)
 			}
 			if draws != ledger.takes {
 				t.Fatalf("%d rounds drew %d shards: a round trained on a shard an earlier one kept", ledger.takes, draws)
@@ -536,9 +537,14 @@ func TestShardLivesForItsRound(t *testing.T) {
 				t.Fatalf("%d shards drawn into %d distinct tensors (at most %d): the returned ones were not reused", draws, len(tensors), most)
 			}
 			for _, c := range clients {
-				if c.Data != nil || c.batchXs != nil || c.lease != nil || c.lane != nil || c.base.Len() != 0 {
-					t.Fatalf("client %d holds its last round after the run: shard %v, batches %d, lease %v, lane %v, base %d",
-						c.ID, c.Data != nil, len(c.batchXs), c.lease != nil, c.lane != nil, c.base.Len())
+				if c.Data != nil || c.batchXs != nil || (c.lease != nil && c.lease.net.Load() != nil) {
+					t.Fatalf("client %d holds its round after the run: shard %v, batches %d, network %v",
+						c.ID, c.Data != nil, len(c.batchXs), c.lease != nil && c.lease.net.Load() != nil)
+				}
+			}
+			for id, s := range cl.Hier.Shells {
+				if s.Hydrated() {
+					t.Fatalf("shell %d holds a client after the run", id)
 				}
 			}
 			// Captured at d8deac8 (the parent commit) at GOMAXPROCS 1, 2, 8.

@@ -285,7 +285,7 @@ func TestLazyClientHydrationLifecycle(t *testing.T) {
 	inner := &recorder{}
 	lc := &LazyClient{
 		Profile: Profile{ID: 4, Speed: 0.5, Samples: 10},
-		Hydrate: func(p Profile) (comm.Handler, error) {
+		Hydrate: func(p Profile, _ any, _ func(any)) (comm.Handler, error) {
 			built++
 			if p.ID != 4 {
 				t.Fatalf("hydrator got profile %+v", p)
@@ -329,5 +329,59 @@ func TestLazyClientHydrationLifecycle(t *testing.T) {
 	lc.OnMessage(env, comm.Message{Kind: comm.KindTrain})
 	if built != 2 || lc.Hydrations() != 2 {
 		t.Fatalf("re-hydration after rejoin: built=%d hydrations=%d", built, lc.Hydrations())
+	}
+}
+
+// TestLazyClientParksWithItsContinuation: a client that parks is dropped and
+// its continuation is handed to the next hydration, once; a rejoin of the
+// dormant shell discards the continuation without telling anyone, and each
+// dehydration is counted under its cause.
+func TestLazyClientParksWithItsContinuation(t *testing.T) {
+	var (
+		conts []any
+		park  func(any)
+		incs  []*recorder
+	)
+	lc := &LazyClient{
+		Profile: Profile{ID: 4},
+		Hydrate: func(_ Profile, cont any, p func(any)) (comm.Handler, error) {
+			conts, park = append(conts, cont), p
+			incs = append(incs, &recorder{})
+			return incs[len(incs)-1], nil
+		},
+	}
+	env := &fakeEnv{id: 4}
+	train := comm.Message{Kind: comm.KindTrain}
+	counts := func() [3]int {
+		parked, rejoin := lc.Dehydrations()
+		return [3]int{lc.Hydrations(), parked, rejoin}
+	}
+
+	lc.OnMessage(env, train)
+	park("round 0")
+	if lc.Hydrated() || counts() != [3]int{1, 1, 0} {
+		t.Fatalf("after parking: hydrated %v, counts %v", lc.Hydrated(), counts())
+	}
+	lc.OnMessage(env, comm.Message{Kind: comm.KindSchedule})
+	if len(incs) != 1 || len(incs[0].msgs) != 1 {
+		t.Fatal("a parked shell passed non-train traffic on")
+	}
+	lc.OnMessage(env, train)
+	if !lc.Hydrated() || len(conts) != 2 || conts[0] != nil || conts[1] != "round 0" {
+		t.Fatalf("hydrations were handed %v, want nil then the parked continuation", conts)
+	}
+
+	park("round 1")
+	lc.OnRejoin(env) // dormant: the crash takes the continuation
+	if incs[1].rejoins != 0 || counts() != [3]int{2, 2, 0} {
+		t.Fatalf("a dormant rejoin told a dropped incarnation (%d) or counted %v", incs[1].rejoins, counts())
+	}
+	lc.OnMessage(env, train)
+	if conts[2] != nil {
+		t.Fatalf("the hydration after a rejoin was handed %v, want nothing", conts[2])
+	}
+	lc.OnRejoin(env) // hydrated: the incarnation hears of it and is dropped
+	if lc.Hydrated() || incs[2].rejoins != 1 || counts() != [3]int{3, 2, 1} {
+		t.Fatalf("a hydrated rejoin: hydrated %v, heard %d, counts %v", lc.Hydrated(), incs[2].rejoins, counts())
 	}
 }

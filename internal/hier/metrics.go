@@ -12,11 +12,12 @@ import (
 // materialized, how big the cohorts run, and how the update traffic splits
 // between the client→edge and edge→root tiers.
 type hierInstruments struct {
-	hydrations   *obs.Counter
-	dehydrations *obs.Counter
-	cohortSize   *obs.Histogram
-	edgeBytes    *obs.Counter
-	rootBytes    *obs.Counter
+	hydrations *obs.Counter
+	parked     *obs.Counter
+	rejoined   *obs.Counter
+	cohortSize *obs.Histogram
+	edgeBytes  *obs.Counter
+	rootBytes  *obs.Counter
 }
 
 var hm = sync.OnceValue(func() *hierInstruments {
@@ -24,11 +25,14 @@ var hm = sync.OnceValue(func() *hierInstruments {
 	tier := reg.CounterVec("aergia_hier_update_bytes_total",
 		"Model-update bytes by hierarchy tier (edge = client uplinks into edge aggregators, root = edge aggregate deltas into the federator).",
 		"tier")
+	dehydrations := reg.CounterVec("aergia_hier_dehydrations_total",
+		"Hydrated clients dropped back to their shells, by cause: parked (a round ended cleanly and the client kept only its continuation) or rejoin (a chaos rejoin dropped the crashed incarnation).",
+		"cause")
 	return &hierInstruments{
 		hydrations: reg.Counter("aergia_hier_hydrations_total",
 			"Lazy client shells materialized into full actors by a training dispatch."),
-		dehydrations: reg.Counter("aergia_hier_dehydrations_total",
-			"Hydrated clients dropped back to profiles by a chaos rejoin."),
+		parked:   dehydrations.With("parked"),
+		rejoined: dehydrations.With("rejoin"),
 		cohortSize: reg.Histogram("aergia_hier_cohort_size",
 			"Sampled cohort size per edge aggregator per round.",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096}),
