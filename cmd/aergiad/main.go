@@ -432,20 +432,9 @@ func (s *server) handleList(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	experiment := req.URL.Query().Get("experiment")
-	var out []runner.JobState
-	for _, st := range s.runner.List() {
-		if status != "" && string(st.Status) != status {
-			continue
-		}
-		if experiment != "" && st.Experiment != experiment {
-			continue
-		}
-		st.Result = nil // list view stays light; results via GET /jobs/{id}
-		out = append(out, st)
-	}
-	if out == nil {
-		out = []runner.JobState{}
+	out := s.runner.List(runner.Status(status), req.URL.Query().Get("experiment"))
+	for i := range out {
+		out[i].Result = nil // list view stays light; results via GET /jobs/{id}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"maps"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -53,12 +55,24 @@ func TestRunnerCountsMatchListTally(t *testing.T) {
 			defer releaseOnce() // before Close, which waits for the held slot
 			check := func(step string) {
 				t.Helper()
+				all := r.List("", "")
 				tally := map[Status]int{}
-				for _, st := range r.List() {
+				for _, st := range all {
 					tally[st.Status]++
 				}
 				if got := r.Counts(); !maps.Equal(got, tally) {
 					t.Fatalf("after %s: Counts = %v, List tallies %v", step, got, tally)
+				}
+				// List's filter, which the store applies to its entries,
+				// passes what filtering the whole list passes.
+				for _, f := range []filter{{StatusQueued, ""}, {StatusRunning, ""}, {StatusLeased, ""},
+					{StatusDone, ""}, {StatusFailed, ""}, {StatusCanceled, "table1"}, {"", "table1"}, {"", "fig4"}} {
+					want := slices.DeleteFunc(slices.Clone(all), func(st JobState) bool {
+						return f.status != "" && st.Status != f.status || f.experiment != "" && st.Experiment != f.experiment
+					})
+					if got := r.List(f.status, f.experiment); !reflect.DeepEqual(got, want) {
+						t.Fatalf("after %s: List(%q, %q) = %v, want %v", step, f.status, f.experiment, got, want)
+					}
 				}
 			}
 			// Each check runs where no job can move under it: while the

@@ -63,7 +63,7 @@ var (
 //
 // Where a job lives: a queued, leased or running job is a JobState in the
 // runner. Once its terminal record is in the store, the store's index is
-// its only in-memory state (under 0.3 kB a job, Store) and Get, Result,
+// its only in-memory state (under 0.2 kB a job, Store) and Get, Result,
 // List, Cancel and Subscribe read it there, as they do for jobs of an
 // earlier life; its event stream is dropped too unless it published
 // events a late subscriber still replays. Without a store, or when the
@@ -255,24 +255,24 @@ func (r *Runner) Submit(job Job) (JobState, error) {
 	}
 	// Not live: the store's index holds it if it finished, here or in an
 	// earlier life. The token says whether it is in order already.
-	e, stored := r.store.entry(id)
-	listed := stored && e.lister == r.token
-	if stored && e.status == StatusDone {
+	rec, lister, stored := r.store.find(id, filter{})
+	listed := stored && lister == r.token
+	if stored && rec.Status == StatusDone {
 		if !listed {
 			r.store.list(id, r.token)
 			r.order = append(r.order, id)
 			r.counts[StatusDone]++
 		}
-		return e.record(), nil
+		return rec, nil
 	}
 	if err := r.checkQueueSpace(); err != nil {
 		if listed {
-			return e.record(), err
+			return rec, err
 		}
 		return JobState{}, err
 	}
 	if listed {
-		r.move(e.status, StatusQueued)
+		r.move(rec.Status, StatusQueued)
 	} else {
 		r.order = append(r.order, id)
 		r.counts[StatusQueued]++
@@ -752,7 +752,7 @@ func (r *Runner) Subscribe(id string, buf int) (<-chan obs.RoundEvent, func(), e
 		return ch, cancel, nil
 	}
 	if _, ok := r.jobs[id]; !ok {
-		if _, ok := r.store.entry(id); !ok {
+		if _, ok := r.store.Meta(id); !ok {
 			return nil, nil, fmt.Errorf("%w %s", ErrUnknownJob, id)
 		}
 	}
@@ -797,27 +797,52 @@ func (r *Runner) live(id string) (JobState, bool) {
 	return *st, true
 }
 
-// List returns snapshots of every job submitted to this runner, in
-// submission order.
-func (r *Runner) List() []JobState {
+// List returns snapshots of the jobs submitted to this runner that are
+// in status and of experiment, an empty one matching any, in submission
+// order. A finished job the filter drops is never built.
+func (r *Runner) List(status Status, experiment string) []JobState {
+	f := filter{status, experiment}
 	r.mu.Lock()
-	out := make([]JobState, len(r.order))
-	for i, id := range r.order {
-		if st, ok := r.jobs[id]; ok {
-			out[i] = *st
-		} else {
-			out[i].ID = id
+	var live []JobState                    // the live jobs f passes
+	ids := make([]string, 0, len(r.order)) // "" where the next of live goes
+	for _, id := range r.order {
+		st, ok := r.jobs[id]
+		switch {
+		case !ok:
+			ids = append(ids, id)
+		case f.match(st.Status, st.Experiment):
+			live = append(live, *st)
+			ids = append(ids, "")
 		}
 	}
 	r.mu.Unlock()
 	// The rest finished: the store holds them, and reading it needs no
 	// runner lock. A job does not leave the store once it is there.
-	for i := range out {
-		if out[i].Status == "" {
-			out[i], _ = r.store.Meta(out[i].ID)
+	n := len(live)
+	if f == (filter{}) {
+		n = len(ids) // every job passes
+	}
+	out := make([]JobState, 0, n)
+	for _, id := range ids {
+		if id == "" {
+			out = append(out, live[0])
+			live = live[1:]
+		} else if rec, _, ok := r.store.find(id, f); ok {
+			out = append(out, rec)
 		}
 	}
 	return out
+}
+
+// filter is List's: a job passes when its status and experiment equal the
+// filter's, an empty field matching any.
+type filter struct {
+	status     Status
+	experiment string
+}
+
+func (f filter) match(status Status, experiment string) bool {
+	return (f.status == "" || status == f.status) && (f.experiment == "" || experiment == f.experiment)
 }
 
 // Wait blocks until the queue is drained, no job is running locally, and

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync"
 	"time"
@@ -47,86 +48,64 @@ type Record struct {
 // want the queue without persistence.
 //
 // The in-memory index is the only home of a finished job in a Runner over
-// the store (see Runner), so it is kept compact: one storedRecord per job,
-// under 0.3 kB with its ID and options, and no result payloads.
+// the store (see Runner), so it is kept compact: a 64 B storedRecord and
+// the ID per job, and no result payloads. What a sweep's cells share — the
+// experiment and every option but the seed — is one profile, held once.
 type Store struct {
-	mu      sync.Mutex
-	f       *os.File
-	path    string
-	size    int64 // end offset of the last intact record
-	byID    map[string]int
-	entries []storedRecord    // in first-seen order; byID indexes it
-	names   map[string]string // see intern
-	listers uint32            // tokens handed out by newLister
-	skipped int
+	mu        sync.Mutex
+	f         *os.File
+	path      string
+	size      int64 // end offset of the last intact record
+	byID      map[string]int
+	entries   []storedRecord // in first-seen order; byID indexes it
+	profiles  []profile      // storedRecord.profile indexes it
+	profileOf map[profile]uint32
+	names     []string // worker names and statuses; names[0] is ""
+	nameOf    map[string]uint32
+	errs      map[int]string // error text by entry index, for the few that have one
+	listers   uint32         // tokens handed out by newLister
+	skipped   int
+}
+
+// profile is what the records of a sweep's cells share: the experiment
+// and the options with Seed zeroed and nothing the encoding omits. Options
+// holds only flat scalars, so a profile is its own map key.
+type profile struct {
+	experiment string
+	options    experiments.Options
 }
 
 // storedRecord is the in-memory index entry for one job: what dedup,
 // listing and Meta need, plus the byte range of the record's line in the
-// file so Get can re-read the result payload on demand. The options are
-// held as their canonical JSON — the bytes Job.ID hashes — which decode
-// back to the same Options. Keeping payloads and decoded structs out of
-// memory bounds a long-running daemon's footprint by job count, not by
-// result size.
+// file so Get can re-read the result payload on demand. Everything but the
+// ID, the seed and the numbers is an index into the store's tables
+// (profiles, names, errs), so the entry is 64 B with no allocation of its
+// own. Keeping payloads and decoded structs out of memory bounds a
+// long-running daemon's footprint by job count, not by result size.
 type storedRecord struct {
-	id, experiment string
-	options        string
-	status         Status
-	worker, err    string
-	elapsed        time.Duration
-	off            int64
-	n              int
+	id      string
+	seed    uint64
+	elapsed time.Duration
+	off     int64
+	n       uint32
+	profile uint32
+	status  uint32 // index into names
+	worker  uint32 // index into names
 	// lister is the token of the Runner that lists the job (Runner.List),
 	// 0 for none. It is bookkeeping of this process, never written.
 	lister    uint32
 	hasResult bool
 }
 
-// newStoredRecord is the index entry of rec, whose line occupies [off,
-// off+n) in the file and was written for the runner with token lister;
-// remember fills in the options.
-func newStoredRecord(rec Record, off int64, n int, lister uint32) storedRecord {
-	return storedRecord{
-		id: rec.ID, experiment: rec.Experiment, status: rec.Status,
-		worker: rec.Worker, err: rec.Error, elapsed: rec.Elapsed,
-		off: off, n: n, lister: lister, hasResult: len(rec.Result) > 0,
-	}
-}
-
-// optionsJSON returns the options object of a line json.Marshal wrote for
-// a Record: the bytes json.Marshal writes for its Options alone. The key
-// cannot occur earlier, inside the ID or experiment string, where every
-// quote is escaped.
-func optionsJSON(line []byte) []byte {
-	const key = `,"options":`
-	start := bytes.Index(line, []byte(key)) + len(key)
-	depth, quoted := 0, false
-	for i := start; i < len(line); i++ {
-		switch c := line[i]; {
-		case quoted && c == '\\':
-			i++ // the escaped byte
-		case c == '"':
-			quoted = !quoted
-		case quoted:
-		case c == '{':
-			depth++
-		case c == '}':
-			if depth--; depth == 0 {
-				return line[start : i+1]
-			}
-		}
-	}
-	panic(fmt.Sprintf("runner: no options object in %s", line))
-}
-
-// record rebuilds the Record the entry's line holds, result stripped.
-func (e *storedRecord) record() Record {
-	rec := Record{ID: e.id, Experiment: e.experiment, Status: e.status,
-		Elapsed: e.elapsed, Error: e.err, Worker: e.worker}
-	if err := json.Unmarshal([]byte(e.options), &rec.Options); err != nil {
-		// They are json.Marshal's encoding of an Options value.
-		panic(fmt.Sprintf("runner: decode indexed options of %s: %v", e.id, err))
-	}
+// record rebuilds the Record entry i's line holds, result stripped.
+// Callers hold s.mu.
+func (s *Store) record(i int) Record {
+	e := &s.entries[i]
+	p := &s.profiles[e.profile]
+	rec := Record{ID: e.id, Experiment: p.experiment, Options: p.options,
+		Status: Status(s.names[e.status]), Elapsed: e.elapsed, Error: s.errs[i],
+		Worker: s.names[e.worker]}
+	rec.Options.Seed = e.seed
 	return rec
 }
 
@@ -141,7 +120,9 @@ func Open(path string) (*Store, error) {
 		f.Close()
 		return nil, fmt.Errorf("runner: store %s is in use by another process: %w", path, err)
 	}
-	s := &Store{f: f, path: path, byID: make(map[string]int), names: make(map[string]string)}
+	s := &Store{f: f, path: path, byID: make(map[string]int),
+		profileOf: make(map[profile]uint32), names: []string{""},
+		nameOf: map[string]uint32{"": 0}, errs: make(map[int]string)}
 	if err := s.load(); err != nil {
 		f.Close()
 		return nil, err
@@ -166,6 +147,9 @@ func (s *Store) load() error {
 		}
 		line := data[start : start+nl]
 		start += nl + 1
+		if nl > math.MaxUint32 {
+			return fmt.Errorf("runner: store %s: the line at byte %d is over 4 GiB", s.path, start-nl-1)
+		}
 		rec, err := parseRecord(line)
 		if err != nil {
 			if holdsRecord(data[start:]) {
@@ -178,13 +162,7 @@ func (s *Store) load() error {
 			s.skipped++
 			break
 		}
-		// The line's own options bytes need not be canonical (spacing,
-		// key order): index the encoding of what they decode to.
-		opts, err := json.Marshal(rec.Options)
-		if err != nil {
-			return fmt.Errorf("runner: store %s: options of %s: %w", s.path, rec.ID, err)
-		}
-		s.remember(newStoredRecord(rec, int64(start-nl-1), len(line), 0), opts)
+		s.remember(rec, int64(start-nl-1), len(line), 0)
 		valid = int64(start)
 	}
 	if valid < int64(len(data)) {
@@ -222,50 +200,68 @@ func holdsRecord(data []byte) bool {
 	}
 }
 
-// remember merges one entry, whose record has the options JSON opts, into
-// the in-memory index. Completed records are immutable; anything else is
-// superseded by a later record. A job's lister survives a superseding
-// record that names none.
-func (s *Store) remember(e storedRecord, opts []byte) {
-	e.experiment = s.intern(e.experiment)
-	e.status = Status(s.intern(string(e.status)))
-	e.worker = s.intern(e.worker)
+// remember merges rec, whose line occupies [off, off+n) in the file and
+// was written for the runner with token lister, into the in-memory index.
+// Completed records are immutable; anything else is superseded by a later
+// record. A job's lister survives a superseding record that names none.
+// Callers hold s.mu, or own s as load does.
+func (s *Store) remember(rec Record, off int64, n int, lister uint32) {
+	e := storedRecord{id: rec.ID, seed: rec.Options.Seed, elapsed: rec.Elapsed,
+		off: off, n: uint32(n), profile: s.internProfile(rec.Experiment, rec.Options),
+		status: s.internName(string(rec.Status)), worker: s.internName(rec.Worker),
+		lister: lister, hasResult: len(rec.Result) > 0}
 	i, ok := s.byID[e.id]
-	if ok && s.entries[i].options == string(opts) {
-		e.options = s.entries[i].options // a job's records repeat its options
-	} else {
-		e.options = string(opts)
-	}
 	if !ok {
-		s.byID[e.id] = len(s.entries)
+		i = len(s.entries)
+		s.byID[e.id] = i
 		s.entries = append(s.entries, e)
-		return
+	} else {
+		s.skipped++
+		prev := &s.entries[i]
+		e.id = prev.id // the copy byID holds as its key
+		if e.lister == 0 {
+			e.lister = prev.lister
+		}
+		if s.names[prev.status] == string(StatusDone) {
+			prev.lister = e.lister
+			return
+		}
+		*prev = e
 	}
-	s.skipped++
-	prev := &s.entries[i]
-	e.id = prev.id // the copy byID holds as its key
-	if e.lister == 0 {
-		e.lister = prev.lister
+	if rec.Error != "" {
+		s.errs[i] = rec.Error
+	} else {
+		delete(s.errs, i)
 	}
-	if prev.status == StatusDone {
-		prev.lister = e.lister
-		return
-	}
-	*prev = e
 }
 
-// intern returns the store's copy of v. Experiment names, statuses and
-// worker names repeat across thousands of records, which a reopened store
-// would otherwise hold once each. Callers hold s.mu.
-func (s *Store) intern(v string) string {
-	if v == "" {
-		return ""
+// internProfile returns the index of the profile of a record of
+// experiment with options opts, adding it on first sight. Callers hold
+// s.mu.
+func (s *Store) internProfile(experiment string, opts experiments.Options) uint32 {
+	opts.Seed = 0
+	opts.Trace, opts.Spans, opts.Events = nil, nil, nil
+	p := profile{experiment, opts}
+	if i, ok := s.profileOf[p]; ok {
+		return i
 	}
-	if w, ok := s.names[v]; ok {
-		return w
+	i := uint32(len(s.profiles))
+	s.profiles = append(s.profiles, p)
+	s.profileOf[p] = i
+	return i
+}
+
+// internName returns the index of v in names, adding it on first sight.
+// Statuses and worker names repeat across thousands of records, which a
+// reopened store would otherwise hold once each. Callers hold s.mu.
+func (s *Store) internName(v string) uint32 {
+	if i, ok := s.nameOf[v]; ok {
+		return i
 	}
-	s.names[v] = v
-	return v
+	i := uint32(len(s.names))
+	s.names = append(s.names, v)
+	s.nameOf[v] = i
+	return i
 }
 
 // payload re-reads one record's line from disk and returns its result
@@ -298,8 +294,21 @@ func (s *Store) append(rec Record, lister uint32) error {
 	if err != nil {
 		return fmt.Errorf("runner: marshal record %s: %w", rec.ID, err)
 	}
-	e := newStoredRecord(rec, 0, len(line), lister)
-	opts := optionsJSON(line)
+	if len(line) > math.MaxUint32 {
+		return fmt.Errorf("runner: record %s is over 4 GiB", rec.ID)
+	}
+	if bytes.Contains(line, []byte(`\ufffd`)) {
+		// json.Marshal writes \ufffd for each byte of a string that is not
+		// valid UTF-8, the one value it does not write back as is: index
+		// what the line says, as Open will. A string that holds the escape
+		// itself lands here too, and decodes to itself.
+		var exact Record
+		if err := json.Unmarshal(line, &exact); err != nil {
+			return fmt.Errorf("runner: decode record %s: %w", rec.ID, err)
+		}
+		rec = exact
+	}
+	n := len(line)
 	line = append(line, '\n')
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -312,27 +321,33 @@ func (s *Store) append(rec Record, lister uint32) error {
 		}
 		return fmt.Errorf("runner: append record %s: %w", rec.ID, err)
 	}
-	e.off = s.size
+	off := s.size
 	s.size += int64(len(line))
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("runner: sync store: %w", err)
 	}
-	s.remember(e, opts)
+	s.remember(rec, off, n, lister)
 	return nil
 }
 
-// entry returns a copy of a job's index entry.
-func (s *Store) entry(id string) (storedRecord, bool) {
+// find returns a job's record, result stripped, and the token of the
+// runner that lists it, if the index holds the job and it passes f. A
+// record f drops is not built.
+func (s *Store) find(id string, f filter) (Record, uint32, bool) {
 	if s == nil {
-		return storedRecord{}, false
+		return Record{}, 0, false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	i, ok := s.byID[id]
 	if !ok {
-		return storedRecord{}, false
+		return Record{}, 0, false
 	}
-	return s.entries[i], true
+	e := &s.entries[i]
+	if !f.match(Status(s.names[e.status]), s.profiles[e.profile].experiment) {
+		return Record{}, 0, false
+	}
+	return s.record(i), e.lister, true
 }
 
 // newLister returns a token no other Runner over this store holds, for
@@ -360,11 +375,8 @@ func (s *Store) list(id string, lister uint32) {
 // Meta returns a job's record with the result payload stripped, without
 // touching disk. Status checks (dedup, resume) go through here.
 func (s *Store) Meta(id string) (Record, bool) {
-	e, ok := s.entry(id)
-	if !ok {
-		return Record{}, false
-	}
-	return e.record(), true
+	rec, _, ok := s.find(id, filter{})
+	return rec, ok
 }
 
 // Get returns the full stored record for a job ID, re-reading the result
@@ -379,23 +391,19 @@ func (s *Store) Get(id string) (Record, bool) {
 		s.mu.Unlock()
 		return Record{}, false
 	}
-	e := s.entries[i]
-	var result json.RawMessage
+	rec := s.record(i)
 	var err error
-	if e.hasResult {
-		result, err = s.payload(&e)
+	if e := &s.entries[i]; e.hasResult {
+		rec.Result, err = s.payload(e)
 	}
 	s.mu.Unlock()
-	rec := e.record()
 	if err != nil {
 		// The index says the payload exists but the file no longer
 		// yields it (hardware fault, external truncation). Surface a
 		// failed view rather than a silently payload-less success.
 		rec.Status = StatusFailed
 		rec.Error = err.Error()
-		return rec, true
 	}
-	rec.Result = result
 	return rec, true
 }
 
@@ -409,7 +417,7 @@ func (s *Store) List() []Record {
 	defer s.mu.Unlock()
 	out := make([]Record, 0, len(s.entries))
 	for i := range s.entries {
-		out = append(out, s.entries[i].record())
+		out = append(out, s.record(i))
 	}
 	return out
 }

@@ -18,7 +18,8 @@ import (
 // cannot tell from damage in the middle of the file: an unreadable line
 // with a readable record behind it. Whatever it indexes must read back as
 // the line it came from (indexMatchesFile), and so must the same records
-// appended to a fresh store.
+// appended to a fresh store, and the record appended after recovery, whose
+// backend and worker are the glued bytes.
 func FuzzStoreTornTail(f *testing.F) {
 	var image []byte
 	var ends []int // end offset of each whole line in image
@@ -65,6 +66,11 @@ func FuzzStoreTornTail(f *testing.F) {
 			`{"id":"x\",\"options\":{","experiment":"}{\\","options":{"backend":"a}\"{","seed":3},"status":"done","worker":"w","result":{"a":"}"}}` + "\n",
 			`{ "status" : "failed", "options" : { "chaos" : {"churn":0.30000000000000004,"drop":-0}, "hier": {"tiers":2} }, "id" : "odd", "error":"e\u00e9\ud83d\ude00", "elapsed_ns": 12 }` + "\n",
 			`{"id":"dup","status":"leased","worker":"1:w1","options":{"seed":1},"options":{"seed":2},"Trace":1,"extra":[1]}` + "\n",
+			// Strings that are not valid UTF-8, which a decode and
+			// json.Marshal both turn into U+FFFD, and the escape itself.
+			"\xff",
+			"{\"id\":\"bad\",\"options\":{\"backend\":\"\xff\xc3\"},\"status\":\"done\",\"worker\":\"w\xff\"}\n",
+			`\ufffd`,
 		} {
 			f.Add(uint16(cut), []byte(tail))
 		}
@@ -147,9 +153,11 @@ func FuzzStoreTornTail(f *testing.F) {
 		// The file must be whole lines again: an append lands on its own
 		// line and the next Open sees it.
 		next := rec(99, StatusDone, `{"experiment":"fig4","after":"recovery"}`)
+		next.Options.Backend, next.Worker = string(tail), string(tail)
 		if err := s.Append(next); err != nil {
 			t.Fatal(err)
 		}
+		indexMatchesFile(t, s, path)
 		n := s.Len()
 		if err := s.Close(); err != nil {
 			t.Fatal(err)

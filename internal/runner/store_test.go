@@ -1,7 +1,9 @@
 package runner
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -217,6 +219,9 @@ func TestStoreFailedSupersededByDone(t *testing.T) {
 	if err := s.Append(rec); err != nil {
 		t.Fatal(err)
 	}
+	if got, _ := s.Meta(rec.ID); got.Status != StatusDone || got.Error != "" {
+		t.Fatalf("record = %+v, want the later done record, without the failure's error", got)
+	}
 	s.Close()
 
 	s, err = Open(path)
@@ -225,7 +230,7 @@ func TestStoreFailedSupersededByDone(t *testing.T) {
 	}
 	defer s.Close()
 	got, ok := s.Get(rec.ID)
-	if !ok || got.Status != StatusDone {
+	if !ok || got.Status != StatusDone || got.Error != "" {
 		t.Fatalf("record = %+v, want the later done record to win", got)
 	}
 }
@@ -260,5 +265,141 @@ func TestNilStoreIsInert(t *testing.T) {
 	}
 	if s.Len() != 0 || s.List() != nil || s.Close() != nil {
 		t.Fatal("nil store not inert")
+	}
+}
+
+// TestStoreSweepSharesProfiles pins what a sweep costs the index: its
+// cells differ in the seed and one other axis, so S seeds × k codecs
+// intern k profiles, live and after Open, and every job still reads back
+// as the line it came from.
+func TestStoreSweepSharesProfiles(t *testing.T) {
+	const seeds, codecs = 6, 3
+	sw := Sweep{Experiments: []string{"fig4"}, Quick: []bool{true},
+		Seeds: []uint64{1, 2, 3, 4, 5, 6}, Codecs: []string{"none", "q8", "topk"}}
+	jobs, err := sw.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != seeds*codecs {
+		t.Fatalf("the sweep expands to %d jobs, want %d", len(jobs), seeds*codecs)
+	}
+	path := tempStore(t)
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := New(s, -1)
+	if _, err := r.SubmitAll(jobs); err != nil {
+		t.Fatal(err)
+	}
+	for i := range jobs {
+		l := r.Lease("1:w1", 1)
+		rec := Record{Status: StatusDone, Elapsed: time.Duration(i + 1), Result: json.RawMessage(`{"experiment":"fig4"}`)}
+		if i%5 == 0 {
+			rec = Record{Status: StatusFailed, Error: "boom " + l[0].Job.ID()}
+		}
+		if err := r.Complete(l[0].Job.ID(), l[0].Seq, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Close()
+	check := func(when string, s *Store) {
+		t.Helper()
+		if s.Len() != len(jobs) || len(s.profiles) != codecs {
+			t.Fatalf("%s: %d jobs share %d profiles, want %d and %d", when, s.Len(), len(s.profiles), len(jobs), codecs)
+		}
+		indexMatchesFile(t, s, path)
+	}
+	check("live", s)
+	s.Close()
+	s, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	check("after Open", s)
+}
+
+// TestStoreAppendIndexesWhatTheLineSays pins the one value json.Marshal
+// does not write back as is: a string that is not valid UTF-8, whose bad
+// bytes the line holds as U+FFFD. Meta and Get must read what the line
+// says, before and after Open, as they do for a loaded record.
+func TestStoreAppendIndexesWhatTheLineSays(t *testing.T) {
+	path := tempStore(t)
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := doneRecord(t, "fig4", 1)
+	rec.Options.Backend = "\xff"
+	rec.Worker = "w\xc3"
+	if err := s.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	odd := doneRecord(t, "fig4", 2)
+	odd.Options.Codec = `\ufffd` // the escape itself, which decodes to itself
+	if err := s.Append(odd); err != nil {
+		t.Fatal(err)
+	}
+	indexMatchesFile(t, s, path)
+	if got, _ := s.Meta(rec.ID); got.Options.Backend != "\ufffd" || got.Worker != "w\ufffd" {
+		t.Fatalf("Meta reads backend %q, worker %q; the line says %q, %q", got.Options.Backend, got.Worker, "\ufffd", "w\ufffd")
+	}
+	s.Close()
+	s, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	indexMatchesFile(t, s, path)
+}
+
+// TestRunnerListsWhileJobsFinish reads the index (List, Get, a resubmit's
+// dedup) while workers append to it, for the race detector: the entry, its
+// profile, its names and its error text are all read under the store's
+// lock.
+func TestRunnerListsWhileJobsFinish(t *testing.T) {
+	s, err := Open(tempStore(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	exec := func(_ context.Context, j Job) (json.RawMessage, error) {
+		if j.Options.Seed%3 == 0 {
+			return nil, errors.New("boom")
+		}
+		return json.RawMessage(`{}`), nil
+	}
+	r := New(s, 2, WithExecutor(exec))
+	defer r.Close()
+	var jobs []Job
+	for seed := uint64(1); seed <= 200; seed++ {
+		jobs = append(jobs, mustJob(t, []string{"fig4", "table1"}[seed%2], experiments.Options{Quick: true, Seed: seed}))
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, j := range jobs {
+			r.List(StatusDone, "fig4")
+			r.Get(j.ID())
+			if _, err := r.Submit(j); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	if _, err := r.SubmitAll(jobs); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	r.Wait()
+	failed := r.List(StatusFailed, "")
+	if len(failed) != 66 {
+		t.Fatalf("List holds %d failed jobs, want 66", len(failed))
+	}
+	for _, st := range failed {
+		if st.Error != "boom" {
+			t.Fatalf("failed job %s says %q, want boom", st.ID, st.Error)
+		}
 	}
 }
