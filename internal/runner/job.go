@@ -13,6 +13,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
+	"strings"
 
 	"aergia/internal/experiments"
 )
@@ -63,7 +65,58 @@ func (j Job) ID() string {
 	// 96 bits of digest: collisions stay negligible even for sweeps of
 	// billions of cells, where a shorter prefix's birthday bound would
 	// silently serve one job's stored result as another's.
-	return j.Experiment + "-" + hex.EncodeToString(sum[:12])
+	return idKey{digest: [12]byte(sum[:12]), experiment: j.Experiment}.String()
+}
+
+// idKey is a job ID as the store's index and the runner's order hold it.
+// An ID of the form ID makes, <experiment>-<24 lowercase hex>, is its
+// experiment and the 12 digest bytes the hex spells; any other ID is odd,
+// and its experiment field holds the whole ID.
+type idKey struct {
+	digest     [12]byte
+	odd        bool
+	experiment string
+}
+
+// keyOf splits id. It allocates nothing.
+func keyOf(id string) idKey {
+	cut := len(id) - 2*len(idKey{}.digest) - 1
+	if cut < 0 || id[cut] != '-' {
+		return idKey{odd: true, experiment: id}
+	}
+	k, hexits := idKey{experiment: id[:cut]}, id[cut+1:]
+	if _, err := hex.Decode(k.digest[:], []byte(hexits)); err != nil || strings.ContainsAny(hexits, "ABCDEF") {
+		return idKey{odd: true, experiment: id}
+	}
+	return k
+}
+
+// String is the ID k was split from.
+func (k idKey) String() string {
+	if k.odd {
+		return k.experiment
+	}
+	var hexits [2 * len(k.digest)]byte
+	hex.Encode(hexits[:], k.digest[:])
+	var b strings.Builder
+	b.Grow(len(k.experiment) + 1 + len(hexits))
+	b.WriteString(k.experiment)
+	b.WriteByte('-')
+	b.Write(hexits[:])
+	return b.String()
+}
+
+// idSeed seeds the store's table, which lives in memory only.
+var idSeed = maphash.MakeSeed()
+
+// hash places k in the store's table. It hashes every digest byte: a
+// file's IDs need not be SHA-256 output, and `table1-%024x` of a counter
+// has 8 zero bytes in front.
+func (k idKey) hash() uint64 {
+	if k.odd {
+		return maphash.String(idSeed, k.experiment)
+	}
+	return maphash.Bytes(idSeed, k.digest[:])
 }
 
 // Status is the lifecycle of a job inside the runner.

@@ -63,11 +63,12 @@ var (
 //
 // Where a job lives: a queued, leased or running job is a JobState in the
 // runner. Once its terminal record is in the store, the store's index is
-// its only in-memory state (under 0.2 kB a job, Store) and Get, Result,
-// List, Cancel and Subscribe read it there, as they do for jobs of an
-// earlier life; its event stream is dropped too unless it published
-// events a late subscriber still replays. Without a store, or when the
-// terminal record could not be written, the runner keeps the job.
+// its only in-memory state (under 0.1 kB a job with its order entry,
+// Store) and Get, Result, List, Cancel and Subscribe read it there, as
+// they do for jobs of an earlier life; its event stream is dropped too
+// unless it published events a late subscriber still replays. Without a
+// store, or when the terminal record could not be written, the runner
+// keeps the job.
 //
 // Leases: Lease hands queued jobs to a named remote owner; Complete
 // finishes them with the result the owner reported, and Requeue returns a
@@ -91,7 +92,9 @@ type Runner struct {
 	ready     chan struct{}        // see Ready
 	jobs      map[string]*JobState // live jobs; see Runner
 	livePeak  int                  // len(jobs) at most, since shrinkLive
-	order     []string             // every job submitted here, for List
+	order     []orderKey           // every job submitted here, for List
+	exps      []string             // the experiments of order, by orderKey.exp
+	expOf     map[string]uint32    // exps' indexes
 	counts    map[Status]int       // jobs of order by status, for Counts
 	streams   map[string]*obs.RoundStream
 	cancels   map[string]context.CancelFunc
@@ -105,6 +108,25 @@ type Runner struct {
 	active      int
 	closed      bool
 	wg          sync.WaitGroup
+}
+
+// orderKey is a job ID as order holds it: the digest of its idKey and
+// its experiment's index in exps. Submit makes only IDs of Job.ID's form.
+type orderKey struct {
+	digest [12]byte
+	exp    uint32
+}
+
+// orderKey returns k as order holds it, interning its experiment. Callers
+// hold r.mu.
+func (r *Runner) orderKey(k idKey) orderKey {
+	x, ok := r.expOf[k.experiment]
+	if !ok {
+		x = uint32(len(r.exps))
+		r.exps = append(r.exps, k.experiment)
+		r.expOf[k.experiment] = x
+	}
+	return orderKey{k.digest, x}
 }
 
 // leaseState is one outstanding remote lease.
@@ -158,6 +180,7 @@ func New(store *Store, slots int, opts ...Option) *Runner {
 		execute:     ExecuteJob,
 		ready:       make(chan struct{}, 1),
 		jobs:        make(map[string]*JobState),
+		expOf:       make(map[string]uint32),
 		counts:      make(map[Status]int),
 		streams:     make(map[string]*obs.RoundStream),
 		cancels:     make(map[string]context.CancelFunc),
@@ -255,12 +278,13 @@ func (r *Runner) Submit(job Job) (JobState, error) {
 	}
 	// Not live: the store's index holds it if it finished, here or in an
 	// earlier life. The token says whether it is in order already.
-	rec, lister, stored := r.store.find(id, filter{})
+	k := keyOf(id)
+	rec, lister, stored := r.store.find(k, filter{})
 	listed := stored && lister == r.token
 	if stored && rec.Status == StatusDone {
 		if !listed {
-			r.store.list(id, r.token)
-			r.order = append(r.order, id)
+			r.store.list(k, r.token)
+			r.order = append(r.order, r.orderKey(k))
 			r.counts[StatusDone]++
 		}
 		return rec, nil
@@ -274,7 +298,7 @@ func (r *Runner) Submit(job Job) (JobState, error) {
 	if listed {
 		r.move(rec.Status, StatusQueued)
 	} else {
-		r.order = append(r.order, id)
+		r.order = append(r.order, r.orderKey(k))
 		r.counts[StatusQueued]++
 	}
 	st := &JobState{ID: id, Experiment: job.Experiment, Options: job.Options, Status: StatusQueued}
@@ -802,32 +826,38 @@ func (r *Runner) live(id string) (JobState, bool) {
 // order. A finished job the filter drops is never built.
 func (r *Runner) List(status Status, experiment string) []JobState {
 	f := filter{status, experiment}
+	const isLive = ^uint32(0) // an orderKey.exp no experiment has
 	r.mu.Lock()
-	var live []JobState                    // the live jobs f passes
-	ids := make([]string, 0, len(r.order)) // "" where the next of live goes
-	for _, id := range r.order {
-		st, ok := r.jobs[id]
+	jobs := make(map[orderKey]*JobState, len(r.jobs))
+	for id, st := range r.jobs {
+		jobs[r.orderKey(keyOf(id))] = st
+	}
+	var live []JobState                       // the live jobs f passes
+	keys := make([]orderKey, 0, len(r.order)) // isLive where the next of live goes
+	for _, k := range r.order {
+		st, ok := jobs[k]
 		switch {
 		case !ok:
-			ids = append(ids, id)
+			keys = append(keys, k)
 		case f.match(st.Status, st.Experiment):
 			live = append(live, *st)
-			ids = append(ids, "")
+			keys = append(keys, orderKey{exp: isLive})
 		}
 	}
+	exps := r.exps // appended to, never rewritten
 	r.mu.Unlock()
 	// The rest finished: the store holds them, and reading it needs no
 	// runner lock. A job does not leave the store once it is there.
 	n := len(live)
 	if f == (filter{}) {
-		n = len(ids) // every job passes
+		n = len(keys) // every job passes
 	}
 	out := make([]JobState, 0, n)
-	for _, id := range ids {
-		if id == "" {
+	for _, k := range keys {
+		if k.exp == isLive {
 			out = append(out, live[0])
 			live = live[1:]
-		} else if rec, _, ok := r.store.find(id, f); ok {
+		} else if rec, _, ok := r.store.find(idKey{digest: k.digest, experiment: exps[k.exp]}, f); ok {
 			out = append(out, rec)
 		}
 	}

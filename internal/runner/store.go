@@ -48,23 +48,35 @@ type Record struct {
 // want the queue without persistence.
 //
 // The in-memory index is the only home of a finished job in a Runner over
-// the store (see Runner), so it is kept compact: a 64 B storedRecord and
-// the ID per job, and no result payloads. What a sweep's cells share — the
+// the store (see Runner), so it is kept compact: a 56 B storedRecord that
+// holds the ID as its digest, a 4 B slot of byID at most three quarters
+// full, and no result payloads. What a sweep's cells share — the
 // experiment and every option but the seed — is one profile, held once.
 type Store struct {
-	mu        sync.Mutex
-	f         *os.File
-	path      string
-	size      int64 // end offset of the last intact record
-	byID      map[string]int
+	mu   sync.Mutex
+	f    *os.File
+	path string
+	size int64 // end offset of the last intact record
+	// byID is an open-addressed table of entry index + 1 by idKey.hash,
+	// 0 for an empty slot; its length is a power of two.
+	byID      []uint32
 	entries   []storedRecord // in first-seen order; byID indexes it
 	profiles  []profile      // storedRecord.profile indexes it
 	profileOf map[profile]uint32
-	names     []string // worker names and statuses; names[0] is ""
-	nameOf    map[string]uint32
+	labels    []label // storedRecord.label indexes it
+	labelOf   map[label]uint32
 	errs      map[int]string // error text by entry index, for the few that have one
+	ids       map[int]string // the ID by entry index, for the few with oddID
 	listers   uint32         // tokens handed out by newLister
 	skipped   int
+}
+
+// label is a record's status and worker. The pairs repeat across
+// thousands of records, which a reopened store would otherwise hold once
+// each.
+type label struct {
+	status Status
+	worker string
 }
 
 // profile is what the records of a sweep's cells share: the experiment
@@ -77,36 +89,64 @@ type profile struct {
 
 // storedRecord is the in-memory index entry for one job: what dedup,
 // listing and Meta need, plus the byte range of the record's line in the
-// file so Get can re-read the result payload on demand. Everything but the
-// ID, the seed and the numbers is an index into the store's tables
-// (profiles, names, errs), so the entry is 64 B with no allocation of its
-// own. Keeping payloads and decoded structs out of memory bounds a
-// long-running daemon's footprint by job count, not by result size.
+// file so Get can re-read the result payload on demand. The ID is its
+// digest, whose experiment is the profile's; everything else but the seed
+// and the numbers is an index into the store's tables (profiles, labels,
+// errs, ids), so the entry is 56 B with no allocation of its own. Keeping
+// payloads and decoded structs out of memory bounds a long-running
+// daemon's footprint by job count, not by result size.
 type storedRecord struct {
-	id      string
 	seed    uint64
 	elapsed time.Duration
 	off     int64
 	n       uint32
 	profile uint32
-	status  uint32 // index into names
-	worker  uint32 // index into names
+	label   uint32
 	// lister is the token of the Runner that lists the job (Runner.List),
 	// 0 for none. It is bookkeeping of this process, never written.
 	lister    uint32
+	digest    [12]byte // idKey.digest, unless oddID
 	hasResult bool
+	oddID     bool // the ID is in ids: odd, or not of the profile's experiment
+}
+
+// key returns the idKey of entry i's ID. Callers hold s.mu.
+func (s *Store) key(i int) idKey {
+	e := &s.entries[i]
+	if e.oddID {
+		return keyOf(s.ids[i])
+	}
+	return idKey{digest: e.digest, experiment: s.profiles[e.profile].experiment}
 }
 
 // record rebuilds the Record entry i's line holds, result stripped.
 // Callers hold s.mu.
 func (s *Store) record(i int) Record {
 	e := &s.entries[i]
-	p := &s.profiles[e.profile]
-	rec := Record{ID: e.id, Experiment: p.experiment, Options: p.options,
-		Status: Status(s.names[e.status]), Elapsed: e.elapsed, Error: s.errs[i],
-		Worker: s.names[e.worker]}
+	p, l := &s.profiles[e.profile], &s.labels[e.label]
+	rec := Record{ID: s.key(i).String(), Experiment: p.experiment, Options: p.options,
+		Status: l.status, Elapsed: e.elapsed, Error: s.errs[i], Worker: l.worker}
 	rec.Options.Seed = e.seed
 	return rec
+}
+
+// slot returns the position in byID of the job whose ID has key k: the
+// slot of its entry, or the empty slot where it would go. Callers hold
+// s.mu.
+func (s *Store) slot(k idKey) int {
+	mask := len(s.byID) - 1
+	for j := int(k.hash()) & mask; ; j = (j + 1) & mask {
+		if v := s.byID[j]; v == 0 || s.key(int(v-1)) == k {
+			return j
+		}
+	}
+}
+
+// lookup returns the index of the entry of the job whose ID has key k.
+// Callers hold s.mu.
+func (s *Store) lookup(k idKey) (int, bool) {
+	v := s.byID[s.slot(k)]
+	return int(v) - 1, v != 0
 }
 
 // Open loads (creating if needed) the store at path, recovering from a
@@ -120,9 +160,9 @@ func Open(path string) (*Store, error) {
 		f.Close()
 		return nil, fmt.Errorf("runner: store %s is in use by another process: %w", path, err)
 	}
-	s := &Store{f: f, path: path, byID: make(map[string]int),
-		profileOf: make(map[profile]uint32), names: []string{""},
-		nameOf: map[string]uint32{"": 0}, errs: make(map[int]string)}
+	s := &Store{f: f, path: path, byID: make([]uint32, 8),
+		profileOf: make(map[profile]uint32), labelOf: make(map[label]uint32),
+		errs: make(map[int]string), ids: make(map[int]string)}
 	if err := s.load(); err != nil {
 		f.Close()
 		return nil, err
@@ -206,32 +246,45 @@ func holdsRecord(data []byte) bool {
 // record. A job's lister survives a superseding record that names none.
 // Callers hold s.mu, or own s as load does.
 func (s *Store) remember(rec Record, off int64, n int, lister uint32) {
-	e := storedRecord{id: rec.ID, seed: rec.Options.Seed, elapsed: rec.Elapsed,
+	k := keyOf(rec.ID)
+	e := storedRecord{seed: rec.Options.Seed, elapsed: rec.Elapsed,
 		off: off, n: uint32(n), profile: s.internProfile(rec.Experiment, rec.Options),
-		status: s.internName(string(rec.Status)), worker: s.internName(rec.Worker),
-		lister: lister, hasResult: len(rec.Result) > 0}
-	i, ok := s.byID[e.id]
-	if !ok {
-		i = len(s.entries)
-		s.byID[e.id] = i
-		s.entries = append(s.entries, e)
-	} else {
+		label: s.internLabel(label{rec.Status, rec.Worker}), lister: lister,
+		digest: k.digest, hasResult: len(rec.Result) > 0,
+		oddID: k.odd || k.experiment != rec.Experiment}
+	j := s.slot(k)
+	i := int(s.byID[j]) - 1
+	if i >= 0 {
 		s.skipped++
 		prev := &s.entries[i]
-		e.id = prev.id // the copy byID holds as its key
 		if e.lister == 0 {
 			e.lister = prev.lister
 		}
-		if s.names[prev.status] == string(StatusDone) {
+		if s.labels[prev.label].status == StatusDone {
 			prev.lister = e.lister
 			return
 		}
 		*prev = e
+	} else {
+		i = len(s.entries)
+		s.entries = append(s.entries, e)
+		s.byID[j] = uint32(len(s.entries))
 	}
 	if rec.Error != "" {
 		s.errs[i] = rec.Error
 	} else {
 		delete(s.errs, i)
+	}
+	if e.oddID {
+		s.ids[i] = rec.ID // before the table grows, which reads it
+	} else {
+		delete(s.ids, i)
+	}
+	if 4*len(s.entries) > 3*len(s.byID) {
+		s.byID = make([]uint32, 2*len(s.byID))
+		for x := range s.entries {
+			s.byID[s.slot(s.key(x))] = uint32(x + 1)
+		}
 	}
 }
 
@@ -251,31 +304,31 @@ func (s *Store) internProfile(experiment string, opts experiments.Options) uint3
 	return i
 }
 
-// internName returns the index of v in names, adding it on first sight.
-// Statuses and worker names repeat across thousands of records, which a
-// reopened store would otherwise hold once each. Callers hold s.mu.
-func (s *Store) internName(v string) uint32 {
-	if i, ok := s.nameOf[v]; ok {
+// internLabel returns the index of l in labels, adding it on first sight.
+// Callers hold s.mu.
+func (s *Store) internLabel(l label) uint32 {
+	if i, ok := s.labelOf[l]; ok {
 		return i
 	}
-	i := uint32(len(s.names))
-	s.names = append(s.names, v)
-	s.nameOf[v] = i
+	i := uint32(len(s.labels))
+	s.labels = append(s.labels, l)
+	s.labelOf[l] = i
 	return i
 }
 
-// payload re-reads one record's line from disk and returns its result
-// bytes. Callers hold s.mu.
-func (s *Store) payload(e *storedRecord) (json.RawMessage, error) {
+// payload re-reads the line of entry i, the job id, from disk and returns
+// its result bytes. Callers hold s.mu.
+func (s *Store) payload(i int, id string) (json.RawMessage, error) {
+	e := &s.entries[i]
 	buf := make([]byte, e.n)
 	if _, err := s.f.ReadAt(buf, e.off); err != nil {
-		return nil, fmt.Errorf("runner: reread record %s: %w", e.id, err)
+		return nil, fmt.Errorf("runner: reread record %s: %w", id, err)
 	}
 	var full struct {
 		Result json.RawMessage `json:"result"`
 	}
 	if err := json.Unmarshal(buf, &full); err != nil {
-		return nil, fmt.Errorf("runner: reread record %s: %w", e.id, err)
+		return nil, fmt.Errorf("runner: reread record %s: %w", id, err)
 	}
 	return full.Result, nil
 }
@@ -330,21 +383,21 @@ func (s *Store) append(rec Record, lister uint32) error {
 	return nil
 }
 
-// find returns a job's record, result stripped, and the token of the
-// runner that lists it, if the index holds the job and it passes f. A
-// record f drops is not built.
-func (s *Store) find(id string, f filter) (Record, uint32, bool) {
+// find returns the record of the job whose ID has key k, result
+// stripped, and the token of the runner that lists it, if the index holds
+// the job and it passes f. A record f drops is not built.
+func (s *Store) find(k idKey, f filter) (Record, uint32, bool) {
 	if s == nil {
 		return Record{}, 0, false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i, ok := s.byID[id]
+	i, ok := s.lookup(k)
 	if !ok {
 		return Record{}, 0, false
 	}
 	e := &s.entries[i]
-	if !f.match(Status(s.names[e.status]), s.profiles[e.profile].experiment) {
+	if !f.match(s.labels[e.label].status, s.profiles[e.profile].experiment) {
 		return Record{}, 0, false
 	}
 	return s.record(i), e.lister, true
@@ -362,12 +415,12 @@ func (s *Store) newLister() uint32 {
 	return s.listers
 }
 
-// list names the runner with token lister as the one listing an indexed
-// job.
-func (s *Store) list(id string, lister uint32) {
+// list names the runner with token lister as the one listing the indexed
+// job whose ID has key k.
+func (s *Store) list(k idKey, lister uint32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if i, ok := s.byID[id]; ok {
+	if i, ok := s.lookup(k); ok {
 		s.entries[i].lister = lister
 	}
 }
@@ -375,7 +428,7 @@ func (s *Store) list(id string, lister uint32) {
 // Meta returns a job's record with the result payload stripped, without
 // touching disk. Status checks (dedup, resume) go through here.
 func (s *Store) Meta(id string) (Record, bool) {
-	rec, _, ok := s.find(id, filter{})
+	rec, _, ok := s.find(keyOf(id), filter{})
 	return rec, ok
 }
 
@@ -386,15 +439,15 @@ func (s *Store) Get(id string) (Record, bool) {
 		return Record{}, false
 	}
 	s.mu.Lock()
-	i, ok := s.byID[id]
+	i, ok := s.lookup(keyOf(id))
 	if !ok {
 		s.mu.Unlock()
 		return Record{}, false
 	}
 	rec := s.record(i)
 	var err error
-	if e := &s.entries[i]; e.hasResult {
-		rec.Result, err = s.payload(e)
+	if s.entries[i].hasResult {
+		rec.Result, err = s.payload(i, rec.ID)
 	}
 	s.mu.Unlock()
 	if err != nil {

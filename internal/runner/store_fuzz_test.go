@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"aergia/internal/experiments"
@@ -50,6 +52,26 @@ func FuzzStoreTornTail(f *testing.F) {
 	add(rec(4, StatusCanceled, ""))
 
 	whole := string(image[ends[0]:ends[1]])
+	// IDs that look like Job.ID's but are kept as strings, and two that
+	// share the image's digests under another experiment.
+	as := func(seed uint64, id func(hexits string) string, experiment string) string {
+		r := rec(seed, StatusDone, `{"experiment":"`+experiment+`"}`)
+		r.ID, r.Experiment = id(r.ID[len("fig4-"):]), experiment
+		line, err := json.Marshal(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return string(line) + "\n"
+	}
+	lookalikes := []string{
+		as(1, func(h string) string { return "fig4-" + strings.ToUpper(h) }, "fig4"),
+		as(1, func(h string) string { return "fig4-" + h[:23] }, "fig4"),
+		as(1, func(h string) string { return "fig4-" + h + "0" }, "fig4"),
+		as(5, func(h string) string { return "table1-" + h }, "fig4"),
+		as(2, func(h string) string { return "table1-" + h }, "table1") +
+			as(2, func(h string) string { return "fig4-" + h }, "table1"),
+		as(4, func(h string) string { return "fig4-" + h }, "table1"),
+	}
 	for _, cut := range append([]int{0, 1, ends[0] - 1, ends[0] + 40, len(image) - 2}, ends...) {
 		for _, tail := range []string{
 			"",
@@ -71,7 +93,11 @@ func FuzzStoreTornTail(f *testing.F) {
 			"\xff",
 			"{\"id\":\"bad\",\"options\":{\"backend\":\"\xff\xc3\"},\"status\":\"done\",\"worker\":\"w\xff\"}\n",
 			`\ufffd`,
+			strings.Join(lookalikes, ""),
 		} {
+			f.Add(uint16(cut), []byte(tail))
+		}
+		for _, tail := range lookalikes {
 			f.Add(uint16(cut), []byte(tail))
 		}
 	}
@@ -174,20 +200,29 @@ func FuzzStoreTornTail(f *testing.F) {
 }
 
 // indexMatchesFile checks every job the store indexes against a full
-// decode of the line its entry points at: Get must return that record and
-// Meta the same without its result, whether the line was loaded or
-// appended.
+// decode of the line its entry points at: the line's ID must lead back to
+// the entry, Get must return that record and Meta the same without its
+// result, whether the line was loaded or appended.
 func indexMatchesFile(t *testing.T, s *Store, path string) {
 	t.Helper()
 	file, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, i := range s.byID {
-		e := s.entries[i]
+	s.mu.Lock()
+	entries := slices.Clone(s.entries)
+	s.mu.Unlock()
+	for i, e := range entries {
 		var want Record
 		if err := json.Unmarshal(file[e.off:e.off+int64(e.n)], &want); err != nil {
-			t.Fatalf("line of %s: %v", id, err)
+			t.Fatalf("line of entry %d: %v", i, err)
+		}
+		id := want.ID
+		s.mu.Lock()
+		j, ok := s.lookup(keyOf(id))
+		s.mu.Unlock()
+		if !ok || j != i {
+			t.Fatalf("ID %q of entry %d looks up entry %d, %v", id, i, j, ok)
 		}
 		if got, ok := s.Get(id); !ok || !reflect.DeepEqual(got, want) {
 			t.Fatalf("Get(%q) = %+v, the line decodes to %+v", id, got, want)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -402,4 +403,142 @@ func TestRunnerListsWhileJobsFinish(t *testing.T) {
 			t.Fatalf("failed job %s says %q, want boom", st.ID, st.Error)
 		}
 	}
+}
+
+// TestIDKeyRoundTrips pins the split the index keeps IDs by: an ID of
+// Job.ID's form and only that is a digest, every ID splits and rebuilds to
+// itself, and splitting allocates nothing.
+func TestIDKeyRoundTrips(t *testing.T) {
+	id := mustJob(t, "fig4", experiments.Options{Quick: true, Seed: 1}).ID()
+	hexits := id[len("fig4-"):]
+	for _, c := range []struct {
+		id  string
+		odd bool
+	}{
+		{id, false}, {"-" + hexits, false}, {"a-b-" + hexits, false},
+		{"", true}, {"x", true}, {"fig4-" + strings.ToUpper(hexits), true},
+		{id[:len(id)-1], true}, {id + "0", true}, {"fig4_" + hexits, true},
+	} {
+		k := keyOf(c.id)
+		if k.odd != c.odd || k.String() != c.id {
+			t.Errorf("keyOf(%q) is odd %v and rebuilds %q, want odd %v", c.id, k.odd, k.String(), c.odd)
+		}
+	}
+	if keyOf("") == keyOf("-000000000000000000000000") {
+		t.Error(`"" and a zero digest of experiment "" share a key`)
+	}
+	if n := testing.AllocsPerRun(100, func() { keyOf(id).hash() }); n != 0 {
+		t.Errorf("keyOf and hash allocate %v times", n)
+	}
+}
+
+// TestStoreTableSpreadsCountedIDs loads IDs whose digests are a counter in
+// hex, which agree in every byte but the last few: each must still sit
+// near the slot its hash names, or a load goes quadratic.
+func TestStoreTableSpreadsCountedIDs(t *testing.T) {
+	const n = 10000
+	var lines []byte
+	for i := range n {
+		lines = append(lines, fmt.Sprintf(`{"id":"table1-%024x","experiment":"table1","status":"done"}`+"\n", i)...)
+	}
+	path := tempStore(t)
+	if err := os.WriteFile(path, lines, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	longest, mask := 0, len(s.byID)-1
+	for j, v := range s.byID {
+		if v != 0 {
+			longest = max(longest, (j-int(s.key(int(v-1)).hash()))&mask)
+		}
+	}
+	if s.Len() != n || longest > 200 {
+		t.Fatalf("%d jobs; an entry sits %d slots past its hash's, want at most 200", s.Len(), longest)
+	}
+}
+
+// TestStoreHoldsBothIDForms: the index keeps an ID of Job.ID's form as its
+// digest and any other ID as a string, and the two must answer alike. Meta,
+// Get, List and Submit's dedup read what each line says, after Append and
+// after Open. The odd IDs look canonical but are not: uppercase hex, 23 and
+// 25 hex digits, a table1 prefix on a fig4 record. Two IDs share a digest
+// under two experiments, and two records move an ID from one form to the
+// other by superseding a failed record of another experiment.
+func TestStoreHoldsBothIDForms(t *testing.T) {
+	a, b, c := doneRecord(t, "fig4", 1), doneRecord(t, "table1", 2), doneRecord(t, "fig4", 3)
+	d, e := doneRecord(t, "fig4", 4), doneRecord(t, "fig4", 5)
+	hexOf := func(r Record) string { return r.ID[len(r.Experiment)+1:] }
+	as := func(r Record, id, experiment string, status Status) Record {
+		r.ID, r.Experiment, r.Status = id, experiment, status
+		if status != StatusDone {
+			r.Result, r.Error = nil, "boom"
+		}
+		return r
+	}
+	recs := []Record{
+		a, b,
+		as(b, "table1-"+hexOf(a), "table1", StatusDone), // a's digest, table1's prefix
+		as(c, "table1-"+hexOf(c), "fig4", StatusDone),
+		as(a, "fig4-"+strings.ToUpper(hexOf(a)), "fig4", StatusDone),
+		as(a, "fig4-"+hexOf(a)[:23], "fig4", StatusDone),
+		as(a, "fig4-"+hexOf(a)+"0", "fig4", StatusFailed),
+		as(a, "x", "fig4", StatusDone),
+		as(b, "odd", "table1", "paused"),
+		as(d, d.ID, "fig4", StatusFailed), as(d, d.ID, "table1", StatusDone), // a digest, then a string
+		as(e, e.ID, "table1", StatusFailed), as(e, e.ID, "fig4", StatusDone), // a string, then a digest
+	}
+	absent := []string{"fig4-" + hexOf(c), "table1-" + hexOf(b)[:23], "fig4-" + strings.ToUpper(hexOf(b)), "y"}
+	path := tempStore(t)
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := s.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(when string, s *Store) {
+		t.Helper()
+		indexMatchesFile(t, s, path)
+		if list := s.List(); len(list) != len(recs)-2 {
+			t.Fatalf("%s: List holds %d jobs, want %d", when, len(list), len(recs)-2)
+		}
+		for _, id := range absent {
+			if _, ok := s.Meta(id); ok {
+				t.Fatalf("%s: Meta finds %q, which no record names", when, id)
+			}
+		}
+		if got, _ := s.Meta(d.ID); got.Experiment != "table1" || got.ID != d.ID {
+			t.Fatalf("%s: the superseded job reads %s of %s", when, got.ID, got.Experiment)
+		}
+		r := New(s, -1)
+		defer r.Close()
+		for seed, want := range []Status{1: StatusDone, 3: StatusQueued, 5: StatusDone} {
+			if want == "" {
+				continue
+			}
+			j := mustJob(t, "fig4", experiments.Options{Quick: true, Seed: uint64(seed)})
+			if st, err := r.Submit(j); err != nil || st.ID != j.ID() || st.Status != want {
+				t.Fatalf("%s: Submit of seed %d reads %s %s, %v; want %s", when, seed, st.ID, st.Status, err, want)
+			}
+		}
+		if st, _ := r.Submit(mustJob(t, "table1", experiments.Options{Quick: true, Seed: 2})); st.ID != b.ID || st.Status != StatusDone {
+			t.Fatalf("%s: Submit of table1 reads %s %s", when, st.ID, st.Status)
+		}
+		if list := r.List("", ""); len(list) != 4 || list[1].Status != StatusQueued || list[3].ID != b.ID {
+			t.Fatalf("%s: the runner lists %+v", when, list)
+		}
+	}
+	check("after Append", s)
+	s.Close()
+	if s, err = Open(path); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	check("after Open", s)
 }
