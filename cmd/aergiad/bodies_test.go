@@ -184,7 +184,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/bodies.golden fr
 // TestDaemonResponseBodiesPinned pins every job body the daemon serves —
 // submit, list with and without filters, get, cancel of a finished job,
 // and the event stream — for the fixture's jobs, whether the runner or the
-// store's index holds them. The golden file was written before finished
+// store's index holds them, and a sweep's partial admission (429). The golden file was written before finished
 // jobs moved into the store's index, when the runner held them too; the
 // only bodies that changed since are the resubmitted earlier-life job's,
 // which gained the worker Submit used to drop. Run with -update to rewrite
@@ -209,6 +209,7 @@ func TestDaemonResponseBodiesPinned(t *testing.T) {
 		add("DELETE", "/jobs/"+id)
 		add("GET", "/jobs/"+id+"/events")
 	}
+	got = append(got, "POST /jobs -> "+queueFullExchange(t))
 	golden := filepath.Join("testdata", "bodies.golden")
 	text := strings.Join(got, "")
 	if *updateGolden {
@@ -223,6 +224,39 @@ func TestDaemonResponseBodiesPinned(t *testing.T) {
 	if text != string(want) {
 		t.Fatalf("response bodies diverged from %s:\n%s", golden, text)
 	}
+}
+
+// queueFullExchange submits a four-job sweep to a control whose queue
+// admits two, over a store that holds the sweep's second job done, and
+// returns the refusal as "<code> <body>": the admitted states, done and
+// queued, beside the error.
+func queueFullExchange(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	done := fixtureJob(t, "table1", 2)
+	line, err := json.Marshal(runner.Record{ID: done.ID(), Experiment: "table1", Options: done.Options,
+		Status: runner.StatusDone, Elapsed: 88, Worker: "1:w2", Result: json.RawMessage(`{"done":true}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(line, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := runner.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	r := runner.New(st, -1, runner.WithQueueLimit(2))
+	defer r.Close()
+	ts := httptest.NewServer(newServer(r, st, nil, false))
+	defer ts.Close()
+	resp, out := postJSON(t, ts.URL+"/jobs", `{"sweep":{"experiments":["table1"],"seeds":[1,2,3,4],"quick":[true]}}`)
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("sweep past the queue bound = %d (Retry-After %q): %s",
+			resp.StatusCode, resp.Header.Get("Retry-After"), out)
+	}
+	return strconv.Itoa(resp.StatusCode) + " " + string(out)
 }
 
 // TestDaemonResubmitKeepsWorker: a job a federation worker finished reads
