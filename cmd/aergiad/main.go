@@ -47,6 +47,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"iter"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -273,6 +275,52 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// writeJobs writes the body writeJSON writes for {"jobs": the states of
+// jobs}, with "error": err beside it if err is not nil, one job at a time:
+// no buffer grows to the size of the body, which for a long sweep or
+// history would then stay in encoding/json's pool.
+func writeJobs(w http.ResponseWriter, status int, err error, jobs iter.Seq[*runner.JobState]) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	elems := &elemWriter{w: w}
+	enc := json.NewEncoder(elems)
+	enc.SetEscapeHTML(false)
+	head := `{"jobs":[`
+	if err != nil {
+		io.WriteString(w, `{"error":`)
+		_ = enc.Encode(err.Error())
+		head = `,"jobs":[`
+	}
+	io.WriteString(w, head)
+	for st := range jobs {
+		st.Result = nil // the list stays light; results via GET /jobs/{id}
+		if enc.Encode(st) != nil {
+			break
+		}
+		elems.sep = comma
+	}
+	io.WriteString(w, "]}\n")
+}
+
+var comma = []byte(",")
+
+// elemWriter passes each value a json.Encoder writes on without the
+// newline that ends it, after sep.
+type elemWriter struct {
+	w   io.Writer
+	sep []byte
+}
+
+func (e *elemWriter) Write(p []byte) (int, error) {
+	if _, err := e.w.Write(e.sep); err != nil {
+		return 0, err
+	}
+	if _, err := e.w.Write(p[:len(p)-1]); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
@@ -394,25 +442,26 @@ func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	states, err := s.runner.SubmitAll(jobs)
-	for i := range states {
-		states[i].Result = nil // fetch results via GET /jobs/{id}
-	}
+	status := http.StatusAccepted
 	if err != nil {
-		if errors.Is(err, runner.ErrQueueFull) {
-			// Backpressure, not failure: the client should retry once the
-			// workers drain the queue. Jobs admitted before the bound hit
-			// are reported; resubmitting the whole batch later is
-			// idempotent and picks up exactly the refused remainder.
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, map[string]any{
-				"error": err.Error(), "jobs": states,
-			})
+		if !errors.Is(err, runner.ErrQueueFull) {
+			writeError(w, http.StatusServiceUnavailable, err)
 			return
 		}
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
+		// Backpressure, not failure: the client should retry once the
+		// workers drain the queue. Jobs admitted before the bound hit are
+		// reported; resubmitting the whole batch later is idempotent and
+		// picks up exactly the refused remainder.
+		w.Header().Set("Retry-After", "1")
+		status = http.StatusTooManyRequests
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"jobs": states})
+	writeJobs(w, status, err, func(yield func(*runner.JobState) bool) {
+		for i := range states {
+			if !yield(&states[i]) {
+				return
+			}
+		}
+	})
 }
 
 func (s *server) handleList(w http.ResponseWriter, req *http.Request) {
@@ -432,11 +481,9 @@ func (s *server) handleList(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	out := s.runner.List(runner.Status(status), req.URL.Query().Get("experiment"))
-	for i := range out {
-		out[i].Result = nil // list view stays light; results via GET /jobs/{id}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
+	writeJobs(w, http.StatusOK, nil, func(yield func(*runner.JobState) bool) {
+		s.runner.Each(runner.Status(status), req.URL.Query().Get("experiment"), yield)
+	})
 }
 
 // handleGet serves one job with its result: live jobs from the runner,

@@ -61,8 +61,10 @@ type Plan struct {
 }
 
 // IsZero reports whether the plan schedules no faults at all; encoding/json
-// uses it for the omitzero collapse of experiments.Options.Chaos.
-func (p Plan) IsZero() bool { return p == Plan{} }
+// uses it for the omitzero collapse of experiments.Options.Chaos. The
+// pointer receiver lets json call it on a field it reaches through a
+// pointer without boxing a copy of the plan.
+func (p *Plan) IsZero() bool { return *p == Plan{} }
 
 // Validate rejects out-of-range fields with one error naming the field.
 func (p Plan) Validate() error {

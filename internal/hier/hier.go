@@ -57,8 +57,9 @@ func (o Options) Enabled() bool { return o.Tiers > 0 || o.Sample > 0 }
 
 // IsZero reports whether the options are the flat default; the zero value
 // is omitted from JSON encodings entirely (omitzero), keeping pre-hier
-// records byte-identical.
-func (o Options) IsZero() bool { return o == Options{} }
+// records byte-identical. It has a pointer receiver for the reason
+// chaos.Plan.IsZero has.
+func (o *Options) IsZero() bool { return *o == Options{} }
 
 // Normalized validates the options and collapses the redundant encodings:
 // Sample 1.0 means the same run as Sample 0 (everyone participates), so

@@ -474,51 +474,27 @@ func TestRunnerFailedRetrySubscriberSemantics(t *testing.T) {
 
 // TestRunnerQueueReleasesPoppedJobs pins that the queue keeps no popped job
 // reachable: a job leaves through the worker, Lease or Cancel and its slot
-// in the queue's array is cleared, and a drained queue holds no array at
+// in the queue's ring is cleared, and a drained queue holds no ring at
 // all. Popping by reslicing alone kept every job of a burst, and its
 // options, alive in the array append had grown.
 func TestRunnerQueueReleasesPoppedJobs(t *testing.T) {
-	// retained names the jobs in the array the queue uses now that are not
-	// in the queue. arrays are snapshots taken when the queue started at
-	// its array's first slot.
-	retained := func(r *Runner, arrays ...[]Job) []string {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if cap(r.queue) == 0 {
-			return nil
-		}
-		end := &r.queue[:cap(r.queue)][cap(r.queue)-1]
-		var stale []string
-		for _, arr := range arrays {
-			if &arr[len(arr)-1] != end {
-				continue // an array the queue no longer uses
-			}
-			start := len(arr) - cap(r.queue)
-			for k, j := range arr {
-				if (k < start || k >= start+len(r.queue)) && j.Experiment != "" {
-					stale = append(stale, j.ID())
-				}
-			}
-		}
-		return stale
-	}
-	snapshot := func(r *Runner) []Job {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		return r.queue[:cap(r.queue)]
-	}
-	check := func(r *Runner, step string, arrays ...[]Job) {
+	check := func(r *Runner, step string) {
 		t.Helper()
-		if stale := retained(r, arrays...); len(stale) > 0 {
-			t.Fatalf("after %s the queue's array still holds %v", step, stale)
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		q := &r.queue
+		for x, st := range q.ring {
+			if queued := (x-q.head)&(len(q.ring)-1) < q.n; queued != (st != nil) {
+				t.Fatalf("after %s slot %d of the queue's ring holds %v (head %d, %d queued)", step, x, st, q.head, q.n)
+			}
 		}
 	}
 	drained := func(r *Runner, step string) {
 		t.Helper()
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		if r.queue != nil {
-			t.Fatalf("after %s the drained queue keeps an array of capacity %d", step, cap(r.queue))
+		if r.queue.ring != nil {
+			t.Fatalf("after %s the drained queue keeps a ring of %d slots", step, len(r.queue.ring))
 		}
 	}
 	jobs := make([]Job, 6)
@@ -532,27 +508,26 @@ func TestRunnerQueueReleasesPoppedJobs(t *testing.T) {
 	if _, err := r.SubmitAll(jobs[:4]); err != nil {
 		t.Fatal(err)
 	}
-	a := snapshot(r)
 	if got := r.Lease("w1", 2); len(got) != 2 {
 		t.Fatalf("leased %d, want 2", len(got))
 	}
-	check(r, "Lease", a)
+	check(r, "Lease")
 	if _, _, err := r.Cancel(jobs[2].ID()); err != nil {
 		t.Fatal(err)
 	}
-	check(r, "Cancel", a)
+	check(r, "Cancel")
 	if requeued, _ := r.Requeue("w1"); requeued != 2 {
 		t.Fatalf("requeued %d, want 2", requeued)
 	}
-	b := snapshot(r)
+	check(r, "requeueFront")
 	if got := r.Lease("w2", 1); len(got) != 1 {
 		t.Fatalf("leased %d, want 1", len(got))
 	}
-	check(r, "Lease after requeueFront", a, b)
+	check(r, "Lease after requeueFront")
 	if _, _, err := r.Cancel(jobs[3].ID()); err != nil {
 		t.Fatal(err)
 	}
-	check(r, "Cancel after requeueFront", a, b)
+	check(r, "Cancel after requeueFront")
 	if got := r.Lease("w2", 10); len(got) != 1 {
 		t.Fatalf("leased %d, want 1", len(got))
 	}
@@ -576,10 +551,9 @@ func TestRunnerQueueReleasesPoppedJobs(t *testing.T) {
 	if _, err := local.SubmitAll([]Job{jobs[5], jobs[0], jobs[1]}); err != nil {
 		t.Fatal(err)
 	}
-	c := snapshot(local)
 	release <- struct{}{}
 	<-started
-	check(local, "the worker's pop", c)
+	check(local, "the worker's pop")
 	for range 2 {
 		release <- struct{}{}
 		<-started
@@ -587,4 +561,53 @@ func TestRunnerQueueReleasesPoppedJobs(t *testing.T) {
 	release <- struct{}{}
 	local.Wait()
 	drained(local, "the worker drained it")
+}
+
+// TestRunnerRequeueGoesAheadOfTheQueue: a lost worker's K leases go back
+// to the front of a deep queue, ahead of every job that waited, and the
+// waiting jobs keep their order. The queue grows between the leases and
+// the requeue, so the requeued jobs wrap round the front of its ring.
+func TestRunnerRequeueGoesAheadOfTheQueue(t *testing.T) {
+	const n, k = 200, 10
+	jobs := make([]Job, n)
+	for i := range jobs {
+		jobs[i] = mustJob(t, "fig4", experiments.Options{Quick: true, Seed: uint64(i + 1)})
+	}
+	r := New(nil, -1)
+	defer r.Close()
+	if _, err := r.SubmitAll(jobs[:n/2]); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Lease("w1", k); len(got) != k {
+		t.Fatalf("leased %d, want %d", len(got), k)
+	}
+	if _, err := r.SubmitAll(jobs[n/2:]); err != nil {
+		t.Fatal(err)
+	}
+	if requeued, canceled := r.Requeue("w1"); requeued != k || canceled != 0 {
+		t.Fatalf("Requeue = %d requeued, %d canceled; want %d, 0", requeued, canceled, k)
+	}
+	r.mu.Lock()
+	if r.queue.n != n || r.queue.head+r.queue.n <= len(r.queue.ring) {
+		t.Errorf("the queue holds %d jobs from ring index %d of %d; want %d wrapping round", r.queue.n, r.queue.head, len(r.queue.ring), n)
+	}
+	r.mu.Unlock()
+	got := r.Lease("w2", 2*n)
+	if len(got) != n {
+		t.Fatalf("leased %d after the requeue, want %d", len(got), n)
+	}
+	front := map[string]bool{}
+	for _, l := range got[:k] {
+		front[l.Job.ID()] = true
+	}
+	for _, j := range jobs[:k] {
+		if !front[j.ID()] {
+			t.Errorf("requeued job %s is not among the first %d of the queue", j.ID(), k)
+		}
+	}
+	for i, l := range got[k:] {
+		if want := jobs[k+i].ID(); l.Job.ID() != want {
+			t.Fatalf("job %d behind the requeued ones is %s, want %s", k+i, l.Job.ID(), want)
+		}
+	}
 }

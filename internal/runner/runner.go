@@ -8,7 +8,6 @@ import (
 	"maps"
 	"os"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
@@ -88,7 +87,7 @@ type Runner struct {
 	// back.
 	mu        sync.Mutex
 	cond      *sync.Cond
-	queue     []Job
+	queue     jobQueue
 	ready     chan struct{}        // see Ready
 	jobs      map[string]*JobState // live jobs; see Runner
 	livePeak  int                  // len(jobs) at most, since shrinkLive
@@ -273,7 +272,7 @@ func (r *Runner) Submit(job Job) (JobState, error) {
 		}
 		r.move(st.Status, StatusQueued)
 		*st = JobState{ID: id, Experiment: job.Experiment, Options: job.Options, Status: StatusQueued}
-		r.enqueue(job)
+		r.enqueue(st)
 		return *st, nil
 	}
 	// Not live: the store's index holds it if it finished, here or in an
@@ -304,7 +303,7 @@ func (r *Runner) Submit(job Job) (JobState, error) {
 	st := &JobState{ID: id, Experiment: job.Experiment, Options: job.Options, Status: StatusQueued}
 	r.jobs[id] = st
 	r.livePeak = max(r.livePeak, len(r.jobs))
-	r.enqueue(job)
+	r.enqueue(st)
 	return *st, nil
 }
 
@@ -331,8 +330,8 @@ func (r *Runner) Counts() map[Status]int {
 
 // checkQueueSpace enforces the admission bound. Callers hold r.mu.
 func (r *Runner) checkQueueSpace() error {
-	if r.maxQueue > 0 && len(r.queue) >= r.maxQueue {
-		return fmt.Errorf("%w (depth %d)", ErrQueueFull, len(r.queue))
+	if r.maxQueue > 0 && r.queue.n >= r.maxQueue {
+		return fmt.Errorf("%w (depth %d)", ErrQueueFull, r.queue.n)
 	}
 	return nil
 }
@@ -352,15 +351,16 @@ func (r *Runner) SubmitAll(jobs []Job) ([]JobState, error) {
 	return out, nil
 }
 
-func (r *Runner) enqueue(job Job) {
+// enqueue queues the live job st. Callers hold r.mu.
+func (r *Runner) enqueue(st *JobState) {
 	// A fresh event stream per (re)enqueue: SSE consumers can attach the
 	// moment Submit returns, before a worker claims the job. A failed
 	// job's requeue replaces the old stream — which is always already
 	// closed, because terminal status and stream close happen atomically
 	// under r.mu (see the worker loop) and only terminal jobs requeue.
-	r.streams[job.ID()] = obs.NewRoundStream()
+	r.streams[st.ID] = obs.NewRoundStream()
 	r.signalIfEmpty()
-	r.queue = append(r.queue, job)
+	r.queue.pushBack(st)
 	rm().queueDepth.Inc()
 	// Broadcast, not Signal: Wait and the workers share the condition
 	// variable, so a single wakeup could land on a waiter that is not a
@@ -372,7 +372,7 @@ func (r *Runner) enqueue(job Job) {
 // queue empty. Callers hold r.mu. A non-empty queue costs one comparison:
 // whoever drains it sees the new job without being told.
 func (r *Runner) signalIfEmpty() {
-	if len(r.queue) == 0 {
+	if r.queue.n == 0 {
 		select {
 		case r.ready <- struct{}{}:
 		default: // a signal is already pending; one is enough
@@ -388,45 +388,104 @@ func (r *Runner) signalIfEmpty() {
 // consumer (the federation control).
 func (r *Runner) Ready() <-chan struct{} { return r.ready }
 
-// requeueFront returns a previously leased job to the head of the queue,
-// keeping its existing stream so attached subscribers ride through the
-// worker loss transparently.
-func (r *Runner) requeueFront(job Job) {
+// requeueFront returns the previously leased job st to the head of the
+// queue, keeping its existing stream so attached subscribers ride through
+// the worker loss transparently. Callers hold r.mu.
+func (r *Runner) requeueFront(st *JobState) {
 	r.signalIfEmpty()
-	r.queue = append([]Job{job}, r.queue...)
+	r.queue.pushFront(st)
 	rm().queueDepth.Inc()
 	r.cond.Broadcast()
 }
 
-// popFront takes the head of the non-empty queue. The vacated slot is
-// cleared and an emptied queue lets go of its array: the slice only moves
-// forward through the array append grows, so without both every job a
-// burst ever queued, and its options, would stay reachable. Callers hold
-// r.mu.
-func (r *Runner) popFront() Job {
-	job := r.queue[0]
-	r.queue[0] = Job{}
-	r.queue = r.queue[1:]
-	if len(r.queue) == 0 {
-		r.queue = nil
+// job is the Job the live job rec was queued as.
+func (rec *Record) job() Job {
+	return Job{Experiment: rec.Experiment, Options: rec.Options, id: rec.ID}
+}
+
+// jobQueue is the runner's queue: a ring of the JobStates jobs holds, 8 B
+// a job, taken from the front and added at either end in O(1). A slot a
+// job leaves is cleared and an emptied queue lets go of its ring, so no
+// job a burst queued stays reachable from it.
+type jobQueue struct {
+	ring []*JobState // nil, or a power of two long
+	head int         // the ring index of the front job
+	n    int
+}
+
+// at returns the i-th job from the front.
+func (q *jobQueue) at(i int) *JobState { return q.ring[q.index(i)] }
+
+// index is the ring index of the i-th job from the front.
+func (q *jobQueue) index(i int) int { return (q.head + i) & (len(q.ring) - 1) }
+
+// grow doubles a full ring.
+func (q *jobQueue) grow() {
+	if q.n < len(q.ring) {
+		return
 	}
-	return job
+	ring := make([]*JobState, max(8, 2*len(q.ring)))
+	for i := range q.n {
+		ring[i] = q.at(i)
+	}
+	q.ring, q.head = ring, 0
+}
+
+func (q *jobQueue) pushBack(st *JobState) {
+	q.grow()
+	q.ring[q.index(q.n)] = st
+	q.n++
+}
+
+func (q *jobQueue) pushFront(st *JobState) {
+	q.grow()
+	q.head = q.index(-1)
+	q.ring[q.head] = st
+	q.n++
+}
+
+// popFront takes the front of the non-empty queue.
+func (q *jobQueue) popFront() *JobState {
+	st := q.ring[q.head]
+	q.ring[q.head] = nil
+	q.head = q.index(1)
+	if q.n--; q.n == 0 {
+		*q = jobQueue{}
+	}
+	return st
+}
+
+// remove takes st out of the queue and reports whether it was there.
+func (q *jobQueue) remove(st *JobState) bool {
+	for i := range q.n {
+		if q.at(i) != st {
+			continue
+		}
+		for ; i+1 < q.n; i++ {
+			q.ring[q.index(i)] = q.at(i + 1)
+		}
+		q.ring[q.index(i)] = nil
+		if q.n--; q.n == 0 {
+			*q = jobQueue{}
+		}
+		return true
+	}
+	return false
 }
 
 func (r *Runner) worker() {
 	defer r.wg.Done()
 	for {
 		r.mu.Lock()
-		for len(r.queue) == 0 && !r.closed {
+		for r.queue.n == 0 && !r.closed {
 			r.cond.Wait()
 		}
-		if r.closed && len(r.queue) == 0 {
+		if r.closed && r.queue.n == 0 {
 			r.mu.Unlock()
 			return
 		}
-		job := r.popFront()
-		id := job.ID()
-		st := r.jobs[id]
+		st := r.queue.popFront()
+		job, id := st.job(), st.ID
 		r.move(st.Status, StatusRunning)
 		st.Status = StatusRunning
 		stream := r.streams[id]
@@ -605,15 +664,8 @@ func (r *Runner) Cancel(id string) (JobState, string, error) {
 		return *st, st.Worker, nil
 	}
 	// Queued: it never started, finalize here.
-	for i := range r.queue {
-		if r.queue[i].ID() == id {
-			r.queue = slices.Delete(r.queue, i, i+1) // clears the vacated tail slot
-			if len(r.queue) == 0 {
-				r.queue = nil
-			}
-			rm().queueDepth.Dec()
-			break
-		}
+	if r.queue.remove(st) {
+		rm().queueDepth.Dec()
 	}
 	rec := Record{ID: id, Experiment: st.Experiment, Options: st.Options,
 		Status: StatusCanceled, Error: "canceled before execution"}
@@ -632,13 +684,12 @@ func (r *Runner) Lease(owner string, max int) []Leased {
 		r.mu.Unlock()
 		return nil
 	}
-	n := min(max, len(r.queue))
+	n := min(max, r.queue.n)
 	out := make([]Leased, 0, n)
 	recs := make([]Record, 0, n)
 	for i := 0; i < n; i++ {
-		job := r.popFront()
-		id := job.ID()
-		st := r.jobs[id]
+		st := r.queue.popFront()
+		job, id := st.job(), st.ID
 		r.leaseSeq++
 		r.move(st.Status, StatusLeased)
 		st.Status = StatusLeased
@@ -734,7 +785,7 @@ func (r *Runner) Requeue(owner string) (requeued, canceled int) {
 		}
 		r.move(st.Status, StatusQueued)
 		st.Status = StatusQueued
-		r.requeueFront(l.job)
+		r.requeueFront(st)
 		requeued++
 	}
 	r.cond.Broadcast()
@@ -821,10 +872,14 @@ func (r *Runner) live(id string) (JobState, bool) {
 	return *st, true
 }
 
-// List returns snapshots of the jobs submitted to this runner that are
-// in status and of experiment, an empty one matching any, in submission
-// order. A finished job the filter drops is never built.
-func (r *Runner) List(status Status, experiment string) []JobState {
+// Each calls yield with a snapshot of each job submitted to this runner
+// that is in status and of experiment, an empty one matching any, in
+// submission order, until yield returns false. Which jobs there are, and
+// the live ones' states, are read under r.mu; the finished ones are then
+// read from the store one at a time and yield is called with neither lock
+// held, so a slow consumer stalls no lease or append. A finished job the
+// filter drops is never built. yield must not keep the pointer.
+func (r *Runner) Each(status Status, experiment string, yield func(*JobState) bool) {
 	f := filter{status, experiment}
 	const isLive = ^uint32(0) // an orderKey.exp no experiment has
 	r.mu.Lock()
@@ -848,19 +903,29 @@ func (r *Runner) List(status Status, experiment string) []JobState {
 	r.mu.Unlock()
 	// The rest finished: the store holds them, and reading it needs no
 	// runner lock. A job does not leave the store once it is there.
-	n := len(live)
-	if f == (filter{}) {
-		n = len(keys) // every job passes
-	}
-	out := make([]JobState, 0, n)
+	var rec JobState // every finished job's, one at a time
 	for _, k := range keys {
+		st := &rec
 		if k.exp == isLive {
-			out = append(out, live[0])
-			live = live[1:]
-		} else if rec, _, ok := r.store.find(idKey{digest: k.digest, experiment: exps[k.exp]}, f); ok {
-			out = append(out, rec)
+			st, live = &live[0], live[1:]
+		} else if found, _, ok := r.store.find(idKey{digest: k.digest, experiment: exps[k.exp]}, f); ok {
+			rec = found
+		} else {
+			continue
+		}
+		if !yield(st) {
+			return
 		}
 	}
+}
+
+// List collects Each's snapshots.
+func (r *Runner) List(status Status, experiment string) []JobState {
+	out := []JobState{}
+	r.Each(status, experiment, func(st *JobState) bool {
+		out = append(out, *st)
+		return true
+	})
 	return out
 }
 
@@ -880,7 +945,7 @@ func (f filter) match(status Status, experiment string) bool {
 func (r *Runner) Wait() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for len(r.queue) > 0 || r.active > 0 || len(r.leases) > 0 {
+	for r.queue.n > 0 || r.active > 0 || len(r.leases) > 0 {
 		r.cond.Wait()
 	}
 }
@@ -896,8 +961,8 @@ func (r *Runner) Wait() {
 func (r *Runner) Close() {
 	r.mu.Lock()
 	r.closed = true
-	rm().queueDepth.Add(-float64(len(r.queue)))
-	r.queue = nil
+	rm().queueDepth.Add(-float64(r.queue.n))
+	r.queue = jobQueue{}
 	r.cond.Broadcast()
 	r.mu.Unlock()
 	r.wg.Wait()

@@ -355,10 +355,11 @@ func TestStoreAppendIndexesWhatTheLineSays(t *testing.T) {
 	indexMatchesFile(t, s, path)
 }
 
-// TestRunnerListsWhileJobsFinish reads the index (List, Get, a resubmit's
-// dedup) while workers append to it, for the race detector: the entry, its
-// profile, its names and its error text are all read under the store's
-// lock.
+// TestRunnerListsWhileJobsFinish reads the index (List, a walk of Each,
+// Get, a resubmit's dedup) while workers append to it, for the race
+// detector: the entry, its profile, its names and its error text are all
+// read under the store's lock. Each's walk passes its filter and visits no
+// job twice.
 func TestRunnerListsWhileJobsFinish(t *testing.T) {
 	s, err := Open(tempStore(t))
 	if err != nil {
@@ -382,6 +383,14 @@ func TestRunnerListsWhileJobsFinish(t *testing.T) {
 		defer close(done)
 		for _, j := range jobs {
 			r.List(StatusDone, "fig4")
+			seen := map[string]bool{}
+			r.Each("", "table1", func(st *JobState) bool {
+				if st.Experiment != "table1" || seen[st.ID] {
+					t.Errorf("Each(\"\", table1) visits %s of %s, seen %v", st.ID, st.Experiment, seen[st.ID])
+				}
+				seen[st.ID] = true
+				return true
+			})
 			r.Get(j.ID())
 			if _, err := r.Submit(j); err != nil {
 				t.Error(err)
@@ -402,6 +411,69 @@ func TestRunnerListsWhileJobsFinish(t *testing.T) {
 		if st.Error != "boom" {
 			t.Fatalf("failed job %s says %q, want boom", st.ID, st.Error)
 		}
+	}
+}
+
+// TestRunnerEachYieldsUnlocked: Each visits what List collects, in its
+// order, stops when yield says so, and calls yield with no lock held — a
+// consumer may submit, lease and finish jobs from inside the walk, which
+// the walk's snapshot does not then show.
+func TestRunnerEachYieldsUnlocked(t *testing.T) {
+	s, err := Open(tempStore(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	r := New(s, -1)
+	defer r.Close()
+	var jobs []Job
+	for seed := uint64(1); seed <= 12; seed++ {
+		jobs = append(jobs, mustJob(t, "fig4", experiments.Options{Quick: true, Seed: seed}))
+	}
+	if _, err := r.SubmitAll(jobs[:8]); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range r.Lease("1:w1", 4) {
+		if err := r.Complete(l.Job.ID(), l.Seq, Record{Status: StatusDone, Result: json.RawMessage(`{}`)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := r.List("", "")
+	var got []JobState
+	next := 8
+	r.Each("", "", func(st *JobState) bool {
+		got = append(got, *st)
+		if next < len(jobs) {
+			if _, err := r.Submit(jobs[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		for _, l := range r.Lease("1:w2", 1) {
+			if err := r.Complete(l.Job.ID(), l.Seq, Record{Status: StatusFailed, Error: "boom"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return true
+	})
+	if len(got) != len(want) {
+		t.Fatalf("Each visited %d jobs, List collected %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID {
+			t.Fatalf("Each visits %s at %d, List has %s", got[i].ID, i, want[i].ID)
+		}
+	}
+	visits := 0
+	r.Each("", "", func(*JobState) bool {
+		visits++
+		return visits < 3
+	})
+	if visits != 3 {
+		t.Fatalf("Each went on for %d visits after yield returned false at 3", visits)
+	}
+	if n := len(r.List("", "")); n != len(jobs) {
+		t.Fatalf("after the walk the runner lists %d jobs, want %d", n, len(jobs))
 	}
 }
 

@@ -33,6 +33,9 @@ type Sweep struct {
 	Tiers []int `json:"tiers,omitempty"`
 }
 
+// presizeMax bounds how many cells Expand sizes its slice and set for.
+const presizeMax = 1 << 16
+
 // Expand materializes the grid as jobs, validating every cell. Cells that
 // normalize to the same job (for example backends "serial" and its alias
 // "parallel") are deduplicated, keeping the first.
@@ -76,8 +79,16 @@ func (s Sweep) Expand() ([]Job, error) {
 		}
 		plans[i] = plan
 	}
-	var jobs []Job
-	seen := make(map[string]bool)
+	// Sized to the grid, but to no more than presizeMax cells before any
+	// has validated: a body of long axes must not reserve memory it then
+	// refuses.
+	cells := 1
+	for _, n := range []int{len(s.Experiments), len(quicks), len(seeds), len(backends),
+		len(plans), len(codecs), len(samples), len(tiers)} {
+		cells = min(cells*n, presizeMax)
+	}
+	jobs := make([]Job, 0, cells)
+	seen := make(map[string]bool, cells)
 	for _, exp := range s.Experiments {
 		for _, quick := range quicks {
 			for _, seed := range seeds {

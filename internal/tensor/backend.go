@@ -237,16 +237,3 @@ func NewBackend(name string, _ int) (Backend, error) {
 	}
 	return Serial{}, nil
 }
-
-// DenseForward computes y = Wx + bias for W (out×in), x (in) and bias (out);
-// bias may be nil. This is the serial reference kernel for dense layers.
-func DenseForward(w, bias, x *Tensor) (*Tensor, error) {
-	return serialRef.DenseForward(w, bias, x)
-}
-
-// DenseBackward computes the gradients of DenseForward: it accumulates
-// gw += gy ⊗ x and gb += gy in place, and returns gx = Wᵀ gy. This is the
-// serial reference kernel for dense layers.
-func DenseBackward(w, x, gy, gw, gb *Tensor) (*Tensor, error) {
-	return serialRef.DenseBackward(w, x, gy, gw, gb)
-}
