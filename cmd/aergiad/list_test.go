@@ -30,7 +30,7 @@ func newWriteRecorder(discard bool) *writeRecorder {
 	return &writeRecorder{header: make(http.Header), discard: discard}
 }
 
-func (w *writeRecorder) Header() http.Header { return w.header }
+func (w *writeRecorder) Header() http.Header  { return w.header }
 func (w *writeRecorder) WriteHeader(code int) { w.code = code }
 
 func (w *writeRecorder) Write(p []byte) (int, error) {
@@ -39,6 +39,15 @@ func (w *writeRecorder) Write(p []byte) (int, error) {
 		return len(p), nil
 	}
 	return w.body.Write(p)
+}
+
+// WriteString is net/http's: a handler's io.WriteString converts nothing.
+func (w *writeRecorder) WriteString(s string) (int, error) {
+	w.largest = max(w.largest, len(s))
+	if w.discard {
+		return len(s), nil
+	}
+	return w.body.WriteString(s)
 }
 
 // sweepBody is a POST /jobs sweep of n quick table1 runs, seeds 1..n.

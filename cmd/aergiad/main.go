@@ -282,9 +282,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func writeJobs(w http.ResponseWriter, status int, err error, jobs iter.Seq[*runner.JobState]) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	elems := &elemWriter{w: w}
-	enc := json.NewEncoder(elems)
+	enc := json.NewEncoder(newlineTrimmer{w})
 	enc.SetEscapeHTML(false)
+	// A write that fails fails the next Encode too, which ends the walk;
+	// the writes around the jobs have nothing left to stop.
 	head := `{"jobs":[`
 	if err != nil {
 		io.WriteString(w, `{"error":`)
@@ -292,30 +293,24 @@ func writeJobs(w http.ResponseWriter, status int, err error, jobs iter.Seq[*runn
 		head = `,"jobs":[`
 	}
 	io.WriteString(w, head)
+	sep := ""
 	for st := range jobs {
 		st.Result = nil // the list stays light; results via GET /jobs/{id}
+		io.WriteString(w, sep)
 		if enc.Encode(st) != nil {
 			break
 		}
-		elems.sep = comma
+		sep = ","
 	}
 	io.WriteString(w, "]}\n")
 }
 
-var comma = []byte(",")
+// newlineTrimmer passes on each value a json.Encoder writes without the
+// newline that ends it.
+type newlineTrimmer struct{ w io.Writer }
 
-// elemWriter passes each value a json.Encoder writes on without the
-// newline that ends it, after sep.
-type elemWriter struct {
-	w   io.Writer
-	sep []byte
-}
-
-func (e *elemWriter) Write(p []byte) (int, error) {
-	if _, err := e.w.Write(e.sep); err != nil {
-		return 0, err
-	}
-	if _, err := e.w.Write(p[:len(p)-1]); err != nil {
+func (t newlineTrimmer) Write(p []byte) (int, error) {
+	if _, err := t.w.Write(p[:len(p)-1]); err != nil {
 		return 0, err
 	}
 	return len(p), nil
