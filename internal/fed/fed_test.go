@@ -264,3 +264,31 @@ func TestFederationStreamsRemoteEvents(t *testing.T) {
 		t.Fatalf("remote job state = %+v", st)
 	}
 }
+
+// TestWorkerSurvivesPanickingExecutor: a job whose executor panics is
+// reported failed, as a local slot's would be, and the worker takes its
+// next lease on the same slot instead of dying with the job.
+func TestWorkerSurvivesPanickingExecutor(t *testing.T) {
+	r, _, joinURL := testControl(t, nil)
+	exec := func(_ context.Context, j runner.Job) (json.RawMessage, error) {
+		if j.Options.Seed == 1 {
+			panic("executor bug")
+		}
+		return json.RawMessage(`{}`), nil
+	}
+	jobs := submitSeeds(t, r, 2)
+	w, err := Join(WorkerConfig{ControlURL: joinURL, Name: "w1", Slots: 1, Execute: exec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	waitFor(t, 5*time.Second, "both jobs to finish", func() bool {
+		first, _ := r.Get(jobs[0].ID())
+		second, _ := r.Get(jobs[1].ID())
+		return first.Status == runner.StatusFailed && second.Status == runner.StatusDone
+	})
+	if st, _ := r.Get(jobs[0].ID()); !strings.Contains(st.Error, "panicked") || !strings.Contains(st.Worker, "w1") {
+		t.Fatalf("panicked job = %+v, want failed on w1 with the panic", st)
+	}
+	waitFor(t, 5*time.Second, "worker to free its slot", func() bool { return w.Active() == 0 })
+}

@@ -3,7 +3,6 @@ package fed
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -36,12 +35,6 @@ type WorkerConfig struct {
 	Client *http.Client
 }
 
-// activeJob is one lease being executed.
-type activeJob struct {
-	seq    uint64
-	cancel context.CancelFunc
-}
-
 // Worker is the executing side of a federation: it joins a control
 // daemon, pulls leases, runs them through the ordinary executor, and
 // reports results and live round events back.
@@ -52,8 +45,8 @@ type Worker struct {
 	heartbeat time.Duration
 
 	mu      sync.Mutex
-	active  map[string]*activeJob
-	asked   int // Want of the request the control is presumed to hold; 0 = none
+	active  map[string]context.CancelFunc // the leases executing, by job
+	asked   int                           // Want of the request the control is presumed to hold; 0 = none
 	stopped bool
 
 	admitted  chan struct{} // closed by the first grant: the Hello ack
@@ -109,7 +102,7 @@ func Join(cfg WorkerConfig) (*Worker, error) {
 		cfg:       cfg,
 		id:        comm.NodeID(jr.ID),
 		heartbeat: time.Duration(jr.HeartbeatMS) * time.Millisecond,
-		active:    make(map[string]*activeJob),
+		active:    make(map[string]context.CancelFunc),
 		asked:     cfg.Slots,
 		admitted:  make(chan struct{}),
 		stop:      make(chan struct{}),
@@ -226,47 +219,37 @@ func (w *Worker) OnMessage(_ comm.Env, msg comm.Message) {
 			w.mu.Unlock()
 			return // shutting down: leases expire back to the queue via Bye/timeout
 		}
-		var accepted []launch
 		for _, l := range p.Leases {
 			var job runner.Job
 			if err := json.Unmarshal(l.Spec, &job); err != nil {
 				// A spec this worker cannot decode (version skew): report it
 				// failed so the job doesn't wait for a heartbeat timeout.
-				go w.report(l.ID, l.Seq, runner.StatusFailed, 0,
-					fmt.Sprintf("worker %s: decode spec: %v", w.cfg.Name, err), nil)
+				go w.report(l.ID, l.Seq, runner.Record{Status: runner.StatusFailed,
+					Error: fmt.Sprintf("worker %s: decode spec: %v", w.cfg.Name, err)})
 				continue
 			}
 			ctx, cancel := context.WithCancel(context.Background())
-			w.active[l.ID] = &activeJob{seq: l.Seq, cancel: cancel}
-			accepted = append(accepted, launch{lease: l, job: job, ctx: ctx})
+			w.active[l.ID] = cancel
+			// Added under w.mu with stopped false: Close's Wait counts it.
+			w.wg.Add(1)
+			go w.run(l, job, ctx)
 		}
 		w.mu.Unlock()
-		for _, a := range accepted {
-			w.wg.Add(1)
-			go w.run(a.lease, a.job, a.ctx)
-		}
 	case rpc.CancelPayload:
 		w.mu.Lock()
-		a := w.active[p.ID]
+		cancel := w.active[p.ID]
 		w.mu.Unlock()
-		if a != nil {
-			a.cancel()
+		if cancel != nil {
+			cancel()
 		}
 	case rpc.ByePayload:
 		w.loseOnce.Do(func() { close(w.lost) })
 	}
 }
 
-// launch is one decoded, admitted lease about to start executing.
-type launch struct {
-	lease rpc.Lease
-	job   runner.Job
-	ctx   context.Context
-}
-
-// run executes one lease: live round events are forwarded to the control
-// as they happen, and the terminal result (done, failed, or canceled)
-// echoes the lease's fencing sequence.
+// run executes one lease through runner.Run, the code a local slot runs
+// its leases with: live round events are forwarded to the control as they
+// happen, and the terminal record echoes the lease's fencing sequence.
 func (w *Worker) run(l rpc.Lease, job runner.Job, ctx context.Context) {
 	defer w.wg.Done()
 	stream := obs.NewRoundStream()
@@ -286,40 +269,27 @@ func (w *Worker) run(l rpc.Lease, job runner.Job, ctx context.Context) {
 			}
 		}
 	}()
-	job.Options.Events = stream
-	start := time.Now()
-	result, err := w.cfg.Execute(ctx, job)
-	elapsed := time.Since(start)
+	rec := runner.Run(ctx, job, stream, w.cfg.Execute)
 	stream.Close()
 	fwg.Wait()
 
-	status := runner.StatusDone
-	errMsg := ""
-	if err != nil {
-		status = runner.StatusFailed
-		if errors.Is(err, runner.ErrCanceled) || ctx.Err() != nil {
-			status = runner.StatusCanceled
-		}
-		errMsg = err.Error()
-		result = nil
-	}
 	w.mu.Lock()
-	if a := w.active[l.ID]; a != nil {
+	if cancel := w.active[l.ID]; cancel != nil {
 		delete(w.active, l.ID)
-		a.cancel()
+		cancel()
 	}
 	w.mu.Unlock()
-	w.report(l.ID, l.Seq, status, elapsed, errMsg, result)
+	w.report(l.ID, l.Seq, rec)
 	w.maybeRequestLeases()
 }
 
-// report sends one terminal result to the control. A send failure is
+// report sends one terminal record to the control. A send failure is
 // survivable: the control declares this worker dead after the heartbeat
 // timeout and requeues the job.
-func (w *Worker) report(id string, seq uint64, status runner.Status, elapsed time.Duration, errMsg string, result json.RawMessage) {
+func (w *Worker) report(id string, seq uint64, rec runner.Record) {
 	if err := w.send(rpc.ResultPayload{
-		ID: id, Seq: seq, Status: string(status),
-		ElapsedNS: elapsed.Nanoseconds(), Error: errMsg, Result: result,
+		ID: id, Seq: seq, Status: string(rec.Status),
+		ElapsedNS: rec.Elapsed.Nanoseconds(), Error: rec.Error, Result: rec.Result,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "fed: worker %s: report %s: %v\n", w.cfg.Name, id, err)
 	}
@@ -332,17 +302,17 @@ func (w *Worker) Close() error {
 	w.stopOnce.Do(func() {
 		w.mu.Lock()
 		w.stopped = true
-		actives := make([]*activeJob, 0, len(w.active))
-		for _, a := range w.active {
-			actives = append(actives, a)
+		cancels := make([]context.CancelFunc, 0, len(w.active))
+		for _, cancel := range w.active {
+			cancels = append(cancels, cancel)
 		}
 		w.mu.Unlock()
 		if err := w.send(rpc.ByePayload{Reason: "shutdown"}); err != nil {
 			_ = err // control already gone; timeout-based requeue covers it
 		}
 		close(w.stop)
-		for _, a := range actives {
-			a.cancel()
+		for _, cancel := range cancels {
+			cancel()
 		}
 	})
 	w.wg.Wait()

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -564,8 +566,8 @@ func TestRunnerQueueReleasesPoppedJobs(t *testing.T) {
 }
 
 // TestRunnerRequeueGoesAheadOfTheQueue: a lost worker's K leases go back
-// to the front of a deep queue, ahead of every job that waited, and the
-// waiting jobs keep their order. The queue grows between the leases and
+// to the front of a deep queue, ahead of every job that waited, in the
+// order they were leased, and the waiting jobs keep their order. The queue grows between the leases and
 // the requeue, so the requeued jobs wrap round the front of its ring.
 func TestRunnerRequeueGoesAheadOfTheQueue(t *testing.T) {
 	const n, k = 200, 10
@@ -596,18 +598,140 @@ func TestRunnerRequeueGoesAheadOfTheQueue(t *testing.T) {
 	if len(got) != n {
 		t.Fatalf("leased %d after the requeue, want %d", len(got), n)
 	}
-	front := map[string]bool{}
-	for _, l := range got[:k] {
-		front[l.Job.ID()] = true
-	}
-	for _, j := range jobs[:k] {
-		if !front[j.ID()] {
-			t.Errorf("requeued job %s is not among the first %d of the queue", j.ID(), k)
+	for i, l := range got[:k] {
+		if want := jobs[i].ID(); l.Job.ID() != want {
+			t.Errorf("requeued job %d of the queue is %s, want %s: the lost worker's leases go back in lease order", i, l.Job.ID(), want)
 		}
 	}
 	for i, l := range got[k:] {
 		if want := jobs[k+i].ID(); l.Job.ID() != want {
 			t.Fatalf("job %d behind the requeued ones is %s, want %s", k+i, l.Job.ID(), want)
 		}
+	}
+}
+
+// TestRunnerCancelsLocalJobThroughItsLease: a local slot runs its job on a
+// lease of the runner's own table, so canceling the running job cancels
+// that lease's context and the job lands canceled as a lease's result. The
+// lease is no remote owner's: LeaseCount leaves it out, Complete finds it
+// stale, and the store gets the one terminal record with no worker and no
+// lease record.
+func TestRunnerCancelsLocalJobThroughItsLease(t *testing.T) {
+	path := tempStore(t)
+	store, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	started := make(chan struct{})
+	exec := func(ctx context.Context, j Job) (json.RawMessage, error) {
+		close(started)
+		<-ctx.Done()
+		return nil, ctx.Err() // not ErrCanceled: the canceled context decides
+	}
+	r := New(store, 1, WithExecutor(exec))
+	defer r.Close()
+	job := mustJob(t, "fig4", experiments.Options{Quick: true})
+	if _, err := r.Submit(job); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	r.mu.Lock()
+	l := r.leases[job.ID()]
+	r.mu.Unlock()
+	if l == nil || !l.local() || l.owner != "" {
+		t.Fatalf("running local job's lease = %+v, want a local one", l)
+	}
+	if n := r.LeaseCount(); n != 0 {
+		t.Fatalf("LeaseCount = %d with only a local job running, want 0", n)
+	}
+	if st, _ := r.Get(job.ID()); st.Status != StatusRunning || st.Worker != "" {
+		t.Fatalf("running local job = %+v, want running with no worker", st)
+	}
+	if err := r.Complete(job.ID(), l.seq, Record{Status: StatusDone}); !errors.Is(err, ErrStaleLease) {
+		t.Fatalf("remote Complete of a local job err = %v, want ErrStaleLease", err)
+	}
+	if st, owner, err := r.Cancel(job.ID()); err != nil || owner != "" || st.Status != StatusRunning {
+		t.Fatalf("cancel running = %+v, owner %q, err %v", st, owner, err)
+	}
+	r.Wait()
+	r.mu.Lock()
+	leases := len(r.leases)
+	r.mu.Unlock()
+	if leases != 0 {
+		t.Fatalf("%d leases outstanding after the canceled job landed", leases)
+	}
+	if st, _ := r.Get(job.ID()); st.Status != StatusCanceled || st.Worker != "" {
+		t.Fatalf("state after cancel = %+v, want canceled with no worker", st)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+	if len(lines) != 1 || !strings.Contains(lines[0], `"status":"canceled"`) || strings.Contains(lines[0], `"worker"`) {
+		t.Fatalf("store holds %q, want the one canceled record with no worker", lines)
+	}
+}
+
+// TestRunnerQueuedJobsHoldNoStream: a job has an event stream only once
+// something subscribes to it or publishes into it, not for waiting in the
+// queue, and a lease and a requeue keep the stream it has.
+func TestRunnerQueuedJobsHoldNoStream(t *testing.T) {
+	r := New(nil, -1)
+	defer r.Close()
+	jobs := make([]Job, 4)
+	for i := range jobs {
+		jobs[i] = mustJob(t, "fig4", experiments.Options{Quick: true, Seed: uint64(i + 1)})
+	}
+	if _, err := r.SubmitAll(jobs); err != nil {
+		t.Fatal(err)
+	}
+	streams := func() int {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return len(r.streams)
+	}
+	if n := streams(); n != 0 {
+		t.Fatalf("%d queued jobs hold %d streams, want none", len(jobs), n)
+	}
+	ch, cancel, err := r.Subscribe(jobs[0].ID(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	if got := r.Lease("w1", 2); len(got) != 2 {
+		t.Fatalf("leased %d, want 2", len(got))
+	}
+	r.PublishEvent(jobs[1].ID(), obs.RoundEvent{Round: 3})
+	if n := streams(); n != 2 {
+		t.Fatalf("%d streams after a subscribe and a publish, want 2", n)
+	}
+	if requeued, _ := r.Requeue("w1"); requeued != 2 {
+		t.Fatalf("requeued %d, want 2", requeued)
+	}
+	r.PublishEvent(jobs[0].ID(), obs.RoundEvent{Round: 1})
+	for _, l := range r.Lease("w2", 3) {
+		if err := r.Complete(l.Job.ID(), l.Seq, Record{Status: StatusDone}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var rounds []int
+	for ev := range ch {
+		rounds = append(rounds, ev.Round)
+	}
+	if len(rounds) != 1 || rounds[0] != 1 {
+		t.Fatalf("subscriber saw rounds %v across a requeue, want [1]", rounds)
+	}
+	// A finished job that published nothing gets no stream from a late
+	// publish; a queued one gets one from a subscriber.
+	r.PublishEvent(jobs[2].ID(), obs.RoundEvent{Round: 9})
+	_, cancel2, err := r.Subscribe(jobs[3].ID(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel2()
+	if n := streams(); n != 3 {
+		t.Fatalf("%d streams, want 3: the two finished jobs that published and the queued one subscribed to", n)
 	}
 }

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"maps"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -45,6 +47,12 @@ var (
 // lease-based pull interface for remote workers (internal/fed), and
 // persists every outcome to the result store.
 //
+// One execution path: a job starts only by being leased, and runs only
+// through Run. A local slot is a lease holder on the runner's own lease
+// table with no transport; its lease holds the job's cancel, has no
+// fencing sequence and is never persisted, and its job reads "running"
+// with no worker, where a remote owner's reads "leased".
+//
 // Concurrency budget: the slots bound how many experiments run at once
 // locally. Inside them, client training runs on the process-wide compute
 // lanes (internal/fl/lane.go): at most GOMAXPROCS training steps execute at
@@ -65,16 +73,17 @@ var (
 // its only in-memory state (under 0.1 kB a job with its order entry,
 // Store) and Get, Result, List, Cancel and Subscribe read it there, as
 // they do for jobs of an earlier life; its event stream is dropped too
-// unless it published events a late subscriber still replays. Without a
-// store, or when the terminal record could not be written, the runner
-// keeps the job.
+// unless it published events a late subscriber still replays (see
+// stream). Without a store, or when the terminal record could not be
+// written, the runner keeps the job.
 //
 // Leases: Lease hands queued jobs to a named remote owner; Complete
 // finishes them with the result the owner reported, and Requeue returns a
-// lost owner's jobs to the front of the queue. Every lease carries a
-// fencing sequence number so a result from an expired lease is dropped
-// instead of double-finishing a job, and a lease record is persisted so
-// the store shows which worker held what across a control-daemon restart.
+// lost owner's jobs to the front of the queue in the order they were
+// leased. Every remote lease carries a fencing sequence number so a
+// result from an expired lease is dropped instead of double-finishing a
+// job, and a lease record is persisted so the store shows which worker
+// held what across a control-daemon restart.
 type Runner struct {
 	store    *Store
 	token    uint32 // names this runner's jobs in the store's index
@@ -85,26 +94,23 @@ type Runner struct {
 	// mu is taken before the store's lock, never after it: the runner
 	// reads and appends to its store under mu, and the store never calls
 	// back.
-	mu        sync.Mutex
-	cond      *sync.Cond
-	queue     jobQueue
-	ready     chan struct{}        // see Ready
-	jobs      map[string]*JobState // live jobs; see Runner
-	livePeak  int                  // len(jobs) at most, since shrinkLive
-	order     []orderKey           // every job submitted here, for List
-	exps      []string             // the experiments of order, by orderKey.exp
-	expOf     map[string]uint32    // exps' indexes
-	counts    map[Status]int       // jobs of order by status, for Counts
-	streams   map[string]*obs.RoundStream
-	cancels   map[string]context.CancelFunc
-	leases    map[string]*leaseState
-	cancelReq map[string]struct{}
+	mu       sync.Mutex
+	cond     *sync.Cond
+	queue    jobQueue
+	ready    chan struct{}               // see Ready
+	jobs     map[string]*JobState        // live jobs; see Runner
+	livePeak int                         // len(jobs) at most, since shrinkLive
+	order    []orderKey                  // every job submitted here, for List
+	exps     []string                    // the experiments of order, by orderKey.exp
+	expOf    map[string]uint32           // exps' indexes
+	counts   map[Status]int              // jobs of order by status, for Counts
+	streams  map[string]*obs.RoundStream // see stream
+	leases   map[string]*leaseState      // local and remote, until finish
 	// leaseWrites counts, by job, the lease records Lease is still
 	// appending: one landing after the job's terminal record would
 	// supersede it in the index, so such a job stays in jobs (finish).
 	leaseWrites map[string]int
 	leaseSeq    uint64
-	active      int
 	closed      bool
 	wg          sync.WaitGroup
 }
@@ -128,12 +134,20 @@ func (r *Runner) orderKey(k idKey) orderKey {
 	return orderKey{k.digest, x}
 }
 
-// leaseState is one outstanding remote lease.
+// leaseState is one outstanding lease, a remote owner's or a local
+// slot's. It stays in leases until its job is finished, so Wait also
+// waits for a result being persisted.
 type leaseState struct {
-	job   Job
-	owner string
-	seq   uint64
+	job      Job
+	owner    string             // "" for a local slot
+	seq      uint64             // a remote lease's fencing sequence
+	cancel   context.CancelFunc // a local slot's run; nil for a remote owner
+	canceled bool               // Cancel asked: Requeue finalizes, not requeues
+	landing  bool               // its result is being persisted
 }
+
+// local reports whether a local slot holds the lease.
+func (l *leaseState) local() bool { return l.cancel != nil }
 
 // Leased is one job granted to a remote owner, with the fencing sequence
 // its completion must echo.
@@ -182,9 +196,7 @@ func New(store *Store, slots int, opts ...Option) *Runner {
 		expOf:       make(map[string]uint32),
 		counts:      make(map[Status]int),
 		streams:     make(map[string]*obs.RoundStream),
-		cancels:     make(map[string]context.CancelFunc),
 		leases:      make(map[string]*leaseState),
-		cancelReq:   make(map[string]struct{}),
 		leaseWrites: make(map[string]int),
 	}
 	r.cond = sync.NewCond(&r.mu)
@@ -193,7 +205,7 @@ func New(store *Store, slots int, opts ...Option) *Runner {
 	}
 	r.wg.Add(r.slots)
 	for i := 0; i < r.slots; i++ {
-		go r.worker()
+		go r.slot()
 	}
 	return r
 }
@@ -224,10 +236,7 @@ func ExecuteJob(ctx context.Context, j Job) (json.RawMessage, error) {
 		// surface it as the job's failure.
 		defer func() {
 			if p := recover(); p != nil {
-				obs.FlightDefault.RecordPanic()
-				fmt.Fprintf(os.Stderr, "runner: job %s panicked: %v\n", j.ID(), p)
-				obs.FlightDefault.Dump(os.Stderr)
-				out <- outcome{nil, fmt.Errorf("job %s panicked: %v", j.ID(), p)}
+				out <- outcome{nil, panicked(j, p)}
 			}
 		}()
 		rec, err := experiments.Run(j.Experiment, j.Options)
@@ -244,6 +253,42 @@ func ExecuteJob(ctx context.Context, j Job) (json.RawMessage, error) {
 	case <-ctx.Done():
 		return nil, ErrCanceled
 	}
+}
+
+// Run executes job, its round events going to events, and returns the
+// status, elapsed time, error and result of its terminal record. A local
+// slot and a remote worker (internal/fed) both run their leases through
+// it. A panic in execute fails the job instead of losing the slot, and an
+// error while ctx is done, or ErrCanceled, is a cancel rather than a
+// failure, so resubmission and metrics stay honest.
+func Run(ctx context.Context, job Job, events *obs.RoundStream,
+	execute func(context.Context, Job) (json.RawMessage, error)) (rec Record) {
+	job.Options.Events = events // not in the canonical encoding
+	start := time.Now()
+	defer func() {
+		if p := recover(); p != nil {
+			rec = Record{Status: StatusFailed, Error: panicked(job, p).Error()}
+		}
+		rec.Elapsed = time.Since(start)
+	}()
+	result, err := execute(ctx, job)
+	switch {
+	case err == nil:
+		return Record{Status: StatusDone, Result: result}
+	case errors.Is(err, ErrCanceled) || ctx.Err() != nil:
+		return Record{Status: StatusCanceled, Error: err.Error()}
+	}
+	return Record{Status: StatusFailed, Error: err.Error()}
+}
+
+// panicked reports job's panic p: the flight recorder gets a panic marker
+// and is dumped to stderr (the last moments of message traffic before the
+// blow-up, without a re-run), and the error is what the job fails with.
+func panicked(job Job, p any) error {
+	obs.FlightDefault.RecordPanic()
+	fmt.Fprintf(os.Stderr, "runner: job %s panicked: %v\n", job.ID(), p)
+	obs.FlightDefault.Dump(os.Stderr)
+	return fmt.Errorf("job %s panicked: %v", job.ID(), p)
 }
 
 // Slots reports the local worker-slot count.
@@ -353,12 +398,9 @@ func (r *Runner) SubmitAll(jobs []Job) ([]JobState, error) {
 
 // enqueue queues the live job st. Callers hold r.mu.
 func (r *Runner) enqueue(st *JobState) {
-	// A fresh event stream per (re)enqueue: SSE consumers can attach the
-	// moment Submit returns, before a worker claims the job. A failed
-	// job's requeue replaces the old stream — which is always already
-	// closed, because terminal status and stream close happen atomically
-	// under r.mu (see the worker loop) and only terminal jobs requeue.
-	r.streams[st.ID] = obs.NewRoundStream()
+	// A retry drops the attempt before's stream, which finish closed
+	// already: the retry's subscribers get a fresh one (stream).
+	delete(r.streams, st.ID)
 	r.signalIfEmpty()
 	r.queue.pushBack(st)
 	rm().queueDepth.Inc()
@@ -389,8 +431,8 @@ func (r *Runner) signalIfEmpty() {
 func (r *Runner) Ready() <-chan struct{} { return r.ready }
 
 // requeueFront returns the previously leased job st to the head of the
-// queue, keeping its existing stream so attached subscribers ride through
-// the worker loss transparently. Callers hold r.mu.
+// queue, keeping its stream, if it has one, so attached subscribers ride
+// through the worker loss transparently. Callers hold r.mu.
 func (r *Runner) requeueFront(st *JobState) {
 	r.signalIfEmpty()
 	r.queue.pushFront(st)
@@ -473,7 +515,9 @@ func (q *jobQueue) remove(st *JobState) bool {
 	return false
 }
 
-func (r *Runner) worker() {
+// slot is one local worker slot: until Close, it leases the front job on
+// the runner's own table, runs it and lands the record.
+func (r *Runner) slot() {
 	defer r.wg.Done()
 	for {
 		r.mu.Lock()
@@ -484,56 +528,15 @@ func (r *Runner) worker() {
 			r.mu.Unlock()
 			return
 		}
-		st := r.queue.popFront()
-		job, id := st.job(), st.ID
-		r.move(st.Status, StatusRunning)
-		st.Status = StatusRunning
-		stream := r.streams[id]
 		ctx, cancel := context.WithCancel(context.Background())
-		r.cancels[id] = cancel
-		r.active++
-		rm().queueDepth.Dec()
+		l := r.grant("", cancel)
+		events := r.stream(l.job.ID()) // finish closes it
+		r.mu.Unlock()
+
 		rm().activeJobs.Inc()
-		r.mu.Unlock()
-
-		// The job's FL runs publish live round events into the stream
-		// (Events is excluded from the canonical encoding, so the job ID
-		// and the stored record are untouched). Closing it after the run
-		// tells subscribers the job is over.
-		job.Options.Events = stream
-		start := time.Now()
-		result, err := r.runJob(ctx, job)
-		elapsed := time.Since(start)
-		job.Options.Events = nil
-
-		rec := Record{
-			ID:         id,
-			Experiment: job.Experiment,
-			Options:    job.Options,
-			Status:     StatusDone,
-			Elapsed:    elapsed,
-			Result:     result,
-		}
-		if err != nil {
-			rec.Status = StatusFailed
-			if errors.Is(err, ErrCanceled) || ctx.Err() != nil {
-				// Canceled mid-run (or the executor surfaced the canceled
-				// context as its own error): terminal, but distinct from a
-				// failure so resubmission semantics and metrics stay honest.
-				rec.Status = StatusCanceled
-			}
-			rec.Error = err.Error()
-			rec.Result = nil
-		}
-		persisted := r.persist(&rec)
-
-		r.mu.Lock()
-		delete(r.cancels, id)
-		r.active--
+		rec := Run(ctx, l.job, events, r.execute)
 		rm().activeJobs.Dec()
-		r.finish(st, rec, persisted)
-		r.mu.Unlock()
-		cancel()
+		r.land(l, rec)
 	}
 }
 
@@ -590,7 +593,7 @@ func (r *Runner) finish(st *JobState, rec Record, persisted bool) {
 	id := rec.ID
 	r.move(st.Status, rec.Status)
 	rm().observeFinished(rec.Status, rec.Elapsed)
-	stream := r.streams[id]
+	stream := r.streams[id] // nil if it never had one
 	stream.Close()
 	if stream.Empty() {
 		delete(r.streams, id)
@@ -617,30 +620,14 @@ func (r *Runner) shrinkLive() {
 	r.livePeak = len(r.jobs)
 }
 
-// runJob shields the worker slot from a panicking executor: a panic
-// becomes a failed job, not a lost slot in a long-running daemon. The
-// flight recorder gets a panic marker and is dumped to stderr — the last
-// moments of message traffic before the blow-up, without a re-run.
-func (r *Runner) runJob(ctx context.Context, job Job) (result json.RawMessage, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			obs.FlightDefault.RecordPanic()
-			fmt.Fprintf(os.Stderr, "runner: job %s panicked: %v\n", job.ID(), p)
-			obs.FlightDefault.Dump(os.Stderr)
-			result, err = nil, fmt.Errorf("job %s panicked: %v", job.ID(), p)
-		}
-	}()
-	return r.execute(ctx, job)
-}
-
 // Cancel requests cancellation of a job. A queued job is removed from the
-// queue and finalized as canceled immediately; a locally running job has
-// its context canceled and finalizes as canceled when the executor
-// returns; a leased job is marked cancel-requested and the owner's name
-// is returned so the caller can propagate the cancel over the control
-// plane (if the owner is lost instead, Requeue finalizes the job as
-// canceled). Terminal jobs return ErrJobFinished, unknown IDs
-// ErrUnknownJob.
+// queue and finalized as canceled immediately. A running or leased job's
+// lease is marked cancel-requested: a local slot's run has its context
+// canceled and finalizes as canceled when the executor returns; for a
+// remote lease the owner's name is returned so the caller can propagate
+// the cancel over the control plane (if the owner is lost instead, Requeue
+// finalizes the job as canceled). Terminal jobs return ErrJobFinished,
+// unknown IDs ErrUnknownJob.
 func (r *Runner) Cancel(id string) (JobState, string, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -654,14 +641,14 @@ func (r *Runner) Cancel(id string) (JobState, string, error) {
 	switch st.Status {
 	case StatusDone, StatusFailed, StatusCanceled:
 		return *st, "", fmt.Errorf("%w: %s is %s", ErrJobFinished, id, st.Status)
-	case StatusRunning:
-		if cancel := r.cancels[id]; cancel != nil {
-			cancel()
+	case StatusRunning, StatusLeased:
+		l := r.leases[id]
+		l.canceled = true
+		if l.local() {
+			l.cancel()
+			return *st, "", nil
 		}
-		return *st, "", nil
-	case StatusLeased:
-		r.cancelReq[id] = struct{}{}
-		return *st, st.Worker, nil
+		return *st, l.owner, nil
 	}
 	// Queued: it never started, finalize here.
 	if r.queue.remove(st) {
@@ -688,20 +675,16 @@ func (r *Runner) Lease(owner string, max int) []Leased {
 	out := make([]Leased, 0, n)
 	recs := make([]Record, 0, n)
 	for i := 0; i < n; i++ {
-		st := r.queue.popFront()
-		job, id := st.job(), st.ID
+		l := r.grant(owner, nil)
 		r.leaseSeq++
-		r.move(st.Status, StatusLeased)
-		st.Status = StatusLeased
-		st.Worker = owner
+		l.seq = r.leaseSeq
+		id := l.job.ID()
 		if r.store != nil {
 			r.leaseWrites[id]++
 		}
-		r.leases[id] = &leaseState{job: job, owner: owner, seq: r.leaseSeq}
-		rm().queueDepth.Dec()
-		out = append(out, Leased{Job: job, Seq: r.leaseSeq})
-		recs = append(recs, Record{ID: id, Experiment: job.Experiment,
-			Options: job.Options, Status: StatusLeased, Worker: owner})
+		out = append(out, Leased{Job: l.job, Seq: l.seq})
+		recs = append(recs, Record{ID: id, Experiment: l.job.Experiment,
+			Options: l.job.Options, Status: StatusLeased, Worker: owner})
 	}
 	r.mu.Unlock()
 	if r.store == nil || n == 0 {
@@ -723,23 +706,48 @@ func (r *Runner) Lease(owner string, max int) []Leased {
 	return out
 }
 
+// grant pops the front job of the non-empty queue and leases it: to a
+// local slot, which passes the cancel of its run and whose job reads
+// running, or to the remote owner, whose job reads leased. Callers hold
+// r.mu.
+func (r *Runner) grant(owner string, cancel context.CancelFunc) *leaseState {
+	st := r.queue.popFront()
+	rm().queueDepth.Dec()
+	l := &leaseState{job: st.job(), owner: owner, cancel: cancel}
+	r.leases[st.ID] = l
+	status := StatusLeased
+	if l.local() {
+		status = StatusRunning
+	}
+	r.move(st.Status, status)
+	st.Status, st.Worker = status, owner
+	return l
+}
+
 // Complete finishes a leased job with the outcome its owner reported. The
 // record's identity fields are rebuilt from the lease (the wire is not
 // trusted to name the job it was granted); seq must match the outstanding
 // lease or the result is dropped with ErrStaleLease — the job was
 // requeued after the owner was declared dead, and whoever holds the new
-// lease owns the result.
+// lease owns the result. A job a local slot runs is no remote owner's to
+// complete, and is stale too.
 func (r *Runner) Complete(id string, seq uint64, rec Record) error {
 	r.mu.Lock()
 	l := r.leases[id]
-	if l == nil || l.seq != seq {
+	if l == nil || l.seq != seq || l.local() || l.landing {
 		r.mu.Unlock()
 		return fmt.Errorf("%w: job %s seq %d", ErrStaleLease, id, seq)
 	}
-	delete(r.leases, id)
-	delete(r.cancelReq, id)
+	l.landing = true
 	r.mu.Unlock()
+	r.land(l, rec)
+	return nil
+}
 
+// land finishes the job of lease l with the outcome its holder reported;
+// the lease leaves the table as the job turns terminal.
+func (r *Runner) land(l *leaseState, rec Record) {
+	id := l.job.ID()
 	rec.ID = id
 	rec.Experiment = l.job.Experiment
 	rec.Options = l.job.Options
@@ -755,28 +763,36 @@ func (r *Runner) Complete(id string, seq uint64, rec Record) error {
 	persisted := r.persist(&rec)
 
 	r.mu.Lock()
+	delete(r.leases, id)
 	r.finish(r.jobs[id], rec, persisted)
 	r.mu.Unlock()
-	return nil
+	if l.local() {
+		l.cancel()
+	}
 }
 
-// Requeue takes back every lease held by owner: cancel-requested jobs
-// finalize as canceled (the cancel beat the worker's death), the rest
-// return to the front of the queue with their streams intact so attached
-// subscribers ride through the worker loss. Returns how many jobs took
-// each path.
+// Requeue takes back every lease held by the remote owner whose result is
+// not landing: cancel-requested jobs finalize as canceled (the cancel beat
+// the worker's death), the rest return to the front of the queue in the
+// order they were leased, keeping any stream so attached subscribers ride
+// through the worker loss. Returns how many jobs took each path.
 func (r *Runner) Requeue(owner string) (requeued, canceled int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for id, l := range r.leases {
-		if l.owner != owner {
-			continue
+	var lost []*leaseState
+	for _, l := range r.leases {
+		if l.owner == owner && !l.local() && !l.landing {
+			lost = append(lost, l)
 		}
+	}
+	// Pushed to the front last-leased first.
+	slices.SortFunc(lost, func(a, b *leaseState) int { return cmp.Compare(b.seq, a.seq) })
+	for _, l := range lost {
+		id := l.job.ID()
 		delete(r.leases, id)
 		st := r.jobs[id]
 		st.Worker = ""
-		if _, drop := r.cancelReq[id]; drop {
-			delete(r.cancelReq, id)
+		if l.canceled {
 			rec := Record{ID: id, Experiment: l.job.Experiment, Options: l.job.Options,
 				Status: StatusCanceled, Error: "canceled while leased to a lost worker"}
 			r.finish(st, rec, r.record(rec))
@@ -792,11 +808,12 @@ func (r *Runner) Requeue(owner string) (requeued, canceled int) {
 	return requeued, canceled
 }
 
-// LeaseCount reports how many jobs are currently leased out.
+// LeaseCount reports how many jobs are currently leased out to remote
+// owners: the jobs that read leased.
 func (r *Runner) LeaseCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.leases)
+	return r.counts[StatusLeased]
 }
 
 // PublishEvent republishes a live round event reported by a remote worker
@@ -805,9 +822,30 @@ func (r *Runner) LeaseCount() int {
 // streams drop silently — events are observability, not state.
 func (r *Runner) PublishEvent(id string, ev obs.RoundEvent) {
 	r.mu.Lock()
-	s := r.streams[id]
+	s := r.stream(id)
 	r.mu.Unlock()
 	s.Publish(ev) // nil-receiver safe
+}
+
+// stream returns job id's event stream, made on first use — a subscriber,
+// a published event or a local slot's start — if the job is queued,
+// leased or running; a finished job has only the one it kept for late
+// subscribers. Callers hold r.mu.
+func (r *Runner) stream(id string) *obs.RoundStream {
+	if s := r.streams[id]; s != nil {
+		return s
+	}
+	st, ok := r.jobs[id]
+	if !ok {
+		return nil
+	}
+	switch st.Status {
+	case StatusDone, StatusFailed, StatusCanceled:
+		return nil
+	}
+	s := obs.NewRoundStream()
+	r.streams[id] = s
+	return s
 }
 
 // Subscribe attaches to a job's live round-event stream: the channel
@@ -822,7 +860,7 @@ func (r *Runner) PublishEvent(id string, ev obs.RoundEvent) {
 func (r *Runner) Subscribe(id string, buf int) (<-chan obs.RoundEvent, func(), error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if s := r.streams[id]; s != nil {
+	if s := r.stream(id); s != nil {
 		ch, cancel := s.Subscribe(buf)
 		return ch, cancel, nil
 	}
@@ -940,12 +978,12 @@ func (f filter) match(status Status, experiment string) bool {
 	return (f.status == "" || status == f.status) && (f.experiment == "" || experiment == f.experiment)
 }
 
-// Wait blocks until the queue is drained, no job is running locally, and
-// no lease is outstanding.
+// Wait blocks until the queue is drained and no lease, local or remote, is
+// outstanding.
 func (r *Runner) Wait() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for r.queue.n > 0 || r.active > 0 || len(r.leases) > 0 {
+	for r.queue.n > 0 || len(r.leases) > 0 {
 		r.cond.Wait()
 	}
 }
