@@ -123,9 +123,8 @@ func (k idKey) hash() uint64 {
 type Status string
 
 // Job lifecycle states. StatusDone, StatusFailed, and StatusCanceled are
-// terminal; those three plus StatusLeased are persisted (a leased record
-// is non-terminal bookkeeping — it names the worker holding the job, and
-// any later record for the job supersedes it).
+// terminal, and only they are persisted: a queued, leased or running job
+// is live, and lives in the runner's memory alone.
 const (
 	StatusQueued   Status = "queued"
 	StatusRunning  Status = "running"
@@ -134,3 +133,9 @@ const (
 	StatusFailed   Status = "failed"
 	StatusCanceled Status = "canceled"
 )
+
+// live reports whether s is the status of a job that has not finished,
+// which only the runner's memory holds.
+func (s Status) live() bool {
+	return s == StatusQueued || s == StatusRunning || s == StatusLeased
+}

@@ -49,9 +49,9 @@ var (
 //
 // One execution path: a job starts only by being leased, and runs only
 // through Run. A local slot is a lease holder on the runner's own lease
-// table with no transport; its lease holds the job's cancel, has no
-// fencing sequence and is never persisted, and its job reads "running"
-// with no worker, where a remote owner's reads "leased".
+// table with no transport; its lease holds the job's cancel and has no
+// fencing sequence, and its job reads "running" with no worker, where a
+// remote owner's reads "leased".
 //
 // Concurrency budget: the slots bound how many experiments run at once
 // locally. Inside them, client training runs on the process-wide compute
@@ -82,8 +82,9 @@ var (
 // lost owner's jobs to the front of the queue in the order they were
 // leased. Every remote lease carries a fencing sequence number so a
 // result from an expired lease is dropped instead of double-finishing a
-// job, and a lease record is persisted so the store shows which worker
-// held what across a control-daemon restart.
+// job. A lease lives only in memory: the store holds terminal records
+// alone, each naming the worker that produced it, and a restart forgets
+// the leases as it forgets the queue.
 type Runner struct {
 	store    *Store
 	token    uint32 // names this runner's jobs in the store's index
@@ -106,13 +107,9 @@ type Runner struct {
 	counts   map[Status]int              // jobs of order by status, for Counts
 	streams  map[string]*obs.RoundStream // see stream
 	leases   map[string]*leaseState      // local and remote, until finish
-	// leaseWrites counts, by job, the lease records Lease is still
-	// appending: one landing after the job's terminal record would
-	// supersede it in the index, so such a job stays in jobs (finish).
-	leaseWrites map[string]int
-	leaseSeq    uint64
-	closed      bool
-	wg          sync.WaitGroup
+	leaseSeq uint64
+	closed   bool
+	wg       sync.WaitGroup
 }
 
 // orderKey is a job ID as order holds it: the digest of its idKey and
@@ -187,17 +184,16 @@ func New(store *Store, slots int, opts ...Option) *Runner {
 		slots = 0
 	}
 	r := &Runner{
-		store:       store,
-		token:       store.newLister(),
-		slots:       slots,
-		execute:     ExecuteJob,
-		ready:       make(chan struct{}, 1),
-		jobs:        make(map[string]*JobState),
-		expOf:       make(map[string]uint32),
-		counts:      make(map[Status]int),
-		streams:     make(map[string]*obs.RoundStream),
-		leases:      make(map[string]*leaseState),
-		leaseWrites: make(map[string]int),
+		store:   store,
+		token:   store.newLister(),
+		slots:   slots,
+		execute: ExecuteJob,
+		ready:   make(chan struct{}, 1),
+		jobs:    make(map[string]*JobState),
+		expOf:   make(map[string]uint32),
+		counts:  make(map[Status]int),
+		streams: make(map[string]*obs.RoundStream),
+		leases:  make(map[string]*leaseState),
 	}
 	r.cond = sync.NewCond(&r.mu)
 	for _, opt := range opts {
@@ -543,7 +539,8 @@ func (r *Runner) slot() {
 // persist appends a terminal rec to the store and reports whether the
 // store now holds it, reconciling a persistence failure into the record: a
 // result that exists but did not persist is surfaced loudly as a failure
-// rather than pretending the store has it.
+// rather than pretending the store has it. Every record the runner writes
+// goes through here.
 func (r *Runner) persist(rec *Record) bool {
 	if r.store == nil {
 		return false
@@ -564,31 +561,15 @@ func (r *Runner) persist(rec *Record) bool {
 	return false
 }
 
-// record appends one bookkeeping record (a lease, or a cancel the runner
-// decided) and reports whether the store now holds it; a failure is
-// reported on stderr, not to the caller, whose operation stands.
-func (r *Runner) record(rec Record) bool {
-	if r.store == nil {
-		return false
-	}
-	if err := r.store.append(rec, r.token); err != nil {
-		fmt.Fprintf(os.Stderr, "runner: persist %s %s: %v\n", rec.Status, rec.ID, err)
-		return false
-	}
-	return true
-}
-
 // finish makes a live job terminal with rec, which the store holds if
 // persisted. The store is then the job's only home: the job leaves jobs,
 // and its stream too unless it published events a late subscriber still
-// replays. The runner keeps the job when the store does not hold rec, or
-// when a lease record of the job is still being written and would
-// supersede rec in the index. The stream closes in the same critical
-// section that makes the status terminal: a subscriber whose channel
-// closed can trust that the job already reads terminal, and a retry
-// requeued via Submit can never interleave between the two (it would have
-// seen a live job and returned as-is). See TestRunnerFailedRetry*.
-// Callers hold r.mu.
+// replays. The runner keeps the job when the store does not hold rec. The
+// stream closes in the same critical section that makes the status
+// terminal: a subscriber whose channel closed can trust that the job
+// already reads terminal, and a retry requeued via Submit can never
+// interleave between the two (it would have seen a live job and returned
+// as-is). See TestRunnerFailedRetry*. Callers hold r.mu.
 func (r *Runner) finish(st *JobState, rec Record, persisted bool) {
 	id := rec.ID
 	r.move(st.Status, rec.Status)
@@ -598,7 +579,7 @@ func (r *Runner) finish(st *JobState, rec Record, persisted bool) {
 	if stream.Empty() {
 		delete(r.streams, id)
 	}
-	if persisted && r.leaseWrites[id] == 0 {
+	if persisted {
 		delete(r.jobs, id)
 		r.shrinkLive()
 	} else {
@@ -656,53 +637,29 @@ func (r *Runner) Cancel(id string) (JobState, string, error) {
 	}
 	rec := Record{ID: id, Experiment: st.Experiment, Options: st.Options,
 		Status: StatusCanceled, Error: "canceled before execution"}
-	r.finish(st, rec, r.record(rec))
+	r.finish(st, rec, r.persist(&rec))
 	return rec, "", nil
 }
 
 // Lease pops up to max queued jobs and grants them to the named remote
-// owner. Each grant carries a fresh fencing sequence and appends a lease
-// record to the store, so the on-disk history shows which worker held
-// which job across control-daemon restarts (a leased record is
-// non-terminal: resubmitting the job after a restart re-runs it).
+// owner, each with a fresh fencing sequence. A lease is not written to the
+// store: it lives in memory until its job lands, and a restart forgets it
+// as it forgets the queue, so a job leased at the crash is resubmitted
+// like one that was queued.
 func (r *Runner) Lease(owner string, max int) []Leased {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed || max <= 0 {
-		r.mu.Unlock()
 		return nil
 	}
 	n := min(max, r.queue.n)
 	out := make([]Leased, 0, n)
-	recs := make([]Record, 0, n)
-	for i := 0; i < n; i++ {
+	for range n {
 		l := r.grant(owner, nil)
 		r.leaseSeq++
 		l.seq = r.leaseSeq
-		id := l.job.ID()
-		if r.store != nil {
-			r.leaseWrites[id]++
-		}
 		out = append(out, Leased{Job: l.job, Seq: l.seq})
-		recs = append(recs, Record{ID: id, Experiment: l.job.Experiment,
-			Options: l.job.Options, Status: StatusLeased, Worker: owner})
 	}
-	r.mu.Unlock()
-	if r.store == nil || n == 0 {
-		return out
-	}
-	for i := range recs {
-		// Lease records are visibility, not correctness (the fencing seq
-		// lives in memory): failing to persist one must not fail the grant.
-		r.record(recs[i])
-	}
-	r.mu.Lock()
-	for i := range recs {
-		id := recs[i].ID
-		if r.leaseWrites[id]--; r.leaseWrites[id] == 0 {
-			delete(r.leaseWrites, id)
-		}
-	}
-	r.mu.Unlock()
 	return out
 }
 
@@ -795,7 +752,7 @@ func (r *Runner) Requeue(owner string) (requeued, canceled int) {
 		if l.canceled {
 			rec := Record{ID: id, Experiment: l.job.Experiment, Options: l.job.Options,
 				Status: StatusCanceled, Error: "canceled while leased to a lost worker"}
-			r.finish(st, rec, r.record(rec))
+			r.finish(st, rec, r.persist(&rec))
 			canceled++
 			continue
 		}
@@ -835,12 +792,7 @@ func (r *Runner) stream(id string) *obs.RoundStream {
 	if s := r.streams[id]; s != nil {
 		return s
 	}
-	st, ok := r.jobs[id]
-	if !ok {
-		return nil
-	}
-	switch st.Status {
-	case StatusDone, StatusFailed, StatusCanceled:
+	if st, ok := r.jobs[id]; !ok || !st.Status.live() {
 		return nil
 	}
 	s := obs.NewRoundStream()
@@ -994,8 +946,8 @@ func (r *Runner) Wait() {
 // to a fresh runner over the same store resumes exactly where this one
 // stopped — that is the shutdown story of aergiad, where draining a long
 // sweep would hold the process alive for hours. Outstanding remote leases
-// are likewise abandoned: late results are dropped as stale, and the
-// leased records in the store mark the jobs for re-submission.
+// are likewise abandoned: late results are dropped as stale, and as the
+// store holds no record of a leased job, resubmitting it runs it again.
 func (r *Runner) Close() {
 	r.mu.Lock()
 	r.closed = true

@@ -419,7 +419,8 @@ func TestRunnerRecoversFromPanickingExecutor(t *testing.T) {
 
 // TestRunnerSurfacesPersistFailures closes the store's file out from
 // under the runner so every Append fails, and checks that neither a
-// successful nor a failing job hides the persistence error.
+// successful nor a failing job, nor a cancel the runner decides, hides the
+// persistence error.
 func TestRunnerSurfacesPersistFailures(t *testing.T) {
 	store, err := Open(tempStore(t))
 	if err != nil {
@@ -458,6 +459,23 @@ func TestRunnerSurfacesPersistFailures(t *testing.T) {
 	st, _ := r2.Get(other.ID())
 	if st.Status != StatusFailed || !strings.Contains(st.Error, "job broke") || !strings.Contains(st.Error, "persist:") {
 		t.Fatalf("failed-and-unpersisted job = %+v, want both errors surfaced", st)
+	}
+
+	r3 := New(store, -1)
+	defer r3.Close()
+	queued, err := NewJob("fig4", experiments.Options{Quick: true, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r3.Submit(queued); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r3.Cancel(queued.ID()); err != nil {
+		t.Fatal(err)
+	}
+	st, _ = r3.Get(queued.ID())
+	if st.Status != StatusCanceled || !strings.Contains(st.Error, "canceled before execution") || !strings.Contains(st.Error, "persist:") {
+		t.Fatalf("canceled-and-unpersisted job = %+v, want the cancel and the persist error", st)
 	}
 }
 

@@ -27,8 +27,8 @@ type Record struct {
 	Status     Status              `json:"status"`
 	Elapsed    time.Duration       `json:"elapsed_ns,omitempty"`
 	Error      string              `json:"error,omitempty"`
-	// Worker names the federation worker that held (leased records) or
-	// produced (terminal records) this outcome; empty for local execution.
+	// Worker names the federation worker that produced this outcome;
+	// empty for local execution.
 	Worker string          `json:"worker,omitempty"`
 	Result json.RawMessage `json:"result,omitempty"`
 }
@@ -39,13 +39,15 @@ type Record struct {
 // artifact of a crash mid-write: a partial line, or unreadable lines with no
 // record behind them) is detected, dropped, and truncated away so the file
 // is valid JSONL again, while an unreadable line with a record behind it is
-// damage Open refuses to guess about; duplicate IDs are deduplicated —
-// a completed record is immutable, while a failed record is superseded by
-// any later record for the same job. The file is held under an exclusive
-// advisory lock, so a second process opening the same store (a stray
-// daemon, a concurrent `aergia -sweep`) fails fast instead of interleaving
-// writes. A nil *Store is valid and remembers nothing, for callers that
-// want the queue without persistence.
+// damage Open refuses to guess about. A record of a live status (the
+// leased lines older files hold) is skipped, so its job reads as never
+// finished. Duplicate IDs are deduplicated — a completed record is
+// immutable, while a failed record is superseded by any later record for
+// the same job. The file is held under an exclusive advisory lock, so a
+// second process opening the same store (a stray daemon, a concurrent
+// `aergia -sweep`) fails fast instead of interleaving writes. A nil *Store
+// is valid and remembers nothing, for callers that want the queue without
+// persistence.
 //
 // The in-memory index is the only home of a finished job in a Runner over
 // the store (see Runner), so it is kept compact: a 56 B storedRecord that
@@ -242,10 +244,15 @@ func holdsRecord(data []byte) bool {
 
 // remember merges rec, whose line occupies [off, off+n) in the file and
 // was written for the runner with token lister, into the in-memory index.
-// Completed records are immutable; anything else is superseded by a later
-// record. A job's lister survives a superseding record that names none.
-// Callers hold s.mu, or own s as load does.
+// A record of a live status is skipped. Completed records are immutable;
+// anything else is superseded by a later record. A job's lister survives a
+// superseding record that names none. Callers hold s.mu, or own s as load
+// does.
 func (s *Store) remember(rec Record, off int64, n int, lister uint32) {
+	if rec.Status.live() {
+		s.skipped++
+		return
+	}
 	k := keyOf(rec.ID)
 	e := storedRecord{seed: rec.Options.Seed, elapsed: rec.Elapsed,
 		off: off, n: uint32(n), profile: s.internProfile(rec.Experiment, rec.Options),
@@ -334,7 +341,8 @@ func (s *Store) payload(i int, id string) (json.RawMessage, error) {
 }
 
 // Append persists one record and merges it into the in-memory view. The
-// line is synced to disk before Append returns.
+// line is synced to disk before Append returns. A record of a live status
+// is written but, as Open would, not indexed.
 func (s *Store) Append(rec Record) error { return s.append(rec, 0) }
 
 // append is Append for the runner with token lister, which the index
@@ -485,8 +493,9 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
-// Skipped reports how many lines were dropped or superseded during load
-// and appends: truncated tails plus duplicate IDs.
+// Skipped reports how many lines were dropped, skipped or superseded
+// during load and appends: truncated tails, records of a live status, and
+// duplicate IDs.
 func (s *Store) Skipped() int {
 	if s == nil {
 		return 0

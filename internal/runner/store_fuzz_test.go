@@ -15,8 +15,9 @@ import (
 
 // FuzzStoreTornTail cuts a valid store at any byte and glues arbitrary bytes
 // behind the cut — what a crash, a full disk or a power loss can leave of
-// the last appends. Open must come back with every record that was whole
-// before the tear, leave the file appendable, and refuse only what it
+// the last appends. Open must come back with every finished job whose
+// record was whole before the tear and no job whose only whole lines are
+// leased, leave the file appendable, and refuse only what it
 // cannot tell from damage in the middle of the file: an unreadable line
 // with a readable record behind it. Whatever it indexes must read back as
 // the line it came from (indexMatchesFile), and so must the same records
@@ -116,6 +117,16 @@ func FuzzStoreTornTail(f *testing.F) {
 
 		// The oracle: behind the last whole line, find the first line that
 		// is not a record; a record anywhere after it is mid-file damage.
+		// The records before it are what Open loads, with the image's.
+		var whole []Record
+		for i := 0; i < kept; i++ {
+			start := 0
+			if i > 0 {
+				start = ends[i-1]
+			}
+			r, _ := parseRecord(image[start : ends[i]-1])
+			whole = append(whole, r)
+		}
 		rest := file
 		if kept > 0 {
 			rest = file[ends[kept-1]:]
@@ -126,9 +137,12 @@ func FuzzStoreTornTail(f *testing.F) {
 			if nl < 0 {
 				break
 			}
-			_, err := parseRecord(rest[:nl])
+			r, err := parseRecord(rest[:nl])
 			refuse = refuse || damaged && err == nil
 			damaged = damaged || err != nil
+			if !damaged {
+				whole = append(whole, r)
+			}
 			rest = rest[nl+1:]
 		}
 
@@ -143,13 +157,14 @@ func FuzzStoreTornTail(f *testing.F) {
 		if err != nil {
 			t.Fatalf("torn tail not recovered: %v", err)
 		}
-		final := map[string]Record{} // what the whole lines say, later lines superseding
-		for i := 0; i < kept; i++ {
-			start := 0
-			if i > 0 {
-				start = ends[i-1]
+		// What the whole lines say: a leased line (or a queued or running
+		// one) is ignored, and a later line supersedes all but a done one.
+		final := map[string]Record{}
+		for _, r := range whole {
+			switch r.Status {
+			case StatusLeased, StatusQueued, StatusRunning:
+				continue
 			}
-			r, _ := parseRecord(image[start : ends[i]-1])
 			if prev, ok := final[r.ID]; !ok || prev.Status != StatusDone {
 				final[r.ID] = r
 			}
@@ -174,6 +189,15 @@ func FuzzStoreTornTail(f *testing.F) {
 			}
 			if want.Status == StatusDone && (got.Status != StatusDone || !bytes.Equal(got.Result, want.Result)) {
 				t.Fatalf("done record %s came back as %s %s, want %s", id, got.Status, got.Result, want.Result)
+			}
+		}
+		// A job whose whole lines are all leased never finished.
+		for _, r := range whole {
+			if _, ok := final[r.ID]; ok {
+				continue
+			}
+			if got, ok := s.Get(r.ID); ok {
+				t.Fatalf("job %s, whose only whole lines are leased, reads %+v", r.ID, got)
 			}
 		}
 		// The file must be whole lines again: an append lands on its own
