@@ -186,8 +186,8 @@ func TestExecuteJobAbandonsOnCancel(t *testing.T) {
 	}
 }
 
-// TestRunnerLeaseLifecycle drives the remote path end to end: grant,
-// persisted lease records, completion with the worker's record, and the
+// TestRunnerLeaseLifecycle drives the remote path end to end: grant (which
+// the store does not record), completion with the worker's record, and the
 // fencing that drops a stale duplicate completion.
 func TestRunnerLeaseLifecycle(t *testing.T) {
 	store, err := Open(tempStore(t))
