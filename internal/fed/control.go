@@ -57,12 +57,11 @@ type workerState struct {
 	// credit is how many more jobs the worker asked for than the queue
 	// held: its parked lease request. The next request replaces it.
 	credit int
+	// owner is the worker's lease-owner key in the runner, formatted once
+	// at admission. It includes the node ID so two workers started with
+	// the same -name can never requeue or complete each other's leases.
+	owner string
 }
-
-// owner is the worker's lease-owner key in the runner. It includes the
-// node ID so two workers started with the same -name can never requeue
-// or complete each other's leases.
-func (ws *workerState) owner() string { return fmt.Sprintf("%d:%s", ws.id, ws.name) }
 
 // Control is the federation's coordinator: it listens as rpc.ControlID,
 // admits workers, grants leases from the runner's queue — at once when a
@@ -193,7 +192,7 @@ func (c *Control) spendParked() {
 // worker must already be out of c.workers.
 func (c *Control) evict(ws *workerState, why string) {
 	c.peer.DropRoute(ws.id)
-	requeued, canceled := c.r.Requeue(ws.owner())
+	requeued, canceled := c.r.Requeue(ws.owner)
 	fm().workers.Dec()
 	fm().workersLost.Inc()
 	fm().leaseActive.With(ws.name).Set(0)
@@ -201,14 +200,14 @@ func (c *Control) evict(ws *workerState, why string) {
 		fm().requeued.With(ws.name).Add(float64(requeued))
 	}
 	fmt.Fprintf(os.Stderr, "fed: worker %s evicted (%s): %d requeued, %d canceled\n",
-		ws.owner(), why, requeued, canceled)
+		ws.owner, why, requeued, canceled)
 }
 
 // admit registers (or re-registers) a worker and opens a route to it.
 // Callers hold c.mu.
 func (c *Control) admit(id comm.NodeID, name, addr string, slots int) *workerState {
-	ws := &workerState{id: id, name: name, addr: addr, slots: slots,
-		lastSeen: time.Now(), leased: make(map[string]struct{})}
+	ws := &workerState{id: id, name: name, owner: fmt.Sprintf("%d:%s", id, name),
+		addr: addr, slots: slots, lastSeen: time.Now(), leased: make(map[string]struct{})}
 	c.workers[id] = ws
 	c.peer.AddRoute(id, addr)
 	fm().workers.Inc()
@@ -291,7 +290,7 @@ func (c *Control) grant(ws *workerState, ack bool) {
 		return // evicted or replaced since the caller looked it up
 	}
 	want := min(ws.credit, ws.slots-len(ws.leased))
-	owner, name := ws.owner(), ws.name
+	owner, name := ws.owner, ws.name
 	c.mu.Unlock()
 
 	leases := c.r.Lease(owner, want)
@@ -299,8 +298,9 @@ func (c *Control) grant(ws *workerState, ack bool) {
 		return
 	}
 	gp := rpc.LeaseGrantPayload{Leases: make([]rpc.Lease, 0, len(leases))}
-	for _, l := range leases {
-		spec, err := json.Marshal(l.Job)
+	for i := range leases {
+		l := &leases[i] // an addressable job: omitzero boxes no copy of its options
+		spec, err := json.Marshal(&l.Job)
 		if err != nil {
 			// Options is plain data; Marshal cannot fail. Guard anyway:
 			// give the job back rather than losing it.

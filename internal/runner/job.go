@@ -51,21 +51,34 @@ func NewJob(experiment string, opt experiments.Options) (Job, error) {
 // across processes, so they double as the dedup/resume key of the result
 // store and the job URL of the daemon; hashing the JSON (rather than a
 // hand-picked field list) keeps the key in lockstep with the Options
-// schema as it grows.
+// schema as it grows. A job built by NewJob answers from its cache and
+// allocates nothing; the cold path is jobID, kept out of line so that
+// ID takes no address of j and a cached call moves nothing to the heap.
 func (j Job) ID() string {
 	if j.id != "" {
 		return j.id
 	}
-	opts, err := json.Marshal(j.Options)
+	return jobID(j.Experiment, j.Options)
+}
+
+// jobID hashes experiment|opts. It encodes through a pointer to its own
+// copy of the options, whose fields are then addressable, so json's
+// omitzero checks box no copy of chaos.Plan or hier.Options; the hash
+// input is built in a stack buffer.
+//
+//go:noinline
+func jobID(experiment string, opts experiments.Options) string {
+	enc, err := json.Marshal(&opts)
 	if err != nil {
 		// Options is a struct of plain scalars; Marshal cannot fail.
 		panic(fmt.Sprintf("runner: marshal options: %v", err))
 	}
-	sum := sha256.Sum256(append([]byte(j.Experiment+"|"), opts...))
+	var stack [256]byte
+	sum := sha256.Sum256(append(append(append(stack[:0], experiment...), '|'), enc...))
 	// 96 bits of digest: collisions stay negligible even for sweeps of
 	// billions of cells, where a shorter prefix's birthday bound would
 	// silently serve one job's stored result as another's.
-	return idKey{digest: [12]byte(sum[:12]), experiment: j.Experiment}.String()
+	return idKey{digest: [12]byte(sum[:12]), experiment: experiment}.String()
 }
 
 // idKey is a job ID as the store's index and the runner's order hold it.
@@ -134,8 +147,9 @@ const (
 	StatusCanceled Status = "canceled"
 )
 
-// live reports whether s is the status of a job that has not finished,
-// which only the runner's memory holds.
-func (s Status) live() bool {
-	return s == StatusQueued || s == StatusRunning || s == StatusLeased
+// terminal reports whether s is the status of a finished job, the only
+// kind the store indexes: a live job lives in the runner's memory alone,
+// and a status this package does not know is no finished job.
+func (s Status) terminal() bool {
+	return s == StatusDone || s == StatusFailed || s == StatusCanceled
 }

@@ -168,3 +168,63 @@ func TestStoreOpensOldLeaseLines(t *testing.T) {
 		t.Fatalf("Counts = %v, want 2 done and 3 queued", c)
 	}
 }
+
+// TestStoreSkipsUnknownStatuses appends a record of a status the package
+// does not know, "paused", and one with no status, as a damaged or a
+// future file could hold. Neither is a finished job: after Append, and
+// after Open of a copy of the file, the store does not index them and
+// counts both in Skipped, Cancel answers ErrUnknownJob rather than
+// ErrJobFinished, and Submit runs both jobs.
+func TestStoreSkipsUnknownStatuses(t *testing.T) {
+	jobs := []Job{
+		mustJob(t, "fig4", experiments.Options{Quick: true, Seed: 1}),
+		mustJob(t, "fig4", experiments.Options{Quick: true, Seed: 2}),
+	}
+	check := func(when string, s *Store) {
+		t.Helper()
+		defer s.Close()
+		if n, skipped := s.Len(), s.Skipped(); n != 0 || skipped != 2 {
+			t.Fatalf("%s: the store indexes %d jobs and skipped %d lines; want 0 and 2", when, n, skipped)
+		}
+		var count atomic.Int64
+		r := New(s, 1, WithExecutor(countingExecutor(&count)))
+		defer r.Close()
+		for _, j := range jobs {
+			if st, _, err := r.Cancel(j.ID()); !errors.Is(err, ErrUnknownJob) {
+				t.Fatalf("%s: Cancel of %s = %+v, %v; want ErrUnknownJob", when, j.ID(), st, err)
+			}
+		}
+		if _, err := r.SubmitAll(jobs); err != nil {
+			t.Fatal(err)
+		}
+		r.Wait()
+		if n := count.Load(); n != 2 {
+			t.Fatalf("%s: Submit ran %d jobs, want both", when, n)
+		}
+	}
+
+	path := tempStore(t)
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, status := range []Status{"paused", ""} {
+		j := jobs[i]
+		if err := s.Append(Record{ID: j.ID(), Experiment: j.Experiment, Options: j.Options, Status: status}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after Append", s)
+	copied := filepath.Join(t.TempDir(), "copy.jsonl")
+	if err := os.WriteFile(copied, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(copied); err != nil {
+		t.Fatal(err)
+	}
+	check("after Open", s)
+}

@@ -792,7 +792,7 @@ func (r *Runner) stream(id string) *obs.RoundStream {
 	if s := r.streams[id]; s != nil {
 		return s
 	}
-	if st, ok := r.jobs[id]; !ok || !st.Status.live() {
+	if st, ok := r.jobs[id]; !ok || st.Status.terminal() {
 		return nil
 	}
 	s := obs.NewRoundStream()

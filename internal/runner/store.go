@@ -35,13 +35,17 @@ type Record struct {
 
 // Store is a crash-safe append-only JSONL file of Records.
 //
-// Each Append writes one line and syncs it. On Open, a torn tail (the
-// artifact of a crash mid-write: a partial line, or unreadable lines with no
-// record behind them) is detected, dropped, and truncated away so the file
-// is valid JSONL again, while an unreadable line with a record behind it is
-// damage Open refuses to guess about. A record of a live status (the
-// leased lines older files hold) is skipped, so its job reads as never
-// finished. Duplicate IDs are deduplicated — a completed record is
+// Each Append encodes one line, writes it and syncs it, all under the
+// store's lock. The line is encoded through a pointer into a scratch
+// Record and buffer the store owns, so its bytes are json.Marshal's and it
+// allocates nothing once the index has room (DESIGN.md §5). On Open, a
+// torn tail (the artifact of a crash mid-write: a partial line, or
+// unreadable lines with no record behind them) is detected, dropped, and
+// truncated away so the file is valid JSONL again, while an unreadable
+// line with a record behind it is damage Open refuses to guess about. A
+// record whose status is not terminal (the leased lines older files hold,
+// or a status this package does not know) is skipped, so its job reads as
+// never finished. Duplicate IDs are deduplicated — a completed record is
 // immutable, while a failed record is superseded by any later record for
 // the same job. The file is held under an exclusive advisory lock, so a
 // second process opening the same store (a stray daemon, a concurrent
@@ -71,6 +75,11 @@ type Store struct {
 	ids       map[int]string // the ID by entry index, for the few with oddID
 	listers   uint32         // tokens handed out by newLister
 	skipped   int
+	// append's scratch, reused from line to line. It encodes &rec, so json's
+	// omitzero checks find the options addressable and box no copy.
+	rec Record
+	buf bytes.Buffer
+	enc *json.Encoder
 }
 
 // label is a record's status and worker. The pairs repeat across
@@ -165,6 +174,7 @@ func Open(path string) (*Store, error) {
 	s := &Store{f: f, path: path, byID: make([]uint32, 8),
 		profileOf: make(map[profile]uint32), labelOf: make(map[label]uint32),
 		errs: make(map[int]string), ids: make(map[int]string)}
+	s.enc = json.NewEncoder(&s.buf)
 	if err := s.load(); err != nil {
 		f.Close()
 		return nil, err
@@ -244,12 +254,12 @@ func holdsRecord(data []byte) bool {
 
 // remember merges rec, whose line occupies [off, off+n) in the file and
 // was written for the runner with token lister, into the in-memory index.
-// A record of a live status is skipped. Completed records are immutable;
-// anything else is superseded by a later record. A job's lister survives a
-// superseding record that names none. Callers hold s.mu, or own s as load
-// does.
+// A record whose status is not terminal is skipped. Completed records
+// are immutable; anything else is superseded by a later record. A job's
+// lister survives a superseding record that names none. Callers hold s.mu,
+// or own s as load does.
 func (s *Store) remember(rec Record, off int64, n int, lister uint32) {
-	if rec.Status.live() {
+	if !rec.Status.terminal() {
 		s.skipped++
 		return
 	}
@@ -341,8 +351,8 @@ func (s *Store) payload(i int, id string) (json.RawMessage, error) {
 }
 
 // Append persists one record and merges it into the in-memory view. The
-// line is synced to disk before Append returns. A record of a live status
-// is written but, as Open would, not indexed.
+// line is synced to disk before Append returns. A record whose status is
+// not terminal is written but, as Open would, not indexed.
 func (s *Store) Append(rec Record) error { return s.append(rec, 0) }
 
 // append is Append for the runner with token lister, which the index
@@ -351,11 +361,23 @@ func (s *Store) append(rec Record, lister uint32) error {
 	if s == nil {
 		return nil
 	}
-	line, err := json.Marshal(rec)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.rec = rec
+	err := s.enc.Encode(&s.rec)
+	s.rec = Record{}
+	defer func() {
+		// Reuse the buffer, unless a large result grew it.
+		if s.buf.Reset(); s.buf.Cap() > 64<<10 {
+			s.buf = bytes.Buffer{}
+		}
+	}()
 	if err != nil {
 		return fmt.Errorf("runner: marshal record %s: %w", rec.ID, err)
 	}
-	if len(line) > math.MaxUint32 {
+	line := s.buf.Bytes() // Encode's newline ends it
+	n := len(line) - 1
+	if n > math.MaxUint32 {
 		return fmt.Errorf("runner: record %s is over 4 GiB", rec.ID)
 	}
 	if bytes.Contains(line, []byte(`\ufffd`)) {
@@ -369,10 +391,6 @@ func (s *Store) append(rec Record, lister uint32) error {
 		}
 		rec = exact
 	}
-	n := len(line)
-	line = append(line, '\n')
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, err := s.f.Write(line); err != nil {
 		// A short write would leave an unterminated prefix that, once
 		// another record follows it, becomes mid-file corruption; roll the
@@ -494,8 +512,8 @@ func (s *Store) Len() int {
 }
 
 // Skipped reports how many lines were dropped, skipped or superseded
-// during load and appends: truncated tails, records of a live status, and
-// duplicate IDs.
+// during load and appends: truncated tails, records whose status is not
+// terminal, and duplicate IDs.
 func (s *Store) Skipped() int {
 	if s == nil {
 		return 0

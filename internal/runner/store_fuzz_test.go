@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -9,15 +10,18 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"aergia/internal/chaos"
 	"aergia/internal/experiments"
+	"aergia/internal/hier"
 )
 
 // FuzzStoreTornTail cuts a valid store at any byte and glues arbitrary bytes
 // behind the cut — what a crash, a full disk or a power loss can leave of
 // the last appends. Open must come back with every finished job whose
-// record was whole before the tear and no job whose only whole lines are
-// leased, leave the file appendable, and refuse only what it
+// record was whole before the tear and no job none of whose whole lines
+// is terminal, leave the file appendable, and refuse only what it
 // cannot tell from damage in the middle of the file: an unreadable line
 // with a readable record behind it. Whatever it indexes must read back as
 // the line it came from (indexMatchesFile), and so must the same records
@@ -157,12 +161,14 @@ func FuzzStoreTornTail(f *testing.F) {
 		if err != nil {
 			t.Fatalf("torn tail not recovered: %v", err)
 		}
-		// What the whole lines say: a leased line (or a queued or running
-		// one) is ignored, and a later line supersedes all but a done one.
+		// What the whole lines say: a line whose status is not terminal (a
+		// leased one, or one of no status the package knows) is ignored,
+		// and a later line supersedes all but a done one.
 		final := map[string]Record{}
 		for _, r := range whole {
 			switch r.Status {
-			case StatusLeased, StatusQueued, StatusRunning:
+			case StatusDone, StatusFailed, StatusCanceled:
+			default:
 				continue
 			}
 			if prev, ok := final[r.ID]; !ok || prev.Status != StatusDone {
@@ -191,13 +197,13 @@ func FuzzStoreTornTail(f *testing.F) {
 				t.Fatalf("done record %s came back as %s %s, want %s", id, got.Status, got.Result, want.Result)
 			}
 		}
-		// A job whose whole lines are all leased never finished.
+		// A job none of whose whole lines is terminal never finished.
 		for _, r := range whole {
 			if _, ok := final[r.ID]; ok {
 				continue
 			}
 			if got, ok := s.Get(r.ID); ok {
-				t.Fatalf("job %s, whose only whole lines are leased, reads %+v", r.ID, got)
+				t.Fatalf("job %s, none of whose whole lines is terminal, reads %+v", r.ID, got)
 			}
 		}
 		// The file must be whole lines again: an append lands on its own
@@ -256,4 +262,90 @@ func indexMatchesFile(t *testing.T, s *Store, path string) {
 			t.Fatalf("Meta(%q) = %+v, the line decodes to %+v", id, got, want)
 		}
 	}
+}
+
+// FuzzRecordLine holds the store's encoder to json.Marshal. For arbitrary
+// ID, experiment, error, worker and option strings — bytes that are not
+// UTF-8, <>&, U+2028, the \ufffd escape spelled out — and results that
+// are JSON or not, the line Store.Append writes is json.Marshal of the
+// record and a newline, and the two fail on the same records. Open then
+// indexes what Append indexed. The grant spec, the job marshalled through
+// a pointer, is the job marshalled by value, and Job.ID is the digest of
+// experiment|json.Marshal(options).
+func FuzzRecordLine(f *testing.F) {
+	for _, s := range []string{"", "fig4", "<>&", "a\u2028b\u2029", `\ufffd`, "\ufffd", "\xff\xc3(", `"}\`, "\u00e9\U0001f600"} {
+		f.Add(s, s, s, s, s, uint64(7), 0.25, 2, uint8(0), []byte(`{"experiment":"fig4","data":[1, 2]}`))
+		f.Add("fig4-"+s, "fig4", s, "1:w"+s, "serial", uint64(1), 0.0, 0, uint8(1), []byte(s))
+	}
+	f.Add("x", "table1", "", "", "", uint64(0), -0.0, 0, uint8(2), []byte(`{"a":"< >"}`))
+	f.Add("x", "table1", "e", "w", "", uint64(0), 1e300, 0, uint8(3), []byte(`{"a":1`))
+	f.Add("x", "table1", "e", "w", "", uint64(0), 0.5, 1, uint8(0), []byte("\"\xff\""))
+
+	f.Fuzz(func(t *testing.T, id, experiment, errText, worker, backend string, seed uint64, churn float64,
+		tiers int, status uint8, result []byte) {
+		if id == "" {
+			t.Skip("a record without an ID is no record")
+		}
+		opts := experiments.Options{Seed: seed, Backend: backend, Codec: worker,
+			Chaos: chaos.Plan{Churn: churn}, Hier: hier.Options{Tiers: tiers}}
+		job := Job{Experiment: experiment, Options: opts}
+		byValue, verr := json.Marshal(job)
+		spec, perr := json.Marshal(&job)
+		if !bytes.Equal(spec, byValue) || (verr == nil) != (perr == nil) {
+			t.Fatalf("the grant spec reads %s, %v; by value %s, %v", spec, perr, byValue, verr)
+		}
+		if optJSON, err := json.Marshal(opts); err == nil {
+			sum := sha256.Sum256([]byte(experiment + "|" + string(optJSON)))
+			if want := (idKey{digest: [12]byte(sum[:12]), experiment: experiment}).String(); job.ID() != want {
+				t.Fatalf("Job.ID = %s, the digest of its options' JSON names %s", job.ID(), want)
+			}
+		}
+
+		rec := Record{ID: id, Experiment: experiment, Options: opts,
+			Status:  []Status{StatusDone, StatusFailed, StatusCanceled, "paused"}[status%4],
+			Elapsed: time.Duration(seed), Error: errText, Worker: worker, Result: result}
+		want, merr := json.Marshal(rec)
+		path := tempStore(t)
+		s, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { s.Close() }()
+		aerr := s.Append(rec)
+		if (merr == nil) != (aerr == nil) {
+			t.Fatalf("json.Marshal fails with %v, Append with %v", merr, aerr)
+		}
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if merr != nil {
+			want = nil
+		} else {
+			want = append(want, '\n')
+		}
+		if !bytes.Equal(file, want) {
+			t.Fatalf("Append wrote\n%q\njson.Marshal writes\n%q", file, want)
+		}
+		indexed := func() []Record {
+			var out []Record
+			for _, meta := range s.List() {
+				full, _ := s.Get(meta.ID)
+				out = append(out, full)
+			}
+			return out
+		}
+		appended := indexed()
+		if len(appended) != 0 && !rec.Status.terminal() || aerr == nil && rec.Status.terminal() && len(appended) != 1 {
+			t.Fatalf("a %s record appended indexes %+v", rec.Status, appended)
+		}
+		indexMatchesFile(t, s, path)
+		s.Close()
+		if s, err = Open(path); err != nil {
+			t.Fatal(err)
+		}
+		if opened := indexed(); !reflect.DeepEqual(opened, appended) {
+			t.Fatalf("Open indexes %+v; Append indexed %+v", opened, appended)
+		}
+	})
 }
