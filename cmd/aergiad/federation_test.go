@@ -49,7 +49,18 @@ func newControlServer(t *testing.T, storePath string) (*httptest.Server, *runner
 func TestDaemonFederationEndToEnd(t *testing.T) {
 	ts, _ := newControlServer(t, filepath.Join(t.TempDir(), "store.jsonl"))
 
+	// The job the test cancels runs until it is canceled, and says when it
+	// has started: it reads leased from then on, whatever the timing.
+	started := make(chan struct{}, 1)
 	exec := func(ctx context.Context, j runner.Job) (json.RawMessage, error) {
+		if j.Experiment == "fig6" {
+			select {
+			case started <- struct{}{}:
+			default:
+			}
+			<-ctx.Done()
+			return nil, runner.ErrCanceled
+		}
 		select {
 		case <-time.After(10 * time.Millisecond):
 		case <-ctx.Done():
@@ -102,18 +113,16 @@ func TestDaemonFederationEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := submitted.Jobs[0].ID
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var got runner.JobState
-		getJSON(t, ts.URL+"/jobs/"+id, &got)
-		if got.Status == runner.StatusLeased {
-			break
-		}
-		if got.Status == runner.StatusDone || time.Now().After(deadline) {
-			t.Fatalf("job never observed leased: %+v", got)
-		}
-		time.Sleep(2 * time.Millisecond)
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the job to cancel never started")
 	}
+	var leased runner.JobState
+	if getJSON(t, ts.URL+"/jobs/"+id, &leased); leased.Status != runner.StatusLeased {
+		t.Fatalf("running remote job = %+v, want leased", leased)
+	}
+	deadline := time.Now().Add(10 * time.Second)
 	if code, body := deleteJob(t, ts.URL+"/jobs/"+id); code != http.StatusAccepted {
 		t.Fatalf("cancel leased = %d: %s", code, body)
 	}

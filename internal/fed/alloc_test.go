@@ -13,7 +13,7 @@ import (
 // controlBytesPerJob is what one no-op job costs the control and an
 // in-process worker together, in bytes allocated: submit, lease, grant,
 // the wire both ways, the executor's record, the store's line.
-const controlBytesPerJob = 9630
+const controlBytesPerJob = 8180
 
 // TestControlAllocationPerJob pins the bytes a control over a store and one
 // worker over loopback allocate per job, over a batch of no-op jobs. The

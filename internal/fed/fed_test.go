@@ -292,3 +292,33 @@ func TestWorkerSurvivesPanickingExecutor(t *testing.T) {
 	}
 	waitFor(t, 5*time.Second, "worker to free its slot", func() bool { return w.Active() == 0 })
 }
+
+// TestWorkerReportsAnOversizedResultFailed: a record over the wire's cap
+// for a result (16 MiB) cannot cross to the control, so the worker reports
+// the job failed at once, with an error that names the cap, instead of
+// leaving it to a heartbeat timeout; its next job lands as usual.
+func TestWorkerReportsAnOversizedResultFailed(t *testing.T) {
+	r, _, joinURL := testControlEvery(t, nil, noPolling)
+	huge := make(json.RawMessage, 16<<20)
+	exec := func(_ context.Context, j runner.Job) (json.RawMessage, error) {
+		if j.Options.Seed == 1 {
+			return huge, nil
+		}
+		return json.RawMessage(`{}`), nil
+	}
+	jobs := submitSeeds(t, r, 2)
+	w, err := Join(WorkerConfig{ControlURL: joinURL, Name: "w1", Slots: 1, Execute: exec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	waitFor(t, 5*time.Second, "both jobs to finish", func() bool {
+		first, _ := r.Get(jobs[0].ID())
+		second, _ := r.Get(jobs[1].ID())
+		return first.Status == runner.StatusFailed && second.Status == runner.StatusDone
+	})
+	if st, _ := r.Get(jobs[0].ID()); !strings.Contains(st.Error, "result frame") ||
+		!strings.Contains(st.Error, "cap of 16777216 bytes") || !strings.Contains(st.Worker, "w1") {
+		t.Fatalf("oversized job = %+v, want failed on w1 naming the result cap", st)
+	}
+}

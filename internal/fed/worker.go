@@ -3,6 +3,7 @@ package fed
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -283,14 +284,23 @@ func (w *Worker) run(l rpc.Lease, job runner.Job, ctx context.Context) {
 	w.maybeRequestLeases()
 }
 
-// report sends one terminal record to the control. A send failure is
-// survivable: the control declares this worker dead after the heartbeat
-// timeout and requeues the job.
+// report sends one terminal record to the control. A record over the
+// wire's cap for a result is reported failed instead, naming the cap, so
+// the job does not wait out a heartbeat timeout to be run again. A send
+// failure is survivable: the control declares this worker dead after the
+// heartbeat timeout and requeues the job.
 func (w *Worker) report(id string, seq uint64, rec runner.Record) {
-	if err := w.send(rpc.ResultPayload{
+	p := rpc.ResultPayload{
 		ID: id, Seq: seq, Status: string(rec.Status),
 		ElapsedNS: rec.Elapsed.Nanoseconds(), Error: rec.Error, Result: rec.Result,
-	}); err != nil {
+	}
+	err := w.send(p)
+	if tooLarge := (*rpc.FrameTooLargeError)(nil); errors.As(err, &tooLarge) {
+		p.Status, p.Result = string(runner.StatusFailed), nil
+		p.Error = fmt.Sprintf("worker %s: %v", w.cfg.Name, err)
+		err = w.send(p)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "fed: worker %s: report %s: %v\n", w.cfg.Name, id, err)
 	}
 }

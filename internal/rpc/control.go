@@ -5,17 +5,14 @@
 // that references a job carries the lease sequence number the control
 // issued, so results from expired leases are detectable and droppable.
 //
-// Payloads deliberately carry job specs and records as opaque JSON bytes:
-// the rpc layer stays ignorant of the runner's schema, and a control and
-// worker built from slightly different binaries fail loudly at JSON decode
-// instead of silently at gob type mismatch.
+// Each payload has a fixed layout on the wire (wire.go) under a tag of its
+// own, so none goes through gob or needs registering. Job specs, records
+// and round events travel as opaque JSON bytes: the rpc layer stays
+// ignorant of the runner's schema. A control and a worker of different
+// builds do not talk at all: the connection's preface refuses them.
 package rpc
 
-import (
-	"encoding/gob"
-
-	"aergia/internal/comm"
-)
+import "aergia/internal/comm"
 
 // ControlID is the well-known node identity of the control daemon on the
 // federation network, far outside both the client ID space (0..n-1) and
@@ -113,17 +110,4 @@ type CancelPayload struct {
 // (typically after a control restart) and it should exit and rejoin.
 type ByePayload struct {
 	Reason string
-}
-
-func init() {
-	// Control payloads ride the same gob envelope as FL payloads; register
-	// them once so any binary that links the rpc layer can federate.
-	gob.Register(HelloPayload{})
-	gob.Register(LeaseRequestPayload{})
-	gob.Register(LeaseGrantPayload{})
-	gob.Register(HeartbeatPayload{})
-	gob.Register(ResultPayload{})
-	gob.Register(EventPayload{})
-	gob.Register(CancelPayload{})
-	gob.Register(ByePayload{})
 }

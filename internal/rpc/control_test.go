@@ -37,7 +37,7 @@ func (c *ctlCollector) next(t *testing.T) comm.Message {
 
 // TestControlProtocolRoundTrip drives the register→lease→result exchange
 // over real TCP: a worker peer attaches with Hello, pulls work, and the
-// control's grant and the worker's result survive the gob hop intact —
+// control's grant and the worker's result survive the wire hop intact —
 // including the opaque JSON spec/record bytes and the fencing Seq.
 func TestControlProtocolRoundTrip(t *testing.T) {
 	control := newCtlCollector()

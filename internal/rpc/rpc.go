@@ -3,10 +3,14 @@
 // simulator also run as an actual distributed deployment (the paper's
 // testbed is peer-to-peer RPC over a fully connected network, §5.1).
 //
-// Framing is gob over persistent connections; payload types must be
-// registered with RegisterPayload before use. Delivery is asynchronous and
-// reliable per connection; each peer serializes handler invocations so
-// actors keep their single-threaded semantics.
+// Each message is one length-prefixed frame on a persistent connection
+// (wire.go, DESIGN.md §13): the control plane's payloads have a fixed
+// layout of their own, and every other payload is gob inside its frame,
+// its type registered with RegisterPayload before use. A connection opens
+// with a versioned preface, so a peer from another build is refused by
+// name. Delivery is asynchronous and reliable per connection; each peer
+// serializes handler invocations so actors keep their single-threaded
+// semantics.
 package rpc
 
 import (
@@ -21,21 +25,9 @@ import (
 )
 
 // RegisterPayload registers a payload type for gob encoding. Call once per
-// concrete payload type before opening peers.
+// concrete payload type before opening peers. The control plane's payloads
+// (control.go) need none.
 func RegisterPayload(v any) { gob.Register(v) }
-
-// wireMessage is the on-the-wire envelope. Span rides along so a causal
-// trace survives the socket hop; it stays outside Size (observability
-// metadata is never charged as payload bytes).
-type wireMessage struct {
-	From    comm.NodeID
-	To      comm.NodeID
-	Round   int
-	Kind    comm.Kind
-	Size    int
-	Span    comm.SpanContext
-	Payload any
-}
 
 // ErrClosed is returned when sending through a closed peer.
 var ErrClosed = errors.New("rpc: peer closed")
@@ -46,6 +38,7 @@ type Peer struct {
 	ln      net.Listener
 	handler comm.Handler
 	epoch   time.Time
+	env     *env
 
 	mu       sync.Mutex
 	registry map[comm.NodeID]string
@@ -62,7 +55,7 @@ type Peer struct {
 type outConn struct {
 	mu   sync.Mutex
 	conn net.Conn
-	enc  *gob.Encoder
+	w    frameWriter
 }
 
 // Listen starts a peer on addr (e.g. "127.0.0.1:0") delivering inbound
@@ -81,6 +74,7 @@ func Listen(id comm.NodeID, addr string, handler comm.Handler) (*Peer, error) {
 		conns:    make(map[comm.NodeID]*outConn),
 		inbound:  make(map[net.Conn]struct{}),
 	}
+	p.env = &env{peer: p}
 	p.wg.Add(1)
 	go p.acceptLoop()
 	return p, nil
@@ -129,12 +123,7 @@ func (p *Peer) DropRoute(id comm.NodeID) {
 	}
 	oc.mu.Lock()
 	defer oc.mu.Unlock()
-	if oc.conn != nil {
-		if cerr := oc.conn.Close(); cerr != nil {
-			_ = cerr // best-effort teardown of an abandoned route
-		}
-		oc.conn, oc.enc = nil, nil
-	}
+	oc.drop()
 }
 
 // Send stamps the sender and delivers msg, returning the transport error
@@ -179,43 +168,23 @@ func (p *Peer) readLoop(conn net.Conn) {
 		delete(p.inbound, conn)
 		p.mu.Unlock()
 	}()
-	dec := gob.NewDecoder(conn)
+	if err := exchangePrefaces(conn); err != nil {
+		return // a peer from another build: its dialer reads our preface and says so
+	}
+	fr := newFrameReader(conn)
 	for {
-		msg, err := readFrame(dec)
+		msg, err := fr.readFrame()
 		if err != nil {
 			return
 		}
 		p.handleMu.Lock()
-		p.handler.OnMessage(p.Env(), msg)
+		p.handler.OnMessage(p.env, msg)
 		p.handleMu.Unlock()
 	}
 }
 
-// readFrame decodes the next envelope from a peer's byte stream. The bytes
-// are untrusted: a truncated frame, a length prefix larger than the stream
-// delivers, or a value of another type is an error that ends the
-// connection, never a panic. gob refuses a length over its frame cap and
-// reads anything under it in 10 MiB chunks as the bytes arrive, so a forged
-// length costs one chunk, not what it promises (FuzzReadFrame holds it to
-// that).
-func readFrame(dec *gob.Decoder) (comm.Message, error) {
-	var wm wireMessage
-	if err := dec.Decode(&wm); err != nil {
-		return comm.Message{}, err
-	}
-	return comm.Message{
-		From:    wm.From,
-		To:      wm.To,
-		Round:   wm.Round,
-		Kind:    wm.Kind,
-		Size:    wm.Size,
-		Span:    wm.Span,
-		Payload: wm.Payload,
-	}, nil
-}
-
 // Env returns the comm.Env for this peer.
-func (p *Peer) Env() comm.Env { return &env{peer: p} }
+func (p *Peer) Env() comm.Env { return p.env }
 
 // Invoke runs fn while holding the peer's handler lock, so it is serialized
 // with message handling exactly like a delivered message. Use it to start
@@ -248,39 +217,80 @@ func (p *Peer) send(msg comm.Message) error {
 
 	oc.mu.Lock()
 	defer oc.mu.Unlock()
-	wm := wireMessage{
-		From:    msg.From,
-		To:      msg.To,
-		Round:   msg.Round,
-		Kind:    msg.Kind,
-		Size:    msg.Size,
-		Span:    msg.Span,
-		Payload: msg.Payload,
+	return oc.send(&msg, addr)
+}
+
+// send writes msg's frame, dialing when the connection is down; a stale
+// connection is replaced once. A control payload is laid out before the
+// connection is touched, so one over its cap is refused with nothing
+// written and the connection up. A gob payload goes through the
+// connection's encoder, and its failure gives the connection up: the
+// encoder may have recorded type descriptors the peer never got.
+func (oc *outConn) send(msg *comm.Message, addr string) error {
+	var frame []byte
+	gobbed := payloadTag(msg.Payload) == tagGob
+	if !gobbed {
+		var err error
+		if frame, err = oc.w.frame(msg); err != nil {
+			return err
+		}
 	}
-	if oc.conn != nil {
-		if err := oc.enc.Encode(&wm); err == nil {
+	for fresh := oc.conn == nil; ; fresh = true {
+		if oc.conn == nil {
+			if err := oc.dial(msg.To, addr); err != nil {
+				return err
+			}
+		}
+		if gobbed {
+			var err error
+			if frame, err = oc.w.frame(msg); err != nil {
+				oc.drop()
+				return fmt.Errorf("rpc: send to node %d: %w", msg.To, err)
+			}
+		}
+		_, err := oc.conn.Write(frame)
+		if err == nil {
 			return nil
 		}
-		// Stale connection; reconnect once.
-		if err := oc.conn.Close(); err != nil {
-			_ = err // best-effort close of a broken connection
+		oc.drop()
+		if fresh {
+			return fmt.Errorf("rpc: send to node %d: %w", msg.To, err)
 		}
-		oc.conn, oc.enc = nil, nil
 	}
+}
+
+// dial connects to the peer and exchanges prefaces.
+func (oc *outConn) dial(to comm.NodeID, addr string) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		return fmt.Errorf("rpc: dial node %d at %s: %w", msg.To, addr, err)
+		return fmt.Errorf("rpc: dial node %d at %s: %w", to, addr, err)
+	}
+	err = conn.SetReadDeadline(time.Now().Add(prefaceTimeout))
+	if err == nil {
+		err = exchangePrefaces(conn)
+	}
+	if err == nil {
+		err = conn.SetReadDeadline(time.Time{})
+	}
+	if err != nil {
+		if cerr := conn.Close(); cerr != nil {
+			_ = cerr // the handshake's error is the one to report
+		}
+		return fmt.Errorf("rpc: node %d at %s: %w", to, addr, err)
 	}
 	oc.conn = conn
-	oc.enc = gob.NewEncoder(conn)
-	if err := oc.enc.Encode(&wm); err != nil {
-		if cerr := conn.Close(); cerr != nil {
-			_ = cerr
-		}
-		oc.conn, oc.enc = nil, nil
-		return fmt.Errorf("rpc: send to node %d: %w", msg.To, err)
-	}
 	return nil
+}
+
+// drop closes the connection, and with it the gob stream's state.
+func (oc *outConn) drop() {
+	if oc.conn == nil {
+		return
+	}
+	if err := oc.conn.Close(); err != nil {
+		_ = err // best-effort close of a broken or abandoned connection
+	}
+	oc.conn, oc.w.enc = nil, nil
 }
 
 // beginClose marks the peer closed so further sends fail fast with
