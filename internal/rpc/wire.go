@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"time"
 
 	"aergia/internal/comm"
@@ -36,9 +37,9 @@ const wireVersion = 1
 // instead of waiting for bytes that never come.
 var preface = [8]byte{0x80, 'a', 'e', 'r', 'g', 'i', 'a', wireVersion}
 
-// ErrWireVersion is wrapped by the error a send returns when the peer's
+// errWireVersion is wrapped by the error a send returns when the peer's
 // preface is not this build's: a peer from another build is refused.
-var ErrWireVersion = errors.New("rpc: the peer is from another build")
+var errWireVersion = errors.New("rpc: the peer is from another build")
 
 // prefaceTimeout bounds how long a dialer waits for the listener's preface.
 const prefaceTimeout = 5 * time.Second
@@ -81,11 +82,12 @@ var frameCaps = [numTags]int{
 	tagBye:          64 << 10,
 }
 
-// readBase and writeBase size a connection's buffers. A frame over one is
-// read or laid out in a buffer of its own, dropped after the frame.
+// bufSize sizes a connection's read buffer and its write buffer. A frame
+// over it is read or laid out in a buffer of its own, kept for the next
+// frame unless it grew past keepMax, as Store.append keeps its own.
 const (
-	readBase  = 4 << 10
-	writeBase = 4 << 10
+	bufSize = 4 << 10
+	keepMax = 64 << 10
 )
 
 // FrameTooLargeError reports a message whose frame is over its payload's
@@ -113,9 +115,9 @@ func exchangePrefaces(conn net.Conn) error {
 	case got == preface:
 		return nil
 	case [7]byte(got[:7]) == [7]byte(preface[:7]):
-		return fmt.Errorf("%w: it speaks wire version %d, this build %d", ErrWireVersion, got[7], wireVersion)
+		return fmt.Errorf("%w: it speaks wire version %d, this build %d", errWireVersion, got[7], wireVersion)
 	default:
-		return fmt.Errorf("%w: its preface is % x", ErrWireVersion, got)
+		return fmt.Errorf("%w: its preface is % x", errWireVersion, got)
 	}
 }
 
@@ -133,7 +135,7 @@ func (a *appender) Write(p []byte) (int, error) {
 
 // frameWriter lays one connection's messages out as frames.
 type frameWriter struct {
-	buf []byte       // writeBase bytes, made at the first frame
+	buf []byte       // bufSize bytes, made at the first frame, or what a frame grew it to
 	out appender     // what enc writes a frame through
 	enc *gob.Encoder // made at the connection's first gob payload
 	box gobBox
@@ -164,12 +166,12 @@ func payloadTag(v any) tag {
 	return tagGob
 }
 
-// frame lays msg out as one frame and returns it, in buf until the next
-// call unless it outgrew buf. A gob payload's error leaves the encoder's
-// stream state unknown, so the caller must then give up the connection.
+// frame lays msg out as one frame and returns it; it is valid until the
+// next call. A gob payload's error leaves the encoder's stream state
+// unknown, so the caller must then give up the connection.
 func (fw *frameWriter) frame(msg *comm.Message) ([]byte, error) {
 	if fw.buf == nil {
-		fw.buf = make([]byte, 0, writeBase)
+		fw.buf = make([]byte, 0, bufSize)
 	}
 	t := payloadTag(msg.Payload)
 	b := append(fw.buf[:0], 0, 0, 0, 0, byte(t))
@@ -189,6 +191,9 @@ func (fw *frameWriter) frame(msg *comm.Message) ([]byte, error) {
 		}
 	} else {
 		b = appendPayload(b, msg.Payload)
+	}
+	if cap(b) <= keepMax {
+		fw.buf = b[:0]
 	}
 	if n := len(b) - 4; n > frameCaps[t] {
 		return nil, &FrameTooLargeError{Payload: tagNames[t], Size: n, Cap: frameCaps[t]}
@@ -248,14 +253,15 @@ func appendPayload(b []byte, v any) []byte {
 
 // frameReader reads one connection's frames through one buffer.
 type frameReader struct {
-	r     *bufio.Reader // readBase bytes
+	r     *bufio.Reader // bufSize bytes
+	large []byte        // the last frame over r's buffer, unless it was over keepMax
 	gobIn bytes.Reader
 	dec   *gob.Decoder // made at the connection's first gob payload
 	box   gobBox
 }
 
 func newFrameReader(r io.Reader) *frameReader {
-	return &frameReader{r: bufio.NewReaderSize(r, readBase)}
+	return &frameReader{r: bufio.NewReaderSize(r, bufSize)}
 }
 
 // readFrame reads and decodes the next frame. The bytes are untrusted: a
@@ -301,19 +307,26 @@ func (fr *frameReader) readFrame() (comm.Message, error) {
 	return msg, err
 }
 
-// readLarge reads a frame of n bytes that does not fit the buffer into one
-// of its own, grown no faster than bytes arrive.
+// readLarge reads a frame of n bytes that does not fit the read buffer into
+// a buffer of its own: the last one's, grown first to keepMax and then no
+// faster than bytes arrive, so a length the stream does not deliver costs
+// keepMax and what was delivered, not what it promised.
 func (fr *frameReader) readLarge(n int) ([]byte, error) {
-	b := make([]byte, min(n, 2*readBase))
-	for filled := 0; ; {
-		if _, err := io.ReadFull(fr.r, b[filled:]); err != nil {
+	b := fr.large[:0]
+	for len(b) < n {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, min(n, max(2*len(b), keepMax))-len(b))
+		}
+		m, err := io.ReadFull(fr.r, b[len(b):min(n, cap(b))])
+		b = b[:len(b)+m]
+		if err != nil {
 			return nil, midFrame(err)
 		}
-		if filled = len(b); filled == n {
-			return b, nil
-		}
-		b = append(b, make([]byte, min(n-filled, filled))...)
 	}
+	if cap(b) <= keepMax {
+		fr.large = b
+	}
+	return b, nil
 }
 
 // midFrame is the error for a stream that ended inside a frame.

@@ -180,8 +180,8 @@ func TestPeerFromAnotherBuildIsRefused(t *testing.T) {
 	defer a.Close()
 	a.AddRoute(2, ln.Addr().String())
 	err = a.Send(comm.Message{To: 2, Payload: ByePayload{Reason: "x"}})
-	if !errors.Is(err, ErrWireVersion) || !strings.Contains(err.Error(), "wire version 2, this build 1") {
-		t.Fatalf("send to another build = %v, want ErrWireVersion naming both versions", err)
+	if !errors.Is(err, errWireVersion) || !strings.Contains(err.Error(), "wire version 2, this build 1") {
+		t.Fatalf("send to another build = %v, want a refusal naming both versions", err)
 	}
 
 	// A dialer speaking bare gob: the peer answers with its preface and
@@ -208,28 +208,51 @@ func TestPeerFromAnotherBuildIsRefused(t *testing.T) {
 }
 
 // TestLargeFramesRoundTrip reads back frames over the read buffer, gob
-// and control alike, between small ones on the same stream.
+// and control alike, between small ones on the same stream. It compares
+// them once all are read: a payload owns its bytes, so reading the next
+// frame into the same buffer leaves it as it was.
 func TestLargeFramesRoundTrip(t *testing.T) {
 	RegisterPayload(pingPayload{})
-	text := strings.Repeat("0123456789", 3*readBase)
+	text := strings.Repeat("0123456789", 3*bufSize)
 	sent := []comm.Message{
 		{From: 1, Payload: pingPayload{Text: text}},
 		{From: 2, Payload: LeaseRequestPayload{Want: 1}},
 		{From: 3, Payload: ResultPayload{ID: "fig4-00", Status: "done", Result: []byte(text)}},
 		{From: 4, Payload: pingPayload{Text: "small"}},
-		{From: 5, Payload: EventPayload{ID: "fig4-00", Event: []byte(text[:readBase])}},
+		{From: 5, Payload: EventPayload{ID: "fig4-00", Event: []byte(text[:bufSize])}},
+		{From: 6, Payload: EventPayload{ID: "fig4-01", Event: []byte(text[1 : 2*bufSize])}},
+		{From: 7, Payload: pingPayload{Text: text[3 : 3*bufSize]}},
 	}
 	fr := newFrameReader(bytes.NewReader(frames(t, sent...)))
-	for _, want := range sent {
-		got, err := fr.readFrame()
+	var got []comm.Message
+	for range sent {
+		msg, err := fr.readFrame()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("read back a %T from node %d that differs from the one sent", got.Payload, got.From)
-		}
+		got = append(got, msg)
 	}
 	if _, err := fr.readFrame(); err != io.EOF {
 		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+	for i := range sent {
+		if !reflect.DeepEqual(got[i], sent[i]) {
+			t.Fatalf("read back a %T from node %d that differs from the one sent", got[i].Payload, got[i].From)
+		}
+	}
+}
+
+// TestReadFrameRefusesALengthOverItsCap: each tag's cap is checked on the
+// length alone, before a byte of the frame is read or allocated for.
+func TestReadFrameRefusesALengthOverItsCap(t *testing.T) {
+	for tg := tagNil; tg < numTags; tg++ {
+		stream := append(lengthFor(uint32(frameCaps[tg])+1, tg), make([]byte, 2*bufSize)...)
+		fr := newFrameReader(bytes.NewReader(stream))
+		if _, err := fr.readFrame(); err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("a %s frame one byte over its cap: %v, want refused", tagNames[tg], err)
+		}
+		if fr.large != nil {
+			t.Errorf("a %s frame over its cap got a buffer", tagNames[tg])
+		}
 	}
 }
