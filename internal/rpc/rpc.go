@@ -169,7 +169,7 @@ func (p *Peer) readLoop(conn net.Conn) {
 		p.mu.Unlock()
 	}()
 	if err := exchangePrefaces(conn); err != nil {
-		return // a peer from another build: its dialer reads our preface and says so
+		return // hung up, or from another build: such a dialer reads our preface and says so
 	}
 	fr := newFrameReader(conn)
 	for {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"time"
 
 	"aergia/internal/comm"
@@ -315,7 +314,8 @@ func (fr *frameReader) readLarge(n int) ([]byte, error) {
 	b := fr.large[:0]
 	for len(b) < n {
 		if len(b) == cap(b) {
-			b = slices.Grow(b, min(n, max(2*len(b), keepMax))-len(b))
+			grown := make([]byte, len(b), min(n, max(2*len(b), keepMax)))
+			b = grown[:copy(grown, b)]
 		}
 		m, err := io.ReadFull(fr.r, b[len(b):min(n, cap(b))])
 		b = b[:len(b)+m]
