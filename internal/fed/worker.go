@@ -295,7 +295,7 @@ func (w *Worker) report(id string, seq uint64, rec runner.Record) {
 		ElapsedNS: rec.Elapsed.Nanoseconds(), Error: rec.Error, Result: rec.Result,
 	}
 	err := w.send(p)
-	if tooLarge := (*rpc.FrameTooLargeError)(nil); errors.As(err, &tooLarge) {
+	if errors.Is(err, rpc.ErrFrameTooLarge) {
 		p.Status, p.Result = string(runner.StatusFailed), nil
 		p.Error = fmt.Sprintf("worker %s: %v", w.cfg.Name, err)
 		err = w.send(p)

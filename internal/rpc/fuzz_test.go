@@ -94,9 +94,18 @@ func FuzzReadFrame(f *testing.F) {
 	grant := frames(f, controlMessages[2])
 	binary.LittleEndian.PutUint32(grant[4+headerSize:], 1<<31)
 	f.Add(grant)
-	// Bytes that are not gob inside a gob frame.
-	junk := append(lengthFor(headerSize+4, tagGob), make([]byte, headerSize-1)...)
-	f.Add(append(junk, 0x03, 0xff, 0x81, 0x02))
+	// Bytes that are not gob inside a gob frame, and gob message counts
+	// that are malformed or promise more than the frame holds: gob would
+	// make a buffer of the count before reading it.
+	gobFrame := func(body ...byte) []byte {
+		fr := append(lengthFor(uint32(headerSize+len(body)), tagGob), make([]byte, headerSize-1)...)
+		return append(fr, body...)
+	}
+	f.Add(gobFrame(0x03, 0xff, 0x81, 0x02))
+	f.Add(gobFrame(0x80, 0x00))
+	f.Add(gobFrame(0xf7, 1, 2, 3, 4, 5, 6, 7, 8, 9))
+	f.Add(gobFrame(0xfd, 0x90, 0x00, 0x00))
+	f.Add(gobFrame(0x02, 0x00))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats

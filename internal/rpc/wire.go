@@ -83,22 +83,18 @@ var frameCaps = [numTags]int{
 
 // bufSize sizes a connection's read buffer and its write buffer. A frame
 // over it is read or laid out in a buffer of its own, kept for the next
-// frame unless it grew past keepMax, as Store.append keeps its own.
+// frame unless it grew past keepMax, as Store.append keeps its own. A gob
+// frame's buffer is kept whatever its size, as gob's encoder keeps its
+// own: a connection that carries models reuses one model-sized buffer
+// each way instead of allocating one a message.
 const (
 	bufSize = 4 << 10
 	keepMax = 64 << 10
 )
 
-// FrameTooLargeError reports a message whose frame is over its payload's
-// cap. Nothing of it was sent.
-type FrameTooLargeError struct {
-	Payload   string // the payload's wire name, e.g. "result"
-	Size, Cap int    // the frame's length and its cap, in bytes
-}
-
-func (e *FrameTooLargeError) Error() string {
-	return fmt.Sprintf("rpc: a %s frame of %d bytes is over its cap of %d bytes", e.Payload, e.Size, e.Cap)
-}
+// ErrFrameTooLarge is wrapped by the error a send returns for a message
+// whose frame is over its payload's cap. Nothing of it was sent.
+var ErrFrameTooLarge = errors.New("rpc: frame too large")
 
 // exchangePrefaces opens a connection, either side: it sends this build's
 // preface and checks the peer's.
@@ -191,11 +187,11 @@ func (fw *frameWriter) frame(msg *comm.Message) ([]byte, error) {
 	} else {
 		b = appendPayload(b, msg.Payload)
 	}
-	if cap(b) <= keepMax {
-		fw.buf = b[:0]
-	}
 	if n := len(b) - 4; n > frameCaps[t] {
-		return nil, &FrameTooLargeError{Payload: tagNames[t], Size: n, Cap: frameCaps[t]}
+		return nil, fmt.Errorf("%w: a %s frame of %d bytes is over its cap of %d bytes", ErrFrameTooLarge, tagNames[t], n, frameCaps[t])
+	}
+	if cap(b) <= keepMax || t == tagGob {
+		fw.buf = b[:0]
 	}
 	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
 	return b, nil
@@ -253,7 +249,7 @@ func appendPayload(b []byte, v any) []byte {
 // frameReader reads one connection's frames through one buffer.
 type frameReader struct {
 	r     *bufio.Reader // bufSize bytes
-	large []byte        // the last frame over r's buffer, unless it was over keepMax
+	large []byte        // the last frame over r's buffer, unless it was a control frame over keepMax
 	gobIn bytes.Reader
 	dec   *gob.Decoder // made at the connection's first gob payload
 	box   gobBox
@@ -289,7 +285,7 @@ func (fr *frameReader) readFrame() (comm.Message, error) {
 		if _, err := fr.r.Discard(4); err != nil {
 			return comm.Message{}, err
 		}
-		frame, err := fr.readLarge(n)
+		frame, err := fr.readLarge(n, t == tagGob)
 		if err != nil {
 			return comm.Message{}, err
 		}
@@ -309,8 +305,9 @@ func (fr *frameReader) readFrame() (comm.Message, error) {
 // readLarge reads a frame of n bytes that does not fit the read buffer into
 // a buffer of its own: the last one's, grown first to keepMax and then no
 // faster than bytes arrive, so a length the stream does not deliver costs
-// keepMax and what was delivered, not what it promised.
-func (fr *frameReader) readLarge(n int) ([]byte, error) {
+// keepMax and what was delivered, not what it promised. The buffer is kept
+// for the next frame if it is small or keep is set.
+func (fr *frameReader) readLarge(n int, keep bool) ([]byte, error) {
 	b := fr.large[:0]
 	for len(b) < n {
 		if len(b) == cap(b) {
@@ -323,7 +320,7 @@ func (fr *frameReader) readLarge(n int) ([]byte, error) {
 			return nil, midFrame(err)
 		}
 	}
-	if cap(b) <= keepMax {
+	if cap(b) <= keepMax || keep {
 		fr.large = b
 	}
 	return b, nil
@@ -366,6 +363,9 @@ func (fr *frameReader) decode(frame []byte) (comm.Message, error) {
 }
 
 func (fr *frameReader) decodeGob(body []byte) (any, error) {
+	if err := checkGobCounts(body); err != nil {
+		return nil, err
+	}
 	if fr.dec == nil {
 		fr.dec = gob.NewDecoder(&fr.gobIn)
 	}
@@ -377,6 +377,31 @@ func (fr *frameReader) decodeGob(body []byte) (any, error) {
 		err = fmt.Errorf("rpc: %d bytes after a gob payload", fr.gobIn.Len())
 	}
 	return v, err
+}
+
+// checkGobCounts refuses a gob payload whose messages' byte counts do not
+// tile it, before gob allocates for one: gob makes a count's buffer before
+// it reads, so a forged count inside a small frame would cost up to gob's
+// 10 MiB read chunk.
+func checkGobCounts(body []byte) error {
+	for len(body) > 0 {
+		c, w := uint64(body[0]), 1
+		if c > 0x7f {
+			w += -int(int8(body[0]))
+			if w > 9 || w > len(body) {
+				return errors.New("rpc: a malformed gob message count")
+			}
+			c = 0
+			for _, x := range body[1:w] {
+				c = c<<8 | uint64(x)
+			}
+		}
+		if c > uint64(len(body)-w) {
+			return fmt.Errorf("rpc: a gob message of %d bytes with %d left in its frame", c, len(body)-w)
+		}
+		body = body[w+int(c):]
+	}
+	return nil
 }
 
 // payloadReader reads a control payload's fields off its frame.

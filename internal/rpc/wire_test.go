@@ -136,9 +136,8 @@ func TestSendRefusesAFrameOverItsCap(t *testing.T) {
 	big := small
 	big.Result = bytes.Repeat([]byte("x"), 200)
 	err := a.Send(comm.Message{To: 2, Payload: big})
-	var tooLarge *FrameTooLargeError
-	if !errors.As(err, &tooLarge) || tooLarge.Cap != 200 || !strings.Contains(err.Error(), "cap of 200 bytes") {
-		t.Fatalf("oversized send = %v, want a FrameTooLargeError naming the cap of 200", err)
+	if !errors.Is(err, ErrFrameTooLarge) || !strings.Contains(err.Error(), "result frame of 316 bytes is over its cap of 200 bytes") {
+		t.Fatalf("oversized send = %v, want ErrFrameTooLarge naming the cap of 200", err)
 	}
 	if err := a.Send(comm.Message{To: 2, Round: 9, Payload: small}); err != nil {
 		t.Fatal(err)
@@ -238,6 +237,37 @@ func TestLargeFramesRoundTrip(t *testing.T) {
 	for i := range sent {
 		if !reflect.DeepEqual(got[i], sent[i]) {
 			t.Fatalf("read back a %T from node %d that differs from the one sent", got[i].Payload, got[i].From)
+		}
+	}
+}
+
+// TestLargeFrameBuffersKept: a connection keeps the buffer a gob frame
+// over keepMax grew, each way, so a stream of models reuses one; it drops
+// the one a control frame over keepMax grew.
+func TestLargeFrameBuffersKept(t *testing.T) {
+	RegisterPayload(pingPayload{})
+	text := strings.Repeat("x", 2*keepMax)
+	for _, c := range []struct {
+		payload any
+		kept    bool
+	}{
+		{pingPayload{Text: text}, true},
+		{ResultPayload{ID: "fig4-00", Status: "done", Result: []byte(text)}, false},
+	} {
+		var fw frameWriter
+		frame, err := fw.frame(&comm.Message{Payload: c.payload})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr := newFrameReader(bytes.NewReader(frame))
+		if _, err := fr.readFrame(); err != nil {
+			t.Fatal(err)
+		}
+		if kept := cap(fw.buf) >= len(frame); kept != c.kept {
+			t.Errorf("a %T frame of %d bytes: the writer kept its buffer %v, want %v", c.payload, len(frame), kept, c.kept)
+		}
+		if kept := cap(fr.large) >= len(frame)-4; kept != c.kept {
+			t.Errorf("a %T frame of %d bytes: the reader kept its buffer %v, want %v", c.payload, len(frame), kept, c.kept)
 		}
 	}
 }
