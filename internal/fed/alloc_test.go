@@ -16,7 +16,7 @@ import (
 // measured with pinnedToolchain: another release's runtime and standard
 // library allocate differently for reasons that are not a job's cost.
 const (
-	controlBytesPerJob = 8180
+	controlBytesPerJob = 2360
 	pinnedToolchain    = "go1.24.0"
 )
 

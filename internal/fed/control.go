@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -61,6 +62,11 @@ type workerState struct {
 	// at admission. It includes the node ID so two workers started with
 	// the same -name can never requeue or complete each other's leases.
 	owner string
+	// grant's scratch, reused from grant to grant: grants to one worker are
+	// sequential, and a send has framed its payload when it returns.
+	grant []rpc.Lease
+	specs bytes.Buffer
+	enc   *json.Encoder // writes to specs
 }
 
 // Control is the federation's coordinator: it listens as rpc.ControlID,
@@ -208,6 +214,7 @@ func (c *Control) evict(ws *workerState, why string) {
 func (c *Control) admit(id comm.NodeID, name, addr string, slots int) *workerState {
 	ws := &workerState{id: id, name: name, owner: fmt.Sprintf("%d:%s", id, name),
 		addr: addr, slots: slots, lastSeen: time.Now(), leased: make(map[string]struct{})}
+	ws.enc = json.NewEncoder(&ws.specs)
 	c.workers[id] = ws
 	c.peer.AddRoute(id, addr)
 	fm().workers.Inc()
@@ -297,18 +304,27 @@ func (c *Control) grant(ws *workerState, ack bool) {
 	if len(leases) == 0 && !ack {
 		return
 	}
-	gp := rpc.LeaseGrantPayload{Leases: make([]rpc.Lease, 0, len(leases))}
-	for i := range leases {
-		l := &leases[i] // an addressable job: omitzero boxes no copy of its options
-		spec, err := json.Marshal(&l.Job)
-		if err != nil {
-			// Options is plain data; Marshal cannot fail. Guard anyway:
+	// Each spec is the job as json.Marshal writes it, encoded from the
+	// runner's own copy (a pointer, so omitzero boxes no copy of its
+	// options) into the worker's buffer.
+	ws.specs.Reset()
+	for _, l := range leases {
+		if err := ws.enc.Encode(l.Job); err != nil {
+			// Options is plain data; encoding cannot fail. Guard anyway:
 			// give the job back rather than losing it.
 			c.r.Requeue(owner)
 			return
 		}
-		gp.Leases = append(gp.Leases, rpc.Lease{ID: l.Job.ID(), Seq: l.Seq, Spec: spec})
 	}
+	gp := rpc.LeaseGrantPayload{Leases: ws.grant[:0]}
+	specs := ws.specs.Bytes()
+	for _, l := range leases {
+		// Encode ends each spec with a newline, which no JSON value holds.
+		n := bytes.IndexByte(specs, '\n')
+		gp.Leases = append(gp.Leases, rpc.Lease{ID: l.Job.ID(), Seq: l.Seq, Spec: specs[:n]})
+		specs = specs[n+1:]
+	}
+	ws.grant = gp.Leases
 	err := c.send(ws.id, gp)
 	c.mu.Lock()
 	current := c.workers[ws.id] == ws

@@ -250,26 +250,20 @@ func (w *Worker) OnMessage(_ comm.Env, msg comm.Message) {
 
 // run executes one lease through runner.Run, the code a local slot runs
 // its leases with: live round events are forwarded to the control as they
-// happen, and the terminal record echoes the lease's fencing sequence.
+// happen, by a subscription the job's first event starts, so a job that
+// publishes none pays for neither subscription nor goroutine. They all
+// precede the terminal record, which echoes the lease's fencing sequence.
 func (w *Worker) run(l rpc.Lease, job runner.Job, ctx context.Context) {
 	defer w.wg.Done()
 	stream := obs.NewRoundStream()
-	ch, unsub := stream.Subscribe(64)
-	defer unsub()
 	var fwg sync.WaitGroup
-	fwg.Add(1)
-	go func() {
-		defer fwg.Done()
-		for ev := range ch {
-			b, err := json.Marshal(ev)
-			if err != nil {
-				continue
-			}
-			if err := w.send(rpc.EventPayload{ID: l.ID, Event: b}); err != nil {
-				_ = err // events are best-effort observability
-			}
-		}
-	}()
+	stream.OnFirstEvent(func() {
+		fwg.Add(1)
+		go func() {
+			defer fwg.Done()
+			w.forward(l.ID, stream)
+		}()
+	})
 	rec := runner.Run(ctx, job, stream, w.cfg.Execute)
 	stream.Close()
 	fwg.Wait()
@@ -282,6 +276,21 @@ func (w *Worker) run(l rpc.Lease, job runner.Job, ctx context.Context) {
 	w.mu.Unlock()
 	w.report(l.ID, l.Seq, rec)
 	w.maybeRequestLeases()
+}
+
+// forward sends the control job id's events from stream until it closes.
+func (w *Worker) forward(id string, stream *obs.RoundStream) {
+	ch, unsub := stream.Subscribe(64)
+	defer unsub()
+	for ev := range ch {
+		b, err := json.Marshal(ev)
+		if err != nil {
+			continue
+		}
+		if err := w.send(rpc.EventPayload{ID: id, Event: b}); err != nil {
+			_ = err // events are best-effort observability
+		}
+	}
 }
 
 // report sends one terminal record to the control. A record over the

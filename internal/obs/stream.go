@@ -58,6 +58,7 @@ type RoundStream struct {
 	nextSub int
 	closed  bool
 	fwd     *RoundStream // see Forward
+	first   func()       // see OnFirstEvent
 }
 
 // NewRoundStream returns an empty stream.
@@ -139,6 +140,10 @@ func (s *RoundStream) Announce(ev RoundEvent) {
 		return
 	}
 	s.history = append(s.history, ev)
+	if first := s.first; first != nil {
+		s.first = nil
+		first()
+	}
 	for _, ch := range s.subs {
 		select {
 		case ch <- ev:
@@ -164,6 +169,21 @@ func (s *RoundStream) Forward(dst *RoundStream) {
 		dst.Announce(ev)
 	}
 	s.fwd = dst
+}
+
+// OnFirstEvent has fn called once, as s announces its next event, so that
+// a consumer of a stream that may publish nothing subscribes only once it
+// does. fn runs with s locked: it must neither block nor call s, but what
+// it starts may Subscribe, whose replay then misses nothing. A closed
+// stream announces nothing, so once Close has returned fn is either done
+// or never called.
+func (s *RoundStream) OnFirstEvent(fn func()) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.first = fn
 }
 
 // Events returns a copy of everything published so far.

@@ -77,6 +77,38 @@ func TestRoundStreamForward(t *testing.T) {
 	}
 }
 
+// TestRoundStreamOnFirstEvent: the hook runs once, at the first event
+// announced after it is set, a forwarded one too, and never on a closed
+// stream; a subscriber it starts replays what came before.
+func TestRoundStreamOnFirstEvent(t *testing.T) {
+	src, s := NewRoundStream(), NewRoundStream()
+	src.Forward(s)
+	calls := 0
+	s.OnFirstEvent(func() { calls++ })
+	if calls != 0 {
+		t.Fatalf("the hook ran %d times before any event", calls)
+	}
+	src.Publish(RoundEvent{Round: 1})
+	s.Publish(RoundEvent{Round: 2})
+	if calls != 1 {
+		t.Fatalf("the hook ran %d times over two events, want 1", calls)
+	}
+	ch, cancel := s.Subscribe(1)
+	defer cancel()
+	if ev := <-ch; ev.Round != 1 {
+		t.Fatalf("a subscriber after the hook replays round %d first, want 1", ev.Round)
+	}
+	closed := NewRoundStream()
+	closed.OnFirstEvent(func() { calls++ })
+	closed.Close()
+	closed.Publish(RoundEvent{Round: 1})
+	if calls != 1 {
+		t.Fatal("the hook ran on a closed stream")
+	}
+	var none *RoundStream
+	none.OnFirstEvent(func() { calls++ }) // nil-receiver safe like every method
+}
+
 func TestRoundStreamStragglerFromSpans(t *testing.T) {
 	s := NewRoundStream()
 	s.OnSpan(Span{ID: 1, From: comm.FederatorID, To: 2, Kind: comm.KindTrain, Round: 0, End: ms(1)})

@@ -638,10 +638,11 @@ func TestRunnerCancelsLocalJobThroughItsLease(t *testing.T) {
 	}
 	<-started
 	r.mu.Lock()
-	l := r.leases[job.ID()]
+	st := r.jobs[job.ID()]
+	local, owner, seq := st.cancel != nil, st.worker, st.seq
 	r.mu.Unlock()
-	if l == nil || !l.local() || l.owner != "" {
-		t.Fatalf("running local job's lease = %+v, want a local one", l)
+	if !local || owner != "" {
+		t.Fatalf("running local job's lease is held by %q, local %v; want a local one", owner, local)
 	}
 	if n := r.LeaseCount(); n != 0 {
 		t.Fatalf("LeaseCount = %d with only a local job running, want 0", n)
@@ -649,7 +650,7 @@ func TestRunnerCancelsLocalJobThroughItsLease(t *testing.T) {
 	if st, _ := r.Get(job.ID()); st.Status != StatusRunning || st.Worker != "" {
 		t.Fatalf("running local job = %+v, want running with no worker", st)
 	}
-	if err := r.Complete(job.ID(), l.seq, Record{Status: StatusDone}); !errors.Is(err, ErrStaleLease) {
+	if err := r.Complete(job.ID(), seq, Record{Status: StatusDone}); !errors.Is(err, ErrStaleLease) {
 		t.Fatalf("remote Complete of a local job err = %v, want ErrStaleLease", err)
 	}
 	if st, owner, err := r.Cancel(job.ID()); err != nil || owner != "" || st.Status != StatusRunning {
@@ -657,10 +658,10 @@ func TestRunnerCancelsLocalJobThroughItsLease(t *testing.T) {
 	}
 	r.Wait()
 	r.mu.Lock()
-	leases := len(r.leases)
+	live := len(r.jobs)
 	r.mu.Unlock()
-	if leases != 0 {
-		t.Fatalf("%d leases outstanding after the canceled job landed", leases)
+	if live != 0 {
+		t.Fatalf("%d live jobs after the canceled job landed", live)
 	}
 	if st, _ := r.Get(job.ID()); st.Status != StatusCanceled || st.Worker != "" {
 		t.Fatalf("state after cancel = %+v, want canceled with no worker", st)

@@ -82,9 +82,9 @@ var (
 // lost owner's jobs to the front of the queue in the order they were
 // leased. Every remote lease carries a fencing sequence number so a
 // result from an expired lease is dropped instead of double-finishing a
-// job. A lease lives only in memory: the store holds terminal records
-// alone, each naming the worker that produced it, and a restart forgets
-// the leases as it forgets the queue.
+// job. A lease lives on its live job, in memory only: the store holds
+// terminal records alone, each naming the worker that produced it, and a
+// restart forgets the leases as it forgets the queue.
 type Runner struct {
 	store    *Store
 	token    uint32 // names this runner's jobs in the store's index
@@ -99,14 +99,13 @@ type Runner struct {
 	cond     *sync.Cond
 	queue    jobQueue
 	ready    chan struct{}               // see Ready
-	jobs     map[string]*JobState        // live jobs; see Runner
+	jobs     map[string]*liveJob         // see Runner
 	livePeak int                         // len(jobs) at most, since shrinkLive
 	order    []orderKey                  // every job submitted here, for List
 	exps     []string                    // the experiments of order, by orderKey.exp
 	expOf    map[string]uint32           // exps' indexes
 	counts   map[Status]int              // jobs of order by status, for Counts
 	streams  map[string]*obs.RoundStream // see stream
-	leases   map[string]*leaseState      // local and remote, until finish
 	leaseSeq uint64
 	closed   bool
 	wg       sync.WaitGroup
@@ -131,25 +130,44 @@ func (r *Runner) orderKey(k idKey) orderKey {
 	return orderKey{k.digest, x}
 }
 
-// leaseState is one outstanding lease, a remote owner's or a local
-// slot's. It stays in leases until its job is finished, so Wait also
-// waits for a result being persisted.
-type leaseState struct {
-	job      Job
-	owner    string             // "" for a local slot
+// liveJob is a job the runner holds: queued, leased, running, or finished
+// with a record the store does not hold. Its job is fixed at admission and
+// never written again, so a lease holder reads it with no lock; the rest
+// is guarded by r.mu. The lease's fields are set by grant and hold while
+// the job reads leased or running, landing included, which is what Wait
+// waits out.
+type liveJob struct {
+	job    Job // its ID cached
+	status Status
+	worker string // the lease's owner: "" for a local slot
+	// The lease.
 	seq      uint64             // a remote lease's fencing sequence
 	cancel   context.CancelFunc // a local slot's run; nil for a remote owner
 	canceled bool               // Cancel asked: Requeue finalizes, not requeues
 	landing  bool               // its result is being persisted
+	// The outcome of a finished job the runner keeps.
+	elapsed time.Duration
+	errText string
+	result  json.RawMessage
 }
 
-// local reports whether a local slot holds the lease.
-func (l *leaseState) local() bool { return l.cancel != nil }
+// state is a snapshot of st. Callers hold r.mu.
+func (st *liveJob) state() JobState {
+	return JobState{ID: st.job.id, Experiment: st.job.Experiment, Options: st.job.Options,
+		Status: st.status, Elapsed: st.elapsed, Error: st.errText, Worker: st.worker, Result: st.result}
+}
+
+// set makes rec's status and outcome st's; its identity stays the job's.
+// Callers hold r.mu.
+func (st *liveJob) set(rec Record) {
+	st.status, st.worker, st.elapsed, st.errText, st.result = rec.Status, rec.Worker, rec.Elapsed, rec.Error, rec.Result
+}
 
 // Leased is one job granted to a remote owner, with the fencing sequence
-// its completion must echo.
+// its completion must echo. Job is the runner's own: it does not change
+// while the runner holds the job, and the holder must not write it.
 type Leased struct {
-	Job Job
+	Job *Job
 	Seq uint64
 }
 
@@ -189,11 +207,10 @@ func New(store *Store, slots int, opts ...Option) *Runner {
 		slots:   slots,
 		execute: ExecuteJob,
 		ready:   make(chan struct{}, 1),
-		jobs:    make(map[string]*JobState),
+		jobs:    make(map[string]*liveJob),
 		expOf:   make(map[string]uint32),
 		counts:  make(map[Status]int),
 		streams: make(map[string]*obs.RoundStream),
-		leases:  make(map[string]*leaseState),
 	}
 	r.cond = sync.NewCond(&r.mu)
 	for _, opt := range opts {
@@ -303,18 +320,19 @@ func (r *Runner) Submit(job Job) (JobState, error) {
 		return JobState{}, fmt.Errorf("runner: closed")
 	}
 	if st, ok := r.jobs[id]; ok {
-		switch st.Status {
+		switch st.status {
 		case StatusQueued, StatusRunning, StatusLeased, StatusDone:
-			return *st, nil
+			return st.state(), nil
 		}
-		// Failed or canceled: requeue, subject to admission control.
+		// Failed or canceled: requeue, subject to admission control. The
+		// job is the one admitted first, whose ID this one's equals.
 		if err := r.checkQueueSpace(); err != nil {
-			return *st, err
+			return st.state(), err
 		}
-		r.move(st.Status, StatusQueued)
-		*st = JobState{ID: id, Experiment: job.Experiment, Options: job.Options, Status: StatusQueued}
+		r.move(st.status, StatusQueued)
+		st.set(Record{Status: StatusQueued})
 		r.enqueue(st)
-		return *st, nil
+		return st.state(), nil
 	}
 	// Not live: the store's index holds it if it finished, here or in an
 	// earlier life. The token says whether it is in order already.
@@ -341,11 +359,12 @@ func (r *Runner) Submit(job Job) (JobState, error) {
 		r.order = append(r.order, r.orderKey(k))
 		r.counts[StatusQueued]++
 	}
-	st := &JobState{ID: id, Experiment: job.Experiment, Options: job.Options, Status: StatusQueued}
+	job.id = id
+	st := &liveJob{job: job, status: StatusQueued}
 	r.jobs[id] = st
 	r.livePeak = max(r.livePeak, len(r.jobs))
 	r.enqueue(st)
-	return *st, nil
+	return st.state(), nil
 }
 
 // move retallies one job of order from one status to another. Callers
@@ -393,10 +412,10 @@ func (r *Runner) SubmitAll(jobs []Job) ([]JobState, error) {
 }
 
 // enqueue queues the live job st. Callers hold r.mu.
-func (r *Runner) enqueue(st *JobState) {
+func (r *Runner) enqueue(st *liveJob) {
 	// A retry drops the attempt before's stream, which finish closed
 	// already: the retry's subscribers get a fresh one (stream).
-	delete(r.streams, st.ID)
+	delete(r.streams, st.job.id)
 	r.signalIfEmpty()
 	r.queue.pushBack(st)
 	rm().queueDepth.Inc()
@@ -429,30 +448,25 @@ func (r *Runner) Ready() <-chan struct{} { return r.ready }
 // requeueFront returns the previously leased job st to the head of the
 // queue, keeping its stream, if it has one, so attached subscribers ride
 // through the worker loss transparently. Callers hold r.mu.
-func (r *Runner) requeueFront(st *JobState) {
+func (r *Runner) requeueFront(st *liveJob) {
 	r.signalIfEmpty()
 	r.queue.pushFront(st)
 	rm().queueDepth.Inc()
 	r.cond.Broadcast()
 }
 
-// job is the Job the live job rec was queued as.
-func (rec *Record) job() Job {
-	return Job{Experiment: rec.Experiment, Options: rec.Options, id: rec.ID}
-}
-
-// jobQueue is the runner's queue: a ring of the JobStates jobs holds, 8 B
+// jobQueue is the runner's queue: a ring of the live jobs jobs holds, 8 B
 // a job, taken from the front and added at either end in O(1). A slot a
 // job leaves is cleared and an emptied queue lets go of its ring, so no
 // job a burst queued stays reachable from it.
 type jobQueue struct {
-	ring []*JobState // nil, or a power of two long
-	head int         // the ring index of the front job
+	ring []*liveJob // nil, or a power of two long
+	head int        // the ring index of the front job
 	n    int
 }
 
 // at returns the i-th job from the front.
-func (q *jobQueue) at(i int) *JobState { return q.ring[q.index(i)] }
+func (q *jobQueue) at(i int) *liveJob { return q.ring[q.index(i)] }
 
 // index is the ring index of the i-th job from the front.
 func (q *jobQueue) index(i int) int { return (q.head + i) & (len(q.ring) - 1) }
@@ -462,20 +476,20 @@ func (q *jobQueue) grow() {
 	if q.n < len(q.ring) {
 		return
 	}
-	ring := make([]*JobState, max(8, 2*len(q.ring)))
+	ring := make([]*liveJob, max(8, 2*len(q.ring)))
 	for i := range q.n {
 		ring[i] = q.at(i)
 	}
 	q.ring, q.head = ring, 0
 }
 
-func (q *jobQueue) pushBack(st *JobState) {
+func (q *jobQueue) pushBack(st *liveJob) {
 	q.grow()
 	q.ring[q.index(q.n)] = st
 	q.n++
 }
 
-func (q *jobQueue) pushFront(st *JobState) {
+func (q *jobQueue) pushFront(st *liveJob) {
 	q.grow()
 	q.head = q.index(-1)
 	q.ring[q.head] = st
@@ -483,7 +497,7 @@ func (q *jobQueue) pushFront(st *JobState) {
 }
 
 // popFront takes the front of the non-empty queue.
-func (q *jobQueue) popFront() *JobState {
+func (q *jobQueue) popFront() *liveJob {
 	st := q.ring[q.head]
 	q.ring[q.head] = nil
 	q.head = q.index(1)
@@ -494,7 +508,7 @@ func (q *jobQueue) popFront() *JobState {
 }
 
 // remove takes st out of the queue and reports whether it was there.
-func (q *jobQueue) remove(st *JobState) bool {
+func (q *jobQueue) remove(st *liveJob) bool {
 	for i := range q.n {
 		if q.at(i) != st {
 			continue
@@ -525,14 +539,15 @@ func (r *Runner) slot() {
 			return
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		l := r.grant("", cancel)
-		events := r.stream(l.job.ID()) // finish closes it
+		st := r.grant("", cancel)
+		events := r.stream(st.job.id) // finish closes it
 		r.mu.Unlock()
 
 		rm().activeJobs.Inc()
-		rec := Run(ctx, l.job, events, r.execute)
+		rec := Run(ctx, st.job, events, r.execute)
 		rm().activeJobs.Dec()
-		r.land(l, rec)
+		r.land(st, "", rec)
+		cancel()
 	}
 }
 
@@ -562,28 +577,29 @@ func (r *Runner) persist(rec *Record) bool {
 }
 
 // finish makes a live job terminal with rec, which the store holds if
-// persisted. The store is then the job's only home: the job leaves jobs,
-// and its stream too unless it published events a late subscriber still
-// replays. The runner keeps the job when the store does not hold rec. The
-// stream closes in the same critical section that makes the status
-// terminal: a subscriber whose channel closed can trust that the job
-// already reads terminal, and a retry requeued via Submit can never
-// interleave between the two (it would have seen a live job and returned
-// as-is). See TestRunnerFailedRetry*. Callers hold r.mu.
-func (r *Runner) finish(st *JobState, rec Record, persisted bool) {
-	id := rec.ID
-	r.move(st.Status, rec.Status)
+// persisted, and ends its lease if it had one. The store is then the
+// job's only home: the job leaves jobs, and its stream too unless it
+// published events a late subscriber still replays. The runner keeps the
+// job's outcome when the store does not hold rec. The stream closes in
+// the same critical section that makes the status terminal: a subscriber
+// whose channel closed can trust that the job already reads terminal, and
+// a retry requeued via Submit can never interleave between the two (it
+// would have seen a live job and returned as-is). See
+// TestRunnerFailedRetry*. Callers hold r.mu.
+func (r *Runner) finish(st *liveJob, rec Record, persisted bool) {
+	id := st.job.id
+	r.move(st.status, rec.Status)
 	rm().observeFinished(rec.Status, rec.Elapsed)
 	stream := r.streams[id] // nil if it never had one
 	stream.Close()
 	if stream.Empty() {
 		delete(r.streams, id)
 	}
+	st.set(rec)
+	st.cancel = nil
 	if persisted {
 		delete(r.jobs, id)
 		r.shrinkLive()
-	} else {
-		*st = rec
 	}
 	r.cond.Broadcast()
 }
@@ -619,23 +635,22 @@ func (r *Runner) Cancel(id string) (JobState, string, error) {
 		}
 		return JobState{}, "", fmt.Errorf("%w %s", ErrUnknownJob, id)
 	}
-	switch st.Status {
+	switch st.status {
 	case StatusDone, StatusFailed, StatusCanceled:
-		return *st, "", fmt.Errorf("%w: %s is %s", ErrJobFinished, id, st.Status)
-	case StatusRunning, StatusLeased:
-		l := r.leases[id]
-		l.canceled = true
-		if l.local() {
-			l.cancel()
-			return *st, "", nil
-		}
-		return *st, l.owner, nil
+		return st.state(), "", fmt.Errorf("%w: %s is %s", ErrJobFinished, id, st.status)
+	case StatusRunning:
+		st.canceled = true
+		st.cancel()
+		return st.state(), "", nil
+	case StatusLeased:
+		st.canceled = true
+		return st.state(), st.worker, nil
 	}
 	// Queued: it never started, finalize here.
 	if r.queue.remove(st) {
 		rm().queueDepth.Dec()
 	}
-	rec := Record{ID: id, Experiment: st.Experiment, Options: st.Options,
+	rec := Record{ID: id, Experiment: st.job.Experiment, Options: st.job.Options,
 		Status: StatusCanceled, Error: "canceled before execution"}
 	r.finish(st, rec, r.persist(&rec))
 	return rec, "", nil
@@ -643,9 +658,9 @@ func (r *Runner) Cancel(id string) (JobState, string, error) {
 
 // Lease pops up to max queued jobs and grants them to the named remote
 // owner, each with a fresh fencing sequence. A lease is not written to the
-// store: it lives in memory until its job lands, and a restart forgets it
-// as it forgets the queue, so a job leased at the crash is resubmitted
-// like one that was queued.
+// store: it lives on its job in memory until the job lands, and a restart
+// forgets it as it forgets the queue, so a job leased at the crash is
+// resubmitted like one that was queued.
 func (r *Runner) Lease(owner string, max int) []Leased {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -655,10 +670,10 @@ func (r *Runner) Lease(owner string, max int) []Leased {
 	n := min(max, r.queue.n)
 	out := make([]Leased, 0, n)
 	for range n {
-		l := r.grant(owner, nil)
+		st := r.grant(owner, nil)
 		r.leaseSeq++
-		l.seq = r.leaseSeq
-		out = append(out, Leased{Job: l.job, Seq: l.seq})
+		st.seq = r.leaseSeq
+		out = append(out, Leased{Job: &st.job, Seq: st.seq})
 	}
 	return out
 }
@@ -667,18 +682,17 @@ func (r *Runner) Lease(owner string, max int) []Leased {
 // local slot, which passes the cancel of its run and whose job reads
 // running, or to the remote owner, whose job reads leased. Callers hold
 // r.mu.
-func (r *Runner) grant(owner string, cancel context.CancelFunc) *leaseState {
+func (r *Runner) grant(owner string, cancel context.CancelFunc) *liveJob {
 	st := r.queue.popFront()
 	rm().queueDepth.Dec()
-	l := &leaseState{job: st.job(), owner: owner, cancel: cancel}
-	r.leases[st.ID] = l
 	status := StatusLeased
-	if l.local() {
+	if cancel != nil {
 		status = StatusRunning
 	}
-	r.move(st.Status, status)
-	st.Status, st.Worker = status, owner
-	return l
+	r.move(st.status, status)
+	st.status, st.worker = status, owner
+	st.seq, st.cancel, st.canceled, st.landing = 0, cancel, false, false
+	return st
 }
 
 // Complete finishes a leased job with the outcome its owner reported. The
@@ -690,25 +704,26 @@ func (r *Runner) grant(owner string, cancel context.CancelFunc) *leaseState {
 // complete, and is stale too.
 func (r *Runner) Complete(id string, seq uint64, rec Record) error {
 	r.mu.Lock()
-	l := r.leases[id]
-	if l == nil || l.seq != seq || l.local() || l.landing {
+	st := r.jobs[id]
+	if st == nil || st.status != StatusLeased || st.seq != seq || st.landing {
 		r.mu.Unlock()
 		return fmt.Errorf("%w: job %s seq %d", ErrStaleLease, id, seq)
 	}
-	l.landing = true
+	st.landing = true
+	owner := st.worker
 	r.mu.Unlock()
-	r.land(l, rec)
+	r.land(st, owner, rec)
 	return nil
 }
 
-// land finishes the job of lease l with the outcome its holder reported;
-// the lease leaves the table as the job turns terminal.
-func (r *Runner) land(l *leaseState, rec Record) {
-	id := l.job.ID()
-	rec.ID = id
-	rec.Experiment = l.job.Experiment
-	rec.Options = l.job.Options
-	rec.Worker = l.owner
+// land finishes the leased job st with the outcome its holder, owner,
+// reported; the lease ends as the job turns terminal. The record's
+// identity is the job's, whatever rec says.
+func (r *Runner) land(st *liveJob, owner string, rec Record) {
+	rec.ID = st.job.id
+	rec.Experiment = st.job.Experiment
+	rec.Options = st.job.Options
+	rec.Worker = owner
 	switch rec.Status {
 	case StatusDone:
 	case StatusCanceled:
@@ -720,12 +735,8 @@ func (r *Runner) land(l *leaseState, rec Record) {
 	persisted := r.persist(&rec)
 
 	r.mu.Lock()
-	delete(r.leases, id)
-	r.finish(r.jobs[id], rec, persisted)
+	r.finish(st, rec, persisted)
 	r.mu.Unlock()
-	if l.local() {
-		l.cancel()
-	}
 }
 
 // Requeue takes back every lease held by the remote owner whose result is
@@ -736,28 +747,24 @@ func (r *Runner) land(l *leaseState, rec Record) {
 func (r *Runner) Requeue(owner string) (requeued, canceled int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var lost []*leaseState
-	for _, l := range r.leases {
-		if l.owner == owner && !l.local() && !l.landing {
-			lost = append(lost, l)
+	var lost []*liveJob
+	for _, st := range r.jobs {
+		if st.status == StatusLeased && st.worker == owner && !st.landing {
+			lost = append(lost, st)
 		}
 	}
 	// Pushed to the front last-leased first.
-	slices.SortFunc(lost, func(a, b *leaseState) int { return cmp.Compare(b.seq, a.seq) })
-	for _, l := range lost {
-		id := l.job.ID()
-		delete(r.leases, id)
-		st := r.jobs[id]
-		st.Worker = ""
-		if l.canceled {
-			rec := Record{ID: id, Experiment: l.job.Experiment, Options: l.job.Options,
+	slices.SortFunc(lost, func(a, b *liveJob) int { return cmp.Compare(b.seq, a.seq) })
+	for _, st := range lost {
+		if st.canceled {
+			rec := Record{ID: st.job.id, Experiment: st.job.Experiment, Options: st.job.Options,
 				Status: StatusCanceled, Error: "canceled while leased to a lost worker"}
 			r.finish(st, rec, r.persist(&rec))
 			canceled++
 			continue
 		}
-		r.move(st.Status, StatusQueued)
-		st.Status = StatusQueued
+		r.move(st.status, StatusQueued)
+		st.status, st.worker = StatusQueued, ""
 		r.requeueFront(st)
 		requeued++
 	}
@@ -792,7 +799,7 @@ func (r *Runner) stream(id string) *obs.RoundStream {
 	if s := r.streams[id]; s != nil {
 		return s
 	}
-	if st, ok := r.jobs[id]; !ok || st.Status.terminal() {
+	if st, ok := r.jobs[id]; !ok || st.status.terminal() {
 		return nil
 	}
 	s := obs.NewRoundStream()
@@ -859,7 +866,7 @@ func (r *Runner) live(id string) (JobState, bool) {
 	if !ok {
 		return JobState{}, false
 	}
-	return *st, true
+	return st.state(), true
 }
 
 // Each calls yield with a snapshot of each job submitted to this runner
@@ -873,7 +880,7 @@ func (r *Runner) Each(status Status, experiment string, yield func(*JobState) bo
 	f := filter{status, experiment}
 	const isLive = ^uint32(0) // an orderKey.exp no experiment has
 	r.mu.Lock()
-	jobs := make(map[orderKey]*JobState, len(r.jobs))
+	jobs := make(map[orderKey]*liveJob, len(r.jobs))
 	for id, st := range r.jobs {
 		jobs[r.orderKey(keyOf(id))] = st
 	}
@@ -884,8 +891,8 @@ func (r *Runner) Each(status Status, experiment string, yield func(*JobState) bo
 		switch {
 		case !ok:
 			keys = append(keys, k)
-		case f.match(st.Status, st.Experiment):
-			live = append(live, *st)
+		case f.match(st.status, st.job.Experiment):
+			live = append(live, st.state())
 			keys = append(keys, orderKey{exp: isLive})
 		}
 	}
@@ -931,11 +938,12 @@ func (f filter) match(status Status, experiment string) bool {
 }
 
 // Wait blocks until the queue is drained and no lease, local or remote, is
-// outstanding.
+// outstanding: no job reads leased or running, which a job whose result is
+// being persisted still does.
 func (r *Runner) Wait() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for r.queue.n > 0 || len(r.leases) > 0 {
+	for r.queue.n > 0 || r.counts[StatusLeased]+r.counts[StatusRunning] > 0 {
 		r.cond.Wait()
 	}
 }

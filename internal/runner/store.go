@@ -55,9 +55,10 @@ type Record struct {
 //
 // The in-memory index is the only home of a finished job in a Runner over
 // the store (see Runner), so it is kept compact: a 56 B storedRecord that
-// holds the ID as its digest, a 4 B slot of byID at most three quarters
-// full, and no result payloads. What a sweep's cells share — the
-// experiment and every option but the seed — is one profile, held once.
+// holds the ID as its digest, in pages that are never copied (entryPages),
+// a 4 B slot of byID at most three quarters full, and no result payloads.
+// What a sweep's cells share — the experiment and every option but the
+// seed — is one profile, held once.
 type Store struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -66,8 +67,8 @@ type Store struct {
 	// byID is an open-addressed table of entry index + 1 by idKey.hash,
 	// 0 for an empty slot; its length is a power of two.
 	byID      []uint32
-	entries   []storedRecord // in first-seen order; byID indexes it
-	profiles  []profile      // storedRecord.profile indexes it
+	entries   entryPages // in first-seen order; byID indexes it
+	profiles  []profile  // storedRecord.profile indexes it
 	profileOf map[profile]uint32
 	labels    []label // storedRecord.label indexes it
 	labelOf   map[label]uint32
@@ -121,9 +122,35 @@ type storedRecord struct {
 	oddID     bool // the ID is in ids: odd, or not of the profile's experiment
 }
 
+// pageLen is how many entries a page of the index holds, 56 KiB of them.
+const pageLen = 1024
+
+// entryPages holds the index's entries in pages of pageLen, each made whole
+// and never moved or copied, so an entry's bytes are allocated once and
+// less than a page stands empty at any count, where a slice grown by
+// append allocates several times its final size on the way.
+type entryPages struct {
+	pages []*[pageLen]storedRecord
+	n     int
+}
+
+// at returns entry i, which is below n.
+func (p *entryPages) at(i int) *storedRecord { return &p.pages[i/pageLen][i%pageLen] }
+
+// push appends e and returns its index.
+func (p *entryPages) push(e storedRecord) int {
+	if p.n == len(p.pages)*pageLen {
+		p.pages = append(p.pages, new([pageLen]storedRecord))
+	}
+	i := p.n
+	p.n++
+	*p.at(i) = e
+	return i
+}
+
 // key returns the idKey of entry i's ID. Callers hold s.mu.
 func (s *Store) key(i int) idKey {
-	e := &s.entries[i]
+	e := s.entries.at(i)
 	if e.oddID {
 		return keyOf(s.ids[i])
 	}
@@ -133,7 +160,7 @@ func (s *Store) key(i int) idKey {
 // record rebuilds the Record entry i's line holds, result stripped.
 // Callers hold s.mu.
 func (s *Store) record(i int) Record {
-	e := &s.entries[i]
+	e := s.entries.at(i)
 	p, l := &s.profiles[e.profile], &s.labels[e.label]
 	rec := Record{ID: s.key(i).String(), Experiment: p.experiment, Options: p.options,
 		Status: l.status, Elapsed: e.elapsed, Error: s.errs[i], Worker: l.worker}
@@ -273,7 +300,7 @@ func (s *Store) remember(rec Record, off int64, n int, lister uint32) {
 	i := int(s.byID[j]) - 1
 	if i >= 0 {
 		s.skipped++
-		prev := &s.entries[i]
+		prev := s.entries.at(i)
 		if e.lister == 0 {
 			e.lister = prev.lister
 		}
@@ -283,9 +310,8 @@ func (s *Store) remember(rec Record, off int64, n int, lister uint32) {
 		}
 		*prev = e
 	} else {
-		i = len(s.entries)
-		s.entries = append(s.entries, e)
-		s.byID[j] = uint32(len(s.entries))
+		i = s.entries.push(e)
+		s.byID[j] = uint32(i + 1)
 	}
 	if rec.Error != "" {
 		s.errs[i] = rec.Error
@@ -297,9 +323,9 @@ func (s *Store) remember(rec Record, off int64, n int, lister uint32) {
 	} else {
 		delete(s.ids, i)
 	}
-	if 4*len(s.entries) > 3*len(s.byID) {
+	if 4*s.entries.n > 3*len(s.byID) {
 		s.byID = make([]uint32, 2*len(s.byID))
-		for x := range s.entries {
+		for x := range s.entries.n {
 			s.byID[s.slot(s.key(x))] = uint32(x + 1)
 		}
 	}
@@ -336,7 +362,7 @@ func (s *Store) internLabel(l label) uint32 {
 // payload re-reads the line of entry i, the job id, from disk and returns
 // its result bytes. Callers hold s.mu.
 func (s *Store) payload(i int, id string) (json.RawMessage, error) {
-	e := &s.entries[i]
+	e := s.entries.at(i)
 	buf := make([]byte, e.n)
 	if _, err := s.f.ReadAt(buf, e.off); err != nil {
 		return nil, fmt.Errorf("runner: reread record %s: %w", id, err)
@@ -422,7 +448,7 @@ func (s *Store) find(k idKey, f filter) (Record, uint32, bool) {
 	if !ok {
 		return Record{}, 0, false
 	}
-	e := &s.entries[i]
+	e := s.entries.at(i)
 	if !f.match(s.labels[e.label].status, s.profiles[e.profile].experiment) {
 		return Record{}, 0, false
 	}
@@ -447,7 +473,7 @@ func (s *Store) list(k idKey, lister uint32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if i, ok := s.lookup(k); ok {
-		s.entries[i].lister = lister
+		s.entries.at(i).lister = lister
 	}
 }
 
@@ -472,7 +498,7 @@ func (s *Store) Get(id string) (Record, bool) {
 	}
 	rec := s.record(i)
 	var err error
-	if s.entries[i].hasResult {
+	if s.entries.at(i).hasResult {
 		rec.Result, err = s.payload(i, rec.ID)
 	}
 	s.mu.Unlock()
@@ -494,8 +520,8 @@ func (s *Store) List() []Record {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Record, 0, len(s.entries))
-	for i := range s.entries {
+	out := make([]Record, 0, s.entries.n)
+	for i := range s.entries.n {
 		out = append(out, s.record(i))
 	}
 	return out
@@ -508,7 +534,7 @@ func (s *Store) Len() int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.entries)
+	return s.entries.n
 }
 
 // Skipped reports how many lines were dropped, skipped or superseded

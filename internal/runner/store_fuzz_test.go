@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -240,7 +239,10 @@ func indexMatchesFile(t *testing.T, s *Store, path string) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	entries := slices.Clone(s.entries)
+	entries := make([]storedRecord, s.entries.n)
+	for i := range entries {
+		entries[i] = *s.entries.at(i)
+	}
 	s.mu.Unlock()
 	for i, e := range entries {
 		var want Record

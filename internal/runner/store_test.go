@@ -414,6 +414,69 @@ func TestRunnerListsWhileJobsFinish(t *testing.T) {
 	}
 }
 
+// TestRunnerWalksWhilePagesFill walks the job list and reads jobs while
+// the store's index fills two pages and opens a third, for the race
+// detector: an entry is read under the store's lock whichever page holds
+// it, and a page is never moved once made. Jobs finish in submission
+// order, so each walk of the done jobs visits a prefix of them, each as
+// its record was written.
+func TestRunnerWalksWhilePagesFill(t *testing.T) {
+	s, err := Open(tempStore(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	r := New(s, -1)
+	defer r.Close()
+	jobs := make([]Job, 2*pageLen+64)
+	for i := range jobs {
+		jobs[i] = mustJob(t, "table1", experiments.Options{Quick: true, Seed: uint64(i + 1)})
+	}
+	if _, err := r.SubmitAll(jobs); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range jobs {
+			l := r.Lease("1:w1", 1)
+			elapsed := time.Duration(l[0].Job.Options.Seed)
+			if err := r.Complete(l[0].Job.ID(), l[0].Seq, Record{Status: StatusDone, Elapsed: elapsed}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	walk := func() int {
+		n := 0
+		r.Each(StatusDone, "", func(st *JobState) bool {
+			if st.ID != jobs[n].ID() || st.Elapsed != time.Duration(n+1) || st.Worker != "1:w1" {
+				t.Errorf("done job %d reads %s, elapsed %d, worker %q; want %s, %d, 1:w1",
+					n, st.ID, st.Elapsed, st.Worker, jobs[n].ID(), n+1)
+				return false
+			}
+			n++
+			return true
+		})
+		return n
+	}
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		if n := walk(); n > 0 {
+			if st, ok := r.Get(jobs[n-1].ID()); !ok || st.Status != StatusDone || st.Elapsed != time.Duration(n) {
+				t.Fatalf("the last done job of a walk reads %+v, %v", st, ok)
+			}
+		}
+	}
+	if n := walk(); n != len(jobs) || s.Len() != len(jobs) {
+		t.Fatalf("a walk visits %d done jobs of %d indexed, want %d", n, s.Len(), len(jobs))
+	}
+}
+
 // TestRunnerEachYieldsUnlocked: Each visits what List collects, in its
 // order, stops when yield says so, and calls yield with no lock held — a
 // consumer may submit, lease and finish jobs from inside the walk, which
