@@ -56,7 +56,8 @@ type workerState struct {
 	lastSeen time.Time
 	leased   map[string]struct{}
 	// credit is how many more jobs the worker asked for than the queue
-	// held: its parked lease request. The next request replaces it.
+	// held: its parked lease request. The next heartbeat or result
+	// replaces it.
 	credit int
 	// owner is the worker's lease-owner key in the runner, formatted once
 	// at admission. It includes the node ID so two workers started with
@@ -209,8 +210,7 @@ func (c *Control) evict(ws *workerState, why string) {
 		ws.owner, why, requeued, canceled)
 }
 
-// admit registers (or re-registers) a worker and opens a route to it.
-// Callers hold c.mu.
+// admit registers a worker and opens a route to it. Callers hold c.mu.
 func (c *Control) admit(id comm.NodeID, name, addr string, slots int) *workerState {
 	ws := &workerState{id: id, name: name, owner: fmt.Sprintf("%d:%s", id, name),
 		addr: addr, slots: slots, lastSeen: time.Now(), leased: make(map[string]struct{})}
@@ -225,46 +225,25 @@ func (c *Control) admit(id comm.NodeID, name, addr string, slots int) *workerSta
 // the peer's handler lock, serialized like any actor.
 func (c *Control) OnMessage(_ comm.Env, msg comm.Message) {
 	switch p := msg.Payload.(type) {
-	case rpc.HelloPayload:
-		c.mu.Lock()
-		if old := c.workers[msg.From]; old != nil {
-			// A worker re-attaching under a known ID replaces its old
-			// incarnation; any leases the old one held are requeued.
-			delete(c.workers, msg.From)
-			c.mu.Unlock()
-			c.evict(old, "replaced by new hello")
-			c.mu.Lock()
-		}
-		ws := c.admit(msg.From, p.Name, p.Addr, p.Slots)
-		// Hello is the worker's first lease request, for every slot, and
-		// the grant that answers it (empty or not) is its admission ack.
-		ws.credit = p.Slots
-		c.mu.Unlock()
-		c.grant(ws, true)
-	case rpc.LeaseRequestPayload:
-		c.mu.Lock()
-		ws := c.workers[msg.From]
-		if ws == nil {
-			c.mu.Unlock()
-			break // unknown sender: its next heartbeat re-admits it
-		}
-		ws.lastSeen = time.Now()
-		ws.credit = p.Want
-		c.mu.Unlock()
-		c.grant(ws, false)
 	case rpc.HeartbeatPayload:
 		c.mu.Lock()
 		ws := c.workers[msg.From]
-		if ws == nil && p.Addr != "" {
-			// Unknown sender with an address: a worker that survived a
-			// control restart (or a transient eviction). Re-admit in place.
+		// A beat from an unknown sender with an address admits it: a worker
+		// attaching, or one that survived a control restart or a transient
+		// eviction. The grant that answers it, empty or not, is its ack.
+		ack := ws == nil && p.Addr != ""
+		if ack {
 			ws = c.admit(msg.From, p.Name, p.Addr, p.Slots)
 		}
 		if ws != nil {
 			ws.lastSeen = time.Now()
+			ws.credit = p.Want
 			fm().heartbeats.With(ws.name).Inc()
 		}
 		c.mu.Unlock()
+		if ws != nil {
+			c.grant(ws, ack)
+		}
 	case rpc.ResultPayload:
 		c.finish(msg.From, p)
 	case rpc.EventPayload:
@@ -286,15 +265,15 @@ func (c *Control) OnMessage(_ comm.Env, msg comm.Message) {
 // grant spends the worker's credit on queued jobs, as many as both allow
 // and never more than the worker has slots free by the control's own table.
 // What the queue or the cap cannot supply stays parked as credit until
-// dispatch, a result that frees a slot, the worker's next request, or its
-// eviction. Nothing is sent for an empty grant unless ack is set. Callers
-// hold the peer's handler lock (OnMessage or Invoke), which is what makes
-// grants to one worker sequential.
+// dispatch, the worker's next heartbeat or result, or its eviction. Nothing
+// is sent for an empty grant unless ack is set. Callers hold the peer's
+// handler lock (OnMessage or Invoke), which is what makes grants to one
+// worker sequential.
 func (c *Control) grant(ws *workerState, ack bool) {
 	c.mu.Lock()
 	if c.workers[ws.id] != ws {
 		c.mu.Unlock()
-		return // evicted or replaced since the caller looked it up
+		return // evicted since the caller looked it up
 	}
 	want := min(ws.credit, ws.slots-len(ws.leased))
 	owner, name := ws.owner, ws.name
@@ -346,7 +325,7 @@ func (c *Control) grant(ws *workerState, ack bool) {
 	case err != nil:
 		// The worker vanished between asking and being answered: requeue
 		// everything it holds. If it is actually alive, its next heartbeat
-		// re-admits it and it will ask again.
+		// re-admits it and asks again.
 		c.evict(ws, "grant undeliverable")
 	default:
 		fm().leasesGranted.With(name).Add(float64(len(gp.Leases)))
@@ -355,7 +334,8 @@ func (c *Control) grant(ws *workerState, ack bool) {
 
 // finish lands one worker-reported result in the runner; stale leases
 // (the worker was declared dead and the job requeued while the result was
-// in flight) are dropped and counted. Called from OnMessage only.
+// in flight) are dropped and counted. The result's request then replaces
+// the worker's credit. Called from OnMessage only.
 func (c *Control) finish(from comm.NodeID, p rpc.ResultPayload) {
 	rec := runner.Record{
 		Status:  runner.Status(p.Status),
@@ -366,20 +346,17 @@ func (c *Control) finish(from comm.NodeID, p rpc.ResultPayload) {
 	err := c.r.Complete(p.ID, p.Seq, rec)
 	c.mu.Lock()
 	ws := c.workers[from]
-	parked := false
 	if ws != nil {
 		ws.lastSeen = time.Now()
+		ws.credit = p.Want
 		delete(ws.leased, p.ID)
 		fm().leaseActive.With(ws.name).Set(float64(len(ws.leased)))
-		parked = ws.credit > 0
 	}
 	c.mu.Unlock()
 	if err != nil {
 		fm().staleResults.Inc()
 	}
-	if parked {
-		// A request that overtook this result was capped by the slot the
-		// result frees, and the worker will not repeat it: spend it now.
+	if ws != nil {
 		c.grant(ws, false)
 	}
 }
@@ -433,7 +410,7 @@ func (c *Control) Workers() []WorkerInfo {
 
 // HandleJoin is the HTTP bootstrap (POST /workers/join): it assigns the
 // caller a node identity and tells it where to dial and how often to
-// heartbeat. The rpc attachment itself happens via Hello afterwards.
+// heartbeat. The rpc attachment itself is the worker's first heartbeat.
 func (c *Control) HandleJoin(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)

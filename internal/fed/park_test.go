@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -230,8 +231,8 @@ func TestParkedCreditSpentJobByJob(t *testing.T) {
 }
 
 // TestNeverGrantsPastSlots: lease requests that say more than the control's
-// own table allows — a heartbeat re-request sent while the first grant was
-// still in flight reads exactly like this — grant nothing.
+// own table allows — a heartbeat sent while the first grant was still in
+// flight reads exactly like this — grant nothing.
 func TestNeverGrantsPastSlots(t *testing.T) {
 	r, c, joinURL := testControlEvery(t, nil, noPolling)
 	jobs := submitSeeds(t, r, 6)
@@ -247,14 +248,11 @@ func TestNeverGrantsPastSlots(t *testing.T) {
 	beats := fm().heartbeats.With("w") // process-wide: count from here
 	before := beats.Value()
 	for i := 0; i < 2; i++ {
-		if err := w.send(rpc.LeaseRequestPayload{Want: 2}); err != nil {
+		if err := w.send(rpc.HeartbeatPayload{Name: "w", Addr: w.Addr(), Slots: 2, Want: 2}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	w.beat()
-	// The control reads one worker's messages in order: once it has counted
-	// the heartbeat it has handled both requests before it.
-	waitFor(t, atOnce, "the heartbeat to be handled", func() bool { return beats.Value() > before })
+	waitFor(t, atOnce, "both heartbeats to be handled", func() bool { return beats.Value() >= before+2 })
 	time.Sleep(50 * time.Millisecond) // a wrong grant would be on the wire now
 	if got := w.Active(); got > 2 {
 		t.Fatalf("worker runs %d jobs on 2 slots", got)
@@ -268,9 +266,8 @@ func TestNeverGrantsPastSlots(t *testing.T) {
 
 // TestRequestOvertakingResultIsSpentOnResult: a heartbeat that ticks as a
 // job ends can put its lease request on the wire ahead of the result. The
-// control must cap that request (the slot still reads taken) and then spend
-// it when the result frees the slot — the worker, having asked for exactly
-// its free slots, will not ask again before its next heartbeat.
+// control must cap that request (the slot still reads taken) and then grant
+// when the result, carrying the request again, frees the slot.
 func TestRequestOvertakingResultIsSpentOnResult(t *testing.T) {
 	r, c, joinURL := testControlEvery(t, nil, noPolling)
 	g := newGate()
@@ -286,13 +283,7 @@ func TestRequestOvertakingResultIsSpentOnResult(t *testing.T) {
 
 	beats := fm().heartbeats.With("w") // process-wide: count from here
 	before := beats.Value()
-	w.mu.Lock()
-	w.asked = 1 // what beat() leaves behind when it sees the slot already free
-	w.mu.Unlock()
-	if err := w.send(rpc.LeaseRequestPayload{Want: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.send(rpc.HeartbeatPayload{Name: "w", Addr: w.Addr(), Slots: 1}); err != nil {
+	if err := w.send(rpc.HeartbeatPayload{Name: "w", Addr: w.Addr(), Slots: 1, Want: 1}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, atOnce, "the early request to be handled", func() bool { return beats.Value() > before })
@@ -308,10 +299,66 @@ func TestRequestOvertakingResultIsSpentOnResult(t *testing.T) {
 	waitFor(t, atOnce*4, "both jobs", allDone(r, jobs))
 }
 
+// TestCrossingResultsKeepEverySlot: a worker's jobs end together on an
+// empty queue, so their results cross on the wire and every freed slot
+// parks as credit. Each result carries the worker's request; if the control
+// read an older request after a newer one, the next round would find a
+// slot short, and no heartbeat here would restore it. Two slots is the
+// smallest crossing; eight make the window between reading the free slots
+// and sending them wide enough to hit in a few rounds.
+func TestCrossingResultsKeepEverySlot(t *testing.T) {
+	for _, c := range []struct{ slots, rounds int }{{2, 300}, {8, 100}} {
+		t.Run(fmt.Sprintf("%d slots", c.slots), func(t *testing.T) {
+			r, _, joinURL := testControlEvery(t, nil, noPolling)
+			started := make(chan chan struct{}, c.slots)
+			w, err := Join(WorkerConfig{ControlURL: joinURL, Name: "w", Slots: c.slots,
+				Execute: func(ctx context.Context, _ runner.Job) (json.RawMessage, error) {
+					release := make(chan struct{})
+					started <- release
+					select {
+					case <-release:
+						return json.RawMessage(`{}`), nil
+					case <-ctx.Done():
+						return nil, runner.ErrCanceled
+					}
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+
+			seed := uint64(0)
+			for round := 1; round <= c.rounds; round++ {
+				var jobs []runner.Job
+				for range c.slots {
+					seed++
+					jobs = append(jobs, seedJob(t, seed))
+					if _, err := r.Submit(jobs[len(jobs)-1]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var releases []chan struct{}
+				for range jobs {
+					select {
+					case release := <-started:
+						releases = append(releases, release)
+					case <-time.After(atOnce):
+						t.Fatalf("round %d of %d: %d jobs started on %d free slots", round, c.rounds, len(releases), c.slots)
+					}
+				}
+				for _, release := range releases {
+					close(release)
+				}
+				waitFor(t, atOnce, "the round's jobs", allDone(r, jobs))
+			}
+		})
+	}
+}
+
 // TestLostCreditRestoredByHeartbeat: the fallback the heartbeat is still for.
 // A worker evicted on the control's side loses its parked request with its
-// registration; its next heartbeat re-admits it and the request that follows
-// parks again.
+// registration; its next heartbeat re-admits it, and the request the beat
+// carries parks again.
 func TestLostCreditRestoredByHeartbeat(t *testing.T) {
 	r, c, joinURL := testControlEvery(t, nil, noPolling)
 	w, err := Join(WorkerConfig{ControlURL: joinURL, Name: "w", Slots: 1, Execute: instant})
@@ -337,7 +384,9 @@ func TestLostCreditRestoredByHeartbeat(t *testing.T) {
 	if st, _ := r.Get(job.ID()); st.Status != runner.StatusQueued {
 		t.Fatalf("job is %s with no worker registered, want queued", st.Status)
 	}
-	w.beat()
+	if err := w.beat(); err != nil {
+		t.Fatal(err)
+	}
 	waitFor(t, atOnce, "the re-admitted worker to run the job", allDone(r, []runner.Job{job}))
 
 	// And the restored request parks like the first one did.

@@ -47,10 +47,15 @@ type Worker struct {
 
 	mu      sync.Mutex
 	active  map[string]context.CancelFunc // the leases executing, by job
-	asked   int                           // Want of the request the control is presumed to hold; 0 = none
 	stopped bool
 
-	admitted  chan struct{} // closed by the first grant: the Hello ack
+	// ask orders the worker's lease requests. beat and report each read
+	// how many slots are free and send it as one step under it, so the
+	// control reads the requests in the order they were read and the last
+	// one it reads is current. OnMessage never takes it.
+	ask sync.Mutex
+
+	admitted  chan struct{} // closed by the first grant: the attach beat's ack
 	stop      chan struct{}
 	lost      chan struct{}
 	admitOnce sync.Once
@@ -60,11 +65,11 @@ type Worker struct {
 }
 
 // Join bootstraps a worker: POST /workers/join for an identity, listen on
-// the rpc transport under it, attach with Hello — which is also the first
-// lease request, for every slot — and start the heartbeat loop. It returns
-// once the control has answered the Hello, so the worker is registered (and
-// may already be executing); a control that stays silent for a heartbeat
-// interval is left to the heartbeats, which re-admit.
+// the rpc transport under it, attach with a heartbeat — which is also the
+// first lease request, for every slot — and start the heartbeat loop. It
+// returns once the control has answered that beat, so the worker is
+// registered (and may already be executing); a control that stays silent
+// for a heartbeat interval is left to the heartbeats, which re-admit.
 func Join(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
@@ -104,7 +109,6 @@ func Join(cfg WorkerConfig) (*Worker, error) {
 		id:        comm.NodeID(jr.ID),
 		heartbeat: time.Duration(jr.HeartbeatMS) * time.Millisecond,
 		active:    make(map[string]context.CancelFunc),
-		asked:     cfg.Slots,
 		admitted:  make(chan struct{}),
 		stop:      make(chan struct{}),
 		lost:      make(chan struct{}),
@@ -115,11 +119,11 @@ func Join(cfg WorkerConfig) (*Worker, error) {
 	}
 	w.peer = peer
 	peer.AddRoute(rpc.ControlID, jr.Control)
-	if err := w.send(rpc.HelloPayload{Name: cfg.Name, Addr: peer.Addr(), Slots: cfg.Slots}); err != nil {
+	if err := w.beat(); err != nil {
 		if cerr := peer.Close(); cerr != nil {
 			_ = cerr
 		}
-		return nil, fmt.Errorf("fed: hello: %w", err)
+		return nil, fmt.Errorf("fed: attach: %w", err)
 	}
 	select {
 	case <-w.admitted:
@@ -154,28 +158,12 @@ func (w *Worker) send(payload any) error {
 	return w.peer.Send(comm.Message{To: rpc.ControlID, Kind: comm.KindControl, Payload: payload})
 }
 
-// maybeRequestLeases tells the control how many slots are free, unless the
-// request it already holds says exactly that. The control answers only when
-// it has work: a request the queue cannot satisfy stays parked there and is
-// granted the moment a job arrives, and a newer request replaces it. A
-// grant, or the heartbeat loop each tick, forgets the outstanding request,
-// so one lost in transit or to an eviction costs at most one heartbeat.
-func (w *Worker) maybeRequestLeases() {
+// free is how many more jobs the worker can run: its lease request.
+// Callers hold w.ask, and send what it returns before they let go.
+func (w *Worker) free() int {
 	w.mu.Lock()
-	free := w.cfg.Slots - len(w.active)
-	ask := free > 0 && free != w.asked && !w.stopped
-	if ask {
-		w.asked = free
-	}
-	w.mu.Unlock()
-	if !ask {
-		return
-	}
-	if err := w.send(rpc.LeaseRequestPayload{Want: free}); err != nil {
-		w.mu.Lock()
-		w.asked = 0
-		w.mu.Unlock()
-	}
+	defer w.mu.Unlock()
+	return w.cfg.Slots - len(w.active)
 }
 
 func (w *Worker) heartbeatLoop() {
@@ -187,26 +175,20 @@ func (w *Worker) heartbeatLoop() {
 		case <-w.stop:
 			return
 		case <-t.C:
-			w.beat()
+			if err := w.beat(); err != nil {
+				_ = err // control briefly unreachable: keep beaconing
+			}
 		}
 	}
 }
 
-// beat is one heartbeat tick: the liveness beacon, then the lease request
-// again in case the control no longer holds it.
-func (w *Worker) beat() {
-	w.mu.Lock()
-	ids := make([]string, 0, len(w.active))
-	for id := range w.active {
-		ids = append(ids, id)
-	}
-	w.asked = 0 // the control may have lost the request: ask again
-	w.mu.Unlock()
-	if err := w.send(rpc.HeartbeatPayload{Active: ids, Name: w.cfg.Name,
-		Addr: w.peer.Addr(), Slots: w.cfg.Slots}); err != nil {
-		return // control briefly unreachable: keep beaconing
-	}
-	w.maybeRequestLeases()
+// beat sends one heartbeat: liveness, the identity a control that does not
+// know the worker admits it by, and the lease request again, in case the
+// control lost the one it held with its worker table (restart, eviction).
+func (w *Worker) beat() error {
+	w.ask.Lock()
+	defer w.ask.Unlock()
+	return w.send(rpc.HeartbeatPayload{Name: w.cfg.Name, Addr: w.peer.Addr(), Slots: w.cfg.Slots, Want: w.free()})
 }
 
 // OnMessage handles control→worker traffic (grants, cancels, bye).
@@ -215,7 +197,6 @@ func (w *Worker) OnMessage(_ comm.Env, msg comm.Message) {
 	case rpc.LeaseGrantPayload:
 		w.admitOnce.Do(func() { close(w.admitted) })
 		w.mu.Lock()
-		w.asked = 0
 		if w.stopped {
 			w.mu.Unlock()
 			return // shutting down: leases expire back to the queue via Bye/timeout
@@ -275,7 +256,6 @@ func (w *Worker) run(l rpc.Lease, job runner.Job, ctx context.Context) {
 	}
 	w.mu.Unlock()
 	w.report(l.ID, l.Seq, rec)
-	w.maybeRequestLeases()
 }
 
 // forward sends the control job id's events from stream until it closes.
@@ -293,15 +273,18 @@ func (w *Worker) forward(id string, stream *obs.RoundStream) {
 	}
 }
 
-// report sends one terminal record to the control. A record over the
-// wire's cap for a result is reported failed instead, naming the cap, so
-// the job does not wait out a heartbeat timeout to be run again. A send
-// failure is survivable: the control declares this worker dead after the
-// heartbeat timeout and requeues the job.
+// report sends one terminal record to the control, with the lease request
+// for the slots free now. A record over the wire's cap for a result is
+// reported failed instead, naming the cap, so the job does not wait out a
+// heartbeat timeout to be run again. A send failure is survivable: the
+// control declares this worker dead after the heartbeat timeout and
+// requeues the job.
 func (w *Worker) report(id string, seq uint64, rec runner.Record) {
+	w.ask.Lock()
+	defer w.ask.Unlock()
 	p := rpc.ResultPayload{
 		ID: id, Seq: seq, Status: string(rec.Status),
-		ElapsedNS: rec.Elapsed.Nanoseconds(), Error: rec.Error, Result: rec.Result,
+		ElapsedNS: rec.Elapsed.Nanoseconds(), Error: rec.Error, Result: rec.Result, Want: w.free(),
 	}
 	err := w.send(p)
 	if errors.Is(err, rpc.ErrFrameTooLarge) {

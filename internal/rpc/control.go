@@ -1,7 +1,8 @@
 // Control-plane wire protocol for multi-daemon job federation (DESIGN.md
 // §13): the message shapes a worker daemon and a control daemon exchange
-// over the ordinary Peer transport. Work distribution is pull-based — the
-// control never pushes a job a worker did not ask for — and every payload
+// over the ordinary Peer transport. Work distribution is pull-based: a
+// worker's heartbeats and results each say how many slots it has free, and
+// the control never pushes a job a worker did not ask for. Every payload
 // that references a job carries the lease sequence number the control
 // issued, so results from expired leases are detectable and droppable.
 //
@@ -19,31 +20,6 @@ import "aergia/internal/comm"
 // the edge-aggregator space (-2-k).
 const ControlID comm.NodeID = -100
 
-// HelloPayload attaches a worker to the control plane after the HTTP join
-// bootstrap assigned it a node ID: it announces the worker's own rpc
-// listen address (the control cannot send grants without it), its display
-// name, and its executor slot count. It is also the worker's first lease
-// request, for Slots jobs, and the control answers it with a
-// LeaseGrantPayload that doubles as the admission ack.
-type HelloPayload struct {
-	Name  string
-	Addr  string
-	Slots int
-}
-
-// LeaseRequestPayload tells the control the worker has Want slots free.
-// What the queue can supply is granted at once; the rest stays parked on
-// the control as the worker's credit and is granted the moment a job
-// arrives, with no further message from the worker. A request replaces the
-// one before it, never adds to it, and the control never lets a worker
-// hold more leases than its Slots whatever Want says. Workers send it after
-// each completed job and after every heartbeat while slots are free — the
-// latter only so that a credit lost with the control's worker table
-// (restart, eviction) costs one heartbeat and not forever.
-type LeaseRequestPayload struct {
-	Want int
-}
-
 // Lease is one unit of granted work: the job's content-hash ID, the
 // fencing sequence number of this particular grant, and the job spec as
 // canonical JSON ({"experiment":..., "options":...}).
@@ -55,23 +31,32 @@ type Lease struct {
 
 // LeaseGrantPayload delivers one or more leases against the worker's
 // standing request, whenever the control has them. It is empty only as the
-// answer to a Hello that found the queue empty; an unanswered
-// LeaseRequestPayload means "parked", not "lost".
+// admission ack to a heartbeat from a worker the control did not know; an
+// unanswered request means "parked", not "lost".
 type LeaseGrantPayload struct {
 	Leases []Lease
 }
 
-// HeartbeatPayload is the worker's liveness beacon, carrying the job IDs
-// it currently holds. A worker that misses the control's configured number
-// of consecutive heartbeats is declared dead and its leases are requeued.
-// Name/Addr/Slots duplicate the Hello so a control that no longer knows
-// the sender (it restarted, or it declared the worker dead after a
-// transient send failure) can re-admit it in place instead of starving it.
+// HeartbeatPayload is the worker's beacon, sent when it attaches and on
+// every heartbeat tick. It is liveness: a worker that misses the control's
+// configured number of consecutive heartbeats is declared dead and its
+// leases are requeued. It carries the worker's identity, so a control that
+// does not know the sender (it is attaching, the control restarted, or the
+// control declared it dead after a transient send failure) admits it in
+// place and answers with a grant, empty or not, as its ack. And it is a
+// lease request: Want is how many slots the worker has free. What the
+// queue can supply is granted at once; the rest stays parked on the
+// control as the worker's credit and is granted the moment a job arrives.
+// A request replaces the one before it, never adds to it, and the control
+// never lets a worker hold more leases than its Slots whatever Want says.
 type HeartbeatPayload struct {
+	// Active is not on the wire, which reads it back nil. Only bench/
+	// still sets it; ROADMAP item 8 drops that, and then the field goes.
 	Active []string
 	Name   string
 	Addr   string
 	Slots  int
+	Want   int
 }
 
 // ResultPayload reports one finished lease. Status is the runner's
@@ -79,7 +64,8 @@ type HeartbeatPayload struct {
 // experiment's canonical record JSON for done jobs and empty otherwise.
 // Seq must echo the lease's sequence number — a stale Seq means the lease
 // expired (the worker was declared dead and the job requeued) and the
-// result is dropped.
+// result is dropped. Want is the worker's lease request, as a heartbeat's,
+// read with the slot this result frees already free.
 type ResultPayload struct {
 	ID        string
 	Seq       uint64
@@ -87,6 +73,7 @@ type ResultPayload struct {
 	ElapsedNS int64
 	Error     string
 	Result    []byte
+	Want      int
 }
 
 // EventPayload forwards one live round-progress event (obs.RoundEvent as

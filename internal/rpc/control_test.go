@@ -36,9 +36,10 @@ func (c *ctlCollector) next(t *testing.T) comm.Message {
 }
 
 // TestControlProtocolRoundTrip drives the register→lease→result exchange
-// over real TCP: a worker peer attaches with Hello, pulls work, and the
-// control's grant and the worker's result survive the wire hop intact —
-// including the opaque JSON spec/record bytes and the fencing Seq.
+// over real TCP: a worker peer attaches with a heartbeat that asks for
+// work, and the control's grant and the worker's result survive the wire
+// hop intact — including the opaque JSON spec/record bytes, the fencing
+// Seq and the result's request.
 func TestControlProtocolRoundTrip(t *testing.T) {
 	control := newCtlCollector()
 	cp, err := Listen(ControlID, "127.0.0.1:0", control)
@@ -57,25 +58,17 @@ func TestControlProtocolRoundTrip(t *testing.T) {
 	wp.SetRegistry(map[comm.NodeID]string{ControlID: cp.Addr()})
 
 	if err := wp.Send(comm.Message{To: ControlID, Kind: comm.KindControl,
-		Payload: HelloPayload{Name: "w1", Addr: wp.Addr(), Slots: 2}}); err != nil {
+		Payload: HeartbeatPayload{Name: "w1", Addr: wp.Addr(), Slots: 2, Want: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	hello := control.next(t)
-	hp, ok := hello.Payload.(HelloPayload)
-	if !ok || hello.From != workerID || hp.Name != "w1" || hp.Slots != 2 {
-		t.Fatalf("hello = %+v payload %#v", hello, hello.Payload)
+	beat := control.next(t)
+	hp, ok := beat.Payload.(HeartbeatPayload)
+	if !ok || beat.From != workerID || hp.Name != "w1" || hp.Slots != 2 || hp.Want != 2 {
+		t.Fatalf("attach beat = %+v payload %#v", beat, beat.Payload)
 	}
-	// The control learns the worker's address from Hello, not from any
+	// The control learns the worker's address from its beat, not from any
 	// pre-shared registry.
 	cp.AddRoute(workerID, hp.Addr)
-
-	if err := wp.Send(comm.Message{To: ControlID, Kind: comm.KindControl,
-		Payload: LeaseRequestPayload{Want: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if req := control.next(t); req.Payload.(LeaseRequestPayload).Want != 2 {
-		t.Fatalf("lease request = %+v", req.Payload)
-	}
 
 	spec := []byte(`{"experiment":"fig4","options":{"quick":true}}`)
 	if err := cp.Send(comm.Message{To: workerID, Kind: comm.KindControl,
@@ -91,12 +84,12 @@ func TestControlProtocolRoundTrip(t *testing.T) {
 
 	if err := wp.Send(comm.Message{To: ControlID, Kind: comm.KindControl,
 		Payload: ResultPayload{ID: "fig4-abc", Seq: 41, Status: "done",
-			ElapsedNS: 123, Result: []byte(`{"x":1}`)}}); err != nil {
+			ElapsedNS: 123, Result: []byte(`{"x":1}`), Want: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	res := control.next(t).Payload.(ResultPayload)
 	if res.ID != "fig4-abc" || res.Seq != 41 || res.Status != "done" ||
-		res.ElapsedNS != 123 || string(res.Result) != `{"x":1}` {
+		res.ElapsedNS != 123 || string(res.Result) != `{"x":1}` || res.Want != 2 {
 		t.Fatalf("result = %+v", res)
 	}
 

@@ -23,13 +23,13 @@ import (
 //	header  9×u64   From, To, Round, Kind, Size, Span.{Trace, Span, Parent, Sent}
 //	payload         the tag's layout
 //
-// Integers are little-endian. The eight control payloads have a layout of
+// Integers are little-endian. The six control payloads have a layout of
 // their own: fixed-width integers, and strings and byte slices as a uint32
 // length then the bytes. Any other payload is gob, through one encoder and
 // one decoder a connection, so a type's descriptor crosses once.
 
 // wireVersion changes whenever a frame's layout does.
-const wireVersion = 1
+const wireVersion = 2
 
 // preface opens every connection. Its first byte is one gob refuses as a
 // message length, so a build that still speaks bare gob fails at once
@@ -48,8 +48,6 @@ type tag byte
 const (
 	tagNil tag = iota + 1 // no payload
 	tagGob
-	tagHello
-	tagLeaseRequest
 	tagLeaseGrant
 	tagHeartbeat
 	tagResult
@@ -59,8 +57,8 @@ const (
 	numTags
 )
 
-var tagNames = [numTags]string{"unknown", "empty", "gob", "hello", "lease request", "lease grant",
-	"heartbeat", "result", "event", "cancel", "bye"}
+var tagNames = [numTags]string{"unknown", "empty", "gob", "lease grant", "heartbeat", "result",
+	"event", "cancel", "bye"}
 
 // headerSize is a frame's length less its payload and length field.
 const headerSize = 1 + 9*8
@@ -69,16 +67,14 @@ const headerSize = 1 + 9*8
 // over its tag's cap before it allocates, and a send refuses a frame over
 // it before it writes.
 var frameCaps = [numTags]int{
-	tagNil:          headerSize,
-	tagGob:          64 << 20, // 28× cifar100-vgg, the largest model (2.3 MB)
-	tagHello:        64 << 10,
-	tagLeaseRequest: headerSize + 8,
-	tagLeaseGrant:   16 << 20,
-	tagHeartbeat:    1 << 20,
-	tagResult:       16 << 20, // the largest -quick record is 12.7 kB
-	tagEvent:        1 << 20,
-	tagCancel:       64 << 10,
-	tagBye:          64 << 10,
+	tagNil:        headerSize,
+	tagGob:        64 << 20, // 28× cifar100-vgg, the largest model (2.3 MB)
+	tagLeaseGrant: 16 << 20,
+	tagHeartbeat:  64 << 10,
+	tagResult:     16 << 20, // the largest -quick record is 12.7 kB
+	tagEvent:      1 << 20,
+	tagCancel:     64 << 10,
+	tagBye:        64 << 10,
 }
 
 // bufSize sizes a connection's read buffer and its write buffer. A frame
@@ -141,10 +137,6 @@ func payloadTag(v any) tag {
 	switch v.(type) {
 	case nil:
 		return tagNil
-	case HelloPayload:
-		return tagHello
-	case LeaseRequestPayload:
-		return tagLeaseRequest
 	case LeaseGrantPayload:
 		return tagLeaseGrant
 	case HeartbeatPayload:
@@ -204,15 +196,9 @@ func appendBytes[S string | []byte](b []byte, s S) []byte {
 	return append(b, s...)
 }
 
-// appendPayload lays out one of the eight control payloads.
+// appendPayload lays out one of the six control payloads.
 func appendPayload(b []byte, v any) []byte {
 	switch p := v.(type) {
-	case HelloPayload:
-		b = appendBytes(b, p.Name)
-		b = appendBytes(b, p.Addr)
-		b = appendU64(b, uint64(p.Slots))
-	case LeaseRequestPayload:
-		b = appendU64(b, uint64(p.Want))
 	case LeaseGrantPayload:
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(p.Leases)))
 		for _, l := range p.Leases {
@@ -221,13 +207,10 @@ func appendPayload(b []byte, v any) []byte {
 			b = appendBytes(b, l.Spec)
 		}
 	case HeartbeatPayload:
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(p.Active)))
-		for _, id := range p.Active {
-			b = appendBytes(b, id)
-		}
 		b = appendBytes(b, p.Name)
 		b = appendBytes(b, p.Addr)
 		b = appendU64(b, uint64(p.Slots))
+		b = appendU64(b, uint64(p.Want))
 	case ResultPayload:
 		b = appendBytes(b, p.ID)
 		b = appendU64(b, p.Seq)
@@ -235,6 +218,7 @@ func appendPayload(b []byte, v any) []byte {
 		b = appendU64(b, uint64(p.ElapsedNS))
 		b = appendBytes(b, p.Error)
 		b = appendBytes(b, p.Result)
+		b = appendU64(b, uint64(p.Want))
 	case EventPayload:
 		b = appendBytes(b, p.ID)
 		b = appendBytes(b, p.Event)
@@ -477,15 +461,11 @@ func (r *payloadReader) count(least int) int {
 	return int(n)
 }
 
-// decodePayload reads one of the eight control payloads.
+// decodePayload reads one of the six control payloads.
 func decodePayload(t tag, body []byte) (any, error) {
 	r := payloadReader{b: body}
 	var v any
 	switch t {
-	case tagHello:
-		v = HelloPayload{Name: r.str(), Addr: r.str(), Slots: int(r.u64())}
-	case tagLeaseRequest:
-		v = LeaseRequestPayload{Want: int(r.u64())}
 	case tagLeaseGrant:
 		var leases []Lease
 		if n := r.count(4 + 8 + 4); n > 0 {
@@ -496,17 +476,10 @@ func decodePayload(t tag, body []byte) (any, error) {
 		}
 		v = LeaseGrantPayload{Leases: leases}
 	case tagHeartbeat:
-		var active []string
-		if n := r.count(4); n > 0 {
-			active = make([]string, n)
-			for i := range active {
-				active[i] = r.str()
-			}
-		}
-		v = HeartbeatPayload{Active: active, Name: r.str(), Addr: r.str(), Slots: int(r.u64())}
+		v = HeartbeatPayload{Name: r.str(), Addr: r.str(), Slots: int(r.u64()), Want: int(r.u64())}
 	case tagResult:
 		v = ResultPayload{ID: r.str(), Seq: r.u64(), Status: r.status(), ElapsedNS: int64(r.u64()),
-			Error: r.str(), Result: r.bytes()}
+			Error: r.str(), Result: r.bytes(), Want: int(r.u64())}
 	case tagEvent:
 		v = EventPayload{ID: r.str(), Event: r.bytes()}
 	case tagCancel:

@@ -17,8 +17,9 @@ import (
 
 // TestReadFrameAllocations pins what reading a control payload costs: its
 // own strings and byte slices, each an exact-sized copy out of the read
-// buffer, and its boxing into Message.Payload, and nothing else. A lease
-// request costs nothing, and a result's "done" is the constant, not a copy.
+// buffer, and its boxing into Message.Payload, and nothing else. A
+// heartbeat with no identity costs its boxing alone, an empty grant
+// nothing, and a result's "done" or "failed" is the constant, not a copy.
 // Laying any of them out costs nothing.
 func TestReadFrameAllocations(t *testing.T) {
 	if race.Enabled {
@@ -27,11 +28,12 @@ func TestReadFrameAllocations(t *testing.T) {
 	// Per kind: the owned copies, then one boxing where the payload is
 	// not a pointer-free word (Go boxes a small integer for free).
 	for i, want := range []float64{
-		2 + 1,     // hello: Name, Addr
-		0,         // lease request
+		2 + 1,     // heartbeat: Name, Addr
+		0 + 1,     // heartbeat with no identity
 		3 + 1,     // grant of one lease: the slice, its ID and Spec
-		4 + 1,     // heartbeat of one job: the slice, its ID, Name, Addr
+		0 + 0,     // empty grant: Go boxes a zero value for free
 		2 + 1,     // result: ID, Result
+		2 + 1,     // failed result: ID, Error
 		2 + 1,     // event: ID, Event
 		1 + 1,     // cancel: ID
 		1 + 1,     // bye: Reason
@@ -136,7 +138,7 @@ func TestSendRefusesAFrameOverItsCap(t *testing.T) {
 	big := small
 	big.Result = bytes.Repeat([]byte("x"), 200)
 	err := a.Send(comm.Message{To: 2, Payload: big})
-	if !errors.Is(err, ErrFrameTooLarge) || !strings.Contains(err.Error(), "result frame of 316 bytes is over its cap of 200 bytes") {
+	if !errors.Is(err, ErrFrameTooLarge) || !strings.Contains(err.Error(), "result frame of 324 bytes is over its cap of 200 bytes") {
 		t.Fatalf("oversized send = %v, want ErrFrameTooLarge naming the cap of 200", err)
 	}
 	if err := a.Send(comm.Message{To: 2, Round: 9, Payload: small}); err != nil {
@@ -179,7 +181,7 @@ func TestPeerFromAnotherBuildIsRefused(t *testing.T) {
 	defer a.Close()
 	a.AddRoute(2, ln.Addr().String())
 	err = a.Send(comm.Message{To: 2, Payload: ByePayload{Reason: "x"}})
-	if !errors.Is(err, errWireVersion) || !strings.Contains(err.Error(), "wire version 2, this build 1") {
+	if !errors.Is(err, errWireVersion) || !strings.Contains(err.Error(), "wire version 3, this build 2") {
 		t.Fatalf("send to another build = %v, want a refusal naming both versions", err)
 	}
 
@@ -215,7 +217,7 @@ func TestLargeFramesRoundTrip(t *testing.T) {
 	text := strings.Repeat("0123456789", 3*bufSize)
 	sent := []comm.Message{
 		{From: 1, Payload: pingPayload{Text: text}},
-		{From: 2, Payload: LeaseRequestPayload{Want: 1}},
+		{From: 2, Payload: HeartbeatPayload{Want: 1}},
 		{From: 3, Payload: ResultPayload{ID: "fig4-00", Status: "done", Result: []byte(text)}},
 		{From: 4, Payload: pingPayload{Text: "small"}},
 		{From: 5, Payload: EventPayload{ID: "fig4-00", Event: []byte(text[:bufSize])}},
