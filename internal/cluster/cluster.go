@@ -101,20 +101,3 @@ func SpeedsWithVariance(n int, mean, variance float64, rng *tensor.RNG) []float6
 	}
 	return speeds
 }
-
-// SpeedVariance returns the empirical variance of a speed vector.
-func SpeedVariance(speeds []float64) float64 {
-	if len(speeds) == 0 {
-		return 0
-	}
-	var mean float64
-	for _, s := range speeds {
-		mean += s
-	}
-	mean /= float64(len(speeds))
-	var v float64
-	for _, s := range speeds {
-		v += (s - mean) * (s - mean)
-	}
-	return v / float64(len(speeds))
-}

@@ -129,3 +129,20 @@ func TestCostModelZeroFLOPSFallsBack(t *testing.T) {
 		t.Fatalf("duration = %v, want 1s at default 2e7 FLOPS", d)
 	}
 }
+
+// SpeedVariance returns the empirical variance of a speed vector.
+func SpeedVariance(speeds []float64) float64 {
+	if len(speeds) == 0 {
+		return 0
+	}
+	var mean float64
+	for _, s := range speeds {
+		mean += s
+	}
+	mean /= float64(len(speeds))
+	var v float64
+	for _, s := range speeds {
+		v += (s - mean) * (s - mean)
+	}
+	return v / float64(len(speeds))
+}

@@ -236,13 +236,6 @@ func (e *Enclave) Submit(sub Submission) error {
 	return nil
 }
 
-// SubmissionCount returns how many clients have submitted distributions.
-func (e *Enclave) SubmissionCount() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.submissions)
-}
-
 // SimilarityMatrix computes the pairwise EMD matrix over the clients with
 // IDs 0..n-1 inside the enclave. Only this aggregate leaves the enclave.
 // Clients that did not submit are treated as having uniform distributions.

@@ -185,3 +185,10 @@ func containsSub(haystack, needle []byte) bool {
 	}
 	return false
 }
+
+// SubmissionCount returns how many clients have submitted distributions.
+func (e *Enclave) SubmissionCount() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.submissions)
+}

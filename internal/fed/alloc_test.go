@@ -22,9 +22,9 @@ const (
 
 // TestControlAllocationPerJob pins the bytes a control over a store and one
 // worker over loopback allocate per job, over a batch of no-op jobs. The
-// tolerance, 1%, is three times the widest spread of five runs at -cpu 2
-// and three at each of -cpu 1 and 8 (0.4%); a change to what a job costs
-// the service moves this pin, reviewed like a golden. Under any other
+// tolerance, 1%, is above the widest spread measured across -cpu 1, 2 and
+// 8 (2 352-2 366 B, 0.6%); a change to what a job costs the service moves
+// this pin, reviewed like a golden. Under any other
 // toolchain than pinnedToolchain it reports the figure and skips.
 func TestControlAllocationPerJob(t *testing.T) {
 	if race.Enabled {

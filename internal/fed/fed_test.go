@@ -322,3 +322,10 @@ func TestWorkerReportsAnOversizedResultFailed(t *testing.T) {
 		t.Fatalf("oversized job = %+v, want failed on w1 naming the result cap", st)
 	}
 }
+
+// Active returns how many leases the worker is executing right now.
+func (w *Worker) Active() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.active)
+}

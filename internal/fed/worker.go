@@ -143,13 +143,6 @@ func (w *Worker) Name() string { return w.cfg.Name }
 // Addr returns the worker's rpc listen address.
 func (w *Worker) Addr() string { return w.peer.Addr() }
 
-// Active returns how many leases the worker is executing right now.
-func (w *Worker) Active() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.active)
-}
-
 // Lost is closed if the control tells the worker to go away (Bye), so the
 // daemon main can exit and rejoin instead of spinning uselessly.
 func (w *Worker) Lost() <-chan struct{} { return w.lost }

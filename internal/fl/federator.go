@@ -137,9 +137,6 @@ func (f *Federator) Start(env comm.Env) {
 // Results returns the accumulated experiment results.
 func (f *Federator) Results() *Results { return f.results }
 
-// GlobalWeights snapshots the current global model.
-func (f *Federator) GlobalWeights() nn.Weights { return f.global.SnapshotWeights() }
-
 // startRound selects the round's clients and opens it over them, with the
 // strategy's deadline or the RoundTimeout fallback.
 func (f *Federator) startRound(env comm.Env) {

@@ -267,3 +267,6 @@ func profileReport(id comm.NodeID, t123, t4 time.Duration) profile.Report {
 		Remaining: 10,
 	}
 }
+
+// GlobalWeights snapshots the current global model.
+func (f *Federator) GlobalWeights() nn.Weights { return f.global.SnapshotWeights() }

@@ -491,14 +491,3 @@ func (g *laneGroup) drain() {
 		}
 	}
 }
-
-// unfinished reports the group's queued plus executing steps.
-func (g *laneGroup) unfinished() int {
-	laneSched.mu.Lock()
-	defer laneSched.mu.Unlock()
-	n := 0
-	for l := range g.live {
-		n += len(l.queue)
-	}
-	return n
-}

@@ -696,3 +696,14 @@ func sameBits(a, b []float64) bool {
 	}
 	return true
 }
+
+// unfinished reports the group's queued plus executing steps.
+func (g *laneGroup) unfinished() int {
+	laneSched.mu.Lock()
+	defer laneSched.mu.Unlock()
+	n := 0
+	for l := range g.live {
+		n += len(l.queue)
+	}
+	return n
+}

@@ -86,9 +86,6 @@ func EdgeID(k int) comm.NodeID { return comm.NodeID(-2 - k) }
 // IsEdge reports whether id names an edge aggregator.
 func IsEdge(id comm.NodeID) bool { return id <= -2 }
 
-// EdgeIndex inverts EdgeID.
-func EdgeIndex(id comm.NodeID) int { return int(-2 - id) }
-
 // Assign maps a client to the edge tier that owns it: a stable seed-derived
 // hash of the actor ID, so every process of a deployment computes the same
 // ownership without a membership exchange, and adding clients never moves

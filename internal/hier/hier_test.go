@@ -385,3 +385,6 @@ func TestLazyClientParksWithItsContinuation(t *testing.T) {
 		t.Fatalf("a hydrated rejoin: hydrated %v, heard %d, counts %v", lc.Hydrated(), incs[2].rejoins, counts())
 	}
 }
+
+// EdgeIndex inverts EdgeID.
+func EdgeIndex(id comm.NodeID) int { return int(-2 - id) }

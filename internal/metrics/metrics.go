@@ -230,32 +230,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// CSV renders the table as RFC-4180-ish comma-separated values (cells are
-// quoted when they contain commas or quotes).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(cell, ",\"\n") {
-				b.WriteByte('"')
-				b.WriteString(strings.ReplaceAll(cell, `"`, `""`))
-				b.WriteByte('"')
-			} else {
-				b.WriteString(cell)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.header)
-	for _, row := range t.rows {
-		writeRow(row)
-	}
-	return b.String()
-}
-
 // Sparkline renders values as a compact unicode bar series, handy for
 // printing figure-like series in terminal output.
 func Sparkline(xs []float64) string {

@@ -31,11 +31,6 @@ type Conv2DLayer struct {
 
 var _ Layer = (*Conv2DLayer)(nil)
 
-// NewConv2D returns a convolution layer with He-initialized weights.
-func NewConv2D(inC, outC, kernel, pad, stride int, rng *tensor.RNG) *Conv2DLayer {
-	return initParams{rng: rng}.conv(inC, outC, kernel, pad, stride)
-}
-
 func (ip initParams) conv(inC, outC, kernel, pad, stride int) *Conv2DLayer {
 	l := &Conv2DLayer{
 		InChannels:  inC,

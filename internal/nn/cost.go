@@ -15,10 +15,6 @@ type PhaseCost struct {
 // Total returns the FLOPs of a full training cycle (all four phases).
 func (p PhaseCost) Total() float64 { return p.FF + p.FC + p.BC + p.BF }
 
-// FrozenTotal returns the FLOPs of a cycle with frozen feature layers,
-// which skips the bf phase.
-func (p PhaseCost) FrozenTotal() float64 { return p.FF + p.FC + p.BC }
-
 // Shares returns each phase's fraction of the total (ff, fc, bc, bf).
 func (p PhaseCost) Shares() (ff, fc, bc, bf float64) {
 	t := p.Total()

@@ -28,11 +28,6 @@ type DenseLayer struct {
 
 var _ Layer = (*DenseLayer)(nil)
 
-// NewDense returns a dense layer with Xavier-initialized weights.
-func NewDense(in, out int, rng *tensor.RNG) *DenseLayer {
-	return initParams{rng: rng}.dense(in, out)
-}
-
 func (ip initParams) dense(in, out int) *DenseLayer {
 	l := &DenseLayer{
 		In:     in,

@@ -1,11 +1,6 @@
 package nn
 
-import (
-	"fmt"
-	"math"
-
-	"aergia/internal/tensor"
-)
+import "math"
 
 // softmaxXEntInto computes softmax cross-entropy in float64: d holds the
 // logits, gd receives the gradient (softmax minus one-hot), and the loss is
@@ -31,50 +26,4 @@ func softmaxXEntInto(d []float64, label int, gd []float64) float64 {
 	loss := -math.Log(gd[label] + 1e-12)
 	gd[label]--
 	return loss
-}
-
-// SoftmaxCrossEntropy computes the cross-entropy loss of logits against an
-// integer label and the gradient of the loss with respect to the logits.
-// The gradient tensor has the logits' element type. Training loops should
-// prefer Network.TrainBatch, which reuses a loss workspace instead of
-// allocating per call.
-func SoftmaxCrossEntropy(logits *tensor.Tensor, label int) (loss float64, grad *tensor.Tensor, err error) {
-	if logits.Dims() != 1 {
-		return 0, nil, fmt.Errorf("nn: loss expects 1-D logits, got %v", logits.Shape())
-	}
-	n := logits.Size()
-	if label < 0 || label >= n {
-		return 0, nil, fmt.Errorf("nn: label %d out of range [0,%d)", label, n)
-	}
-	d := make([]float64, n)
-	logits.CopyToF64(d)
-	gd := make([]float64, n)
-	loss = softmaxXEntInto(d, label, gd)
-	grad = tensor.MustNewOf(logits.DType(), n)
-	grad.CopyFromF64(gd)
-	return loss, grad, nil
-}
-
-// Softmax returns the softmax probabilities of the logits as a float64
-// tensor.
-func Softmax(logits *tensor.Tensor) *tensor.Tensor {
-	d := make([]float64, logits.Size())
-	logits.CopyToF64(d)
-	maxv := d[0]
-	for _, v := range d {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	out := tensor.MustNew(logits.Size())
-	od := out.Data()
-	var sum float64
-	for i, v := range d {
-		od[i] = math.Exp(v - maxv)
-		sum += od[i]
-	}
-	for i := range od {
-		od[i] /= sum
-	}
-	return out
 }

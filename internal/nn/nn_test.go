@@ -2,6 +2,7 @@ package nn
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -302,30 +303,6 @@ func TestWeightsSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWeightsMarshalRoundTrip(t *testing.T) {
-	net, _ := Build(ArchMNISTCNN, 42)
-	w := net.SnapshotWeights()
-	buf := w.Marshal()
-	w2, err := UnmarshalWeights(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(w2.Feature) != len(w.Feature) || len(w2.Classifier) != len(w.Classifier) {
-		t.Fatal("marshal round-trip changed sizes")
-	}
-	for i := range w.Feature {
-		if w.Feature[i] != w2.Feature[i] {
-			t.Fatal("marshal round-trip changed feature values")
-		}
-	}
-	if _, err := UnmarshalWeights(buf[:10]); !errors.Is(err, ErrWeightSize) {
-		t.Fatalf("short buffer err = %v", err)
-	}
-	if _, err := UnmarshalWeights(buf[:len(buf)-8]); !errors.Is(err, ErrWeightSize) {
-		t.Fatalf("truncated buffer err = %v", err)
-	}
-}
-
 func TestWeightsLoadSizeMismatch(t *testing.T) {
 	net, _ := Build(ArchMNISTCNN, 42)
 	bad := Weights{Feature: make([]float64, 3), Classifier: make([]float64, 3)}
@@ -528,3 +505,73 @@ func TestEvaluateEmpty(t *testing.T) {
 		t.Fatal("expected error for empty evaluation set")
 	}
 }
+
+// NewConv2D returns a convolution layer with He-initialized weights.
+func NewConv2D(inC, outC, kernel, pad, stride int, rng *tensor.RNG) *Conv2DLayer {
+	return initParams{rng: rng}.conv(inC, outC, kernel, pad, stride)
+}
+
+// NewDense returns a dense layer with Xavier-initialized weights.
+func NewDense(in, out int, rng *tensor.RNG) *DenseLayer {
+	return initParams{rng: rng}.dense(in, out)
+}
+
+// NewResidualBlock returns a residual block over `channels` feature maps
+// with 3×3 kernels and same-padding. The first conv+relu pair is fused at
+// construction: relu1 is kept only for the FLOP cost model (so phase costs
+// are unchanged) while conv1 applies the activation inside its kernels.
+// relu2 cannot fuse because the skip connection adds into conv2's output
+// before the activation.
+func NewResidualBlock(channels int, rng *tensor.RNG) *ResidualBlock {
+	return initParams{rng: rng}.residual(channels)
+}
+
+// SoftmaxCrossEntropy computes the cross-entropy loss of logits against an
+// integer label and the gradient of the loss with respect to the logits.
+// The gradient tensor has the logits' element type. Training loops should
+// prefer Network.TrainBatch, which reuses a loss workspace instead of
+// allocating per call.
+func SoftmaxCrossEntropy(logits *tensor.Tensor, label int) (loss float64, grad *tensor.Tensor, err error) {
+	if logits.Dims() != 1 {
+		return 0, nil, fmt.Errorf("nn: loss expects 1-D logits, got %v", logits.Shape())
+	}
+	n := logits.Size()
+	if label < 0 || label >= n {
+		return 0, nil, fmt.Errorf("nn: label %d out of range [0,%d)", label, n)
+	}
+	d := make([]float64, n)
+	logits.CopyToF64(d)
+	gd := make([]float64, n)
+	loss = softmaxXEntInto(d, label, gd)
+	grad = tensor.MustNewOf(logits.DType(), n)
+	grad.CopyFromF64(gd)
+	return loss, grad, nil
+}
+
+// Softmax returns the softmax probabilities of the logits as a float64
+// tensor.
+func Softmax(logits *tensor.Tensor) *tensor.Tensor {
+	d := make([]float64, logits.Size())
+	logits.CopyToF64(d)
+	maxv := d[0]
+	for _, v := range d {
+		if v > maxv {
+			maxv = v
+		}
+	}
+	out := tensor.MustNew(logits.Size())
+	od := out.Data()
+	var sum float64
+	for i, v := range d {
+		od[i] = math.Exp(v - maxv)
+		sum += od[i]
+	}
+	for i := range od {
+		od[i] /= sum
+	}
+	return out
+}
+
+// FrozenTotal returns the FLOPs of a cycle with frozen feature layers,
+// which skips the bf phase.
+func (p PhaseCost) FrozenTotal() float64 { return p.FF + p.FC + p.BC }

@@ -20,16 +20,6 @@ type ResidualBlock struct {
 
 var _ Layer = (*ResidualBlock)(nil)
 
-// NewResidualBlock returns a residual block over `channels` feature maps
-// with 3×3 kernels and same-padding. The first conv+relu pair is fused at
-// construction: relu1 is kept only for the FLOP cost model (so phase costs
-// are unchanged) while conv1 applies the activation inside its kernels.
-// relu2 cannot fuse because the skip connection adds into conv2's output
-// before the activation.
-func NewResidualBlock(channels int, rng *tensor.RNG) *ResidualBlock {
-	return initParams{rng: rng}.residual(channels)
-}
-
 func (ip initParams) residual(channels int) *ResidualBlock {
 	b := &ResidualBlock{
 		conv1: ip.conv(channels, channels, 3, 1, 1),

@@ -1,10 +1,8 @@
 package nn
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"aergia/internal/tensor"
 )
@@ -43,16 +41,6 @@ func (n *Network) LoadWeights(w Weights) error {
 		return fmt.Errorf("classifier section: %w", err)
 	}
 	return nil
-}
-
-// LoadFeatureWeights restores only the feature section.
-func (n *Network) LoadFeatureWeights(vals []float64) error {
-	return unflatten(n.featureParams(), vals)
-}
-
-// LoadClassifierWeights restores only the classifier section.
-func (n *Network) LoadClassifierWeights(vals []float64) error {
-	return unflatten(n.classifierParams(), vals)
 }
 
 // flattenInto widens parameters of either element type into the float64
@@ -137,45 +125,4 @@ func (w Weights) ZeroLike() Weights {
 		Feature:    make([]float64, len(w.Feature)),
 		Classifier: make([]float64, len(w.Classifier)),
 	}
-}
-
-// Marshal encodes the snapshot into a compact binary form
-// (section lengths followed by IEEE-754 little-endian values).
-func (w Weights) Marshal() []byte {
-	buf := make([]byte, 16+8*w.Len())
-	binary.LittleEndian.PutUint64(buf[0:8], uint64(len(w.Feature)))
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(len(w.Classifier)))
-	off := 16
-	for _, v := range w.Feature {
-		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
-		off += 8
-	}
-	for _, v := range w.Classifier {
-		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
-		off += 8
-	}
-	return buf
-}
-
-// UnmarshalWeights decodes a snapshot produced by Marshal.
-func UnmarshalWeights(buf []byte) (Weights, error) {
-	if len(buf) < 16 {
-		return Weights{}, fmt.Errorf("%w: short buffer", ErrWeightSize)
-	}
-	nf := int(binary.LittleEndian.Uint64(buf[0:8]))
-	nc := int(binary.LittleEndian.Uint64(buf[8:16]))
-	if nf < 0 || nc < 0 || len(buf) != 16+8*(nf+nc) {
-		return Weights{}, fmt.Errorf("%w: lengths %d/%d for %d bytes", ErrWeightSize, nf, nc, len(buf))
-	}
-	w := Weights{Feature: make([]float64, nf), Classifier: make([]float64, nc)}
-	off := 16
-	for i := range w.Feature {
-		w.Feature[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
-	}
-	for i := range w.Classifier {
-		w.Classifier[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
-	}
-	return w, nil
 }

@@ -375,22 +375,6 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 	return &GaugeVec{f: r.register(name, help, typeGauge, labels, nil)}
 }
 
-// GaugeFunc registers a gauge whose value is read from fn at scrape time —
-// the natural shape for "current depth of that queue over there". The
-// callback must be safe to call from any goroutine.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	if r == nil {
-		return
-	}
-	f := r.register(name, help, typeGauge, nil, nil)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.fn != nil || len(f.children) > 0 {
-		panic(fmt.Sprintf("obs: gauge func %s already registered", name))
-	}
-	f.fn = fn
-}
-
 // Histogram registers (or resolves) an unlabeled histogram with the given
 // bucket upper bounds (nil selects DefBuckets).
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -215,4 +216,20 @@ func TestConcurrentInstruments(t *testing.T) {
 	if g.Value() != 0 {
 		t.Fatalf("gauge = %v, want 0", g.Value())
 	}
+}
+
+// GaugeFunc registers a gauge whose value is read from fn at scrape time —
+// the natural shape for "current depth of that queue over there". The
+// callback must be safe to call from any goroutine.
+func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
+	if r == nil {
+		return
+	}
+	f := r.register(name, help, typeGauge, nil, nil)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.fn != nil || len(f.children) > 0 {
+		panic(fmt.Sprintf("obs: gauge func %s already registered", name))
+	}
+	f.fn = fn
 }

@@ -110,12 +110,6 @@ func (r Report) Task4() time.Duration { return r.BF }
 // FullBatch returns the per-batch duration of a complete training cycle.
 func (r Report) FullBatch() time.Duration { return r.Tasks123() + r.Task4() }
 
-// ExpectedRemaining returns the projected time to finish the remaining
-// local updates at the profiled speed.
-func (r Report) ExpectedRemaining() time.Duration {
-	return time.Duration(r.Remaining) * r.FullBatch()
-}
-
 // Validate checks internal consistency of a received report.
 func (r Report) Validate() error {
 	if r.Batches <= 0 {

@@ -87,3 +87,9 @@ func TestReportValidate(t *testing.T) {
 		}
 	}
 }
+
+// ExpectedRemaining returns the projected time to finish the remaining
+// local updates at the profiled speed.
+func (r Report) ExpectedRemaining() time.Duration {
+	return time.Duration(r.Remaining) * r.FullBatch()
+}

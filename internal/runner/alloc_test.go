@@ -117,11 +117,11 @@ func TestLeaseCycleAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The live job, the queue's ring (an emptied queue lets go of it) and
-	// the grant's one-element slice.
+	// The live job and the grant's one-element slice. An emptied queue
+	// keeps its small ring, so the next job does not make one.
 	t.Logf("%v allocations a cycle", n)
-	if n > 3 {
-		t.Errorf("a Submit, Lease, Complete cycle allocates %v times, want at most 3", n)
+	if n > 2 {
+		t.Errorf("a Submit, Lease, Complete cycle allocates %v times, want at most 2", n)
 	}
 	if got := r.Counts()[StatusDone]; got != len(jobs) {
 		t.Fatalf("%d jobs done, want %d", got, len(jobs))

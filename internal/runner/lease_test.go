@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -477,9 +478,10 @@ func TestRunnerFailedRetrySubscriberSemantics(t *testing.T) {
 
 // TestRunnerQueueReleasesPoppedJobs pins that the queue keeps no popped job
 // reachable: a job leaves through the worker, Lease or Cancel and its slot
-// in the queue's ring is cleared, and a drained queue holds no ring at
-// all. Popping by reslicing alone kept every job of a burst, and its
-// options, alive in the array append had grown.
+// in the queue's ring is cleared, and a drained queue keeps at most a small
+// ring, with no job in it, and no ring at all once a burst drains. Popping
+// by reslicing alone kept every job of a burst, and its options, alive in
+// the array append had grown.
 func TestRunnerQueueReleasesPoppedJobs(t *testing.T) {
 	check := func(r *Runner, step string) {
 		t.Helper()
@@ -496,8 +498,9 @@ func TestRunnerQueueReleasesPoppedJobs(t *testing.T) {
 		t.Helper()
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		if r.queue.ring != nil {
-			t.Fatalf("after %s the drained queue keeps a ring of %d slots", step, len(r.queue.ring))
+		q := &r.queue
+		if q.n != 0 || len(q.ring) > 64 || slices.ContainsFunc(q.ring, func(st *liveJob) bool { return st != nil }) {
+			t.Fatalf("after %s the drained queue holds %d jobs in a ring of %d slots: %v", step, q.n, len(q.ring), q.ring)
 		}
 	}
 	jobs := make([]Job, 6)
@@ -535,6 +538,29 @@ func TestRunnerQueueReleasesPoppedJobs(t *testing.T) {
 		t.Fatalf("leased %d, want 1", len(got))
 	}
 	drained(r, "Lease")
+
+	// A burst of more than 64 jobs grows the ring past what an emptied
+	// queue keeps, so draining it lets go of the ring.
+	burst := make([]Job, 100)
+	for i := range burst {
+		burst[i] = mustJob(t, "fig4", experiments.Options{Quick: true, Seed: uint64(100 + i)})
+	}
+	if _, err := r.SubmitAll(burst); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.Cancel(burst[50].ID()); err != nil {
+		t.Fatal(err)
+	}
+	check(r, "Cancel in a burst")
+	if got := r.Lease("w3", len(burst)); len(got) != len(burst)-1 {
+		t.Fatalf("leased %d, want %d", len(got), len(burst)-1)
+	}
+	drained(r, "a burst's Lease")
+	r.mu.Lock()
+	if r.queue.ring != nil {
+		t.Errorf("the drained burst keeps a ring of %d slots", len(r.queue.ring))
+	}
+	r.mu.Unlock()
 
 	// The local worker: each job blocks until released, so the queue is
 	// observed between pops.

@@ -457,8 +457,8 @@ func (r *Runner) requeueFront(st *liveJob) {
 
 // jobQueue is the runner's queue: a ring of the live jobs jobs holds, 8 B
 // a job, taken from the front and added at either end in O(1). A slot a
-// job leaves is cleared and an emptied queue lets go of its ring, so no
-// job a burst queued stays reachable from it.
+// job leaves is cleared, and an emptied queue keeps a ring of at most 64
+// slots for the next job, so no job a burst queued stays reachable from it.
 type jobQueue struct {
 	ring []*liveJob // nil, or a power of two long
 	head int        // the ring index of the front job
@@ -502,7 +502,10 @@ func (q *jobQueue) popFront() *liveJob {
 	q.ring[q.head] = nil
 	q.head = q.index(1)
 	if q.n--; q.n == 0 {
-		*q = jobQueue{}
+		q.head = 0
+		if len(q.ring) > 64 {
+			q.ring = nil
+		}
 	}
 	return st
 }
@@ -513,13 +516,10 @@ func (q *jobQueue) remove(st *liveJob) bool {
 		if q.at(i) != st {
 			continue
 		}
-		for ; i+1 < q.n; i++ {
-			q.ring[q.index(i)] = q.at(i + 1)
+		for ; i > 0; i-- {
+			q.ring[q.index(i)] = q.at(i - 1)
 		}
-		q.ring[q.index(i)] = nil
-		if q.n--; q.n == 0 {
-			*q = jobQueue{}
-		}
+		q.popFront()
 		return true
 	}
 	return false

@@ -60,17 +60,6 @@ type Schedule struct {
 	MeanComputeTime time.Duration `json:"meanComputeTimeNanos"`
 }
 
-// PairFor returns the pair involving the given client (as weak or strong)
-// and whether one exists.
-func (s Schedule) PairFor(id comm.NodeID) (Pair, bool) {
-	for _, p := range s.Pairs {
-		if p.Weak == id || p.Strong == id {
-			return p, true
-		}
-	}
-	return Pair{}, false
-}
-
 // ErrNoClients is returned when Compute receives an empty performance set.
 var ErrNoClients = errors.New("sched: no client performance reports")
 

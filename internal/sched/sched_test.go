@@ -351,3 +351,14 @@ func TestSignerSequenceMonotonic(t *testing.T) {
 		last = env.Seq
 	}
 }
+
+// PairFor returns the pair involving the given client (as weak or strong)
+// and whether one exists.
+func (s Schedule) PairFor(id comm.NodeID) (Pair, bool) {
+	for _, p := range s.Pairs {
+		if p.Weak == id || p.Strong == id {
+			return p, true
+		}
+	}
+	return Pair{}, false
+}

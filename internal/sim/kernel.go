@@ -131,6 +131,3 @@ func (k *Kernel) RunUntil(deadline time.Duration) {
 		k.now = deadline
 	}
 }
-
-// Pending returns the number of queued (possibly cancelled) events.
-func (k *Kernel) Pending() int { return k.queue.Len() }

@@ -264,3 +264,6 @@ func TestDeterministicReplay(t *testing.T) {
 		}
 	}
 }
+
+// Pending returns the number of queued (possibly cancelled) events.
+func (k *Kernel) Pending() int { return k.queue.Len() }

@@ -50,14 +50,6 @@ func EMD(p, q []float64) (float64, error) {
 	return total, nil
 }
 
-// EMDCounts normalizes two count histograms and returns their EMD.
-func EMDCounts(a, b []int) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrMismatch, len(a), len(b))
-	}
-	return EMD(Normalize(a), Normalize(b))
-}
-
 // Matrix is a symmetric pairwise dissimilarity matrix: Matrix[i][j] is the
 // EMD between the class distributions of clients i and j. Lower values mean
 // more similar datasets.

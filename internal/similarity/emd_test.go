@@ -2,6 +2,7 @@ package similarity
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -149,4 +150,12 @@ func TestQuickEMDScaleInvariant(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// EMDCounts normalizes two count histograms and returns their EMD.
+func EMDCounts(a, b []int) (float64, error) {
+	if len(a) != len(b) {
+		return 0, fmt.Errorf("%w: %d vs %d", ErrMismatch, len(a), len(b))
+	}
+	return EMD(Normalize(a), Normalize(b))
 }

@@ -204,13 +204,6 @@ func (Serial) ScaleT(a float64, x *Tensor) { serialRef.ScaleT(a, x) }
 // NewSerial32 returns the float32 backend.
 func NewSerial32() Backend { return serialRef32 }
 
-// NewParallel32 is NewSerial32 under its former name; the worker count
-// selects nothing.
-func NewParallel32(int) Backend { return serialRef32 }
-
-// BackendNames lists the backends in canonical order.
-func BackendNames() []string { return []string{"serial", "serial32"} }
-
 // CanonicalBackend validates a backend name and returns its canonical form:
 // "" and the alias "parallel" map to "serial", "parallel32" to "serial32".
 func CanonicalBackend(name string) (string, error) {

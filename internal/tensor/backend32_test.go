@@ -449,3 +449,6 @@ func TestEngineDTypeMismatch(t *testing.T) {
 		t.Fatalf("AddInPlace across dtypes: err = %v, want ErrDTypeMismatch", err)
 	}
 }
+
+// BackendNames lists the backends in canonical order.
+func BackendNames() []string { return []string{"serial", "serial32"} }

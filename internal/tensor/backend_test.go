@@ -303,3 +303,7 @@ func TestNewBackend(t *testing.T) {
 		t.Fatal("NewBackend accepted unknown name")
 	}
 }
+
+// NewParallel32 is NewSerial32 under its former name; the worker count
+// selects nothing.
+func NewParallel32(int) Backend { return serialRef32 }

@@ -1,10 +1,11 @@
 package tensor
 
-// The package-level kernels below are the float64 serial reference API:
-// thin wrappers over the shared serial engine instantiation. They execute
-// the exact historical operation sequences (the generic engine's float64
-// stamp preserves every loop structure and accumulation order), so results
-// are bit-identical to the seed implementation.
+// The package-level kernels below are the float64 serial reference the
+// tests check the engines against: thin wrappers over the shared serial
+// engine instantiation. They execute the exact historical operation
+// sequences (the generic engine's float64 stamp preserves every loop
+// structure and accumulation order), so results are bit-identical to the
+// seed implementation.
 
 // MatMul computes C = A × B for 2-D tensors A (m×k) and B (k×n).
 func MatMul(a, b *Tensor) (*Tensor, error) { return serialRef.MatMul(a, b) }

@@ -119,17 +119,3 @@ func (t *Tensor) FillNormal(r *RNG, std float64) {
 		t.data[i] = r.NormFloat64() * std
 	}
 }
-
-// FillUniform fills t with U[lo,hi) variates (drawn in float64; see
-// FillNormal for the float32 narrowing contract).
-func (t *Tensor) FillUniform(r *RNG, lo, hi float64) {
-	if t.dt == F32 {
-		for i := range t.f32 {
-			t.f32[i] = float32(lo + r.Float64()*(hi-lo))
-		}
-		return
-	}
-	for i := range t.data {
-		t.data[i] = lo + r.Float64()*(hi-lo)
-	}
-}

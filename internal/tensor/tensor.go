@@ -194,21 +194,6 @@ func (t *Tensor) sameTyped(o *Tensor) error {
 	return nil
 }
 
-// Reshape returns a view with the new shape sharing the same storage; the
-// element count must be preserved.
-func (t *Tensor) Reshape(shape ...int) (*Tensor, error) {
-	n, err := checkShape(shape)
-	if err != nil {
-		return nil, err
-	}
-	if n != t.Size() {
-		return nil, fmt.Errorf("%w: cannot reshape %v to %v", ErrShapeMismatch, t.shape, shapeCopy(shape))
-	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{shape: s, dt: t.dt, data: t.data, f32: t.f32}, nil
-}
-
 // ViewInto repoints dst to be a view of t's storage with the given shape,
 // reusing dst's shape slice when possible. It is the zero-alloc steady-state
 // form of Reshape: layers that reshape the same buffer every step (Flatten)
@@ -332,24 +317,6 @@ func (t *Tensor) ScaleInPlace(a float64) {
 	}
 }
 
-// AxpyInPlace computes t += a*o (BLAS axpy).
-func (t *Tensor) AxpyInPlace(a float64, o *Tensor) error {
-	if err := t.sameTyped(o); err != nil {
-		return err
-	}
-	if t.dt == F32 {
-		f := float32(a)
-		for i, v := range o.f32 {
-			t.f32[i] += f * v
-		}
-		return nil
-	}
-	for i, v := range o.data {
-		t.data[i] += a * v
-	}
-	return nil
-}
-
 // CopyFrom copies o's elements into t, converting dtypes if they differ.
 // Shapes must match.
 func (t *Tensor) CopyFrom(o *Tensor) error {
@@ -415,15 +382,6 @@ func (t *Tensor) ConvertTo(dt DType) {
 	t.dt = dt
 }
 
-// Add returns t + o as a new tensor.
-func Add(t, o *Tensor) (*Tensor, error) {
-	c := t.Clone()
-	if err := c.AddInPlace(o); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // Sub returns t - o as a new tensor.
 func Sub(t, o *Tensor) (*Tensor, error) {
 	c := t.Clone()
@@ -431,32 +389,6 @@ func Sub(t, o *Tensor) (*Tensor, error) {
 		return nil, err
 	}
 	return c, nil
-}
-
-// Scale returns a*t as a new tensor.
-func Scale(a float64, t *Tensor) *Tensor {
-	c := t.Clone()
-	c.ScaleInPlace(a)
-	return c
-}
-
-// Dot returns the inner product of two equally shaped and typed tensors,
-// accumulated in float64.
-func Dot(a, b *Tensor) (float64, error) {
-	if err := a.sameTyped(b); err != nil {
-		return 0, err
-	}
-	var s float64
-	if a.dt == F32 {
-		for i, v := range a.f32 {
-			s += float64(v) * float64(b.f32[i])
-		}
-		return s, nil
-	}
-	for i, v := range a.data {
-		s += v * b.data[i]
-	}
-	return s, nil
 }
 
 // Norm2 returns the Euclidean norm of the tensor (float64 accumulation).

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -520,4 +521,72 @@ func TestEqualNaNAndInf(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Reshape returns a view with the new shape sharing the same storage; the
+// element count must be preserved.
+func (t *Tensor) Reshape(shape ...int) (*Tensor, error) {
+	n, err := checkShape(shape)
+	if err != nil {
+		return nil, err
+	}
+	if n != t.Size() {
+		return nil, fmt.Errorf("%w: cannot reshape %v to %v", ErrShapeMismatch, t.shape, shapeCopy(shape))
+	}
+	s := make([]int, len(shape))
+	copy(s, shape)
+	return &Tensor{shape: s, dt: t.dt, data: t.data, f32: t.f32}, nil
+}
+
+// AxpyInPlace computes t += a*o (BLAS axpy).
+func (t *Tensor) AxpyInPlace(a float64, o *Tensor) error {
+	if err := t.sameTyped(o); err != nil {
+		return err
+	}
+	if t.dt == F32 {
+		f := float32(a)
+		for i, v := range o.f32 {
+			t.f32[i] += f * v
+		}
+		return nil
+	}
+	for i, v := range o.data {
+		t.data[i] += a * v
+	}
+	return nil
+}
+
+// Add returns t + o as a new tensor.
+func Add(t, o *Tensor) (*Tensor, error) {
+	c := t.Clone()
+	if err := c.AddInPlace(o); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Scale returns a*t as a new tensor.
+func Scale(a float64, t *Tensor) *Tensor {
+	c := t.Clone()
+	c.ScaleInPlace(a)
+	return c
+}
+
+// Dot returns the inner product of two equally shaped and typed tensors,
+// accumulated in float64.
+func Dot(a, b *Tensor) (float64, error) {
+	if err := a.sameTyped(b); err != nil {
+		return 0, err
+	}
+	var s float64
+	if a.dt == F32 {
+		for i, v := range a.f32 {
+			s += float64(v) * float64(b.f32[i])
+		}
+		return s, nil
+	}
+	for i, v := range a.data {
+		s += v * b.data[i]
+	}
+	return s, nil
 }

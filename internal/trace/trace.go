@@ -267,12 +267,3 @@ func (l *Log) FilterRound(round int) []Event {
 	}
 	return out
 }
-
-// KindCounts summarizes a timeline by event kind.
-func KindCounts(events []Event) map[Kind]int {
-	counts := make(map[Kind]int)
-	for _, e := range events {
-		counts[e.Kind]++
-	}
-	return counts
-}

@@ -157,3 +157,12 @@ func TestEdgeAggregatorLanes(t *testing.T) {
 		t.Fatal("edge lanes collide")
 	}
 }
+
+// KindCounts summarizes a timeline by event kind.
+func KindCounts(events []Event) map[Kind]int {
+	counts := make(map[Kind]int)
+	for _, e := range events {
+		counts[e.Kind]++
+	}
+	return counts
+}
